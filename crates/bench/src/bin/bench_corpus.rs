@@ -3,9 +3,10 @@
 //!
 //! For each requested collector count K, the same synthetic day is
 //! split into K vantage MRT byte streams (what each collector would
-//! publish) and run through `run_corpus`: one full per-collector
-//! pipeline (cleaning + Table 1/2 + community-presence sinks) per
-//! vantage, fanned across worker threads, merged in name order. The
+//! publish) and run through `PipelineBuilder::collectors`: one full
+//! per-collector pipeline (cleaning + Table 1/2 + community-presence
+//! sinks) per vantage, fanned across worker threads, merged in name
+//! order. The
 //! binary asserts — in-binary, every run — that the combined corpus
 //! result equals a single-pipeline pass over the unsplit day, then
 //! emits `BENCH_corpus.json` with updates/s and peak pipeline state vs
@@ -21,7 +22,7 @@ use std::time::Instant;
 use kcc_bench::mrtgen::{generate_mrt_day, generate_vantage_mrt, MrtDay};
 use kcc_core::corpus::run_corpus_report;
 use kcc_core::table::OverviewSink;
-use kcc_core::{run_pipeline, CleaningConfig, CleaningStage, Corpus, CountsSink, MrtSource};
+use kcc_core::{CleaningConfig, CleaningStage, Corpus, CountsSink, MrtSource, PipelineBuilder};
 use kcc_tracegen::universe::UniverseConfig;
 use kcc_tracegen::{vantage_names, Mar20Config, MultiVantageConfig};
 
@@ -103,12 +104,13 @@ fn main() {
         // (the same medium the vantages go through).
         let MrtDay { bytes: day_bytes, registry, route_servers: day_rs, .. } =
             generate_mrt_day(&cfg.base);
-        let reference = run_pipeline(
+        let reference = PipelineBuilder::new(
             MrtSource::new(&day_bytes[..], "all", cfg.base.epoch_seconds)
                 .with_route_servers(day_rs),
-            CleaningStage::new(&registry, CleaningConfig::default()),
-            (OverviewSink::default(), CountsSink::default()),
         )
+        .stages(CleaningStage::new(&registry, CleaningConfig::default()))
+        .sink((OverviewSink::default(), CountsSink::default()))
+        .run()
         .expect("in-memory MRT cannot fail");
 
         // The measured corpus run.

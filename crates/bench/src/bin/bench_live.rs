@@ -23,7 +23,7 @@ use std::time::Instant;
 
 use kcc_bgp_types::Asn;
 use kcc_collector::{SessionKey, UpdateArchive};
-use kcc_core::{run_live, CountsSink};
+use kcc_core::{CountsSink, PipelineBuilder};
 use kcc_peer::{
     offline_reference, sys, Collector, CollectorConfig, FloodOptions, FloodPlan, FloodRig,
     StampMode,
@@ -176,7 +176,11 @@ fn run_point(peers: usize, workload: &UpdateArchive) -> Point {
         collector.shutdown();
         (report, collector.join())
     });
-    let out = run_live(source, (), CountsSink::default(), &stop).expect("live run");
+    let out = PipelineBuilder::new(source)
+        .sink(CountsSink::default())
+        .shutdown(&stop)
+        .run()
+        .expect("live run");
     let seconds = start.elapsed().as_secs_f64().max(1e-9);
     let (report, stats) = coordinator.join().expect("coordinator thread");
 

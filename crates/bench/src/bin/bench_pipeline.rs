@@ -2,14 +2,14 @@
 //! perf-trajectory anchor for the streaming redesign.
 //!
 //! Measures, per workload size: streaming one-pass analysis (cleaning +
-//! classification + Table 1/2 sinks) over MRT bytes, the sharded variant,
-//! and the batch path (materialize → clean → classify) for comparison.
+//! classification + Table 1/2 sinks) over MRT bytes and the batch path
+//! (materialize → clean → classify) for comparison.
 //! Emits `BENCH_pipeline.json` (or `--out <path>`) so CI can archive the
 //! numbers run over run.
 //!
 //! ```sh
 //! cargo run --release -p kcc_bench --bin bench_pipeline -- \
-//!     --sizes 10000,100000 --threads 4 --out BENCH_pipeline.json
+//!     --sizes 10000,100000 --out BENCH_pipeline.json
 //! ```
 //!
 //! Batch runs are skipped above `--batch-cap` updates (default 200k):
@@ -24,8 +24,7 @@ use kcc_collector::UpdateArchive;
 use kcc_core::pipeline::PipelineBuilder;
 use kcc_core::table::{overview, OverviewSink};
 use kcc_core::{
-    classify_archive, clean_archive, run_pipeline, run_sharded, CleaningConfig, CleaningStage,
-    CountsSink, MrtSource,
+    classify_archive, clean_archive, CleaningConfig, CleaningStage, CountsSink, MrtSource,
 };
 use kcc_tracegen::Mar20Config;
 
@@ -85,7 +84,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut sizes: Vec<u64> = vec![10_000, 100_000];
     let mut out_path = String::from("BENCH_pipeline.json");
-    let mut threads = 4usize;
     let mut batch_cap = 200_000u64;
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -98,11 +96,6 @@ fn main() {
             "--out" => {
                 if let Some(v) = it.next() {
                     out_path = v.clone();
-                }
-            }
-            "--threads" => {
-                if let Some(v) = it.next().and_then(|s| s.parse().ok()) {
-                    threads = v;
                 }
             }
             "--batch-cap" => {
@@ -127,28 +120,16 @@ fn main() {
 
         let streaming = measure(|| {
             let stage = CleaningStage::new(&registry, CleaningConfig::default());
-            let out = run_pipeline(open(), stage, (OverviewSink::default(), CountsSink::default()))
+            let out = PipelineBuilder::new(open())
+                .stages(stage)
+                .sink((OverviewSink::default(), CountsSink::default()))
+                .run()
                 .expect("in-memory MRT cannot fail");
             out.stats.updates
         });
         println!(
             "   streaming: {:.3}s  ({:.0} updates/s)",
             streaming.seconds, streaming.updates_per_sec
-        );
-
-        let sharded = measure(|| {
-            let out = run_sharded(
-                open(),
-                threads,
-                || CleaningStage::new(&registry, CleaningConfig::default()),
-                || (OverviewSink::default(), CountsSink::default()),
-            )
-            .expect("in-memory MRT cannot fail");
-            out.stats.updates
-        });
-        println!(
-            "   sharded×{threads}: {:.3}s  ({:.0} updates/s)",
-            sharded.seconds, sharded.updates_per_sec
         );
 
         // Metrics overhead: the identical builder chain with and without
@@ -271,10 +252,9 @@ fn main() {
 
         let mut row = format!(
             "{{\"target_announcements\":{target},\"updates\":{updates},\"mrt_bytes\":{},\
-             \"streaming\":{},\"sharded\":{{\"threads\":{threads},\"result\":{}}}",
+             \"streaming\":{}",
             bytes.len(),
             json_measurement(&streaming),
-            json_measurement(&sharded),
         );
         if let Some((instrumented, overhead_percent)) = &overhead {
             let _ = write!(

@@ -18,7 +18,7 @@ use std::time::Instant;
 use kcc_bench::eval_library;
 use kcc_bench::mrtgen::{generate_mrt_day, MrtDay};
 use kcc_collector::UpdateArchive;
-use kcc_core::{run_pipeline, CommunityProfiler, MrtSource, WatchConfig, WatchSink};
+use kcc_core::{CommunityProfiler, MrtSource, PipelineBuilder, WatchConfig, WatchSink};
 use kcc_tracegen::Mar20Config;
 use std::sync::Arc;
 
@@ -71,7 +71,9 @@ fn main() {
         };
 
         let watch = measure(|| {
-            let out = run_pipeline(open(), (), WatchSink::new(WatchConfig::default()))
+            let out = PipelineBuilder::new(open())
+                .sink(WatchSink::new(WatchConfig::default()))
+                .run()
                 .expect("in-memory MRT cannot fail");
             let report = out.sink.finish();
             println!("   ({} alerts over the raw generated day)", report.alerts.len());
@@ -93,7 +95,8 @@ fn main() {
 
         let profiled = measure(|| {
             let sink = WatchSink::new(WatchConfig::default()).with_profile(Arc::clone(&profiler));
-            let out = run_pipeline(open(), (), sink).expect("in-memory MRT cannot fail");
+            let out =
+                PipelineBuilder::new(open()).sink(sink).run().expect("in-memory MRT cannot fail");
             let _ = out.sink.finish();
             out.stats.updates
         });

@@ -247,7 +247,7 @@ fn main() {
     if opts.duration_secs > 0 {
         // Trigger the *daemon* shutdown, not the source flag: sessions
         // then drain what they already received, Cease, and the feed
-        // closes — so `run_live` below finishes with every in-flight
+        // closes — so the pipeline run below finishes with every in-flight
         // update ingested instead of cutting the pipeline off early.
         let handle = collector.shutdown_handle();
         std::thread::spawn(move || {

@@ -1,9 +1,9 @@
 //! # kcc-bench — experiment harnesses
 //!
-//! One binary per paper table/figure (see `src/bin/`), Criterion
-//! micro-benchmarks (see `benches/`), and this shared harness library:
-//! argument parsing, the simulated beacon-day driver, and paper-vs-measured
-//! comparison rendering.
+//! One binary per paper table/figure (see `src/bin/`) and this shared
+//! harness library: argument parsing, the simulated beacon-day driver, and
+//! paper-vs-measured comparison rendering. Per-layer micro-costs are
+//! metrics of the standalone `benchmark/` package, not harnesses here.
 //!
 //! | binary | regenerates |
 //! |---|---|

@@ -20,7 +20,7 @@ use kcc_bgp_sim::scenario::{run, ScenarioOutcome};
 use kcc_bgp_sim::{fault_library, FaultKind, FaultScenario};
 use kcc_collector::{SessionKey, UpdateArchive};
 use kcc_core::{
-    run_pipeline, Alert, ArchiveSource, CommunityProfiler, WatchConfig, WatchReport, WatchSink,
+    Alert, ArchiveSource, CommunityProfiler, PipelineBuilder, WatchConfig, WatchReport, WatchSink,
 };
 
 /// The eval grid's window length: one scenario phase per window, roomy
@@ -108,7 +108,9 @@ pub fn eval_scenario(scenario: &FaultScenario) -> EvalResult {
     profiler.train(&train);
 
     let sink = WatchSink::new(eval_config()).with_profile(Arc::new(profiler));
-    let report = run_pipeline(ArchiveSource::new(&full), (), sink)
+    let report = PipelineBuilder::new(ArchiveSource::new(&full))
+        .sink(sink)
+        .run()
         .expect("archive sources cannot fail")
         .sink
         .finish();
@@ -158,7 +160,9 @@ mod tests {
             let mut profiler = CommunityProfiler::new();
             profiler.train(&train);
             let sink = WatchSink::new(eval_config()).with_profile(Arc::new(profiler));
-            let report = run_pipeline(ArchiveSource::new(&train), (), sink)
+            let report = PipelineBuilder::new(ArchiveSource::new(&train))
+                .sink(sink)
+                .run()
                 .expect("archive sources cannot fail")
                 .sink
                 .finish();

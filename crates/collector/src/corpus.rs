@@ -6,8 +6,8 @@
 //! comparison. A [`Corpus`] is the unit that workload comes in: N
 //! *named* [`UpdateSource`]s — MRT files, directories of MRT files,
 //! in-memory archives, generated vantages, live feeds — one per
-//! collector. `kcc_core::pipeline::run_corpus` pulls each member through
-//! its own full pipeline (stages + sinks built per collector) in
+//! collector. `kcc_core::PipelineBuilder::collectors` pulls each member
+//! through its own full pipeline (stages + sinks built per collector) in
 //! parallel and merges the results **in name order**, so the outcome is
 //! independent of both member insertion order and thread count.
 

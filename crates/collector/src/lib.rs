@@ -22,7 +22,7 @@
 //! * [`corpus`]: named multi-collector corpora — N [`UpdateSource`]s
 //!   (MRT files/dirs, archives, live feeds) grouped under collector
 //!   names for the parallel cross-vantage engine in
-//!   `kcc_core::pipeline::run_corpus`,
+//!   `kcc_core::PipelineBuilder::collectors`,
 //! * [`live`]: the live end of that abstraction — a channel-backed
 //!   [`LiveSource`] fed by a running collector daemon (`kcc_peer`), plus
 //!   the [`ShutdownFlag`] that lets unbounded runs finish gracefully,

@@ -9,9 +9,9 @@
 //! and the online [`WatchSink`](crate::watch::WatchSink) emit the same
 //! typed alerts, with
 //!
-//! * a **deterministic total order** ([`Alert::sort_key`]): serial,
-//!   sharded and corpus runs report byte-identical lists for any shard
-//!   count or collector order,
+//! * a **deterministic total order** ([`Alert::sort_key`]): serial and
+//!   corpus runs report byte-identical lists for any thread count or
+//!   collector order,
 //! * **severity and evidence fields** per kind, and
 //! * a **stable line serialization** ([`Alert::to_line`]) whose format
 //!   is pinned by tests — safe to diff, archive, and parse downstream.
@@ -264,7 +264,7 @@ impl Alert {
     }
 
     /// A deterministic total order: by time, then stream, then kind rank,
-    /// then per-kind evidence — so serial, sharded and corpus runs report
+    /// then per-kind evidence — so serial and corpus runs report
     /// identical lists even when several alerts share a timestamp.
     pub fn sort_key(&self) -> (u64, Option<SessionKey>, Option<Prefix>, u8, u64, u64, String) {
         let (d1, d2, ds) = self.kind.detail();

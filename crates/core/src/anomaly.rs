@@ -34,7 +34,7 @@ use kcc_bgp_types::{MessageKind, Prefix, RouteUpdate};
 use kcc_collector::{ArchiveSource, SessionKey, UpdateArchive};
 
 use crate::alert::{sort_alerts, Alert, AlertKind, ShiftMetric};
-use crate::pipeline::{run_pipeline, AnalysisSink, Merge};
+use crate::pipeline::{AnalysisSink, Merge, PipelineBuilder};
 
 /// Learned profiles.
 #[derive(Debug, Clone, Default)]
@@ -128,7 +128,9 @@ impl CommunityProfiler {
     /// Flags anomalies in a detection archive against the trained
     /// profiles — the batch wrapper over [`AnomalySink`].
     pub fn detect(&self, archive: &UpdateArchive, cfg: &AnomalyConfig) -> Vec<Alert> {
-        run_pipeline(ArchiveSource::new(archive), (), AnomalySink::new(self, *cfg))
+        PipelineBuilder::new(ArchiveSource::new(archive))
+            .sink(AnomalySink::new(self, *cfg))
+            .run()
             .expect("archive sources cannot fail")
             .sink
             .finish()
@@ -261,7 +263,7 @@ impl AnalysisSink for AnomalySink<'_> {
 impl Merge for AnomalySink<'_> {
     fn merge(&mut self, mut other: Self) {
         self.alerts.append(&mut other.alerts);
-        // Streams are keyed by session: disjoint across shards.
+        // Streams are keyed by session: disjoint across collectors.
         self.per_stream_attrs.extend(other.per_stream_attrs);
         self.first_seen.extend(other.first_seen);
     }

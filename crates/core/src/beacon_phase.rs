@@ -8,7 +8,7 @@
 use kcc_bgp_types::{Prefix, RouteUpdate};
 use kcc_collector::{ArchiveSource, BeaconPhase, BeaconSchedule, SessionKey, UpdateArchive};
 
-use crate::pipeline::{run_pipeline, AnalysisSink, Merge};
+use crate::pipeline::{AnalysisSink, Merge, PipelineBuilder};
 
 /// One update with its phase label.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,7 +75,9 @@ pub fn label_archive(
     schedule: &BeaconSchedule,
     beacon_prefixes: &[Prefix],
 ) -> Vec<PhasedUpdate> {
-    run_pipeline(ArchiveSource::new(archive), (), LabelSink::new(*schedule, beacon_prefixes))
+    PipelineBuilder::new(ArchiveSource::new(archive))
+        .sink(LabelSink::new(*schedule, beacon_prefixes))
+        .run()
         .expect("archive sources cannot fail")
         .sink
         .finish()

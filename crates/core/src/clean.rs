@@ -14,7 +14,7 @@ use kcc_bgp_types::{FastHashMap, MessageKind, RouteUpdate};
 use kcc_collector::timestamps::disambiguated;
 use kcc_collector::{PeerMeta, SessionKey, UpdateArchive};
 
-use crate::pipeline::{Merge, Stage};
+use crate::pipeline::Stage;
 use crate::registry::AllocationRegistry;
 
 /// Which cleaning stages to run.
@@ -72,16 +72,6 @@ fn update_is_allocated(
         }
     }
     true
-}
-
-impl Merge for CleaningReport {
-    fn merge(&mut self, other: Self) {
-        self.removed_unallocated_asn += other.removed_unallocated_asn;
-        self.removed_unallocated_prefix += other.removed_unallocated_prefix;
-        self.route_server_insertions += other.route_server_insertions;
-        self.sessions_normalized += other.sessions_normalized;
-        self.kept += other.kept;
-    }
 }
 
 /// The §4 cleaning pipeline as an incremental [`Stage`]: unallocated
@@ -152,14 +142,6 @@ impl Stage for CleaningStage<'_> {
         }
         self.report.kept += 1;
         Some(update)
-    }
-}
-
-impl Merge for CleaningStage<'_> {
-    fn merge(&mut self, other: Self) {
-        self.report.merge(other.report);
-        // Sessions are disjoint across shards.
-        self.last_emitted.extend(other.last_emitted);
     }
 }
 

@@ -7,7 +7,7 @@
 //! as a signal in itself: a community seen at every vantage point is
 //! propagating globally, one seen at a single collector is scoped,
 //! filtered, or anomalous. This module turns one
-//! [`run_corpus`](crate::pipeline::run_corpus) pass into that
+//! [`PipelineBuilder::collectors`] pass into that
 //! comparison:
 //!
 //! * per-collector Table 1 and Table 2 columns side by side,
@@ -122,7 +122,7 @@ impl AgreementMatrix {
     /// Records that `collector` saw `community` in detection window
     /// `window`. Returns `true` when this is the pair's first sighting
     /// (the per-window delta), `false` for a repeat. Earlier windows win
-    /// if observations arrive out of order (merges replay shards).
+    /// if observations arrive out of order (merges replay collectors).
     pub fn observe(&mut self, collector: &str, community: Community, window: u64) -> bool {
         self.add_collector(collector);
         let row = self.rows.entry(community).or_default();
@@ -215,7 +215,9 @@ impl AgreementMatrix {
 /// Table 2 and the community-presence set.
 pub type CorpusSink = (OverviewSink, CountsSink, CommunitySetSink);
 
-/// A fresh [`CorpusSink`] (the factory `run_corpus` wants).
+/// A fresh [`CorpusSink`] (the factory
+/// [`CorpusBuilder::sinks_for`](crate::pipeline::CorpusBuilder::sinks_for)
+/// wants).
 pub fn corpus_sink() -> CorpusSink {
     (OverviewSink::default(), CountsSink::default(), CommunitySetSink::default())
 }

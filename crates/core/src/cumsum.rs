@@ -119,8 +119,8 @@ impl AnalysisSink for TimelineSink {
 
 impl Merge for TimelineSink {
     fn merge(&mut self, other: Self) {
-        // The one watched stream lives on exactly one shard; every other
-        // shard's sink stays empty.
+        // The one watched stream lives on exactly one collector; every
+        // other collector's sink stays empty.
         if self.timeline.points.is_empty() && self.timeline.withdrawals.is_empty() {
             self.timeline = other.timeline;
         }

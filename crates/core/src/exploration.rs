@@ -123,7 +123,7 @@ impl AnalysisSink for ExplorationSink {
 impl Merge for ExplorationSink {
     fn merge(&mut self, other: Self) {
         // Episode keys start with the session, and sessions are disjoint
-        // across shards.
+        // across collectors.
         self.episodes.extend(other.episodes);
     }
 }

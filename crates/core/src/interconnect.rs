@@ -15,7 +15,7 @@ use kcc_bgp_types::geo::{decode_geo, GeoScope};
 use kcc_bgp_types::{Asn, MessageKind, RouteUpdate};
 use kcc_collector::{ArchiveSource, SessionKey, UpdateArchive};
 
-use crate::pipeline::{run_pipeline, AnalysisSink, Merge};
+use crate::pipeline::{AnalysisSink, Merge, PipelineBuilder};
 
 /// What was learned about one ordered AS adjacency `(customer side,
 /// tagger side)`.
@@ -112,7 +112,9 @@ impl Merge for InterconnectSink {
 pub fn infer_interconnections(
     archive: &UpdateArchive,
 ) -> BTreeMap<(Asn, Asn), InterconnectEstimate> {
-    run_pipeline(ArchiveSource::new(archive), (), InterconnectSink::default())
+    PipelineBuilder::new(ArchiveSource::new(archive))
+        .sink(InterconnectSink::default())
+        .run()
         .expect("archive sources cannot fail")
         .sink
         .finish()

@@ -40,8 +40,9 @@
 //! Every analysis exists in two forms. The **streaming** form is an
 //! [`AnalysisSink`] driven by [`pipeline::Pipeline`] over any
 //! [`UpdateSource`] — one pass, constant memory per `(prefix, session)`
-//! stream, optionally sharded across threads with
-//! [`pipeline::run_sharded`]. The **batch** functions
+//! stream; [`PipelineBuilder`] is the one way to run it, and
+//! [`PipelineBuilder::collectors`] fans a corpus out one pipeline per
+//! collector. The **batch** functions
 //! ([`classify_archive`], [`clean_archive`], [`table::overview`], …) are
 //! thin wrappers over that path, so their results — and the paper's
 //! golden outputs — are unchanged.
@@ -82,9 +83,8 @@ pub use kcc_collector::{
     ShutdownFlag, SourceError, SourceItem, UpdateSource,
 };
 pub use pipeline::{
-    feed_classified, run_corpus, run_live, run_pipeline, run_sharded, AnalysisSink, CorpusBuilder,
-    CorpusOutput, Merge, NoSink, Pipeline, PipelineBuilder, PipelineOutput, PipelineProfile,
-    PipelineStats, ShardedPipelineBuilder, Stage,
+    feed_classified, AnalysisSink, CorpusBuilder, CorpusOutput, Merge, NoSink, Pipeline,
+    PipelineBuilder, PipelineOutput, PipelineProfile, PipelineStats, Stage,
 };
 pub use registry::AllocationRegistry;
 pub use stream::{

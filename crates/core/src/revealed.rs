@@ -16,7 +16,7 @@ use kcc_bgp_types::{MessageKind, Prefix, RouteUpdate};
 use kcc_collector::{ArchiveSource, BeaconPhase, BeaconSchedule, SessionKey, UpdateArchive};
 
 use crate::beacon_phase::DAY_US;
-use crate::pipeline::{run_pipeline, AnalysisSink, Merge};
+use crate::pipeline::{AnalysisSink, Merge, PipelineBuilder};
 
 /// Phase-category bit flags an attribute was seen in.
 mod seen {
@@ -128,7 +128,9 @@ pub fn revealed_attributes(
     schedule: &BeaconSchedule,
     beacon_prefixes: &[Prefix],
 ) -> RevealedStats {
-    run_pipeline(ArchiveSource::new(archive), (), RevealedSink::new(*schedule, beacon_prefixes))
+    PipelineBuilder::new(ArchiveSource::new(archive))
+        .sink(RevealedSink::new(*schedule, beacon_prefixes))
+        .run()
         .expect("archive sources cannot fail")
         .sink
         .finish()

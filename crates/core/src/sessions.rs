@@ -68,7 +68,7 @@ impl AnalysisSink for SessionDistributionSink {
 
 impl Merge for SessionDistributionSink {
     fn merge(&mut self, other: Self) {
-        // Sessions are disjoint across shards.
+        // Sessions are disjoint across collectors.
         self.per_session.extend(other.per_session);
     }
 }

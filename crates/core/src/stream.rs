@@ -15,7 +15,7 @@ use kcc_bgp_types::{AttrStore, MessageKind, PathAttributes, Prefix, PrefixMap, R
 use kcc_collector::{ArchiveSource, PeerMeta, SessionKey, UpdateArchive};
 
 use crate::classify::{classify_pair, AnnouncementType, TypeCounts};
-use crate::pipeline::{run_pipeline, AnalysisSink, Merge};
+use crate::pipeline::{AnalysisSink, Merge, PipelineBuilder};
 
 /// What one stream event was classified as.
 #[derive(Debug, Clone, PartialEq)]
@@ -260,7 +260,7 @@ impl AnalysisSink for ClassifiedArchiveSink {
 
 impl Merge for ClassifiedArchiveSink {
     fn merge(&mut self, other: Self) {
-        // Sessions are disjoint across shards; counts add.
+        // Sessions are disjoint across collectors; counts add.
         self.result.counts.merge(&other.result.counts);
         for (key, mut events) in other.result.per_session {
             self.result.per_session.entry(key).or_default().append(&mut events);
@@ -297,7 +297,9 @@ impl Merge for CountsSink {
 /// Classifies a whole archive — the batch wrapper over the streaming
 /// pipeline ([`ArchiveSource`] → [`ClassifiedArchiveSink`]).
 pub fn classify_archive(archive: &UpdateArchive) -> ClassifiedArchive {
-    run_pipeline(ArchiveSource::new(archive), (), ClassifiedArchiveSink::default())
+    PipelineBuilder::new(ArchiveSource::new(archive))
+        .sink(ClassifiedArchiveSink::default())
+        .run()
         .expect("archive sources cannot fail")
         .sink
         .finish()

@@ -4,7 +4,7 @@ use kcc_bgp_types::{AsPath, Asn, FastHashSet, MessageKind, Prefix, RouteUpdate};
 use kcc_collector::{ArchiveSource, PeerMeta, SessionKey, UpdateArchive};
 
 use crate::classify::{AnnouncementType, TypeCounts};
-use crate::pipeline::{run_pipeline, AnalysisSink, Merge};
+use crate::pipeline::{AnalysisSink, Merge, PipelineBuilder};
 use crate::report::{fmt_count, render_table};
 
 /// The Table 1 summary of one dataset.
@@ -126,7 +126,9 @@ impl Merge for OverviewSink {
 /// Computes the Table 1 overview for an archive — the batch wrapper over
 /// the streaming [`OverviewSink`].
 pub fn overview(archive: &UpdateArchive) -> OverviewStats {
-    run_pipeline(ArchiveSource::new(archive), (), OverviewSink::default())
+    PipelineBuilder::new(ArchiveSource::new(archive))
+        .sink(OverviewSink::default())
+        .run()
         .expect("archive sources cannot fail")
         .sink
         .finish()

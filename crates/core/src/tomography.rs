@@ -28,7 +28,7 @@ use kcc_bgp_types::geo::decode_geo;
 use kcc_bgp_types::{Asn, Community, MessageKind, RouteUpdate};
 use kcc_collector::{ArchiveSource, SessionKey, UpdateArchive};
 
-use crate::pipeline::{run_pipeline, AnalysisSink, Merge};
+use crate::pipeline::{AnalysisSink, Merge, PipelineBuilder};
 
 /// Accumulated per-AS evidence.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -104,7 +104,8 @@ impl Default for TomographyConfig {
 }
 
 /// Traversal evidence conditional on one *candidate* tagger: integer
-/// counters so merging shard partials is exact (no float-order drift).
+/// counters so merging per-collector partials is exact (no float-order
+/// drift).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct PairEvidence {
     /// Announcements where the candidate was upstream of this AS.
@@ -126,7 +127,7 @@ impl PairEvidence {
 
     fn blame_sum(&self) -> f64 {
         // Ascending-k iteration keeps the float summation order
-        // deterministic across runs and shard counts.
+        // deterministic across runs and collector orders.
         self.blame.iter().map(|(&k, &n)| n as f64 / k as f64).sum()
     }
 }
@@ -281,7 +282,9 @@ pub fn infer_behaviors(
     archive: &UpdateArchive,
     cfg: &TomographyConfig,
 ) -> BTreeMap<Asn, InferredBehavior> {
-    run_pipeline(ArchiveSource::new(archive), (), TomographySink::new(*cfg))
+    PipelineBuilder::new(ArchiveSource::new(archive))
+        .sink(TomographySink::new(*cfg))
+        .run()
         .expect("archive sources cannot fail")
         .sink
         .finish()

@@ -3,8 +3,8 @@
 //! line of related work proposes).
 //!
 //! [`WatchSink`] is an ordinary [`AnalysisSink`], so the same sink runs
-//! over a live daemon feed (`PipelineBuilder …
-//! .shutdown(&stop).run()`), a corpus replay, or a sharded batch pass.
+//! over a live daemon feed (`PipelineBuilder … .run()` on a
+//! `LiveSource`), a corpus replay, or a one-archive batch pass.
 //! It maintains **sliding-window baselines** — per-community
 //! announce/withdraw rates and session fan-out, per-prefix origin and
 //! on-path presence, per-collector activity, and the incremental
@@ -26,7 +26,7 @@
 //! Every observation is accumulated in mergeable, order-insensitive
 //! structures and all window-replay detection happens at
 //! [`finish`](WatchSink::finish) in deterministic map order, so the
-//! alert list is **identical for any shard count or collector order**.
+//! alert list is **identical for any thread count or collector order**.
 //! With a whole-day window ([`WatchConfig::whole_day`]) and an attached
 //! profiler, the online result is byte-equal to the batch
 //! [`CommunityProfiler::detect`] — the equivalence the property tests
@@ -204,7 +204,7 @@ impl WatchReport {
     /// Registers this report's figures in `registry`: alerts by
     /// kind/severity (`kcc_watch_alerts_total`), plus updates, streams
     /// and windows. Deterministic: the same report always adds the same
-    /// counts, regardless of how the run was sharded.
+    /// counts, regardless of how the run was split across collectors.
     pub fn export_metrics(&self, registry: &Registry) {
         let mut counts: BTreeMap<(&'static str, &'static str), u64> = BTreeMap::new();
         for a in &self.alerts {
@@ -235,8 +235,8 @@ struct WatchMetrics {
 
 /// The always-on detection sink (see the module docs). Feed it through
 /// any pipeline shape; call [`finish`](WatchSink::finish) for the
-/// [`WatchReport`], or [`poll_new`](WatchSink::poll_new) mid-run (via
-/// `Pipeline::sink_mut`) to stream point alerts as they fire.
+/// [`WatchReport`], or [`poll_new`](WatchSink::poll_new) between updates
+/// when driving the sink by hand, to stream point alerts as they fire.
 #[derive(Debug, Clone)]
 pub struct WatchSink {
     cfg: WatchConfig,
@@ -596,7 +596,7 @@ impl AnalysisSink for WatchSink {
 impl Merge for WatchSink {
     fn merge(&mut self, mut other: Self) {
         self.alerts.append(&mut other.alerts);
-        // Streams are keyed by session: disjoint across shards.
+        // Streams are keyed by session: disjoint across collectors.
         self.stream_windows.extend(other.stream_windows);
         self.last_comms.extend(other.last_comms);
         for (prefix, windows) in other.prefixes {
@@ -647,7 +647,7 @@ impl Merge for WatchSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{run_pipeline, run_sharded};
+    use crate::pipeline::PipelineBuilder;
     use kcc_bgp_types::community::well_known::BLACKHOLE;
     use kcc_bgp_types::{CommunitySet, PathAttributes};
     use kcc_collector::{ArchiveSource, UpdateArchive};
@@ -679,7 +679,12 @@ mod tests {
     }
 
     fn run(archive: &UpdateArchive, cfg: WatchConfig) -> WatchReport {
-        run_pipeline(ArchiveSource::new(archive), (), WatchSink::new(cfg)).unwrap().sink.finish()
+        PipelineBuilder::new(ArchiveSource::new(archive))
+            .sink(WatchSink::new(cfg))
+            .run()
+            .unwrap()
+            .sink
+            .finish()
     }
 
     #[test]
@@ -830,7 +835,8 @@ mod tests {
         profiler.train(&train);
         let batch = profiler.detect(&test, &AnomalyConfig::default());
         let sink = WatchSink::new(WatchConfig::whole_day()).with_profile(Arc::new(profiler));
-        let report = run_pipeline(ArchiveSource::new(&test), (), sink).unwrap().sink.finish();
+        let report =
+            PipelineBuilder::new(ArchiveSource::new(&test)).sink(sink).run().unwrap().sink.finish();
         assert_eq!(report.alerts, batch);
         assert_eq!(report.alerts.len(), 2);
     }
@@ -870,23 +876,6 @@ mod tests {
         }
         a.record(&key_n("rrc00", 0), announce(4 * W, "100 200 999", &[(3356, 9)]));
         a
-    }
-
-    #[test]
-    fn alerts_are_shard_count_independent() {
-        let a = eventful_archive();
-        let serial = run(&a, cfg());
-        assert!(!serial.alerts.is_empty());
-        for shards in [2, 3, 5] {
-            let sharded =
-                run_sharded(ArchiveSource::new(&a), shards, || (), || WatchSink::new(cfg()))
-                    .unwrap()
-                    .sink
-                    .finish();
-            assert_eq!(sharded.alerts, serial.alerts, "{shards} shards diverged");
-            assert_eq!(sharded.updates, serial.updates);
-            assert_eq!(sharded.matrix.presence(), serial.matrix.presence());
-        }
     }
 
     #[test]

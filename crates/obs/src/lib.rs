@@ -175,9 +175,9 @@ impl Histogram {
 /// Plain (non-atomic) histogram with the same buckets as [`Histogram`].
 ///
 /// This is the single-threaded form used on hot paths that are already
-/// sharded — each pipeline shard records into its own snapshot and the
-/// merge step adds them together. Addition commutes, so the merged
-/// result is independent of shard count and merge order.
+/// partitioned — each per-collector pipeline records into its own
+/// snapshot and the merge step adds them together. Addition commutes, so
+/// the merged result is independent of thread count and merge order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     buckets: [u64; HISTOGRAM_BUCKETS],

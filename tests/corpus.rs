@@ -6,7 +6,7 @@
 //! must not change one byte of any per-collector or combined result.
 //! These tests pin that contract three ways — a property test over
 //! shuffled member orders and thread counts, a byte-identity check of a
-//! single-member corpus against `run_pipeline`, and a golden fixture of
+//! single-member corpus against one plain pipeline, and a golden fixture of
 //! the full rendered cross-collector report for the generated mar20
 //! multi-vantage day (`GOLDEN_REGEN=1 cargo test --test corpus` to
 //! regenerate after an intentional change).
@@ -19,8 +19,7 @@ use proptest::prelude::*;
 use keep_communities_clean::analysis::corpus::{corpus_sink, run_corpus_report, CorpusSink};
 use keep_communities_clean::analysis::table::OverviewSink;
 use keep_communities_clean::analysis::{
-    run_corpus, run_pipeline, CleaningConfig, CleaningStage, Corpus, CountsSink, Merge,
-    PipelineOutput,
+    CleaningConfig, CleaningStage, Corpus, CountsSink, Merge, PipelineBuilder, PipelineOutput,
 };
 use keep_communities_clean::collector::{ArchiveSource, SessionKey, UpdateArchive};
 use keep_communities_clean::tracegen::universe::UniverseConfig;
@@ -75,7 +74,7 @@ fn finish(s: Sinks) -> (String, String) {
 }
 
 proptest! {
-    /// `run_corpus` over K shuffled collectors equals the serial
+    /// A corpus run over K shuffled collectors equals the serial
     /// per-collector runs merged in name order, for any insertion order
     /// and thread count.
     #[test]
@@ -99,7 +98,8 @@ proptest! {
         let mut serial_combined: Option<Sinks> = None;
         let mut serial_per: Vec<(String, PipelineOutput<(), Sinks>)> = Vec::new();
         for &i in &order {
-            let out = run_pipeline(ArchiveSource::new(&archives[i]), (), sinks()).unwrap();
+            let out =
+                PipelineBuilder::new(ArchiveSource::new(&archives[i])).sink(sinks()).run().unwrap();
             match &mut serial_combined {
                 None => serial_combined = Some(out.sink.clone()),
                 Some(c) => c.merge(out.sink.clone()),
@@ -118,7 +118,11 @@ proptest! {
         for &i in &insertion {
             corpus.push(names[i], ArchiveSource::new(&archives[i])).unwrap();
         }
-        let out = run_corpus(corpus, threads, |_| (), |_| sinks()).unwrap();
+        let out = PipelineBuilder::collectors(corpus)
+            .threads(threads)
+            .sinks_for(|_: &str| sinks())
+            .run()
+            .unwrap();
 
         prop_assert_eq!(finish(out.combined), finish(serial_combined));
         prop_assert_eq!(out.per_collector.len(), serial_per.len());
@@ -136,9 +140,13 @@ proptest! {
     #[test]
     fn single_collector_corpus_is_byte_identical_to_run(variant in 0u64..200) {
         let a = collector_archive("rrc00", variant);
-        let direct = run_pipeline(ArchiveSource::new(&a), (), sinks()).unwrap();
+        let direct = PipelineBuilder::new(ArchiveSource::new(&a)).sink(sinks()).run().unwrap();
         let corpus = Corpus::new().with("rrc00", ArchiveSource::new(&a)).unwrap();
-        let out = run_corpus(corpus, 3, |_| (), |_| sinks()).unwrap();
+        let out = PipelineBuilder::collectors(corpus)
+            .threads(3)
+            .sinks_for(|_: &str| sinks())
+            .run()
+            .unwrap();
         prop_assert_eq!(out.stats, direct.stats);
         let (direct_t1, direct_t2) = finish(direct.sink);
         let (combined_t1, combined_t2) = finish(out.combined);
@@ -246,20 +254,18 @@ fn mar20_corpus_combined_equals_unsplit_day() {
     let mut cfg = mar20_corpus_cfg();
     cfg.force_second_granularity.clear(); // identical data on both paths
     let (corpus, registry) = keep_communities_clean::tracegen::multi_vantage_corpus(&cfg).unwrap();
-    let corpus_out = run_corpus(
-        corpus,
-        3,
-        |_| CleaningStage::new(&registry, CleaningConfig::default()),
-        |_| corpus_sink(),
-    )
-    .unwrap();
+    let corpus_out = PipelineBuilder::collectors(corpus)
+        .threads(3)
+        .stages_for(|_: &str| CleaningStage::new(&registry, CleaningConfig::default()))
+        .sinks_for(|_: &str| corpus_sink())
+        .run()
+        .unwrap();
 
-    let single = run_pipeline(
-        Mar20Source::new(&cfg.base),
-        CleaningStage::new(&registry, CleaningConfig::default()),
-        corpus_sink(),
-    )
-    .unwrap();
+    let single = PipelineBuilder::new(Mar20Source::new(&cfg.base))
+        .stages(CleaningStage::new(&registry, CleaningConfig::default()))
+        .sink(corpus_sink())
+        .run()
+        .unwrap();
 
     let (c_overview, c_counts, c_comms) = corpus_out.combined;
     let (s_overview, s_counts, s_comms): CorpusSink = single.sink;

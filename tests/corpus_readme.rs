@@ -7,7 +7,7 @@
 //! generalize.
 
 use keep_communities_clean::analysis::corpus::{corpus_sink, run_corpus_report};
-use keep_communities_clean::analysis::{run_pipeline, CleaningConfig, CleaningStage};
+use keep_communities_clean::analysis::{CleaningConfig, CleaningStage, PipelineBuilder};
 use keep_communities_clean::tracegen::{
     multi_vantage_corpus, Mar20Config, Mar20Source, MultiVantageConfig,
 };
@@ -44,12 +44,11 @@ fn readme_corpus_example_runs_and_matches_single_pipeline() {
         MultiVantageConfig { base: cfg.base.clone(), force_second_granularity: Vec::new() };
     let (corpus, registry) = multi_vantage_corpus(&untruncated).unwrap();
     let combined = run_corpus_report(corpus, 4, &registry, CleaningConfig::default()).unwrap();
-    let single = run_pipeline(
-        Mar20Source::new(&untruncated.base),
-        CleaningStage::new(&registry, CleaningConfig::default()),
-        corpus_sink(),
-    )
-    .unwrap();
+    let single = PipelineBuilder::new(Mar20Source::new(&untruncated.base))
+        .stages(CleaningStage::new(&registry, CleaningConfig::default()))
+        .sink(corpus_sink())
+        .run()
+        .unwrap();
     let (overview, counts, communities) = single.sink;
     assert_eq!(combined.combined_overview, overview.finish(), "corpus != single pipeline");
     assert_eq!(combined.combined_counts, counts.finish());

@@ -12,7 +12,7 @@
 use keep_communities_clean::adapter::capture_to_archive;
 use keep_communities_clean::analysis::table::{OverviewSink, OverviewStats, TypeShares};
 use keep_communities_clean::analysis::{
-    run_live, run_pipeline, CleaningConfig, CleaningStage, CountsSink, MrtSource, TypeCounts,
+    CleaningConfig, CleaningStage, CountsSink, MrtSource, PipelineBuilder, TypeCounts,
 };
 use keep_communities_clean::collector::{ArchiveSource, UpdateArchive};
 use keep_communities_clean::peer::{
@@ -56,7 +56,10 @@ fn run_live_loopback(
     collector.shutdown();
     let stats = collector.join();
     // The feed is closed and fully buffered; the pipeline drains it.
-    let out = run_live(source, (), (CountsSink::default(), OverviewSink::default()), &stop)
+    let out = PipelineBuilder::new(source)
+        .sink((CountsSink::default(), OverviewSink::default()))
+        .shutdown(&stop)
+        .run()
         .expect("live sources do not fail");
     let (counts, overview) = out.sink;
     (counts.finish(), overview.finish(), stats)
@@ -65,12 +68,10 @@ fn run_live_loopback(
 /// Offline half of the comparison: `ArchiveSource` over the reference
 /// archive with the same sinks.
 fn run_offline(reference: &UpdateArchive) -> (TypeCounts, OverviewStats) {
-    let out = run_pipeline(
-        ArchiveSource::new(reference),
-        (),
-        (CountsSink::default(), OverviewSink::default()),
-    )
-    .expect("archive sources do not fail");
+    let out = PipelineBuilder::new(ArchiveSource::new(reference))
+        .sink((CountsSink::default(), OverviewSink::default()))
+        .run()
+        .expect("archive sources do not fail");
     let (counts, overview) = out.sink;
     (counts.finish(), overview.finish())
 }
@@ -138,21 +139,19 @@ fn generated_internet_over_tcp_matches_offline_with_cleaning() {
     replay_archive(addr, &input, &BridgeConfig::default()).expect("replay");
     collector.shutdown();
     collector.join();
-    let live = run_live(
-        source,
-        CleaningStage::new(&day.registry, CleaningConfig::default()),
-        (CountsSink::default(), OverviewSink::default()),
-        &stop,
-    )
-    .expect("live run");
+    let live = PipelineBuilder::new(source)
+        .stages(CleaningStage::new(&day.registry, CleaningConfig::default()))
+        .sink((CountsSink::default(), OverviewSink::default()))
+        .shutdown(&stop)
+        .run()
+        .expect("live run");
 
     // Offline: ArchiveSource over the reference with the same stage.
-    let offline = run_pipeline(
-        ArchiveSource::new(&reference),
-        CleaningStage::new(&day.registry, CleaningConfig::default()),
-        (CountsSink::default(), OverviewSink::default()),
-    )
-    .expect("offline run");
+    let offline = PipelineBuilder::new(ArchiveSource::new(&reference))
+        .stages(CleaningStage::new(&day.registry, CleaningConfig::default()))
+        .sink((CountsSink::default(), OverviewSink::default()))
+        .run()
+        .expect("offline run");
 
     let (live_counts, live_overview) = live.sink;
     let (off_counts, off_overview) = offline.sink;
@@ -180,11 +179,11 @@ fn rotated_mrt_dumps_reanalyze_to_the_same_tables() {
     // download.
     let bytes =
         keep_communities_clean::peer::rotate::concat_dumps(&stats.mrt_files).expect("read dumps");
-    let out = run_pipeline(
+    let out = PipelineBuilder::new(
         MrtSource::new(&bytes[..], "rrc00", 0).with_route_servers(route_servers),
-        (),
-        (CountsSink::default(), OverviewSink::default()),
     )
+    .sink((CountsSink::default(), OverviewSink::default()))
+    .run()
     .expect("mrt reanalysis");
     let (mrt_counts, mrt_overview) = out.sink;
     assert_eq!(mrt_counts.finish(), live_counts, "MRT round-trip diverged from live");
@@ -231,7 +230,11 @@ fn reconnect_after_cease_continues_the_same_session() {
     assert_eq!(stats.sessions, 1, "one logical session");
     assert_eq!(stats.updates, 2 * single.update_count() as u64);
 
-    let out = run_live(source, (), OverviewSink::default(), &stop).expect("live run");
+    let out = PipelineBuilder::new(source)
+        .sink(OverviewSink::default())
+        .shutdown(&stop)
+        .run()
+        .expect("live run");
     assert_eq!(out.stats.sessions, 1, "pipeline saw one session, announced once");
     assert_eq!(out.stats.updates, 2 * single.update_count() as u64);
 }

@@ -7,7 +7,7 @@
 
 use keep_communities_clean::analysis::pipeline::PipelineBuilder;
 use keep_communities_clean::analysis::table::{OverviewSink, TypeShares};
-use keep_communities_clean::analysis::{run_pipeline, CountsSink};
+use keep_communities_clean::analysis::CountsSink;
 use keep_communities_clean::collector::ArchiveSource;
 use keep_communities_clean::peer::{offline_reference, Collector, CollectorConfig, StampMode};
 use keep_communities_clean::sim::bridge::{replay_archive, BridgeConfig};
@@ -56,12 +56,10 @@ fn readme_live_example_runs_and_matches_offline() {
     // daemon's stamping/metadata rules, which `offline_reference`
     // computes).
     let reference = offline_reference(&day.archive, &cfg);
-    let offline = run_pipeline(
-        ArchiveSource::new(&reference),
-        (),
-        (CountsSink::default(), OverviewSink::default()),
-    )
-    .unwrap();
+    let offline = PipelineBuilder::new(ArchiveSource::new(&reference))
+        .sink((CountsSink::default(), OverviewSink::default()))
+        .run()
+        .unwrap();
     let (off_counts, off_overview) = offline.sink;
     assert_eq!(counts, off_counts.finish(), "README's live counts != offline");
     assert_eq!(overview, off_overview.finish(), "README's live overview != offline");

@@ -7,12 +7,12 @@
 //! counter/gauge figures carry that guarantee (wall-time profile
 //! histograms are genuinely nondeterministic and are exported
 //! separately); these tests pin it on the generated multi-vantage day
-//! and on a sharded watch run.
+//! and on a per-collector watch run.
 
 use keep_communities_clean::analysis::corpus::run_corpus_report;
 use keep_communities_clean::analysis::pipeline::PipelineBuilder;
 use keep_communities_clean::analysis::{
-    run_pipeline, CleaningConfig, Corpus, CorpusReport, WatchConfig, WatchSink,
+    CleaningConfig, Corpus, CorpusReport, WatchConfig, WatchSink,
 };
 use keep_communities_clean::collector::{ArchiveSource, SessionKey, UpdateArchive};
 use keep_communities_clean::obs::Registry;
@@ -80,17 +80,22 @@ fn corpus_metrics_export_is_order_and_thread_independent() {
     }
 }
 
+/// The collectors [`watch_archive`] spreads its sessions over.
+const WATCH_COLLECTORS: [&str; 3] = ["rrc00", "rrc01", "rrc02"];
+
 /// A small deterministic archive with enough repetition to open
-/// streams and windows in a watch run.
-fn watch_archive() -> UpdateArchive {
+/// streams and windows in a watch run. `collector` keeps only that
+/// collector's sessions; `None` is the union.
+fn watch_archive(collector: Option<&str>) -> UpdateArchive {
     let mut a = UpdateArchive::new(0);
     let prefix: Prefix = "84.205.64.0/24".parse().unwrap();
     for peer in 0..6u32 {
-        let key = SessionKey::new(
-            "rrc00",
-            Asn(100 + peer),
-            format!("10.7.0.{}", peer + 1).parse().unwrap(),
-        );
+        let name = WATCH_COLLECTORS[peer as usize % WATCH_COLLECTORS.len()];
+        if collector.is_some_and(|c| c != name) {
+            continue;
+        }
+        let key =
+            SessionKey::new(name, Asn(100 + peer), format!("10.7.0.{}", peer + 1).parse().unwrap());
         for i in 0..40u64 {
             let attrs = PathAttributes {
                 as_path: format!("{} 3356 12654", 100 + peer).parse().unwrap(),
@@ -107,13 +112,16 @@ fn watch_archive() -> UpdateArchive {
 }
 
 /// `WatchReport::export_metrics` renders byte-identically whether the
-/// run was serial or hash-partitioned across any number of shards.
+/// run was one serial pass over the union archive or a per-collector
+/// corpus run merged from any number of worker threads.
 #[test]
 fn watch_metrics_export_is_shard_count_independent() {
-    let archive = watch_archive();
     let cfg = WatchConfig::default();
 
-    let serial = run_pipeline(ArchiveSource::new(&archive), (), WatchSink::new(cfg))
+    let union = watch_archive(None);
+    let serial = PipelineBuilder::new(ArchiveSource::new(&union))
+        .sink(WatchSink::new(cfg))
+        .run()
         .expect("archive sources cannot fail")
         .sink
         .finish();
@@ -122,16 +130,21 @@ fn watch_metrics_export_is_shard_count_independent() {
     let reference = reference.render();
     assert!(reference.contains("kcc_watch_updates_total"), "export writes watch counters");
 
-    for shards in [1usize, 3, 5] {
-        let sharded = PipelineBuilder::new(ArchiveSource::new(&archive))
-            .sink(WatchSink::new(cfg))
-            .shards(shards)
+    let members = WATCH_COLLECTORS.map(|name| watch_archive(Some(name)));
+    for threads in [1usize, 3, 5] {
+        let mut corpus = Corpus::new();
+        for (name, archive) in WATCH_COLLECTORS.iter().zip(&members) {
+            corpus.push(name, ArchiveSource::new(archive)).unwrap();
+        }
+        let merged = PipelineBuilder::collectors(corpus)
+            .threads(threads)
+            .sinks_for(move |_: &str| WatchSink::new(cfg))
             .run()
             .expect("archive sources cannot fail")
-            .sink
+            .combined
             .finish();
         let registry = Registry::new();
-        sharded.export_metrics(&registry);
-        assert_eq!(registry.render(), reference, "watch metrics diverged at {shards} shards");
+        merged.export_metrics(&registry);
+        assert_eq!(registry.render(), reference, "watch metrics diverged at {threads} threads");
     }
 }

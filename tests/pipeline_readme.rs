@@ -22,12 +22,11 @@ fn readme_streaming_example_runs_and_matches_batch() {
     let mut bytes = Vec::new();
     day.archive.write_mrt(&mut bytes).unwrap();
 
-    // One pass, sharded across 4 workers by session key: §4 cleaning
-    // runs as a stage, and both sinks see every surviving update.
+    // One pass on the calling thread: §4 cleaning runs as a stage, and
+    // both sinks see every surviving update.
     let out = PipelineBuilder::new(MrtSource::new(&bytes[..], "rrc00", cfg.epoch_seconds))
-        .shards(4)
-        .stages_with(|| CleaningStage::new(&day.registry, CleaningConfig::default()))
-        .sinks_with(|| (CountsSink::default(), OverviewSink::default()))
+        .stages(CleaningStage::new(&day.registry, CleaningConfig::default()))
+        .sink((CountsSink::default(), OverviewSink::default()))
         .run()
         .unwrap();
     let (counts, overview_sink) = out.sink;

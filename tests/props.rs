@@ -5,8 +5,8 @@ use proptest::prelude::*;
 
 use keep_communities_clean::analysis::table::{overview, OverviewSink};
 use keep_communities_clean::analysis::{
-    classify_archive, classify_pair, run_pipeline, run_sharded, AnnouncementType,
-    ClassifiedArchiveSink, CountsSink, MrtSource, StreamClassifier, TypeCounts,
+    classify_archive, classify_pair, AnnouncementType, ClassifiedArchiveSink, CountsSink,
+    MrtSource, PipelineBuilder, StreamClassifier,
 };
 use keep_communities_clean::collector::timestamps::normalize_timestamps;
 use keep_communities_clean::collector::{ArchiveSource, SessionKey, UpdateArchive};
@@ -175,11 +175,10 @@ proptest! {
         let batch_overview = overview(&archive);
 
         // Direct archive streaming: one pass, two sinks.
-        let out = run_pipeline(
-            ArchiveSource::new(&archive),
-            (),
-            (ClassifiedArchiveSink::default(), OverviewSink::default()),
-        ).expect("archive source");
+        let out = PipelineBuilder::new(ArchiveSource::new(&archive))
+            .sink((ClassifiedArchiveSink::default(), OverviewSink::default()))
+            .run()
+            .expect("archive source");
         let (classified_sink, overview_sink) = out.sink;
         prop_assert_eq!(&classified_sink.finish().per_session, &batch_classified.per_session);
         prop_assert_eq!(overview_sink.finish(), batch_overview);
@@ -188,37 +187,11 @@ proptest! {
         let mut bytes = Vec::new();
         archive.write_mrt(&mut bytes).expect("export");
         let reread = UpdateArchive::read_mrt(&bytes[..], "rrc00", 0).expect("import");
-        let via_bytes = run_pipeline(
-            MrtSource::new(&bytes[..], "rrc00", 0),
-            (),
-            CountsSink::default(),
-        ).expect("mrt source");
+        let via_bytes = PipelineBuilder::new(MrtSource::new(&bytes[..], "rrc00", 0))
+            .sink(CountsSink::default())
+            .run()
+            .expect("mrt source");
         prop_assert_eq!(via_bytes.sink.finish(), classify_archive(&reread).counts);
-    }
-
-    /// Sharded execution (N worker threads) produces exactly the serial
-    /// results, for several shard counts.
-    #[test]
-    fn sharded_equals_serial(archive in arb_archive(), shards in 2usize..5) {
-        let serial = run_pipeline(
-            ArchiveSource::new(&archive),
-            (),
-            (CountsSink::default(), OverviewSink::default()),
-        ).expect("archive source");
-        let sharded = run_sharded(
-            ArchiveSource::new(&archive),
-            shards,
-            || (),
-            || (CountsSink::default(), OverviewSink::default()),
-        ).expect("archive source");
-        let serial_counts: TypeCounts = serial.sink.0.finish();
-        prop_assert_eq!(sharded.sink.0.finish(), serial_counts);
-        prop_assert_eq!(sharded.sink.1.finish(), serial.sink.1.finish());
-        prop_assert_eq!(sharded.stats.sessions, serial.stats.sessions);
-        prop_assert_eq!(sharded.stats.updates, serial.stats.updates);
-        prop_assert_eq!(sharded.stats.kept, serial.stats.kept);
-        prop_assert_eq!(sharded.stats.streams, serial.stats.streams);
-        prop_assert_eq!(sharded.stats.state_bytes, serial.stats.state_bytes);
     }
 
     /// Any announcement survives a wire encode/decode round-trip exactly.

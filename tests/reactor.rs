@@ -266,13 +266,11 @@ fn poll_and_epoll_backends_ingest_identically() {
             collector.shutdown();
             collector.join()
         });
-        let out = keep_communities_clean::analysis::run_live(
-            source,
-            (),
-            keep_communities_clean::analysis::CountsSink::default(),
-            &stop,
-        )
-        .expect("live run");
+        let out = keep_communities_clean::analysis::PipelineBuilder::new(source)
+            .sink(keep_communities_clean::analysis::CountsSink::default())
+            .shutdown(&stop)
+            .run()
+            .expect("live run");
         let stats = coordinator.join().expect("coordinator");
         (out.sink.finish(), stats.updates)
     };

@@ -1,17 +1,16 @@
 //! CommunityWatch equivalence and determinism properties.
 //!
-//! The watch service's contract is threefold, and each clause gets a
+//! The watch service's contract is twofold, and each clause gets a
 //! property test here:
 //!
 //! 1. **Online equals batch** — a `WatchSink` with a whole-day window
 //!    and an attached profiler produces byte-identical alert lines to
 //!    the batch `CommunityProfiler::detect` over the same archive.
-//! 2. **Shard-count independence** — fanning the watch sink across N
-//!    worker shards changes nothing: same alerts, same counters, for
-//!    any shard count.
-//! 3. **Collector-order independence** — a corpus watch run is a pure
-//!    function of the member set; insertion order and thread count must
-//!    not change one byte of the combined alert list.
+//! 2. **Partition independence** — a corpus watch run is a pure
+//!    function of the member set: insertion order and thread count must
+//!    not change one byte of the combined alert list, and merging the
+//!    per-collector sinks yields exactly the report of one serial
+//!    `WatchSink` over the union of the members.
 
 use std::sync::Arc;
 
@@ -20,7 +19,7 @@ use proptest::prelude::*;
 
 use keep_communities_clean::analysis::pipeline::PipelineBuilder;
 use keep_communities_clean::analysis::{
-    run_pipeline, CommunityProfiler, Corpus, WatchConfig, WatchReport, WatchSink,
+    CommunityProfiler, Corpus, WatchConfig, WatchReport, WatchSink,
 };
 use keep_communities_clean::collector::{ArchiveSource, SessionKey, UpdateArchive};
 use keep_communities_clean::types::{
@@ -54,7 +53,7 @@ fn arb_attrs() -> impl Strategy<Value = PathAttributes> {
 }
 
 /// An arbitrary multi-session archive over a small prefix pool — the
-/// adversarial input for the online/batch and sharding equivalences.
+/// adversarial input for the online/batch equivalence.
 /// Random per-update AS paths mean origins and on-path ASes genuinely
 /// churn across windows, so the path checks fire on real inputs, not
 /// just on the empty case.
@@ -159,50 +158,23 @@ proptest! {
 
         let cfg = WatchConfig::whole_day();
         let batch = profiler.detect(&day, &cfg.anomaly);
-        let online = run_pipeline(
-            ArchiveSource::new(&day),
-            (),
-            WatchSink::new(cfg).with_profile(Arc::clone(&profiler)),
-        )
-        .expect("archive sources cannot fail")
-        .sink
-        .finish();
+        let online = PipelineBuilder::new(ArchiveSource::new(&day))
+            .sink(WatchSink::new(cfg).with_profile(Arc::clone(&profiler)))
+            .run()
+            .expect("archive sources cannot fail")
+            .sink
+            .finish();
 
         let batch_lines: Vec<String> = batch.iter().map(|a| a.to_line()).collect();
         prop_assert_eq!(alert_lines(&online), batch_lines);
     }
 
-    /// The watch report is shard-count independent: the same archive
-    /// through 1, 2, 3 or 5 hash-partitioned workers yields exactly the
-    /// serial alert list and counters.
-    #[test]
-    fn watch_report_is_shard_count_independent(archive in arb_archive()) {
-        let cfg = WatchConfig::default();
-        let serial = run_pipeline(ArchiveSource::new(&archive), (), WatchSink::new(cfg))
-            .expect("archive sources cannot fail")
-            .sink
-            .finish();
-
-        for shards in [1usize, 2, 3, 5] {
-            let sharded = PipelineBuilder::new(ArchiveSource::new(&archive))
-                .sink(WatchSink::new(cfg))
-                .shards(shards)
-                .run()
-                .expect("archive sources cannot fail")
-                .sink
-                .finish();
-            prop_assert_eq!(alert_lines(&sharded), alert_lines(&serial));
-            prop_assert_eq!(sharded.updates, serial.updates);
-            prop_assert_eq!(sharded.streams, serial.streams);
-            prop_assert_eq!(sharded.windows, serial.windows);
-            prop_assert_eq!(sharded.agreement_summary(), serial.agreement_summary());
-            prop_assert_eq!(sharded.kind_counts(), serial.kind_counts());
-        }
-    }
-
     /// A corpus watch run is a pure function of the member set: any
     /// collector insertion order and worker thread count produce the
-    /// byte-identical combined alert list.
+    /// byte-identical combined alert list — and `Merge` is insensitive to
+    /// how sessions were partitioned, so that list (and every counter)
+    /// is the one a single serial `WatchSink` reports over the union of
+    /// the members.
     #[test]
     fn corpus_watch_is_collector_order_independent(
         rotation in 0usize..6,
@@ -251,5 +223,26 @@ proptest! {
         prop_assert_eq!(shuffled.windows, reference.windows);
         prop_assert_eq!(shuffled.updates, reference.updates);
         prop_assert_eq!(shuffled.agreement_summary(), reference.agreement_summary());
+
+        let mut union = UpdateArchive::new(0);
+        for archive in &archives {
+            for (key, rec) in archive.sessions() {
+                for update in &rec.updates {
+                    union.record(key, update.clone());
+                }
+            }
+        }
+        let serial = PipelineBuilder::new(ArchiveSource::new(&union))
+            .sink(WatchSink::new(cfg))
+            .run()
+            .expect("archive sources cannot fail")
+            .sink
+            .finish();
+        prop_assert_eq!(alert_lines(&shuffled), alert_lines(&serial));
+        prop_assert_eq!(shuffled.updates, serial.updates);
+        prop_assert_eq!(shuffled.streams, serial.streams);
+        prop_assert_eq!(shuffled.windows, serial.windows);
+        prop_assert_eq!(shuffled.agreement_summary(), serial.agreement_summary());
+        prop_assert_eq!(shuffled.kind_counts(), serial.kind_counts());
     }
 }

@@ -5,7 +5,7 @@
 //! first — and the fault the snippet injects must surface as exactly
 //! the typed alert the README promises, nothing more.
 
-use keep_communities_clean::analysis::{run_pipeline, WatchConfig, WatchSink};
+use keep_communities_clean::analysis::{PipelineBuilder, WatchConfig, WatchSink};
 use keep_communities_clean::collector::{ArchiveSource, SessionKey, UpdateArchive};
 use keep_communities_clean::types::{Asn, PathAttributes, Prefix, RouteUpdate};
 
@@ -28,8 +28,12 @@ fn readme_watch_example_detects_exactly_the_injected_hijack() {
 
     // The always-on service is just another sink on the one-pass
     // pipeline.
-    let report =
-        run_pipeline(ArchiveSource::new(&day), (), WatchSink::new(cfg)).unwrap().sink.finish();
+    let report = PipelineBuilder::new(ArchiveSource::new(&day))
+        .sink(WatchSink::new(cfg))
+        .run()
+        .unwrap()
+        .sink
+        .finish();
     assert_eq!(report.kind_counts(), vec![("prefix-hijack", 1)]);
 
     // What the README prints: the stable serialized line carries the
@@ -44,8 +48,12 @@ fn readme_watch_example_detects_exactly_the_injected_hijack() {
     assert!(line.contains("expected AS12654"), "{line}");
 
     // Determinism: the same day replayed yields byte-identical lines.
-    let again =
-        run_pipeline(ArchiveSource::new(&day), (), WatchSink::new(cfg)).unwrap().sink.finish();
+    let again = PipelineBuilder::new(ArchiveSource::new(&day))
+        .sink(WatchSink::new(cfg))
+        .run()
+        .unwrap()
+        .sink
+        .finish();
     let lines: Vec<String> = report.alerts.iter().map(|a| a.to_line()).collect();
     let again_lines: Vec<String> = again.alerts.iter().map(|a| a.to_line()).collect();
     assert_eq!(lines, again_lines);
