@@ -173,18 +173,23 @@ impl AlertKind {
         }
     }
 
-    /// Kind-specific tiebreak details for the canonical order.
-    fn detail(&self) -> (u64, u64, &str) {
+    /// Kind-specific tiebreak details for the canonical order. The
+    /// third slot is the [`ShiftMetric`] ordinal (declaration order): an
+    /// announce-rate and a fan-out shift of one community in one window
+    /// can report the same `observed` and differ in nothing else.
+    fn detail(&self) -> (u64, u64, u8, &str) {
         match self {
-            AlertKind::NovelCommunity { community } => (community.0 as u64, 0, ""),
-            AlertKind::BlackholeInjection { community, .. } => (community.0 as u64, 0, ""),
-            AlertKind::BaselineShift { observed, community, .. } => {
-                (*observed, community.map(|c| c.0 as u64).unwrap_or(0), "")
+            AlertKind::NovelCommunity { community } => (community.0 as u64, 0, 0, ""),
+            AlertKind::BlackholeInjection { community, .. } => (community.0 as u64, 0, 0, ""),
+            AlertKind::BaselineShift { metric, observed, community, .. } => {
+                (*observed, community.map(|c| c.0 as u64).unwrap_or(0), *metric as u8, "")
             }
-            AlertKind::PrefixHijack { origin, .. } => (origin.value() as u64, 0, ""),
-            AlertKind::RouteLeak { via, origin } => (via.value() as u64, origin.value() as u64, ""),
+            AlertKind::PrefixHijack { origin, .. } => (origin.value() as u64, 0, 0, ""),
+            AlertKind::RouteLeak { via, origin } => {
+                (via.value() as u64, origin.value() as u64, 0, "")
+            }
             AlertKind::CollectorOutage { collector, silent_windows } => {
-                (*silent_windows, 0, collector.as_str())
+                (*silent_windows, 0, 0, collector.as_str())
             }
         }
     }
@@ -265,10 +270,12 @@ impl Alert {
 
     /// A deterministic total order: by time, then stream, then kind rank,
     /// then per-kind evidence — so serial and corpus runs report
-    /// identical lists even when several alerts share a timestamp.
-    pub fn sort_key(&self) -> (u64, Option<SessionKey>, Option<Prefix>, u8, u64, u64, String) {
-        let (d1, d2, ds) = self.kind.detail();
-        (self.time_us, self.session.clone(), self.prefix, self.kind.rank(), d1, d2, ds.to_owned())
+    /// identical lists even when several alerts share a timestamp. Two
+    /// alerts compare equal only if they render identically, so the
+    /// order detectors emit in never shows. The key borrows from the
+    /// alert.
+    pub fn sort_key(&self) -> impl Ord + '_ {
+        (self.time_us, self.session.as_ref(), self.prefix, self.kind.rank(), self.kind.detail())
     }
 
     /// The stable one-line serialization:
@@ -316,7 +323,7 @@ impl fmt::Display for Alert {
 
 /// Sorts alerts into the canonical order ([`Alert::sort_key`]).
 pub fn sort_alerts(alerts: &mut [Alert]) {
-    alerts.sort_by_cached_key(Alert::sort_key);
+    alerts.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
 }
 
 #[cfg(test)]
@@ -446,5 +453,33 @@ mod tests {
             a
         };
         assert_eq!(alerts, again);
+    }
+
+    #[test]
+    fn equal_observed_rate_and_fanout_shifts_do_not_tie() {
+        // 20 sessions announcing a community once each: announce rate
+        // and session fan-out both read 20 in the same window.
+        let shift = |metric| {
+            Alert::new(
+                900,
+                None,
+                None,
+                AlertKind::BaselineShift {
+                    metric,
+                    community: Some(Community::from_parts(3356, 1)),
+                    observed: 20,
+                    baseline: 1,
+                },
+            )
+        };
+        let rate = shift(ShiftMetric::AnnounceRate);
+        let fanout = shift(ShiftMetric::SessionFanout);
+        assert!(rate.sort_key() < fanout.sort_key());
+        assert!(shift(ShiftMetric::DistinctAttrs).sort_key() < rate.sort_key());
+        for emitted in [[rate.clone(), fanout.clone()], [fanout.clone(), rate.clone()]] {
+            let mut alerts = emitted.to_vec();
+            sort_alerts(&mut alerts);
+            assert_eq!(alerts, [rate.clone(), fanout.clone()], "emission order must not show");
+        }
     }
 }

@@ -18,7 +18,7 @@
 //!   (BLACKHOLE, GRACEFUL_SHUTDOWN …) appearing on a stream that never
 //!   carried one,
 //! * [`AlertKind::BaselineShift`] over
-//!   [`ShiftMetric::DistinctAttrs`](crate::alert::ShiftMetric::DistinctAttrs):
+//!   [`ShiftMetric::DistinctAttrs`]:
 //!   a stream revealing many more distinct community attributes per phase
 //!   than its training baseline (an exploration burst).
 //!
@@ -26,25 +26,191 @@
 //! over sliding windows; with a whole-day window its output is
 //! byte-equal to [`CommunityProfiler::detect`].
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::hash::BuildHasher;
+use std::sync::Arc;
 
 #[cfg(test)]
 use kcc_bgp_types::Asn;
-use kcc_bgp_types::{MessageKind, Prefix, RouteUpdate};
+use kcc_bgp_types::{
+    Community, CommunitySet, ExtendedCommunity, FastBuildHasher, FastHashMap, FastHashSet,
+    LargeCommunity, MessageKind, Prefix, RouteUpdate,
+};
 use kcc_collector::{ArchiveSource, SessionKey, UpdateArchive};
 
 use crate::alert::{sort_alerts, Alert, AlertKind, ShiftMetric};
 use crate::pipeline::{AnalysisSink, Merge, PipelineBuilder};
 
+/// Dense ids for the sessions a detector has met, so per-stream state
+/// keys on `(u32, Prefix)` and a [`SessionKey`] is cloned only into an
+/// emitted [`Alert`].
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SessionTable {
+    ids: FastHashMap<Arc<SessionKey>, u32>,
+    keys: Vec<Arc<SessionKey>>,
+}
+
+impl SessionTable {
+    /// The id of a known session.
+    #[inline]
+    pub(crate) fn get(&self, key: &SessionKey) -> Option<u32> {
+        self.ids.get(key).copied()
+    }
+
+    /// The id of `key`; first sight assigns the next dense one.
+    pub(crate) fn intern(&mut self, key: &SessionKey) -> u32 {
+        if let Some(id) = self.get(key) {
+            return id;
+        }
+        let id = self.keys.len() as u32;
+        let key = Arc::new(key.clone());
+        self.ids.insert(Arc::clone(&key), id);
+        self.keys.push(key);
+        id
+    }
+
+    /// The session behind an id this table handed out.
+    pub(crate) fn key(&self, id: u32) -> &SessionKey {
+        &self.keys[id as usize]
+    }
+
+    /// Every session, in id order.
+    pub(crate) fn keys(&self) -> impl Iterator<Item = &SessionKey> {
+        self.keys.iter().map(|k| &**k)
+    }
+}
+
+/// Dense ids for community attributes, interned **by value**: two
+/// announcements get the same id iff their [`CommunitySet`]s are equal
+/// — the exact "distinct attribute" the paper counts, at the price of
+/// one hash of the set per announcement instead of rendering it.
+///
+/// Each distinct set is stored once, appended to three per-family
+/// arenas, so there is no allocation per attribute and a handful of
+/// tables to free. The index maps a hash to an id and where the set
+/// sits; a candidate is compared element for element before it is
+/// trusted, and a set whose hash is taken by a different set steps to
+/// the next free hash, so a collision costs a retry and never yields a
+/// wrong id.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct AttrInterner {
+    index: FastHashMap<u64, (u32, Span)>,
+    classic: Vec<Community>,
+    extended: Vec<ExtendedCommunity>,
+    large: Vec<LargeCommunity>,
+}
+
+/// `(start, length)` of one set's members in each family arena.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    classic: (u32, u32),
+    extended: (u32, u32),
+    large: (u32, u32),
+}
+
+fn members<T>(arena: &[T], (start, len): (u32, u32)) -> &[T] {
+    &arena[start as usize..][..len as usize]
+}
+
+fn append<T: Copy>(arena: &mut Vec<T>, part: &[T]) -> (u32, u32) {
+    let start = u32::try_from(arena.len()).expect("attribute arena outgrew u32 offsets");
+    arena.extend_from_slice(part);
+    (start, part.len() as u32)
+}
+
+impl AttrInterner {
+    /// The id of `set`, assigning the next one on first sight.
+    pub(crate) fn intern(&mut self, set: &CommunitySet) -> u32 {
+        self.intern_members(set.classic(), set.extended(), set.large())
+    }
+
+    fn intern_members(
+        &mut self,
+        classic: &[Community],
+        extended: &[ExtendedCommunity],
+        large: &[LargeCommunity],
+    ) -> u32 {
+        let hash = FastBuildHasher::default().hash_one((classic, extended, large));
+        self.intern_hashed(hash, classic, extended, large)
+    }
+
+    /// [`intern_members`](Self::intern_members) with the hash handed in
+    /// (tests hand in colliding ones).
+    fn intern_hashed(
+        &mut self,
+        mut hash: u64,
+        classic: &[Community],
+        extended: &[ExtendedCommunity],
+        large: &[LargeCommunity],
+    ) -> u32 {
+        let next = self.index.len() as u32;
+        loop {
+            match self.index.entry(hash) {
+                Entry::Vacant(slot) => {
+                    let span = Span {
+                        classic: append(&mut self.classic, classic),
+                        extended: append(&mut self.extended, extended),
+                        large: append(&mut self.large, large),
+                    };
+                    slot.insert((next, span));
+                    return next;
+                }
+                Entry::Occupied(slot) => {
+                    let (id, span) = *slot.get();
+                    if members(&self.classic, span.classic) == classic
+                        && members(&self.extended, span.extended) == extended
+                        && members(&self.large, span.large) == large
+                    {
+                        return id;
+                    }
+                    hash = hash.wrapping_add(1);
+                }
+            }
+        }
+    }
+
+    /// Folds `other`'s sets in; the result maps each of `other`'s ids
+    /// to the id the same set has here.
+    pub(crate) fn absorb(&mut self, other: AttrInterner) -> Vec<u32> {
+        let mut map = vec![0; other.index.len()];
+        for &(id, span) in other.index.values() {
+            map[id as usize] = self.intern_members(
+                members(&other.classic, span.classic),
+                members(&other.extended, span.extended),
+                members(&other.large, span.large),
+            );
+        }
+        map
+    }
+}
+
+/// What training learned about one `(session, prefix)` stream.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct StreamProfile {
+    /// Whether any well-known action community was seen.
+    pub(crate) has_action: bool,
+    /// Distinct community attributes seen.
+    attr_count: usize,
+}
+
+impl StreamProfile {
+    /// The distinct-attribute baseline (≥ 1: unseen streams get the
+    /// most conservative baseline).
+    pub(crate) fn baseline(&self) -> usize {
+        self.attr_count.max(1)
+    }
+}
+
 /// Learned profiles.
 #[derive(Debug, Clone, Default)]
 pub struct CommunityProfiler {
-    /// Per 16-bit namespace: the set of values seen in training.
-    namespace_values: BTreeMap<u16, HashSet<u16>>,
-    /// Per stream: whether any well-known action community was seen.
-    stream_has_action: HashMap<(SessionKey, Prefix), bool>,
-    /// Per stream: distinct community attributes seen in training.
-    stream_attr_count: HashMap<(SessionKey, Prefix), usize>,
+    /// Every community seen in training.
+    values: FastHashSet<Community>,
+    /// Per 16-bit namespace: how many distinct values training saw.
+    namespace_sizes: FastHashMap<u16, usize>,
+    /// The sessions seen in training; streams key on their ids.
+    sessions: SessionTable,
+    streams: FastHashMap<(u32, Prefix), StreamProfile>,
     trained: bool,
 }
 
@@ -79,47 +245,39 @@ impl CommunityProfiler {
 
     /// Number of learned namespaces.
     pub fn namespace_count(&self) -> usize {
-        self.namespace_values.len()
+        self.namespace_sizes.len()
     }
 
-    /// The trained value set for a 16-bit namespace, if any.
-    pub(crate) fn namespace(&self, asn_part: u16) -> Option<&HashSet<u16>> {
-        self.namespace_values.get(&asn_part)
-    }
-
-    /// Whether a stream carried a well-known action community in training.
-    pub(crate) fn stream_trained_action(&self, stream: &(SessionKey, Prefix)) -> bool {
-        self.stream_has_action.get(stream).copied().unwrap_or(false)
-    }
-
-    /// A stream's distinct-attribute training baseline (≥ 1: unseen
-    /// streams get the most conservative baseline).
-    pub(crate) fn stream_baseline(&self, stream: &(SessionKey, Prefix)) -> usize {
-        self.stream_attr_count.get(stream).copied().unwrap_or(1).max(1)
+    /// What training learned about a stream (the default for streams it
+    /// never saw). Two probes: detectors ask once, at a stream's first
+    /// sight, and keep the answer.
+    pub(crate) fn stream(&self, key: &SessionKey, prefix: Prefix) -> StreamProfile {
+        let known = self.sessions.get(key).and_then(|s| self.streams.get(&(s, prefix)));
+        known.copied().unwrap_or_default()
     }
 
     /// Learns profiles from a training archive (e.g. yesterday's data).
     pub fn train(&mut self, archive: &UpdateArchive) {
+        let mut attrs = AttrInterner::default();
         for (key, rec) in archive.sessions() {
-            let mut per_stream_attrs: HashMap<Prefix, HashSet<String>> = HashMap::new();
+            let session = self.sessions.intern(key);
+            // Per prefix of this session: action seen, distinct attributes.
+            let mut seen: FastHashMap<Prefix, (bool, FastHashSet<u32>)> = FastHashMap::default();
             for u in &rec.updates {
-                let MessageKind::Announcement(attrs) = &u.kind else { continue };
-                let stream = (key.clone(), u.prefix);
-                for c in attrs.communities.iter_classic() {
-                    self.namespace_values.entry(c.asn_part()).or_default().insert(c.value_part());
-                    if c.well_known_name().is_some() {
-                        self.stream_has_action.insert(stream.clone(), true);
+                let MessageKind::Announcement(a) = &u.kind else { continue };
+                let (has_action, distinct) = seen.entry(u.prefix).or_default();
+                for c in a.communities.iter_classic() {
+                    if self.values.insert(*c) {
+                        *self.namespace_sizes.entry(c.asn_part()).or_insert(0) += 1;
                     }
+                    *has_action |= c.well_known_name().is_some();
                 }
-                self.stream_has_action.entry(stream).or_insert(false);
-                per_stream_attrs
-                    .entry(u.prefix)
-                    .or_default()
-                    .insert(attrs.communities.canonical_key());
+                distinct.insert(attrs.intern(&a.communities));
             }
-            for (prefix, attrs) in per_stream_attrs {
-                let e = self.stream_attr_count.entry((key.clone(), prefix)).or_insert(0);
-                *e = (*e).max(attrs.len());
+            for (prefix, (has_action, distinct)) in seen {
+                let stream = self.streams.entry((session, prefix)).or_default();
+                stream.has_action |= has_action;
+                stream.attr_count = stream.attr_count.max(distinct.len());
             }
         }
         self.trained = true;
@@ -139,38 +297,36 @@ impl CommunityProfiler {
 
 /// The point checks shared by the batch sink and the online watch
 /// service: novel namespace values and injected action communities on
-/// one announcement. Appends any alerts to `out`.
+/// one announcement of a stream whose training profile is `trained`.
+/// Appends any alerts to `out`.
 pub(crate) fn point_checks(
     profiler: &CommunityProfiler,
     cfg: &AnomalyConfig,
+    trained: StreamProfile,
     key: &SessionKey,
     u: &RouteUpdate,
+    communities: &CommunitySet,
     out: &mut Vec<Alert>,
 ) {
-    let MessageKind::Announcement(attrs) = &u.kind else { return };
-    let stream = (key.clone(), u.prefix);
-    for c in attrs.communities.iter_classic() {
-        if let Some(name) = c.well_known_name() {
-            if !profiler.stream_trained_action(&stream) {
-                out.push(Alert::new(
-                    u.time_us,
-                    Some(key.clone()),
-                    Some(u.prefix),
-                    AlertKind::BlackholeInjection { community: *c, name },
-                ));
+    for c in communities.iter_classic() {
+        let kind = if let Some(name) = c.well_known_name() {
+            if trained.has_action {
+                continue;
             }
-            continue;
-        }
-        if let Some(values) = profiler.namespace(c.asn_part()) {
-            if values.len() >= cfg.min_namespace_size && !values.contains(&c.value_part()) {
-                out.push(Alert::new(
-                    u.time_us,
-                    Some(key.clone()),
-                    Some(u.prefix),
-                    AlertKind::NovelCommunity { community: *c },
-                ));
+            AlertKind::BlackholeInjection { community: *c, name }
+        } else {
+            // The common case first: a trained value is one probe.
+            if profiler.values.contains(c) {
+                continue;
             }
-        }
+            match profiler.namespace_sizes.get(&c.asn_part()) {
+                Some(&known) if known >= cfg.min_namespace_size => {
+                    AlertKind::NovelCommunity { community: *c }
+                }
+                _ => continue,
+            }
+        };
+        out.push(Alert::new(u.time_us, Some(key.clone()), Some(u.prefix), kind));
     }
 }
 
@@ -178,28 +334,36 @@ pub(crate) fn point_checks(
 /// watch service: a stream's distinct-attribute count against its
 /// training baseline. Returns the alert if the burst fires.
 pub(crate) fn burst_check(
-    profiler: &CommunityProfiler,
     cfg: &AnomalyConfig,
-    stream: &(SessionKey, Prefix),
+    trained: StreamProfile,
+    key: &SessionKey,
+    prefix: Prefix,
     observed: usize,
     first_seen_us: u64,
 ) -> Option<Alert> {
-    let baseline = profiler.stream_baseline(stream);
-    if observed >= cfg.burst_min_observed && observed > cfg.burst_factor * baseline {
-        Some(Alert::new(
+    let baseline = trained.baseline();
+    (observed >= cfg.burst_min_observed && observed > cfg.burst_factor * baseline).then(|| {
+        Alert::new(
             first_seen_us,
-            Some(stream.0.clone()),
-            Some(stream.1),
+            Some(key.clone()),
+            Some(prefix),
             AlertKind::BaselineShift {
                 metric: ShiftMetric::DistinctAttrs,
                 community: None,
                 observed: observed as u64,
                 baseline: baseline as u64,
             },
-        ))
-    } else {
-        None
-    }
+        )
+    })
+}
+
+/// One stream's detection-side state in an [`AnomalySink`].
+#[derive(Debug)]
+struct StreamSeen {
+    first_seen_us: u64,
+    trained: StreamProfile,
+    /// Ids of the distinct community attributes seen.
+    attrs: FastHashSet<u32>,
 }
 
 /// Streaming anomaly detection against a trained profiler. Per-stream
@@ -210,8 +374,9 @@ pub struct AnomalySink<'a> {
     profiler: &'a CommunityProfiler,
     cfg: AnomalyConfig,
     alerts: Vec<Alert>,
-    per_stream_attrs: HashMap<(SessionKey, Prefix), HashSet<String>>,
-    first_seen: HashMap<(SessionKey, Prefix), u64>,
+    sessions: SessionTable,
+    attrs: AttrInterner,
+    streams: FastHashMap<(u32, Prefix), StreamSeen>,
 }
 
 impl<'a> AnomalySink<'a> {
@@ -225,8 +390,9 @@ impl<'a> AnomalySink<'a> {
             profiler,
             cfg,
             alerts: Vec::new(),
-            per_stream_attrs: HashMap::new(),
-            first_seen: HashMap::new(),
+            sessions: SessionTable::default(),
+            attrs: AttrInterner::default(),
+            streams: FastHashMap::default(),
         }
     }
 
@@ -234,9 +400,15 @@ impl<'a> AnomalySink<'a> {
     /// canonical order.
     pub fn finish(self) -> Vec<Alert> {
         let mut alerts = self.alerts;
-        for (stream, attrs) in &self.per_stream_attrs {
-            let first = self.first_seen.get(stream).copied().unwrap_or(0);
-            alerts.extend(burst_check(self.profiler, &self.cfg, stream, attrs.len(), first));
+        for (&(session, prefix), seen) in &self.streams {
+            alerts.extend(burst_check(
+                &self.cfg,
+                seen.trained,
+                self.sessions.key(session),
+                prefix,
+                seen.attrs.len(),
+                seen.first_seen_us,
+            ));
         }
         sort_alerts(&mut alerts);
         alerts
@@ -246,13 +418,22 @@ impl<'a> AnomalySink<'a> {
 impl AnalysisSink for AnomalySink<'_> {
     fn on_update(&mut self, key: &SessionKey, u: &RouteUpdate) {
         let MessageKind::Announcement(attrs) = &u.kind else { return };
-        point_checks(self.profiler, &self.cfg, key, u, &mut self.alerts);
-        let stream = (key.clone(), u.prefix);
-        self.per_stream_attrs
-            .entry(stream.clone())
-            .or_default()
-            .insert(attrs.communities.canonical_key());
-        self.first_seen.entry(stream).or_insert(u.time_us);
+        let session = self.sessions.intern(key);
+        let seen = self.streams.entry((session, u.prefix)).or_insert_with(|| StreamSeen {
+            first_seen_us: u.time_us,
+            trained: self.profiler.stream(key, u.prefix),
+            attrs: FastHashSet::default(),
+        });
+        point_checks(
+            self.profiler,
+            &self.cfg,
+            seen.trained,
+            key,
+            u,
+            &attrs.communities,
+            &mut self.alerts,
+        );
+        seen.attrs.insert(self.attrs.intern(&attrs.communities));
     }
 
     fn wants_events(&self) -> bool {
@@ -263,9 +444,14 @@ impl AnalysisSink for AnomalySink<'_> {
 impl Merge for AnomalySink<'_> {
     fn merge(&mut self, mut other: Self) {
         self.alerts.append(&mut other.alerts);
+        let sessions: Vec<u32> =
+            other.sessions.keys().map(|key| self.sessions.intern(key)).collect();
+        let attrs = self.attrs.absorb(other.attrs);
         // Streams are keyed by session: disjoint across collectors.
-        self.per_stream_attrs.extend(other.per_stream_attrs);
-        self.first_seen.extend(other.first_seen);
+        for ((session, prefix), mut seen) in other.streams {
+            seen.attrs = seen.attrs.iter().map(|&id| attrs[id as usize]).collect();
+            self.streams.insert((sessions[session as usize], prefix), seen);
+        }
     }
 }
 
@@ -300,6 +486,46 @@ mod tests {
             a.record(&key(), announce(v as u64, &[(200, 2500 + v)]));
         }
         a
+    }
+
+    fn set(comms: &[(u16, u16)]) -> CommunitySet {
+        CommunitySet::from_classic(comms.iter().map(|&(a, v)| Community::from_parts(a, v)))
+    }
+
+    #[test]
+    fn attr_ids_are_equal_iff_sets_are() {
+        let mut attrs = AttrInterner::default();
+        let mut with_large = set(&[(200, 1)]);
+        with_large.insert_large(LargeCommunity::new(200, 1, 0));
+        let sets = [set(&[]), set(&[(200, 1)]), set(&[(200, 1), (200, 2)]), with_large];
+        let ids: Vec<u32> = sets.iter().map(|s| attrs.intern(s)).collect();
+        assert_eq!(ids, [0, 1, 2, 3], "dense, in first-sight order");
+        let again: Vec<u32> = sets.iter().rev().map(|s| attrs.intern(s)).collect();
+        assert_eq!(again, [3, 2, 1, 0], "a known set keeps its id");
+    }
+
+    #[test]
+    fn attr_ids_survive_hash_collisions() {
+        // Three different sets forced onto one hash: each is compared by
+        // value, steps past the others, and is found again.
+        let mut attrs = AttrInterner::default();
+        let sets = [set(&[(200, 1)]), set(&[(200, 2)]), set(&[(300, 1), (300, 2)])];
+        let mut intern = |s: &CommunitySet| attrs.intern_hashed(7, s.classic(), &[], &[]);
+        let ids: Vec<u32> = sets.iter().map(&mut intern).collect();
+        assert_eq!(ids, [0, 1, 2]);
+        let again: Vec<u32> = sets.iter().rev().map(&mut intern).collect();
+        assert_eq!(again, [2, 1, 0]);
+    }
+
+    #[test]
+    fn absorbed_attr_ids_map_by_value() {
+        let (mut ours, mut theirs) = (AttrInterner::default(), AttrInterner::default());
+        ours.intern(&set(&[(200, 1)]));
+        ours.intern(&set(&[(200, 2)]));
+        theirs.intern(&set(&[(200, 3)]));
+        theirs.intern(&set(&[(200, 1)]));
+        assert_eq!(ours.absorb(theirs), [2, 0], "a new set appends, a shared one maps onto ours");
+        assert_eq!(ours.intern(&set(&[(200, 3)])), 2);
     }
 
     #[test]

@@ -77,21 +77,36 @@ impl Merge for CommunitySetSink {
 /// window each `(community, collector)` pair first appeared.
 ///
 /// The batch corpus report builds one from the per-collector community
-/// sets; the online watch service feeds it per window via [`observe`]
-/// (every call is O(log n) — no whole-run recompute) and reads
-/// per-window deltas back with [`window_delta`]. Shard and collector
-/// merges take the earliest first-window per pair, so the matrix is
-/// identical for any member order or thread count.
+/// sets via [`observe`]; the online watch service keeps its rows by
+/// collector id while it runs and builds the matrix once, at `finish`.
+/// Per-window deltas read back with [`window_delta`]. Merges take the
+/// earliest first-window per pair, so the matrix is identical for any
+/// member order or thread count.
 ///
 /// [`observe`]: AgreementMatrix::observe
 /// [`window_delta`]: AgreementMatrix::window_delta
 #[derive(Debug, Clone, Default)]
 pub struct AgreementMatrix {
     /// All known collectors (columns), sorted by name.
-    collectors: BTreeSet<String>,
-    /// Per community: the collectors that saw it, with the window index
-    /// of the first sighting.
-    rows: BTreeMap<Community, BTreeMap<String, u64>>,
+    collectors: Vec<String>,
+    /// Per community: `(column, window of the first sighting)` for each
+    /// collector that saw it, ascending by column.
+    rows: BTreeMap<Community, Vec<(u32, u64)>>,
+}
+
+/// Records a sighting in a row kept ascending by column; the earliest
+/// window wins. True when the column is new to the row.
+fn see(row: &mut Vec<(u32, u64)>, column: u32, window: u64) -> bool {
+    match row.binary_search_by_key(&column, |&(c, _)| c) {
+        Ok(i) => {
+            row[i].1 = row[i].1.min(window);
+            false
+        }
+        Err(i) => {
+            row.insert(i, (column, window));
+            true
+        }
+    }
 }
 
 impl AgreementMatrix {
@@ -106,17 +121,43 @@ impl AgreementMatrix {
     /// collectors may legitimately see nothing (their column must still
     /// exist for agreement to be judged against them).
     pub fn with_collectors<I: IntoIterator<Item = S>, S: Into<String>>(names: I) -> Self {
-        AgreementMatrix {
-            collectors: names.into_iter().map(Into::into).collect(),
-            rows: BTreeMap::new(),
+        let mut collectors: Vec<String> = names.into_iter().map(Into::into).collect();
+        collectors.sort_unstable();
+        collectors.dedup();
+        AgreementMatrix { collectors, rows: BTreeMap::new() }
+    }
+
+    /// A matrix from finished rows: `collectors` sorted and unique, each
+    /// row ascending by column (its index into `collectors`).
+    pub(crate) fn from_rows(
+        collectors: Vec<String>,
+        rows: impl IntoIterator<Item = (Community, Vec<(u32, u64)>)>,
+    ) -> Self {
+        AgreementMatrix { collectors, rows: rows.into_iter().collect() }
+    }
+
+    /// The column of `name`, registering it if new — which shifts every
+    /// later column of every row, so register collectors up front
+    /// ([`with_collectors`](AgreementMatrix::with_collectors)) when
+    /// there are many rows.
+    fn column(&mut self, name: &str) -> u32 {
+        match self.collectors.binary_search_by(|c| c.as_str().cmp(name)) {
+            Ok(i) => i as u32,
+            Err(i) => {
+                self.collectors.insert(i, name.to_owned());
+                for (column, _) in self.rows.values_mut().flatten() {
+                    if *column >= i as u32 {
+                        *column += 1;
+                    }
+                }
+                i as u32
+            }
         }
     }
 
     /// Registers a collector column without observations.
     pub fn add_collector(&mut self, name: &str) {
-        if !self.collectors.contains(name) {
-            self.collectors.insert(name.to_owned());
-        }
+        self.column(name);
     }
 
     /// Records that `collector` saw `community` in detection window
@@ -124,20 +165,8 @@ impl AgreementMatrix {
     /// (the per-window delta), `false` for a repeat. Earlier windows win
     /// if observations arrive out of order (merges replay collectors).
     pub fn observe(&mut self, collector: &str, community: Community, window: u64) -> bool {
-        self.add_collector(collector);
-        let row = self.rows.entry(community).or_default();
-        match row.get_mut(collector) {
-            Some(first) => {
-                if window < *first {
-                    *first = window;
-                }
-                false
-            }
-            None => {
-                row.insert(collector.to_owned(), window);
-                true
-            }
-        }
+        let column = self.column(collector);
+        see(self.rows.entry(community).or_default(), column, window)
     }
 
     /// Collector column names, sorted.
@@ -161,7 +190,11 @@ impl AgreementMatrix {
         self.rows
             .iter()
             .map(|(comm, row)| {
-                (*comm, self.collectors.iter().map(|c| row.contains_key(c)).collect())
+                let mut flags = vec![false; self.collectors.len()];
+                for &(column, _) in row {
+                    flags[column as usize] = true;
+                }
+                (*comm, flags)
             })
             .collect()
     }
@@ -187,7 +220,9 @@ impl AgreementMatrix {
         self.rows
             .iter()
             .flat_map(|(comm, row)| {
-                row.iter().filter(move |(_, &w)| w == window).map(|(c, _)| (*comm, c.as_str()))
+                row.iter()
+                    .filter(move |&&(_, w)| w == window)
+                    .map(|&(column, _)| (*comm, self.collectors[column as usize].as_str()))
             })
             .collect()
     }
@@ -195,17 +230,16 @@ impl AgreementMatrix {
     /// Folds another matrix in: collector columns union, first-window
     /// per pair takes the minimum. Order-independent.
     pub fn merge(&mut self, other: AgreementMatrix) {
-        self.collectors.extend(other.collectors);
+        // Register every column before looking any up: a later name can
+        // shift an earlier one.
+        for name in &other.collectors {
+            self.add_collector(name);
+        }
+        let columns: Vec<u32> = other.collectors.iter().map(|name| self.column(name)).collect();
         for (comm, row) in other.rows {
             let mine = self.rows.entry(comm).or_default();
-            for (collector, window) in row {
-                mine.entry(collector)
-                    .and_modify(|w| {
-                        if window < *w {
-                            *w = window;
-                        }
-                    })
-                    .or_insert(window);
+            for (column, window) in row {
+                see(mine, columns[column as usize], window);
             }
         }
     }

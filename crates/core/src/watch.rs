@@ -24,25 +24,76 @@
 //!   windows while other collectors stay active.
 //!
 //! Every observation is accumulated in mergeable, order-insensitive
-//! structures and all window-replay detection happens at
-//! [`finish`](WatchSink::finish) in deterministic map order, so the
-//! alert list is **identical for any thread count or collector order**.
-//! With a whole-day window ([`WatchConfig::whole_day`]) and an attached
-//! profiler, the online result is byte-equal to the batch
+//! structures, all window-replay detection happens at
+//! [`finish`](WatchSink::finish), and [`sort_alerts`] is a total order,
+//! so the alert list is **identical for any thread count or collector
+//! order**. With a whole-day window ([`WatchConfig::whole_day`]) and an
+//! attached profiler, the online result is byte-equal to the batch
 //! [`CommunityProfiler::detect`] — the equivalence the property tests
-//! pin.
+//! pin; `tests/watch_oracle.rs` holds the sink to a naive restatement of
+//! all of the above.
+//!
+//! # State
+//!
+//! The per-update path touches integers only; names and keys are cloned
+//! into an emitted [`Alert`] and nowhere else.
+//!
+//! 1. **Id tables.** A session key becomes a dense session id on first
+//!    sight (the sink interns for itself: `on_update` may arrive without
+//!    `on_session`), each distinct community attribute gets an id by
+//!    value (equal ids iff equal sets, never a bare hash), and
+//!    everything a session owns sits under its id: its collector's id,
+//!    its streams, and the `(community, window)`s it announced in.
+//!    Updates come in runs of one session, so that is the part of the
+//!    state that stays in cache.
+//! 2. **One stream slot** per prefix of a session: the last announcement
+//!    as an `Arc` (a withdrawal carries no attributes and counts against
+//!    its communities) and the open distinct-attribute window —
+//!    attribute ids plus the stream's training profile, read from the
+//!    profiler once.
+//! 3. **Three flat window maps**, each onto a window-sorted `Vec` whose
+//!    last-touched slot is tried first: per collector, the windows it
+//!    was active in; per community, its agreement row (first window per
+//!    collector id) and per-window announce/withdraw counts and fan-out
+//!    (a count — the sessions behind it are the sets of 1.); per prefix,
+//!    each window's origins and, per `(collector id, AS)` packed into an
+//!    integer, the *first* window that showed the AS on a path — the
+//!    only one the leak replay ever judges.
+//!
+//! An announcement with *c* classic communities and *p* path ASes costs
+//! 4 + 2*c* hash probes — session, stream, attribute, prefix; per
+//! community its state and the session's fan-out set — plus *c* probes
+//! of the profiler's value set, *p* binary searches among the prefix's
+//! on-path cells and *c* + 2 window-slot lookups. A withdrawal costs the
+//! session and stream probes and, per community of the stream's last
+//! announcement, one probe and one slot.
+//!
+//! # Why no window is retired before `finish`
+//!
+//! Closing windows as the clock advances would bound the three window
+//! maps, but there is no clock to trust: an archive or MRT replay feeds
+//! session after session, so time runs backwards once per session, and
+//! the merge contract (any collector order, any thread count, the same
+//! bytes) lets a later sink bring *earlier* windows. A window dropped
+//! early would change what its successors are judged against. Bounded
+//! state for a daemon that never finishes needs the source to promise a
+//! low-water mark below which no update can arrive; no `UpdateSource`
+//! does today.
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::hash::{Hash, Hasher};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use kcc_bgp_types::{Asn, Community, MessageKind, Prefix, RouteUpdate};
+use kcc_bgp_types::{
+    Asn, Community, FastHashMap, FastHashSet, MessageKind, PathAttributes, Prefix, RouteUpdate,
+};
 use kcc_collector::{PeerMeta, SessionKey};
 use kcc_obs::{Counter, Gauge, Registry};
 
 use crate::alert::{sort_alerts, Alert, AlertKind, ShiftMetric};
-use crate::anomaly::{burst_check, point_checks, AnomalyConfig, CommunityProfiler};
+use crate::anomaly::{
+    burst_check, point_checks, AnomalyConfig, AttrInterner, CommunityProfiler, SessionTable,
+    StreamProfile,
+};
 use crate::corpus::AgreementMatrix;
 use crate::pipeline::{AnalysisSink, Merge};
 
@@ -109,36 +160,157 @@ impl WatchConfig {
     }
 }
 
-/// The earliest sighting of something in a window — ties on time break
-/// on the session key, so merges are order-insensitive.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+/// The earliest sighting of something in a window.
+#[derive(Debug, Clone, Copy)]
 struct Sighting {
     time_us: u64,
-    session: SessionKey,
+    session: u32,
 }
 
-/// One stream's open distinct-attribute window.
-#[derive(Debug, Clone)]
-struct StreamWindow {
-    window: u64,
-    first_us: u64,
-    attrs: HashSet<String>,
-}
-
-impl StreamWindow {
-    fn open(window: u64, first_us: u64) -> Self {
-        StreamWindow { window, first_us, attrs: HashSet::new() }
+impl Sighting {
+    /// Strictly earlier than `other`. Ties on time break on the real
+    /// session keys — ids only record a sink's arrival order — so merges
+    /// are order-insensitive.
+    fn before(self, other: Sighting, sessions: &SessionTable) -> bool {
+        self.time_us < other.time_us
+            || (self.time_us == other.time_us
+                && self.session != other.session
+                && sessions.key(self.session) < sessions.key(other.session))
     }
 }
 
-/// One prefix's observations in one window.
+/// One key's windows, ascending by window id. A session's updates are
+/// time-ordered, so the slot touched last is tried first; anything else
+/// (the next window, another session starting over, a merge) is a
+/// binary search and, for a new window, an insert.
+#[derive(Debug, Clone)]
+struct Windows<W> {
+    slots: Vec<(u64, W)>,
+    last: u32,
+}
+
+impl<W> Default for Windows<W> {
+    fn default() -> Self {
+        Windows { slots: Vec::new(), last: 0 }
+    }
+}
+
+impl<W: Default> Windows<W> {
+    fn at(&mut self, window: u64) -> &mut W {
+        let last = self.last as usize;
+        let i = match self.slots.get(last) {
+            Some(&(w, _)) if w == window => last,
+            _ => match self.slots.binary_search_by_key(&window, |slot| slot.0) {
+                Ok(i) => i,
+                Err(i) => {
+                    self.slots.insert(i, (window, W::default()));
+                    i
+                }
+            },
+        };
+        self.last = i as u32;
+        &mut self.slots[i].1
+    }
+}
+
+/// One stream's slot.
 #[derive(Debug, Clone, Default)]
-struct PrefixWindow {
-    /// Origin ASes seen, with the earliest sighting of each.
-    origins: BTreeMap<Asn, Sighting>,
-    /// On-path ASes per collector vantage, with the earliest sighting
-    /// and the announced origin at that sighting.
-    onpath: BTreeMap<(String, Asn), (Sighting, Asn)>,
+struct StreamState {
+    /// The last announcement, kept while rate checks run: a withdrawal
+    /// carries no attributes and counts against these communities.
+    last: Option<Arc<PathAttributes>>,
+    /// The open distinct-attribute window, kept while a profiler is
+    /// attached.
+    open: Option<OpenWindow>,
+}
+
+#[derive(Debug, Clone)]
+struct OpenWindow {
+    window: u64,
+    first_us: u64,
+    /// The stream's training profile, read once at its first sight.
+    trained: StreamProfile,
+    /// [`AttrInterner`] ids of the distinct attributes seen, ascending
+    /// (a new attribute has the highest id yet, so it lands at the end).
+    attrs: Vec<u32>,
+}
+
+/// The origins announced for a prefix in one window, with the earliest
+/// sighting of each. Nearly always exactly one, which stays inline.
+#[derive(Debug, Clone, Default)]
+struct Origins {
+    first: Option<(Asn, Sighting)>,
+    more: Vec<(Asn, Sighting)>,
+}
+
+impl Origins {
+    fn see(&mut self, origin: Asn, seen: Sighting, sessions: &SessionTable) {
+        let known = self.first.iter_mut().chain(&mut self.more).find(|o| o.0 == origin);
+        if let Some(known) = known {
+            if seen.before(known.1, sessions) {
+                known.1 = seen;
+            }
+        } else if self.first.is_none() {
+            self.first = Some((origin, seen));
+        } else {
+            self.more.push((origin, seen));
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &(Asn, Sighting)> {
+        self.first.iter().chain(&self.more)
+    }
+}
+
+/// An AS on the path of a prefix as one collector vantage sees it. The
+/// replay only ever judges a vantage's on-path AS in the first window
+/// that shows it (from then on it is learned), so that is all that is
+/// kept: the first window, the earliest sighting inside it and the
+/// origin announced at that sighting.
+#[derive(Debug, Clone, Copy)]
+struct OnPath {
+    /// `(collector id, AS)`, see [`vantage_cell`].
+    cell: u64,
+    window: u64,
+    seen: Sighting,
+    origin: Asn,
+}
+
+/// `(collector id, on-path AS)` as one integer.
+fn vantage_cell(collector: u32, asn: Asn) -> u64 {
+    u64::from(collector) << 32 | u64::from(asn.value())
+}
+
+/// The `(collector id, on-path AS)` behind a [`vantage_cell`].
+fn cell_vantage(cell: u64) -> (u32, Asn) {
+    ((cell >> 32) as u32, Asn(cell as u32))
+}
+
+/// Everything kept per prefix.
+#[derive(Debug, Clone, Default)]
+struct PrefixState {
+    /// The windows that announced it, with each window's origins.
+    windows: Windows<Origins>,
+    /// Ascending by cell.
+    onpath: Vec<OnPath>,
+}
+
+impl PrefixState {
+    /// Keeps the earlier of `new` and what is known for its cell:
+    /// earlier window first, then earlier sighting.
+    fn see_onpath(&mut self, new: OnPath, sessions: &SessionTable) {
+        match self.onpath.binary_search_by_key(&new.cell, |known| known.cell) {
+            Ok(i) => {
+                let known = &mut self.onpath[i];
+                if new.window < known.window
+                    || (new.window == known.window && new.seen.before(known.seen, sessions))
+                {
+                    *known = new;
+                }
+            }
+            Err(i) => self.onpath.insert(i, new),
+        }
+    }
 }
 
 /// One community's counters in one window.
@@ -146,27 +318,49 @@ struct PrefixWindow {
 struct CommunityWindow {
     announces: u64,
     withdraws: u64,
-    /// Deterministic per-session hashes — fan-out is their count.
-    fanout: BTreeSet<u64>,
+    /// Distinct sessions that announced it: the members are in
+    /// [`SessionState::announced`], this is their count.
+    fanout: u64,
 }
 
-fn session_hash(key: &SessionKey) -> u64 {
-    let mut h = DefaultHasher::new();
-    key.hash(&mut h);
-    h.finish()
+/// Everything kept per community.
+#[derive(Debug, Clone, Default)]
+struct CommunityState {
+    /// Its [`AgreementMatrix`] row: per collector id that saw it, the
+    /// first window in which it did.
+    first_seen: Vec<(u32, u64)>,
+    /// Filled while rate checks run.
+    windows: Windows<CommunityWindow>,
 }
 
-fn min_sighting<K: Ord>(map: &mut BTreeMap<K, Sighting>, k: K, s: Sighting) {
-    match map.get_mut(&k) {
-        Some(cur) => {
-            if s < *cur {
-                *cur = s;
-            }
-        }
-        None => {
-            map.insert(k, s);
+impl CommunityState {
+    fn see_at(&mut self, collector: u32, window: u64) {
+        match self.first_seen.iter_mut().find(|(c, _)| *c == collector) {
+            Some((_, first)) => *first = (*first).min(window),
+            None => self.first_seen.push((collector, window)),
         }
     }
+}
+
+/// Everything kept per session, under its dense id.
+#[derive(Debug, Clone)]
+struct SessionState {
+    /// Its collector's index in [`WatchSink::collectors`].
+    collector: u32,
+    /// Its streams, by prefix.
+    streams: FastHashMap<Prefix, StreamState>,
+    /// The `(community, window)`s it announced in — the members behind
+    /// every [`CommunityWindow::fanout`] count, in one table per session
+    /// instead of a set per community window.
+    announced: FastHashSet<(Community, u64)>,
+}
+
+/// One collector vantage.
+#[derive(Debug, Clone)]
+struct Collector {
+    name: String,
+    /// The windows in which it fed any update.
+    active: Windows<()>,
 }
 
 /// What a watch run concluded.
@@ -243,12 +437,13 @@ pub struct WatchSink {
     profiler: Option<Arc<CommunityProfiler>>,
     alerts: Vec<Alert>,
     polled: usize,
-    stream_windows: HashMap<(SessionKey, Prefix), StreamWindow>,
-    last_comms: HashMap<(SessionKey, Prefix), Vec<Community>>,
-    prefixes: BTreeMap<Prefix, BTreeMap<u64, PrefixWindow>>,
-    communities: BTreeMap<Community, BTreeMap<u64, CommunityWindow>>,
-    collectors: BTreeMap<String, BTreeMap<u64, u64>>,
-    matrix: AgreementMatrix,
+    sessions: SessionTable,
+    /// By session id.
+    session_state: Vec<SessionState>,
+    collectors: Vec<Collector>,
+    attrs: AttrInterner,
+    prefixes: FastHashMap<Prefix, PrefixState>,
+    communities: FastHashMap<Community, CommunityState>,
     updates: u64,
     metrics: Option<WatchMetrics>,
 }
@@ -262,12 +457,12 @@ impl WatchSink {
             profiler: None,
             alerts: Vec::new(),
             polled: 0,
-            stream_windows: HashMap::new(),
-            last_comms: HashMap::new(),
-            prefixes: BTreeMap::new(),
-            communities: BTreeMap::new(),
-            collectors: BTreeMap::new(),
-            matrix: AgreementMatrix::new(),
+            sessions: SessionTable::default(),
+            session_state: Vec::new(),
+            collectors: Vec::new(),
+            attrs: AttrInterner::default(),
+            prefixes: FastHashMap::default(),
+            communities: FastHashMap::default(),
             updates: 0,
             metrics: None,
         }
@@ -313,48 +508,89 @@ impl WatchSink {
         &self.alerts[start..]
     }
 
+    /// The id of a collector, registering it on first sight.
+    fn collector(&mut self, name: &str) -> u32 {
+        let known = self.collectors.iter().position(|c| c.name == name);
+        known.unwrap_or_else(|| {
+            self.collectors.push(Collector { name: name.to_owned(), active: Windows::default() });
+            self.collectors.len() - 1
+        }) as u32
+    }
+
+    /// The id of a session, registering it (and its collector) on first
+    /// sight — `on_update` may arrive without a prior `on_session`.
+    fn session(&mut self, key: &SessionKey) -> u32 {
+        let id = self.sessions.intern(key);
+        if id as usize == self.session_state.len() {
+            let collector = self.collector(&key.collector);
+            self.session_state.push(SessionState {
+                collector,
+                streams: FastHashMap::default(),
+                announced: FastHashSet::default(),
+            });
+        }
+        id
+    }
+
     /// Per-prefix hijack / route-leak detection: replay the prefix's
     /// windows in ascending order, learning for
     /// [`learn_windows`](WatchConfig::learn_windows) observed windows,
     /// then flag novel origins (hijack) and novel per-vantage on-path
     /// ASes whose announced origin was already learned (leak). Each
-    /// window's observations fold into the learned sets afterwards, so
-    /// a deviation alerts once.
+    /// window's observations count as learned afterwards, so a
+    /// deviation alerts once — in the first window that shows it.
     fn path_alerts(&self, alerts: &mut Vec<Alert>) {
-        for (prefix, windows) in &self.prefixes {
-            let mut learned_origins: BTreeSet<Asn> = BTreeSet::new();
-            let mut learned_onpath: BTreeSet<(&str, Asn)> = BTreeSet::new();
-            for (observed, pw) in windows.values().enumerate() {
-                if observed as u64 >= self.cfg.learn_windows {
-                    for (origin, s) in &pw.origins {
-                        if !learned_origins.contains(origin) {
-                            alerts.push(Alert::new(
-                                s.time_us,
-                                Some(s.session.clone()),
-                                Some(*prefix),
-                                AlertKind::PrefixHijack {
-                                    origin: *origin,
-                                    expected: learned_origins.iter().copied().collect(),
-                                },
-                            ));
-                        }
+        // Per prefix: each origin with the first window announcing it,
+        // ascending by AS.
+        let mut learned: Vec<(Asn, u64)> = Vec::new();
+        for (prefix, state) in &self.prefixes {
+            learned.clear();
+            let windows = &state.windows.slots;
+            let learning = |observed: usize| (observed as u64) < self.cfg.learn_windows;
+            for (observed, (w, origins)) in windows.iter().enumerate() {
+                // Judge the whole window against the windows before it,
+                // then learn it.
+                let before = learned.len();
+                for (origin, s) in origins.iter() {
+                    if learned[..before].binary_search_by_key(origin, |l| l.0).is_ok() {
+                        continue;
                     }
-                    for ((collector, asn), (s, origin_at)) in &pw.onpath {
-                        if !learned_onpath.contains(&(collector.as_str(), *asn))
-                            && learned_origins.contains(origin_at)
-                            && !pw.origins.contains_key(asn)
-                        {
-                            alerts.push(Alert::new(
-                                s.time_us,
-                                Some(s.session.clone()),
-                                Some(*prefix),
-                                AlertKind::RouteLeak { via: *asn, origin: *origin_at },
-                            ));
-                        }
+                    learned.push((*origin, *w));
+                    if !learning(observed) {
+                        alerts.push(Alert::new(
+                            s.time_us,
+                            Some(self.sessions.key(s.session).clone()),
+                            Some(*prefix),
+                            AlertKind::PrefixHijack {
+                                origin: *origin,
+                                expected: learned[..before].iter().map(|l| l.0).collect(),
+                            },
+                        ));
                     }
                 }
-                learned_origins.extend(pw.origins.keys().copied());
-                learned_onpath.extend(pw.onpath.keys().map(|(c, asn)| (c.as_str(), *asn)));
+                if learned.len() > before {
+                    learned.sort_unstable();
+                }
+            }
+            for on in &state.onpath {
+                let (_, asn) = cell_vantage(on.cell);
+                let observed = windows
+                    .binary_search_by_key(&on.window, |slot| slot.0)
+                    .expect("an on-path sighting marks its window");
+                let origin_learned = learned
+                    .binary_search_by_key(&on.origin, |l| l.0)
+                    .is_ok_and(|i| learned[i].1 < on.window);
+                if !learning(observed)
+                    && origin_learned
+                    && !windows[observed].1.iter().any(|o| o.0 == asn)
+                {
+                    alerts.push(Alert::new(
+                        on.seen.time_us,
+                        Some(self.sessions.key(on.seen.session).clone()),
+                        Some(*prefix),
+                        AlertKind::RouteLeak { via: asn, origin: on.origin },
+                    ));
+                }
             }
         }
     }
@@ -362,42 +598,35 @@ impl WatchSink {
     /// Per-community announce-rate and session-fan-out shifts against
     /// the running mean of previously observed windows.
     fn rate_alerts(&self, alerts: &mut Vec<Alert>) {
-        for (community, windows) in &self.communities {
+        for (community, state) in &self.communities {
             let mut sum_announces = 0u64;
             let mut sum_fanout = 0u64;
-            for (n, (w, cw)) in windows.iter().enumerate() {
+            for (n, (w, cw)) in state.windows.slots.iter().enumerate() {
                 let n = n as u64;
-                let fanout = cw.fanout.len() as u64;
+                let fanout = cw.fanout;
                 if n >= self.cfg.learn_windows {
                     let at = w.saturating_mul(self.cfg.window_us);
+                    let mut shift = |metric, observed, sum| {
+                        alerts.push(Alert::new(
+                            at,
+                            None,
+                            None,
+                            AlertKind::BaselineShift {
+                                metric,
+                                community: Some(*community),
+                                observed,
+                                baseline: sum / n,
+                            },
+                        ));
+                    };
                     if cw.announces >= self.cfg.rate_min
                         && cw.announces * n > self.cfg.rate_factor * sum_announces
                     {
-                        alerts.push(Alert::new(
-                            at,
-                            None,
-                            None,
-                            AlertKind::BaselineShift {
-                                metric: ShiftMetric::AnnounceRate,
-                                community: Some(*community),
-                                observed: cw.announces,
-                                baseline: sum_announces / n,
-                            },
-                        ));
+                        shift(ShiftMetric::AnnounceRate, cw.announces, sum_announces);
                     }
                     if fanout >= self.cfg.rate_min && fanout * n > self.cfg.rate_factor * sum_fanout
                     {
-                        alerts.push(Alert::new(
-                            at,
-                            None,
-                            None,
-                            AlertKind::BaselineShift {
-                                metric: ShiftMetric::SessionFanout,
-                                community: Some(*community),
-                                observed: fanout,
-                                baseline: sum_fanout / n,
-                            },
-                        ));
+                        shift(ShiftMetric::SessionFanout, fanout, sum_fanout);
                     }
                 }
                 sum_announces += cw.announces;
@@ -407,57 +636,85 @@ impl WatchSink {
     }
 
     /// Per-collector outage runs: consecutive *globally active* windows
-    /// (from the collector's first active window on) in which this
-    /// collector was silent while some other collector was not.
-    fn outage_alerts(&self, alerts: &mut Vec<Alert>) {
-        let active: BTreeSet<u64> =
-            self.collectors.values().flat_map(|m| m.keys().copied()).collect();
-        for (name, act) in &self.collectors {
-            let Some(&first) = act.keys().next() else { continue };
-            let mut run_start: Option<u64> = None;
-            let mut run_len = 0u64;
-            let flush = |start: Option<u64>, len: u64, alerts: &mut Vec<Alert>| {
-                if let Some(start) = start {
-                    if len >= self.cfg.outage_windows {
-                        alerts.push(Alert::new(
-                            start.saturating_mul(self.cfg.window_us),
-                            None,
-                            None,
-                            AlertKind::CollectorOutage {
-                                collector: name.clone(),
-                                silent_windows: len,
-                            },
-                        ));
-                    }
+    /// (`active`, ascending; from the collector's first active window
+    /// on) in which this collector was silent while some other
+    /// collector was not.
+    fn outage_alerts(&self, active: &[u64], alerts: &mut Vec<Alert>) {
+        for collector in &self.collectors {
+            let mut own = collector.active.slots.iter().map(|slot| slot.0).peekable();
+            let Some(&first) = own.peek() else { continue };
+            let mut run: Option<(u64, u64)> = None;
+            let mut flush = |run: Option<(u64, u64)>| {
+                if let Some((start, len)) = run.filter(|r| r.1 >= self.cfg.outage_windows) {
+                    alerts.push(Alert::new(
+                        start.saturating_mul(self.cfg.window_us),
+                        None,
+                        None,
+                        AlertKind::CollectorOutage {
+                            collector: collector.name.clone(),
+                            silent_windows: len,
+                        },
+                    ));
                 }
             };
-            for &w in active.iter().filter(|&&w| w >= first) {
-                if act.contains_key(&w) {
-                    flush(run_start.take(), run_len, alerts);
-                    run_len = 0;
+            for &w in &active[active.partition_point(|&w| w < first)..] {
+                if own.next_if_eq(&w).is_some() {
+                    flush(run.take());
                 } else {
-                    run_start.get_or_insert(w);
-                    run_len += 1;
+                    run.get_or_insert((w, 0)).1 += 1;
                 }
             }
-            flush(run_start, run_len, alerts);
+            flush(run);
         }
     }
 
-    /// Closes open windows, runs the window-replay detections in
-    /// deterministic order, and returns the sorted report.
+    /// The public matrix, built once: collector ids become columns in
+    /// name order.
+    fn matrix(&self) -> AgreementMatrix {
+        let mut by_name: Vec<u32> = (0..self.collectors.len() as u32).collect();
+        by_name.sort_unstable_by_key(|&id| &self.collectors[id as usize].name);
+        let mut column = vec![0u32; by_name.len()];
+        for (col, &id) in by_name.iter().enumerate() {
+            column[id as usize] = col as u32;
+        }
+        let mut rows: Vec<(Community, Vec<(u32, u64)>)> = self
+            .communities
+            .iter()
+            .map(|(community, state)| {
+                let mut row: Vec<(u32, u64)> =
+                    state.first_seen.iter().map(|&(id, w)| (column[id as usize], w)).collect();
+                row.sort_unstable();
+                (*community, row)
+            })
+            .collect();
+        rows.sort_unstable_by_key(|row| row.0);
+        let names = by_name.iter().map(|&id| self.collectors[id as usize].name.clone()).collect();
+        AgreementMatrix::from_rows(names, rows)
+    }
+
+    /// Closes open windows, runs the window-replay detections, and
+    /// returns the sorted report. The detectors walk hash maps, so they
+    /// emit in no particular order; [`sort_alerts`] is a total order and
+    /// the report shows only that.
     pub fn finish(mut self) -> WatchReport {
         let metrics = self.metrics.take();
         let mut alerts = std::mem::take(&mut self.alerts);
-        if let Some(profiler) = &self.profiler {
-            for (stream, sw) in &self.stream_windows {
-                alerts.extend(burst_check(
-                    profiler,
-                    &self.cfg.anomaly,
-                    stream,
-                    sw.attrs.len(),
-                    sw.first_us,
-                ));
+        let mut streams = 0u64;
+        let judged = self.profiler.is_some();
+        for (key, state) in self.sessions.keys().zip(&self.session_state) {
+            for (prefix, stream) in &state.streams {
+                let Some(open) = &stream.open else { continue };
+                streams += 1;
+                if judged {
+                    alerts.extend(burst_check(
+                        &self.cfg.anomaly,
+                        open.trained,
+                        key,
+                        *prefix,
+                        open.attrs.len(),
+                        open.first_us,
+                    ));
+                }
             }
         }
         if self.cfg.path_checks {
@@ -466,18 +723,20 @@ impl WatchSink {
         if self.cfg.rate_checks {
             self.rate_alerts(&mut alerts);
         }
+        let mut active: Vec<u64> =
+            self.collectors.iter().flat_map(|c| c.active.slots.iter().map(|slot| slot.0)).collect();
+        active.sort_unstable();
+        active.dedup();
         if self.cfg.outage_checks {
-            self.outage_alerts(&mut alerts);
+            self.outage_alerts(&active, &mut alerts);
         }
         sort_alerts(&mut alerts);
-        let windows: BTreeSet<u64> =
-            self.collectors.values().flat_map(|m| m.keys().copied()).collect();
         let report = WatchReport {
             alerts,
             updates: self.updates,
-            streams: self.stream_windows.len() as u64,
-            windows: windows.len() as u64,
-            matrix: self.matrix,
+            streams,
+            windows: active.len() as u64,
+            matrix: self.matrix(),
         };
         if let Some(m) = &metrics {
             report.export_metrics(&m.registry);
@@ -491,8 +750,7 @@ impl AnalysisSink for WatchSink {
         // Register the collector column even before (or without) any
         // update: agreement and outage are judged against every known
         // vantage.
-        self.collectors.entry(meta.key.collector.clone()).or_default();
-        self.matrix.add_collector(&meta.key.collector);
+        self.session(&meta.key);
     }
 
     fn on_update(&mut self, key: &SessionKey, u: &RouteUpdate) {
@@ -503,88 +761,100 @@ impl AnalysisSink for WatchSink {
             m.updates.inc();
             m.window_lag.set(u.time_us.saturating_sub(w.saturating_mul(self.cfg.window_us)) as i64);
         }
-        *self.collectors.entry(key.collector.clone()).or_default().entry(w).or_insert(0) += 1;
+        let session = self.session(key);
+        let state = &mut self.session_state[session as usize];
+        let collector = state.collector;
+        self.collectors[collector as usize].active.at(w);
 
         let MessageKind::Announcement(attrs) = &u.kind else {
             // Withdrawals: attribute to the communities last announced
             // on this stream (withdrawals carry no attributes).
             if self.cfg.rate_checks {
-                if let Some(comms) = self.last_comms.get(&(key.clone(), u.prefix)) {
-                    for c in comms {
-                        self.communities.entry(*c).or_default().entry(w).or_default().withdraws +=
-                            1;
-                    }
+                let last = state.streams.get(&u.prefix).and_then(|s| s.last.as_ref());
+                for c in last.into_iter().flat_map(|a| a.communities.iter_classic()) {
+                    self.communities.entry(*c).or_default().windows.at(w).withdraws += 1;
                 }
             }
             return;
         };
 
         // §7 profile checks (point alerts stream; bursts close per
-        // stream window).
-        if let Some(profiler) = self.profiler.clone() {
-            point_checks(&profiler, &self.cfg.anomaly, key, u, &mut self.alerts);
-            let stream = (key.clone(), u.prefix);
-            let sw = self
-                .stream_windows
-                .entry(stream.clone())
-                .or_insert_with(|| StreamWindow::open(w, u.time_us));
-            if sw.window != w {
-                let closed = std::mem::replace(sw, StreamWindow::open(w, u.time_us));
-                self.alerts.extend(burst_check(
-                    &profiler,
-                    &self.cfg.anomaly,
-                    &stream,
-                    closed.attrs.len(),
-                    closed.first_us,
-                ));
+        // stream window) and the announcement withdrawals count against.
+        let profiler = self.profiler.as_deref();
+        if profiler.is_some() || self.cfg.rate_checks {
+            let stream = state.streams.entry(u.prefix).or_default();
+            if let Some(profiler) = profiler {
+                let open = stream.open.get_or_insert_with(|| OpenWindow {
+                    window: w,
+                    first_us: u.time_us,
+                    trained: profiler.stream(key, u.prefix),
+                    attrs: Vec::new(),
+                });
+                let anomaly = &self.cfg.anomaly;
+                point_checks(
+                    profiler,
+                    anomaly,
+                    open.trained,
+                    key,
+                    u,
+                    &attrs.communities,
+                    &mut self.alerts,
+                );
+                if open.window != w {
+                    self.alerts.extend(burst_check(
+                        anomaly,
+                        open.trained,
+                        key,
+                        u.prefix,
+                        open.attrs.len(),
+                        open.first_us,
+                    ));
+                    open.window = w;
+                    open.first_us = u.time_us;
+                    open.attrs.clear();
+                }
+                let attr = self.attrs.intern(&attrs.communities);
+                if let Err(i) = open.attrs.binary_search(&attr) {
+                    open.attrs.insert(i, attr);
+                }
             }
-            sw.attrs.insert(attrs.communities.canonical_key());
+            if self.cfg.rate_checks {
+                stream.last = Some(Arc::clone(attrs));
+            }
         }
 
         // Per-prefix origin / on-path presence.
         if self.cfg.path_checks {
             if let Some(origin) = attrs.as_path.origin() {
-                let sighting = Sighting { time_us: u.time_us, session: key.clone() };
-                let pw = self.prefixes.entry(u.prefix).or_default().entry(w).or_default();
-                min_sighting(&mut pw.origins, origin, sighting.clone());
+                let seen = Sighting { time_us: u.time_us, session };
+                let path = self.prefixes.entry(u.prefix).or_default();
+                path.windows.at(w).see(origin, seen, &self.sessions);
                 for asn in attrs.as_path.asns() {
-                    let k = (key.collector.clone(), asn);
-                    match pw.onpath.get_mut(&k) {
-                        Some((cur, cur_origin)) => {
-                            if sighting < *cur {
-                                *cur = sighting.clone();
-                                *cur_origin = origin;
-                            }
-                        }
-                        None => {
-                            pw.onpath.insert(k, (sighting.clone(), origin));
-                        }
-                    }
+                    let cell = vantage_cell(collector, asn);
+                    path.see_onpath(OnPath { cell, window: w, seen, origin }, &self.sessions);
                 }
             }
         }
 
-        // Per-community rates, fan-out and the agreement matrix.
+        // Per-community agreement row, rates and fan-out.
         for c in attrs.communities.iter_classic() {
-            self.matrix.observe(&key.collector, *c, w);
+            let community = self.communities.entry(*c).or_default();
+            community.see_at(collector, w);
             if self.cfg.rate_checks {
-                let cw = self.communities.entry(*c).or_default().entry(w).or_default();
+                let cw = community.windows.at(w);
                 cw.announces += 1;
-                cw.fanout.insert(session_hash(key));
+                cw.fanout += u64::from(state.announced.insert((*c, w)));
             }
-        }
-        if self.cfg.rate_checks {
-            self.last_comms.insert(
-                (key.clone(), u.prefix),
-                attrs.communities.iter_classic().copied().collect(),
-            );
         }
         if let Some(m) = &self.metrics {
             let fired = self.alerts.len() - alerts_before;
             if fired > 0 {
                 m.point_alerts.add(fired as u64);
             }
-            m.baselines.set((self.prefixes.len() + self.communities.len()) as i64);
+            // Communities are kept for the agreement matrix regardless;
+            // they are rate baselines only while rate checks run.
+            let rate_baselines = if self.cfg.rate_checks { self.communities.len() } else { 0 };
+            m.baselines.set((self.prefixes.len() + rate_baselines) as i64);
         }
     }
 
@@ -594,49 +864,68 @@ impl AnalysisSink for WatchSink {
 }
 
 impl Merge for WatchSink {
+    /// Folds `other` in, translating its collector, session and
+    /// attribute ids through its tables into this sink's.
     fn merge(&mut self, mut other: Self) {
         self.alerts.append(&mut other.alerts);
-        // Streams are keyed by session: disjoint across collectors.
-        self.stream_windows.extend(other.stream_windows);
-        self.last_comms.extend(other.last_comms);
-        for (prefix, windows) in other.prefixes {
-            let mine = self.prefixes.entry(prefix).or_default();
-            for (w, pw) in windows {
-                let m = mine.entry(w).or_default();
-                for (origin, s) in pw.origins {
-                    min_sighting(&mut m.origins, origin, s);
-                }
-                for (k, (s, origin_at)) in pw.onpath {
-                    match m.onpath.get_mut(&k) {
-                        Some((cur, cur_origin)) => {
-                            if s < *cur {
-                                *cur = s;
-                                *cur_origin = origin_at;
-                            }
-                        }
-                        None => {
-                            m.onpath.insert(k, (s, origin_at));
-                        }
-                    }
-                }
+        let sessions: Vec<u32> = other.sessions.keys().map(|key| self.session(key)).collect();
+        let attrs = self.attrs.absorb(other.attrs);
+        let mut collectors = Vec::with_capacity(other.collectors.len());
+        for theirs in other.collectors {
+            let id = self.collector(&theirs.name);
+            collectors.push(id);
+            for (w, ()) in theirs.active.slots {
+                self.collectors[id as usize].active.at(w);
             }
         }
-        for (community, windows) in other.communities {
+        let theirs = |s: Sighting| Sighting { session: sessions[s.session as usize], ..s };
+
+        for (prefix, state) in other.prefixes {
+            let mine = self.prefixes.entry(prefix).or_default();
+            for (w, origins) in state.windows.slots {
+                let m = mine.windows.at(w);
+                for &(origin, s) in origins.iter() {
+                    m.see(origin, theirs(s), &self.sessions);
+                }
+            }
+            for on in state.onpath {
+                let (collector, asn) = cell_vantage(on.cell);
+                let cell = vantage_cell(collectors[collector as usize], asn);
+                mine.see_onpath(OnPath { cell, seen: theirs(on.seen), ..on }, &self.sessions);
+            }
+        }
+        for (community, state) in other.communities {
             let mine = self.communities.entry(community).or_default();
-            for (w, cw) in windows {
-                let m = mine.entry(w).or_default();
+            for (collector, w) in state.first_seen {
+                mine.see_at(collectors[collector as usize], w);
+            }
+            for (w, cw) in state.windows.slots {
+                let m = mine.windows.at(w);
                 m.announces += cw.announces;
                 m.withdraws += cw.withdraws;
-                m.fanout.extend(cw.fanout);
             }
         }
-        for (name, act) in other.collectors {
-            let mine = self.collectors.entry(name).or_default();
-            for (w, n) in act {
-                *mine.entry(w).or_insert(0) += n;
+        // Streams are keyed by session: disjoint across collectors.
+        for (session, state) in sessions.iter().zip(other.session_state) {
+            let mine = &mut self.session_state[*session as usize];
+            for (prefix, mut stream) in state.streams {
+                if let Some(open) = &mut stream.open {
+                    for id in &mut open.attrs {
+                        *id = attrs[*id as usize];
+                    }
+                    open.attrs.sort_unstable();
+                }
+                let known = mine.streams.entry(prefix).or_default();
+                known.last = stream.last.or(known.last.take());
+                known.open = stream.open.or(known.open.take());
+            }
+            for (community, w) in state.announced {
+                if mine.announced.insert((community, w)) {
+                    // Its window was folded in just above.
+                    self.communities.entry(community).or_default().windows.at(w).fanout += 1;
+                }
             }
         }
-        self.matrix.merge(other.matrix);
         self.updates += other.updates;
         if self.metrics.is_none() {
             self.metrics = other.metrics;
@@ -685,6 +974,37 @@ mod tests {
             .unwrap()
             .sink
             .finish()
+    }
+
+    #[test]
+    fn windows_stay_ascending_for_any_touch_order() {
+        let mut windows: Windows<u64> = Windows::default();
+        // In order, a repeat, the next, a restart from the front (another
+        // session's turn), a gap, and a window before every other.
+        for w in [5, 5, 6, 7, 5, 6, 9, 8, 2, 2, 3] {
+            *windows.at(w) += 1;
+        }
+        assert_eq!(windows.slots, [(2, 2), (3, 1), (5, 3), (6, 2), (7, 1), (8, 1), (9, 1)]);
+    }
+
+    #[test]
+    fn equal_time_sightings_tie_break_on_the_session_key_not_on_arrival() {
+        // Both sessions show the hijacker in the same microsecond. The
+        // alert names the session with the smaller key whichever came
+        // first (ids are handed out in arrival order).
+        let (small, large) = (key_n("rrc00", 0), key_n("rrc00", 1));
+        for arrival in [[&small, &large], [&large, &small]] {
+            let mut sink = WatchSink::new(cfg());
+            for k in arrival {
+                sink.on_update(k, &announce(10, "100 200 900", &[]));
+            }
+            for k in arrival {
+                sink.on_update(k, &announce(W + 10, "100 200 999", &[]));
+            }
+            let report = sink.finish();
+            assert_eq!(report.alerts.len(), 1, "{:?}", report.alerts);
+            assert_eq!(report.alerts[0].session.as_ref(), Some(&small));
+        }
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //! Semantics differences from upstream: generation is purely random from a
 //! fixed deterministic seed (no coverage-guided exploration) and failing
 //! cases are reported without shrinking. Each `proptest!` test runs
-//! [`NUM_CASES`] cases.
+//! [`NUM_CASES`] cases unless the block opens with upstream's
+//! `#![proptest_config(ProptestConfig::with_cases(n))]`.
 
-/// Number of cases each `proptest!` test executes.
+/// Number of cases each `proptest!` test executes by default.
 pub const NUM_CASES: u32 = 128;
 
 /// A failed property-test case.
@@ -36,6 +37,27 @@ impl std::fmt::Display for TestCaseError {
 
 /// Deterministic random source for test-case generation.
 pub mod test_runner {
+    /// Per-block configuration (upstream's `ProptestConfig`); only the
+    /// case count is supported.
+    #[derive(Clone, Debug)]
+    pub struct Config {
+        /// Cases each test in the block executes.
+        pub cases: u32,
+    }
+
+    impl Config {
+        /// A configuration running `cases` cases per test.
+        pub fn with_cases(cases: u32) -> Self {
+            Config { cases }
+        }
+    }
+
+    impl Default for Config {
+        fn default() -> Self {
+            Config { cases: crate::NUM_CASES }
+        }
+    }
+
     /// SplitMix64-based generator; deterministic per construction.
     #[derive(Clone, Debug)]
     pub struct TestRng {
@@ -312,19 +334,25 @@ pub mod option {
 pub mod prelude {
     pub use crate::arbitrary::{any, Arbitrary};
     pub use crate::strategy::{BoxedStrategy, Just, Strategy};
+    pub use crate::test_runner::Config as ProptestConfig;
     pub use crate::TestCaseError;
     pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, prop_oneof, proptest};
 }
 
-/// Define property tests. Each `fn` runs [`NUM_CASES`] generated cases.
+/// Define property tests. Each `fn` runs [`NUM_CASES`] generated cases,
+/// or the count of a leading `#![proptest_config(..)]`.
 #[macro_export]
 macro_rules! proptest {
-    ($($(#[$meta:meta])* fn $name:ident($($arg:ident in $strat:expr),+ $(,)?) $body:block)*) => {
+    (#![proptest_config($config:expr)] $($rest:tt)*) => {
+        $crate::proptest!(@cases ($config).cases; $($rest)*);
+    };
+    (@cases $cases:expr; $($(#[$meta:meta])* fn $name:ident($($arg:ident in $strat:expr),+ $(,)?) $body:block)*) => {
         $(
             $(#[$meta])*
             fn $name() {
                 let mut rng = $crate::test_runner::TestRng::deterministic();
-                for case in 0..$crate::NUM_CASES {
+                let cases: u32 = $cases;
+                for case in 0..cases {
                     $(let $arg = $crate::strategy::Strategy::new_value(&($strat), &mut rng);)+
                     let outcome = (move || -> ::core::result::Result<(), $crate::TestCaseError> {
                         $body
@@ -335,13 +363,16 @@ macro_rules! proptest {
                             "proptest `{}` failed at case {}/{}: {}",
                             stringify!($name),
                             case + 1,
-                            $crate::NUM_CASES,
+                            cases,
                             err
                         );
                     }
                 }
             }
         )*
+    };
+    ($($rest:tt)*) => {
+        $crate::proptest!(@cases $crate::NUM_CASES; $($rest)*);
     };
 }
 
@@ -373,9 +404,23 @@ macro_rules! prop_assert {
     };
 }
 
-/// Assert equality within a `proptest!` body.
+/// Assert equality within a `proptest!` body; an optional format
+/// message is appended to the failure.
 #[macro_export]
 macro_rules! prop_assert_eq {
+    ($left:expr, $right:expr, $($fmt:tt)+) => {{
+        let (left, right) = (&$left, &$right);
+        if !(*left == *right) {
+            return ::core::result::Result::Err($crate::TestCaseError::fail(format!(
+                "assertion failed: `{} == {}`: {}\n  left: {:?}\n right: {:?}",
+                stringify!($left),
+                stringify!($right),
+                format_args!($($fmt)+),
+                left,
+                right
+            )));
+        }
+    }};
     ($left:expr, $right:expr $(,)?) => {{
         let (left, right) = (&$left, &$right);
         if !(*left == *right) {
@@ -427,6 +472,22 @@ mod tests {
         fn vec_sizes(items in crate::collection::vec(any::<bool>(), 1..9)) {
             prop_assert!(!items.is_empty() && items.len() < 9);
         }
+    }
+
+    static CONFIGURED_RUNS: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(7))]
+        fn counts_its_cases(v in 0u8..3) {
+            CONFIGURED_RUNS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            prop_assert!(v < 3);
+        }
+    }
+
+    #[test]
+    fn configured_case_count_is_honoured() {
+        counts_its_cases();
+        assert_eq!(CONFIGURED_RUNS.load(std::sync::atomic::Ordering::Relaxed), 7);
     }
 
     #[test]

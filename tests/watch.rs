@@ -21,7 +21,12 @@ use keep_communities_clean::analysis::pipeline::PipelineBuilder;
 use keep_communities_clean::analysis::{
     CommunityProfiler, Corpus, WatchConfig, WatchReport, WatchSink,
 };
-use keep_communities_clean::collector::{ArchiveSource, SessionKey, UpdateArchive};
+use keep_communities_clean::collector::archive::mrt_record_for;
+use keep_communities_clean::collector::{
+    ArchiveSource, MrtSource, SessionKey, SourceItem, UpdateArchive, UpdateSource,
+};
+use keep_communities_clean::mrt::MrtWriter;
+use keep_communities_clean::tracegen::{Mar20Config, Mar20Source};
 use keep_communities_clean::types::{
     AsPath, Asn, Community, CommunitySet, MessageKind, Origin, PathAttributes, Prefix, RouteUpdate,
 };
@@ -245,4 +250,63 @@ proptest! {
         prop_assert_eq!(shuffled.agreement_summary(), serial.agreement_summary());
         prop_assert_eq!(shuffled.kind_counts(), serial.kind_counts());
     }
+}
+
+// ---------------------------------------------------------------------
+// pinned output (recorded on the pre-rewrite sink)
+// ---------------------------------------------------------------------
+
+/// `benchmark/`'s `watch-day` recipe: the seed-42 Mar'20 day streamed to
+/// MRT, read back as `rrc00`, the profiler trained on the day itself,
+/// one default-config `WatchSink` pass. Returns the alert count and the
+/// FNV-1a digest of the `to_line()` lines joined by `\n` — the pair the
+/// harness prints but only compares across passes.
+fn generated_day_digest(target_announcements: u64) -> (usize, u64) {
+    let cfg = Mar20Config { seed: 42, target_announcements, ..Default::default() };
+    let mut source = Mar20Source::new(&cfg);
+    let route_servers = source.route_server_peers();
+    let mut writer = MrtWriter::new(Vec::new());
+    while let Some(item) = source.next_item().expect("generated sources cannot fail") {
+        if let SourceItem::Update(meta, update) = item {
+            writer
+                .write_record(&mrt_record_for(&meta, cfg.epoch_seconds, &update))
+                .expect("in-memory write cannot fail");
+        }
+    }
+    let bytes = writer.into_inner();
+    let open = || {
+        MrtSource::new(&bytes[..], "rrc00", cfg.epoch_seconds)
+            .with_route_servers(route_servers.iter().copied())
+    };
+
+    let archive = UpdateArchive::from_source(&mut open(), cfg.epoch_seconds)
+        .expect("in-memory MRT cannot fail");
+    let mut profiler = CommunityProfiler::new();
+    profiler.train(&archive);
+    drop(archive);
+
+    let report = PipelineBuilder::new(open())
+        .sink(WatchSink::new(WatchConfig::default()).with_profile(Arc::new(profiler)))
+        .run()
+        .expect("in-memory MRT cannot fail")
+        .sink
+        .finish();
+    let digest = alert_lines(&report)
+        .join("\n")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3));
+    (report.alerts.len(), digest)
+}
+
+#[test]
+fn generated_day_alerts_are_pinned() {
+    assert_eq!(generated_day_digest(10_000), (1_203, 0x1762_c61f_38e6_65cb));
+}
+
+/// The full-size twin: exactly what `benchmark/`'s `watch-day` prints at
+/// seed 42. CI runs it in release (`--ignored`).
+#[test]
+#[ignore = "full-size day: run in release"]
+fn generated_day_alerts_are_pinned_full_size() {
+    assert_eq!(generated_day_digest(80_000), (8_128, 0x05dc_1750_1f0a_3a75));
 }
