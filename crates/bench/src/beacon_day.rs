@@ -12,6 +12,8 @@ use kcc_collector::{BeaconEvent, BeaconSchedule, UpdateArchive};
 use kcc_topology::{generate, RouterId, Tier, Topology, TopologyConfig};
 use keep_communities_clean::adapter::capture_to_archive;
 
+use crate::Args;
+
 /// Configuration of the simulated beacon day.
 #[derive(Debug, Clone)]
 pub struct BeaconDayConfig {
@@ -47,6 +49,16 @@ impl Default for BeaconDayConfig {
             ],
             dampening: None,
         }
+    }
+}
+
+impl BeaconDayConfig {
+    /// The day the artifacts run for `args`: its seed, and under
+    /// `--quick` a topology small enough for a smoke run.
+    pub fn for_args(args: &Args) -> Self {
+        let quick =
+            BeaconDayConfig { n_transit: 8, n_stub: 12, stub_peers: 4, ..Default::default() };
+        BeaconDayConfig { seed: args.seed, ..if args.quick { quick } else { Default::default() } }
     }
 }
 
@@ -118,27 +130,7 @@ pub fn run_beacon_day(cfg: &BeaconDayConfig) -> BeaconDayOutput {
     );
     let (collector, _) = net.attach_collector(Asn(3333), &peers);
 
-    // Converge the whole table, then withdraw the beacon (its state at
-    // 00:00 of a real day: withdrawn since 22:00 the previous evening).
-    let beacon_router = RouterId { asn: Asn(12_654), index: 0 };
-    net.announce_all_origins(&topo, SimTime::ZERO);
-    net.run_until_quiet();
-    let t_wd = net.now() + SimDuration::from_secs(10);
-    net.schedule_withdraw(t_wd, beacon_router, beacon_prefix);
-    net.run_until_quiet();
-    net.clear_captures();
-
-    // The simulated day starts on a fresh minute boundary.
-    let day_start = SimTime(((net.now().0 / 60_000_000) + 2) * 60_000_000);
-    let schedule = BeaconSchedule::default();
-    for (offset, event) in schedule.day_events() {
-        let at = SimTime(day_start.0 + offset);
-        match event {
-            BeaconEvent::Announce => net.schedule_announce(at, beacon_router, beacon_prefix),
-            BeaconEvent::Withdraw => net.schedule_withdraw(at, beacon_router, beacon_prefix),
-        }
-    }
-    net.run_until_quiet();
+    let day_start = run_beacon_schedule(&mut net, &topo, beacon_prefix);
 
     // Rebase capture times to the day origin.
     let capture = net.capture(collector).expect("collector capture").clone();
@@ -150,6 +142,37 @@ pub fn run_beacon_day(cfg: &BeaconDayConfig) -> BeaconDayOutput {
     }
 
     BeaconDayOutput { archive, beacon_prefix, collector, net, topo }
+}
+
+/// Converges `topo`'s whole table, then plays one day of the RIS beacon
+/// schedule for `beacon_prefix` from AS12654 and runs the network quiet.
+/// Captures hold the day only; returns the time it started at.
+pub(crate) fn run_beacon_schedule(
+    net: &mut Network,
+    topo: &Topology,
+    beacon_prefix: Prefix,
+) -> SimTime {
+    // Converge the whole table, then withdraw the beacon (its state at
+    // 00:00 of a real day: withdrawn since 22:00 the previous evening).
+    let beacon_router = RouterId { asn: Asn(12_654), index: 0 };
+    net.announce_all_origins(topo, SimTime::ZERO);
+    net.run_until_quiet();
+    let t_wd = net.now() + SimDuration::from_secs(10);
+    net.schedule_withdraw(t_wd, beacon_router, beacon_prefix);
+    net.run_until_quiet();
+    net.clear_captures();
+
+    // The simulated day starts on a fresh minute boundary.
+    let day_start = SimTime(((net.now().0 / 60_000_000) + 2) * 60_000_000);
+    for (offset, event) in BeaconSchedule::default().day_events() {
+        let at = SimTime(day_start.0 + offset);
+        match event {
+            BeaconEvent::Announce => net.schedule_announce(at, beacon_router, beacon_prefix),
+            BeaconEvent::Withdraw => net.schedule_withdraw(at, beacon_router, beacon_prefix),
+        }
+    }
+    net.run_until_quiet();
+    day_start
 }
 
 #[cfg(test)]

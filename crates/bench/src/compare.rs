@@ -1,10 +1,12 @@
 //! Paper-vs-measured comparison rendering.
 //!
-//! Every harness binary ends with a comparison block: the value the paper
+//! Every artifact ends with a comparison block: the value the paper
 //! reports, the value this reproduction measured, and whether the *shape*
 //! holds (within a stated band). Absolute magnitudes are expected to
 //! differ — the substrate is a scaled synthetic workload, not the
-//! authors' testbed.
+//! authors' testbed. A row that does not hold at the pinned flags says
+//! why ([`ComparisonRow::deviates_because`]); the reproduction ledger
+//! prints the sentence and its test refuses a `DEVIATES` without one.
 
 use kcc_core::report::render_table;
 
@@ -19,6 +21,21 @@ pub struct ComparisonRow {
     pub measured: String,
     /// Whether the shape criterion holds.
     pub ok: bool,
+    /// The relative band an [`add_pct`](Comparison::add_pct) row was
+    /// judged by; `None` for a free-form shape check.
+    pub band: Option<f64>,
+    /// Why the row reads `DEVIATES` at the default flags (empty for a
+    /// row that has never deviated there).
+    pub cause: &'static str,
+}
+
+impl ComparisonRow {
+    /// Records why this row deviates at the default flags: one sentence,
+    /// read from the generator or scenario that produces the number.
+    /// Shown by the ledger only while the row reads `DEVIATES`.
+    pub fn deviates_because(&mut self, cause: &'static str) {
+        self.cause = cause;
+    }
 }
 
 /// A block of comparisons.
@@ -35,28 +52,48 @@ impl Comparison {
 
     /// Adds a numeric comparison judged by relative band: ok when
     /// `measured` is within `band` (e.g. 0.35 = ±35 %) of `paper`.
-    pub fn add_pct(&mut self, name: &str, paper: f64, measured: f64, band: f64) {
+    pub fn add_pct(
+        &mut self,
+        name: &str,
+        paper: f64,
+        measured: f64,
+        band: f64,
+    ) -> &mut ComparisonRow {
         let ok = if paper == 0.0 {
             measured.abs() < 1e-9 || measured.abs() <= band
         } else {
             (measured - paper).abs() / paper.abs() <= band
         };
-        self.rows.push(ComparisonRow {
-            name: name.to_string(),
-            paper: format!("{paper:.1}"),
-            measured: format!("{measured:.1}"),
-            ok,
-        });
+        self.push(name, format!("{paper:.1}"), format!("{measured:.1}"), ok, Some(band))
     }
 
     /// Adds a free-form comparison with an explicit verdict.
-    pub fn add(&mut self, name: &str, paper: &str, measured: &str, ok: bool) {
+    pub fn add(&mut self, name: &str, paper: &str, measured: &str, ok: bool) -> &mut ComparisonRow {
+        self.push(name, paper.to_string(), measured.to_string(), ok, None)
+    }
+
+    fn push(
+        &mut self,
+        name: &str,
+        paper: String,
+        measured: String,
+        ok: bool,
+        band: Option<f64>,
+    ) -> &mut ComparisonRow {
         self.rows.push(ComparisonRow {
             name: name.to_string(),
-            paper: paper.to_string(),
-            measured: measured.to_string(),
+            paper,
+            measured,
             ok,
+            band,
+            cause: "",
         });
+        self.rows.last_mut().expect("just pushed")
+    }
+
+    /// The rows, in the order added.
+    pub fn rows(&self) -> &[ComparisonRow] {
+        &self.rows
     }
 
     /// True when every row holds.

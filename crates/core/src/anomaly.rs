@@ -22,9 +22,9 @@
 //!   a stream revealing many more distinct community attributes per phase
 //!   than its training baseline (an exploration burst).
 //!
-//! The online service in [`watch`](crate::watch) runs the same checks
-//! over sliding windows; with a whole-day window its output is
-//! byte-equal to [`CommunityProfiler::detect`].
+//! The checks run inside the online service in [`watch`](crate::watch),
+//! over sliding windows; [`CommunityProfiler::detect`] is that service
+//! with the whole day as its one window.
 
 use std::collections::hash_map::Entry;
 use std::hash::BuildHasher;
@@ -38,8 +38,9 @@ use kcc_bgp_types::{
 };
 use kcc_collector::{ArchiveSource, SessionKey, UpdateArchive};
 
-use crate::alert::{sort_alerts, Alert, AlertKind, ShiftMetric};
-use crate::pipeline::{AnalysisSink, Merge, PipelineBuilder};
+use crate::alert::{Alert, AlertKind, ShiftMetric};
+use crate::pipeline::PipelineBuilder;
+use crate::watch::{WatchConfig, WatchSink};
 
 /// Dense ids for the sessions a detector has met, so per-stream state
 /// keys on `(u32, Prefix)` and a [`SessionKey`] is cloned only into an
@@ -284,21 +285,29 @@ impl CommunityProfiler {
     }
 
     /// Flags anomalies in a detection archive against the trained
-    /// profiles — the batch wrapper over [`AnomalySink`].
+    /// profiles: one whole-day, profile-only [`WatchSink`] pass. Clones
+    /// the profiler into the `Arc` the sink holds — a caller that runs
+    /// many days keeps an `Arc<CommunityProfiler>` and attaches it to a
+    /// `WatchSink` itself.
+    ///
+    /// # Panics
+    /// If the profiler was never trained.
     pub fn detect(&self, archive: &UpdateArchive, cfg: &AnomalyConfig) -> Vec<Alert> {
+        let whole_day =
+            WatchConfig { anomaly: *cfg, window_us: u64::MAX, ..WatchConfig::profile_only() };
         PipelineBuilder::new(ArchiveSource::new(archive))
-            .sink(AnomalySink::new(self, *cfg))
+            .sink(WatchSink::new(whole_day).with_profile(Arc::new(self.clone())))
             .run()
             .expect("archive sources cannot fail")
             .sink
             .finish()
+            .alerts
     }
 }
 
-/// The point checks shared by the batch sink and the online watch
-/// service: novel namespace values and injected action communities on
-/// one announcement of a stream whose training profile is `trained`.
-/// Appends any alerts to `out`.
+/// The point checks: novel namespace values and injected action
+/// communities on one announcement of a stream whose training profile
+/// is `trained`. Appends any alerts to `out`.
 pub(crate) fn point_checks(
     profiler: &CommunityProfiler,
     cfg: &AnomalyConfig,
@@ -330,9 +339,9 @@ pub(crate) fn point_checks(
     }
 }
 
-/// The exploration-burst check shared by the batch sink and the online
-/// watch service: a stream's distinct-attribute count against its
-/// training baseline. Returns the alert if the burst fires.
+/// The exploration-burst check: a stream's distinct-attribute count
+/// in one window against its training baseline. Returns the alert if
+/// the burst fires.
 pub(crate) fn burst_check(
     cfg: &AnomalyConfig,
     trained: StreamProfile,
@@ -355,104 +364,6 @@ pub(crate) fn burst_check(
             },
         )
     })
-}
-
-/// One stream's detection-side state in an [`AnomalySink`].
-#[derive(Debug)]
-struct StreamSeen {
-    first_seen_us: u64,
-    trained: StreamProfile,
-    /// Ids of the distinct community attributes seen.
-    attrs: FastHashSet<u32>,
-}
-
-/// Streaming anomaly detection against a trained profiler. Per-stream
-/// state is the set of distinct community attributes seen (for the burst
-/// check) — bounded by attribute diversity, not update volume.
-#[derive(Debug)]
-pub struct AnomalySink<'a> {
-    profiler: &'a CommunityProfiler,
-    cfg: AnomalyConfig,
-    alerts: Vec<Alert>,
-    sessions: SessionTable,
-    attrs: AttrInterner,
-    streams: FastHashMap<(u32, Prefix), StreamSeen>,
-}
-
-impl<'a> AnomalySink<'a> {
-    /// A detection sink over a trained profiler.
-    ///
-    /// # Panics
-    /// If the profiler was never trained.
-    pub fn new(profiler: &'a CommunityProfiler, cfg: AnomalyConfig) -> Self {
-        assert!(profiler.trained, "profiler must be trained before detection");
-        AnomalySink {
-            profiler,
-            cfg,
-            alerts: Vec::new(),
-            sessions: SessionTable::default(),
-            attrs: AttrInterner::default(),
-            streams: FastHashMap::default(),
-        }
-    }
-
-    /// All alerts (point anomalies plus exploration bursts), in the
-    /// canonical order.
-    pub fn finish(self) -> Vec<Alert> {
-        let mut alerts = self.alerts;
-        for (&(session, prefix), seen) in &self.streams {
-            alerts.extend(burst_check(
-                &self.cfg,
-                seen.trained,
-                self.sessions.key(session),
-                prefix,
-                seen.attrs.len(),
-                seen.first_seen_us,
-            ));
-        }
-        sort_alerts(&mut alerts);
-        alerts
-    }
-}
-
-impl AnalysisSink for AnomalySink<'_> {
-    fn on_update(&mut self, key: &SessionKey, u: &RouteUpdate) {
-        let MessageKind::Announcement(attrs) = &u.kind else { return };
-        let session = self.sessions.intern(key);
-        let seen = self.streams.entry((session, u.prefix)).or_insert_with(|| StreamSeen {
-            first_seen_us: u.time_us,
-            trained: self.profiler.stream(key, u.prefix),
-            attrs: FastHashSet::default(),
-        });
-        point_checks(
-            self.profiler,
-            &self.cfg,
-            seen.trained,
-            key,
-            u,
-            &attrs.communities,
-            &mut self.alerts,
-        );
-        seen.attrs.insert(self.attrs.intern(&attrs.communities));
-    }
-
-    fn wants_events(&self) -> bool {
-        false
-    }
-}
-
-impl Merge for AnomalySink<'_> {
-    fn merge(&mut self, mut other: Self) {
-        self.alerts.append(&mut other.alerts);
-        let sessions: Vec<u32> =
-            other.sessions.keys().map(|key| self.sessions.intern(key)).collect();
-        let attrs = self.attrs.absorb(other.attrs);
-        // Streams are keyed by session: disjoint across collectors.
-        for ((session, prefix), mut seen) in other.streams {
-            seen.attrs = seen.attrs.iter().map(|&id| attrs[id as usize]).collect();
-            self.streams.insert((sessions[session as usize], prefix), seen);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -486,6 +397,15 @@ mod tests {
             a.record(&key(), announce(v as u64, &[(200, 2500 + v)]));
         }
         a
+    }
+
+    /// The stream every test day runs on, as [`Alert::to_line`] names it.
+    const STREAM: &str = "session=rrc00:AS100@10.0.0.1 prefix=84.205.64.0/24";
+
+    /// What `detect` reported, as the pinned serialization (recorded
+    /// from the pre-`WatchSink` batch sink).
+    fn lines(alerts: &[Alert]) -> Vec<String> {
+        alerts.iter().map(Alert::to_line).collect()
     }
 
     fn set(comms: &[(u16, u16)]) -> CommunitySet {
@@ -536,13 +456,12 @@ mod tests {
         test.record(&key(), announce(100, &[(200, 2505)])); // trained value
         test.record(&key(), announce(101, &[(200, 7777)])); // novel
         let found = p.detect(&test, &AnomalyConfig::default());
-        assert_eq!(found.len(), 1);
         assert_eq!(
-            found[0].kind,
-            AlertKind::NovelCommunity { community: Community::from_parts(200, 7777) }
+            lines(&found),
+            [format!(
+                "time_us=101 severity=info kind=novel-community {STREAM} novel-community 200:7777"
+            )]
         );
-        assert_eq!(found[0].session.as_ref(), Some(&key()));
-        assert_eq!(found[0].prefix, Some(prefix()));
     }
 
     #[test]
@@ -564,9 +483,7 @@ mod tests {
         let mut test = UpdateArchive::new(0);
         test.record(&key(), announce(100, &[(BLACKHOLE.asn_part(), BLACKHOLE.value_part())]));
         let found = p.detect(&test, &AnomalyConfig::default());
-        assert_eq!(found.len(), 1);
-        assert!(matches!(found[0].kind, AlertKind::BlackholeInjection { name: "BLACKHOLE", .. }));
-        assert_eq!(found[0].severity, crate::alert::Severity::Critical);
+        assert_eq!(lines(&found), [format!("time_us=100 severity=critical kind=blackhole-injection {STREAM} blackhole-injection 65535:666 (BLACKHOLE)")]);
     }
 
     #[test]
@@ -590,18 +507,16 @@ mod tests {
             test.record(&key(), announce(v as u64, &[(200, 2500 + v)]));
         }
         let cfg = AnomalyConfig { burst_factor: 4, burst_min_observed: 8, ..Default::default() };
-        let found = p.detect(&test, &cfg);
-        // 24 of the 30 values are novel + one burst alert.
-        let bursts: Vec<_> =
-            found.iter().filter(|a| matches!(a.kind, AlertKind::BaselineShift { .. })).collect();
-        assert_eq!(bursts.len(), 1);
-        if let AlertKind::BaselineShift { metric, observed, baseline, community } = &bursts[0].kind
-        {
-            assert_eq!(*metric, ShiftMetric::DistinctAttrs);
-            assert_eq!(*observed, 30);
-            assert_eq!(*baseline, 6);
-            assert_eq!(*community, None);
-        }
+        // One burst alert, stamped with the stream's first sight, then the
+        // 24 of the 30 values training never saw.
+        let mut want = vec![format!("time_us=0 severity=warning kind=baseline-shift {STREAM} baseline-shift distinct-attrs 30 vs baseline 6")];
+        want.extend((6..30).map(|v| {
+            format!(
+                "time_us={v} severity=info kind=novel-community {STREAM} novel-community 200:{}",
+                2500 + v
+            )
+        }));
+        assert_eq!(lines(&p.detect(&test, &cfg)), want);
     }
 
     #[test]

@@ -71,7 +71,7 @@ pub mod tomography;
 pub mod watch;
 
 pub use alert::{sort_alerts, Alert, AlertKind, Severity, ShiftMetric};
-pub use anomaly::{AnomalyConfig, AnomalySink, CommunityProfiler};
+pub use anomaly::{AnomalyConfig, CommunityProfiler};
 pub use classify::{classify_pair, AnnouncementType, TypeCounts};
 pub use clean::{clean_archive, CleaningConfig, CleaningReport, CleaningStage};
 pub use corpus::{

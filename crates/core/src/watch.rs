@@ -27,11 +27,10 @@
 //! structures, all window-replay detection happens at
 //! [`finish`](WatchSink::finish), and [`sort_alerts`] is a total order,
 //! so the alert list is **identical for any thread count or collector
-//! order**. With a whole-day window ([`WatchConfig::whole_day`]) and an
-//! attached profiler, the online result is byte-equal to the batch
-//! [`CommunityProfiler::detect`] — the equivalence the property tests
-//! pin; `tests/watch_oracle.rs` holds the sink to a naive restatement of
-//! all of the above.
+//! order**. The batch [`CommunityProfiler::detect`] is this sink run
+//! profile-only with the whole day as one window;
+//! `tests/watch_oracle.rs` holds the sink, in that shape too, to a
+//! naive restatement of all of the above.
 //!
 //! # State
 //!
@@ -141,13 +140,6 @@ impl Default for WatchConfig {
 }
 
 impl WatchConfig {
-    /// One window covering the whole run. Window-replay checks
-    /// structurally stay in their learning phase, so (with an attached
-    /// profiler) the output equals the batch detector's.
-    pub fn whole_day() -> Self {
-        WatchConfig { window_us: u64::MAX, ..Default::default() }
-    }
-
     /// Only the §7 profile checks (novel community, blackhole
     /// injection, distinct-attribute bursts).
     pub fn profile_only() -> Self {
@@ -1149,24 +1141,12 @@ mod tests {
     }
 
     #[test]
-    fn whole_day_online_equals_batch_detect() {
-        let (train, test) = profile_day();
-        let mut profiler = CommunityProfiler::new();
-        profiler.train(&train);
-        let batch = profiler.detect(&test, &AnomalyConfig::default());
-        let sink = WatchSink::new(WatchConfig::whole_day()).with_profile(Arc::new(profiler));
-        let report =
-            PipelineBuilder::new(ArchiveSource::new(&test)).sink(sink).run().unwrap().sink.finish();
-        assert_eq!(report.alerts, batch);
-        assert_eq!(report.alerts.len(), 2);
-    }
-
-    #[test]
     fn point_alerts_stream_via_poll() {
         let (train, test) = profile_day();
         let mut profiler = CommunityProfiler::new();
         profiler.train(&train);
-        let mut sink = WatchSink::new(WatchConfig::whole_day()).with_profile(Arc::new(profiler));
+        let whole_day = WatchConfig { window_us: u64::MAX, ..Default::default() };
+        let mut sink = WatchSink::new(whole_day).with_profile(Arc::new(profiler));
         assert!(sink.poll_new().is_empty());
         for (key, rec) in test.sessions() {
             for u in &rec.updates {

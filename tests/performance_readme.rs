@@ -119,7 +119,7 @@ fn readme_reproduction_commands_match_ci_gate() {
          and publish delta tables"
     );
     assert!(
-        ci.contains("for b in pipeline live corpus watch"),
+        ci.contains("for b in pipeline live corpus sim"),
         "CI bench-smoke must gate all four committed baselines"
     );
     // And the commands name binaries that exist in the bench crate.

@@ -124,7 +124,7 @@ fn readme_reproduction_commands_match_ci() {
         "CI bench-smoke must measure the documented sizes"
     );
     assert!(
-        ci.contains("for b in pipeline live corpus watch sim"),
+        ci.contains("for b in pipeline live corpus sim"),
         "CI bench-smoke must gate the sim baseline"
     );
     // The documented memory ceiling is the one sim-scale enforces.

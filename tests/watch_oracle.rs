@@ -288,12 +288,18 @@ fn arb_archive() -> impl Strategy<Value = UpdateArchive> {
     })
 }
 
-/// Thresholds low enough for eight-window days to cross them.
+/// Thresholds low enough for eight-window days to cross them. One case
+/// in four is the batch detector's shape instead — the whole day as one
+/// window and only the profile checks, which is all
+/// `CommunityProfiler::detect` runs (the property attaches a profile to
+/// it).
 fn arb_config() -> impl Strategy<Value = WatchConfig> {
-    (0u64..3, 1u64..3, 1u64..4, 1u64..3, (any::<bool>(), any::<bool>(), any::<bool>())).prop_map(
-        |(learn_windows, rate_factor, rate_min, outage_windows, (path, rate, outage))| {
+    let switches = (any::<bool>(), any::<bool>(), any::<bool>(), 0u8..4);
+    (0u64..3, 1u64..3, 1u64..4, 1u64..3, switches).prop_map(
+        |(learn_windows, rate_factor, rate_min, outage_windows, (path, rate, outage, shape))| {
+            let whole_day = shape == 0;
             WatchConfig {
-                window_us: W,
+                window_us: if whole_day { u64::MAX } else { W },
                 learn_windows,
                 anomaly: AnomalyConfig {
                     min_namespace_size: 2,
@@ -303,9 +309,9 @@ fn arb_config() -> impl Strategy<Value = WatchConfig> {
                 rate_factor,
                 rate_min,
                 outage_windows,
-                path_checks: path,
-                rate_checks: rate,
-                outage_checks: outage,
+                path_checks: path && !whole_day,
+                rate_checks: rate && !whole_day,
+                outage_checks: outage && !whole_day,
             }
         },
     )
@@ -371,6 +377,7 @@ proptest! {
         order in vec(any::<u32>(), 6..7),
         side in vec(any::<bool>(), 6..7),
     ) {
+        let profiled = profiled || cfg.window_us == u64::MAX;
         let profile = profiled.then(|| train(&yesterday));
         let want = oracle(&day, &cfg, profile.as_ref());
         let profiler = profiled.then(|| {
@@ -382,6 +389,11 @@ proptest! {
             Some(p) => WatchSink::new(cfg).with_profile(Arc::clone(p)),
             None => WatchSink::new(cfg),
         };
+
+        if let (Some(p), u64::MAX) = (&profiler, cfg.window_us) {
+            let batch: Vec<String> = p.detect(&day, &cfg.anomaly).iter().map(Alert::to_line).collect();
+            prop_assert_eq!(&batch, &want.lines, "CommunityProfiler::detect");
+        }
 
         let n = day.sessions().count();
         let mut shuffled: Vec<usize> = (0..n).collect();
