@@ -28,33 +28,18 @@
 //! timestamp-normalization cleaning stage runs here; library users with
 //! registry data use `run_corpus_report` directly.
 
-use std::io::Read as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
+use kcc_collector::{first_record_seconds, mrt_files_in};
 use kcc_core::corpus::{run_corpus_report, run_corpus_watch};
 use kcc_core::{AllocationRegistry, CleaningConfig, Corpus, MrtFileOptions, WatchConfig};
-
-/// Reads the timestamp (first header field) of a file's first MRT record
-/// — 4 bytes of I/O, never the file.
-fn first_record_seconds(path: &Path) -> Option<u32> {
-    let mut file = std::fs::File::open(path).ok()?;
-    let mut buf = [0u8; 4];
-    file.read_exact(&mut buf).ok()?;
-    Some(u32::from_be_bytes(buf))
-}
 
 fn mrt_paths(inputs: &[PathBuf]) -> Result<Vec<PathBuf>, String> {
     let mut paths = Vec::new();
     for input in inputs {
         if input.is_dir() {
-            let entries = std::fs::read_dir(input)
-                .map_err(|e| format!("read dir {}: {e}", input.display()))?;
-            let mut found: Vec<PathBuf> = entries
-                .filter_map(|e| e.ok().map(|e| e.path()))
-                .filter(|p| p.extension().is_some_and(|ext| ext == "mrt"))
-                .collect();
-            found.sort();
+            let found = mrt_files_in(input).map_err(|e| e.to_string())?;
             if found.is_empty() {
                 return Err(format!("no *.mrt files in {}", input.display()));
             }

@@ -26,7 +26,6 @@
 //! runs under a memory ceiling.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::Read as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -34,11 +33,10 @@ use std::time::Duration;
 
 use kcc_bench::watch_eval::{alert_lines, eval_library};
 use kcc_bgp_types::{AsPath, Asn, MessageKind, PathAttributes, Prefix, RouteUpdate};
-use kcc_collector::UpdateArchive;
+use kcc_collector::{first_record_seconds, mrt_files_in, UpdateArchive};
 use kcc_core::pipeline::PipelineBuilder;
 use kcc_core::{
-    CommunityProfiler, Corpus, MrtDirSource, MrtFileOptions, MrtSource, WatchConfig, WatchReport,
-    WatchSink,
+    CommunityProfiler, Corpus, MrtDirSource, MrtFileOptions, WatchConfig, WatchReport, WatchSink,
 };
 use kcc_tracegen::{vantage_names, MultiVantageConfig, VantageSource};
 
@@ -69,25 +67,6 @@ fn usage() {
     );
 }
 
-/// The timestamp of a file's first MRT record — 4 bytes of I/O.
-fn first_record_seconds(path: &Path) -> Option<u32> {
-    let mut file = std::fs::File::open(path).ok()?;
-    let mut buf = [0u8; 4];
-    file.read_exact(&mut buf).ok()?;
-    Some(u32::from_be_bytes(buf))
-}
-
-/// `*.mrt` files under a directory, sorted by name.
-fn mrt_files_in(dir: &Path) -> Result<Vec<PathBuf>, String> {
-    let entries = std::fs::read_dir(dir).map_err(|e| format!("read dir {}: {e}", dir.display()))?;
-    let mut found: Vec<PathBuf> = entries
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|ext| ext == "mrt"))
-        .collect();
-    found.sort();
-    Ok(found)
-}
-
 /// Derives the day anchor: the earliest first-record timestamp across
 /// all inputs, floored to midnight UTC.
 fn derive_epoch(inputs: &[PathBuf], train: &[PathBuf]) -> Option<u32> {
@@ -115,13 +94,7 @@ fn train_profiler(
         let mut src = MrtDirSource::new(path, "train", epoch).with_options(options.clone());
         UpdateArchive::from_source(&mut src, epoch).map_err(|e| e.to_string())?
     } else {
-        let file =
-            std::fs::File::open(path).map_err(|e| format!("open {}: {e}", path.display()))?;
-        let mut src = MrtSource::new(std::io::BufReader::new(file), "train", epoch)
-            .with_route_servers(options.route_servers.iter().copied());
-        if options.clamp_pre_epoch {
-            src = src.with_pre_epoch_clamp();
-        }
+        let mut src = options.open(path, "train", epoch).map_err(|e| e.to_string())?;
         UpdateArchive::from_source(&mut src, epoch).map_err(|e| e.to_string())?
     };
     profiler.train(&archive);

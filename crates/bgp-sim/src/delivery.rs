@@ -1,4 +1,6 @@
-//! Fault injection for simulated message delivery.
+//! Delivery loss: drop chance and extra delay on simulated message
+//! delivery. (The labeled fault *scenarios* — hijack, leak, blackhole,
+//! outage — are [`crate::faults`].)
 //!
 //! Mirrors the smoltcp examples' `--drop-chance` / shaping options: tests
 //! and experiments can subject BGP sessions to message loss and extra

@@ -19,8 +19,8 @@
 //! * **MRAI timers** on eBGP advertisements (withdrawals bypass them, per
 //!   RFC 4271 §9.2.1.1),
 //! * **link/session events** (flaps) and origin announce/withdraw events,
-//! * **fault injection** (message loss, extra delay) with a seeded RNG
-//!   ([`fault`]),
+//! * **delivery loss** (message drop chance, extra delay) with a seeded
+//!   RNG ([`delivery`]),
 //! * **capture** at collector routers and on monitored sessions
 //!   ([`capture`]),
 //! * a **declarative scenario engine** ([`scenario`]): topology template +
@@ -30,10 +30,13 @@
 //!   four scenario specs ([`lab`]),
 //! * a **labeled fault library** ([`faults`]): prefix hijack, route
 //!   leak, blackhole injection and collector outage as scenario specs
-//!   with ground-truth labels — the CommunityWatch detector's eval set,
-//! * a **sim→TCP bridge** ([`bridge`]): every session of a captured (or
-//!   any) update archive becomes a real outbound BGP speaker against a
-//!   live collector daemon — the end-to-end rig for the live subsystem.
+//!   with ground-truth labels — the CommunityWatch detector's eval set.
+//!
+//! "No sockets" holds at the dependency level: the crate builds on
+//! `kcc_bgp_types`, `kcc_topology` and `rand` only — no wire codec, MRT
+//! or peer code (CI pins the `cargo tree`). Putting a capture on a real
+//! TCP session is the umbrella crate's `adapter` plus
+//! `kcc_peer::FloodRig`.
 //!
 //! Determinism: all event ordering is `(time, sequence)`; all randomness is
 //! seeded. The same inputs always produce byte-identical captures.
@@ -41,12 +44,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bridge;
 pub mod capture;
 pub mod dampening;
 pub mod decision;
+pub mod delivery;
 pub mod event;
-pub mod fault;
 pub mod faults;
 pub mod lab;
 pub mod network;
@@ -58,7 +60,6 @@ pub mod session;
 pub mod time;
 pub mod vendor;
 
-pub use bridge::{replay_archive, BridgeConfig, BridgeReport};
 pub use capture::{Capture, CapturedUpdate};
 pub use dampening::DampeningConfig;
 pub use event::EventKind;

@@ -17,8 +17,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::capture::{Capture, CapturedUpdate};
+use crate::delivery::{FaultConfig, FaultInjector};
 use crate::event::{EventKind, EventQueue};
-use crate::fault::{FaultConfig, FaultInjector};
 use crate::policy::{ExportPolicy, ImportPolicy};
 use crate::route::SimUpdate;
 use crate::router::{Action, Router};

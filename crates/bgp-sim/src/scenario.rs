@@ -1025,7 +1025,7 @@ mod tests {
         let spec = ScenarioSpec {
             name: "lossy".into(),
             sim: SimConfig {
-                fault: crate::fault::FaultConfig::lossy(0.3, 5),
+                fault: crate::delivery::FaultConfig::lossy(0.3, 5),
                 ..Default::default()
             },
             topology: TopologyTemplate::Generated {

@@ -18,6 +18,7 @@ use std::path::Path;
 
 use kcc_bgp_types::Asn;
 
+use crate::dir_source::mrt_files_in;
 use crate::source::{SourceError, SourceItem, UpdateSource};
 use crate::MrtSource;
 
@@ -31,6 +32,24 @@ pub struct MrtFileOptions {
     /// This collector's IXP route-server endpoints — session metadata
     /// MRT cannot carry (see [`MrtSource::with_route_servers`]).
     pub route_servers: Vec<(Asn, IpAddr)>,
+}
+
+impl MrtFileOptions {
+    /// Opens `path` as `collector`'s record-at-a-time feed with these
+    /// options applied; update times become microseconds since
+    /// `epoch_seconds`.
+    pub fn open(
+        &self,
+        path: &Path,
+        collector: &str,
+        epoch_seconds: u32,
+    ) -> Result<MrtSource<BufReader<File>>, SourceError> {
+        let file = File::open(path)
+            .map_err(|e| SourceError::Other(format!("open {}: {e}", path.display())))?;
+        let source = MrtSource::new(BufReader::new(file), collector, epoch_seconds)
+            .with_route_servers(self.route_servers.iter().copied());
+        Ok(if self.clamp_pre_epoch { source.with_pre_epoch_clamp() } else { source })
+    }
 }
 
 /// One collector's feed in a corpus: a display/merge name plus any
@@ -119,31 +138,17 @@ impl<'a> Corpus<'a> {
             .and_then(|s| s.to_str())
             .ok_or_else(|| SourceError::Other(format!("unnameable MRT path: {path:?}")))?
             .to_owned();
-        let file = File::open(path)
-            .map_err(|e| SourceError::Other(format!("open {}: {e}", path.display())))?;
-        let mut source = MrtSource::new(BufReader::new(file), &name, epoch_seconds)
-            .with_route_servers(options.route_servers.iter().copied());
-        if options.clamp_pre_epoch {
-            source = source.with_pre_epoch_clamp();
-        }
-        self.push(&name, source)
+        self.push(&name, options.open(path, &name, epoch_seconds)?)
     }
 
     /// Adds every `*.mrt` file of a directory, each as its own collector
     /// (sorted by file name, though member order never affects results).
     pub fn push_mrt_dir(&mut self, dir: &Path, epoch_seconds: u32) -> Result<usize, SourceError> {
-        let entries = std::fs::read_dir(dir)
-            .map_err(|e| SourceError::Other(format!("read dir {}: {e}", dir.display())))?;
-        let mut paths: Vec<_> = entries
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.extension().is_some_and(|ext| ext == "mrt"))
-            .collect();
-        paths.sort();
-        let added = paths.len();
+        let paths = mrt_files_in(dir)?;
         for p in &paths {
             self.push_mrt_file(p, epoch_seconds)?;
         }
-        Ok(added)
+        Ok(paths.len())
     }
 
     /// Number of members.

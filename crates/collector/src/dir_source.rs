@@ -20,7 +20,7 @@
 
 use std::collections::{BTreeSet, HashSet, VecDeque};
 use std::fs::File;
-use std::io::BufReader;
+use std::io::{BufReader, Read};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -29,6 +29,29 @@ use crate::live::ShutdownFlag;
 use crate::session::SessionKey;
 use crate::source::{SourceError, SourceItem, UpdateSource};
 use crate::MrtSource;
+
+/// The `*.mrt` files of a directory, sorted by name — the one listing
+/// rule every directory consumer shares, so a rotator's in-progress
+/// `.part` files are invisible to all of them.
+pub fn mrt_files_in(dir: &Path) -> Result<Vec<PathBuf>, SourceError> {
+    let entries = std::fs::read_dir(dir)
+        .map_err(|e| SourceError::Other(format!("read dir {}: {e}", dir.display())))?;
+    let mut found: Vec<PathBuf> = entries
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| p.extension().is_some_and(|ext| ext == "mrt"))
+        .collect();
+    found.sort();
+    Ok(found)
+}
+
+/// The timestamp (first header field) of a file's first MRT record —
+/// 4 bytes of I/O, never the file. `None` for an unreadable or empty
+/// file.
+pub fn first_record_seconds(path: &Path) -> Option<u32> {
+    let mut buf = [0u8; 4];
+    File::open(path).ok()?.read_exact(&mut buf).ok()?;
+    Some(u32::from_be_bytes(buf))
+}
 
 /// Streams every `*.mrt` file of a directory, in name order, as one
 /// collector's feed; optionally keeps following the directory for new
@@ -98,30 +121,12 @@ impl MrtDirSource {
     /// Scans the directory and queues every `*.mrt` file not yet
     /// picked up, in name order.
     fn scan(&mut self) -> Result<(), SourceError> {
-        let entries = std::fs::read_dir(&self.dir)
-            .map_err(|e| SourceError::Other(format!("read dir {}: {e}", self.dir.display())))?;
-        let mut fresh: Vec<PathBuf> = entries
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.extension().is_some_and(|ext| ext == "mrt"))
-            .filter(|p| !self.processed.contains(p))
-            .collect();
-        fresh.sort();
-        for p in fresh {
-            self.processed.insert(p.clone());
-            self.queue.push_back(p);
+        for p in mrt_files_in(&self.dir)? {
+            if self.processed.insert(p.clone()) {
+                self.queue.push_back(p);
+            }
         }
         Ok(())
-    }
-
-    fn open(&self, path: &Path) -> Result<MrtSource<BufReader<File>>, SourceError> {
-        let file = File::open(path)
-            .map_err(|e| SourceError::Other(format!("open {}: {e}", path.display())))?;
-        let mut source = MrtSource::new(BufReader::new(file), &self.collector, self.epoch_seconds)
-            .with_route_servers(self.options.route_servers.iter().copied());
-        if self.options.clamp_pre_epoch {
-            source = source.with_pre_epoch_clamp();
-        }
-        Ok(source)
     }
 }
 
@@ -146,7 +151,8 @@ impl UpdateSource for MrtDirSource {
                 }
             }
             if let Some(path) = self.queue.pop_front() {
-                self.current = Some(self.open(&path)?);
+                self.current =
+                    Some(self.options.open(&path, &self.collector, self.epoch_seconds)?);
                 continue;
             }
             self.scan()?;

@@ -20,10 +20,9 @@
 //! Offline, a session is `(collector, peer ASN, peer IP)`. Live, the
 //! transport source address is a poor identity: on a loopback deployment
 //! every peer connects from `127.0.0.1` with an ephemeral port. The
-//! daemon therefore defaults to keying sessions by the peer's **BGP
-//! identifier** — the stable, configured identity exchanged in the OPEN —
-//! and only uses the socket address when asked
-//! ([`SessionIdentity::SourceAddr`]).
+//! daemon therefore keys every session by the peer's **BGP
+//! identifier** — the stable, configured identity exchanged in the OPEN,
+//! unchanged across reconnects — never by the socket address.
 //!
 //! ## Arrival stamping
 //!
@@ -77,16 +76,6 @@ impl StampMode {
     }
 }
 
-/// What identifies a live session in its [`SessionKey`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SessionIdentity {
-    /// The peer's BGP identifier from its OPEN (default; stable across
-    /// reconnects and loopback deployments).
-    BgpId,
-    /// The transport source address.
-    SourceAddr,
-}
-
 /// Daemon configuration. The hot-reloadable subset (stamp, route
 /// servers, MRT rotation) seeds the daemon's [`ConfigStore`]; the rest —
 /// identity, epoch, reactor shape — is fixed at bind time.
@@ -104,8 +93,6 @@ pub struct CollectorConfig {
     pub epoch_seconds: u32,
     /// Timestamping of arriving updates.
     pub stamp: StampMode,
-    /// Session identity rule.
-    pub identity: SessionIdentity,
     /// Peers that are IXP route servers (metadata the wire cannot carry;
     /// mirrors `MrtSource::with_route_servers`).
     pub route_servers: Vec<(Asn, IpAddr)>,
@@ -125,7 +112,6 @@ impl CollectorConfig {
             hold_time: 90,
             epoch_seconds: 0,
             stamp: StampMode::Arrival,
-            identity: SessionIdentity::BgpId,
             route_servers: Vec::new(),
             mrt: None,
             reactor: ReactorConfig::default(),
@@ -422,12 +408,9 @@ fn ingest_loop(
 
         let Some(event) = event else { continue };
         match event {
-            SessionEvent::Established { info, remote } => {
+            SessionEvent::Established { info } => {
                 stats.established += 1;
-                let peer_ip = match cfg.identity {
-                    SessionIdentity::BgpId => IpAddr::V4(info.peer_bgp_id),
-                    SessionIdentity::SourceAddr => remote.ip(),
-                };
+                let peer_ip = IpAddr::V4(info.peer_bgp_id);
                 if let std::collections::hash_map::Entry::Vacant(e) =
                     sessions.entry((info.peer_asn, peer_ip))
                 {
@@ -445,11 +428,8 @@ fn ingest_loop(
                     e.insert(LiveSession { meta, next_index: 0 });
                 }
             }
-            SessionEvent::Update { info, remote, packet } => {
-                let peer_ip = match cfg.identity {
-                    SessionIdentity::BgpId => IpAddr::V4(info.peer_bgp_id),
-                    SessionIdentity::SourceAddr => remote.ip(),
-                };
+            SessionEvent::Update { info, packet } => {
+                let peer_ip = IpAddr::V4(info.peer_bgp_id);
                 let Some(session) = sessions.get_mut(&(info.peer_asn, peer_ip)) else {
                     continue; // update before establish cannot happen
                 };
@@ -525,7 +505,7 @@ pub fn offline_reference(input: &UpdateArchive, cfg: &CollectorConfig) -> Update
 mod tests {
     use super::*;
     use kcc_bgp_types::{PathAttributes, RouteUpdate};
-    use kcc_bgp_wire::{Message, Notification, OpenMessage, SessionConfig, UpdatePacket};
+    use kcc_bgp_wire::{Message, Notification, OpenMessage, UpdatePacket};
     use kcc_collector::UpdateSource;
 
     /// A multi-prefix UPDATE packet explodes into per-prefix updates
@@ -542,15 +522,12 @@ mod tests {
 
         // A hand-driven peer: handshake, then one UPDATE carrying two
         // prefixes, then one with a single withdrawal.
-        let stream = std::net::TcpStream::connect(addr).unwrap();
-        let wire_cfg = SessionConfig::default();
+        let mut peer = crate::active::HandPlayedPeer::connect(addr);
         let open = OpenMessage::standard(Asn(65_001), "192.0.2.77".parse().unwrap(), 90);
-        crate::transport::write_message(&stream, &Message::Open(open), &wire_cfg).unwrap();
-        let mut reader =
-            crate::transport::MessageReader::new(stream.try_clone().unwrap(), wire_cfg, true);
-        assert!(matches!(reader.read_message().unwrap().unwrap(), Message::Open(_)));
-        crate::transport::write_message(&stream, &Message::Keepalive, &wire_cfg).unwrap();
-        assert_eq!(reader.read_message().unwrap().unwrap(), Message::Keepalive);
+        peer.send(&Message::Open(open));
+        assert!(matches!(peer.recv(), Message::Open(_)));
+        peer.send(&Message::Keepalive);
+        assert_eq!(peer.recv(), Message::Keepalive);
 
         let attrs = PathAttributes {
             as_path: "65001 3356".parse().unwrap(),
@@ -559,17 +536,11 @@ mod tests {
         };
         let mut two = UpdatePacket::announce("10.0.0.0/8".parse().unwrap(), attrs);
         two.nlri.push("10.64.0.0/10".parse().unwrap());
-        crate::transport::write_message(&stream, &Message::Update(two), &wire_cfg).unwrap();
+        peer.send(&Message::Update(two));
         let one = UpdatePacket::withdraw("10.0.0.0/8".parse().unwrap());
-        crate::transport::write_message(&stream, &Message::Update(one), &wire_cfg).unwrap();
-        crate::transport::write_message(
-            &stream,
-            &Message::Notification(Notification::cease_admin_shutdown()),
-            &wire_cfg,
-        )
-        .unwrap();
-        drop(reader);
-        drop(stream);
+        peer.send(&Message::Update(one));
+        peer.send(&Message::Notification(Notification::cease_admin_shutdown()));
+        drop(peer);
 
         collector.shutdown();
         let stats = collector.join();

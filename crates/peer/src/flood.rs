@@ -1,13 +1,15 @@
-//! The many-session load rig: thousands of concurrent inbound BGP
-//! sessions driven nonblockingly from a single thread.
+//! The archive replay client: any number of concurrent BGP sessions
+//! into a daemon, driven nonblockingly from a single thread.
 //!
-//! The thread-per-session bridge (`kcc_bgp_sim::replay_archive`) tops
-//! out around the OS thread budget — useless for proving the reactor
-//! holds 5k sessions. [`FloodRig`] is the client-side mirror of the
-//! reactor: every planned session gets a nonblocking socket, a
-//! [`Fsm`], a [`FrameBuffer`] and a capped [`WriteQueue`], all
-//! multiplexed over one [`Poller`]. It runs in two explicit phases so
-//! soaks can assert *concurrency*, not just throughput:
+//! [`FloodPlan::from_archive`] turns every session of an
+//! [`UpdateArchive`] into a speaker announcing the session's peer AS
+//! and, as its BGP identifier, its peer IP; the live ≡ offline tests and
+//! the 5k-session soaks share this one client. [`FloodRig`] is the
+//! client-side mirror of the reactor: every planned session gets a
+//! nonblocking socket, a [`Fsm`], a [`FrameBuffer`] and a capped
+//! [`WriteQueue`], all multiplexed over one [`Poller`]. It runs in two
+//! explicit phases so soaks can assert *concurrency*, not just
+//! throughput:
 //!
 //! 1. [`connect`](FloodRig::connect) dials and handshakes every
 //!    session, then **holds them all Established** — the caller can
@@ -52,10 +54,10 @@ pub struct FloodPlan {
     sessions: Vec<PlanSession>,
 }
 
-/// The BGP identifier a planned peer IP maps to — the same mapping the
-/// sim bridge uses, so the daemon's BGP-ID session keying reconstructs
-/// the archive's session keys exactly: v4 addresses map directly, v6
-/// addresses hash into a deterministic v4 identifier.
+/// The BGP identifier a planned peer IP maps to, chosen so the daemon's
+/// BGP-ID session keying reconstructs the archive's session keys
+/// exactly: v4 addresses map directly, v6 addresses hash into a
+/// deterministic v4 identifier.
 fn bgp_id_for(peer_ip: IpAddr) -> Ipv4Addr {
     match peer_ip {
         IpAddr::V4(v4) => v4,
@@ -99,26 +101,13 @@ impl FloodPlan {
 pub struct FloodOptions {
     /// Readiness backend.
     pub poller: PollerKind,
-    /// Per-dial timeout (loopback dials are retried on transient
-    /// refusal until this much time has elapsed for that dial).
-    pub connect_timeout: Duration,
-    /// Cap on the whole handshake phase across all sessions.
-    pub establish_timeout: Duration,
-    /// Cap on the stream-and-drain phase across all sessions.
-    pub drain_timeout: Duration,
     /// Per-session outbound backlog cap (bytes).
     pub write_queue_cap: usize,
 }
 
 impl Default for FloodOptions {
     fn default() -> Self {
-        FloodOptions {
-            poller: PollerKind::Auto,
-            connect_timeout: Duration::from_secs(10),
-            establish_timeout: Duration::from_secs(120),
-            drain_timeout: Duration::from_secs(600),
-            write_queue_cap: 256 * 1024,
-        }
+        FloodOptions { poller: PollerKind::Auto, write_queue_cap: 256 * 1024 }
     }
 }
 
@@ -179,11 +168,18 @@ const REFILL_LOW_DIV: usize = 4;
 /// How often idle sessions run their FSM timers (keepalive cadence is
 /// tens of seconds; 1 s of slack costs nothing).
 const TICK_MS: u64 = 1_000;
+/// Per-dial timeout (loopback dials are retried on transient refusal
+/// until this much time has elapsed for that dial).
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
+/// Cap on the whole handshake phase across all sessions.
+const ESTABLISH_TIMEOUT: Duration = Duration::from_secs(120);
+/// Cap on the stream-and-drain phase across all sessions.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(600);
 
 impl FloodRig {
     /// Dials and handshakes every planned session, returning once **all
     /// of them are simultaneously Established** (or failing after
-    /// `options.establish_timeout`). No UPDATE is sent yet.
+    /// the two-minute `ESTABLISH_TIMEOUT`). No UPDATE is sent yet.
     pub fn connect(
         addr: SocketAddr,
         plan: FloodPlan,
@@ -202,7 +198,7 @@ impl FloodRig {
         for session in plan.sessions {
             rig.dial(addr, session)?;
         }
-        rig.run_until(rig.options.establish_timeout, |rig| rig.established == rig.peers.len())?;
+        rig.run_until(ESTABLISH_TIMEOUT, |rig| rig.established == rig.peers.len())?;
         if rig.established != rig.peers.len() {
             let failed: Vec<&str> =
                 rig.peers.iter().filter_map(|p| p.failure.as_deref()).take(3).collect();
@@ -224,11 +220,6 @@ impl FloodRig {
         self.established
     }
 
-    /// Total sessions in the rig.
-    pub fn session_count(&self) -> usize {
-        self.peers.len()
-    }
-
     /// Streams every session's UPDATEs, Ceases, and drains to EOF.
     pub fn stream(mut self) -> std::io::Result<FloodReport> {
         for peer in &mut self.peers {
@@ -238,7 +229,7 @@ impl FloodRig {
         for i in 0..self.peers.len() {
             self.pump(i);
         }
-        self.run_until(self.options.drain_timeout, |rig| rig.peers.iter().all(|p| p.done))?;
+        self.run_until(DRAIN_TIMEOUT, |rig| rig.peers.iter().all(|p| p.done))?;
         let undrained = self.peers.iter().filter(|p| !p.done).count();
         if undrained > 0 {
             return Err(std::io::Error::new(
@@ -264,9 +255,9 @@ impl FloodRig {
         // Blocking dial with retry: under a mass dial the daemon's
         // accept loop can transiently refuse; loopback dials are cheap
         // enough that serial connects beat nonblocking connect plumbing.
-        let deadline = Instant::now() + self.options.connect_timeout;
+        let deadline = Instant::now() + CONNECT_TIMEOUT;
         let stream = loop {
-            match TcpStream::connect_timeout(&addr, self.options.connect_timeout) {
+            match TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT) {
                 Ok(s) => break s,
                 Err(e) if Instant::now() < deadline => {
                     let transient = matches!(

@@ -11,8 +11,8 @@
 //! unit-testable without a single real sleep.
 //!
 //! Simplifications relative to the full RFC: no DelayOpen, no connection
-//! collision resolution (the collector is the passive side and the bridge
-//! the active side, so simultaneous opens cannot arise in this system),
+//! collision resolution (the collector is the passive side and its
+//! clients the active side, so simultaneous opens cannot arise here),
 //! and decode errors on UPDATEs tear the session down with the matching
 //! NOTIFICATION rather than RFC 7606 treat-as-withdraw (the codec's
 //! severity classification is preserved in [`DownReason`] for operators).

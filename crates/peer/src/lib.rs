@@ -13,15 +13,15 @@
 //! * [`clock`]: the injectable millisecond clock the FSM's timers are
 //!   measured against ([`WallClock`] in production, [`ManualClock`] in
 //!   tests),
-//! * [`transport`]: BGP message framing over `std::io` byte streams —
-//!   length-prefixed reads, capability-aware decode configuration,
 //! * [`sys`]: raw readiness syscalls (epoll on Linux, `poll(2)`
 //!   portable) behind one `Poller` trait — the only module allowed to
 //!   use `unsafe`, and only for straight FFI,
 //! * [`reactor`]: the event-driven session engine — thousands of
-//!   nonblocking sessions (resumable framing, capped write backlogs, a
-//!   timer wheel driven by the FSM's deadlines) multiplexed over a
-//!   bounded pool of shard threads,
+//!   nonblocking sessions (a timer wheel driven by the FSM's deadlines)
+//!   multiplexed over a bounded pool of shard threads; its
+//!   [`reactor::framing`] is the crate's only framer — length-prefixed
+//!   cuts, capability-aware decode configuration, capped write backlogs
+//!   — for blocking and nonblocking readers alike,
 //! * [`config`]: the running/candidate [`ConfigStore`] with
 //!   commit/discard semantics — peers, listeners, stamping, rotation and
 //!   trace levels hot-reload into a live daemon,
@@ -31,12 +31,14 @@
 //!   every layer can emit filtered diagnostics,
 //! * [`control`]: the line-protocol control socket driving the config
 //!   store from outside the process,
-//! * [`active`]: the outbound speaker (used by the `bgp-sim` loopback
-//!   bridge and benchmarks): dial, handshake through the same FSM, then
-//!   stream UPDATEs,
-//! * [`flood`]: the nonblocking many-session load rig — drives
-//!   thousands of concurrent inbound sessions from a single thread, for
-//!   soaks and scaling benchmarks,
+//! * [`active`]: the one-session blocking speaker (the paced-latency
+//!   benchmark's client): dial, handshake through the same FSM with
+//!   reads framed by [`reactor::framing::FrameBuffer`], then stream
+//!   UPDATEs,
+//! * [`flood`]: the nonblocking many-session client — replays an
+//!   [`kcc_collector::UpdateArchive`] (or any plan) into a daemon as
+//!   thousands of concurrent sessions from a single thread; the one way
+//!   tests, soaks and benchmarks put an archive on the wire,
 //! * [`rotate`]: periodic MRT dump rotation, so live capture round-trips
 //!   through the same offline files a RouteViews/RIS download would,
 //! * [`collector`]: the multi-peer collector daemon — reactor-backed
@@ -59,16 +61,13 @@ pub mod fsm;
 pub mod reactor;
 pub mod rotate;
 pub mod sys;
-pub mod transport;
 
 /// Back-compat re-export: the trace filter moved to [`kcc_obs`].
 pub use kcc_obs::trace;
 
 pub use active::{ActiveSpeaker, PeerError};
 pub use clock::{Clock, ManualClock, WallClock};
-pub use collector::{
-    offline_reference, Collector, CollectorConfig, CollectorStats, SessionIdentity, StampMode,
-};
+pub use collector::{offline_reference, Collector, CollectorConfig, CollectorStats, StampMode};
 pub use config::{ConfigStore, DaemonConfig, PeerPolicy};
 pub use control::ControlServer;
 pub use flood::{FloodOptions, FloodPlan, FloodReport, FloodRig};
@@ -77,4 +76,3 @@ pub use reactor::{LiveGauges, ReactorConfig, SessionEvent};
 pub use rotate::{MrtRotator, RotateConfig};
 pub use sys::PollerKind;
 pub use trace::{TraceConfig, TraceFilter, TraceLevel};
-pub use transport::{read_message, write_message, write_update, MessageReader};

@@ -1,14 +1,16 @@
-//! Resumable, nonblocking BGP framing.
+//! Resumable BGP framing — the one place a frame is cut.
 //!
-//! [`crate::transport::MessageReader`] blocks until a whole message
-//! arrives — correct on a thread per session, useless on a reactor where
-//! a read may surface any byte count, including a frame split anywhere.
-//! [`FrameBuffer`] is the nonblocking counterpart: bytes go in as they
+//! BGP messages are length-prefixed: a 19-byte header (16-byte marker,
+//! 2-byte length, 1-byte type) followed by up to 4077 body bytes. On a
+//! reactor a read may surface any byte count, including a frame split
+//! anywhere, so [`FrameBuffer`] does no I/O: bytes go in as they
 //! arrive, complete messages come out, partial frames stay buffered
-//! across calls. Decode configuration follows the same rule as the
-//! blocking reader — the 4-octet AS width is re-derived from the peer's
-//! OPEN (ANDed with our own offer), which always precedes the first
-//! UPDATE.
+//! across calls. Every reader in the crate — the reactor's sessions,
+//! the [`crate::flood`] rig and the blocking [`crate::active`] speaker
+//! — frames through it. Decode configuration: the 4-octet AS width is
+//! re-derived from the peer's OPEN (ANDed with our own offer); the
+//! OPEN's own encoding is width-independent and always precedes the
+//! first UPDATE, so the switch is race-free.
 //!
 //! [`WriteQueue`] is the outbound half: messages encode into a bounded
 //! per-session backlog that flushes as far as the socket accepts and
@@ -24,8 +26,6 @@ use bytes::{Buf, BytesMut};
 use kcc_bgp_wire::{
     decode_message, encode_message, Message, SessionConfig, WireError, HEADER_LEN, MAX_MESSAGE_LEN,
 };
-
-use crate::transport::TransportError;
 
 /// Accumulates stream bytes and yields complete decoded messages.
 #[derive(Debug)]
@@ -63,13 +63,13 @@ impl FrameBuffer {
     /// bytes end mid-frame (call again after the next [`extend`]).
     ///
     /// [`extend`]: FrameBuffer::extend
-    pub fn next_message(&mut self) -> Result<Option<Message>, TransportError> {
+    pub fn next_message(&mut self) -> Result<Option<Message>, WireError> {
         if self.buf.len() < HEADER_LEN {
             return Ok(None);
         }
         let len = u16::from_be_bytes([self.buf[16], self.buf[17]]) as usize;
         if !(HEADER_LEN..=MAX_MESSAGE_LEN).contains(&len) {
-            return Err(WireError::BadLength(len as u16).into());
+            return Err(WireError::BadLength(len as u16));
         }
         if self.buf.len() < len {
             return Ok(None);
@@ -78,7 +78,7 @@ impl FrameBuffer {
         let mut bytes = &frame[..];
         let message = decode_message(&mut bytes, &self.cfg)?;
         if bytes.has_remaining() {
-            return Err(WireError::BadLength(len as u16).into());
+            return Err(WireError::BadLength(len as u16));
         }
         if let Message::Open(open) = &message {
             self.cfg.four_octet_as = self.we_offer_four_octet && open.supports_four_octet();
@@ -273,7 +273,7 @@ mod tests {
         let mut junk = vec![0xFF; 16];
         junk.extend([0xFF, 0xFF, 4]); // length 65535
         fb.extend(&junk);
-        assert!(matches!(fb.next_message(), Err(TransportError::Wire(WireError::BadLength(_)))));
+        assert!(matches!(fb.next_message(), Err(WireError::BadLength(_))));
     }
 
     /// A writer that accepts at most `chunk` bytes per call and returns

@@ -49,7 +49,6 @@ use crate::config::ConfigStore;
 use crate::fsm::{Action, DownReason, EstablishedInfo, Fsm, FsmConfig, FsmEvent};
 use crate::sys::{new_poller, PollEvent, Poller, PollerKind, Waker, WAKE_TOKEN};
 use crate::trace::TraceLevel;
-use crate::transport::TransportError;
 use framing::{FlushOutcome, FrameBuffer, WriteQueue};
 use timer::{DueTimer, TimerWheel};
 
@@ -60,15 +59,11 @@ pub enum SessionEvent {
     Established {
         /// Negotiated parameters.
         info: EstablishedInfo,
-        /// The peer's transport address.
-        remote: SocketAddr,
     },
     /// An UPDATE arrived (only ever after `Established`).
     Update {
         /// Negotiated parameters of the session it arrived on.
         info: EstablishedInfo,
-        /// The peer's transport address (same as its `Established`).
-        remote: SocketAddr,
         /// The decoded packet (possibly many prefixes; boxed to keep the
         /// event small on the channel).
         packet: Box<UpdatePacket>,
@@ -610,12 +605,8 @@ impl Shard {
                             match sess.frames.next_message() {
                                 Ok(Some(m)) => messages.push(m),
                                 Ok(None) => break,
-                                Err(TransportError::Wire(w)) => {
+                                Err(w) => {
                                     end = Some(ReadEnd::DecodeError(w));
-                                    break;
-                                }
-                                Err(_) => {
-                                    end = Some(ReadEnd::Failed);
                                     break;
                                 }
                             }
@@ -724,18 +715,13 @@ impl Shard {
                     self.store.trace().log(TRACE_TARGET, TraceLevel::Info, || {
                         format!("session up: AS{} via {}", info.peer_asn.0, remote)
                     });
-                    let _ = self.events.send(SessionEvent::Established { info, remote });
+                    let _ = self.events.send(SessionEvent::Established { info });
                 }
                 Action::Deliver(packet) => {
-                    let (info, remote) = {
-                        let sess = self.slots[slot].as_ref().expect("resolved slot");
-                        (sess.info.clone().expect("Deliver only after Up"), sess.remote)
-                    };
-                    let _ = self.events.send(SessionEvent::Update {
-                        info,
-                        remote,
-                        packet: Box::new(packet),
-                    });
+                    let sess = self.slots[slot].as_ref().expect("resolved slot");
+                    let info = sess.info.clone().expect("Deliver only after Up");
+                    let _ =
+                        self.events.send(SessionEvent::Update { info, packet: Box::new(packet) });
                 }
                 Action::Down(reason) => {
                     self.teardown(slot, reason, true);
@@ -977,9 +963,9 @@ impl Shard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::active::HandPlayedPeer;
     use crate::clock::WallClock;
     use crate::config::DaemonConfig;
-    use crate::transport::{write_message, MessageReader};
     use kcc_bgp_types::Asn;
     use kcc_bgp_wire::{Notification, OpenMessage};
     use std::sync::mpsc;
@@ -1018,15 +1004,12 @@ mod tests {
     fn inbound_session_end_to_end_over_loopback() {
         let (reactor, addr, rx, shutdown) = start_reactor(ReactorConfig::default());
 
-        let peer = TcpStream::connect(addr).unwrap();
-        let cfg = SessionConfig::default();
+        let mut peer = HandPlayedPeer::connect(addr);
         let open = OpenMessage::standard(Asn(20_205), "192.0.2.9".parse().unwrap(), 90);
-        write_message(&peer, &Message::Open(open), &cfg).unwrap();
-        let mut reader = MessageReader::new(peer.try_clone().unwrap(), cfg, true);
-        let got = reader.read_message().unwrap().unwrap();
-        assert!(matches!(got, Message::Open(_)));
-        write_message(&peer, &Message::Keepalive, &cfg).unwrap();
-        assert_eq!(reader.read_message().unwrap().unwrap(), Message::Keepalive);
+        peer.send(&Message::Open(open));
+        assert!(matches!(peer.recv(), Message::Open(_)));
+        peer.send(&Message::Keepalive);
+        assert_eq!(peer.recv(), Message::Keepalive);
         let ev = rx.recv_timeout(Duration::from_secs(5)).unwrap();
         let SessionEvent::Established { info, .. } = ev else {
             panic!("expected Established, got {ev:?}");
@@ -1036,15 +1019,14 @@ mod tests {
         assert_eq!(reactor.gauges().established.load(Ordering::Relaxed), 1);
 
         let packet = UpdatePacket::withdraw("10.0.0.0/8".parse().unwrap());
-        write_message(&peer, &Message::Update(packet.clone()), &cfg).unwrap();
+        peer.send(&Message::Update(packet.clone()));
         let ev = rx.recv_timeout(Duration::from_secs(5)).unwrap();
         let SessionEvent::Update { packet: got, .. } = ev else {
             panic!("expected Update, got {ev:?}");
         };
         assert_eq!(*got, packet);
 
-        write_message(&peer, &Message::Notification(Notification::cease_admin_shutdown()), &cfg)
-            .unwrap();
+        peer.send(&Message::Notification(Notification::cease_admin_shutdown()));
         let ev = rx.recv_timeout(Duration::from_secs(5)).unwrap();
         let SessionEvent::Closed { reason, info } = ev else {
             panic!("expected Closed, got {ev:?}");
@@ -1077,17 +1059,16 @@ mod tests {
         let options =
             ReactorConfig { workers: 1, poller: PollerKind::Poll, ..ReactorConfig::default() };
         let (reactor, addr, rx, shutdown) = start_reactor(options);
-        let cfg = SessionConfig::default();
         let mut peers = Vec::new();
         for i in 0..16u32 {
-            let peer = TcpStream::connect(addr).unwrap();
+            let peer = HandPlayedPeer::connect(addr);
             let open = OpenMessage::standard(
                 Asn(65_000 + i),
                 std::net::Ipv4Addr::new(192, 0, 2, i as u8 + 1),
                 90,
             );
-            write_message(&peer, &Message::Open(open), &cfg).unwrap();
-            write_message(&peer, &Message::Keepalive, &cfg).unwrap();
+            peer.send(&Message::Open(open));
+            peer.send(&Message::Keepalive);
             peers.push(peer);
         }
         let mut established = 0;
@@ -1099,8 +1080,7 @@ mod tests {
         }
         assert_eq!(reactor.gauges().peak_established.load(Ordering::Relaxed), 16);
         for peer in &peers {
-            write_message(peer, &Message::Notification(Notification::cease_admin_shutdown()), &cfg)
-                .unwrap();
+            peer.send(&Message::Notification(Notification::cease_admin_shutdown()));
         }
         let mut closed = 0;
         while closed < 16 {

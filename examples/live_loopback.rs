@@ -3,10 +3,10 @@
 //!
 //! generated internet → real BGP over TCP → session FSM → live pipeline
 //!
-//! A generated collector day is replayed by simulated peers speaking
-//! real BGP (OPEN/capability negotiation, KEEPALIVEs, UPDATEs, Cease)
-//! into an in-process `kccd`-style daemon that also rotates MRT dumps of
-//! the feed. The run then verifies, and refuses to exit 0 otherwise:
+//! A generated collector day is replayed by `FloodRig` — one concurrent
+//! session per archive session, each speaking real BGP (OPEN/capability
+//! negotiation, KEEPALIVEs, UPDATEs, Cease) — into an in-process
+//! `kccd`-style daemon that also rotates MRT dumps of the feed. The run then verifies, and refuses to exit 0 otherwise:
 //!
 //! 1. the live pipeline's Table 1 / Table 2 are **byte-identical** to
 //!    the offline `ArchiveSource` analysis of the same update set, and
@@ -20,9 +20,9 @@ use keep_communities_clean::analysis::{CountsSink, MrtSource, PipelineBuilder};
 use keep_communities_clean::collector::ArchiveSource;
 use keep_communities_clean::peer::rotate::concat_dumps;
 use keep_communities_clean::peer::{
-    offline_reference, Collector, CollectorConfig, RotateConfig, StampMode,
+    offline_reference, Collector, CollectorConfig, FloodOptions, FloodPlan, FloodRig, RotateConfig,
+    StampMode,
 };
-use keep_communities_clean::sim::bridge::{replay_archive, BridgeConfig};
 use keep_communities_clean::tracegen::{generate_mar20, Mar20Config};
 use keep_communities_clean::types::Asn;
 
@@ -62,10 +62,13 @@ fn main() {
     println!("daemon listening on {addr}; replaying over real BGP sessions…");
 
     let start = std::time::Instant::now();
-    let report = replay_archive(addr, &input, &BridgeConfig::default()).expect("replay");
+    let report =
+        FloodRig::connect(addr, FloodPlan::from_archive(&input, 90), FloodOptions::default())
+            .and_then(FloodRig::stream)
+            .expect("replay");
     collector.shutdown();
     let stats = collector.join();
-    assert_eq!(report.updates_sent, input.update_count() as u64, "bridge sent everything");
+    assert_eq!(report.updates_sent, input.update_count() as u64, "the rig sent everything");
     assert_eq!(stats.updates, report.updates_sent, "daemon ingested everything");
     println!(
         "ingested {} updates from {} sessions in {:.2} s ({} MRT records over {} dumps)",

@@ -16,9 +16,9 @@ use keep_communities_clean::analysis::{
 };
 use keep_communities_clean::collector::{ArchiveSource, UpdateArchive};
 use keep_communities_clean::peer::{
-    offline_reference, Collector, CollectorConfig, RotateConfig, StampMode,
+    offline_reference, Collector, CollectorConfig, FloodOptions, FloodPlan, FloodRig, RotateConfig,
+    StampMode,
 };
-use keep_communities_clean::sim::bridge::{replay_archive, BridgeConfig};
 use keep_communities_clean::sim::lab::{build_lab, lab_prefix, LabExperiment, LabNetwork};
 use keep_communities_clean::sim::{SimDuration, SimTime, VendorProfile};
 use keep_communities_clean::tracegen::{generate_mar20, Mar20Config};
@@ -49,9 +49,14 @@ fn run_live_loopback(
     let source = collector.take_source();
     let stop = source.shutdown_flag();
 
-    let report = replay_archive(addr, input, &BridgeConfig::default()).expect("replay");
-    assert_eq!(report.updates_sent, input.update_count() as u64, "bridge sent everything");
+    let report =
+        FloodRig::connect(addr, FloodPlan::from_archive(input, 90), FloodOptions::default())
+            .and_then(FloodRig::stream)
+            .expect("replay");
+    assert_eq!(report.updates_sent, input.update_count() as u64, "the rig sent everything");
     assert_eq!(report.sessions, input.session_count() as u64);
+    // All sessions were Established at once before the first UPDATE.
+    assert_eq!(report.peak_established, input.session_count() as u64);
 
     collector.shutdown();
     let stats = collector.join();
@@ -136,7 +141,9 @@ fn generated_internet_over_tcp_matches_offline_with_cleaning() {
     let addr = collector.local_addr();
     let source = collector.take_source();
     let stop = source.shutdown_flag();
-    replay_archive(addr, &input, &BridgeConfig::default()).expect("replay");
+    FloodRig::connect(addr, FloodPlan::from_archive(&input, 90), FloodOptions::default())
+        .and_then(FloodRig::stream)
+        .expect("replay");
     collector.shutdown();
     collector.join();
     let live = PipelineBuilder::new(source)
@@ -221,8 +228,11 @@ fn reconnect_after_cease_continues_the_same_session() {
     let source = collector.take_source();
     let stop = source.shutdown_flag();
 
-    replay_archive(addr, &single, &BridgeConfig::default()).expect("first life");
-    replay_archive(addr, &single, &BridgeConfig::default()).expect("second life");
+    for life in ["first life", "second life"] {
+        FloodRig::connect(addr, FloodPlan::from_archive(&single, 90), FloodOptions::default())
+            .and_then(FloodRig::stream)
+            .expect(life);
+    }
     collector.shutdown();
     let stats = collector.join();
 

@@ -9,8 +9,9 @@ use keep_communities_clean::analysis::pipeline::PipelineBuilder;
 use keep_communities_clean::analysis::table::{OverviewSink, TypeShares};
 use keep_communities_clean::analysis::CountsSink;
 use keep_communities_clean::collector::ArchiveSource;
-use keep_communities_clean::peer::{offline_reference, Collector, CollectorConfig, StampMode};
-use keep_communities_clean::sim::bridge::{replay_archive, BridgeConfig};
+use keep_communities_clean::peer::{
+    offline_reference, Collector, CollectorConfig, FloodOptions, FloodPlan, FloodRig, StampMode,
+};
 use keep_communities_clean::tracegen::{generate_mar20, Mar20Config};
 use keep_communities_clean::types::Asn;
 
@@ -25,14 +26,16 @@ fn readme_live_example_runs_and_matches_offline() {
     let source = collector.take_source();
     let stop = source.shutdown_flag();
 
-    // Simulated peers: every session of a small generated collector day
-    // dials in and speaks real BGP — OPEN, capability negotiation,
-    // KEEPALIVEs, UPDATEs, Cease.
+    // Replayed peers: every session of a small generated collector day
+    // dials in, all at once, and speaks real BGP — OPEN, capability
+    // negotiation, KEEPALIVEs, UPDATEs, Cease.
     let mut gen = Mar20Config { target_announcements: 2_000, ..Default::default() };
     gen.universe.n_sessions = 24;
     gen.universe.n_prefixes_v4 = 200;
     let day = generate_mar20(&gen);
-    replay_archive(collector.local_addr(), &day.archive, &BridgeConfig::default()).unwrap();
+    let plan = FloodPlan::from_archive(&day.archive, 90);
+    let rig = FloodRig::connect(collector.local_addr(), plan, FloodOptions::default()).unwrap();
+    rig.stream().unwrap();
     collector.shutdown();
     let stats = collector.join();
     assert_eq!(stats.updates, day.archive.update_count() as u64);
