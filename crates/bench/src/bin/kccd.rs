@@ -258,8 +258,9 @@ fn main() {
     }
 
     // The pipeline runs on the main thread until shutdown; the daemon's
-    // accept/session/ingest threads feed it. Everything records into the
-    // one daemon registry the control `metrics` command renders.
+    // reactor shards stamp updates and feed it directly through the
+    // bounded live ring. Everything records into the one daemon registry
+    // the control `metrics` command renders.
     let metrics = collector.metrics();
     let (counts, overview, watch_report, pipe_stats, profile) = if opts.watch {
         let mut builder = PipelineBuilder::new(source)

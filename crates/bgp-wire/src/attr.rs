@@ -133,7 +133,9 @@ fn encode_as_path_body(path: &AsPath, four_octet: bool) -> BytesMut {
 }
 
 fn decode_as_path_body(mut body: Bytes, four_octet: bool) -> Result<AsPath, WireError> {
-    let mut segments = Vec::new();
+    // One segment is the common case; `Vec::new()` + `push` would reserve
+    // four, and the decoded path is stored (and counted) at capacity.
+    let mut segments = Vec::with_capacity(1);
     while body.has_remaining() {
         if body.remaining() < 2 {
             return Err(WireError::MalformedAttribute {
@@ -812,6 +814,21 @@ mod tests {
         let decoded = decode_as_path_body(body.freeze(), true).unwrap();
         assert_eq!(decoded.asns().count(), 300);
         assert_eq!(decoded.origin(), Some(Asn(300)));
+    }
+
+    /// A decoded one-segment path holds a segment vector of capacity 1
+    /// and an exact ASN vector: decoded paths are stored and counted at
+    /// capacity, so spare room would be paid for by every stream.
+    #[test]
+    fn decoded_single_segment_path_has_exact_capacity() {
+        let path: AsPath = "3356 1299 20205".parse().unwrap();
+        let body = encode_as_path_body(&path, true);
+        let decoded = decode_as_path_body(body.freeze(), true).unwrap();
+        assert_eq!(decoded, path);
+        assert_eq!(
+            decoded.heap_bytes(),
+            std::mem::size_of::<PathSegment>() + 3 * std::mem::size_of::<Asn>()
+        );
     }
 
     #[test]

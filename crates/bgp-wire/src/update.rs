@@ -50,6 +50,13 @@ impl UpdatePacket {
         )
     }
 
+    /// How many updates [`route_updates`](Self::route_updates) and
+    /// [`into_route_updates`](Self::into_route_updates) yield: every
+    /// withdrawal, plus the announcements when there are attributes.
+    pub fn route_update_count(&self) -> usize {
+        self.withdrawn.len() + if self.attrs.is_some() { self.nlri.len() } else { 0 }
+    }
+
     /// Explodes the packet into a `Vec` of per-prefix updates. Prefer
     /// iterating [`route_updates`](Self::route_updates) on hot paths.
     pub fn explode(&self, time_us: u64) -> Vec<RouteUpdate> {
@@ -258,6 +265,7 @@ mod tests {
         p.withdrawn.push("10.9.0.0/16".parse().unwrap());
         let updates = p.explode(42);
         assert_eq!(updates.len(), 2);
+        assert_eq!(p.route_update_count(), 2);
         assert!(updates[0].is_withdrawal());
         assert!(updates[1].is_announcement());
         assert!(updates.iter().all(|u| u.time_us == 42));

@@ -23,9 +23,10 @@
 //!   (MRT files/dirs, archives, live feeds) grouped under collector
 //!   names for the parallel cross-vantage engine in
 //!   `kcc_core::PipelineBuilder::collectors`,
-//! * [`live`]: the live end of that abstraction — a channel-backed
-//!   [`LiveSource`] fed by a running collector daemon (`kcc_peer`), plus
-//!   the [`ShutdownFlag`] that lets unbounded runs finish gracefully,
+//! * [`live`]: the live end of that abstraction — a [`LiveSource`] read
+//!   from one bounded ring of batches that a running collector daemon
+//!   (`kcc_peer`) fills through [`LiveSender`]s, plus the
+//!   [`ShutdownFlag`] that lets unbounded runs finish gracefully,
 //! * [`dir_source`]: a directory of rotated MRT dumps streamed as one
 //!   collector feed ([`MrtDirSource`]), optionally following the
 //!   directory for new files — the bridge between a daemon's on-disk
@@ -47,7 +48,7 @@ pub use archive::UpdateArchive;
 pub use beacon::{BeaconEvent, BeaconPhase, BeaconSchedule};
 pub use corpus::{Corpus, MrtFileOptions, NamedSource};
 pub use dir_source::{first_record_seconds, mrt_files_in, MrtDirSource};
-pub use live::{LiveSource, ShutdownFlag};
+pub use live::{LiveSender, LiveSource, ShutdownFlag, LIVE_RING_ITEMS};
 pub use session::{PeerMeta, SessionKey};
 pub use source::{ArchiveSource, MrtSource, SourceError, SourceItem, UpdateSource};
 pub use timestamps::normalize_timestamps;

@@ -9,10 +9,22 @@
 //! with it every existing analysis sink — runs over live traffic
 //! unchanged.
 //!
+//! ## One hop from socket to pipeline
+//!
+//! The daemon adds no thread of its own. A reactor shard collects one
+//! wake's session events, takes the lock on the daemon-wide ingest table
+//! once, explodes and stamps the events there, and sends the resulting
+//! batch into the `LiveSource`'s bounded ring under that same lock — so
+//! ring order is stamp order across shards. The pipeline thread reads
+//! the ring directly. When it falls behind and the ring fills, shards
+//! stop reading sockets and TCP flow control pushes back on the peers;
+//! they keep flushing writes and firing timers meanwhile, so no
+//! keepalive is missed and nothing is buffered without limit.
+//!
 //! The daemon is hot-reloadable: [`Collector::config_store`] exposes the
 //! running/candidate [`ConfigStore`] (peers, listeners, stamping,
 //! rotation, trace levels), and a commit propagates to the reactor
-//! shards and the ingest loop within one poll interval — no restart, no
+//! shards and the ingest table within one poll interval — no restart, no
 //! disturbance to sessions the change does not name.
 //!
 //! ## Session identity
@@ -34,22 +46,19 @@
 //! tests demand byte-identical results from the live and offline paths
 //! ([`offline_reference`] computes what the daemon will record).
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 use std::io;
 use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{self, RecvTimeoutError, Sender};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
 
-use kcc_bgp_types::Asn;
+use kcc_bgp_types::{Asn, FastHashMap};
 use kcc_collector::{LiveSource, PeerMeta, SessionKey, ShutdownFlag, SourceItem, UpdateArchive};
 
 use crate::clock::{Clock, WallClock};
 use crate::config::{ConfigStore, DaemonConfig};
 use crate::fsm::FsmConfig;
-use crate::reactor::{self, LiveGauges, ReactorConfig, SessionEvent};
+use crate::reactor::{self, Handoff, LiveGauges, ReactorConfig, SessionEvent};
 use crate::rotate::MrtRotator;
 use crate::sys::PollerKind;
 use crate::trace::TraceLevel;
@@ -194,7 +203,7 @@ pub struct Collector {
     shutdown: ShutdownFlag,
     source: Option<LiveSource>,
     reactor: Option<reactor::Reactor>,
-    ingest_handle: Option<JoinHandle<CollectorStats>>,
+    ingest: Arc<Mutex<IngestTable>>,
     store: Arc<ConfigStore>,
     gauges: Arc<LiveGauges>,
 }
@@ -233,32 +242,32 @@ impl Collector {
 
         let store = Arc::new(ConfigStore::new(cfg.daemon_config()));
         let shutdown = ShutdownFlag::new();
-        let (event_tx, event_rx) = mpsc::channel::<SessionEvent>();
-        let (live_tx, live_source) = LiveSource::channel();
+        let (live, source) = LiveSource::channel();
+        let ingest = Arc::new(Mutex::new(IngestTable::new(
+            &cfg,
+            Arc::clone(&clock),
+            Arc::clone(&store),
+            rotator,
+        )));
 
         let fsm_cfg = FsmConfig::new(cfg.local_asn, cfg.bgp_id).with_hold_time(cfg.hold_time);
         let reactor = reactor::spawn(
             listener,
             fsm_cfg,
-            Arc::clone(&clock),
-            event_tx,
+            clock,
+            Handoff { ingest: Arc::clone(&ingest), live },
             shutdown.clone(),
             Arc::clone(&store),
-            cfg.reactor.clone(),
+            cfg.reactor,
         )?;
         let gauges = reactor.gauges();
-
-        let ingest_handle = {
-            let store = Arc::clone(&store);
-            std::thread::spawn(move || ingest_loop(cfg, clock, event_rx, live_tx, rotator, store))
-        };
 
         Ok(Collector {
             local_addr,
             shutdown,
-            source: Some(live_source),
+            source: Some(source),
             reactor: Some(reactor),
-            ingest_handle: Some(ingest_handle),
+            ingest,
             store,
             gauges,
         })
@@ -296,7 +305,7 @@ impl Collector {
     }
 
     /// The daemon's metrics registry (shared with the reactor shards and
-    /// the ingest thread); render with [`kcc_obs::Registry::render`].
+    /// the ingest table); render with [`kcc_obs::Registry::render`].
     pub fn metrics(&self) -> Arc<kcc_obs::Registry> {
         Arc::clone(self.store.metrics())
     }
@@ -316,157 +325,178 @@ impl Collector {
         self.shutdown.clone()
     }
 
-    /// Waits for every thread to finish and returns the run's stats.
-    /// Call [`Collector::shutdown`] first (or have every peer disconnect
-    /// — the accept loop still needs the flag to stop).
+    /// Waits for every shard to finish, closes the MRT dumps, and returns
+    /// the run's stats. Call [`Collector::shutdown`] first (or have every
+    /// peer disconnect — the accept loop still needs the flag to stop).
+    /// A [`LiveSource`] that was never taken is dropped first, so a full
+    /// ring nobody reads cannot hold the shards' drain back.
     pub fn join(mut self) -> CollectorStats {
+        drop(self.source.take());
         if let Some(r) = self.reactor.take() {
             r.join();
         }
-        let mut stats = CollectorStats::default();
-        if let Some(h) = self.ingest_handle.take() {
-            if let Ok(s) = h.join() {
-                stats = s;
-            }
-        }
+        let mut stats = self.ingest.lock().expect("a shard panicked while stamping").finish();
         stats.accepted = self.gauges.accepted.load(Ordering::Relaxed);
         stats.peak_established = self.gauges.peak_established.load(Ordering::Relaxed);
         stats
     }
 }
 
+/// One session's stamping state.
 struct LiveSession {
     meta: Arc<PeerMeta>,
     next_index: u64,
 }
 
-/// How often the ingest loop re-checks the config generation while no
-/// events arrive.
-const INGEST_POLL: Duration = Duration::from_millis(100);
-
-/// Converts session events into stamped `SourceItem`s (and MRT records)
-/// until every reactor shard is gone, re-reading the running config
-/// (stamp mode, route servers, MRT rotation) whenever its generation
-/// moves.
-fn ingest_loop(
-    cfg: CollectorConfig,
+/// The daemon-wide ingest state every reactor shard stamps against:
+/// session metas and logical indices, the running config's stamp mode
+/// and route-server marks, the MRT rotator, and the run's stats. A shard
+/// holds its lock for one [`IngestTable::stamp`] and the ring send that
+/// follows it.
+pub(crate) struct IngestTable {
+    collector: String,
+    epoch_seconds: u32,
     clock: Arc<dyn Clock>,
-    events: mpsc::Receiver<SessionEvent>,
-    live: Sender<SourceItem>,
-    mut rotator: Option<MrtRotator>,
     store: Arc<ConfigStore>,
-) -> CollectorStats {
-    let mut stats = CollectorStats::default();
-    let updates_ingested = store.metrics().counter("kcc_ingest_updates_total");
-    // Keyed by the Copy pair (ASN, IP) — the collector name is constant
-    // for this daemon, and the full SessionKey would cost a String
-    // allocation per UPDATE on this single-threaded hot path.
-    let mut sessions: HashMap<(Asn, IpAddr), LiveSession> = HashMap::new();
-    let mut running = store.running();
-    let mut last_gen = store.generation();
-    // MRT files closed out by hot-swaps, folded into the final stats.
-    let mut swapped_records = 0u64;
-    let mut swapped_files: Vec<std::path::PathBuf> = Vec::new();
+    /// Keyed by the Copy pair (peer ASN, BGP id) — the collector name is
+    /// constant for this daemon, and the full `SessionKey` would cost a
+    /// `String` allocation per UPDATE.
+    sessions: FastHashMap<(Asn, Ipv4Addr), LiveSession>,
+    running: Arc<DaemonConfig>,
+    last_gen: u64,
+    rotator: Option<MrtRotator>,
+    stats: CollectorStats,
+    updates_ingested: Arc<kcc_obs::Counter>,
+}
 
-    loop {
-        let event = match events.recv_timeout(INGEST_POLL) {
-            Ok(event) => Some(event),
-            Err(RecvTimeoutError::Timeout) => None,
-            Err(RecvTimeoutError::Disconnected) => break,
-        };
+impl IngestTable {
+    pub(crate) fn new(
+        cfg: &CollectorConfig,
+        clock: Arc<dyn Clock>,
+        store: Arc<ConfigStore>,
+        rotator: Option<MrtRotator>,
+    ) -> Self {
+        IngestTable {
+            collector: cfg.collector.clone(),
+            epoch_seconds: cfg.epoch_seconds,
+            clock,
+            sessions: FastHashMap::default(),
+            running: store.running(),
+            last_gen: store.generation(),
+            rotator,
+            stats: CollectorStats::default(),
+            updates_ingested: store.metrics().counter("kcc_ingest_updates_total"),
+            store,
+        }
+    }
 
-        let gen = store.generation();
-        if gen != last_gen {
-            last_gen = gen;
-            let new = store.running();
-            if new.mrt != running.mrt {
-                // Hot-swap rotation: finish the old dump files cleanly
-                // so a concurrent reader only ever sees complete files.
-                if let Some(rot) = rotator.take() {
-                    swapped_records += rot.total_records();
-                    if let Ok(files) = rot.finish() {
-                        swapped_files.extend(files);
+    /// Re-reads the running config (stamp mode, route servers, MRT
+    /// rotation) if a commit moved its generation.
+    pub(crate) fn sync_config(&mut self) {
+        let gen = self.store.generation();
+        if gen == self.last_gen {
+            return;
+        }
+        self.last_gen = gen;
+        let new = self.store.running();
+        if new.mrt != self.running.mrt {
+            // Hot-swap rotation: finish the old dump files cleanly so a
+            // concurrent reader only ever sees complete files.
+            self.finish_rotator();
+            self.rotator = new.mrt.as_ref().and_then(|rc| {
+                match MrtRotator::new(rc.clone(), self.epoch_seconds) {
+                    Ok(r) => Some(r),
+                    Err(e) => {
+                        self.store.trace().log("ingest", TraceLevel::Error, || {
+                            format!("MRT rotator swap failed: {e}")
+                        });
+                        None
                     }
                 }
-                rotator = new.mrt.as_ref().and_then(|rc| {
-                    match MrtRotator::new(rc.clone(), cfg.epoch_seconds) {
-                        Ok(r) => Some(r),
-                        Err(e) => {
-                            store.trace().log("ingest", TraceLevel::Error, || {
-                                format!("MRT rotator swap failed: {e}")
-                            });
-                            None
-                        }
-                    }
-                });
-            }
-            store.trace().log("ingest", TraceLevel::Debug, || {
-                format!("ingest applying config generation {gen}")
             });
-            running = new;
         }
+        self.store.trace().log("ingest", TraceLevel::Debug, || {
+            format!("ingest applying config generation {gen}")
+        });
+        self.running = new;
+    }
 
-        let Some(event) = event else { continue };
-        match event {
-            SessionEvent::Established { info } => {
-                stats.established += 1;
-                let peer_ip = IpAddr::V4(info.peer_bgp_id);
-                if let std::collections::hash_map::Entry::Vacant(e) =
-                    sessions.entry((info.peer_asn, peer_ip))
-                {
-                    let route_server = running
-                        .route_servers
-                        .iter()
-                        .any(|&(asn, ip)| asn == info.peer_asn && ip == peer_ip);
-                    let meta = Arc::new(PeerMeta {
-                        key: SessionKey::new(&cfg.collector, info.peer_asn, peer_ip),
-                        route_server,
-                        second_granularity: false,
-                    });
-                    stats.sessions += 1;
-                    let _ = live.send(SourceItem::Session(Arc::clone(&meta)));
-                    e.insert(LiveSession { meta, next_index: 0 });
-                }
-            }
-            SessionEvent::Update { info, packet } => {
-                let peer_ip = IpAddr::V4(info.peer_bgp_id);
-                let Some(session) = sessions.get_mut(&(info.peer_asn, peer_ip)) else {
-                    continue; // update before establish cannot happen
-                };
-                // A packet may explode into several per-prefix updates;
-                // each gets its own stamp so `Logical` mode matches
-                // `offline_reference` exactly (the n-th per-session
-                // update is n × spacing, packet boundaries irrelevant).
-                for mut update in packet.explode(0) {
-                    update.time_us = match running.stamp {
-                        StampMode::Arrival => clock.now_ms() * 1_000,
-                        StampMode::Logical { spacing_us } => session.next_index * spacing_us,
-                    };
-                    if let Some(rot) = rotator.as_mut() {
-                        let _ = rot.write(&session.meta, &update);
+    /// Turns one wake's events into source items, in order: a session's
+    /// first Established announces it, and every UPDATE explodes into
+    /// per-prefix updates that are stamped, dumped and counted.
+    pub(crate) fn stamp(
+        &mut self,
+        events: impl Iterator<Item = SessionEvent>,
+        out: &mut Vec<SourceItem>,
+    ) {
+        self.sync_config();
+        for event in events {
+            match event {
+                SessionEvent::Established { peer: (asn, bgp_id) } => {
+                    self.stats.established += 1;
+                    if let Entry::Vacant(e) = self.sessions.entry((asn, bgp_id)) {
+                        let peer_ip = IpAddr::V4(bgp_id);
+                        let meta = Arc::new(PeerMeta {
+                            key: SessionKey::new(&self.collector, asn, peer_ip),
+                            route_server: self.running.route_servers.contains(&(asn, peer_ip)),
+                            second_granularity: false,
+                        });
+                        self.stats.sessions += 1;
+                        out.push(SourceItem::Session(Arc::clone(&meta)));
+                        e.insert(LiveSession { meta, next_index: 0 });
                     }
-                    stats.updates += 1;
-                    updates_ingested.inc();
-                    session.next_index += 1;
-                    let _ = live.send(SourceItem::Update(Arc::clone(&session.meta), update));
                 }
-            }
-            SessionEvent::Closed { reason, .. } => {
-                stats.closed += 1;
-                let _ = reason; // reasons are per-session diagnostics
+                SessionEvent::Update { peer, packet } => {
+                    let Some(session) = self.sessions.get_mut(&peer) else {
+                        continue; // update before establish cannot happen
+                    };
+                    let first = session.next_index;
+                    // A packet may explode into several per-prefix updates;
+                    // each gets its own stamp so `Logical` mode matches
+                    // `offline_reference` exactly (the n-th per-session
+                    // update is n × spacing, packet boundaries irrelevant).
+                    // The packet is not needed again, so its attribute set
+                    // moves into the updates' shared `Arc` uncopied.
+                    for mut update in packet.into_route_updates(0) {
+                        update.time_us = match self.running.stamp {
+                            StampMode::Arrival => self.clock.now_ms() * 1_000,
+                            StampMode::Logical { spacing_us } => session.next_index * spacing_us,
+                        };
+                        if let Some(rot) = self.rotator.as_mut() {
+                            let _ = rot.write(&session.meta, &update);
+                        }
+                        session.next_index += 1;
+                        out.push(SourceItem::Update(Arc::clone(&session.meta), update));
+                    }
+                    let exploded = session.next_index - first;
+                    self.stats.updates += exploded;
+                    self.updates_ingested.add(exploded);
+                }
+                SessionEvent::Closed => self.stats.closed += 1,
             }
         }
     }
 
-    stats.mrt_records = swapped_records;
-    stats.mrt_files = swapped_files;
-    if let Some(rot) = rotator {
-        stats.mrt_records += rot.total_records();
-        if let Ok(files) = rot.finish() {
-            stats.mrt_files.extend(files);
+    /// The stats so far (MRT totals arrive with [`IngestTable::finish`]).
+    #[cfg(test)]
+    pub(crate) fn stats(&self) -> &CollectorStats {
+        &self.stats
+    }
+
+    /// Finishes the MRT dumps and hands over the run's stats.
+    fn finish(&mut self) -> CollectorStats {
+        self.finish_rotator();
+        std::mem::take(&mut self.stats)
+    }
+
+    fn finish_rotator(&mut self) {
+        if let Some(rot) = self.rotator.take() {
+            self.stats.mrt_records += rot.total_records();
+            if let Ok(files) = rot.finish() {
+                self.stats.mrt_files.extend(files);
+            }
         }
     }
-    stats
 }
 
 /// What the daemon will record for `input` under `cfg` — the offline
@@ -506,7 +536,8 @@ mod tests {
     use super::*;
     use kcc_bgp_types::{PathAttributes, RouteUpdate};
     use kcc_bgp_wire::{Message, Notification, OpenMessage, UpdatePacket};
-    use kcc_collector::UpdateSource;
+    use kcc_collector::{UpdateSource, LIVE_RING_ITEMS};
+    use std::time::{Duration, Instant};
 
     /// A multi-prefix UPDATE packet explodes into per-prefix updates
     /// that each advance the logical stamp — the invariant that keeps
@@ -553,6 +584,45 @@ mod tests {
             }
         }
         assert_eq!(stamps, vec![0, 1_000, 2_000], "every exploded prefix advances the stamp");
+    }
+
+    /// A full ring nobody drains must not wedge shutdown: a peer floods
+    /// past the bound into a daemon whose source is never taken, and
+    /// `shutdown` + `join` still return inside the 30 s stop-drain cap,
+    /// with every update ingested.
+    #[test]
+    fn untaken_source_never_blocks_shutdown() {
+        let cfg = CollectorConfig::new("rrc00", Asn(3333), "198.51.100.1".parse().unwrap())
+            .with_stamp(StampMode::logical(1_000));
+        let collector = Collector::bind("127.0.0.1:0", cfg).unwrap();
+        let mut peer = crate::active::HandPlayedPeer::connect(collector.local_addr());
+        let open = OpenMessage::standard(Asn(65_001), "192.0.2.77".parse().unwrap(), 90);
+        peer.send(&Message::Open(open));
+        assert!(matches!(peer.recv(), Message::Open(_)));
+        peer.send(&Message::Keepalive);
+        assert_eq!(peer.recv(), Message::Keepalive);
+
+        let total = LIVE_RING_ITEMS as u64 + 4_096;
+        let flood = std::thread::spawn(move || {
+            let update = Message::Update(UpdatePacket::withdraw("10.0.0.0/8".parse().unwrap()));
+            for _ in 0..total {
+                peer.send(&update);
+            }
+            peer
+        });
+        let registry = collector.metrics();
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while registry.counter_value("kcc_live_ring_full_total", &[]) == 0 {
+            assert!(Instant::now() < deadline, "the ring never filled");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+
+        let stopping = Instant::now();
+        collector.shutdown();
+        let stats = collector.join();
+        assert!(stopping.elapsed() < Duration::from_secs(30), "shutdown outlived the drain cap");
+        drop(flood.join().expect("the daemon read the whole flood"));
+        assert_eq!(stats.updates, total);
     }
 
     #[test]

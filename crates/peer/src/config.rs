@@ -8,11 +8,11 @@
 //! config every subsystem acts on, and a **candidate** that edits
 //! accumulate into invisibly. [`commit`] atomically promotes the
 //! candidate and bumps a generation counter; [`discard`] resets the
-//! candidate to the running config. Subscribers (reactor shards, the
-//! ingest loop) poll the generation — one relaxed atomic load per loop
-//! iteration — and re-read the running config only when it moved, so a
-//! commit propagates within one poll interval without any subscriber
-//! holding a lock on the hot path.
+//! candidate to the running config. Subscribers (reactor shards, and the
+//! ingest table they stamp under) poll the generation — one atomic load
+//! per loop iteration or flush — and re-read the running config only
+//! when it moved, so a commit propagates within one poll interval
+//! without any subscriber holding the store's lock on the hot path.
 //!
 //! The store also owns the process's [`TraceFilter`]: trace levels ride
 //! the same candidate/commit cycle as every other setting, and a commit
@@ -199,7 +199,7 @@ impl ConfigStore {
     }
 
     /// The daemon-wide metrics registry. Reactor shards, the ingest
-    /// thread, and the control socket all record into this one registry;
+    /// table, and the control socket all record into this one registry;
     /// the control `metrics` command renders it.
     pub fn metrics(&self) -> &Arc<kcc_obs::Registry> {
         &self.metrics

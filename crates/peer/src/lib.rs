@@ -43,7 +43,9 @@
 //!   through the same offline files a RouteViews/RIS download would,
 //! * [`collector`]: the multi-peer collector daemon — reactor-backed
 //!   accept loop, session registry, arrival stamping, MRT rotation, and
-//!   a [`kcc_collector::LiveSource`] feeding `kcc_core`'s pipeline.
+//!   a [`kcc_collector::LiveSource`] feeding `kcc_core`'s pipeline: the
+//!   shards stamp under one ingest table and hand batches straight to
+//!   its bounded ring, with no thread in between.
 //!
 //! Everything is `std`-only: no async runtime, no external event
 //! library — the reactor sits directly on `epoll`/`poll`.
@@ -72,7 +74,7 @@ pub use config::{ConfigStore, DaemonConfig, PeerPolicy};
 pub use control::ControlServer;
 pub use flood::{FloodOptions, FloodPlan, FloodReport, FloodRig};
 pub use fsm::{Action, DownReason, EstablishedInfo, Fsm, FsmConfig, FsmEvent, State};
-pub use reactor::{LiveGauges, ReactorConfig, SessionEvent};
+pub use reactor::{LiveGauges, ReactorConfig};
 pub use rotate::{MrtRotator, RotateConfig};
 pub use sys::PollerKind;
 pub use trace::{TraceConfig, TraceFilter, TraceLevel};

@@ -25,6 +25,19 @@
 //! the property the collector's deterministic logical stamping rests on —
 //! is exactly what it was with a dedicated thread.
 //!
+//! A shard hands what its sessions produce straight to the pipeline's
+//! bounded ring, a wake at a time: session events collect in a pending
+//! `Vec`, flushed at the end of every loop iteration, whenever it reaches
+//! `FLUSH_EVENTS`, and before any session's socket closes — so a
+//! reconnect that lands on the other shard stamps after everything the
+//! old connection delivered. A flush takes the collector's ingest table
+//! lock once, stamps there, and sends under that lock. Each message
+//! claims its ring room before the FSM sees it; when the ring is full the
+//! session is parked — its socket leaves the poller, so TCP flow control
+//! pushes back on the peer instead of level-triggered readiness spinning
+//! the shard — and retried every `STALL_POLL_MS` while its timers and
+//! writes carry on.
+//!
 //! Shards subscribe to the [`ConfigStore`] generation: a committed peer-
 //! policy change Ceases disallowed sessions (and refuses new ones at
 //! OPEN time) without touching any other session; committed listener
@@ -33,18 +46,20 @@
 pub mod framing;
 pub mod timer;
 
+use std::collections::VecDeque;
 use std::io::{ErrorKind, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::Sender;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
+use kcc_bgp_types::Asn;
 use kcc_bgp_wire::{Message, Notification, SessionConfig, UpdatePacket};
-use kcc_collector::ShutdownFlag;
+use kcc_collector::{LiveSender, ShutdownFlag};
 
 use crate::clock::Clock;
+use crate::collector::IngestTable;
 use crate::config::ConfigStore;
 use crate::fsm::{Action, DownReason, EstablishedInfo, Fsm, FsmConfig, FsmEvent};
 use crate::sys::{new_poller, PollEvent, Poller, PollerKind, Waker, WAKE_TOKEN};
@@ -52,29 +67,35 @@ use crate::trace::TraceLevel;
 use framing::{FlushOutcome, FrameBuffer, WriteQueue};
 use timer::{DueTimer, TimerWheel};
 
-/// What a session reports to the daemon, in order.
+/// What a shard hands the ingest table, in per-session order. A peer is
+/// `(ASN, BGP identifier)`, the daemon's session identity.
+// Nearly every event is an UPDATE, and the shard's pending `Vec` keeps
+// its capacity across wakes: boxing the packet would only add an
+// allocation per UPDATE.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
-pub enum SessionEvent {
+pub(crate) enum SessionEvent {
     /// The handshake completed.
-    Established {
-        /// Negotiated parameters.
-        info: EstablishedInfo,
-    },
+    Established { peer: (Asn, Ipv4Addr) },
     /// An UPDATE arrived (only ever after `Established`).
-    Update {
-        /// Negotiated parameters of the session it arrived on.
-        info: EstablishedInfo,
-        /// The decoded packet (possibly many prefixes; boxed to keep the
-        /// event small on the channel).
-        packet: Box<UpdatePacket>,
-    },
-    /// The session ended.
-    Closed {
-        /// Negotiated parameters, if the handshake ever completed.
-        info: Option<EstablishedInfo>,
-        /// Why.
-        reason: DownReason,
-    },
+    Update { peer: (Asn, Ipv4Addr), packet: UpdatePacket },
+    /// A connection ended, Established or not.
+    Closed,
+}
+
+/// Where a shard's batches go: the daemon-wide ingest table every shard
+/// stamps under, and the ring it feeds. Every shard holds its own clone,
+/// so the ring's stream ends when the last shard exits.
+#[derive(Clone)]
+pub(crate) struct Handoff {
+    pub(crate) ingest: Arc<Mutex<IngestTable>>,
+    pub(crate) live: LiveSender,
+}
+
+impl Handoff {
+    fn lock_ingest(&self) -> MutexGuard<'_, IngestTable> {
+        self.ingest.lock().expect("a shard panicked while stamping")
+    }
 }
 
 /// Shape of the reactor's worker pool and per-session buffers.
@@ -159,6 +180,11 @@ const STOP_HARD_CAP_MS: u64 = 30_000;
 const POLL_MS: i32 = 100;
 /// Poll timeout while draining (mirrors the old runner's stop cadence).
 const STOP_POLL_MS: i32 = 50;
+/// Poll timeout while sessions are parked on a full ring: how soon they
+/// retry once the pipeline catches up.
+const STALL_POLL_MS: i32 = 1;
+/// A wake's pending events are flushed to the ring at least this often.
+const FLUSH_EVENTS: usize = 1024;
 
 /// Sessions are addressed as `epoch << SLOT_BITS | slot`; the epoch
 /// makes a recycled slot's stale timers detectable.
@@ -180,6 +206,10 @@ struct ShardMetrics {
     hold_timer_expiries: Arc<kcc_obs::Counter>,
     poll_wakeups: Arc<kcc_obs::Counter>,
     write_queue_peak: Arc<kcc_obs::Gauge>,
+    /// Peak items in flight in the `LiveSource` ring, seen at flushes.
+    ring_items: Arc<kcc_obs::Gauge>,
+    /// Times a shard found the ring full and parked a session.
+    ring_full: Arc<kcc_obs::Counter>,
 }
 
 impl ShardMetrics {
@@ -193,6 +223,8 @@ impl ShardMetrics {
             poll_wakeups: registry
                 .counter_with("kcc_reactor_poll_wakeups_total", &[("shard", &shard.to_string())]),
             write_queue_peak: registry.gauge("kcc_reactor_write_queue_peak_bytes"),
+            ring_items: registry.gauge("kcc_live_ring_items"),
+            ring_full: registry.counter("kcc_live_ring_full_total"),
         }
     }
 }
@@ -206,7 +238,7 @@ struct Injector {
 /// A running reactor: shard threads plus the shared observability
 /// handles. Obtained from [`spawn`]; stopped via the [`ShutdownFlag`]
 /// given to it, then [`Reactor::join`]ed.
-pub struct Reactor {
+pub(crate) struct Reactor {
     shards: Vec<JoinHandle<()>>,
     gauges: Arc<LiveGauges>,
     listen_addrs: Arc<Mutex<Vec<SocketAddr>>>,
@@ -241,13 +273,14 @@ impl Reactor {
 }
 
 /// Starts the reactor over an already-bound listener. Every accepted
-/// connection becomes a passive FSM session; [`SessionEvent`]s flow to
-/// `events` in per-session order.
-pub fn spawn(
+/// connection becomes a passive FSM session; each shard stamps its
+/// sessions' events under `handoff`'s ingest table and sends them to its
+/// ring, in per-session order.
+pub(crate) fn spawn(
     listener: TcpListener,
     fsm_cfg: FsmConfig,
     clock: Arc<dyn Clock>,
-    events: Sender<SessionEvent>,
+    handoff: Handoff,
     shutdown: ShutdownFlag,
     store: Arc<ConfigStore>,
     options: ReactorConfig,
@@ -286,7 +319,9 @@ pub fn spawn(
             listeners: Vec::new(),
             next_listener_token: LISTEN_BASE,
             injectors: Arc::clone(&injectors),
-            events: events.clone(),
+            handoff: handoff.clone(),
+            pending: Vec::new(),
+            paused: VecDeque::new(),
             shutdown: shutdown.clone(),
             clock: Arc::clone(&clock),
             fsm_cfg: fsm_cfg.clone(),
@@ -333,11 +368,25 @@ struct Session {
     /// re-arming later than this rides the existing entry (lazy
     /// cancellation) instead of inserting per message under flood.
     wheel_deadline: Option<u64>,
-    /// Write interest currently registered with the poller.
+    /// Write interest wanted (registered with the poller unless paused).
     want_write: bool,
+    /// Parked on a full ring: out of the poller until resumed.
+    paused: bool,
+    /// The decoded message that found the ring full, fed first on resume.
+    parked: Option<Message>,
     /// Set when shutdown began; drives the drain grace window.
     stopping_since: Option<u64>,
     last_progress: u64,
+}
+
+/// How feeding a session's buffered frames ended.
+enum Fed {
+    /// Every whole frame went to the FSM.
+    Drained,
+    /// The ring is full; the next message is parked.
+    Stalled,
+    /// The session was torn down.
+    Down,
 }
 
 struct Shard {
@@ -352,7 +401,11 @@ struct Shard {
     listeners: Vec<(SocketAddr, u64, TcpListener)>,
     next_listener_token: u64,
     injectors: Arc<Vec<Injector>>,
-    events: Sender<SessionEvent>,
+    handoff: Handoff,
+    /// This wake's events, not yet stamped (see [`Shard::flush`]).
+    pending: Vec<SessionEvent>,
+    /// Tokens of sessions parked on a full ring, oldest first.
+    paused: VecDeque<u64>,
     shutdown: ShutdownFlag,
     clock: Arc<dyn Clock>,
     fsm_cfg: FsmConfig,
@@ -373,7 +426,13 @@ struct Shard {
 impl Shard {
     fn run(&mut self) {
         loop {
-            let timeout = if self.stopping { STOP_POLL_MS } else { POLL_MS };
+            let timeout = if !self.paused.is_empty() {
+                STALL_POLL_MS
+            } else if self.stopping {
+                STOP_POLL_MS
+            } else {
+                POLL_MS
+            };
             self.metrics.poll_wakeups.inc();
             let mut ready = std::mem::take(&mut self.ready);
             if self.poller.wait(&mut ready, timeout).is_err() {
@@ -414,6 +473,8 @@ impl Shard {
             if self.shutdown.is_triggered() && !self.stopping {
                 self.begin_stop(now);
             }
+            self.resume_paused(now);
+            self.flush();
             if self.stopping {
                 self.sweep_drain(now);
                 if self.live == 0 {
@@ -421,8 +482,8 @@ impl Shard {
                 }
             }
         }
-        // Dropping the events sender (with every other shard's) closes
-        // the ingest channel once the last shard drains.
+        // Dropping this shard's ring sender (with every other shard's)
+        // ends the live stream once the last shard drains.
     }
 
     // ---------------- accept / adopt ----------------
@@ -492,16 +553,12 @@ impl Shard {
         let remote = match stream.peer_addr() {
             Ok(a) => a,
             Err(_) => {
-                let _ = self
-                    .events
-                    .send(SessionEvent::Closed { info: None, reason: DownReason::TcpFailed });
+                self.pending.push(SessionEvent::Closed);
                 return;
             }
         };
         if stream.set_nonblocking(true).is_err() {
-            let _ = self
-                .events
-                .send(SessionEvent::Closed { info: None, reason: DownReason::TcpFailed });
+            self.pending.push(SessionEvent::Closed);
             return;
         }
 
@@ -524,9 +581,7 @@ impl Shard {
 
         if self.poller.register(stream.as_raw_fd(), token, true, false).is_err() {
             self.free.push(slot);
-            let _ = self
-                .events
-                .send(SessionEvent::Closed { info: None, reason: DownReason::TcpFailed });
+            self.pending.push(SessionEvent::Closed);
             return;
         }
         self.slots[slot] = Some(Session {
@@ -541,6 +596,8 @@ impl Shard {
             armed_deadline: None,
             wheel_deadline: None,
             want_write: false,
+            paused: false,
+            parked: None,
             stopping_since: None,
             last_progress: now,
         });
@@ -576,89 +633,151 @@ impl Shard {
         self.finish_io(slot, now);
     }
 
-    /// Reads up to the budget, feeding decoded messages to the FSM.
-    /// Returns true when the session was torn down.
+    /// Feeds what is already buffered, then reads up to the per-wake
+    /// budget, feeding as it goes. Returns true when the session was torn
+    /// down.
     fn read_burst(&mut self, slot: usize, now: u64) -> bool {
         let mut budget = self.options.read_budget;
         let mut chunk = [0u8; 64 * 1024];
         loop {
+            match self.feed_buffered(slot, now) {
+                Fed::Drained => {}
+                Fed::Stalled => {
+                    self.pause(slot);
+                    return false;
+                }
+                Fed::Down => return true,
+            }
             let take = budget.min(chunk.len());
             if take == 0 {
                 return false; // budget spent; level-triggered readiness re-reports
             }
-            enum ReadEnd {
-                WouldBlock,
-                Eof,
-                Failed,
-                DecodeError(kcc_bgp_wire::WireError),
+            let sess = self.slots[slot].as_mut().expect("resolved slot");
+            match sess.stream.read(&mut chunk[..take]) {
+                Ok(0) => break,
+                Ok(n) => {
+                    budget -= n;
+                    sess.frames.extend(&chunk[..n]);
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return false,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => break,
             }
-            let (messages, end) = {
-                let sess = self.slots[slot].as_mut().expect("resolved slot");
-                match sess.stream.read(&mut chunk[..take]) {
-                    Ok(0) => (Vec::new(), Some(ReadEnd::Eof)),
-                    Ok(n) => {
-                        budget -= n;
-                        sess.frames.extend(&chunk[..n]);
-                        let mut messages = Vec::new();
-                        let mut end = None;
-                        loop {
-                            match sess.frames.next_message() {
-                                Ok(Some(m)) => messages.push(m),
-                                Ok(None) => break,
-                                Err(w) => {
-                                    end = Some(ReadEnd::DecodeError(w));
-                                    break;
-                                }
-                            }
+        }
+        // EOF or a failed read, after everything buffered was fed.
+        let actions = {
+            let sess = self.slots[slot].as_mut().expect("resolved slot");
+            sess.fsm.handle(FsmEvent::TcpFailed, now)
+        };
+        if !self.process_actions(slot, actions, now) {
+            // The FSM chose to survive transport loss (it does not, for
+            // passive sessions — belt and braces).
+            self.teardown(slot, DownReason::TcpFailed, false);
+        }
+        true
+    }
+
+    /// Feeds the session's parked message, then every whole frame already
+    /// buffered, to the FSM — each only once the ring has room for what
+    /// it can produce, so the bound holds before the FSM sees a message.
+    fn feed_buffered(&mut self, slot: usize, now: u64) -> Fed {
+        loop {
+            let sess = self.slots[slot].as_mut().expect("resolved slot");
+            let message = match sess.parked.take() {
+                Some(m) => m,
+                None => match sess.frames.next_message() {
+                    Ok(Some(m)) => {
+                        self.metrics.frames_decoded.inc();
+                        m
+                    }
+                    Ok(None) => return Fed::Drained,
+                    Err(w) => {
+                        let actions = sess.fsm.handle(FsmEvent::DecodeError(w), now);
+                        if !self.process_actions(slot, actions, now) {
+                            self.teardown(slot, DownReason::TcpFailed, true);
                         }
-                        (messages, end)
+                        return Fed::Down;
                     }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                        (Vec::new(), Some(ReadEnd::WouldBlock))
-                    }
-                    Err(e) if e.kind() == ErrorKind::Interrupted => (Vec::new(), None),
-                    Err(_) => (Vec::new(), Some(ReadEnd::Failed)),
-                }
+                },
             };
-            self.metrics.frames_decoded.add(messages.len() as u64);
-            for m in messages {
-                let actions = {
-                    let sess = self.slots[slot].as_mut().expect("resolved slot");
-                    sess.last_progress = now;
-                    sess.fsm.handle(FsmEvent::Message(m), now)
-                };
-                if self.process_actions(slot, actions, now) {
-                    return true;
-                }
+            // An UPDATE's per-prefix updates, or the session announcement
+            // a handshake message may complete.
+            let items = match &message {
+                Message::Update(packet) => packet.route_update_count(),
+                _ if sess.info.is_none() => 1,
+                _ => 0,
+            };
+            if !self.handoff.live.try_reserve(items) {
+                sess.parked = Some(message);
+                self.metrics.ring_full.inc();
+                return Fed::Stalled;
             }
-            match end {
-                None => {}
-                Some(ReadEnd::WouldBlock) => return false,
-                Some(ReadEnd::Eof) | Some(ReadEnd::Failed) => {
-                    let actions = {
-                        let sess = self.slots[slot].as_mut().expect("resolved slot");
-                        sess.fsm.handle(FsmEvent::TcpFailed, now)
-                    };
-                    if !self.process_actions(slot, actions, now) {
-                        // The FSM chose to survive transport loss (it
-                        // does not, for passive sessions — belt and
-                        // braces).
-                        self.teardown(slot, DownReason::TcpFailed, false);
-                    }
-                    return true;
+            sess.last_progress = now;
+            let actions = sess.fsm.handle(FsmEvent::Message(message), now);
+            if self.process_actions(slot, actions, now) {
+                return Fed::Down;
+            }
+        }
+    }
+
+    /// Parks a session whose next message found the ring full. Its socket
+    /// leaves the poller — level-triggered readiness would report the
+    /// unread bytes on every wait — until [`Shard::resume_paused`] finds
+    /// room; TCP flow control holds the peer back meanwhile.
+    fn pause(&mut self, slot: usize) {
+        let sess = self.slots[slot].as_mut().expect("resolved slot");
+        sess.paused = true;
+        let _ = self.poller.deregister(sess.stream.as_raw_fd());
+        self.paused.push_back(sess.token);
+    }
+
+    /// Retries parked sessions, oldest first, stopping at the first that
+    /// still finds the ring full so the rest keep their place. A session
+    /// whose buffered frames all fit rejoins the poller.
+    fn resume_paused(&mut self, now: u64) {
+        while let Some(&token) = self.paused.front() {
+            let Some(slot) = self.resolve(token) else {
+                self.paused.pop_front(); // torn down while parked
+                continue;
+            };
+            match self.feed_buffered(slot, now) {
+                Fed::Stalled => {
+                    self.finish_io(slot, now);
+                    return;
                 }
-                Some(ReadEnd::DecodeError(w)) => {
-                    let actions = {
-                        let sess = self.slots[slot].as_mut().expect("resolved slot");
-                        sess.fsm.handle(FsmEvent::DecodeError(w), now)
-                    };
-                    if !self.process_actions(slot, actions, now) {
-                        self.teardown(slot, DownReason::TcpFailed, true);
+                Fed::Down => {
+                    self.paused.pop_front();
+                }
+                Fed::Drained => {
+                    self.paused.pop_front();
+                    let sess = self.slots[slot].as_mut().expect("resolved slot");
+                    sess.paused = false;
+                    let (fd, want_write) = (sess.stream.as_raw_fd(), sess.want_write);
+                    if self.poller.register(fd, token, true, want_write).is_err() {
+                        self.teardown(slot, DownReason::TcpFailed, false);
+                        continue;
                     }
-                    return true;
+                    self.finish_io(slot, now);
                 }
             }
         }
+    }
+
+    /// Hands the pending events to the ring: one lock on the ingest
+    /// table, stamped there and sent under it, so ring order is stamp
+    /// order across shards.
+    fn flush(&mut self) {
+        if self.pending.is_empty() {
+            return;
+        }
+        let live = &self.handoff.live;
+        self.metrics.ring_items.set_max(live.in_flight() as i64);
+        let mut batch = Vec::with_capacity(self.pending.len());
+        let mut ingest = self.handoff.lock_ingest();
+        ingest.stamp(self.pending.drain(..), &mut batch);
+        // A send fails only once the source is gone: the updates are
+        // already counted and dumped, and nobody is left to read them.
+        let _ = live.send_batch(batch);
     }
 
     /// Executes FSM actions for a session. Returns true when the session
@@ -704,24 +823,28 @@ impl Shard {
                         self.teardown(slot, DownReason::ProtocolError("peer not allowed"), true);
                         return true;
                     }
+                    let peer = (info.peer_asn, info.peer_bgp_id);
                     let remote = {
                         let sess = self.slots[slot].as_mut().expect("resolved slot");
                         sess.write_cfg = info.config;
-                        sess.info = Some(info.clone());
+                        sess.info = Some(info);
                         sess.remote
                     };
                     self.gauges.session_up();
                     self.metrics.sessions_established.inc();
                     self.store.trace().log(TRACE_TARGET, TraceLevel::Info, || {
-                        format!("session up: AS{} via {}", info.peer_asn.0, remote)
+                        format!("session up: AS{} via {}", peer.0 .0, remote)
                     });
-                    let _ = self.events.send(SessionEvent::Established { info });
+                    self.pending.push(SessionEvent::Established { peer });
                 }
                 Action::Deliver(packet) => {
                     let sess = self.slots[slot].as_ref().expect("resolved slot");
-                    let info = sess.info.clone().expect("Deliver only after Up");
-                    let _ =
-                        self.events.send(SessionEvent::Update { info, packet: Box::new(packet) });
+                    let info = sess.info.as_ref().expect("Deliver only after Up");
+                    let peer = (info.peer_asn, info.peer_bgp_id);
+                    self.pending.push(SessionEvent::Update { peer, packet });
+                    if self.pending.len() >= FLUSH_EVENTS {
+                        self.flush();
+                    }
                 }
                 Action::Down(reason) => {
                     self.teardown(slot, reason, true);
@@ -754,28 +877,24 @@ impl Shard {
             let (writes, stream) = (&mut sess.writes, &mut sess.stream);
             writes.flush(stream)
         };
-        match outcome {
-            Ok(FlushOutcome::Flushed) => {
-                if sess.want_write {
-                    sess.want_write = false;
-                    let (fd, token) = (sess.stream.as_raw_fd(), sess.token);
-                    let _ = self.poller.modify(fd, token, true, false);
-                }
-                false
-            }
-            Ok(FlushOutcome::Pending) => {
-                if !sess.want_write {
-                    sess.want_write = true;
-                    let (fd, token) = (sess.stream.as_raw_fd(), sess.token);
-                    let _ = self.poller.modify(fd, token, true, true);
-                }
-                false
-            }
+        let want_write = match outcome {
+            Ok(FlushOutcome::Flushed) => false,
+            Ok(FlushOutcome::Pending) => true,
             Err(_) => {
                 self.teardown(slot, DownReason::TcpFailed, false);
-                true
+                return true;
+            }
+        };
+        if sess.want_write != want_write {
+            sess.want_write = want_write;
+            // A parked session is out of the poller; resuming registers
+            // whatever write interest it then wants.
+            if !sess.paused {
+                let (fd, token) = (sess.stream.as_raw_fd(), sess.token);
+                let _ = self.poller.modify(fd, token, true, want_write);
             }
         }
+        false
     }
 
     // ---------------- timers ----------------
@@ -820,8 +939,10 @@ impl Shard {
 
     /// Applies a newly committed running config: Cease sessions whose
     /// peer the policy no longer allows (no other session is touched),
-    /// and reconcile extra listeners on shard 0.
+    /// reconcile extra listeners on shard 0, and let the ingest table
+    /// pick up stamping and rotation changes even while no update flows.
     fn apply_config(&mut self, now: u64) {
+        self.handoff.lock_ingest().sync_config();
         let cfg = self.store.running();
         self.store.trace().log(TRACE_TARGET, TraceLevel::Debug, || {
             format!("shard {} applying config generation {}", self.id, self.last_gen)
@@ -955,7 +1076,11 @@ impl Shard {
         self.store.trace().log(TRACE_TARGET, TraceLevel::Debug, || {
             format!("shard {}: session {} down: {:?}", self.id, sess.remote, reason)
         });
-        let _ = self.events.send(SessionEvent::Closed { info: sess.info, reason });
+        self.pending.push(SessionEvent::Closed);
+        // Flush before the socket closes: a reconnect that lands on the
+        // other shard must stamp after everything this connection
+        // delivered.
+        self.flush();
         // sess.stream drops here, closing the socket.
     }
 }
@@ -965,35 +1090,75 @@ mod tests {
     use super::*;
     use crate::active::HandPlayedPeer;
     use crate::clock::WallClock;
+    use crate::collector::{CollectorConfig, StampMode};
     use crate::config::DaemonConfig;
-    use kcc_bgp_types::Asn;
     use kcc_bgp_wire::{Notification, OpenMessage};
-    use std::sync::mpsc;
-    use std::time::Duration;
+    use kcc_collector::{LiveSource, SourceItem, UpdateSource};
+    use std::time::{Duration, Instant};
 
     fn collector_cfg() -> FsmConfig {
         FsmConfig::new(Asn(3333), "198.51.100.1".parse().unwrap()).with_hold_time(30)
     }
 
-    fn start_reactor(
-        options: ReactorConfig,
-    ) -> (Reactor, SocketAddr, mpsc::Receiver<SessionEvent>, ShutdownFlag) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let (tx, rx) = mpsc::channel();
-        let shutdown = ShutdownFlag::new();
-        let store = Arc::new(ConfigStore::new(DaemonConfig::default()));
-        let reactor = spawn(
-            listener,
-            collector_cfg(),
-            Arc::new(WallClock::new()),
-            tx,
-            shutdown.clone(),
-            store,
-            options,
-        )
-        .unwrap();
-        (reactor, addr, rx, shutdown)
+    /// A reactor feeding a real ingest table and ring, as the daemon
+    /// wires it.
+    struct Harness {
+        reactor: Reactor,
+        addr: SocketAddr,
+        source: LiveSource,
+        ingest: Arc<Mutex<IngestTable>>,
+        shutdown: ShutdownFlag,
+    }
+
+    impl Harness {
+        fn start(options: ReactorConfig) -> Self {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let shutdown = ShutdownFlag::new();
+            let store = Arc::new(ConfigStore::new(DaemonConfig::default()));
+            let clock: Arc<dyn Clock> = Arc::new(WallClock::new());
+            let cfg = CollectorConfig::new("test", Asn(3333), "198.51.100.1".parse().unwrap())
+                .with_stamp(StampMode::logical(1_000));
+            let ingest = Arc::new(Mutex::new(IngestTable::new(
+                &cfg,
+                Arc::clone(&clock),
+                Arc::clone(&store),
+                None,
+            )));
+            let (live, source) = LiveSource::channel();
+            let handoff = Handoff { ingest: Arc::clone(&ingest), live };
+            let reactor =
+                spawn(listener, collector_cfg(), clock, handoff, shutdown.clone(), store, options)
+                    .unwrap();
+            Harness { reactor, addr, source, ingest, shutdown }
+        }
+
+        /// The next item the shards hand over, within five seconds: with
+        /// the source's stop flag up, each empty wait ends after one poll.
+        fn next_item(&mut self) -> SourceItem {
+            self.source.shutdown_flag().trigger();
+            let deadline = Instant::now() + Duration::from_secs(5);
+            loop {
+                if let Some(item) = self.source.next_item().unwrap() {
+                    return item;
+                }
+                assert!(Instant::now() < deadline, "nothing reached the source");
+            }
+        }
+
+        /// Waits until the ingest table has counted `n` ended connections.
+        fn wait_closed(&self, n: u64) {
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while self.ingest.lock().unwrap().stats().closed < n {
+                assert!(Instant::now() < deadline, "connections never reported closed");
+                std::thread::sleep(Duration::from_millis(10));
+            }
+        }
+
+        fn stop(self) {
+            self.shutdown.trigger();
+            self.reactor.join();
+        }
     }
 
     /// Full handshake + one UPDATE + Cease against the live reactor,
@@ -1002,53 +1167,44 @@ mod tests {
     /// to provide.
     #[test]
     fn inbound_session_end_to_end_over_loopback() {
-        let (reactor, addr, rx, shutdown) = start_reactor(ReactorConfig::default());
+        let mut h = Harness::start(ReactorConfig::default());
 
-        let mut peer = HandPlayedPeer::connect(addr);
+        let mut peer = HandPlayedPeer::connect(h.addr);
         let open = OpenMessage::standard(Asn(20_205), "192.0.2.9".parse().unwrap(), 90);
         peer.send(&Message::Open(open));
-        assert!(matches!(peer.recv(), Message::Open(_)));
+        let Message::Open(ours) = peer.recv() else { panic!("expected the daemon's OPEN") };
+        assert_eq!(ours.hold_time, 30, "min(collector 30, peer 90) is what gets negotiated");
         peer.send(&Message::Keepalive);
         assert_eq!(peer.recv(), Message::Keepalive);
-        let ev = rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        let SessionEvent::Established { info, .. } = ev else {
-            panic!("expected Established, got {ev:?}");
+        let SourceItem::Session(meta) = h.next_item() else {
+            panic!("the session is announced before its first update");
         };
-        assert_eq!(info.peer_asn, Asn(20_205));
-        assert_eq!(info.hold_time, 30, "min(collector 30, peer 90)");
-        assert_eq!(reactor.gauges().established.load(Ordering::Relaxed), 1);
+        assert_eq!(meta.key.peer_asn, Asn(20_205));
+        assert_eq!(meta.key.peer_ip, "192.0.2.9".parse::<std::net::IpAddr>().unwrap());
+        assert_eq!(h.reactor.gauges().established.load(Ordering::Relaxed), 1);
 
         let packet = UpdatePacket::withdraw("10.0.0.0/8".parse().unwrap());
         peer.send(&Message::Update(packet.clone()));
-        let ev = rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        let SessionEvent::Update { packet: got, .. } = ev else {
-            panic!("expected Update, got {ev:?}");
-        };
-        assert_eq!(*got, packet);
+        let SourceItem::Update(_, got) = h.next_item() else { panic!("expected the update") };
+        assert_eq!(got, packet.explode(0).remove(0), "first logical stamp is 0");
 
         peer.send(&Message::Notification(Notification::cease_admin_shutdown()));
-        let ev = rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        let SessionEvent::Closed { reason, info } = ev else {
-            panic!("expected Closed, got {ev:?}");
-        };
-        assert!(matches!(reason, DownReason::PeerNotification(_)));
-        assert!(info.is_some());
-
-        shutdown.trigger();
-        reactor.join();
+        h.wait_closed(1);
+        assert_eq!(h.reactor.gauges().established.load(Ordering::Relaxed), 0);
+        assert_eq!(h.ingest.lock().unwrap().stats().established, 1);
+        h.stop();
     }
 
-    /// A peer that connects and vanishes produces a Closed event, not a
-    /// leaked session.
+    /// A peer that connects and vanishes is counted closed, not leaked,
+    /// and never announced.
     #[test]
     fn abrupt_disconnect_reports_closed() {
-        let (reactor, addr, rx, shutdown) = start_reactor(ReactorConfig::default());
-        let peer = TcpStream::connect(addr).unwrap();
+        let h = Harness::start(ReactorConfig::default());
+        let peer = TcpStream::connect(h.addr).unwrap();
         drop(peer);
-        let ev = rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert!(matches!(ev, SessionEvent::Closed { info: None, .. }));
-        shutdown.trigger();
-        reactor.join();
+        h.wait_closed(1);
+        assert_eq!(h.ingest.lock().unwrap().stats().established, 0);
+        h.stop();
     }
 
     /// Many sessions multiplex over one worker — the defining reactor
@@ -1058,39 +1214,27 @@ mod tests {
     fn sixteen_sessions_one_worker_poll_backend() {
         let options =
             ReactorConfig { workers: 1, poller: PollerKind::Poll, ..ReactorConfig::default() };
-        let (reactor, addr, rx, shutdown) = start_reactor(options);
+        let mut h = Harness::start(options);
         let mut peers = Vec::new();
         for i in 0..16u32 {
-            let peer = HandPlayedPeer::connect(addr);
-            let open = OpenMessage::standard(
-                Asn(65_000 + i),
-                std::net::Ipv4Addr::new(192, 0, 2, i as u8 + 1),
-                90,
-            );
+            let peer = HandPlayedPeer::connect(h.addr);
+            let open =
+                OpenMessage::standard(Asn(65_000 + i), Ipv4Addr::new(192, 0, 2, i as u8 + 1), 90);
             peer.send(&Message::Open(open));
             peer.send(&Message::Keepalive);
             peers.push(peer);
         }
-        let mut established = 0;
-        while established < 16 {
-            match rx.recv_timeout(Duration::from_secs(5)).unwrap() {
-                SessionEvent::Established { .. } => established += 1,
-                other => panic!("unexpected event {other:?}"),
-            }
+        for _ in 0..16 {
+            let item = h.next_item();
+            assert!(matches!(item, SourceItem::Session(_)), "unexpected item {item:?}");
         }
-        assert_eq!(reactor.gauges().peak_established.load(Ordering::Relaxed), 16);
+        assert_eq!(h.reactor.gauges().peak_established.load(Ordering::Relaxed), 16);
         for peer in &peers {
             peer.send(&Message::Notification(Notification::cease_admin_shutdown()));
         }
-        let mut closed = 0;
-        while closed < 16 {
-            if let SessionEvent::Closed { .. } = rx.recv_timeout(Duration::from_secs(5)).unwrap() {
-                closed += 1;
-            }
-        }
-        let gauges = reactor.gauges();
-        shutdown.trigger();
-        reactor.join();
+        h.wait_closed(16);
+        let gauges = h.reactor.gauges();
+        h.stop();
         assert_eq!(gauges.established.load(Ordering::Relaxed), 0);
     }
 }

@@ -12,7 +12,8 @@
 //! 2. **Observability.** While the flood streams, the control socket's
 //!    `metrics` command is scraped from outside; the rendered registry
 //!    must corroborate the soak (every session counted established,
-//!    ingestion underway, zero write-queue overflows). With
+//!    ingestion underway, zero write-queue overflows, and the peak of
+//!    items in flight to the pipeline within the live ring's bound). With
 //!    `--metrics-out FILE` the scrape is kept — CI uploads it as an
 //!    artifact.
 //! 3. **Integrity.** Every session streams its share of a generated
@@ -30,7 +31,9 @@ use std::time::Duration;
 
 use keep_communities_clean::analysis::table::{OverviewSink, TypeShares};
 use keep_communities_clean::analysis::{CountsSink, PipelineBuilder};
-use keep_communities_clean::collector::{ArchiveSource, SessionKey, UpdateArchive};
+use keep_communities_clean::collector::{
+    ArchiveSource, SessionKey, UpdateArchive, LIVE_RING_ITEMS,
+};
 use keep_communities_clean::peer::{
     offline_reference, sys, Collector, CollectorConfig, ControlServer, FloodOptions, FloodPlan,
     FloodRig, StampMode,
@@ -163,16 +166,23 @@ fn main() {
         let established = scraped_value(&scrape, "kcc_reactor_sessions_established_total");
         let ingested = scraped_value(&scrape, "kcc_ingest_updates_total");
         let overflows = scraped_value(&scrape, "kcc_reactor_write_queue_overflows_total");
+        let ring_peak = scraped_value(&scrape, "kcc_live_ring_items");
+        let ring_full = scraped_value(&scrape, "kcc_live_ring_full_total");
         assert_eq!(established, sessions as u64, "scrape disagrees with the soak's peer count");
         assert!(ingested > 0, "scraped mid-stream, ingest counter must be moving");
         assert_eq!(overflows, 0, "write queues must never overflow during the soak");
+        assert!(
+            ring_peak <= LIVE_RING_ITEMS as u64,
+            "{ring_peak} items in flight to the pipeline, over the {LIVE_RING_ITEMS}-item bound"
+        );
         if let Some(path) = metrics_out {
             std::fs::write(&path, &scrape).expect("write metrics scrape");
             println!("soak: metrics scrape written to {}", path.display());
         }
         println!(
             "soak: mid-soak scrape ok ({established} sessions established, \
-             {ingested} updates ingested so far, 0 write-queue overflows)"
+             {ingested} updates ingested so far, 0 write-queue overflows, \
+             live ring peak {ring_peak} of {LIVE_RING_ITEMS} items, found full {ring_full}×)"
         );
         drop(scrape_done);
     });

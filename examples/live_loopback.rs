@@ -61,13 +61,24 @@ fn main() {
     let stop = source.shutdown_flag();
     println!("daemon listening on {addr}; replaying over real BGP sessions…");
 
+    // The pipeline drains the feed while the peers replay: the daemon
+    // hands updates over through a bounded ring, so a consumer that
+    // waited for the replay to finish would hold the replay back.
     let start = std::time::Instant::now();
-    let report =
-        FloodRig::connect(addr, FloodPlan::from_archive(&input, 90), FloodOptions::default())
+    let plan = FloodPlan::from_archive(&input, 90);
+    let replay = std::thread::spawn(move || {
+        let report = FloodRig::connect(addr, plan, FloodOptions::default())
             .and_then(FloodRig::stream)
             .expect("replay");
-    collector.shutdown();
-    let stats = collector.join();
+        collector.shutdown();
+        (report, collector.join())
+    });
+    let live = PipelineBuilder::new(source)
+        .sink((CountsSink::default(), OverviewSink::default()))
+        .shutdown(&stop)
+        .run()
+        .expect("live run");
+    let (report, stats) = replay.join().expect("replay thread");
     assert_eq!(report.updates_sent, input.update_count() as u64, "the rig sent everything");
     assert_eq!(stats.updates, report.updates_sent, "daemon ingested everything");
     println!(
@@ -79,11 +90,6 @@ fn main() {
         stats.mrt_files.len()
     );
 
-    let live = PipelineBuilder::new(source)
-        .sink((CountsSink::default(), OverviewSink::default()))
-        .shutdown(&stop)
-        .run()
-        .expect("live run");
     let (live_counts, live_overview) = live.sink;
     let live_counts = live_counts.finish();
     let live_overview = live_overview.finish();

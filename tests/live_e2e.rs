@@ -10,11 +10,12 @@
 //! rule to the input so both paths see byte-identical update sets.
 
 use keep_communities_clean::adapter::capture_to_archive;
+use keep_communities_clean::analysis::pipeline::AnalysisSink;
 use keep_communities_clean::analysis::table::{OverviewSink, OverviewStats, TypeShares};
 use keep_communities_clean::analysis::{
     CleaningConfig, CleaningStage, CountsSink, MrtSource, PipelineBuilder, TypeCounts,
 };
-use keep_communities_clean::collector::{ArchiveSource, UpdateArchive};
+use keep_communities_clean::collector::{ArchiveSource, SessionKey, UpdateArchive};
 use keep_communities_clean::peer::{
     offline_reference, Collector, CollectorConfig, FloodOptions, FloodPlan, FloodRig, RotateConfig,
     StampMode,
@@ -22,7 +23,7 @@ use keep_communities_clean::peer::{
 use keep_communities_clean::sim::lab::{build_lab, lab_prefix, LabExperiment, LabNetwork};
 use keep_communities_clean::sim::{SimDuration, SimTime, VendorProfile};
 use keep_communities_clean::tracegen::{generate_mar20, Mar20Config};
-use keep_communities_clean::types::Asn;
+use keep_communities_clean::types::{Asn, RouteUpdate};
 
 /// Collector config used by every test: logical stamping, route-server
 /// metadata lifted from the input archive (the daemon cannot learn it
@@ -241,10 +242,28 @@ fn reconnect_after_cease_continues_the_same_session() {
     assert_eq!(stats.updates, 2 * single.update_count() as u64);
 
     let out = PipelineBuilder::new(source)
-        .sink(OverviewSink::default())
+        .sink((OverviewSink::default(), Stamps::default()))
         .shutdown(&stop)
         .run()
         .expect("live run");
     assert_eq!(out.stats.sessions, 1, "pipeline saw one session, announced once");
     assert_eq!(out.stats.updates, 2 * single.update_count() as u64);
+    // The default two workers put the second TCP session on the other
+    // shard; flushing before close keeps its stamps after the first's.
+    let expected: Vec<u64> = (0..2 * single.update_count() as u64).map(|n| n * 1_000).collect();
+    assert_eq!(out.sink.1 .0, expected, "stamps run on across the reconnect, in order");
+}
+
+/// Records every delivered update's stamp, in arrival order.
+#[derive(Default)]
+struct Stamps(Vec<u64>);
+
+impl AnalysisSink for Stamps {
+    fn on_update(&mut self, _session: &SessionKey, update: &RouteUpdate) {
+        self.0.push(update.time_us);
+    }
+
+    fn wants_events(&self) -> bool {
+        false
+    }
 }
