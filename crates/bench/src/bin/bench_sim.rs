@@ -2,11 +2,12 @@
 //! output — the perf-trajectory anchor for the arena/interned-RIB core.
 //!
 //! Per topology size: generates a power-law internet
-//! ([`kcc_topology::generate_internet`]), compiles it into a [`Network`]
-//! (arena routers, `(Asn, Asn)`-indexed sessions, interned RIBs), runs
-//! the beacon flap protocol (converge → flap → heal → reflap) with a
-//! collector on the first two transits, and classifies the collector
-//! stream into the paper's `pc/pn/nc/nn/xc/xn` announcement types.
+//! ([`kcc_topology::generate_internet`]), compiles it into a
+//! [`Network`](kcc_bgp_sim::Network) (arena routers, `(Asn, Asn)`-indexed
+//! sessions, interned RIBs), runs the beacon flap protocol (converge →
+//! flap → heal → reflap) with a collector on the first two transits, and
+//! classifies the collector stream into the paper's `pc/pn/nc/nn/xc/xn`
+//! announcement types.
 //! Emits `BENCH_sim.json` (or `--out <path>`) so CI can gate the
 //! events/s figures run over run.
 //!

@@ -19,9 +19,9 @@
 //! pipeline; the shutdown summary then ends with the typed alert list
 //! (path, rate and outage checks over the whole capture).
 //!
-//! Sessions run on the event-driven reactor: `--workers N` sets the
-//! shard-thread count (a handful of workers carries thousands of
-//! sessions) and `--poller epoll|poll` pins the readiness backend.
+//! Sessions run on the event-driven epoll reactor: `--workers N` sets
+//! the shard-thread count (a handful of workers carries thousands of
+//! sessions).
 //! `--control ADDR` opens the line-protocol control socket — peers,
 //! listeners, stamping, MRT rotation and trace levels are then
 //! hot-reloadable (`echo "set stamp arrival" | nc ...; echo commit | …`).
@@ -42,9 +42,7 @@ use kcc_bgp_types::Asn;
 use kcc_core::pipeline::PipelineBuilder;
 use kcc_core::table::{OverviewSink, TypeShares};
 use kcc_core::{CountsSink, WatchConfig, WatchReport, WatchSink};
-use kcc_peer::{
-    Collector, CollectorConfig, ControlServer, PollerKind, RotateConfig, StampMode, TraceLevel,
-};
+use kcc_peer::{Collector, CollectorConfig, ControlServer, RotateConfig, StampMode, TraceLevel};
 
 struct Options {
     listen: String,
@@ -138,15 +136,6 @@ fn parse_args() -> Options {
                     cfg.reactor.workers = v;
                 }
             }
-            "--poller" => match it.next().map(String::as_str) {
-                Some("epoll") => cfg.reactor.poller = PollerKind::Epoll,
-                Some("poll") => cfg.reactor.poller = PollerKind::Poll,
-                Some("auto") => cfg.reactor.poller = PollerKind::Auto,
-                other => {
-                    eprintln!("kccd: --poller wants 'epoll', 'poll' or 'auto', got {other:?}");
-                    std::process::exit(2);
-                }
-            },
             "--control" => control = it.next().cloned(),
             "--profile-every" => {
                 profile_every = it.next().and_then(|s| s.parse().ok());

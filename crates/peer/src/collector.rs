@@ -60,7 +60,6 @@ use crate::config::{ConfigStore, DaemonConfig};
 use crate::fsm::FsmConfig;
 use crate::reactor::{self, Handoff, LiveGauges, ReactorConfig, SessionEvent};
 use crate::rotate::MrtRotator;
-use crate::sys::PollerKind;
 use crate::trace::TraceLevel;
 
 /// How arriving updates are timestamped.
@@ -107,7 +106,7 @@ pub struct CollectorConfig {
     pub route_servers: Vec<(Asn, IpAddr)>,
     /// Rotating MRT dumps, if wanted.
     pub mrt: Option<crate::rotate::RotateConfig>,
-    /// Event-loop shape: worker count, poller backend, buffer caps.
+    /// Event-loop shape: worker count, buffer caps.
     pub reactor: ReactorConfig,
 }
 
@@ -154,12 +153,6 @@ impl CollectorConfig {
     /// Sets the reactor worker count (shard threads; workers ≪ sessions).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.reactor.workers = workers;
-        self
-    }
-
-    /// Selects the readiness backend.
-    pub fn with_poller(mut self, poller: PollerKind) -> Self {
-        self.reactor.poller = poller;
         self
     }
 

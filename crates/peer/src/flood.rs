@@ -7,7 +7,7 @@
 //! the 5k-session soaks share this one client. [`FloodRig`] is the
 //! client-side mirror of the reactor: every planned session gets a
 //! nonblocking socket, a [`Fsm`], a [`FrameBuffer`] and a capped
-//! [`WriteQueue`], all multiplexed over one [`Poller`]. It runs in two
+//! [`WriteQueue`], all multiplexed over one epoll [`Poller`]. It runs in two
 //! explicit phases so soaks can assert *concurrency*, not just
 //! throughput:
 //!
@@ -37,7 +37,7 @@ use kcc_collector::UpdateArchive;
 use crate::clock::{Clock, WallClock};
 use crate::fsm::{Action, Fsm, FsmConfig, FsmEvent};
 use crate::reactor::framing::{FlushOutcome, FrameBuffer, WriteQueue};
-use crate::sys::{new_poller, PollEvent, Poller, PollerKind};
+use crate::sys::{PollEvent, Poller};
 
 /// One planned session: who to claim to be, and what to send.
 #[derive(Debug, Clone)]
@@ -99,15 +99,13 @@ impl FloodPlan {
 /// Flood tuning.
 #[derive(Debug, Clone)]
 pub struct FloodOptions {
-    /// Readiness backend.
-    pub poller: PollerKind,
     /// Per-session outbound backlog cap (bytes).
     pub write_queue_cap: usize,
 }
 
 impl Default for FloodOptions {
     fn default() -> Self {
-        FloodOptions { poller: PollerKind::Auto, write_queue_cap: 256 * 1024 }
+        FloodOptions { write_queue_cap: 256 * 1024 }
     }
 }
 
@@ -142,7 +140,7 @@ struct FloodPeer {
 
 /// A fleet of concurrent nonblocking BGP sessions against one daemon.
 pub struct FloodRig {
-    poller: Box<dyn Poller>,
+    poller: Poller,
     peers: Vec<FloodPeer>,
     clock: Arc<dyn Clock>,
     options: FloodOptions,
@@ -187,7 +185,7 @@ impl FloodRig {
     ) -> std::io::Result<FloodRig> {
         let clock: Arc<dyn Clock> = Arc::new(WallClock::new());
         let mut rig = FloodRig {
-            poller: new_poller(options.poller)?,
+            poller: Poller::new()?,
             peers: Vec::with_capacity(plan.sessions.len()),
             clock,
             options,

@@ -13,9 +13,9 @@
 //! * [`clock`]: the injectable millisecond clock the FSM's timers are
 //!   measured against ([`WallClock`] in production, [`ManualClock`] in
 //!   tests),
-//! * [`sys`]: raw readiness syscalls (epoll on Linux, `poll(2)`
-//!   portable) behind one `Poller` trait — the only module allowed to
-//!   use `unsafe`, and only for straight FFI,
+//! * [`sys`]: raw readiness syscalls — the epoll [`sys::Poller`] every
+//!   reactor shard owns — the only module allowed to use `unsafe`, and
+//!   only for straight FFI,
 //! * [`reactor`]: the event-driven session engine — thousands of
 //!   nonblocking sessions (a timer wheel driven by the FSM's deadlines)
 //!   multiplexed over a bounded pool of shard threads; its
@@ -48,7 +48,7 @@
 //!   its bounded ring, with no thread in between.
 //!
 //! Everything is `std`-only: no async runtime, no external event
-//! library — the reactor sits directly on `epoll`/`poll`.
+//! library — the reactor sits directly on `epoll`.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -76,5 +76,4 @@ pub use flood::{FloodOptions, FloodPlan, FloodReport, FloodRig};
 pub use fsm::{Action, DownReason, EstablishedInfo, Fsm, FsmConfig, FsmEvent, State};
 pub use reactor::{LiveGauges, ReactorConfig};
 pub use rotate::{MrtRotator, RotateConfig};
-pub use sys::PollerKind;
 pub use trace::{TraceConfig, TraceFilter, TraceLevel};

@@ -5,11 +5,11 @@
 //! peers — two OS threads per session is the deployment shape of the
 //! original RouteViews quaggas, not of a collector holding the whole
 //! table. This module replaces it with readiness multiplexing: **N shard
-//! threads** (N ≪ sessions, default 2) each own a [`Poller`]
-//! (epoll on Linux, `poll(2)` fallback — [`crate::sys`]), a slab of
-//! nonblocking session state objects, and a [`TimerWheel`]. Shard 0 also
-//! owns the listening sockets and deals accepted connections round-robin
-//! to every shard through an injector queue + waker.
+//! threads** (N ≪ sessions, default 2) each own an epoll [`Poller`]
+//! ([`crate::sys`]), a slab of nonblocking session state objects, and a
+//! [`TimerWheel`]. Shard 0 also owns the listening sockets and deals
+//! accepted connections round-robin to every shard through an injector
+//! queue + waker.
 //!
 //! Each session is the pure FSM ([`crate::fsm`]) plus resumable framing
 //! ([`FrameBuffer`]/[`WriteQueue`]): readable events feed bytes through
@@ -62,7 +62,7 @@ use crate::clock::Clock;
 use crate::collector::IngestTable;
 use crate::config::ConfigStore;
 use crate::fsm::{Action, DownReason, EstablishedInfo, Fsm, FsmConfig, FsmEvent};
-use crate::sys::{new_poller, PollEvent, Poller, PollerKind, Waker, WAKE_TOKEN};
+use crate::sys::{PollEvent, Poller, Waker, WAKE_TOKEN};
 use crate::trace::TraceLevel;
 use framing::{FlushOutcome, FrameBuffer, WriteQueue};
 use timer::{DueTimer, TimerWheel};
@@ -103,8 +103,6 @@ impl Handoff {
 pub struct ReactorConfig {
     /// Shard threads. The whole point: workers ≪ sessions.
     pub workers: usize,
-    /// Readiness backend.
-    pub poller: PollerKind,
     /// Per-session outbound backlog cap (bytes); overflow tears the
     /// session down.
     pub write_queue_cap: usize,
@@ -116,12 +114,7 @@ pub struct ReactorConfig {
 
 impl Default for ReactorConfig {
     fn default() -> Self {
-        ReactorConfig {
-            workers: 2,
-            poller: PollerKind::Auto,
-            write_queue_cap: 4 * 1024 * 1024,
-            read_budget: 256 * 1024,
-        }
+        ReactorConfig { workers: 2, write_queue_cap: 4 * 1024 * 1024, read_budget: 256 * 1024 }
     }
 }
 
@@ -295,7 +288,7 @@ pub(crate) fn spawn(
     let workers = options.workers.max(1);
     let mut pollers = Vec::with_capacity(workers);
     for _ in 0..workers {
-        pollers.push(new_poller(options.poller)?);
+        pollers.push(Poller::new()?);
     }
     let injectors: Arc<Vec<Injector>> = Arc::new(
         pollers
@@ -391,7 +384,7 @@ enum Fed {
 
 struct Shard {
     id: usize,
-    poller: Box<dyn Poller>,
+    poller: Poller,
     slots: Vec<Option<Session>>,
     free: Vec<usize>,
     live: usize,
@@ -1208,13 +1201,10 @@ mod tests {
     }
 
     /// Many sessions multiplex over one worker — the defining reactor
-    /// property (workers ≪ sessions) at a unit-test scale, on the
-    /// portable poll backend so the fallback earns its keep.
+    /// property (workers ≪ sessions) at a unit-test scale.
     #[test]
-    fn sixteen_sessions_one_worker_poll_backend() {
-        let options =
-            ReactorConfig { workers: 1, poller: PollerKind::Poll, ..ReactorConfig::default() };
-        let mut h = Harness::start(options);
+    fn sixteen_sessions_one_worker() {
+        let mut h = Harness::start(ReactorConfig { workers: 1, ..ReactorConfig::default() });
         let mut peers = Vec::new();
         for i in 0..16u32 {
             let peer = HandPlayedPeer::connect(h.addr);

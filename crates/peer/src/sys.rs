@@ -1,14 +1,13 @@
-//! Raw readiness-notification syscalls behind a portable [`Poller`] trait.
+//! Raw readiness-notification syscalls: the epoll [`Poller`] every
+//! reactor shard and the flood rig own.
 //!
 //! The reactor needs one thing from the OS: "tell me which of these
 //! thousands of file descriptors are readable/writable, or wake me at a
-//! deadline". On Linux that is `epoll` (O(ready) per wait); everywhere
-//! POSIX it is `poll` (O(registered) per wait). Both are declared here as
+//! deadline". That is Linux `epoll` (O(ready) per wait), declared here as
 //! raw `extern "C"` bindings — std already links libc, so this costs no
-//! new dependency — and wrapped in the safe [`Poller`] trait the reactor
-//! is written against. [`PollerKind::Auto`] picks epoll on Linux and the
-//! `poll(2)` fallback elsewhere; tests force [`PollerKind::Poll`] to keep
-//! the fallback honest on any host.
+//! new dependency — and wrapped in the safe [`Poller`] type the reactor
+//! is written against. The constants are Linux's; Linux is the only
+//! supported platform.
 //!
 //! Also here, because they are the same kind of thin syscall shim the
 //! daemon needs at scale: [`raise_nofile_limit`] (a 5k-session soak holds
@@ -27,7 +26,7 @@ use std::os::raw::{c_int, c_uint, c_void};
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------
-// FFI declarations (Linux values; the poll path is POSIX-portable).
+// FFI declarations (Linux values).
 // ---------------------------------------------------------------------
 
 /// `struct epoll_event`. x86 keeps it packed (kernel ABI); other
@@ -38,15 +37,6 @@ use std::sync::Arc;
 struct EpollEventRaw {
     events: u32,
     data: u64,
-}
-
-/// `struct pollfd` (POSIX).
-#[repr(C)]
-#[derive(Clone, Copy)]
-struct PollFdRaw {
-    fd: c_int,
-    events: i16,
-    revents: i16,
 }
 
 /// `struct rlimit` (Linux: 64-bit fields).
@@ -66,11 +56,6 @@ const EPOLLERR: u32 = 0x008;
 const EPOLLHUP: u32 = 0x010;
 const EPOLLRDHUP: u32 = 0x2000;
 
-const POLLIN: i16 = 0x001;
-const POLLOUT: i16 = 0x004;
-const POLLERR: i16 = 0x008;
-const POLLHUP: i16 = 0x010;
-
 const EFD_CLOEXEC: c_int = 0o2000000;
 const EFD_NONBLOCK: c_int = 0o4000;
 
@@ -86,8 +71,6 @@ extern "C" {
         timeout: c_int,
     ) -> c_int;
     fn eventfd(initval: c_uint, flags: c_int) -> c_int;
-    #[cfg(unix)]
-    fn poll(fds: *mut PollFdRaw, nfds: usize, timeout: c_int) -> c_int;
     fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
     fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
     fn close(fd: c_int) -> c_int;
@@ -121,21 +104,8 @@ impl Drop for OwnedRawFd {
 }
 
 // ---------------------------------------------------------------------
-// The portable readiness interface.
+// The readiness interface.
 // ---------------------------------------------------------------------
-
-/// Which readiness backend to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PollerKind {
-    /// epoll on Linux, `poll(2)` elsewhere.
-    #[default]
-    Auto,
-    /// Force the Linux epoll backend.
-    Epoll,
-    /// Force the portable `poll(2)` backend (O(registered) per wait —
-    /// fine for hundreds of sessions, the scale the fallback targets).
-    Poll,
-}
 
 /// A readiness event for one registered descriptor.
 #[derive(Debug, Clone, Copy)]
@@ -154,89 +124,36 @@ pub struct PollEvent {
 /// Token reserved for the poller's own wake channel.
 pub const WAKE_TOKEN: u64 = u64::MAX;
 
-/// Wakes a [`Poller`] blocked in [`Poller::wait`] from another thread.
+/// Wakes a [`Poller`] blocked in [`Poller::wait`] from another thread:
+/// the shared write side of the poller's eventfd.
 #[derive(Debug, Clone)]
-pub struct Waker(WakerInner);
-
-#[derive(Debug, Clone)]
-enum WakerInner {
-    /// eventfd (epoll backend).
-    EventFd(Arc<OwnedRawFd>),
-    /// The write end of a socket pair (poll backend).
-    Pipe(Arc<std::os::unix::net::UnixStream>),
-}
+pub struct Waker(Arc<OwnedRawFd>);
 
 impl Waker {
     /// Interrupts the poller's current (or next) wait. Idempotent and
     /// cheap; safe to call from any thread.
     pub fn wake(&self) {
-        match &self.0 {
-            WakerInner::EventFd(fd) => {
-                let one: u64 = 1;
-                // SAFETY: writing 8 bytes from a valid, live stack
-                // location to an eventfd we own. A full counter (EAGAIN)
-                // already means "wake pending", so the result is ignored.
-                unsafe {
-                    let _ = write(fd.0, (&one as *const u64).cast(), 8);
-                }
-            }
-            WakerInner::Pipe(s) => {
-                use std::io::Write as _;
-                let _ = (&**s).write(&[1u8]);
-            }
+        let one: u64 = 1;
+        // SAFETY: writing 8 bytes from a valid, live stack location to an
+        // eventfd we own. A full counter (EAGAIN) already means "wake
+        // pending", so the result is ignored.
+        unsafe {
+            let _ = write(self.0 .0, (&one as *const u64).cast(), 8);
         }
     }
 }
 
 /// The readiness-notification interface the reactor drives sessions
-/// with. One instance per reactor shard; not shared across threads
-/// (the [`Waker`] is the cross-thread half).
-pub trait Poller: Send {
-    /// Starts watching `fd` under `token`.
-    fn register(&mut self, fd: RawFd, token: u64, readable: bool, writable: bool)
-        -> io::Result<()>;
-    /// Changes the interest set of an already-registered `fd`.
-    fn modify(&mut self, fd: RawFd, token: u64, readable: bool, writable: bool) -> io::Result<()>;
-    /// Stops watching `fd`.
-    fn deregister(&mut self, fd: RawFd) -> io::Result<()>;
-    /// Blocks until readiness or `timeout_ms` (`-1` = forever), filling
-    /// `out`. Wake-channel readiness is surfaced as [`WAKE_TOKEN`] after
-    /// draining the channel.
-    fn wait(&mut self, out: &mut Vec<PollEvent>, timeout_ms: i32) -> io::Result<()>;
-    /// A handle that interrupts [`Poller::wait`] from other threads.
-    fn waker(&self) -> Waker;
-    /// Backend name, for logs and stats.
-    fn kind(&self) -> &'static str;
-}
-
-/// Builds the requested backend. `Auto` = epoll on Linux, `poll(2)`
-/// elsewhere.
-pub fn new_poller(kind: PollerKind) -> io::Result<Box<dyn Poller>> {
-    match kind {
-        PollerKind::Epoll => Ok(Box::new(EpollPoller::new()?)),
-        PollerKind::Poll => Ok(Box::new(PollPoller::new()?)),
-        PollerKind::Auto => {
-            if cfg!(target_os = "linux") {
-                Ok(Box::new(EpollPoller::new()?))
-            } else {
-                Ok(Box::new(PollPoller::new()?))
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// epoll backend.
-// ---------------------------------------------------------------------
-
-/// The Linux epoll backend: O(ready) wait cost, level-triggered.
+/// with: one level-triggered epoll instance per reactor shard (and per
+/// flood rig), not shared across threads — the [`Waker`] is the
+/// cross-thread half.
 #[derive(Debug)]
-pub struct EpollPoller {
+pub struct Poller {
     epfd: OwnedRawFd,
     wake: Arc<OwnedRawFd>,
 }
 
-impl EpollPoller {
+impl Poller {
     /// A fresh epoll instance with its wake eventfd registered.
     pub fn new() -> io::Result<Self> {
         // SAFETY: plain syscalls; ownership of the returned descriptors
@@ -247,7 +164,7 @@ impl EpollPoller {
         // SAFETY: epfd and wake.0 are live descriptors we own; `ev` is a
         // valid epoll_event for the duration of the call.
         cvt(unsafe { epoll_ctl(epfd.0, EPOLL_CTL_ADD, wake.0, &mut ev) })?;
-        Ok(EpollPoller { epfd, wake: Arc::new(wake) })
+        Ok(Poller { epfd, wake: Arc::new(wake) })
     }
 
     fn ctl(&mut self, op: c_int, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
@@ -257,21 +174,9 @@ impl EpollPoller {
         cvt(unsafe { epoll_ctl(self.epfd.0, op, fd, &mut ev) })?;
         Ok(())
     }
-}
 
-fn epoll_interest(readable: bool, writable: bool) -> u32 {
-    let mut e = EPOLLRDHUP;
-    if readable {
-        e |= EPOLLIN;
-    }
-    if writable {
-        e |= EPOLLOUT;
-    }
-    e
-}
-
-impl Poller for EpollPoller {
-    fn register(
+    /// Starts watching `fd` under `token`.
+    pub fn register(
         &mut self,
         fd: RawFd,
         token: u64,
@@ -281,15 +186,26 @@ impl Poller for EpollPoller {
         self.ctl(EPOLL_CTL_ADD, fd, epoll_interest(readable, writable), token)
     }
 
-    fn modify(&mut self, fd: RawFd, token: u64, readable: bool, writable: bool) -> io::Result<()> {
+    /// Changes the interest set of an already-registered `fd`.
+    pub fn modify(
+        &mut self,
+        fd: RawFd,
+        token: u64,
+        readable: bool,
+        writable: bool,
+    ) -> io::Result<()> {
         self.ctl(EPOLL_CTL_MOD, fd, epoll_interest(readable, writable), token)
     }
 
-    fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
+    /// Stops watching `fd`.
+    pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
         self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
     }
 
-    fn wait(&mut self, out: &mut Vec<PollEvent>, timeout_ms: i32) -> io::Result<()> {
+    /// Blocks until readiness or `timeout_ms` (`-1` = forever), filling
+    /// `out`. Wake-channel readiness is surfaced as [`WAKE_TOKEN`] after
+    /// draining the channel.
+    pub fn wait(&mut self, out: &mut Vec<PollEvent>, timeout_ms: i32) -> io::Result<()> {
         out.clear();
         let mut events = [EpollEventRaw { events: 0, data: 0 }; 256];
         // SAFETY: the buffer outlives the call and maxevents matches its
@@ -323,136 +239,21 @@ impl Poller for EpollPoller {
         Ok(())
     }
 
-    fn waker(&self) -> Waker {
-        Waker(WakerInner::EventFd(Arc::clone(&self.wake)))
-    }
-
-    fn kind(&self) -> &'static str {
-        "epoll"
+    /// A handle that interrupts [`Poller::wait`] from other threads.
+    pub fn waker(&self) -> Waker {
+        Waker(Arc::clone(&self.wake))
     }
 }
 
-// ---------------------------------------------------------------------
-// poll(2) fallback backend.
-// ---------------------------------------------------------------------
-
-/// The portable `poll(2)` backend. Keeps the registered set in a vector
-/// rebuilt into a `pollfd` array per wait — O(registered), which is the
-/// honest cost of the portable API.
-pub struct PollPoller {
-    registered: Vec<(RawFd, u64, bool, bool)>,
-    wake_read: std::os::unix::net::UnixStream,
-    wake_write: Arc<std::os::unix::net::UnixStream>,
-}
-
-impl std::fmt::Debug for PollPoller {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PollPoller").field("registered", &self.registered.len()).finish()
+fn epoll_interest(readable: bool, writable: bool) -> u32 {
+    let mut e = EPOLLRDHUP;
+    if readable {
+        e |= EPOLLIN;
     }
-}
-
-impl PollPoller {
-    /// A fresh poll set with its wake channel.
-    pub fn new() -> io::Result<Self> {
-        let (wake_read, wake_write) = std::os::unix::net::UnixStream::pair()?;
-        wake_read.set_nonblocking(true)?;
-        wake_write.set_nonblocking(true)?;
-        Ok(PollPoller { registered: Vec::new(), wake_read, wake_write: Arc::new(wake_write) })
+    if writable {
+        e |= EPOLLOUT;
     }
-}
-
-impl Poller for PollPoller {
-    fn register(
-        &mut self,
-        fd: RawFd,
-        token: u64,
-        readable: bool,
-        writable: bool,
-    ) -> io::Result<()> {
-        if self.registered.iter().any(|&(f, ..)| f == fd) {
-            return Err(io::Error::new(io::ErrorKind::AlreadyExists, "fd already registered"));
-        }
-        self.registered.push((fd, token, readable, writable));
-        Ok(())
-    }
-
-    fn modify(&mut self, fd: RawFd, token: u64, readable: bool, writable: bool) -> io::Result<()> {
-        match self.registered.iter_mut().find(|(f, ..)| *f == fd) {
-            Some(slot) => {
-                *slot = (fd, token, readable, writable);
-                Ok(())
-            }
-            None => Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered")),
-        }
-    }
-
-    fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        let before = self.registered.len();
-        self.registered.retain(|&(f, ..)| f != fd);
-        if self.registered.len() == before {
-            return Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered"));
-        }
-        Ok(())
-    }
-
-    fn wait(&mut self, out: &mut Vec<PollEvent>, timeout_ms: i32) -> io::Result<()> {
-        use std::os::fd::AsRawFd;
-        out.clear();
-        let mut fds: Vec<PollFdRaw> = Vec::with_capacity(self.registered.len() + 1);
-        fds.push(PollFdRaw { fd: self.wake_read.as_raw_fd(), events: POLLIN, revents: 0 });
-        for &(fd, _, readable, writable) in &self.registered {
-            let mut events = 0i16;
-            if readable {
-                events |= POLLIN;
-            }
-            if writable {
-                events |= POLLOUT;
-            }
-            fds.push(PollFdRaw { fd, events, revents: 0 });
-        }
-        // SAFETY: `fds` is a valid, exclusively borrowed array for the
-        // duration of the call; nfds matches its length.
-        let n = match cvt(unsafe { poll(fds.as_mut_ptr(), fds.len(), timeout_ms) }) {
-            Ok(n) => n as usize,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => 0,
-            Err(e) => return Err(e),
-        };
-        if n == 0 {
-            return Ok(());
-        }
-        if fds[0].revents & POLLIN != 0 {
-            use std::io::Read as _;
-            let mut buf = [0u8; 64];
-            while matches!((&self.wake_read).read(&mut buf), Ok(n) if n > 0) {}
-            out.push(PollEvent {
-                token: WAKE_TOKEN,
-                readable: true,
-                writable: false,
-                hangup: false,
-            });
-        }
-        for (slot, pfd) in self.registered.iter().zip(&fds[1..]) {
-            if pfd.revents == 0 {
-                continue;
-            }
-            let r = pfd.revents;
-            out.push(PollEvent {
-                token: slot.1,
-                readable: r & (POLLIN | POLLHUP | POLLERR) != 0,
-                writable: r & POLLOUT != 0,
-                hangup: r & (POLLHUP | POLLERR) != 0,
-            });
-        }
-        Ok(())
-    }
-
-    fn waker(&self) -> Waker {
-        Waker(WakerInner::Pipe(Arc::clone(&self.wake_write)))
-    }
-
-    fn kind(&self) -> &'static str {
-        "poll"
-    }
+    e
 }
 
 // ---------------------------------------------------------------------
@@ -497,8 +298,9 @@ mod tests {
     use std::net::{TcpListener, TcpStream};
     use std::os::fd::AsRawFd;
 
-    fn backend_roundtrip(kind: PollerKind) {
-        let mut poller = new_poller(kind).unwrap();
+    #[test]
+    fn epoll_reports_readiness() {
+        let mut poller = Poller::new().unwrap();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let a = TcpStream::connect(addr).unwrap();
@@ -528,17 +330,8 @@ mod tests {
     }
 
     #[test]
-    fn epoll_reports_readiness() {
-        backend_roundtrip(PollerKind::Epoll);
-    }
-
-    #[test]
-    fn poll_fallback_reports_readiness() {
-        backend_roundtrip(PollerKind::Poll);
-    }
-
-    fn waker_interrupts(kind: PollerKind) {
-        let mut poller = new_poller(kind).unwrap();
+    fn epoll_waker_interrupts_wait() {
+        let mut poller = Poller::new().unwrap();
         let waker = poller.waker();
         let t = std::thread::spawn(move || {
             std::thread::sleep(std::time::Duration::from_millis(30));
@@ -554,16 +347,6 @@ mod tests {
         // The wake channel is drained: the next wait times out quietly.
         poller.wait(&mut events, 10).unwrap();
         assert!(events.is_empty(), "{events:?}");
-    }
-
-    #[test]
-    fn epoll_waker_interrupts_wait() {
-        waker_interrupts(PollerKind::Epoll);
-    }
-
-    #[test]
-    fn poll_waker_interrupts_wait() {
-        waker_interrupts(PollerKind::Poll);
     }
 
     #[test]

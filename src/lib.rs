@@ -24,18 +24,13 @@
 //! plus [`adapter`], which bridges simulator captures into analysis
 //! archives.
 //!
-//! ## Quickstart
-//!
-//! ```
-//! use keep_communities_clean::sim::lab::{run_experiment, LabExperiment};
-//! use keep_communities_clean::sim::VendorProfile;
-//!
-//! // Reproduce the paper's Exp2: a community change alone propagates to
-//! // the route collector.
-//! let report = run_experiment(LabExperiment::Exp2, VendorProfile::CISCO_IOS);
-//! assert_eq!(report.at_collector.len(), 1);
-//! ```
+//! The quickstart (the paper's Exp2 reaching the route collector) and
+//! every other example live in `README.md`; each of its Rust blocks runs
+//! as a doctest of this crate.
 
+// The README joins the crate docs only when doctests are collected, so
+// the examples readers copy cannot drift from the code.
+#![cfg_attr(doctest, doc = include_str!("../README.md"))]
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

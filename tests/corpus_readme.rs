@@ -1,10 +1,8 @@
-//! Enforces the README's "Multi-collector corpus" example, the same way
-//! `tests/pipeline_readme.rs` and `tests/live_readme.rs` keep their
-//! snippets honest: the code below mirrors the README block verbatim
-//! (printing replaced by assertions), so a corpus-API rename that would
-//! rot the documentation fails here first — and the snippet's combined
-//! result is checked against the single-pipeline pass it claims to
-//! generalize.
+//! Holds the README's "Multi-collector corpus" example to what its prose
+//! claims. The README block itself runs as a doctest of the umbrella
+//! crate; this test replays the same setup (printing replaced by
+//! assertions) and checks the combined result against the
+//! single-pipeline pass it claims to generalize.
 
 use keep_communities_clean::analysis::corpus::{corpus_sink, run_corpus_report};
 use keep_communities_clean::analysis::{CleaningConfig, CleaningStage, PipelineBuilder};

@@ -1,9 +1,8 @@
-//! Enforces the README's "Live collection" example, the same way
-//! `tests/pipeline_readme.rs` enforces the streaming snippet: the code
-//! below mirrors the README block verbatim (printing replaced by
-//! assertions), so a live-API rename that would rot the documentation
-//! fails here first — and the snippet's live results are checked against
-//! the offline path they claim to equal.
+//! Holds the README's "Live collection" example to what its prose
+//! claims. The README block itself runs as a doctest of the umbrella
+//! crate; this test replays the same setup and checks the part the block
+//! only prints: the live results equal the offline path over the same
+//! update set.
 
 use keep_communities_clean::analysis::pipeline::PipelineBuilder;
 use keep_communities_clean::analysis::table::{OverviewSink, TypeShares};
@@ -35,10 +34,14 @@ fn readme_live_example_runs_and_matches_offline() {
     let day = generate_mar20(&gen);
     let plan = FloodPlan::from_archive(&day.archive, 90);
     let rig = FloodRig::connect(collector.local_addr(), plan, FloodOptions::default()).unwrap();
-    rig.stream().unwrap();
-    collector.shutdown();
-    let stats = collector.join();
-    assert_eq!(stats.updates, day.archive.update_count() as u64);
+
+    // The peers stream on their own thread while this one drains the
+    // bounded feed.
+    let replay = std::thread::spawn(move || {
+        rig.stream().unwrap();
+        collector.shutdown();
+        collector.join()
+    });
 
     // The live feed drives the same one-pass pipeline as any offline
     // source; `.shutdown(&stop)` makes the run drain-and-finish on
@@ -48,6 +51,8 @@ fn readme_live_example_runs_and_matches_offline() {
         .shutdown(&stop)
         .run()
         .unwrap();
+    let stats = replay.join().unwrap();
+    assert_eq!(stats.updates, day.archive.update_count() as u64);
     let (counts, overview) = out.sink;
     let counts = counts.finish();
     let overview = overview.finish();

@@ -1,8 +1,8 @@
-//! Enforces the README's "Observability" example, the same way
-//! `tests/watch_readme.rs` enforces the watch snippet: the code below
-//! mirrors the README block verbatim, so a registry-API rename that
-//! would rot the documentation fails here first — and the exposition
-//! lines the README promises must appear exactly as printed.
+//! Holds the README's "Observability" section to what it claims. The
+//! README block itself runs as a doctest of the umbrella crate; this
+//! test replays it and checks the exposition lines of all three metric
+//! kinds and the byte-identity the prose promises, and the section's
+//! scrape surfaces are checked against the tree.
 
 use keep_communities_clean::obs::Registry;
 

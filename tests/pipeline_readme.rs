@@ -1,9 +1,8 @@
-//! Enforces the README's "Streaming pipeline" example, the same way
-//! `tests/scenario_readme.rs` enforces the scenario snippet: the code
-//! below mirrors the README block verbatim (printing replaced by
-//! assertions), so a pipeline-API rename that would rot the
-//! documentation fails here first — and the snippet's results are
-//! checked against the batch wrappers they claim to generalize.
+//! Holds the README's "Streaming pipeline" example to what its prose
+//! claims. The README block itself runs as a doctest of the umbrella
+//! crate; this test replays the same setup (printing replaced by
+//! assertions) and checks the results against the batch wrappers they
+//! claim to generalize.
 
 use keep_communities_clean::analysis::pipeline::PipelineBuilder;
 use keep_communities_clean::analysis::table::{overview, OverviewSink, TypeShares};

@@ -1,13 +1,14 @@
-//! Workspace smoke test: the umbrella crate's documented quickstart must
-//! keep working exactly as written in `src/lib.rs`'s crate docs. If this
-//! test fails, the README/rustdoc quickstart is lying to users.
+//! Workspace smoke test: the README's Quickstart (a doctest of the
+//! umbrella crate) must keep meaning what its comment says — the
+//! update Exp2 delivers to the collector is a pure community change, and
+//! the lab run is deterministic.
 
 use keep_communities_clean::sim::lab::{run_experiment, LabExperiment};
 use keep_communities_clean::sim::VendorProfile;
 
 #[test]
 fn documented_quickstart_reaches_the_collector() {
-    // Exactly the crate-docs quickstart: the paper's Exp2 — a community
+    // Exactly the README quickstart: the paper's Exp2 — a community
     // change alone propagates to the route collector.
     let report = run_experiment(LabExperiment::Exp2, VendorProfile::CISCO_IOS);
     assert_eq!(

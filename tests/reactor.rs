@@ -1,10 +1,9 @@
 //! Reactor-path integration tests: resumable framing under arbitrary
 //! byte fragmentation (proptest), FSM timers firing under message
-//! flood, back-pressure from a stalled consumer, and poll/epoll backend
-//! equivalence.
+//! flood, and back-pressure from a stalled consumer.
 
 use std::io::{Read, Write};
-use std::net::{IpAddr, Ipv4Addr, TcpStream};
+use std::net::{Ipv4Addr, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
@@ -12,15 +11,11 @@ use std::time::Duration;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use keep_communities_clean::collector::{
-    SessionKey, SourceItem, UpdateArchive, UpdateSource, LIVE_RING_ITEMS,
-};
+use keep_communities_clean::collector::{SourceItem, UpdateSource, LIVE_RING_ITEMS};
 use keep_communities_clean::peer::reactor::framing::{FlushOutcome, FrameBuffer, WriteQueue};
 use keep_communities_clean::peer::{
-    offline_reference, ActiveSpeaker, Collector, CollectorConfig, FloodOptions, FloodPlan,
-    FloodRig, FsmConfig, ManualClock, PeerError, PollerKind, StampMode,
+    ActiveSpeaker, Collector, CollectorConfig, FsmConfig, ManualClock, PeerError, StampMode,
 };
-use keep_communities_clean::tracegen::{generate_mar20, Mar20Config};
 use keep_communities_clean::types::{AsPath, Asn, PathAttributes, Prefix};
 use keep_communities_clean::wire::{
     encode_message, Message, Notification, NotificationCode, OpenMessage, SessionConfig,
@@ -329,68 +324,4 @@ fn stalled_consumer_pushes_back_and_the_session_stays_up() {
     assert!(source.next_item().expect("live sources do not fail").is_none(), "nothing extra");
     let peak = registry.gauge("kcc_live_ring_items").get();
     assert!(peak as usize <= LIVE_RING_ITEMS, "in flight {peak} > bound while draining");
-}
-
-// ---------------------------------------------------------------------
-// Backend equivalence.
-// ---------------------------------------------------------------------
-
-/// The same workload through the epoll backend and the portable
-/// `poll(2)` fallback produces identical ingest results — and both
-/// match the offline reference.
-#[test]
-fn poll_and_epoll_backends_ingest_identically() {
-    let day = generate_mar20(&Mar20Config { target_announcements: 3_000, ..Default::default() });
-    let mut workload = UpdateArchive::new(0);
-    let mut dealt = 0u64;
-    for (i, (_, update)) in day.archive.all_updates().iter().enumerate() {
-        let p = i % 16;
-        let key = SessionKey::new(
-            "bench",
-            Asn(64_512 + p as u32),
-            IpAddr::V4(Ipv4Addr::new(10, 99, 0, p as u8)),
-        );
-        workload.record(&key, update.clone());
-        dealt += 1;
-        if dealt >= 2_500 {
-            break;
-        }
-    }
-
-    let run = |poller: PollerKind| {
-        let cfg = CollectorConfig::new("bench", Asn(3333), "198.51.100.1".parse().unwrap())
-            .with_stamp(StampMode::logical(1_000))
-            .with_poller(poller);
-        let mut collector = Collector::bind("127.0.0.1:0", cfg.clone()).expect("bind");
-        let addr = collector.local_addr();
-        let source = collector.take_source();
-        let stop = source.shutdown_flag();
-        let plan = FloodPlan::from_archive(&workload, 90);
-        let rig = FloodRig::connect(addr, plan, FloodOptions { poller, ..FloodOptions::default() })
-            .expect("establish");
-        let coordinator = std::thread::spawn(move || {
-            rig.stream().expect("stream");
-            collector.shutdown();
-            collector.join()
-        });
-        let out = keep_communities_clean::analysis::PipelineBuilder::new(source)
-            .sink(keep_communities_clean::analysis::CountsSink::default())
-            .shutdown(&stop)
-            .run()
-            .expect("live run");
-        let stats = coordinator.join().expect("coordinator");
-        (out.sink.finish(), stats.updates)
-    };
-
-    let (epoll_counts, epoll_updates) = run(PollerKind::Epoll);
-    let (poll_counts, poll_updates) = run(PollerKind::Poll);
-    assert_eq!(epoll_updates, dealt);
-    assert_eq!(poll_updates, dealt);
-    assert_eq!(epoll_counts, poll_counts, "backends diverged");
-
-    let cfg = CollectorConfig::new("bench", Asn(3333), "198.51.100.1".parse().unwrap())
-        .with_stamp(StampMode::logical(1_000));
-    let reference = offline_reference(&workload, &cfg);
-    let offline = keep_communities_clean::analysis::classify_archive(&reference).counts;
-    assert_eq!(epoll_counts, offline, "live != offline reference");
 }

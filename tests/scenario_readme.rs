@@ -1,8 +1,8 @@
-//! Enforces the README's "Writing a scenario" example, the same way
-//! `tests/quickstart_smoke.rs` enforces the quickstart snippet: the code
-//! below mirrors the README block verbatim (modulo the umbrella-crate
-//! paths), so a scenario-API rename that would rot the documentation
-//! fails here first.
+//! Runs the README's "Writing a scenario" spec through the umbrella
+//! crate's re-exports. The README block itself runs as a doctest and
+//! names the member crates (`kcc_bgp_sim`, `kcc_topology`, …); this
+//! copy reaches the same items as `keep_communities_clean::sim`,
+//! `::topology` and `::types`, so both import routes stay valid.
 
 use keep_communities_clean::sim::scenario::{
     self, CollectorDecl, CountBound, Expectation, Phase, ScenarioAction, ScenarioEvent,

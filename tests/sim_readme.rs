@@ -1,10 +1,11 @@
 //! Enforces the README's "Internet-scale simulation" section the same
 //! way `tests/performance_readme.rs` enforces the Performance tables:
-//! the code block below mirrors the README example verbatim, the scaling
+//! the README example (a doctest at the documented 10,000 ASes) also
+//! converges at a size a debug-profile test can afford, the scaling
 //! table must equal the committed `BENCH_sim.json`, and the documented
 //! reproduction commands must name the binaries and gate CI actually
-//! runs — so re-pinning the baseline or renaming the API without
-//! updating the README fails here first.
+//! runs — so re-pinning the baseline without updating the README fails
+//! here first.
 
 use std::fs;
 

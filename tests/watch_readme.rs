@@ -1,9 +1,8 @@
-//! Enforces the README's "CommunityWatch" example, the same way
-//! `tests/live_readme.rs` enforces the live snippet: the code below
-//! mirrors the README block verbatim (printing replaced by assertions),
-//! so a watch-API rename that would rot the documentation fails here
-//! first — and the fault the snippet injects must surface as exactly
-//! the typed alert the README promises, nothing more.
+//! Holds the README's "CommunityWatch" example to what its prose
+//! claims. The README block itself runs as a doctest of the umbrella
+//! crate; this test replays the same day and checks that the injected
+//! fault surfaces as exactly the typed alert the README promises,
+//! nothing more, and that a replay yields byte-identical lines.
 
 use keep_communities_clean::analysis::{PipelineBuilder, WatchConfig, WatchSink};
 use keep_communities_clean::collector::{ArchiveSource, SessionKey, UpdateArchive};
