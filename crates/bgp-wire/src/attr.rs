@@ -16,7 +16,7 @@ use kcc_bgp_types::{
 
 use crate::error::WireError;
 use crate::message::SessionConfig;
-use crate::nlri::{decode_prefix_run, encode_prefix, Afi};
+use crate::nlri::{decode_prefix_run, encode_prefix, encoded_len, Afi};
 
 /// Attribute flag bits.
 pub mod flags {
@@ -107,8 +107,21 @@ fn put_attr_header<B: BufMut>(buf: &mut B, base_flags: u8, code: u8, len: usize)
     }
 }
 
-fn encode_as_path_body(path: &AsPath, four_octet: bool) -> BytesMut {
-    let mut body = BytesMut::new();
+/// Body length of an AS_PATH at the given width: wire segments hold at
+/// most 255 ASNs, so longer ones split, each piece with its own
+/// two-octet segment header.
+fn as_path_body_len(path: &AsPath, four_octet: bool) -> usize {
+    let width = if four_octet { 4 } else { 2 };
+    path.segments()
+        .iter()
+        .map(|seg| seg.asns.len().div_ceil(255) * 2 + seg.asns.len() * width)
+        .sum()
+}
+
+/// Writes one AS_PATH-shaped attribute (AS_PATH or AS4_PATH), header
+/// and body, straight into `buf`.
+fn put_as_path(buf: &mut BytesMut, base_flags: u8, code: u8, path: &AsPath, four_octet: bool) {
+    put_attr_header(buf, base_flags, code, as_path_body_len(path, four_octet));
     for seg in path.segments() {
         let kind = match seg.kind {
             SegmentKind::Set => 1u8,
@@ -116,20 +129,55 @@ fn encode_as_path_body(path: &AsPath, four_octet: bool) -> BytesMut {
             SegmentKind::ConfedSequence => 3,
             SegmentKind::ConfedSet => 4,
         };
-        // Wire segments hold at most 255 ASNs; split longer ones.
         for chunk in seg.asns.chunks(255) {
-            body.put_u8(kind);
-            body.put_u8(chunk.len() as u8);
+            buf.put_u8(kind);
+            buf.put_u8(chunk.len() as u8);
             for a in chunk {
                 if four_octet {
-                    body.put_u32(a.value());
+                    buf.put_u32(a.value());
                 } else {
-                    body.put_u16(a.to_16bit_wire());
+                    buf.put_u16(a.to_16bit_wire());
                 }
             }
         }
     }
-    body
+}
+
+/// Length of the IPv6 prefixes in `prefixes` as NLRI.
+fn v6_nlri_len(prefixes: &[Prefix]) -> usize {
+    prefixes.iter().filter(|p| p.is_ipv6()).map(encoded_len).sum()
+}
+
+/// Writes an MP_REACH_NLRI attribute carrying `next_hop` and the IPv6
+/// prefixes in `prefixes` (none, for a next-hop-only attribute).
+fn put_mp_reach(buf: &mut BytesMut, next_hop: Ipv6Addr, prefixes: &[Prefix]) {
+    // AFI, SAFI, next-hop length, next hop, reserved octet.
+    let fixed = 2 + 1 + 1 + 16 + 1;
+    put_attr_header(buf, flags::OPTIONAL, type_codes::MP_REACH_NLRI, fixed + v6_nlri_len(prefixes));
+    buf.put_u16(Afi::Ipv6.code());
+    buf.put_u8(1); // SAFI unicast
+    buf.put_u8(16);
+    buf.put_slice(&next_hop.octets());
+    buf.put_u8(0); // reserved
+    for p in prefixes.iter().filter(|p| p.is_ipv6()) {
+        encode_prefix(p, buf);
+    }
+}
+
+/// Writes an MP_UNREACH_NLRI attribute withdrawing the IPv6 prefixes in
+/// `prefixes`, if there are any — on its own, the whole attribute block
+/// of a pure IPv6 withdrawal, which carries no mandatory attributes.
+pub(crate) fn put_mp_unreach(buf: &mut BytesMut, prefixes: &[Prefix]) {
+    let len = v6_nlri_len(prefixes);
+    if len == 0 {
+        return;
+    }
+    put_attr_header(buf, flags::OPTIONAL, type_codes::MP_UNREACH_NLRI, 2 + 1 + len);
+    buf.put_u16(Afi::Ipv6.code());
+    buf.put_u8(1); // SAFI unicast
+    for p in prefixes.iter().filter(|p| p.is_ipv6()) {
+        encode_prefix(p, buf);
+    }
 }
 
 fn decode_as_path_body(mut body: Bytes, four_octet: bool) -> Result<AsPath, WireError> {
@@ -172,14 +220,16 @@ fn decode_as_path_body(mut body: Bytes, four_octet: bool) -> Result<AsPath, Wire
     Ok(AsPath::from_segments(segments))
 }
 
-/// Encodes the attribute block for an UPDATE.
+/// Encodes the attribute block for an UPDATE, writing every attribute
+/// straight into `buf`.
 ///
-/// `v6_nlri`/`v6_withdrawn` trigger MP_REACH/MP_UNREACH generation;
+/// The IPv6 prefixes among `nlri`/`withdrawn` ride MP_REACH/MP_UNREACH
+/// (IPv4 ones are the caller's to write outside the block);
 /// `include_next_hop` should be false for updates with no IPv4 NLRI.
 pub fn encode_attributes(
     attrs: &PathAttributes,
-    v6_nlri: &[Prefix],
-    v6_withdrawn: &[Prefix],
+    nlri: &[Prefix],
+    withdrawn: &[Prefix],
     unknown: &[RawAttribute],
     include_next_hop: bool,
     cfg: &SessionConfig,
@@ -190,18 +240,10 @@ pub fn encode_attributes(
     buf.put_u8(attrs.origin.code());
 
     // AS_PATH (+ AS4_PATH when the session is 2-octet and the path needs it)
-    let body = encode_as_path_body(&attrs.as_path, cfg.four_octet_as);
-    put_attr_header(buf, flags::TRANSITIVE, type_codes::AS_PATH, body.len());
-    buf.put_slice(&body);
+    put_as_path(buf, flags::TRANSITIVE, type_codes::AS_PATH, &attrs.as_path, cfg.four_octet_as);
     if !cfg.four_octet_as && attrs.as_path.asns().any(|a| !a.is_16bit()) {
-        let body4 = encode_as_path_body(&attrs.as_path, true);
-        put_attr_header(
-            buf,
-            flags::OPTIONAL | flags::TRANSITIVE,
-            type_codes::AS4_PATH,
-            body4.len(),
-        );
-        buf.put_slice(&body4);
+        let base = flags::OPTIONAL | flags::TRANSITIVE;
+        put_as_path(buf, base, type_codes::AS4_PATH, &attrs.as_path, true);
     }
 
     // NEXT_HOP (IPv4 only; v6 next hops ride in MP_REACH)
@@ -292,34 +334,15 @@ pub fn encode_attributes(
         }
     }
 
-    if !v6_nlri.is_empty() {
-        let mut body = BytesMut::new();
-        body.put_u16(Afi::Ipv6.code());
-        body.put_u8(1); // SAFI unicast
+    if nlri.iter().any(Prefix::is_ipv6) {
         let nh = match attrs.next_hop {
             IpAddr::V6(v6) => v6,
             IpAddr::V4(v4) => v4.to_ipv6_mapped(),
         };
-        body.put_u8(16);
-        body.put_slice(&nh.octets());
-        body.put_u8(0); // reserved
-        for p in v6_nlri {
-            encode_prefix(p, &mut body);
-        }
-        put_attr_header(buf, flags::OPTIONAL, type_codes::MP_REACH_NLRI, body.len());
-        buf.put_slice(&body);
+        put_mp_reach(buf, nh, nlri);
     }
 
-    if !v6_withdrawn.is_empty() {
-        let mut body = BytesMut::new();
-        body.put_u16(Afi::Ipv6.code());
-        body.put_u8(1);
-        for p in v6_withdrawn {
-            encode_prefix(p, &mut body);
-        }
-        put_attr_header(buf, flags::OPTIONAL, type_codes::MP_UNREACH_NLRI, body.len());
-        buf.put_slice(&body);
-    }
+    put_mp_unreach(buf, withdrawn);
 
     for raw in unknown {
         put_attr_header(buf, raw.flags & !flags::EXTENDED_LENGTH, raw.code, raw.value.len());
@@ -331,27 +354,7 @@ pub fn encode_attributes(
 /// §4.3.4 prescribes for IPv6 RIB entries in TABLE_DUMP_V2, where the NLRI
 /// is implied by the enclosing record.
 pub fn encode_mp_next_hop_only(next_hop: Ipv6Addr, buf: &mut BytesMut) {
-    let mut body = BytesMut::new();
-    body.put_u16(Afi::Ipv6.code());
-    body.put_u8(1); // SAFI unicast
-    body.put_u8(16);
-    body.put_slice(&next_hop.octets());
-    body.put_u8(0); // reserved
-    put_attr_header(buf, flags::OPTIONAL, type_codes::MP_REACH_NLRI, body.len());
-    buf.put_slice(&body);
-}
-
-/// Encodes an attribute block containing only MP_UNREACH_NLRI — the shape
-/// of a pure IPv6 withdrawal, which carries no mandatory attributes.
-pub fn encode_attributes_withdraw_only(v6_withdrawn: &[Prefix], buf: &mut BytesMut) {
-    let mut body = BytesMut::new();
-    body.put_u16(Afi::Ipv6.code());
-    body.put_u8(1);
-    for p in v6_withdrawn {
-        encode_prefix(p, &mut body);
-    }
-    put_attr_header(buf, flags::OPTIONAL, type_codes::MP_UNREACH_NLRI, body.len());
-    buf.put_slice(&body);
+    put_mp_reach(buf, next_hop, &[]);
 }
 
 fn expect_len(code: u8, body: &Bytes, want: usize, what: &'static str) -> Result<(), WireError> {
@@ -806,12 +809,21 @@ mod tests {
         ));
     }
 
+    /// `path` encoded 4-octet, without its attribute header.
+    fn as_path_body(path: &AsPath) -> Bytes {
+        let mut buf = BytesMut::new();
+        put_as_path(&mut buf, flags::TRANSITIVE, type_codes::AS_PATH, path, true);
+        let header = if buf[0] & flags::EXTENDED_LENGTH != 0 { 4 } else { 3 };
+        let body = buf.freeze().slice(header..);
+        assert_eq!(body.len(), as_path_body_len(path, true));
+        body
+    }
+
     #[test]
     fn long_as_path_splits_segments() {
         // 300 ASNs forces two wire segments of ≤255.
         let path = AsPath::from_asns((1..=300u32).map(Asn));
-        let body = encode_as_path_body(&path, true);
-        let decoded = decode_as_path_body(body.freeze(), true).unwrap();
+        let decoded = decode_as_path_body(as_path_body(&path), true).unwrap();
         assert_eq!(decoded.asns().count(), 300);
         assert_eq!(decoded.origin(), Some(Asn(300)));
     }
@@ -822,8 +834,7 @@ mod tests {
     #[test]
     fn decoded_single_segment_path_has_exact_capacity() {
         let path: AsPath = "3356 1299 20205".parse().unwrap();
-        let body = encode_as_path_body(&path, true);
-        let decoded = decode_as_path_body(body.freeze(), true).unwrap();
+        let decoded = decode_as_path_body(as_path_body(&path), true).unwrap();
         assert_eq!(decoded, path);
         assert_eq!(
             decoded.heap_bytes(),

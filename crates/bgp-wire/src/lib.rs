@@ -41,8 +41,8 @@ pub mod update;
 
 pub use error::WireError;
 pub use message::{
-    decode_message, encode_message, encode_update, Message, MessageType, RouteRefresh,
-    SessionConfig,
+    decode_message, encode_message, encode_route_update, encode_update, Message, MessageType,
+    RouteRefresh, SessionConfig,
 };
 pub use notification::{Notification, NotificationCode, OpenErrorSubcode};
 pub use open::{Capability, OpenMessage};

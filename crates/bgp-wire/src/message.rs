@@ -1,11 +1,12 @@
 //! Top-level message framing: header, type dispatch, session configuration.
 
 use bytes::{Buf, BufMut, BytesMut};
+use kcc_bgp_types::RouteUpdate;
 
 use crate::error::WireError;
 use crate::notification::Notification;
 use crate::open::OpenMessage;
-use crate::update::UpdatePacket;
+use crate::update::{encode_body_parts, UpdatePacket};
 use crate::{HEADER_LEN, MAX_MESSAGE_LEN};
 
 /// Per-session codec configuration, fixed at OPEN negotiation.
@@ -122,25 +123,34 @@ impl Message {
     }
 }
 
-/// Wraps an encoded body in the fixed header (marker, length, type).
-fn frame(mtype: MessageType, body: &[u8], buf: &mut BytesMut) {
+/// Writes a frame header with a placeholder length and returns where
+/// the frame starts; [`end_frame`] patches the length once the body is
+/// written behind it.
+fn begin_frame(mtype: MessageType, buf: &mut BytesMut) -> usize {
+    let start = buf.len();
     buf.put_slice(&[0xFF; 16]);
-    buf.put_u16((HEADER_LEN + body.len()) as u16);
+    buf.put_u16(0);
     buf.put_u8(mtype.code());
-    buf.put_slice(body);
+    start
+}
+
+/// Patches the length field of the frame begun at `start`.
+fn end_frame(start: usize, buf: &mut BytesMut) {
+    let len = (buf.len() - start) as u16;
+    buf[start + 16..start + 18].copy_from_slice(&len.to_be_bytes());
 }
 
 /// Encodes a complete message (header + body) into `buf`.
 pub fn encode_message(msg: &Message, cfg: &SessionConfig, buf: &mut BytesMut) {
-    let mut body = BytesMut::new();
+    let start = begin_frame(msg.message_type(), buf);
     match msg {
-        Message::Open(o) => o.encode_body(&mut body),
-        Message::Update(u) => u.encode_body(cfg, &mut body),
-        Message::Notification(n) => n.encode_body(&mut body),
+        Message::Open(o) => o.encode_body(buf),
+        Message::Update(u) => u.encode_body(cfg, buf),
+        Message::Notification(n) => n.encode_body(buf),
         Message::Keepalive => {}
-        Message::RouteRefresh(r) => r.encode_body(&mut body),
+        Message::RouteRefresh(r) => r.encode_body(buf),
     }
-    frame(msg.message_type(), &body, buf);
+    end_frame(start, buf);
 }
 
 /// Encodes a complete UPDATE message from a borrowed packet — the
@@ -148,9 +158,22 @@ pub fn encode_message(msg: &Message, cfg: &SessionConfig, buf: &mut BytesMut) {
 /// [`Message::Update`]. Byte-identical to
 /// `encode_message(&Message::Update(packet.clone()), …)`.
 pub fn encode_update(packet: &UpdatePacket, cfg: &SessionConfig, buf: &mut BytesMut) {
-    let mut body = BytesMut::new();
-    packet.encode_body(cfg, &mut body);
-    frame(MessageType::Update, &body, buf);
+    let start = begin_frame(MessageType::Update, buf);
+    packet.encode_body(cfg, buf);
+    end_frame(start, buf);
+}
+
+/// Encodes one logical update as a complete single-prefix UPDATE message,
+/// with no intermediate packet. Byte-identical to
+/// `encode_update(&UpdatePacket::from_route_update(update), …)`.
+pub fn encode_route_update(update: &RouteUpdate, cfg: &SessionConfig, buf: &mut BytesMut) {
+    let start = begin_frame(MessageType::Update, buf);
+    let prefix = std::slice::from_ref(&update.prefix);
+    match update.attributes() {
+        Some(attrs) => encode_body_parts(&[], prefix, Some(attrs), &[], cfg, buf),
+        None => encode_body_parts(prefix, &[], None, &[], cfg, buf),
+    }
+    end_frame(start, buf);
 }
 
 /// Decodes one complete message from `buf`, consuming exactly its bytes.

@@ -45,6 +45,12 @@ pub const fn octets_for(len: u8) -> usize {
     (len as usize).div_ceil(8)
 }
 
+/// Bytes [`encode_prefix`] writes for `prefix`: the length octet plus
+/// the address octets covering the mask.
+pub(crate) fn encoded_len(prefix: &Prefix) -> usize {
+    1 + octets_for(prefix.len())
+}
+
 /// Encodes one prefix into `buf`.
 pub fn encode_prefix<B: BufMut>(prefix: &Prefix, buf: &mut B) {
     match prefix {

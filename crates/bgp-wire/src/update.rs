@@ -5,7 +5,7 @@ use std::sync::Arc;
 use bytes::{Buf, BufMut, BytesMut};
 use kcc_bgp_types::{MessageKind, PathAttributes, Prefix, RouteUpdate};
 
-use crate::attr::{decode_attributes, encode_attributes, RawAttribute};
+use crate::attr::{decode_attributes, encode_attributes, put_mp_unreach, RawAttribute};
 use crate::error::WireError;
 use crate::message::SessionConfig;
 use crate::nlri::{decode_prefix, encode_prefix, Afi};
@@ -87,50 +87,14 @@ impl UpdatePacket {
 
     /// Encodes the UPDATE body (without message header).
     pub fn encode_body(&self, cfg: &SessionConfig, buf: &mut BytesMut) {
-        let (v4_wd, v6_wd): (Vec<Prefix>, Vec<Prefix>) =
-            self.withdrawn.iter().copied().partition(|p| p.is_ipv4());
-        let (v4_ann, v6_ann): (Vec<Prefix>, Vec<Prefix>) =
-            self.nlri.iter().copied().partition(|p| p.is_ipv4());
-
-        let mut wd = BytesMut::new();
-        for p in &v4_wd {
-            encode_prefix(p, &mut wd);
-        }
-        buf.put_u16(wd.len() as u16);
-        buf.put_slice(&wd);
-
-        let mut attrs_buf = BytesMut::new();
-        let need_attrs = self.attrs.is_some() || !v6_wd.is_empty();
-        if need_attrs {
-            let default_attrs;
-            let attrs = match &self.attrs {
-                Some(a) => a,
-                None => {
-                    default_attrs = PathAttributes::default();
-                    &default_attrs
-                }
-            };
-            if self.attrs.is_some() {
-                encode_attributes(
-                    attrs,
-                    &v6_ann,
-                    &v6_wd,
-                    &self.unknown_attrs,
-                    !v4_ann.is_empty(),
-                    cfg,
-                    &mut attrs_buf,
-                );
-            } else {
-                // Pure v6 withdrawal: only MP_UNREACH, no mandatory attrs.
-                crate::attr::encode_attributes_withdraw_only(&v6_wd, &mut attrs_buf);
-            }
-        }
-        buf.put_u16(attrs_buf.len() as u16);
-        buf.put_slice(&attrs_buf);
-
-        for p in &v4_ann {
-            encode_prefix(p, buf);
-        }
+        encode_body_parts(
+            &self.withdrawn,
+            &self.nlri,
+            self.attrs.as_ref(),
+            &self.unknown_attrs,
+            cfg,
+            buf,
+        );
     }
 
     /// Decodes an UPDATE body of exactly `body_len` bytes.
@@ -191,6 +155,50 @@ impl UpdatePacket {
             attrs: if has_announcements { Some(decoded.attrs) } else { None },
             unknown_attrs: decoded.unknown,
         })
+    }
+}
+
+/// Writes `buf[at..at + 2]`, reserved earlier, as the big-endian count
+/// of bytes written after it.
+fn patch_len(buf: &mut BytesMut, at: usize) {
+    let len = (buf.len() - at - 2) as u16;
+    buf[at..at + 2].copy_from_slice(&len.to_be_bytes());
+}
+
+/// The one UPDATE body encoder, over borrowed parts so that a packet and
+/// a single [`RouteUpdate`] encode through the same code. IPv4 prefixes
+/// go in the withdrawn-routes and NLRI fields, IPv6 ones in
+/// MP_UNREACH/MP_REACH; both length fields are reserved and patched once
+/// their contents are written.
+pub(crate) fn encode_body_parts(
+    withdrawn: &[Prefix],
+    nlri: &[Prefix],
+    attrs: Option<&PathAttributes>,
+    unknown: &[RawAttribute],
+    cfg: &SessionConfig,
+    buf: &mut BytesMut,
+) {
+    let at = buf.len();
+    buf.put_u16(0);
+    for p in withdrawn.iter().filter(|p| p.is_ipv4()) {
+        encode_prefix(p, buf);
+    }
+    patch_len(buf, at);
+
+    let at = buf.len();
+    buf.put_u16(0);
+    let v4_nlri = || nlri.iter().filter(|p| p.is_ipv4());
+    match attrs {
+        Some(attrs) => {
+            let include_next_hop = v4_nlri().next().is_some();
+            encode_attributes(attrs, nlri, withdrawn, unknown, include_next_hop, cfg, buf);
+        }
+        None => put_mp_unreach(buf, withdrawn),
+    }
+    patch_len(buf, at);
+
+    for p in v4_nlri() {
+        encode_prefix(p, buf);
     }
 }
 

@@ -60,9 +60,11 @@ impl ShutdownFlag {
 
 /// How many items the ring holds in flight — reserved by a producer or
 /// queued, and not yet taken by the consumer — before producers must
-/// wait. Not a knob: a few hundred milliseconds of the pipeline's work,
-/// far more than any batch one wake produces.
-pub const LIVE_RING_ITEMS: usize = 64 * 1024;
+/// wait. Not a knob: tens of milliseconds of the pipeline's work, still
+/// far more than any batch one wake produces. Every item in flight holds
+/// its update's attributes, so this bound is also the ring's share of the
+/// daemon's memory.
+pub const LIVE_RING_ITEMS: usize = 16 * 1024;
 
 /// How long `next_item` blocks before re-checking the shutdown flag.
 const POLL: Duration = Duration::from_millis(50);

@@ -157,7 +157,7 @@ impl CollectorConfig {
     }
 
     /// The hot-reloadable subset, as the initial running config.
-    fn daemon_config(&self) -> DaemonConfig {
+    pub(crate) fn daemon_config(&self) -> DaemonConfig {
         DaemonConfig {
             stamp: self.stamp,
             route_servers: self.route_servers.clone(),

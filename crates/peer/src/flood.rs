@@ -4,7 +4,11 @@
 //! [`FloodPlan::from_archive`] turns every session of an
 //! [`UpdateArchive`] into a speaker announcing the session's peer AS
 //! and, as its BGP identifier, its peer IP; the live ≡ offline tests and
-//! the 5k-session soaks share this one client. [`FloodRig`] is the
+//! the 5k-session soaks share this one client. The plan encodes each
+//! session's UPDATEs once, as one frozen run of 4-octet-AS frames, and
+//! shares it: cloning a plan or dialling its sessions copies no update,
+//! and a session whose peer does not negotiate 4-octet AS fails with that
+//! reason rather than being sent frames it would misread. [`FloodRig`] is the
 //! client-side mirror of the reactor: every planned session gets a
 //! nonblocking socket, a [`Fsm`], a [`FrameBuffer`] and a capped
 //! [`WriteQueue`], all multiplexed over one epoll [`Poller`]. It runs in two
@@ -15,8 +19,9 @@
 //!    session, then **holds them all Established** — the caller can
 //!    check the daemon's gauges before a single UPDATE is sent;
 //! 2. [`stream`](FloodRig::stream) feeds each session its planned
-//!    UPDATEs (encoded incrementally, so memory stays bounded), ends
-//!    each with an administrative Cease, and drains to EOF.
+//!    UPDATEs (whole frames copied into the capped write queue as it
+//!    drains, so memory stays bounded), ends each with an administrative
+//!    Cease, and drains to EOF.
 //!
 //! Per-session update order is preserved (one socket per session);
 //! inter-session interleaving is whatever TCP produces — the same
@@ -30,8 +35,8 @@ use std::os::fd::AsRawFd;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bytes::BytesMut;
-use kcc_bgp_wire::{encode_update, Message, Notification, SessionConfig, UpdatePacket};
+use bytes::{Bytes, BytesMut};
+use kcc_bgp_wire::{encode_route_update, Message, Notification, SessionConfig};
 use kcc_collector::UpdateArchive;
 
 use crate::clock::{Clock, WallClock};
@@ -40,18 +45,25 @@ use crate::reactor::framing::{FlushOutcome, FrameBuffer, WriteQueue};
 use crate::sys::{PollEvent, Poller};
 
 /// One planned session: who to claim to be, and what to send.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct PlanSession {
     cfg: FsmConfig,
-    packets: Vec<UpdatePacket>,
+    /// The session's UPDATEs as back-to-back 4-octet-AS frames.
+    wire: Bytes,
+    updates: u64,
 }
 
 /// A pre-built flood workload: per-session FSM identities plus their
-/// UPDATE streams, decoupled from any socket so one plan can be reused
-/// across runs.
+/// encoded UPDATE streams, decoupled from any socket so one plan can be
+/// reused across runs. Clones share the encoded streams.
 #[derive(Debug, Clone)]
 pub struct FloodPlan {
-    sessions: Vec<PlanSession>,
+    sessions: Arc<[PlanSession]>,
+}
+
+/// The length field of the frame starting at `wire[0]`.
+fn frame_len(wire: &[u8]) -> usize {
+    usize::from(u16::from_be_bytes([wire[16], wire[17]]))
 }
 
 /// The BGP identifier a planned peer IP maps to, chosen so the daemon's
@@ -74,12 +86,20 @@ impl FloodPlan {
     /// key's peer AS and (as BGP identifier) its peer IP, streaming the
     /// session's updates in archive order.
     pub fn from_archive(archive: &UpdateArchive, hold_time: u16) -> Self {
+        let four_octet = SessionConfig { four_octet_as: true };
         let sessions = archive
             .sessions()
-            .map(|(key, rec)| PlanSession {
-                cfg: FsmConfig::new(key.peer_asn, bgp_id_for(key.peer_ip))
-                    .with_hold_time(hold_time),
-                packets: rec.updates.iter().map(UpdatePacket::from_route_update).collect(),
+            .map(|(key, rec)| {
+                let mut wire = BytesMut::new();
+                for update in &rec.updates {
+                    encode_route_update(update, &four_octet, &mut wire);
+                }
+                PlanSession {
+                    cfg: FsmConfig::new(key.peer_asn, bgp_id_for(key.peer_ip))
+                        .with_hold_time(hold_time),
+                    wire: wire.freeze(),
+                    updates: rec.updates.len() as u64,
+                }
             })
             .collect();
         FloodPlan { sessions }
@@ -92,7 +112,7 @@ impl FloodPlan {
 
     /// Planned UPDATE count across all sessions.
     pub fn update_count(&self) -> u64 {
-        self.sessions.iter().map(|s| s.packets.len() as u64).sum()
+        self.sessions.iter().map(|s| s.updates).sum()
     }
 }
 
@@ -127,8 +147,10 @@ struct FloodPeer {
     frames: FrameBuffer,
     writes: WriteQueue,
     write_cfg: SessionConfig,
-    packets: Vec<UpdatePacket>,
-    next_packet: usize,
+    /// The planned frames, shared with the plan, and how far into them
+    /// the write queue has been fed.
+    wire: Bytes,
+    fed: usize,
     updates_sent: u64,
     established: bool,
     streaming: bool,
@@ -193,10 +215,12 @@ impl FloodRig {
             peak_established: 0,
             last_tick_ms: 0,
         };
-        for session in plan.sessions {
+        for session in plan.sessions.iter() {
             rig.dial(addr, session)?;
         }
-        rig.run_until(ESTABLISH_TIMEOUT, |rig| rig.established == rig.peers.len())?;
+        // A session that failed its handshake is done; stop waiting as
+        // soon as every session is either up or failed.
+        rig.run_until(ESTABLISH_TIMEOUT, |rig| rig.peers.iter().all(|p| p.established || p.done))?;
         if rig.established != rig.peers.len() {
             let failed: Vec<&str> =
                 rig.peers.iter().filter_map(|p| p.failure.as_deref()).take(3).collect();
@@ -249,7 +273,7 @@ impl FloodRig {
         Ok(report)
     }
 
-    fn dial(&mut self, addr: SocketAddr, session: PlanSession) -> std::io::Result<()> {
+    fn dial(&mut self, addr: SocketAddr, session: &PlanSession) -> std::io::Result<()> {
         // Blocking dial with retry: under a mass dial the daemon's
         // accept loop can transiently refuse; loopback dials are cheap
         // enough that serial connects beat nonblocking connect plumbing.
@@ -279,12 +303,12 @@ impl FloodRig {
 
         let mut peer = FloodPeer {
             stream,
-            fsm: Fsm::new(session.cfg),
+            fsm: Fsm::new(session.cfg.clone()),
             frames: FrameBuffer::new(SessionConfig::default(), true),
             writes: WriteQueue::new(self.options.write_queue_cap),
             write_cfg: SessionConfig::default(),
-            packets: session.packets,
-            next_packet: 0,
+            wire: session.wire.clone(),
+            fed: 0,
             updates_sent: 0,
             established: false,
             streaming: false,
@@ -434,6 +458,15 @@ impl FloodRig {
                     }
                 }
                 Action::Up(info) => {
+                    if !info.config.four_octet_as {
+                        peer.failure = Some(
+                            "peer did not negotiate 4-octet AS; the plan's UPDATEs are \
+                             4-octet-AS frames"
+                                .to_owned(),
+                        );
+                        self.finish(idx);
+                        return;
+                    }
                     peer.write_cfg = info.config;
                     if !peer.established {
                         peer.established = true;
@@ -455,30 +488,32 @@ impl FloodRig {
         }
     }
 
-    /// Tops the write queue back up from the planned packet stream, and
-    /// queues the closing Cease when the stream is exhausted.
+    /// Tops the write queue back up with whole frames from the planned
+    /// stream, and queues the closing Cease when the stream is exhausted.
     fn refill(&mut self, idx: usize) {
         let cap = self.options.write_queue_cap;
         let peer = &mut self.peers[idx];
         if !peer.streaming || !peer.established || peer.cease_queued {
             return;
         }
-        if peer.writes.queued() >= cap / REFILL_LOW_DIV && peer.next_packet > 0 {
+        if peer.writes.queued() >= cap / REFILL_LOW_DIV && peer.fed > 0 {
             return;
         }
-        while peer.next_packet < peer.packets.len()
-            && peer.writes.queued() < cap / REFILL_TARGET_DIV
-        {
-            let mut frame = BytesMut::new();
-            encode_update(&peer.packets[peer.next_packet], &peer.write_cfg, &mut frame);
-            if peer.writes.push_frame(frame).is_err() {
+        let room = (cap / REFILL_TARGET_DIV).saturating_sub(peer.writes.queued());
+        let (mut end, mut frames) = (peer.fed, 0);
+        while end < peer.wire.len() && end - peer.fed < room {
+            end += frame_len(&peer.wire[end..]);
+            frames += 1;
+        }
+        if end > peer.fed {
+            if peer.writes.push(&peer.wire[peer.fed..end]).is_err() {
                 // The queue is fuller than the refill target; try later.
                 return;
             }
-            peer.next_packet += 1;
-            peer.updates_sent += 1;
+            peer.fed = end;
+            peer.updates_sent += frames;
         }
-        if peer.next_packet == peer.packets.len() {
+        if peer.fed == peer.wire.len() {
             let cease = Message::Notification(Notification::cease_admin_shutdown());
             let cfg = peer.write_cfg;
             if peer.writes.push_message(&cease, &cfg).is_ok() {
@@ -528,5 +563,43 @@ impl FloodRig {
         }
         let _ = self.poller.deregister(peer.stream.as_raw_fd());
         let _ = peer.stream.shutdown(std::net::Shutdown::Both);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::active::HandPlayedPeer;
+    use kcc_bgp_types::{Asn, RouteUpdate};
+    use kcc_bgp_wire::OpenMessage;
+    use kcc_collector::SessionKey;
+    use std::net::TcpListener;
+
+    /// The plan is encoded 4-octet, so a peer that does not offer the
+    /// capability ends the session with that reason, and `connect`
+    /// reports it at once instead of waiting out its timeout.
+    #[test]
+    fn a_peer_without_four_octet_as_fails_with_a_named_reason() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let daemon = std::thread::spawn(move || {
+            let mut peer = HandPlayedPeer::new(listener.accept().unwrap().0);
+            assert!(matches!(peer.recv(), Message::Open(_)));
+            let bgp_id = "198.51.100.1".parse().unwrap();
+            let open = OpenMessage { asn: Asn(3333), hold_time: 90, bgp_id, capabilities: vec![] };
+            peer.send(&Message::Open(open));
+            peer.send(&Message::Keepalive);
+            peer // held open until the rig has read both
+        });
+        let mut archive = UpdateArchive::new(0);
+        let key = SessionKey::new("rrc00", Asn(65_001), "192.0.2.1".parse().unwrap());
+        archive.record(&key, RouteUpdate::withdraw(0, "10.0.0.0/8".parse().unwrap()));
+        let plan = FloodPlan::from_archive(&archive, 90);
+
+        let started = Instant::now();
+        let err = FloodRig::connect(addr, plan, FloodOptions::default()).unwrap_err();
+        assert!(err.to_string().contains("did not negotiate 4-octet AS"), "{err}");
+        assert!(started.elapsed() < Duration::from_secs(30), "waited out the timeout");
+        drop(daemon.join().unwrap());
     }
 }

@@ -10,16 +10,20 @@
 //! — frames through it. Decode configuration: the 4-octet AS width is
 //! re-derived from the peer's OPEN (ANDed with our own offer); the
 //! OPEN's own encoding is width-independent and always precedes the
-//! first UPDATE, so the switch is race-free.
+//! first UPDATE, so the switch is race-free. A frame is decoded where it
+//! lies in the buffer and then consumed, and the buffer reuses its
+//! consumed front, so a session holds what is unread — at most a read's
+//! worth plus one partial frame — however long it runs.
 //!
-//! [`WriteQueue`] is the outbound half: messages encode into a bounded
-//! per-session backlog that flushes as far as the socket accepts and
-//! resumes mid-frame after `WouldBlock`. Exceeding the cap is a protocol
-//! failure for that session (a peer that cannot drain its keepalives is
-//! dead weight), surfaced as [`WriteOverflow`] so the reactor tears the
-//! session down instead of buffering without bound.
+//! [`WriteQueue`] is the outbound half: one contiguous buffer that
+//! messages encode straight onto, bounded by a cap. A flush hands the
+//! socket everything queued in one `write` per call it accepts and, after
+//! a short write or `WouldBlock`, resumes at the exact byte where the
+//! socket stopped. Exceeding the cap is a protocol failure for that
+//! session (a peer that cannot drain its keepalives is dead weight),
+//! surfaced as [`WriteOverflow`] so the reactor tears the session down
+//! instead of buffering without bound.
 
-use std::collections::VecDeque;
 use std::io::{ErrorKind, Write};
 
 use bytes::{Buf, BytesMut};
@@ -74,12 +78,13 @@ impl FrameBuffer {
         if self.buf.len() < len {
             return Ok(None);
         }
-        let frame = self.buf.split_to(len);
-        let mut bytes = &frame[..];
-        let message = decode_message(&mut bytes, &self.cfg)?;
-        if bytes.has_remaining() {
-            return Err(WireError::BadLength(len as u16));
-        }
+        let mut frame = &self.buf[..len];
+        let decoded = decode_message(&mut frame, &self.cfg).and_then(|message| match frame {
+            [] => Ok(message),
+            _ => Err(WireError::BadLength(len as u16)),
+        });
+        self.buf.advance(len);
+        let message = decoded?;
         if let Message::Open(open) = &message {
             self.cfg.four_octet_as = self.we_offer_four_octet && open.supports_four_octet();
         }
@@ -116,32 +121,29 @@ pub enum FlushOutcome {
 
 /// A bounded per-session outbound backlog with mid-frame resume.
 ///
-/// Frames are queued whole (a `VecDeque` of encoded messages plus an
-/// offset into the front one), so a partially written KEEPALIVE resumes
-/// at the exact byte where the socket stopped.
+/// One contiguous buffer: messages encode onto its tail, writes consume
+/// its head, and a partial write leaves the rest exactly where the next
+/// flush picks it up.
 #[derive(Debug)]
 pub struct WriteQueue {
-    frames: VecDeque<BytesMut>,
-    /// Bytes of the front frame already written.
-    front_written: usize,
-    queued: usize,
+    buf: BytesMut,
     cap: usize,
 }
 
 impl WriteQueue {
     /// An empty queue that refuses to grow past `cap` bytes.
     pub fn new(cap: usize) -> Self {
-        WriteQueue { frames: VecDeque::new(), front_written: 0, queued: 0, cap }
+        WriteQueue { buf: BytesMut::new(), cap }
     }
 
     /// True when nothing is waiting to be written.
     pub fn is_empty(&self) -> bool {
-        self.frames.is_empty()
+        self.buf.is_empty()
     }
 
     /// Bytes queued but not yet written.
     pub fn queued(&self) -> usize {
-        self.queued
+        self.buf.len()
     }
 
     /// Encodes and queues one message.
@@ -150,18 +152,25 @@ impl WriteQueue {
         message: &Message,
         cfg: &SessionConfig,
     ) -> Result<(), WriteOverflow> {
-        let mut frame = BytesMut::new();
-        encode_message(message, cfg, &mut frame);
-        self.push_frame(frame)
+        let queued = self.buf.len();
+        encode_message(message, cfg, &mut self.buf);
+        self.admit(queued)
     }
 
-    /// Queues an already-encoded frame.
-    pub fn push_frame(&mut self, frame: BytesMut) -> Result<(), WriteOverflow> {
-        if self.queued + frame.len() > self.cap {
-            return Err(WriteOverflow { queued: self.queued, cap: self.cap });
+    /// Queues already-encoded bytes (whole frames).
+    pub fn push(&mut self, frames: &[u8]) -> Result<(), WriteOverflow> {
+        let queued = self.buf.len();
+        self.buf.extend_from_slice(frames);
+        self.admit(queued)
+    }
+
+    /// Keeps what was appended after `queued` bytes if the cap allows,
+    /// and takes it back off the tail otherwise.
+    fn admit(&mut self, queued: usize) -> Result<(), WriteOverflow> {
+        if self.buf.len() > self.cap {
+            self.buf.truncate(queued);
+            return Err(WriteOverflow { queued, cap: self.cap });
         }
-        self.queued += frame.len();
-        self.frames.push_back(frame);
         Ok(())
     }
 
@@ -169,23 +178,15 @@ impl WriteQueue {
     /// [`FlushOutcome::Pending`] on `WouldBlock` with the position saved
     /// for resumption; propagates any other I/O error.
     pub fn flush<W: Write>(&mut self, w: &mut W) -> std::io::Result<FlushOutcome> {
-        while let Some(front) = self.frames.front() {
-            let rest = &front[self.front_written..];
-            match w.write(rest) {
+        while !self.buf.is_empty() {
+            match w.write(&self.buf) {
                 Ok(0) => {
                     return Err(std::io::Error::new(
                         ErrorKind::WriteZero,
                         "socket accepted zero bytes",
                     ))
                 }
-                Ok(n) => {
-                    self.queued -= n;
-                    self.front_written += n;
-                    if self.front_written == front.len() {
-                        self.frames.pop_front();
-                        self.front_written = 0;
-                    }
-                }
+                Ok(n) => self.buf.advance(n),
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(FlushOutcome::Pending),
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
@@ -327,6 +328,60 @@ mod tests {
     }
 
     #[test]
+    fn frame_buffer_capacity_tracks_unread_bytes_not_traffic() {
+        // 64 MiB of KEEPALIVEs in 64 KiB reads: most reads end mid-frame,
+        // and nothing but that partial frame is ever left unread.
+        const READ: usize = 64 * 1024;
+        let keepalives_in = wire(&[Message::Keepalive]).repeat(READ / HEADER_LEN + 2);
+        let mut fb = FrameBuffer::new(SessionConfig::default(), true);
+        let mut keepalives = 0usize;
+        for i in 0..1024 {
+            let at = i * READ % HEADER_LEN;
+            fb.extend(&keepalives_in[at..at + READ]);
+            while let Some(message) = fb.next_message().unwrap() {
+                assert_eq!(message, Message::Keepalive);
+                keepalives += 1;
+            }
+            assert!(fb.buffered() < HEADER_LEN);
+            assert!(fb.buf.capacity() <= 128 * 1024, "capacity {} grew", fb.buf.capacity());
+        }
+        assert_eq!(keepalives, 64 * 1024 * 1024 / HEADER_LEN);
+    }
+
+    /// A writer that accepts everything, counting its calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        out: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            self.out.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_queue_flushes_its_backlog_in_one_write() {
+        let cfg = SessionConfig::default();
+        let messages: Vec<Message> = sample_messages().into_iter().cycle().take(300).collect();
+        let mut q = WriteQueue::new(1 << 20);
+        for m in &messages {
+            q.push_message(m, &cfg).unwrap();
+        }
+        let mut w = CountingWriter::default();
+        assert_eq!(q.flush(&mut w).unwrap(), FlushOutcome::Flushed);
+        assert_eq!(w.calls, 1, "one write for {} queued messages", messages.len());
+        assert_eq!(w.out, wire(&messages));
+        assert!(q.is_empty());
+    }
+
+    #[test]
     fn write_queue_cap_rejects_overflow() {
         let cfg = SessionConfig::default();
         let mut q = WriteQueue::new(32);
@@ -335,5 +390,11 @@ mod tests {
         let err = q.push_message(&Message::Keepalive, &cfg).unwrap_err();
         assert_eq!(err.cap, 32);
         assert_eq!(err.queued, 19);
+        // The rejected frame left nothing behind, and raw pushes obey the
+        // same cap.
+        assert_eq!(q.queued(), 19);
+        assert!(q.push(&[0; 14]).is_err());
+        q.push(&[0; 13]).unwrap();
+        assert_eq!(q.queued(), 32);
     }
 }

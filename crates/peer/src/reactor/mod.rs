@@ -1084,7 +1084,6 @@ mod tests {
     use crate::active::HandPlayedPeer;
     use crate::clock::WallClock;
     use crate::collector::{CollectorConfig, StampMode};
-    use crate::config::DaemonConfig;
     use kcc_bgp_wire::{Notification, OpenMessage};
     use kcc_collector::{LiveSource, SourceItem, UpdateSource};
     use std::time::{Duration, Instant};
@@ -1108,10 +1107,12 @@ mod tests {
             let listener = TcpListener::bind("127.0.0.1:0").unwrap();
             let addr = listener.local_addr().unwrap();
             let shutdown = ShutdownFlag::new();
-            let store = Arc::new(ConfigStore::new(DaemonConfig::default()));
-            let clock: Arc<dyn Clock> = Arc::new(WallClock::new());
             let cfg = CollectorConfig::new("test", Asn(3333), "198.51.100.1".parse().unwrap())
                 .with_stamp(StampMode::logical(1_000));
+            // Seeded from `cfg`, as `Collector::bind` does: the running
+            // config's stamp mode is the one the ingest table applies.
+            let store = Arc::new(ConfigStore::new(cfg.daemon_config()));
+            let clock: Arc<dyn Clock> = Arc::new(WallClock::new());
             let ingest = Arc::new(Mutex::new(IngestTable::new(
                 &cfg,
                 Arc::clone(&clock),

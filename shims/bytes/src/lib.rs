@@ -6,6 +6,10 @@
 //! [`BufMut`] — is reimplemented here on top of `Vec<u8>`/`Arc`. Semantics
 //! match upstream `bytes` 1.x for the implemented methods (including panics
 //! on overruns); cheap zero-copy cloning of `Bytes` is preserved via `Arc`.
+//! Like upstream, a [`BytesMut`] used as a FIFO (append at the tail,
+//! [`Buf::advance`] at the head) reuses its consumed prefix when it needs
+//! room, so its capacity tracks what is unread, not what ever passed
+//! through it.
 //! Swapping back to the upstream crate is a one-line change in the root
 //! `Cargo.toml`.
 
@@ -185,13 +189,6 @@ impl Bytes {
         Bytes { data: Arc::clone(&self.data), start: self.start + lo, end: self.start + hi }
     }
 
-    /// Split off and return the first `at` bytes, leaving the rest.
-    pub fn split_to(&mut self, at: usize) -> Bytes {
-        let head = self.slice(..at);
-        self.start += at;
-        head
-    }
-
     /// The remaining bytes as a slice.
     fn view(&self) -> &[u8] {
         &self.data[self.start..self.end]
@@ -347,14 +344,41 @@ impl BytesMut {
         self.len() == 0
     }
 
-    /// Reserve space for at least `additional` more bytes.
+    /// Bytes the buffer can hold from its read position without
+    /// reallocating.
+    pub fn capacity(&self) -> usize {
+        self.data.capacity() - self.read
+    }
+
+    /// Reserve space for at least `additional` more bytes, reusing the
+    /// consumed prefix before growing, as upstream does: a fully read
+    /// buffer starts over at the front, and when the room at the back is
+    /// short and the read part is at least as large as the unread tail,
+    /// the tail moves to the front (a copy no larger than what was read
+    /// since the last move).
     pub fn reserve(&mut self, additional: usize) {
+        if self.read == self.data.len() {
+            self.clear();
+        }
+        if self.data.capacity() - self.data.len() >= additional {
+            return;
+        }
+        if self.read > 0 && self.read >= self.len() {
+            self.data.drain(..self.read);
+            self.read = 0;
+        }
         self.data.reserve(additional);
     }
 
     /// Append the contents of another buffer.
     pub fn extend_from_slice(&mut self, src: &[u8]) {
+        self.reserve(src.len());
         self.data.extend_from_slice(src);
+    }
+
+    /// Shorten the unread bytes to `len`; no-op if already shorter.
+    pub fn truncate(&mut self, len: usize) {
+        self.data.truncate(self.read + len);
     }
 
     /// Clear the buffer.
@@ -371,14 +395,6 @@ impl BytesMut {
         Bytes::from(self.data)
     }
 
-    /// Split off and return the first `at` unread bytes.
-    pub fn split_to(&mut self, at: usize) -> BytesMut {
-        assert!(at <= self.len(), "split_to out of bounds");
-        let head = self.data[self.read..self.read + at].to_vec();
-        self.read += at;
-        BytesMut { data: head, read: 0 }
-    }
-
     /// The unread bytes as a slice.
     fn view(&self) -> &[u8] {
         &self.data[self.read..]
@@ -392,7 +408,7 @@ impl BytesMut {
 
 impl BufMut for BytesMut {
     fn put_slice(&mut self, src: &[u8]) {
-        self.data.extend_from_slice(src);
+        self.extend_from_slice(src);
     }
 }
 
@@ -460,6 +476,42 @@ mod tests {
         b.advance(2);
         let s = b.slice(1..3);
         assert_eq!(&s[..], &[3, 4]);
+    }
+
+    #[test]
+    fn fifo_reuses_its_consumed_prefix() {
+        let mut fifo = BytesMut::new();
+        let chunk = [7u8; 1000];
+        let mut next = 0u8;
+        for round in 0..10_000usize {
+            fifo.extend_from_slice(&chunk);
+            // Read all but a ragged tail, like a framer leaving a partial
+            // frame behind.
+            let keep = round % 300;
+            fifo.advance(fifo.len() - keep);
+            fifo.put_u8(next);
+            next = next.wrapping_add(1);
+            assert_eq!(fifo[fifo.len() - 1], next.wrapping_sub(1), "appends land at the tail");
+        }
+        assert!(
+            fifo.capacity() <= 4 * chunk.len(),
+            "capacity {} grew with traffic",
+            fifo.capacity()
+        );
+        fifo.advance(fifo.len());
+        fifo.extend_from_slice(b"abc");
+        assert_eq!(&fifo[..], b"abc", "a fully read buffer starts over at the front");
+    }
+
+    #[test]
+    fn reuse_keeps_the_unread_bytes() {
+        let mut b = BytesMut::with_capacity(8);
+        b.put_slice(b"0123456");
+        b.advance(5);
+        b.put_slice(b"789abc");
+        assert_eq!(&b[..], b"56789abc");
+        b.truncate(3);
+        assert_eq!(&b[..], b"567");
     }
 
     #[test]

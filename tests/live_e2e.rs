@@ -15,10 +15,12 @@ use keep_communities_clean::analysis::table::{OverviewSink, OverviewStats, TypeS
 use keep_communities_clean::analysis::{
     CleaningConfig, CleaningStage, CountsSink, MrtSource, PipelineBuilder, TypeCounts,
 };
-use keep_communities_clean::collector::{ArchiveSource, SessionKey, UpdateArchive};
+use keep_communities_clean::collector::{
+    ArchiveSource, LiveSource, SessionKey, ShutdownFlag, UpdateArchive,
+};
 use keep_communities_clean::peer::{
-    offline_reference, Collector, CollectorConfig, FloodOptions, FloodPlan, FloodRig, RotateConfig,
-    StampMode,
+    offline_reference, Collector, CollectorConfig, CollectorStats, FloodOptions, FloodPlan,
+    FloodReport, FloodRig, RotateConfig, StampMode,
 };
 use keep_communities_clean::sim::lab::{build_lab, lab_prefix, LabExperiment, LabNetwork};
 use keep_communities_clean::sim::{SimDuration, SimTime, VendorProfile};
@@ -39,34 +41,56 @@ fn collector_cfg(input: &UpdateArchive) -> CollectorConfig {
         .with_route_servers(route_servers)
 }
 
+/// Binds a daemon with `cfg`, replays `plans` into it one after another
+/// from a spawned thread and then stops it, while `drain` runs on the
+/// calling thread over the daemon's live source and its stop flag. The
+/// daemon hands updates over through a bounded ring, so a consumer that
+/// waited for the replay to finish would hold the replay back.
+fn replay_while_draining<O>(
+    cfg: CollectorConfig,
+    plans: Vec<FloodPlan>,
+    drain: impl FnOnce(LiveSource, &ShutdownFlag) -> O,
+) -> (O, Vec<FloodReport>, CollectorStats) {
+    let mut collector = Collector::bind("127.0.0.1:0", cfg).expect("bind loopback");
+    let addr = collector.local_addr();
+    let source = collector.take_source();
+    let stop = source.shutdown_flag();
+    let replay = std::thread::spawn(move || {
+        let reports: Vec<FloodReport> = plans
+            .into_iter()
+            .map(|plan| {
+                FloodRig::connect(addr, plan, FloodOptions::default())
+                    .and_then(FloodRig::stream)
+                    .expect("replay")
+            })
+            .collect();
+        collector.shutdown();
+        (reports, collector.join())
+    });
+    let out = drain(source, &stop);
+    let (reports, stats) = replay.join().expect("replay thread");
+    (out, reports, stats)
+}
+
 /// Replays `input` into a fresh daemon and returns the live pipeline's
 /// (counts, overview) plus the daemon's stats.
 fn run_live_loopback(
     input: &UpdateArchive,
     cfg: CollectorConfig,
-) -> (TypeCounts, OverviewStats, keep_communities_clean::peer::CollectorStats) {
-    let mut collector = Collector::bind("127.0.0.1:0", cfg).expect("bind loopback");
-    let addr = collector.local_addr();
-    let source = collector.take_source();
-    let stop = source.shutdown_flag();
-
-    let report =
-        FloodRig::connect(addr, FloodPlan::from_archive(input, 90), FloodOptions::default())
-            .and_then(FloodRig::stream)
-            .expect("replay");
+) -> (TypeCounts, OverviewStats, CollectorStats) {
+    let (out, reports, stats) =
+        replay_while_draining(cfg, vec![FloodPlan::from_archive(input, 90)], |source, stop| {
+            PipelineBuilder::new(source)
+                .sink((CountsSink::default(), OverviewSink::default()))
+                .shutdown(stop)
+                .run()
+                .expect("live sources do not fail")
+        });
+    let report = reports[0];
     assert_eq!(report.updates_sent, input.update_count() as u64, "the rig sent everything");
     assert_eq!(report.sessions, input.session_count() as u64);
     // All sessions were Established at once before the first UPDATE.
     assert_eq!(report.peak_established, input.session_count() as u64);
-
-    collector.shutdown();
-    let stats = collector.join();
-    // The feed is closed and fully buffered; the pipeline drains it.
-    let out = PipelineBuilder::new(source)
-        .sink((CountsSink::default(), OverviewSink::default()))
-        .shutdown(&stop)
-        .run()
-        .expect("live sources do not fail");
     let (counts, overview) = out.sink;
     (counts.finish(), overview.finish(), stats)
 }
@@ -138,21 +162,15 @@ fn generated_internet_over_tcp_matches_offline_with_cleaning() {
     let reference = offline_reference(&input, &cfg);
 
     // Live: daemon → LiveSource → cleaning stage → sinks.
-    let mut collector = Collector::bind("127.0.0.1:0", cfg).expect("bind loopback");
-    let addr = collector.local_addr();
-    let source = collector.take_source();
-    let stop = source.shutdown_flag();
-    FloodRig::connect(addr, FloodPlan::from_archive(&input, 90), FloodOptions::default())
-        .and_then(FloodRig::stream)
-        .expect("replay");
-    collector.shutdown();
-    collector.join();
-    let live = PipelineBuilder::new(source)
-        .stages(CleaningStage::new(&day.registry, CleaningConfig::default()))
-        .sink((CountsSink::default(), OverviewSink::default()))
-        .shutdown(&stop)
-        .run()
-        .expect("live run");
+    let plan = FloodPlan::from_archive(&input, 90);
+    let (live, _, _) = replay_while_draining(cfg, vec![plan], |source, stop| {
+        PipelineBuilder::new(source)
+            .stages(CleaningStage::new(&day.registry, CleaningConfig::default()))
+            .sink((CountsSink::default(), OverviewSink::default()))
+            .shutdown(stop)
+            .run()
+            .expect("live run")
+    });
 
     // Offline: ArchiveSource over the reference with the same stage.
     let offline = PipelineBuilder::new(ArchiveSource::new(&reference))
@@ -223,29 +241,19 @@ fn reconnect_after_cease_continues_the_same_session() {
         }
         a
     };
-    let cfg = collector_cfg(&single);
-    let mut collector = Collector::bind("127.0.0.1:0", cfg).expect("bind loopback");
-    let addr = collector.local_addr();
-    let source = collector.take_source();
-    let stop = source.shutdown_flag();
-
-    for life in ["first life", "second life"] {
-        FloodRig::connect(addr, FloodPlan::from_archive(&single, 90), FloodOptions::default())
-            .and_then(FloodRig::stream)
-            .expect(life);
-    }
-    collector.shutdown();
-    let stats = collector.join();
+    let plan = FloodPlan::from_archive(&single, 90);
+    let lives = vec![plan.clone(), plan];
+    let (out, _, stats) = replay_while_draining(collector_cfg(&single), lives, |source, stop| {
+        PipelineBuilder::new(source)
+            .sink((OverviewSink::default(), Stamps::default()))
+            .shutdown(stop)
+            .run()
+            .expect("live run")
+    });
 
     assert_eq!(stats.established, 2, "two TCP sessions");
     assert_eq!(stats.sessions, 1, "one logical session");
     assert_eq!(stats.updates, 2 * single.update_count() as u64);
-
-    let out = PipelineBuilder::new(source)
-        .sink((OverviewSink::default(), Stamps::default()))
-        .shutdown(&stop)
-        .run()
-        .expect("live run");
     assert_eq!(out.stats.sessions, 1, "pipeline saw one session, announced once");
     assert_eq!(out.stats.updates, 2 * single.update_count() as u64);
     // The default two workers put the second TCP session on the other

@@ -658,3 +658,133 @@ proptest! {
         );
     }
 }
+
+proptest! {
+    /// One logical update encodes to exactly the bytes of its one-prefix
+    /// packet under both AS widths — across IPv6 prefixes, paths long
+    /// enough to split into several wire segments, and community lists
+    /// whose attribute body needs the extended length.
+    #[test]
+    fn route_update_encodes_like_its_packet(
+        attrs in arb_full_attrs(),
+        long_path in vec(arb_asn(), 0..600),
+        more_communities in vec(any::<u32>(), 0..100),
+        prefix in arb_prefix(),
+        announce in any::<bool>(),
+        four_octet_as in any::<bool>(),
+    ) {
+        use keep_communities_clean::wire::{encode_route_update, encode_update};
+        let mut attrs = attrs;
+        if !long_path.is_empty() {
+            attrs.as_path = AsPath::from_asns(long_path);
+        }
+        for c in more_communities {
+            attrs.communities.insert(Community(c));
+        }
+        if prefix.is_ipv6() {
+            attrs.next_hop = "2001:db8::1".parse().unwrap();
+        }
+        let update = if announce {
+            RouteUpdate::announce(7, prefix, attrs)
+        } else {
+            RouteUpdate::withdraw(7, prefix)
+        };
+        let cfg = SessionConfig { four_octet_as };
+        let mut direct = bytes::BytesMut::new();
+        encode_route_update(&update, &cfg, &mut direct);
+        let mut via_packet = bytes::BytesMut::new();
+        encode_update(&UpdatePacket::from_route_update(&update), &cfg, &mut via_packet);
+        prop_assert_eq!(&direct[..], &via_packet[..]);
+    }
+}
+
+/// FNV-1a over `bytes`, continuing from `hash`.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, b| (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+/// Every message shape the encoder writes, as wire bytes under `cfg`: a
+/// seeded generated day's updates one per UPDATE and eight per UPDATE
+/// (mixed families and kinds in one packet), plus hand-built UPDATEs
+/// that cross the 255-ASN segment split, the extended attribute length
+/// and unknown-attribute pass-through, and one of each other message.
+fn pinned_wire(cfg: &SessionConfig) -> Vec<u8> {
+    use keep_communities_clean::tracegen::{generate_mar20, Mar20Config};
+    use keep_communities_clean::wire::attr::RawAttribute;
+    use keep_communities_clean::wire::{encode_update, Notification, RouteRefresh};
+
+    let mut gen_cfg = Mar20Config { seed: 7, target_announcements: 3_000, ..Default::default() };
+    gen_cfg.universe.n_prefixes_v4 = 300;
+    gen_cfg.universe.n_prefixes_v6 = 100;
+    gen_cfg.universe.n_sessions = 12;
+    let day = generate_mar20(&gen_cfg).archive;
+    let mut buf = bytes::BytesMut::new();
+    for (_, rec) in day.sessions() {
+        for update in &rec.updates {
+            encode_update(&UpdatePacket::from_route_update(update), cfg, &mut buf);
+        }
+        for run in rec.updates.chunks(8) {
+            let mut packet = UpdatePacket::default();
+            for update in run {
+                match update.attributes() {
+                    Some(attrs) => {
+                        packet.attrs.get_or_insert_with(|| attrs.clone());
+                        packet.nlri.push(update.prefix);
+                    }
+                    None => packet.withdrawn.push(update.prefix),
+                }
+            }
+            encode_update(&packet, cfg, &mut buf);
+        }
+    }
+
+    let mut long = PathAttributes {
+        as_path: AsPath::from_asns((0..300u32).map(|i| Asn(64_000 + i * 7_919))),
+        next_hop: "2001:db8::7".parse().unwrap(),
+        med: Some(10),
+        local_pref: Some(200),
+        atomic_aggregate: true,
+        aggregator: Some(Aggregator {
+            asn: Asn(4_200_000_001),
+            router_id: "192.0.2.9".parse().unwrap(),
+        }),
+        ..Default::default()
+    };
+    long.communities = CommunitySet::from_classic((0..80u32).map(|i| Community(i * 65_537)));
+    long.communities.insert_large(LargeCommunity::new(4_200_000_001, 1, 2));
+    long.communities.insert_extended(ExtendedCommunity::RouteTarget { asn: 3356, value: 9 });
+    let mixed = UpdatePacket {
+        withdrawn: vec!["10.1.0.0/16".parse().unwrap(), "2001:db8:1::/48".parse().unwrap()],
+        nlri: vec!["192.0.2.0/24".parse().unwrap(), "2001:db8:2::/48".parse().unwrap()],
+        attrs: Some(long),
+        unknown_attrs: vec![RawAttribute { flags: 0xC0, code: 99, value: vec![7; 300] }],
+    };
+    let v6_withdrawal = UpdatePacket::withdraw("2001:db8:3::/48".parse().unwrap());
+    for packet in [&mixed, &v6_withdrawal, &UpdatePacket::default()] {
+        encode_update(packet, cfg, &mut buf);
+    }
+    for message in [
+        Message::Open(OpenMessage::standard(Asn(4_200_000_001), "192.0.2.1".parse().unwrap(), 90)),
+        Message::Keepalive,
+        Message::Notification(Notification::cease_admin_shutdown()),
+        Message::RouteRefresh(RouteRefresh { afi: 2, safi: 1 }),
+        Message::Update(mixed),
+    ] {
+        encode_message(&message, cfg, &mut buf);
+    }
+    buf.to_vec()
+}
+
+/// The encoder's bytes, pinned: a rewrite of any encode path must leave
+/// every message byte-identical under both AS widths.
+#[test]
+fn wire_encoding_is_pinned() {
+    for (four_octet_as, want_len, want_digest) in
+        [(true, 511_323usize, 0xc997_28a3_1d56_1282u64), (false, 472_037, 0xa3f3_361f_4e2f_dfa0)]
+    {
+        let wire = pinned_wire(&SessionConfig { four_octet_as });
+        let digest = fnv1a(0xcbf2_9ce4_8422_2325, &wire);
+        println!("four_octet_as {four_octet_as}: {} bytes, digest {digest:016x}", wire.len());
+        assert_eq!((wire.len(), digest), (want_len, want_digest), "four_octet_as {four_octet_as}");
+    }
+}
