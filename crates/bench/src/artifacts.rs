@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 use kcc_bgp_sim::lab::{run_experiment, LabExperiment};
 use kcc_bgp_sim::{DampeningConfig, Network, SimConfig, SimDuration, VendorProfile};
 use kcc_bgp_types::{AsPath, Asn, Prefix};
-use kcc_collector::{BeaconPhase, BeaconSchedule, SessionKey, UpdateArchive};
+use kcc_collector::{ArchiveSource, BeaconPhase, BeaconSchedule, SessionKey, UpdateArchive};
 use kcc_core::beacon_phase::DAY_US;
 use kcc_core::cumsum::{path_timeline, Timeline};
 use kcc_core::exploration::{detect, summarize};
@@ -16,10 +16,10 @@ use kcc_core::longitudinal::LongitudinalSeries;
 use kcc_core::report::render_table;
 use kcc_core::revealed::revealed_attributes;
 use kcc_core::sessions::{render_distribution, render_stacked_bars, session_type_distribution};
-use kcc_core::stream::{ClassifiedArchive, EventKind};
 use kcc_core::table::{overview, TypeShares};
 use kcc_core::{
-    classify_archive, clean_archive, AnnouncementType, CleaningConfig, CleaningReport, TypeCounts,
+    classify_archive, clean_archive, AnalysisSink, AnnouncementType, ClassifiedEvent,
+    CleaningConfig, CleaningReport, PipelineBuilder, TypeCounts,
 };
 use kcc_topology::behavior::CommunityBehavior;
 use kcc_topology::{Tier, TopologyConfig};
@@ -142,6 +142,17 @@ fn cleaned_day(cfg: &Mar20Config) -> (UpdateArchive, CleaningReport, Vec<Prefix>
     (archive, report, generated.beacon_prefixes)
 }
 
+/// `archive` with only the updates on prefixes `keep` admits. Streams
+/// are `(session, prefix)`, so every kept update classifies exactly as it
+/// does in the whole archive.
+fn only_prefixes(archive: &UpdateArchive, keep: impl Fn(&Prefix) -> bool) -> UpdateArchive {
+    let mut kept = archive.clone();
+    for (_, rec) in kept.sessions_mut() {
+        rec.updates.retain(|u| keep(&u.prefix));
+    }
+    kept
+}
+
 /// Table 1: overview of the *d_mar20* dataset.
 ///
 /// Absolute counts differ from the paper's by the model's scale; the
@@ -190,28 +201,20 @@ pub(crate) fn table1(args: &Args) -> Artifact {
 pub(crate) fn table2(args: &Args) -> Artifact {
     let mut out = Vec::new();
     let (archive, _, beacon_prefixes) = cleaned_day(&mar20_config(args));
-    let classified = classify_archive(&archive);
-
+    let counts = classify_archive(&archive);
     // d_beacon: the beacon-prefix subset of the same archive.
-    let mut beacon_counts = TypeCounts::default();
-    for (key, _) in classified.per_session.iter() {
-        for prefix in &beacon_prefixes {
-            beacon_counts.merge(&classified.stream_counts(key, prefix));
-        }
-    }
+    let beacon_counts = classify_archive(&only_prefixes(&archive, |p| beacon_prefixes.contains(p)));
 
-    let shares = TypeShares::new(vec![
-        ("*d_mar20".into(), classified.counts),
-        ("d_beacon".into(), beacon_counts),
-    ]);
+    let shares =
+        TypeShares::new(vec![("*d_mar20".into(), counts), ("d_beacon".into(), beacon_counts)]);
     out.push(shares.render());
     out.push(format!(
         "nn announcements attributable to MED-only changes: {} of {}\n",
-        classified.counts.nn_med_only, classified.counts.nn
+        counts.nn_med_only, counts.nn
     ));
 
     let mut cmp = Comparison::new();
-    let c = &classified.counts;
+    let c = &counts;
     cmp.add_pct("d_mar20 pc share %", 33.7, c.share(AnnouncementType::Pc), 0.20);
     cmp.add_pct("d_mar20 pn share %", 15.1, c.share(AnnouncementType::Pn), 0.30);
     cmp.add_pct("d_mar20 nc share %", 24.5, c.share(AnnouncementType::Nc), 0.25);
@@ -263,11 +266,10 @@ pub(crate) fn fig2(args: &Args) -> Artifact {
     let mut series = LongitudinalSeries::default();
     for (label, day_cfg) in day_configs(&cfg) {
         let (archive, _, beacon_prefixes) = cleaned_day(&day_cfg);
-        let classified = classify_archive(&archive);
         // At full scale the 15 beacon prefixes are a negligible sliver of
         // d_hist; at this model's scale they would dominate, so the Fig. 2
         // view excludes them (they are Fig. 6's subject instead).
-        let counts = classified.counts_filtered(|p| !beacon_prefixes.contains(p));
+        let counts = classify_archive(&only_prefixes(&archive, |p| !beacon_prefixes.contains(p)));
         series.push(label, counts);
     }
     out.push(series.fig2_table());
@@ -310,8 +312,7 @@ pub(crate) fn fig2(args: &Args) -> Artifact {
 pub(crate) fn fig3(args: &Args) -> Artifact {
     let mut out = Vec::new();
     let day = run_beacon_day(&BeaconDayConfig::for_args(args));
-    let classified = classify_archive(&day.archive);
-    let rows = session_type_distribution(&classified, &day.beacon_prefix, Some("rrc00"));
+    let rows = session_type_distribution(&day.archive, &day.beacon_prefix, Some("rrc00"));
 
     out.push(render_distribution(&rows));
     out.push(render_stacked_bars(&rows, 16));
@@ -348,6 +349,14 @@ pub(crate) fn fig3(args: &Args) -> Artifact {
         "majority of announcements",
         &format!("{diverse_volume_sum}/{total_volume} announcements"),
         diverse_volume_sum * 2 >= total_volume,
+    )
+    .deviates_because(
+        "at seed 11, 13 of the 24 sessions see one type all day, 264 of the 498 announcements: \
+         each only switches paths and never changes communities under a fixed path (the day has \
+         24 `nc` in all, against 46 at seed 42), so it is all `pc` where its paths carry \
+         different tags (seven sessions, 120), all `pn` where they carry none (the egress \
+         cleaners AS20005/20010/20013/20014/20015 and AS20001, 120), and all `nn` for AS12654, \
+         AS20000 and AS40006, which re-announce one path (24).",
     );
     Artifact::new(
         "Fig. 3: types per session, beacon 84.205.64.0/24, collector rrc00 (simulated)",
@@ -377,30 +386,47 @@ fn pick_stream(
         .map(|((session, path), (count, _))| (session, path, count))
 }
 
+/// Per `(session, AS path)` of one prefix: how many `atype`
+/// announcements it carried, and whether every one of its announcements
+/// fell inside a withdrawal phase — the tallies [`pick_stream`] reads.
+struct StreamTally {
+    prefix: Prefix,
+    atype: AnnouncementType,
+    tallies: BTreeMap<(SessionKey, String), (u32, bool)>,
+}
+
+impl AnalysisSink for StreamTally {
+    fn on_event(&mut self, key: &SessionKey, e: &ClassifiedEvent) {
+        if e.prefix != self.prefix {
+            return;
+        }
+        let Some(attrs) = &e.attrs else { return };
+        let (count, withdrawal_only) =
+            self.tallies.entry((key.clone(), attrs.as_path.to_string())).or_insert((0, true));
+        if e.atype() == Some(self.atype) {
+            *count += 1;
+        }
+        *withdrawal_only &= in_withdrawal_phase(e.time_us);
+    }
+}
+
 /// The `(session, AS path)` carrying the most `atype` announcements of
 /// `prefix` among the sessions `admit` lets in, with its count — the
 /// paper's Fig. 4/5 paths (`20205 3356 174 12654`, `20811 3356 174
 /// 12654`) are never-best ones, so those are preferred
 /// ([`pick_stream`]).
 fn busiest_stream(
-    classified: &ClassifiedArchive,
-    prefix: &Prefix,
+    archive: &UpdateArchive,
+    prefix: Prefix,
     atype: AnnouncementType,
     admit: impl Fn(&SessionKey) -> bool,
 ) -> Option<(SessionKey, String, u32)> {
-    let mut tallies: BTreeMap<(SessionKey, String), (u32, bool)> = BTreeMap::new();
-    for (key, events) in classified.per_session.iter().filter(|(key, _)| admit(key)) {
-        for e in events.iter().filter(|e| e.prefix == *prefix) {
-            let Some(attrs) = &e.attrs else { continue };
-            let (count, withdrawal_only) =
-                tallies.entry((key.clone(), attrs.as_path.to_string())).or_insert((0, true));
-            if matches!(e.kind, EventKind::Classified { atype: t, .. } if t == atype) {
-                *count += 1;
-            }
-            *withdrawal_only &= in_withdrawal_phase(e.time_us);
-        }
-    }
-    pick_stream(tallies)
+    let tally = PipelineBuilder::new(ArchiveSource::new(archive))
+        .sink(StreamTally { prefix, atype, tallies: BTreeMap::new() })
+        .run()
+        .expect("archive sources cannot fail")
+        .sink;
+    pick_stream(tally.tallies.into_iter().filter(|((key, _), _)| admit(key)))
 }
 
 /// `in/total` of a timeline's points that fall in withdrawal phases.
@@ -421,24 +447,31 @@ pub(crate) fn fig4(args: &Args) -> Artifact {
     const TITLE: &str = "Fig. 4: community exploration on one (session, path) (simulated)";
     let mut out = Vec::new();
     let day = run_beacon_day(&BeaconDayConfig::for_args(args));
-    let classified = classify_archive(&day.archive);
+    let mut cmp = Comparison::new();
 
     let Some((session, path_str, nc_count)) =
-        busiest_stream(&classified, &day.beacon_prefix, AnnouncementType::Nc, |_| true)
+        busiest_stream(&day.archive, day.beacon_prefix, AnnouncementType::Nc, |_| true)
     else {
         out.push("no nc traffic found — increase topology size".to_string());
-        return Artifact::new(TITLE, out, Comparison::new());
+        cmp.add("some (session, path) carries nc", "13 nc", "0 nc", false).deviates_because(
+            "at seed 3 no tag changes under a fixed path anywhere. At seed 42 every `nc` is \
+             AS2914's geo tag moving between its two links to AS20000, the beacon's upstream; at \
+             seed 3 the beacon's upstreams are AS20000, which tags but cleans on egress, and \
+             AS20001, with one link to the beacon, and the only AS with two links to AS20000, \
+             AS3356, does not tag.",
+        );
+        return Artifact::new(TITLE, out, cmp);
     };
     let path: AsPath = path_str.parse().expect("rendered path parses");
     out.push(format!("selected session: {session}"));
     out.push(format!("selected AS path: {path}  ({nc_count} nc announcements)\n"));
 
-    let timeline = path_timeline(&classified, &session, &day.beacon_prefix, Some(&path));
+    let timeline = path_timeline(&day.archive, &session, &day.beacon_prefix, Some(&path));
     out.push(timeline.to_csv());
 
     // Decode the revealed locations (the paper: 9 locations in 19
     // announcements — cities, countries, regions).
-    let episodes = detect(&classified, &BeaconSchedule::default(), &[day.beacon_prefix]);
+    let episodes = detect(&day.archive, &BeaconSchedule::default(), &[day.beacon_prefix]);
     let summary = summarize(&episodes);
     let this_stream: Vec<_> = episodes.iter().filter(|e| e.session == session).collect();
     let locations: usize = this_stream.iter().map(|e| e.locations.len()).sum();
@@ -451,7 +484,6 @@ pub(crate) fn fig4(args: &Args) -> Artifact {
         summary.episodes, summary.exploration_episodes, summary.total_nc
     ));
 
-    let mut cmp = Comparison::new();
     let (in_withdraw, points) = points_in_withdrawal(&timeline);
     cmp.add(
         "announcements confined to withdrawal phases",
@@ -487,7 +519,7 @@ pub(crate) fn fig5(args: &Args) -> Artifact {
     const TITLE: &str = "Fig. 5: egress cleaning generates nn (simulated)";
     let mut out = Vec::new();
     let day = run_beacon_day(&BeaconDayConfig::for_args(args));
-    let classified = classify_archive(&day.archive);
+    let mut cmp = Comparison::new();
 
     // Peers that clean on egress, from the topology's behavior table.
     let cleaning_peers: Vec<_> = day
@@ -499,16 +531,25 @@ pub(crate) fn fig5(args: &Args) -> Artifact {
     out.push(format!("egress-cleaning transit peers in topology: {cleaning_peers:?}"));
 
     let Some((session, path_str, nn_count)) =
-        busiest_stream(&classified, &day.beacon_prefix, AnnouncementType::Nn, |key| {
+        busiest_stream(&day.archive, day.beacon_prefix, AnnouncementType::Nn, |key| {
             cleaning_peers.contains(&key.peer_asn)
         })
     else {
         out.push(
             "no egress-cleaning collector session found — re-run with another --seed".to_string(),
         );
-        return Artifact::new(TITLE, out, Comparison::new());
+        cmp.add("an egress-cleaning session carries nn", "nn > 0", "0 nn", false).deviates_because(
+            "at --quick the collector's two egress-cleaning transit peers, AS20000 and \
+                 AS20005, peer from Junos routers, which suppress duplicates (Exp3), so the \
+                 community changes they strip never leave them as `nn`: both sessions show 17 \
+                 `pn` and no other type.",
+        );
+        return Artifact::new(TITLE, out, cmp);
     };
-    let counts: TypeCounts = classified.stream_counts(&session, &day.beacon_prefix);
+    let counts = session_type_distribution(&day.archive, &day.beacon_prefix, None)
+        .into_iter()
+        .find_map(|(key, counts)| (key == session).then_some(counts))
+        .expect("the picked session announced the prefix");
     out.push(format!("selected session: {session}"));
     out.push(format!("selected AS path: {path_str}  ({nn_count} nn announcements)"));
     out.push(format!(
@@ -516,10 +557,9 @@ pub(crate) fn fig5(args: &Args) -> Artifact {
         counts.pc, counts.pn, counts.nc, counts.nn, counts.withdrawals
     ));
     let path: AsPath = path_str.parse().expect("rendered path parses");
-    let timeline = path_timeline(&classified, &session, &day.beacon_prefix, Some(&path));
+    let timeline = path_timeline(&day.archive, &session, &day.beacon_prefix, Some(&path));
     out.push(timeline.to_csv());
 
-    let mut cmp = Comparison::new();
     cmp.add(
         "cleaned session shows no nc traffic",
         "0 nc",
@@ -572,8 +612,7 @@ pub(crate) fn fig6(args: &Args) -> Artifact {
     for (label, day_cfg) in day_configs(&cfg) {
         let (archive, _, beacon_prefixes) = cleaned_day(&day_cfg);
         let revealed = revealed_attributes(&archive, &schedule, &beacon_prefixes);
-        let classified = classify_archive(&archive);
-        series.push_with_revealed(label, classified.counts, revealed);
+        series.push_with_revealed(label, classify_archive(&archive), revealed);
     }
     out.push(series.fig6_csv());
 
@@ -637,7 +676,7 @@ fn beacon_day_cleaning(args: &Args, cleans_egress: bool, cleans_ingress: bool) -
     let (collector, _) = net.attach_collector(Asn(3333), &peers);
     run_beacon_schedule(&mut net, &topo, beacon_prefix);
     let capture = net.capture(collector).expect("capture").clone();
-    classify_archive(&capture_to_archive(&net, "rrc00", &capture, 0)).counts
+    classify_archive(&capture_to_archive(&net, "rrc00", &capture, 0))
 }
 
 /// Ablation: community cleaning strategy vs. routing-message load.
@@ -741,7 +780,7 @@ pub(crate) fn ablation_mrai(args: &Args) -> Artifact {
             vendor_mix: vec![(profile, 1.0)],
             ..BeaconDayConfig::for_args(args)
         });
-        let counts = classify_archive(&day.archive).counts;
+        let counts = classify_archive(&day.archive);
         results.push(counts);
         rows.push(vec![
             format!("{secs}s"),
@@ -795,7 +834,7 @@ pub(crate) fn ablation_dampening(args: &Args) -> Artifact {
         ),
     ] {
         let day = run_beacon_day(&BeaconDayConfig { dampening, ..BeaconDayConfig::for_args(args) });
-        let counts = classify_archive(&day.archive).counts;
+        let counts = classify_archive(&day.archive);
         let dampened: u64 = day.net.routers().map(|r| r.counters.dampened).sum();
         results.push((counts, dampened));
         let total = counts.announcement_total();

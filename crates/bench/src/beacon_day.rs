@@ -224,11 +224,10 @@ mod tests {
         // The headline emergent behavior: nc announcements (community-only
         // changes) appear at the collector during the beacon day.
         let out = run_beacon_day(&quick_config());
-        let classified = classify_archive(&out.archive);
+        let counts = classify_archive(&out.archive);
         assert!(
-            classified.counts.get(AnnouncementType::Nc) > 0,
-            "no community exploration emerged: {:?}",
-            classified.counts
+            counts.get(AnnouncementType::Nc) > 0,
+            "no community exploration emerged: {counts:?}"
         );
     }
 }

@@ -191,7 +191,7 @@ fn run_point(peers: usize, workload: &UpdateArchive) -> Point {
     assert_eq!(stats.updates, dealt_updates, "daemon ingested everything");
     assert_eq!(stats.peak_established, peers as u64, "daemon held all sessions concurrently");
     let reference = offline_reference(workload, &cfg);
-    let offline = kcc_core::classify_archive(&reference).counts;
+    let offline = kcc_core::classify_archive(&reference);
     assert_eq!(out.sink.finish(), offline, "live classification != offline");
 
     let rate = dealt_updates as f64 / seconds;

@@ -240,7 +240,7 @@ fn main() {
                     .expect("in-memory MRT cannot fail");
                 clean_archive(&mut archive, &registry, &CleaningConfig::default());
                 let _ = overview(&archive);
-                let _ = classify_archive(&archive).counts;
+                let _ = classify_archive(&archive);
                 archive.update_count() as u64
             });
             println!("   batch:     {:.3}s  ({:.0} updates/s)", m.seconds, m.updates_per_sec);

@@ -4,9 +4,9 @@
 //! reports, the value this reproduction measured, and whether the *shape*
 //! holds (within a stated band). Absolute magnitudes are expected to
 //! differ — the substrate is a scaled synthetic workload, not the
-//! authors' testbed. A row that does not hold at the pinned flags says
-//! why ([`ComparisonRow::deviates_because`]); the reproduction ledger
-//! prints the sentence and its test refuses a `DEVIATES` without one.
+//! authors' testbed. A row that does not hold says why
+//! ([`ComparisonRow::deviates_because`]); the reproduction ledger prints
+//! the sentence and its test refuses a `DEVIATES` without one.
 
 use kcc_core::report::render_table;
 
@@ -24,15 +24,16 @@ pub struct ComparisonRow {
     /// The relative band an [`add_pct`](Comparison::add_pct) row was
     /// judged by; `None` for a free-form shape check.
     pub band: Option<f64>,
-    /// Why the row reads `DEVIATES` at the default flags (empty for a
-    /// row that has never deviated there).
+    /// Why the row reads `DEVIATES` where it does (empty for a row that
+    /// has not been seen to deviate).
     pub cause: &'static str,
 }
 
 impl ComparisonRow {
-    /// Records why this row deviates at the default flags: one sentence,
-    /// read from the generator or scenario that produces the number.
-    /// Shown by the ledger only while the row reads `DEVIATES`.
+    /// Records why this row deviates: one sentence, read from the
+    /// generator or scenario that produces the number, naming the flags
+    /// it was probed at when those are not the defaults. Shown by the
+    /// ledger only while the row reads `DEVIATES`.
     pub fn deviates_because(&mut self, cause: &'static str) {
         self.cause = cause;
     }

@@ -46,8 +46,8 @@ pub struct Artifact {
     pub title: String,
     /// The tables, CSV and notes between the banner and the comparison.
     pub body: String,
-    /// Paper vs measured; empty when the run found nothing to judge
-    /// (the body's last line says why).
+    /// Paper vs measured: at least one row, and a row that cannot be
+    /// measured says so as a `DEVIATES` row with its cause.
     pub comparison: Comparison,
 }
 
@@ -59,12 +59,7 @@ impl Artifact {
 
     /// What `figures <name>` prints: banner, body, comparison block.
     pub fn render(&self) -> String {
-        let mut text = format!("== {} ==\n\n{}", self.title, self.body);
-        if !self.comparison.is_empty() {
-            text.push_str(&self.comparison.render());
-            text.push('\n');
-        }
-        text
+        format!("== {} ==\n\n{}{}\n", self.title, self.body, self.comparison.render())
     }
 }
 
@@ -138,13 +133,6 @@ pub fn render_ledger(args: &Args, runs: &[Artifact]) -> String {
             "\n## `{name}` — {what}\n\n`figures {name} {flags}` · {}\n\n",
             tally(rows)
         ));
-        if rows.is_empty() {
-            md.push_str(&format!(
-                "Nothing to compare: {}\n",
-                run.body.lines().last().unwrap_or("")
-            ));
-            continue;
-        }
         md.push_str("| quantity | paper | measured | band | verdict |\n|---|---|---|---|---|\n");
         for r in rows {
             let band = r.band.map_or("shape".to_string(), |b| format!("±{:.0}%", b * 100.0));

@@ -242,10 +242,9 @@ pub fn run_cell(cell: &SweepCell, seed: u64) -> CellResult {
         }
     }
     let archive = capture_to_archive(&outcome.net, "sweep", &capture, 0);
-    let classified = classify_archive(&archive);
     CellResult {
         cell: cell.clone(),
-        counts: classified.counts,
+        counts: classify_archive(&archive),
         collector_messages: capture.len(),
         perturbation_messages,
         converged_at: outcome.phases.last().map(|p| p.quiesced).unwrap_or(SimTime::ZERO),
@@ -361,12 +360,11 @@ pub fn run_internet_cell(cell: &InternetCell, seed: u64) -> InternetCellResult {
         }
     }
     let archive = capture_to_archive(&outcome.net, "sim", &capture, 0);
-    let classified = classify_archive(&archive);
     InternetCellResult {
         n_ases: cell.n_ases,
         routers: outcome.net.routers().count(),
         sessions: outcome.net.sessions().len(),
-        counts: classified.counts,
+        counts: classify_archive(&archive),
         collector_messages: capture.len(),
         events_processed: outcome.net.stats.events_processed,
         interned_attr_bytes: outcome.net.attr_store().bytes(),

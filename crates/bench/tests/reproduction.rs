@@ -3,7 +3,8 @@
 //! `/REPRODUCTION.md` is the committed stdout of `figures all`. These
 //! tests rebuild it in-process from the artifact table, so the file, a
 //! verdict or a written cause cannot go stale; they also run every
-//! artifact at `--quick`, which no ledger covers.
+//! artifact at `--quick`, which no ledger covers, and the two seeds where
+//! an artifact once judged nothing or deviated without a cause.
 
 use kcc_bench::{render_ledger, Args, Artifact, ARTIFACTS};
 
@@ -35,15 +36,21 @@ fn every_artifact_runs_at_quick_size() {
     for (name, _, run) in ARTIFACTS {
         let artifact = run(&quick);
         assert!(artifact.render().starts_with("== "), "{name} prints its banner");
-        // fig5 finds no egress-cleaning collector session in the quick
-        // topology and says so instead of comparing; the rest compare.
-        if name == "fig5" {
-            assert!(artifact.comparison.is_empty());
-            assert!(artifact.body.ends_with(
-                "no egress-cleaning collector session found — re-run with another --seed\n"
-            ));
-        } else {
-            assert!(!artifact.comparison.is_empty(), "{name} compares nothing at --quick");
+        assert!(!artifact.comparison.is_empty(), "{name} compares nothing at --quick");
+    }
+}
+
+/// The seeds where an artifact once compared nothing (`fig4` at 3) or
+/// deviated without a word (`fig3` at 11): each now prints at least one
+/// row, and every `DEVIATES` row says why.
+#[test]
+fn rows_that_cannot_hold_say_why() {
+    for (name, seed) in [("fig3", 11), ("fig4", 3)] {
+        let (_, _, run) = ARTIFACTS.iter().find(|(n, _, _)| *n == name).expect("listed");
+        let rows = run(&Args { seed, ..Args::default() }).comparison;
+        assert!(!rows.is_empty(), "{name} --seed {seed} compares nothing");
+        for row in rows.rows().iter().filter(|r| !r.ok) {
+            assert!(!row.cause.is_empty(), "{name} --seed {seed}: `{}` has no cause", row.name);
         }
     }
 }

@@ -1,17 +1,6 @@
-//! Decode/encode errors with RFC 7606 severity classification.
+//! Decode/encode errors.
 
 use std::fmt;
-
-/// How a decoder error should be handled by a live speaker (RFC 7606).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ErrorSeverity {
-    /// The session must be reset (header/framing damage).
-    SessionReset,
-    /// The affected routes are treated as withdrawn; session survives.
-    TreatAsWithdraw,
-    /// The attribute is discarded; route and session survive.
-    AttributeDiscard,
-}
 
 /// Errors produced by the wire codec.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,24 +40,6 @@ pub enum WireError {
     },
 }
 
-impl WireError {
-    /// The RFC 7606 severity of this error.
-    pub fn severity(&self) -> ErrorSeverity {
-        match self {
-            WireError::Truncated { .. }
-            | WireError::BadMarker
-            | WireError::BadLength(_)
-            | WireError::UnknownMessageType(_)
-            | WireError::BadVersion(_) => ErrorSeverity::SessionReset,
-            WireError::MalformedAttribute { .. }
-            | WireError::MissingMandatoryAttribute(_)
-            | WireError::BadPrefixLength(_)
-            | WireError::BadValue { .. } => ErrorSeverity::TreatAsWithdraw,
-            WireError::UnrecognizedWellKnown(_) => ErrorSeverity::AttributeDiscard,
-        }
-    }
-}
-
 impl fmt::Display for WireError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -97,20 +68,6 @@ impl std::error::Error for WireError {}
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn severities_follow_rfc7606() {
-        assert_eq!(WireError::BadMarker.severity(), ErrorSeverity::SessionReset);
-        assert_eq!(WireError::Truncated { what: "x" }.severity(), ErrorSeverity::SessionReset);
-        assert_eq!(
-            WireError::MalformedAttribute { code: 8, detail: "d" }.severity(),
-            ErrorSeverity::TreatAsWithdraw
-        );
-        assert_eq!(
-            WireError::UnrecognizedWellKnown(99).severity(),
-            ErrorSeverity::AttributeDiscard
-        );
-    }
 
     #[test]
     fn display_is_informative() {

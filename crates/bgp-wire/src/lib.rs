@@ -19,14 +19,14 @@
 //! * KEEPALIVE.
 //! * ROUTE-REFRESH (RFC 2918) — a speaker that offers the capability
 //!   must accept the message.
-//! * RFC 7606-style error classification on decode ([`WireError`]
-//!   distinguishes session-reset from treat-as-withdraw conditions).
 //!
 //! ## Omitted
 //!
 //! * ADD-PATH (RFC 7911) — collector peers in the studied period
 //!   overwhelmingly did not negotiate it.
 //! * Graceful restart.
+//! * RFC 7606 revised error handling: every decode error is a
+//!   [`WireError`], and the session FSM resets the session on it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

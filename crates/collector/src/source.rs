@@ -5,8 +5,8 @@
 //! [`UpdateArchive`] in memory. [`UpdateSource`] abstracts "a stream of
 //! timestamped per-session updates" so the same analysis code runs over
 //!
-//! * a materialized archive ([`ArchiveSource`] — the back-compat path the
-//!   batch wrappers use),
+//! * a materialized archive ([`ArchiveSource`] — what the `kcc-core`
+//!   helpers that take an `&UpdateArchive` run their sink over),
 //! * raw MRT bytes, record at a time ([`MrtSource`] — a collector-day of
 //!   any size in memory proportional to one record plus per-session
 //!   metadata),
@@ -90,8 +90,8 @@ impl<S: UpdateSource + ?Sized> UpdateSource for Box<S> {
 
 /// Streams a materialized [`UpdateArchive`]: all sessions announced
 /// first (in key order), then each session's updates in arrival order,
-/// session-major. This is the adapter the batch wrappers in `kcc-core`
-/// are built on.
+/// session-major. The `kcc-core` helpers that take an `&UpdateArchive`
+/// run their sink over it.
 #[derive(Debug)]
 pub struct ArchiveSource<'a> {
     sessions: Vec<(Arc<PeerMeta>, &'a SessionRecord)>,

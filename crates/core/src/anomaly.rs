@@ -36,10 +36,10 @@ use kcc_bgp_types::{
     Community, CommunitySet, ExtendedCommunity, FastBuildHasher, FastHashMap, FastHashSet,
     LargeCommunity, MessageKind, Prefix, RouteUpdate,
 };
-use kcc_collector::{ArchiveSource, SessionKey, UpdateArchive};
+use kcc_collector::{SessionKey, UpdateArchive};
 
 use crate::alert::{Alert, AlertKind, ShiftMetric};
-use crate::pipeline::PipelineBuilder;
+use crate::pipeline::drain_archive;
 use crate::watch::{WatchConfig, WatchSink};
 
 /// Dense ids for the sessions a detector has met, so per-stream state
@@ -295,11 +295,7 @@ impl CommunityProfiler {
     pub fn detect(&self, archive: &UpdateArchive, cfg: &AnomalyConfig) -> Vec<Alert> {
         let whole_day =
             WatchConfig { anomaly: *cfg, window_us: u64::MAX, ..WatchConfig::profile_only() };
-        PipelineBuilder::new(ArchiveSource::new(archive))
-            .sink(WatchSink::new(whole_day).with_profile(Arc::new(self.clone())))
-            .run()
-            .expect("archive sources cannot fail")
-            .sink
+        drain_archive(archive, WatchSink::new(whole_day).with_profile(Arc::new(self.clone())))
             .finish()
             .alerts
     }

@@ -6,85 +6,16 @@
 //! begins."
 
 use kcc_bgp_types::{Prefix, RouteUpdate};
-use kcc_collector::{ArchiveSource, BeaconPhase, BeaconSchedule, SessionKey, UpdateArchive};
+use kcc_collector::{BeaconPhase, BeaconSchedule, SessionKey};
 
-use crate::pipeline::{AnalysisSink, Merge, PipelineBuilder};
-
-/// One update with its phase label.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PhasedUpdate {
-    /// The session it arrived on.
-    pub session: SessionKey,
-    /// The update.
-    pub update: RouteUpdate,
-    /// The phase it falls into.
-    pub phase: BeaconPhase,
-}
+use crate::pipeline::{AnalysisSink, Merge};
 
 /// Microseconds in a day.
 pub const DAY_US: u64 = 24 * 3600 * 1_000_000;
 
-/// Materializes phase-labeled beacon updates — [`label_archive`] as a
-/// streaming sink. Memory grows with the *beacon* traffic it retains;
-/// prefer [`PhaseCountSink`] when only the counts matter.
-#[derive(Debug, Clone)]
-pub struct LabelSink {
-    schedule: BeaconSchedule,
-    beacon_prefixes: Vec<Prefix>,
-    labeled: Vec<PhasedUpdate>,
-}
-
-impl LabelSink {
-    /// A sink labeling updates on `beacon_prefixes` against `schedule`.
-    pub fn new(schedule: BeaconSchedule, beacon_prefixes: &[Prefix]) -> Self {
-        LabelSink { schedule, beacon_prefixes: beacon_prefixes.to_vec(), labeled: Vec::new() }
-    }
-
-    /// The labeled updates, in arrival order per session.
-    pub fn finish(self) -> Vec<PhasedUpdate> {
-        self.labeled
-    }
-}
-
-impl AnalysisSink for LabelSink {
-    fn on_update(&mut self, session: &SessionKey, u: &RouteUpdate) {
-        if !self.beacon_prefixes.contains(&u.prefix) {
-            return;
-        }
-        let phase = self.schedule.phase_of(u.time_us % DAY_US);
-        self.labeled.push(PhasedUpdate { session: session.clone(), update: u.clone(), phase });
-    }
-
-    fn wants_events(&self) -> bool {
-        false
-    }
-}
-
-impl Merge for LabelSink {
-    fn merge(&mut self, mut other: Self) {
-        self.labeled.append(&mut other.labeled);
-    }
-}
-
-/// Labels every update for the given beacon prefixes with its phase —
-/// the batch wrapper over [`LabelSink`]. Archive times are relative to
-/// day start, so time-of-day is `time_us` modulo a day (multi-day
-/// archives wrap correctly).
-pub fn label_archive(
-    archive: &UpdateArchive,
-    schedule: &BeaconSchedule,
-    beacon_prefixes: &[Prefix],
-) -> Vec<PhasedUpdate> {
-    PipelineBuilder::new(ArchiveSource::new(archive))
-        .sink(LabelSink::new(*schedule, beacon_prefixes))
-        .run()
-        .expect("archive sources cannot fail")
-        .sink
-        .finish()
-}
-
-/// Per-phase announcement counting as a constant-size streaming sink —
-/// [`label_archive`] + [`phase_counts`] without materializing anything.
+/// Per-phase announcement counting as a constant-size streaming sink.
+/// Archive times are relative to day start, so time-of-day is `time_us`
+/// modulo a day (multi-day archives wrap correctly).
 #[derive(Debug, Clone)]
 pub struct PhaseCountSink {
     schedule: BeaconSchedule,
@@ -143,8 +74,7 @@ pub struct PhaseCounts {
 }
 
 impl PhaseCounts {
-    /// Accounts one labeled update — the single source of truth for the
-    /// phase-category counting rule (batch and streaming both use it).
+    /// Accounts one labeled update — the phase-category counting rule.
     pub fn observe(&mut self, phase: BeaconPhase, is_announcement: bool) {
         if is_announcement {
             match phase {
@@ -167,19 +97,12 @@ impl Merge for PhaseCounts {
     }
 }
 
-/// Counts announcements per phase category.
-pub fn phase_counts(labeled: &[PhasedUpdate]) -> PhaseCounts {
-    let mut c = PhaseCounts::default();
-    for pu in labeled {
-        c.observe(pu.phase, pu.update.is_announcement());
-    }
-    c
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::drain_archive;
     use kcc_bgp_types::{Asn, PathAttributes};
+    use kcc_collector::UpdateArchive;
 
     const HOUR_US: u64 = 3600 * 1_000_000;
 
@@ -204,22 +127,14 @@ mod tests {
         (a, prefix)
     }
 
-    #[test]
-    fn labels_phases_and_filters_prefixes() {
-        let (a, prefix) = archive();
-        let labeled = label_archive(&a, &BeaconSchedule::default(), &[prefix]);
-        assert_eq!(labeled.len(), 4);
-        assert_eq!(labeled[0].phase, BeaconPhase::Announcement(0));
-        assert_eq!(labeled[1].phase, BeaconPhase::Withdrawal(0));
-        assert_eq!(labeled[2].phase, BeaconPhase::Withdrawal(0));
-        assert_eq!(labeled[3].phase, BeaconPhase::Outside);
+    fn count_phases(a: &UpdateArchive, prefix: Prefix) -> PhaseCounts {
+        drain_archive(a, PhaseCountSink::new(BeaconSchedule::default(), &[prefix])).finish()
     }
 
     #[test]
     fn counts_per_phase() {
         let (a, prefix) = archive();
-        let labeled = label_archive(&a, &BeaconSchedule::default(), &[prefix]);
-        let c = phase_counts(&labeled);
+        let c = count_phases(&a, prefix);
         assert_eq!(c.in_announcement, 1);
         assert_eq!(c.in_withdrawal, 1);
         assert_eq!(c.outside, 1);
@@ -240,7 +155,6 @@ mod tests {
                 PathAttributes::default(),
             ),
         );
-        let labeled = label_archive(&a, &BeaconSchedule::default(), &[prefix]);
-        assert_eq!(labeled[0].phase, BeaconPhase::Withdrawal(0));
+        assert_eq!(count_phases(&a, prefix).in_withdrawal, 1);
     }
 }

@@ -8,12 +8,12 @@
 //! then keeps only announcements whose path matches the target.
 
 use kcc_bgp_types::{AsPath, Prefix};
-use kcc_collector::SessionKey;
+use kcc_collector::{SessionKey, UpdateArchive};
 
 use crate::classify::AnnouncementType;
-use crate::pipeline::{feed_classified, AnalysisSink, Merge};
+use crate::pipeline::{drain_archive, AnalysisSink, Merge};
 use crate::report::render_csv;
-use crate::stream::{ClassifiedArchive, ClassifiedEvent, EventKind};
+use crate::stream::{ClassifiedEvent, EventKind};
 
 /// One plotted point.
 #[derive(Debug, Clone, PartialEq)]
@@ -127,23 +127,20 @@ impl Merge for TimelineSink {
     }
 }
 
-/// Extracts the timeline of one `(session, prefix)` stream — the batch
-/// wrapper over [`TimelineSink`].
+/// The timeline of one `(session, prefix)` stream of an archive —
+/// [`TimelineSink`] run over it.
 pub fn path_timeline(
-    classified: &ClassifiedArchive,
+    archive: &UpdateArchive,
     session: &SessionKey,
     prefix: &Prefix,
     path_filter: Option<&AsPath>,
 ) -> Timeline {
-    let mut sink = TimelineSink::new(session.clone(), *prefix, path_filter);
-    feed_classified(classified, &mut sink);
-    sink.finish()
+    drain_archive(archive, TimelineSink::new(session.clone(), *prefix, path_filter)).finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::classify_session;
     use kcc_bgp_types::{Asn, Community, CommunitySet, PathAttributes, RouteUpdate};
 
     fn attrs(path: &str, c: u16) -> PathAttributes {
@@ -154,7 +151,7 @@ mod tests {
         }
     }
 
-    fn build() -> (ClassifiedArchive, SessionKey, Prefix) {
+    fn build() -> (UpdateArchive, SessionKey, Prefix) {
         let prefix: Prefix = "84.205.64.0/24".parse().unwrap();
         let key = SessionKey::new("rrc00", Asn(20_205), "10.0.0.1".parse().unwrap());
         let target = "20205 3356 174 12654";
@@ -167,16 +164,18 @@ mod tests {
             RouteUpdate::withdraw(50, prefix),
             RouteUpdate::announce(60, prefix, attrs(best, 1)), // pc (back to best)
         ];
-        let mut classified = ClassifiedArchive::default();
-        classified.per_session.insert(key.clone(), classify_session(&updates));
-        (classified, key, prefix)
+        let mut archive = UpdateArchive::new(0);
+        for u in updates {
+            archive.record(&key, u);
+        }
+        (archive, key, prefix)
     }
 
     #[test]
     fn filtered_timeline_keeps_target_path_only() {
-        let (classified, key, prefix) = build();
+        let (archive, key, prefix) = build();
         let target: AsPath = "20205 3356 174 12654".parse().unwrap();
-        let tl = path_timeline(&classified, &key, &prefix, Some(&target));
+        let tl = path_timeline(&archive, &key, &prefix, Some(&target));
         assert_eq!(tl.total(), 3);
         assert_eq!(tl.count_of(AnnouncementType::Pc), 1);
         assert_eq!(tl.count_of(AnnouncementType::Nc), 2);
@@ -188,25 +187,25 @@ mod tests {
 
     #[test]
     fn unfiltered_timeline_has_everything() {
-        let (classified, key, prefix) = build();
-        let tl = path_timeline(&classified, &key, &prefix, None);
+        let (archive, key, prefix) = build();
+        let tl = path_timeline(&archive, &key, &prefix, None);
         assert_eq!(tl.total(), 5); // all announcements
         assert_eq!(tl.points[0].atype, None); // initial
     }
 
     #[test]
     fn missing_session_is_empty() {
-        let (classified, _, prefix) = build();
+        let (archive, _, prefix) = build();
         let other = SessionKey::new("rrc99", Asn(1), "10.0.0.9".parse().unwrap());
-        let tl = path_timeline(&classified, &other, &prefix, None);
+        let tl = path_timeline(&archive, &other, &prefix, None);
         assert_eq!(tl.total(), 0);
         assert!(tl.withdrawals.is_empty());
     }
 
     #[test]
     fn csv_interleaves_withdrawals() {
-        let (classified, key, prefix) = build();
-        let tl = path_timeline(&classified, &key, &prefix, None);
+        let (archive, key, prefix) = build();
+        let tl = path_timeline(&archive, &key, &prefix, None);
         let csv = tl.to_csv();
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines[0], "time_us,event,cumsum");

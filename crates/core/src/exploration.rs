@@ -11,12 +11,12 @@ use std::collections::BTreeMap;
 
 use kcc_bgp_types::geo::{decode_geo, GeoScope};
 use kcc_bgp_types::Prefix;
-use kcc_collector::{BeaconPhase, BeaconSchedule, SessionKey};
+use kcc_collector::{BeaconPhase, BeaconSchedule, SessionKey, UpdateArchive};
 
 use crate::beacon_phase::DAY_US;
 use crate::classify::AnnouncementType;
-use crate::pipeline::{feed_classified, AnalysisSink, Merge};
-use crate::stream::{ClassifiedArchive, ClassifiedEvent, EventKind};
+use crate::pipeline::{drain_archive, AnalysisSink, Merge};
+use crate::stream::{ClassifiedEvent, EventKind};
 
 /// One detected community-exploration episode: a withdrawal phase of one
 /// `(session, prefix)` stream containing `nc` traffic.
@@ -128,16 +128,14 @@ impl Merge for ExplorationSink {
     }
 }
 
-/// Scans a classified archive for exploration episodes on the given
-/// beacon prefixes — the batch wrapper over [`ExplorationSink`].
+/// The exploration episodes of an archive on the given beacon prefixes —
+/// [`ExplorationSink`] run over it.
 pub fn detect(
-    classified: &ClassifiedArchive,
+    archive: &UpdateArchive,
     schedule: &BeaconSchedule,
     beacon_prefixes: &[Prefix],
 ) -> Vec<ExplorationEvent> {
-    let mut sink = ExplorationSink::new(*schedule, beacon_prefixes);
-    feed_classified(classified, &mut sink);
-    sink.finish()
+    drain_archive(archive, ExplorationSink::new(*schedule, beacon_prefixes)).finish()
 }
 
 /// Summary over all episodes.
@@ -169,16 +167,14 @@ pub fn summarize(events: &[ExplorationEvent]) -> ExplorationSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::classify_session;
     use kcc_bgp_types::{Asn, GeoTag, PathAttributes, RouteUpdate};
-    use kcc_collector::UpdateArchive;
 
     const HOUR_US: u64 = 3600 * 1_000_000;
 
     /// Builds the Fig. 4 situation: during the 02:00 withdrawal phase, a
     /// pc announcement followed by nc announcements with rotating geo
     /// communities from AS3356.
-    fn fig4_archive() -> (UpdateArchive, Prefix, SessionKey) {
+    fn fig4_archive() -> (UpdateArchive, Prefix) {
         let prefix: Prefix = "84.205.64.0/24".parse().unwrap();
         let k = SessionKey::new("rrc00", Asn(20_205), "10.0.0.1".parse().unwrap());
         let mut a = UpdateArchive::new(0);
@@ -204,17 +200,13 @@ mod tests {
         a.record(&k, RouteUpdate::announce(t0 + 120_000_000, prefix, base(101))); // nc
         a.record(&k, RouteUpdate::announce(t0 + 180_000_000, prefix, base(102))); // nc
         a.record(&k, RouteUpdate::withdraw(t0 + 240_000_000, prefix));
-        (a, prefix, k)
+        (a, prefix)
     }
 
     #[test]
     fn detects_fig4_exploration() {
-        let (a, prefix, k) = fig4_archive();
-        let mut classified = ClassifiedArchive::default();
-        let events = classify_session(&a.session(&k).unwrap().updates);
-        classified.per_session.insert(k.clone(), events);
-
-        let episodes = detect(&classified, &BeaconSchedule::default(), &[prefix]);
+        let (a, prefix) = fig4_archive();
+        let episodes = detect(&a, &BeaconSchedule::default(), &[prefix]);
         assert_eq!(episodes.len(), 1);
         let e = &episodes[0];
         assert_eq!(e.phase, 0);
@@ -234,18 +226,14 @@ mod tests {
         let mut a = UpdateArchive::new(0);
         // Single announcement at 01:00, outside any withdrawal phase.
         a.record(&k, RouteUpdate::announce(HOUR_US, prefix, PathAttributes::default()));
-        let mut classified = ClassifiedArchive::default();
-        classified.per_session.insert(k.clone(), classify_session(&a.session(&k).unwrap().updates));
-        let episodes = detect(&classified, &BeaconSchedule::default(), &[prefix]);
+        let episodes = detect(&a, &BeaconSchedule::default(), &[prefix]);
         assert!(episodes.is_empty());
     }
 
     #[test]
     fn summary_aggregates() {
-        let (a, prefix, k) = fig4_archive();
-        let mut classified = ClassifiedArchive::default();
-        classified.per_session.insert(k.clone(), classify_session(&a.session(&k).unwrap().updates));
-        let episodes = detect(&classified, &BeaconSchedule::default(), &[prefix]);
+        let (a, prefix) = fig4_archive();
+        let episodes = detect(&a, &BeaconSchedule::default(), &[prefix]);
         let s = summarize(&episodes);
         assert_eq!(s.episodes, 1);
         assert_eq!(s.exploration_episodes, 1);

@@ -13,9 +13,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use kcc_bgp_types::geo::{decode_geo, GeoScope};
 use kcc_bgp_types::{Asn, MessageKind, RouteUpdate};
-use kcc_collector::{ArchiveSource, SessionKey, UpdateArchive};
+use kcc_collector::{SessionKey, UpdateArchive};
 
-use crate::pipeline::{AnalysisSink, Merge, PipelineBuilder};
+use crate::pipeline::{drain_archive, AnalysisSink, Merge};
 
 /// What was learned about one ordered AS adjacency `(customer side,
 /// tagger side)`.
@@ -107,17 +107,12 @@ impl Merge for InterconnectSink {
 }
 
 /// Scans an archive for tagger adjacencies and collects the locations
-/// revealed per `(neighbor, tagger)` pair — the batch wrapper over
-/// [`InterconnectSink`].
+/// revealed per `(neighbor, tagger)` pair — [`InterconnectSink`] run
+/// over it.
 pub fn infer_interconnections(
     archive: &UpdateArchive,
 ) -> BTreeMap<(Asn, Asn), InterconnectEstimate> {
-    PipelineBuilder::new(ArchiveSource::new(archive))
-        .sink(InterconnectSink::default())
-        .run()
-        .expect("archive sources cannot fail")
-        .sink
-        .finish()
+    drain_archive(archive, InterconnectSink::default()).finish()
 }
 
 #[cfg(test)]

@@ -35,17 +35,18 @@
 //! interconnection-count inference from geo tags ([`interconnect`]), and
 //! anomalous-community detection ([`anomaly`]).
 //!
-//! ## Streaming vs. batch
+//! ## One form: sinks
 //!
-//! Every analysis exists in two forms. The **streaming** form is an
-//! [`AnalysisSink`] driven by [`pipeline::Pipeline`] over any
-//! [`UpdateSource`] — one pass, constant memory per `(prefix, session)`
-//! stream; [`PipelineBuilder`] is the one way to run it, and
-//! [`PipelineBuilder::collectors`] fans a corpus out one pipeline per
-//! collector. The **batch** functions
-//! ([`classify_archive`], [`clean_archive`], [`table::overview`], …) are
-//! thin wrappers over that path, so their results — and the paper's
-//! golden outputs — are unchanged.
+//! Every analysis is an [`AnalysisSink`] driven by
+//! [`pipeline::Pipeline`] over any [`UpdateSource`] — one pass, constant
+//! memory per `(prefix, session)` stream, and no classified event kept
+//! past the sinks that fold it. [`PipelineBuilder`] is the one way to run
+//! it, and [`PipelineBuilder::collectors`] fans a corpus out one pipeline
+//! per collector. The helpers over a materialized archive
+//! ([`classify_archive`], [`table::overview`],
+//! [`sessions::session_type_distribution`], …) run their sink through an
+//! [`ArchiveSource`] on that same path; [`clean_archive`] applies the
+//! [`CleaningStage`] to an archive in place.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -83,13 +84,10 @@ pub use kcc_collector::{
     ShutdownFlag, SourceError, SourceItem, UpdateSource,
 };
 pub use pipeline::{
-    feed_classified, AnalysisSink, CorpusBuilder, CorpusOutput, Merge, NoSink, Pipeline,
-    PipelineBuilder, PipelineOutput, PipelineProfile, PipelineStats, Stage,
+    AnalysisSink, CorpusBuilder, CorpusOutput, Merge, NoSink, Pipeline, PipelineBuilder,
+    PipelineOutput, PipelineProfile, PipelineStats, Stage,
 };
 pub use registry::AllocationRegistry;
-pub use stream::{
-    classify_archive, ClassifiedArchive, ClassifiedArchiveSink, ClassifiedEvent, CountsSink,
-    EventKind, StreamClassifier,
-};
+pub use stream::{classify_archive, ClassifiedEvent, CountsSink, EventKind, StreamClassifier};
 pub use table::{OverviewSink, OverviewStats, TypeShares};
 pub use watch::{WatchConfig, WatchReport, WatchSink};

@@ -13,11 +13,14 @@
 //!   stream — and fans every surviving update plus its
 //!   [`ClassifiedEvent`] out to all registered [`AnalysisSink`]s.
 //!
-//! Every analysis in this crate (overview, phase counts, exploration,
-//! revealed information, per-session distributions, timelines, anomaly
-//! detection, tomography, interconnections, longitudinal day points)
-//! implements [`AnalysisSink`], so one pass drives them all; the
-//! pre-existing batch functions survive as thin wrappers over this path.
+//! Every analysis in this crate (type counts, overview, phase counts,
+//! exploration, revealed information, per-session distributions,
+//! timelines, anomaly detection, tomography, interconnections,
+//! longitudinal day points) exists only as an [`AnalysisSink`], so one
+//! pass drives them all. No analysis keeps the classified events: a sink
+//! folds each one into its own aggregate as it arrives. The helpers that
+//! take a materialized `&UpdateArchive` (`classify_archive`, `overview`,
+//! …) run their sink through this same pipeline.
 //!
 //! There is one way to run a pipeline — [`PipelineBuilder`] — and one way
 //! to fan out: [`PipelineBuilder::collectors`] gives every member of a
@@ -34,10 +37,11 @@ use kcc_obs::{HistogramSnapshot, Registry};
 
 use kcc_bgp_types::{FastHashMap, RouteUpdate};
 use kcc_collector::{
-    Corpus, PeerMeta, SessionKey, ShutdownFlag, SourceError, SourceItem, UpdateSource,
+    ArchiveSource, Corpus, PeerMeta, SessionKey, ShutdownFlag, SourceError, SourceItem,
+    UpdateArchive, UpdateSource,
 };
 
-use crate::stream::{ClassifiedArchive, ClassifiedEvent, StreamClassifier};
+use crate::stream::{ClassifiedEvent, StreamClassifier};
 
 /// An incremental per-update transform (the §4 cleaning steps). Stages
 /// see each session's updates in arrival order and may drop or rewrite
@@ -741,14 +745,18 @@ impl<'s, FSt, FS> CorpusBuilder<'s, FSt, FS> {
     }
 }
 
-/// Feeds an already-classified archive's events into a sink — the bridge
-/// the batch wrappers over event-consuming analyses use.
-pub fn feed_classified<S: AnalysisSink>(classified: &ClassifiedArchive, sink: &mut S) {
-    for (key, events) in &classified.per_session {
-        for event in events {
-            sink.on_event(key, event);
-        }
-    }
+/// Runs `sink` over a materialized archive and returns it — the one body
+/// behind this crate's `&UpdateArchive` helpers ([`classify_archive`],
+/// [`overview`], …).
+///
+/// [`classify_archive`]: crate::stream::classify_archive
+/// [`overview`]: crate::table::overview
+pub(crate) fn drain_archive<S: AnalysisSink>(archive: &UpdateArchive, sink: S) -> S {
+    PipelineBuilder::new(ArchiveSource::new(archive))
+        .sink(sink)
+        .run()
+        .expect("archive sources cannot fail")
+        .sink
 }
 
 /// Everything a corpus run returns.
@@ -785,7 +793,6 @@ mod tests {
     use crate::stream::{classify_archive, CountsSink};
     use crate::table::{overview, OverviewSink};
     use kcc_bgp_types::{Asn, Community, CommunitySet, PathAttributes, Prefix};
-    use kcc_collector::{ArchiveSource, UpdateArchive};
 
     fn attrs(path: &str, comm: u16) -> PathAttributes {
         PathAttributes {
@@ -822,7 +829,7 @@ mod tests {
             .run()
             .unwrap();
         let (counts, overview_sink) = out.sink;
-        assert_eq!(counts.finish(), classify_archive(&a).counts);
+        assert_eq!(counts.finish(), classify_archive(&a));
         assert_eq!(overview_sink.finish(), overview(&a));
         assert_eq!(out.stats.sessions, 6);
         assert_eq!(out.stats.updates, a.update_count() as u64);
@@ -990,7 +997,7 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(out.stats.updates, a.update_count() as u64);
-        assert_eq!(out.sink.finish(), classify_archive(&a).counts);
+        assert_eq!(out.sink.finish(), classify_archive(&a));
     }
 
     #[test]

@@ -13,10 +13,10 @@
 use std::collections::HashMap;
 
 use kcc_bgp_types::{MessageKind, Prefix, RouteUpdate};
-use kcc_collector::{ArchiveSource, BeaconPhase, BeaconSchedule, SessionKey, UpdateArchive};
+use kcc_collector::{BeaconPhase, BeaconSchedule, SessionKey, UpdateArchive};
 
 use crate::beacon_phase::DAY_US;
-use crate::pipeline::{AnalysisSink, Merge, PipelineBuilder};
+use crate::pipeline::{drain_archive, AnalysisSink, Merge};
 
 /// Phase-category bit flags an attribute was seen in.
 mod seen {
@@ -121,19 +121,14 @@ impl Merge for RevealedSink {
     }
 }
 
-/// Computes revealed-attribute statistics over the archive — the batch
-/// wrapper over [`RevealedSink`].
+/// Revealed-attribute statistics of an archive — [`RevealedSink`] run
+/// over it.
 pub fn revealed_attributes(
     archive: &UpdateArchive,
     schedule: &BeaconSchedule,
     beacon_prefixes: &[Prefix],
 ) -> RevealedStats {
-    PipelineBuilder::new(ArchiveSource::new(archive))
-        .sink(RevealedSink::new(*schedule, beacon_prefixes))
-        .run()
-        .expect("archive sources cannot fail")
-        .sink
-        .finish()
+    drain_archive(archive, RevealedSink::new(*schedule, beacon_prefixes)).finish()
 }
 
 #[cfg(test)]

@@ -8,12 +8,12 @@
 use std::collections::BTreeMap;
 
 use kcc_bgp_types::Prefix;
-use kcc_collector::SessionKey;
+use kcc_collector::{SessionKey, UpdateArchive};
 
 use crate::classify::{AnnouncementType, TypeCounts};
-use crate::pipeline::{feed_classified, AnalysisSink, Merge};
+use crate::pipeline::{drain_archive, AnalysisSink, Merge};
 use crate::report::render_table;
-use crate::stream::{ClassifiedArchive, ClassifiedEvent, EventKind};
+use crate::stream::{count_event, ClassifiedEvent};
 
 /// Accumulates per-session type counts for one prefix — Fig. 3 as a
 /// streaming sink. State is one [`TypeCounts`] per session that touched
@@ -57,12 +57,7 @@ impl AnalysisSink for SessionDistributionSink {
                 return;
             }
         }
-        let counts = self.per_session.entry(key.clone()).or_default();
-        match &e.kind {
-            EventKind::Classified { atype, .. } => counts.add(*atype),
-            EventKind::Initial => counts.initial += 1,
-            EventKind::Withdrawal => counts.withdrawals += 1,
-        }
+        count_event(self.per_session.entry(key.clone()).or_default(), e);
     }
 }
 
@@ -73,16 +68,15 @@ impl Merge for SessionDistributionSink {
     }
 }
 
-/// Per-session counts for one prefix, sorted by announcement volume
-/// (descending) — the batch wrapper over [`SessionDistributionSink`].
+/// Per-session counts for one prefix of an archive, sorted by
+/// announcement volume (descending) — [`SessionDistributionSink`] run
+/// over it.
 pub fn session_type_distribution(
-    classified: &ClassifiedArchive,
+    archive: &UpdateArchive,
     prefix: &Prefix,
     collector: Option<&str>,
 ) -> Vec<(SessionKey, TypeCounts)> {
-    let mut sink = SessionDistributionSink::new(*prefix, collector);
-    feed_classified(classified, &mut sink);
-    sink.finish()
+    drain_archive(archive, SessionDistributionSink::new(*prefix, collector)).finish()
 }
 
 /// Renders the distribution as a text table (one row per session).
@@ -149,7 +143,6 @@ pub fn render_stacked_bars(rows: &[(SessionKey, TypeCounts)], height: usize) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::classify_session;
     use kcc_bgp_types::{Asn, Community, CommunitySet, PathAttributes, RouteUpdate};
 
     fn attrs(path: &str, c: u16) -> PathAttributes {
@@ -160,32 +153,27 @@ mod tests {
         }
     }
 
-    fn build() -> (ClassifiedArchive, Prefix) {
+    fn build() -> (UpdateArchive, Prefix) {
         let prefix: Prefix = "84.205.64.0/24".parse().unwrap();
-        let mut classified = ClassifiedArchive::default();
+        let mut archive = UpdateArchive::new(0);
         // Session 1: 3 announcements (initial, nc, pc).
         let k1 = SessionKey::new("rrc00", Asn(20_205), "10.0.0.1".parse().unwrap());
-        let updates1 = vec![
-            RouteUpdate::announce(1, prefix, attrs("1 2", 2501)),
-            RouteUpdate::announce(2, prefix, attrs("1 2", 2502)),
-            RouteUpdate::announce(3, prefix, attrs("1 3", 2503)),
-        ];
-        classified.per_session.insert(k1.clone(), classify_session(&updates1));
+        archive.record(&k1, RouteUpdate::announce(1, prefix, attrs("1 2", 2501)));
+        archive.record(&k1, RouteUpdate::announce(2, prefix, attrs("1 2", 2502)));
+        archive.record(&k1, RouteUpdate::announce(3, prefix, attrs("1 3", 2503)));
         // Session 2: 1 announcement.
         let k2 = SessionKey::new("rrc00", Asn(20_811), "10.0.0.2".parse().unwrap());
-        let updates2 = vec![RouteUpdate::announce(1, prefix, attrs("9 2", 2501))];
-        classified.per_session.insert(k2.clone(), classify_session(&updates2));
+        archive.record(&k2, RouteUpdate::announce(1, prefix, attrs("9 2", 2501)));
         // Session at another collector.
         let k3 = SessionKey::new("rrc01", Asn(20_205), "10.0.0.3".parse().unwrap());
-        let updates3 = vec![RouteUpdate::announce(1, prefix, attrs("5 2", 2501))];
-        classified.per_session.insert(k3, classify_session(&updates3));
-        (classified, prefix)
+        archive.record(&k3, RouteUpdate::announce(1, prefix, attrs("5 2", 2501)));
+        (archive, prefix)
     }
 
     #[test]
     fn sorted_by_volume_and_filtered_by_collector() {
-        let (classified, prefix) = build();
-        let rows = session_type_distribution(&classified, &prefix, Some("rrc00"));
+        let (archive, prefix) = build();
+        let rows = session_type_distribution(&archive, &prefix, Some("rrc00"));
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].0.peer_asn, Asn(20_205)); // busier session first
         assert_eq!(rows[0].1.announcement_total(), 3);
@@ -196,22 +184,22 @@ mod tests {
 
     #[test]
     fn no_collector_filter_includes_all() {
-        let (classified, prefix) = build();
-        let rows = session_type_distribution(&classified, &prefix, None);
+        let (archive, prefix) = build();
+        let rows = session_type_distribution(&archive, &prefix, None);
         assert_eq!(rows.len(), 3);
     }
 
     #[test]
     fn other_prefixes_excluded() {
-        let (classified, _) = build();
+        let (archive, _) = build();
         let other: Prefix = "10.0.0.0/8".parse().unwrap();
-        assert!(session_type_distribution(&classified, &other, None).is_empty());
+        assert!(session_type_distribution(&archive, &other, None).is_empty());
     }
 
     #[test]
     fn table_renders() {
-        let (classified, prefix) = build();
-        let rows = session_type_distribution(&classified, &prefix, Some("rrc00"));
+        let (archive, prefix) = build();
+        let rows = session_type_distribution(&archive, &prefix, Some("rrc00"));
         let text = render_distribution(&rows);
         assert!(text.contains("rrc00:AS20205"));
         assert!(text.contains("nc"));
@@ -219,8 +207,8 @@ mod tests {
 
     #[test]
     fn bars_render_with_fixed_height() {
-        let (classified, prefix) = build();
-        let rows = session_type_distribution(&classified, &prefix, None);
+        let (archive, prefix) = build();
+        let rows = session_type_distribution(&archive, &prefix, None);
         let text = render_stacked_bars(&rows, 10);
         assert!(text.lines().count() >= 11);
         assert!(text.contains("legend"));

@@ -1,4 +1,4 @@
-//! Stream grouping and whole-archive classification.
+//! Stream grouping and classification.
 //!
 //! Paper §5: "we first group them by the prefix and the BGP session of a
 //! peer AS / next-hop, in arriving order. Then, we look for changes in the
@@ -7,15 +7,15 @@
 //! the paper's Fig. 4 labels the first re-announcement after a withdrawal
 //! against the last announcement before it.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use std::mem::size_of;
 use std::sync::Arc;
 
 use kcc_bgp_types::{AttrStore, MessageKind, PathAttributes, Prefix, PrefixMap, RouteUpdate};
-use kcc_collector::{ArchiveSource, PeerMeta, SessionKey, UpdateArchive};
+use kcc_collector::{SessionKey, UpdateArchive};
 
 use crate::classify::{classify_pair, AnnouncementType, TypeCounts};
-use crate::pipeline::{AnalysisSink, Merge, PipelineBuilder};
+use crate::pipeline::{drain_archive, AnalysisSink, Merge};
 
 /// What one stream event was classified as.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,60 +54,6 @@ impl ClassifiedEvent {
         match &self.kind {
             EventKind::Classified { atype, .. } => Some(*atype),
             _ => None,
-        }
-    }
-}
-
-/// The result of classifying a whole archive.
-#[derive(Debug, Clone, Default)]
-pub struct ClassifiedArchive {
-    /// Per-session event streams, in arrival order.
-    pub per_session: BTreeMap<SessionKey, Vec<ClassifiedEvent>>,
-    /// Aggregate counts.
-    pub counts: TypeCounts,
-}
-
-impl ClassifiedArchive {
-    /// Aggregate counts for one session.
-    pub fn session_counts(&self, key: &SessionKey) -> TypeCounts {
-        let mut c = TypeCounts::default();
-        if let Some(events) = self.per_session.get(key) {
-            accumulate(&mut c, events);
-        }
-        c
-    }
-
-    /// Aggregate counts for one `(session, prefix)` stream.
-    pub fn stream_counts(&self, key: &SessionKey, prefix: &Prefix) -> TypeCounts {
-        let mut c = TypeCounts::default();
-        if let Some(events) = self.per_session.get(key) {
-            accumulate(&mut c, events.iter().filter(|e| e.prefix == *prefix));
-        }
-        c
-    }
-
-    /// Aggregate counts over all sessions, restricted to events whose
-    /// prefix satisfies the predicate (e.g. excluding beacon prefixes).
-    pub fn counts_filtered<F: Fn(&Prefix) -> bool>(&self, keep: F) -> TypeCounts {
-        let mut c = TypeCounts::default();
-        for events in self.per_session.values() {
-            accumulate(&mut c, events.iter().filter(|e| keep(&e.prefix)));
-        }
-        c
-    }
-}
-
-fn accumulate<'a, I: IntoIterator<Item = &'a ClassifiedEvent>>(c: &mut TypeCounts, events: I) {
-    for e in events {
-        match &e.kind {
-            EventKind::Classified { atype, med_only } => {
-                c.add(*atype);
-                if *atype == AnnouncementType::Nn && *med_only {
-                    c.nn_med_only += 1;
-                }
-            }
-            EventKind::Initial => c.initial += 1,
-            EventKind::Withdrawal => c.withdrawals += 1,
         }
     }
 }
@@ -224,50 +170,6 @@ impl StreamClassifier {
     }
 }
 
-/// Classifies one session's update stream — a fold over
-/// [`StreamClassifier`].
-pub fn classify_session(updates: &[RouteUpdate]) -> Vec<ClassifiedEvent> {
-    let mut classifier = StreamClassifier::new();
-    updates.iter().map(|u| classifier.classify(u)).collect()
-}
-
-/// Collects the full per-session classification — what
-/// [`classify_archive`] returns, as a streaming sink. Prefer aggregate
-/// sinks ([`CountsSink`] and friends) at scale: this one materializes
-/// every event.
-#[derive(Debug, Clone, Default)]
-pub struct ClassifiedArchiveSink {
-    result: ClassifiedArchive,
-}
-
-impl ClassifiedArchiveSink {
-    /// The collected classification.
-    pub fn finish(self) -> ClassifiedArchive {
-        self.result
-    }
-}
-
-impl AnalysisSink for ClassifiedArchiveSink {
-    fn on_session(&mut self, meta: &PeerMeta) {
-        self.result.per_session.entry(meta.key.clone()).or_default();
-    }
-
-    fn on_event(&mut self, session: &SessionKey, event: &ClassifiedEvent) {
-        accumulate(&mut self.result.counts, std::iter::once(event));
-        self.result.per_session.entry(session.clone()).or_default().push(event.clone());
-    }
-}
-
-impl Merge for ClassifiedArchiveSink {
-    fn merge(&mut self, other: Self) {
-        // Sessions are disjoint across collectors; counts add.
-        self.result.counts.merge(&other.result.counts);
-        for (key, mut events) in other.result.per_session {
-            self.result.per_session.entry(key).or_default().append(&mut events);
-        }
-    }
-}
-
 /// Aggregate [`TypeCounts`] over every classified event — the Table 2
 /// numbers as a constant-size sink.
 #[derive(Debug, Clone, Copy, Default)]
@@ -284,7 +186,24 @@ impl CountsSink {
 
 impl AnalysisSink for CountsSink {
     fn on_event(&mut self, _session: &SessionKey, event: &ClassifiedEvent) {
-        accumulate(&mut self.counts, std::iter::once(event));
+        count_event(&mut self.counts, event);
+    }
+}
+
+/// Counts one classified event — the fold every per-type count in this
+/// crate shares ([`CountsSink`], and per session
+/// [`SessionDistributionSink`](crate::sessions::SessionDistributionSink)).
+#[inline]
+pub(crate) fn count_event(counts: &mut TypeCounts, event: &ClassifiedEvent) {
+    match &event.kind {
+        EventKind::Classified { atype, med_only } => {
+            counts.add(*atype);
+            if *atype == AnnouncementType::Nn && *med_only {
+                counts.nn_med_only += 1;
+            }
+        }
+        EventKind::Initial => counts.initial += 1,
+        EventKind::Withdrawal => counts.withdrawals += 1,
     }
 }
 
@@ -294,15 +213,9 @@ impl Merge for CountsSink {
     }
 }
 
-/// Classifies a whole archive — the batch wrapper over the streaming
-/// pipeline ([`ArchiveSource`] → [`ClassifiedArchiveSink`]).
-pub fn classify_archive(archive: &UpdateArchive) -> ClassifiedArchive {
-    PipelineBuilder::new(ArchiveSource::new(archive))
-        .sink(ClassifiedArchiveSink::default())
-        .run()
-        .expect("archive sources cannot fail")
-        .sink
-        .finish()
+/// The Table 2 counts of a whole archive — [`CountsSink`] run over it.
+pub fn classify_archive(archive: &UpdateArchive) -> TypeCounts {
+    drain_archive(archive, CountsSink::default()).finish()
 }
 
 #[cfg(test)]
@@ -324,6 +237,12 @@ mod tests {
         s.parse().unwrap()
     }
 
+    /// One session's stream, classified update by update.
+    fn classify_all(updates: &[RouteUpdate]) -> Vec<ClassifiedEvent> {
+        let mut classifier = StreamClassifier::new();
+        updates.iter().map(|u| classifier.classify(u)).collect()
+    }
+
     #[test]
     fn initial_then_types() {
         let prefix = p("84.205.64.0/24");
@@ -333,7 +252,7 @@ mod tests {
             RouteUpdate::announce(3, prefix, attrs("1 3", &[(1, 2)])), // pn
             RouteUpdate::announce(4, prefix, attrs("1 3", &[(1, 2)])), // nn
         ];
-        let events = classify_session(&updates);
+        let events = classify_all(&updates);
         assert_eq!(events[0].kind, EventKind::Initial);
         assert_eq!(events[1].atype(), Some(AnnouncementType::Nc));
         assert_eq!(events[2].atype(), Some(AnnouncementType::Pn));
@@ -352,7 +271,7 @@ mod tests {
             RouteUpdate::withdraw(4, prefix),
             RouteUpdate::announce(5, prefix, attrs("1 3", &[(1, 1)])),
         ];
-        let events = classify_session(&updates);
+        let events = classify_all(&updates);
         assert_eq!(events[2].atype(), Some(AnnouncementType::Nn));
         assert_eq!(events[4].atype(), Some(AnnouncementType::Pn));
     }
@@ -367,7 +286,7 @@ mod tests {
             RouteUpdate::announce(3, p1, attrs("1 2", &[])), // nn on p1
             RouteUpdate::announce(4, p2, attrs("9 7", &[])), // pn on p2
         ];
-        let events = classify_session(&updates);
+        let events = classify_all(&updates);
         assert_eq!(events[0].kind, EventKind::Initial);
         assert_eq!(events[1].kind, EventKind::Initial);
         assert_eq!(events[2].atype(), Some(AnnouncementType::Nn));
@@ -382,7 +301,7 @@ mod tests {
         a2.med = Some(7);
         let updates =
             vec![RouteUpdate::announce(1, prefix, a1), RouteUpdate::announce(2, prefix, a2)];
-        let events = classify_session(&updates);
+        let events = classify_all(&updates);
         assert_eq!(
             events[1].kind,
             EventKind::Classified { atype: AnnouncementType::Nn, med_only: true }
@@ -401,11 +320,11 @@ mod tests {
         archive.record(&k2, RouteUpdate::withdraw(2, prefix));
 
         let c = classify_archive(&archive);
-        assert_eq!(c.counts.initial, 2);
-        assert_eq!(c.counts.nc, 1);
-        assert_eq!(c.counts.withdrawals, 1);
-        assert_eq!(c.session_counts(&k1).nc, 1);
-        assert_eq!(c.session_counts(&k2).withdrawals, 1);
-        assert_eq!(c.stream_counts(&k1, &prefix).nc, 1);
+        assert_eq!(c.initial, 2);
+        assert_eq!(c.nc, 1);
+        assert_eq!(c.withdrawals, 1);
+        let rows = crate::sessions::session_type_distribution(&archive, &prefix, None);
+        assert_eq!(rows[0], (k1, TypeCounts { initial: 1, nc: 1, ..Default::default() }));
+        assert_eq!(rows[1], (k2, TypeCounts { initial: 1, withdrawals: 1, ..Default::default() }));
     }
 }

@@ -1,10 +1,10 @@
 //! Dataset overview (Table 1) and type shares (Table 2).
 
 use kcc_bgp_types::{AsPath, Asn, FastHashSet, MessageKind, Prefix, RouteUpdate};
-use kcc_collector::{ArchiveSource, PeerMeta, SessionKey, UpdateArchive};
+use kcc_collector::{PeerMeta, SessionKey, UpdateArchive};
 
 use crate::classify::{AnnouncementType, TypeCounts};
-use crate::pipeline::{AnalysisSink, Merge, PipelineBuilder};
+use crate::pipeline::{drain_archive, AnalysisSink, Merge};
 use crate::report::{fmt_count, render_table};
 
 /// The Table 1 summary of one dataset.
@@ -123,15 +123,9 @@ impl Merge for OverviewSink {
     }
 }
 
-/// Computes the Table 1 overview for an archive — the batch wrapper over
-/// the streaming [`OverviewSink`].
+/// The Table 1 overview of an archive — [`OverviewSink`] run over it.
 pub fn overview(archive: &UpdateArchive) -> OverviewStats {
-    PipelineBuilder::new(ArchiveSource::new(archive))
-        .sink(OverviewSink::default())
-        .run()
-        .expect("archive sources cannot fail")
-        .sink
-        .finish()
+    drain_archive(archive, OverviewSink::default()).finish()
 }
 
 impl OverviewStats {

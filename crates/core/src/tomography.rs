@@ -26,9 +26,9 @@ use std::collections::{BTreeMap, HashSet};
 
 use kcc_bgp_types::geo::decode_geo;
 use kcc_bgp_types::{Asn, Community, MessageKind, RouteUpdate};
-use kcc_collector::{ArchiveSource, SessionKey, UpdateArchive};
+use kcc_collector::{SessionKey, UpdateArchive};
 
-use crate::pipeline::{AnalysisSink, Merge, PipelineBuilder};
+use crate::pipeline::{drain_archive, AnalysisSink, Merge};
 
 /// Accumulated per-AS evidence.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -276,18 +276,13 @@ impl Merge for TomographySink {
     }
 }
 
-/// Runs the full inference over an archive — the batch wrapper over
-/// [`TomographySink`].
+/// Runs the full inference over an archive — [`TomographySink`] run
+/// over it.
 pub fn infer_behaviors(
     archive: &UpdateArchive,
     cfg: &TomographyConfig,
 ) -> BTreeMap<Asn, InferredBehavior> {
-    PipelineBuilder::new(ArchiveSource::new(archive))
-        .sink(TomographySink::new(*cfg))
-        .run()
-        .expect("archive sources cannot fail")
-        .sink
-        .finish()
+    drain_archive(archive, TomographySink::new(*cfg)).finish()
 }
 
 /// Convenience view: the ASes inferred per class.

@@ -14,8 +14,8 @@
 //! collision resolution (the collector is the passive side and its
 //! clients the active side, so simultaneous opens cannot arise here),
 //! and decode errors on UPDATEs tear the session down with the matching
-//! NOTIFICATION rather than RFC 7606 treat-as-withdraw (the codec's
-//! severity classification is preserved in [`DownReason`] for operators).
+//! NOTIFICATION rather than RFC 7606 treat-as-withdraw; the
+//! [`WireError`] is kept in [`DownReason::DecodeError`] for operators.
 
 use std::net::Ipv4Addr;
 

@@ -418,8 +418,7 @@ mod tests {
         let out = generate_mar20(&small_config());
         let mut archive = out.archive.clone();
         clean_archive(&mut archive, &out.registry, &CleaningConfig::default());
-        let classified = classify_archive(&archive);
-        let c = &classified.counts;
+        let c = classify_archive(&archive);
         let pc = c.share(AnnouncementType::Pc);
         let pn = c.share(AnnouncementType::Pn);
         let nc = c.share(AnnouncementType::Nc);

@@ -69,22 +69,22 @@ fn main() {
         }
     }
 
-    let classified = classify_archive(&archive);
+    let counts = classify_archive(&archive);
     println!(
         "collector saw {} announcements / {} withdrawals over {} sessions",
-        classified.counts.announcement_total(),
-        classified.counts.withdrawals,
+        counts.announcement_total(),
+        counts.withdrawals,
         archive.session_count()
     );
     for t in AnnouncementType::ALL {
-        println!("  {t}: {:>5}  ({:.1}%)", classified.counts.get(t), classified.counts.share(t));
+        println!("  {t}: {:>5}  ({:.1}%)", counts.get(t), counts.share(t));
     }
 
     println!("\nper-session distribution for {beacon}:");
-    let rows = session_type_distribution(&classified, &beacon, Some("rrc00"));
+    let rows = session_type_distribution(&archive, &beacon, Some("rrc00"));
     println!("{}", render_distribution(&rows[..rows.len().min(10)]));
 
-    let episodes = detect(&classified, &schedule, &[beacon]);
+    let episodes = detect(&archive, &schedule, &[beacon]);
     let summary = summarize(&episodes);
     println!(
         "community exploration: {} withdrawal-phase episodes, {} with multiple revealed locations, {} nc updates",

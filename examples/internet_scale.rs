@@ -76,7 +76,7 @@ fn main() {
             UpdateArchive::from_source(&mut open_source(), cfg.epoch_seconds).expect("MRT import");
         let report = clean_archive(&mut archive, &registry, &CleaningConfig::default());
         let overview = keep_communities_clean::analysis::table::overview(&archive);
-        let counts = keep_communities_clean::analysis::classify_archive(&archive).counts;
+        let counts = keep_communities_clean::analysis::classify_archive(&archive);
         (report, overview, counts, None)
     } else {
         let stage = CleaningStage::new(&registry, CleaningConfig::default());

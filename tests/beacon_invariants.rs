@@ -1,11 +1,11 @@
 //! Invariants of the simulated beacon day (the Figs. 3–5 substrate).
 
 use keep_communities_clean::adapter::capture_to_archive;
-use keep_communities_clean::analysis::beacon_phase::{label_archive, phase_counts};
-use keep_communities_clean::analysis::classify_archive;
+use keep_communities_clean::analysis::beacon_phase::{PhaseCountSink, PhaseCounts};
 use keep_communities_clean::analysis::exploration::detect;
 use keep_communities_clean::analysis::revealed::revealed_attributes;
-use keep_communities_clean::collector::{BeaconEvent, BeaconSchedule};
+use keep_communities_clean::analysis::{classify_archive, PipelineBuilder};
+use keep_communities_clean::collector::{ArchiveSource, BeaconEvent, BeaconSchedule};
 use keep_communities_clean::sim::{Network, SimConfig, SimDuration, SimTime};
 use keep_communities_clean::topology::{generate, RouterId, Tier, TopologyConfig};
 use keep_communities_clean::types::{Asn, Prefix};
@@ -57,12 +57,19 @@ fn run_beacon_day(seed: u64) -> BeaconDay {
     BeaconDay { archive, beacon }
 }
 
+fn count_phases(day: &BeaconDay) -> PhaseCounts {
+    PipelineBuilder::new(ArchiveSource::new(&day.archive))
+        .sink(PhaseCountSink::new(BeaconSchedule::default(), &[day.beacon]))
+        .run()
+        .expect("archive sources cannot fail")
+        .sink
+        .finish()
+}
+
 #[test]
 fn all_traffic_falls_inside_phases() {
     let day = run_beacon_day(42);
-    let labeled = label_archive(&day.archive, &BeaconSchedule::default(), &[day.beacon]);
-    assert!(!labeled.is_empty());
-    let counts = phase_counts(&labeled);
+    let counts = count_phases(&day);
     // Convergence after a scheduled event completes within the 15-minute
     // windows; nothing may appear outside them.
     assert_eq!(counts.outside, 0, "updates escaped the phase windows: {counts:?}");
@@ -75,8 +82,7 @@ fn withdrawal_phases_dominate_update_volume() {
     // The paper's key observation: withdrawal phases carry the bursts
     // (path + community exploration), announcement phases converge fast.
     let day = run_beacon_day(42);
-    let labeled = label_archive(&day.archive, &BeaconSchedule::default(), &[day.beacon]);
-    let counts = phase_counts(&labeled);
+    let counts = count_phases(&day);
     assert!(
         counts.in_withdrawal >= counts.in_announcement,
         "withdrawal-phase announcements ({}) should dominate announce-phase ones ({})",
@@ -88,8 +94,7 @@ fn withdrawal_phases_dominate_update_volume() {
 #[test]
 fn exploration_reveals_multiple_locations() {
     let day = run_beacon_day(42);
-    let classified = classify_archive(&day.archive);
-    let episodes = detect(&classified, &BeaconSchedule::default(), &[day.beacon]);
+    let episodes = detect(&day.archive, &BeaconSchedule::default(), &[day.beacon]);
     assert!(!episodes.is_empty(), "no withdrawal-phase episodes detected");
     let multi = episodes.iter().filter(|e| e.locations.len() > 1).count();
     assert!(multi > 0, "no episode revealed multiple geo locations");
@@ -111,7 +116,7 @@ fn beacon_day_deterministic() {
     let a = run_beacon_day(7);
     let b = run_beacon_day(7);
     assert_eq!(a.archive.update_count(), b.archive.update_count());
-    let ca = classify_archive(&a.archive).counts;
-    let cb = classify_archive(&b.archive).counts;
+    let ca = classify_archive(&a.archive);
+    let cb = classify_archive(&b.archive);
     assert_eq!(ca, cb);
 }

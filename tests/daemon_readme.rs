@@ -65,7 +65,7 @@ fn readme_daemon_example_runs_and_matches_offline() {
     let reference = offline_reference(&day.archive, &cfg);
     assert_eq!(
         out.sink.finish(),
-        classify_archive(&reference).counts,
+        classify_archive(&reference),
         "README's daemon counts != offline"
     );
 }

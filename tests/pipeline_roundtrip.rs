@@ -66,9 +66,9 @@ fn classification_is_invariant_under_mrt_roundtrip() {
     // NOTE: collapsing collectors could merge sessions with equal
     // (peer_asn, peer_ip); the universe generates unique peer IPs, so the
     // streams stay 1:1.
-    assert_eq!(direct.counts.classified_total(), roundtripped.counts.classified_total());
+    assert_eq!(direct.classified_total(), roundtripped.classified_total());
     for t in AnnouncementType::ALL {
-        assert_eq!(direct.counts.get(t), roundtripped.counts.get(t), "type {t} diverged");
+        assert_eq!(direct.get(t), roundtripped.get(t), "type {t} diverged");
     }
 }
 
@@ -160,7 +160,7 @@ fn type_shares_stable_across_seeds() {
         let out = generate_mar20(&small_config(seed));
         let mut archive = out.archive.clone();
         clean_archive(&mut archive, &out.registry, &CleaningConfig::default());
-        let c = classify_archive(&archive).counts;
+        let c = classify_archive(&archive);
         let nc_nn = c.share(AnnouncementType::Nc) + c.share(AnnouncementType::Nn);
         assert!(
             (35.0..65.0).contains(&nc_nn),

@@ -36,42 +36,37 @@ fn exp2_collector_stream_is_nc() {
     // Every post-initial announcement at the collector changes only the
     // community attribute: the paper's community-only (`nc`) type.
     let archive = archive_for(LabExperiment::Exp2, VendorProfile::CISCO_IOS);
-    let classified = classify_archive(&archive);
-    assert!(classified.counts.nc >= 2, "expected nc stream, got {:?}", classified.counts);
-    assert_eq!(classified.counts.pc, 0);
-    assert_eq!(classified.counts.pn, 0);
+    let counts = classify_archive(&archive);
+    assert!(counts.nc >= 2, "expected nc stream, got {counts:?}");
+    assert_eq!(counts.pc, 0);
+    assert_eq!(counts.pn, 0);
 }
 
 #[test]
 fn exp3_collector_stream_is_nn() {
     // With egress cleaning at X1, the same flaps produce pure duplicates.
     let archive = archive_for(LabExperiment::Exp3, VendorProfile::CISCO_IOS);
-    let classified = classify_archive(&archive);
-    assert!(classified.counts.nn >= 2, "expected nn stream, got {:?}", classified.counts);
-    assert_eq!(classified.counts.nc, 0, "no community may survive egress cleaning");
+    let counts = classify_archive(&archive);
+    assert!(counts.nn >= 2, "expected nn stream, got {counts:?}");
+    assert_eq!(counts.nc, 0, "no community may survive egress cleaning");
     // And none of the duplicates is explained by MED.
-    assert_eq!(classified.counts.nn_med_only, 0);
+    assert_eq!(counts.nn_med_only, 0);
 }
 
 #[test]
 fn exp3_junos_collector_stream_is_empty_after_initial() {
     let archive = archive_for(LabExperiment::Exp3, VendorProfile::JUNOS);
-    let classified = classify_archive(&archive);
-    assert_eq!(
-        classified.counts.classified_total(),
-        0,
-        "Junos must suppress every duplicate: {:?}",
-        classified.counts
-    );
+    let counts = classify_archive(&archive);
+    assert_eq!(counts.classified_total(), 0, "Junos must suppress every duplicate: {:?}", counts);
 }
 
 #[test]
 fn exp4_collector_silent_for_all_vendors() {
     for vendor in VendorProfile::ALL {
         let archive = archive_for(LabExperiment::Exp4, vendor);
-        let classified = classify_archive(&archive);
+        let counts = classify_archive(&archive);
         assert_eq!(
-            classified.counts.classified_total(),
+            counts.classified_total(),
             0,
             "{vendor}: ingress cleaning must silence the collector"
         );
