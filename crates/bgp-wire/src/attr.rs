@@ -7,13 +7,14 @@
 
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
 use kcc_bgp_types::attrs::{Aggregator, Origin, PathAttributes};
 use kcc_bgp_types::{
     AsPath, Asn, Community, CommunitySet, ExtendedCommunity, LargeCommunity, PathSegment, Prefix,
     SegmentKind,
 };
 
+use crate::cursor;
 use crate::error::WireError;
 use crate::message::SessionConfig;
 use crate::nlri::{decode_prefix_run, encode_prefix, encoded_len, Afi};
@@ -180,18 +181,18 @@ pub(crate) fn put_mp_unreach(buf: &mut BytesMut, prefixes: &[Prefix]) {
     }
 }
 
-fn decode_as_path_body(mut body: Bytes, four_octet: bool) -> Result<AsPath, WireError> {
+fn decode_as_path_body(mut body: &[u8], four_octet: bool) -> Result<AsPath, WireError> {
     // One segment is the common case; `Vec::new()` + `push` would reserve
     // four, and the decoded path is stored (and counted) at capacity.
     let mut segments = Vec::with_capacity(1);
-    while body.has_remaining() {
-        if body.remaining() < 2 {
+    while !body.is_empty() {
+        if body.len() < 2 {
             return Err(WireError::MalformedAttribute {
                 code: type_codes::AS_PATH,
                 detail: "segment header truncated",
             });
         }
-        let kind = match body.get_u8() {
+        let kind = match cursor::u8(&mut body) {
             1 => SegmentKind::Set,
             2 => SegmentKind::Sequence,
             3 => SegmentKind::ConfedSequence,
@@ -203,9 +204,9 @@ fn decode_as_path_body(mut body: Bytes, four_octet: bool) -> Result<AsPath, Wire
                 })
             }
         };
-        let count = body.get_u8() as usize;
+        let count = cursor::u8(&mut body) as usize;
         let width = if four_octet { 4 } else { 2 };
-        if body.remaining() < count * width {
+        if body.len() < count * width {
             return Err(WireError::MalformedAttribute {
                 code: type_codes::AS_PATH,
                 detail: "segment body truncated",
@@ -213,7 +214,11 @@ fn decode_as_path_body(mut body: Bytes, four_octet: bool) -> Result<AsPath, Wire
         }
         let mut asns = Vec::with_capacity(count);
         for _ in 0..count {
-            asns.push(if four_octet { Asn(body.get_u32()) } else { Asn(body.get_u16() as u32) });
+            asns.push(if four_octet {
+                Asn(cursor::u32(&mut body))
+            } else {
+                Asn(cursor::u16(&mut body) as u32)
+            });
         }
         segments.push(PathSegment { kind, asns });
     }
@@ -357,7 +362,7 @@ pub fn encode_mp_next_hop_only(next_hop: Ipv6Addr, buf: &mut BytesMut) {
     put_mp_reach(buf, next_hop, &[]);
 }
 
-fn expect_len(code: u8, body: &Bytes, want: usize, what: &'static str) -> Result<(), WireError> {
+fn expect_len(code: u8, body: &[u8], want: usize, what: &'static str) -> Result<(), WireError> {
     if body.len() != want {
         Err(WireError::MalformedAttribute { code, detail: what })
     } else {
@@ -365,16 +370,17 @@ fn expect_len(code: u8, body: &Bytes, want: usize, what: &'static str) -> Result
     }
 }
 
-/// Decodes an attribute block of exactly `total_len` bytes from `buf`.
-pub fn decode_attributes<B: Buf>(
-    buf: &mut B,
+/// Decodes an attribute block of exactly `total_len` bytes from the
+/// front of `buf`.
+pub fn decode_attributes(
+    buf: &mut &[u8],
     total_len: usize,
     cfg: &SessionConfig,
 ) -> Result<DecodedAttrs, WireError> {
-    if buf.remaining() < total_len {
+    if buf.len() < total_len {
         return Err(WireError::Truncated { what: "path attributes" });
     }
-    let mut block = buf.copy_to_bytes(total_len);
+    let mut block = cursor::take(buf, total_len);
     let mut out = DecodedAttrs::default();
     let mut as4_path: Option<AsPath> = None;
     let mut as4_aggregator: Option<Aggregator> = None;
@@ -384,32 +390,32 @@ pub fn decode_attributes<B: Buf>(
     let mut extended: Vec<ExtendedCommunity> = Vec::new();
     let mut large: Vec<LargeCommunity> = Vec::new();
 
-    while block.has_remaining() {
-        if block.remaining() < 2 {
+    while !block.is_empty() {
+        if block.len() < 2 {
             return Err(WireError::Truncated { what: "attribute header" });
         }
-        let fl = block.get_u8();
-        let code = block.get_u8();
+        let fl = cursor::u8(&mut block);
+        let code = cursor::u8(&mut block);
         let len = if fl & flags::EXTENDED_LENGTH != 0 {
-            if block.remaining() < 2 {
+            if block.len() < 2 {
                 return Err(WireError::Truncated { what: "attribute extended length" });
             }
-            block.get_u16() as usize
+            cursor::u16(&mut block) as usize
         } else {
-            if block.remaining() < 1 {
+            if block.is_empty() {
                 return Err(WireError::Truncated { what: "attribute length" });
             }
-            block.get_u8() as usize
+            cursor::u8(&mut block) as usize
         };
-        if block.remaining() < len {
+        if block.len() < len {
             return Err(WireError::Truncated { what: "attribute body" });
         }
-        let mut body = block.copy_to_bytes(len);
+        let mut body = cursor::take(&mut block, len);
 
         match code {
             type_codes::ORIGIN => {
-                expect_len(code, &body, 1, "ORIGIN length != 1")?;
-                let v = body.get_u8();
+                expect_len(code, body, 1, "ORIGIN length != 1")?;
+                let v = body[0];
                 out.attrs.origin = Origin::from_code(v)
                     .ok_or(WireError::BadValue { what: "ORIGIN", value: v as u32 })?;
                 out.has_origin = true;
@@ -422,123 +428,114 @@ pub fn decode_attributes<B: Buf>(
                 as4_path = Some(decode_as_path_body(body, true)?);
             }
             type_codes::NEXT_HOP => {
-                expect_len(code, &body, 4, "NEXT_HOP length != 4")?;
-                let mut oct = [0u8; 4];
-                body.copy_to_slice(&mut oct);
-                out.attrs.next_hop = IpAddr::V4(Ipv4Addr::from(oct));
+                expect_len(code, body, 4, "NEXT_HOP length != 4")?;
+                out.attrs.next_hop = IpAddr::V4(Ipv4Addr::from(cursor::array::<4>(&mut body)));
                 out.has_next_hop = true;
             }
             type_codes::MED => {
-                expect_len(code, &body, 4, "MED length != 4")?;
-                out.attrs.med = Some(body.get_u32());
+                expect_len(code, body, 4, "MED length != 4")?;
+                out.attrs.med = Some(cursor::u32(&mut body));
             }
             type_codes::LOCAL_PREF => {
-                expect_len(code, &body, 4, "LOCAL_PREF length != 4")?;
-                out.attrs.local_pref = Some(body.get_u32());
+                expect_len(code, body, 4, "LOCAL_PREF length != 4")?;
+                out.attrs.local_pref = Some(cursor::u32(&mut body));
             }
             type_codes::ATOMIC_AGGREGATE => {
-                expect_len(code, &body, 0, "ATOMIC_AGGREGATE length != 0")?;
+                expect_len(code, body, 0, "ATOMIC_AGGREGATE length != 0")?;
                 out.attrs.atomic_aggregate = true;
             }
             type_codes::AGGREGATOR => {
-                let (asn, rest) = if cfg.four_octet_as {
-                    expect_len(code, &body, 8, "AGGREGATOR length != 8")?;
-                    (Asn(body.get_u32()), body)
+                let asn = if cfg.four_octet_as {
+                    expect_len(code, body, 8, "AGGREGATOR length != 8")?;
+                    Asn(cursor::u32(&mut body))
                 } else {
-                    expect_len(code, &body, 6, "AGGREGATOR length != 6")?;
-                    (Asn(body.get_u16() as u32), body)
+                    expect_len(code, body, 6, "AGGREGATOR length != 6")?;
+                    Asn(cursor::u16(&mut body) as u32)
                 };
-                let mut body = rest;
-                let mut oct = [0u8; 4];
-                body.copy_to_slice(&mut oct);
-                out.attrs.aggregator = Some(Aggregator { asn, router_id: Ipv4Addr::from(oct) });
+                let router_id = Ipv4Addr::from(cursor::array::<4>(&mut body));
+                out.attrs.aggregator = Some(Aggregator { asn, router_id });
             }
             type_codes::AS4_AGGREGATOR => {
-                expect_len(code, &body, 8, "AS4_AGGREGATOR length != 8")?;
-                let asn = Asn(body.get_u32());
-                let mut oct = [0u8; 4];
-                body.copy_to_slice(&mut oct);
-                as4_aggregator = Some(Aggregator { asn, router_id: Ipv4Addr::from(oct) });
+                expect_len(code, body, 8, "AS4_AGGREGATOR length != 8")?;
+                let asn = Asn(cursor::u32(&mut body));
+                let router_id = Ipv4Addr::from(cursor::array::<4>(&mut body));
+                as4_aggregator = Some(Aggregator { asn, router_id });
             }
             type_codes::COMMUNITIES => {
-                if body.len() % 4 != 0 {
+                if !body.len().is_multiple_of(4) {
                     return Err(WireError::MalformedAttribute {
                         code,
                         detail: "COMMUNITIES length not multiple of 4",
                     });
                 }
                 classic.reserve_exact(body.len() / 4);
-                while body.has_remaining() {
-                    classic.push(Community(body.get_u32()));
+                while !body.is_empty() {
+                    classic.push(Community(cursor::u32(&mut body)));
                 }
             }
             type_codes::EXTENDED_COMMUNITIES => {
-                if body.len() % 8 != 0 {
+                if !body.len().is_multiple_of(8) {
                     return Err(WireError::MalformedAttribute {
                         code,
                         detail: "EXTENDED COMMUNITIES length not multiple of 8",
                     });
                 }
                 extended.reserve_exact(body.len() / 8);
-                while body.has_remaining() {
-                    let mut oct = [0u8; 8];
-                    body.copy_to_slice(&mut oct);
-                    extended.push(ExtendedCommunity::from_bytes(oct));
+                while !body.is_empty() {
+                    extended.push(ExtendedCommunity::from_bytes(cursor::array(&mut body)));
                 }
             }
             type_codes::LARGE_COMMUNITIES => {
-                if body.len() % 12 != 0 {
+                if !body.len().is_multiple_of(12) {
                     return Err(WireError::MalformedAttribute {
                         code,
                         detail: "LARGE COMMUNITIES length not multiple of 12",
                     });
                 }
                 large.reserve_exact(body.len() / 12);
-                while body.has_remaining() {
-                    let g = body.get_u32();
-                    let d1 = body.get_u32();
-                    let d2 = body.get_u32();
+                while !body.is_empty() {
+                    let g = cursor::u32(&mut body);
+                    let d1 = cursor::u32(&mut body);
+                    let d2 = cursor::u32(&mut body);
                     large.push(LargeCommunity::new(g, d1, d2));
                 }
             }
             type_codes::MP_REACH_NLRI => {
-                if body.remaining() < 5 {
+                if body.len() < 5 {
                     return Err(WireError::MalformedAttribute {
                         code,
                         detail: "MP_REACH too short",
                     });
                 }
-                let afi = Afi::from_code(body.get_u16())
+                let afi = Afi::from_code(cursor::u16(&mut body))
                     .ok_or(WireError::MalformedAttribute { code, detail: "unknown AFI" })?;
-                let _safi = body.get_u8();
-                let nh_len = body.get_u8() as usize;
-                if body.remaining() < nh_len + 1 {
+                let _safi = cursor::u8(&mut body);
+                let nh_len = cursor::u8(&mut body) as usize;
+                if body.len() < nh_len + 1 {
                     return Err(WireError::MalformedAttribute {
                         code,
                         detail: "MP_REACH next hop truncated",
                     });
                 }
+                let nh_bytes = cursor::take(&mut body, nh_len);
                 if afi == Afi::Ipv6 && (nh_len == 16 || nh_len == 32) {
                     let mut oct = [0u8; 16];
-                    let nh_bytes = body.copy_to_bytes(nh_len);
                     oct.copy_from_slice(&nh_bytes[..16]);
                     out.mp_next_hop = Some(Ipv6Addr::from(oct));
-                } else {
-                    body.advance(nh_len);
                 }
-                body.advance(1); // reserved
+                cursor::u8(&mut body); // reserved
                 out.mp_reach = decode_prefix_run(afi, &mut body)?;
             }
             type_codes::MP_UNREACH_NLRI => {
-                if body.remaining() < 3 {
+                if body.len() < 3 {
                     return Err(WireError::MalformedAttribute {
                         code,
                         detail: "MP_UNREACH too short",
                     });
                 }
-                let afi = Afi::from_code(body.get_u16())
+                let afi = Afi::from_code(cursor::u16(&mut body))
                     .ok_or(WireError::MalformedAttribute { code, detail: "unknown AFI" })?;
-                let _safi = body.get_u8();
+                let _safi = cursor::u8(&mut body);
                 out.mp_unreach = decode_prefix_run(afi, &mut body)?;
             }
             _ => {
@@ -612,7 +609,7 @@ mod tests {
         let mut buf = BytesMut::new();
         encode_attributes(a, &[], &[], &[], true, cfg, &mut buf);
         let len = buf.len();
-        decode_attributes(&mut buf.freeze(), len, cfg).unwrap()
+        decode_attributes(&mut &buf[..], len, cfg).unwrap()
     }
 
     #[test]
@@ -638,21 +635,20 @@ mod tests {
         let mut buf = BytesMut::new();
         encode_attributes(&a, &[], &[], &[], true, &cfg2(), &mut buf);
         // No AS4_PATH attribute should be present: scan type codes.
-        let raw = buf.freeze();
         let mut seen_as4 = false;
-        let mut b = raw.clone();
-        while b.has_remaining() {
-            let fl = b.get_u8();
-            let code = b.get_u8();
+        let mut b = &buf[..];
+        while !b.is_empty() {
+            let fl = cursor::u8(&mut b);
+            let code = cursor::u8(&mut b);
             let len = if fl & flags::EXTENDED_LENGTH != 0 {
-                b.get_u16() as usize
+                cursor::u16(&mut b) as usize
             } else {
-                b.get_u8() as usize
+                cursor::u8(&mut b) as usize
             };
             if code == type_codes::AS4_PATH {
                 seen_as4 = true;
             }
-            b.advance(len);
+            cursor::take(&mut b, len);
         }
         assert!(!seen_as4);
     }
@@ -672,20 +668,20 @@ mod tests {
             Some(Aggregator { asn: Asn(65_000), router_id: "10.0.0.1".parse().unwrap() });
         let mut buf = BytesMut::new();
         encode_attributes(&small, &[], &[], &[], true, &cfg2(), &mut buf);
-        let mut b = buf.freeze();
+        let mut b = &buf[..];
         let mut seen_as4_agg = false;
-        while b.has_remaining() {
-            let fl = b.get_u8();
-            let code = b.get_u8();
+        while !b.is_empty() {
+            let fl = cursor::u8(&mut b);
+            let code = cursor::u8(&mut b);
             let len = if fl & flags::EXTENDED_LENGTH != 0 {
-                b.get_u16() as usize
+                cursor::u16(&mut b) as usize
             } else {
-                b.get_u8() as usize
+                cursor::u8(&mut b) as usize
             };
             if code == type_codes::AS4_AGGREGATOR {
                 seen_as4_agg = true;
             }
-            b.advance(len);
+            cursor::take(&mut b, len);
         }
         assert!(!seen_as4_agg);
     }
@@ -720,7 +716,7 @@ mod tests {
         let mut buf = BytesMut::new();
         encode_attributes(&a, &[v6], &[], &[], false, &cfg4(), &mut buf);
         let len = buf.len();
-        let d = decode_attributes(&mut buf.freeze(), len, &cfg4()).unwrap();
+        let d = decode_attributes(&mut &buf[..], len, &cfg4()).unwrap();
         assert_eq!(d.mp_reach, vec![v6]);
         assert_eq!(d.attrs.next_hop, a.next_hop);
         assert!(!d.has_next_hop); // no classic NEXT_HOP attribute
@@ -733,7 +729,7 @@ mod tests {
         let mut buf = BytesMut::new();
         encode_attributes(&a, &[], &[v6], &[], false, &cfg4(), &mut buf);
         let len = buf.len();
-        let d = decode_attributes(&mut buf.freeze(), len, &cfg4()).unwrap();
+        let d = decode_attributes(&mut &buf[..], len, &cfg4()).unwrap();
         assert_eq!(d.mp_unreach, vec![v6]);
     }
 
@@ -748,7 +744,7 @@ mod tests {
         let mut buf = BytesMut::new();
         encode_attributes(&a, &[], &[], std::slice::from_ref(&raw), true, &cfg4(), &mut buf);
         let len = buf.len();
-        let d = decode_attributes(&mut buf.freeze(), len, &cfg4()).unwrap();
+        let d = decode_attributes(&mut &buf[..], len, &cfg4()).unwrap();
         assert_eq!(d.unknown.len(), 1);
         assert_eq!(d.unknown[0].code, 99);
         assert_eq!(d.unknown[0].value, vec![1, 2, 3]);
@@ -763,7 +759,7 @@ mod tests {
         buf.put_u8(1);
         buf.put_u8(0);
         let len = buf.len();
-        let err = decode_attributes(&mut buf.freeze(), len, &cfg4()).unwrap_err();
+        let err = decode_attributes(&mut &buf[..], len, &cfg4()).unwrap_err();
         assert_eq!(err, WireError::UnrecognizedWellKnown(77));
     }
 
@@ -776,7 +772,7 @@ mod tests {
         buf.put_u8(9);
         let len = buf.len();
         assert!(matches!(
-            decode_attributes(&mut buf.freeze(), len, &cfg4()),
+            decode_attributes(&mut &buf[..], len, &cfg4()),
             Err(WireError::BadValue { .. })
         ));
     }
@@ -790,7 +786,7 @@ mod tests {
         buf.put_u8(0);
         let len = buf.len();
         assert!(matches!(
-            decode_attributes(&mut buf.freeze(), len, &cfg4()),
+            decode_attributes(&mut &buf[..], len, &cfg4()),
             Err(WireError::Truncated { .. })
         ));
     }
@@ -804,17 +800,17 @@ mod tests {
         buf.put_slice(&[0, 1, 2]);
         let len = buf.len();
         assert!(matches!(
-            decode_attributes(&mut buf.freeze(), len, &cfg4()),
+            decode_attributes(&mut &buf[..], len, &cfg4()),
             Err(WireError::MalformedAttribute { .. })
         ));
     }
 
     /// `path` encoded 4-octet, without its attribute header.
-    fn as_path_body(path: &AsPath) -> Bytes {
+    fn as_path_body(path: &AsPath) -> Vec<u8> {
         let mut buf = BytesMut::new();
         put_as_path(&mut buf, flags::TRANSITIVE, type_codes::AS_PATH, path, true);
         let header = if buf[0] & flags::EXTENDED_LENGTH != 0 { 4 } else { 3 };
-        let body = buf.freeze().slice(header..);
+        let body = buf[header..].to_vec();
         assert_eq!(body.len(), as_path_body_len(path, true));
         body
     }
@@ -823,7 +819,7 @@ mod tests {
     fn long_as_path_splits_segments() {
         // 300 ASNs forces two wire segments of ≤255.
         let path = AsPath::from_asns((1..=300u32).map(Asn));
-        let decoded = decode_as_path_body(as_path_body(&path), true).unwrap();
+        let decoded = decode_as_path_body(&as_path_body(&path), true).unwrap();
         assert_eq!(decoded.asns().count(), 300);
         assert_eq!(decoded.origin(), Some(Asn(300)));
     }
@@ -834,7 +830,7 @@ mod tests {
     #[test]
     fn decoded_single_segment_path_has_exact_capacity() {
         let path: AsPath = "3356 1299 20205".parse().unwrap();
-        let decoded = decode_as_path_body(as_path_body(&path), true).unwrap();
+        let decoded = decode_as_path_body(&as_path_body(&path), true).unwrap();
         assert_eq!(decoded, path);
         assert_eq!(
             decoded.heap_bytes(),

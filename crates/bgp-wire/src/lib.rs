@@ -1,9 +1,12 @@
 //! # kcc-bgp-wire — RFC 4271 BGP message codec
 //!
-//! Binary encoder/decoder for the four BGP message types, written against
-//! the [`bytes`] crate. The MRT crate layers the RouteViews/RIS archive
-//! format on top of this codec, so synthetic archives are bit-compatible
-//! with what a real collector would store.
+//! Binary encoder/decoder for the BGP message types. Decoders read a
+//! `&mut &[u8]` and take sub-fields as sub-slices of it ([`cursor`]), so
+//! a message is decoded where it lies, with no intermediate buffer and no
+//! reference-counted view; encoders write into a [`bytes::BytesMut`].
+//! The MRT crate layers the RouteViews/RIS archive format on top of this
+//! codec, so synthetic archives are bit-compatible with what a real
+//! collector would store.
 //!
 //! ## Implemented
 //!
@@ -32,6 +35,7 @@
 #![warn(missing_docs)]
 
 pub mod attr;
+pub mod cursor;
 pub mod error;
 pub mod message;
 pub mod nlri;

@@ -1,8 +1,9 @@
 //! Top-level message framing: header, type dispatch, session configuration.
 
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{BufMut, BytesMut};
 use kcc_bgp_types::RouteUpdate;
 
+use crate::cursor;
 use crate::error::WireError;
 use crate::notification::Notification;
 use crate::open::OpenMessage;
@@ -84,13 +85,16 @@ impl RouteRefresh {
     }
 
     /// Decodes a 4-byte body.
-    pub fn decode_body<B: Buf>(buf: &mut B, len: usize) -> Result<Self, WireError> {
+    pub fn decode_body(buf: &mut &[u8], len: usize) -> Result<Self, WireError> {
         if len != 4 {
             return Err(WireError::BadLength(len as u16));
         }
-        let afi = buf.get_u16();
-        buf.advance(1); // reserved
-        let safi = buf.get_u8();
+        if buf.len() < len {
+            return Err(WireError::Truncated { what: "ROUTE-REFRESH body" });
+        }
+        let afi = cursor::u16(buf);
+        cursor::u8(buf); // reserved
+        let safi = cursor::u8(buf);
         Ok(RouteRefresh { afi, safi })
     }
 }
@@ -176,28 +180,28 @@ pub fn encode_route_update(update: &RouteUpdate, cfg: &SessionConfig, buf: &mut 
     end_frame(start, buf);
 }
 
-/// Decodes one complete message from `buf`, consuming exactly its bytes.
-pub fn decode_message<B: Buf>(buf: &mut B, cfg: &SessionConfig) -> Result<Message, WireError> {
-    if buf.remaining() < HEADER_LEN {
+/// Decodes one complete message from the front of `buf`, consuming
+/// exactly its bytes.
+pub fn decode_message(buf: &mut &[u8], cfg: &SessionConfig) -> Result<Message, WireError> {
+    if buf.len() < HEADER_LEN {
         return Err(WireError::Truncated { what: "message header" });
     }
-    let mut marker = [0u8; 16];
-    buf.copy_to_slice(&mut marker);
+    let marker: [u8; 16] = cursor::array(buf);
     if marker != [0xFF; 16] {
         return Err(WireError::BadMarker);
     }
-    let len = buf.get_u16();
+    let len = cursor::u16(buf);
     if (len as usize) < HEADER_LEN || len as usize > MAX_MESSAGE_LEN {
         return Err(WireError::BadLength(len));
     }
-    let mtype = buf.get_u8();
+    let mtype = cursor::u8(buf);
     let body_len = len as usize - HEADER_LEN;
-    if buf.remaining() < body_len {
+    if buf.len() < body_len {
         return Err(WireError::Truncated { what: "message body" });
     }
     match MessageType::from_code(mtype).ok_or(WireError::UnknownMessageType(mtype))? {
         MessageType::Open => {
-            let mut body = buf.copy_to_bytes(body_len);
+            let mut body = cursor::take(buf, body_len);
             Ok(Message::Open(OpenMessage::decode_body(&mut body)?))
         }
         MessageType::Update => Ok(Message::Update(UpdatePacket::decode_body(buf, body_len, cfg)?)),
@@ -228,7 +232,7 @@ mod tests {
     fn roundtrip(m: &Message) -> Message {
         let mut buf = BytesMut::new();
         encode_message(m, &cfg(), &mut buf);
-        decode_message(&mut buf.freeze(), &cfg()).unwrap()
+        decode_message(&mut &buf[..], &cfg()).unwrap()
     }
 
     #[test]
@@ -293,7 +297,7 @@ mod tests {
         buf.put_u16(21); // 2 bytes of body, must be 4
         buf.put_u8(5);
         buf.put_u16(1);
-        assert!(matches!(decode_message(&mut buf.freeze(), &cfg()), Err(WireError::BadLength(_))));
+        assert!(matches!(decode_message(&mut &buf[..], &cfg()), Err(WireError::BadLength(_))));
     }
 
     #[test]
@@ -301,7 +305,7 @@ mod tests {
         let mut buf = BytesMut::new();
         encode_message(&Message::Keepalive, &cfg(), &mut buf);
         buf[0] = 0;
-        assert_eq!(decode_message(&mut buf.freeze(), &cfg()), Err(WireError::BadMarker));
+        assert_eq!(decode_message(&mut &buf[..], &cfg()), Err(WireError::BadMarker));
     }
 
     #[test]
@@ -310,7 +314,7 @@ mod tests {
         encode_message(&Message::Keepalive, &cfg(), &mut buf);
         buf[16] = 0xFF;
         buf[17] = 0xFF; // length 65535 > 4096
-        assert!(matches!(decode_message(&mut buf.freeze(), &cfg()), Err(WireError::BadLength(_))));
+        assert!(matches!(decode_message(&mut &buf[..], &cfg()), Err(WireError::BadLength(_))));
     }
 
     #[test]
@@ -318,10 +322,7 @@ mod tests {
         let mut buf = BytesMut::new();
         encode_message(&Message::Keepalive, &cfg(), &mut buf);
         buf[18] = 9;
-        assert_eq!(
-            decode_message(&mut buf.freeze(), &cfg()),
-            Err(WireError::UnknownMessageType(9))
-        );
+        assert_eq!(decode_message(&mut &buf[..], &cfg()), Err(WireError::UnknownMessageType(9)));
     }
 
     #[test]
@@ -331,16 +332,15 @@ mod tests {
         buf.put_u16(20); // 1 byte of body
         buf.put_u8(4);
         buf.put_u8(0);
-        assert!(matches!(decode_message(&mut buf.freeze(), &cfg()), Err(WireError::BadLength(_))));
+        assert!(matches!(decode_message(&mut &buf[..], &cfg()), Err(WireError::BadLength(_))));
     }
 
     #[test]
     fn truncated_stream_detected() {
         let mut buf = BytesMut::new();
         encode_message(&Message::Keepalive, &cfg(), &mut buf);
-        let short = buf.freeze().slice(0..10);
         assert!(matches!(
-            decode_message(&mut short.clone(), &cfg()),
+            decode_message(&mut &buf[..10], &cfg()),
             Err(WireError::Truncated { .. })
         ));
     }
@@ -351,9 +351,9 @@ mod tests {
         encode_message(&Message::Keepalive, &cfg(), &mut buf);
         let m2 = Message::Update(UpdatePacket::withdraw("10.0.0.0/8".parse().unwrap()));
         encode_message(&m2, &cfg(), &mut buf);
-        let mut stream = buf.freeze();
+        let mut stream = &buf[..];
         assert_eq!(decode_message(&mut stream, &cfg()).unwrap(), Message::Keepalive);
         assert_eq!(decode_message(&mut stream, &cfg()).unwrap(), m2);
-        assert!(!stream.has_remaining());
+        assert!(stream.is_empty());
     }
 }

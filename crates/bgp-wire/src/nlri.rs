@@ -7,9 +7,10 @@
 
 use std::net::{Ipv4Addr, Ipv6Addr};
 
-use bytes::{Buf, BufMut};
+use bytes::BufMut;
 use kcc_bgp_types::Prefix;
 
+use crate::cursor;
 use crate::error::WireError;
 
 /// Address family identifiers (RFC 4760).
@@ -65,12 +66,12 @@ pub fn encode_prefix<B: BufMut>(prefix: &Prefix, buf: &mut B) {
     }
 }
 
-/// Decodes one prefix of family `afi` from `buf`.
-pub fn decode_prefix<B: Buf>(afi: Afi, buf: &mut B) -> Result<Prefix, WireError> {
-    if buf.remaining() < 1 {
+/// Decodes one prefix of family `afi` from the front of `buf`.
+pub fn decode_prefix(afi: Afi, buf: &mut &[u8]) -> Result<Prefix, WireError> {
+    if buf.is_empty() {
         return Err(WireError::Truncated { what: "prefix length" });
     }
-    let len = buf.get_u8();
+    let len = cursor::u8(buf);
     let max = match afi {
         Afi::Ipv4 => 32,
         Afi::Ipv6 => 128,
@@ -79,60 +80,28 @@ pub fn decode_prefix<B: Buf>(afi: Afi, buf: &mut B) -> Result<Prefix, WireError>
         return Err(WireError::BadPrefixLength(len));
     }
     let n = octets_for(len);
-    if buf.remaining() < n {
+    if buf.len() < n {
         return Err(WireError::Truncated { what: "prefix bytes" });
     }
+    let bytes = cursor::take(buf, n);
     match afi {
         Afi::Ipv4 => {
             let mut oct = [0u8; 4];
-            buf.copy_to_slice(&mut oct[..n]);
+            oct[..n].copy_from_slice(bytes);
             Prefix::v4(Ipv4Addr::from(oct), len).map_err(|_| WireError::BadPrefixLength(len))
         }
         Afi::Ipv6 => {
             let mut oct = [0u8; 16];
-            buf.copy_to_slice(&mut oct[..n]);
+            oct[..n].copy_from_slice(bytes);
             Prefix::v6(Ipv6Addr::from(oct), len).map_err(|_| WireError::BadPrefixLength(len))
         }
     }
 }
 
-/// A streaming decoder over a run of prefixes: yields one
-/// `Result<Prefix, WireError>` per encoded prefix until the buffer is
-/// exhausted, without materializing a `Vec`. After the first error the
-/// iterator fuses (further calls yield `None`) — a malformed length byte
-/// leaves the rest of the run unframeable.
-#[derive(Debug)]
-pub struct PrefixRun<B> {
-    afi: Afi,
-    buf: B,
-    failed: bool,
-}
-
-impl<B: Buf> PrefixRun<B> {
-    /// Wraps a buffer holding back-to-back encoded prefixes of one family.
-    pub fn new(afi: Afi, buf: B) -> Self {
-        PrefixRun { afi, buf, failed: false }
-    }
-}
-
-impl<B: Buf> Iterator for PrefixRun<B> {
-    type Item = Result<Prefix, WireError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.failed || !self.buf.has_remaining() {
-            return None;
-        }
-        let item = decode_prefix(self.afi, &mut self.buf);
-        self.failed = item.is_err();
-        Some(item)
-    }
-}
-
 /// Decodes prefixes until `buf` is exhausted, collecting into a `Vec`.
-/// Prefer iterating [`PrefixRun`] on hot paths.
-pub fn decode_prefix_run<B: Buf>(afi: Afi, buf: &mut B) -> Result<Vec<Prefix>, WireError> {
+pub fn decode_prefix_run(afi: Afi, buf: &mut &[u8]) -> Result<Vec<Prefix>, WireError> {
     let mut out = Vec::new();
-    while buf.has_remaining() {
+    while !buf.is_empty() {
         out.push(decode_prefix(afi, buf)?);
     }
     Ok(out)
@@ -148,7 +117,7 @@ mod tests {
         let mut buf = BytesMut::new();
         encode_prefix(&prefix, &mut buf);
         let afi = if prefix.is_ipv4() { Afi::Ipv4 } else { Afi::Ipv6 };
-        decode_prefix(afi, &mut buf.freeze()).unwrap()
+        decode_prefix(afi, &mut &buf[..]).unwrap()
     }
 
     #[test]
@@ -182,10 +151,7 @@ mod tests {
         let mut buf = BytesMut::new();
         buf.put_u8(33);
         buf.put_slice(&[1, 2, 3, 4, 5]);
-        assert_eq!(
-            decode_prefix(Afi::Ipv4, &mut buf.freeze()),
-            Err(WireError::BadPrefixLength(33))
-        );
+        assert_eq!(decode_prefix(Afi::Ipv4, &mut &buf[..]), Err(WireError::BadPrefixLength(33)));
     }
 
     #[test]
@@ -194,7 +160,7 @@ mod tests {
         buf.put_u8(24);
         buf.put_slice(&[84, 205]); // needs 3 bytes
         assert!(matches!(
-            decode_prefix(Afi::Ipv4, &mut buf.freeze()),
+            decode_prefix(Afi::Ipv4, &mut &buf[..]),
             Err(WireError::Truncated { .. })
         ));
         let empty: &[u8] = &[];
@@ -211,34 +177,9 @@ mod tests {
         for p in ps {
             encode_prefix(&p.parse().unwrap(), &mut buf);
         }
-        let out = decode_prefix_run(Afi::Ipv4, &mut buf.freeze()).unwrap();
+        let out = decode_prefix_run(Afi::Ipv4, &mut &buf[..]).unwrap();
         assert_eq!(out.len(), 3);
         assert_eq!(out[2].to_string(), "192.0.2.0/25");
-    }
-
-    #[test]
-    fn prefix_run_iterator_matches_collecting_decoder() {
-        let ps = ["84.205.64.0/24", "10.0.0.0/8", "192.0.2.0/25"];
-        let mut buf = BytesMut::new();
-        for p in ps {
-            encode_prefix(&p.parse().unwrap(), &mut buf);
-        }
-        let frozen = buf.freeze();
-        let collected = decode_prefix_run(Afi::Ipv4, &mut frozen.clone()).unwrap();
-        let iterated: Result<Vec<Prefix>, WireError> = PrefixRun::new(Afi::Ipv4, frozen).collect();
-        assert_eq!(iterated.unwrap(), collected);
-    }
-
-    #[test]
-    fn prefix_run_fuses_after_error() {
-        let mut buf = BytesMut::new();
-        encode_prefix(&"10.0.0.0/8".parse().unwrap(), &mut buf);
-        buf.put_u8(33); // invalid v4 length
-        buf.put_slice(&[1, 2, 3, 4, 5]);
-        let mut run = PrefixRun::new(Afi::Ipv4, buf.freeze());
-        assert!(run.next().unwrap().is_ok());
-        assert_eq!(run.next().unwrap(), Err(WireError::BadPrefixLength(33)));
-        assert!(run.next().is_none(), "iterator fuses after a decode error");
     }
 
     #[test]

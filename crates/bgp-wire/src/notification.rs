@@ -1,7 +1,8 @@
 //! NOTIFICATION messages (RFC 4271 §4.5).
 
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{BufMut, BytesMut};
 
+use crate::cursor;
 use crate::error::WireError;
 
 /// Top-level NOTIFICATION error codes.
@@ -141,13 +142,13 @@ impl Notification {
     }
 
     /// Decodes a body of `len` bytes.
-    pub fn decode_body<B: Buf>(buf: &mut B, len: usize) -> Result<Self, WireError> {
-        if len < 2 || buf.remaining() < len {
+    pub fn decode_body(buf: &mut &[u8], len: usize) -> Result<Self, WireError> {
+        if len < 2 || buf.len() < len {
             return Err(WireError::Truncated { what: "NOTIFICATION body" });
         }
-        let code = NotificationCode::from_code(buf.get_u8());
-        let subcode = buf.get_u8();
-        let data = buf.copy_to_bytes(len - 2).to_vec();
+        let code = NotificationCode::from_code(cursor::u8(buf));
+        let subcode = cursor::u8(buf);
+        let data = cursor::take(buf, len - 2).to_vec();
         Ok(Notification { code, subcode, data })
     }
 }
@@ -166,7 +167,7 @@ mod tests {
         let mut buf = BytesMut::new();
         n.encode_body(&mut buf);
         let len = buf.len();
-        assert_eq!(Notification::decode_body(&mut buf.freeze(), len).unwrap(), n);
+        assert_eq!(Notification::decode_body(&mut &buf[..], len).unwrap(), n);
     }
 
     #[test]

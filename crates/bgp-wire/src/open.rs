@@ -2,9 +2,10 @@
 
 use std::net::Ipv4Addr;
 
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{BufMut, BytesMut};
 use kcc_bgp_types::Asn;
 
+use crate::cursor;
 use crate::error::WireError;
 use crate::nlri::Afi;
 use crate::BGP_VERSION;
@@ -122,67 +123,65 @@ impl OpenMessage {
         }
     }
 
-    /// Decodes an OPEN body.
-    pub fn decode_body<B: Buf>(buf: &mut B) -> Result<Self, WireError> {
-        if buf.remaining() < 10 {
+    /// Decodes an OPEN body from the front of `buf`.
+    pub fn decode_body(buf: &mut &[u8]) -> Result<Self, WireError> {
+        if buf.len() < 10 {
             return Err(WireError::Truncated { what: "OPEN body" });
         }
-        let version = buf.get_u8();
+        let version = cursor::u8(buf);
         if version != BGP_VERSION {
             return Err(WireError::BadVersion(version));
         }
-        let asn = Asn(buf.get_u16() as u32);
-        let hold_time = buf.get_u16();
+        let asn = Asn(cursor::u16(buf) as u32);
+        let hold_time = cursor::u16(buf);
         // RFC 4271 §4.2: the hold time MUST be either zero or at least
         // three seconds; 1–2 s proposals are rejected so a live speaker
         // can answer with an Unacceptable Hold Time NOTIFICATION.
         if hold_time == 1 || hold_time == 2 {
             return Err(WireError::BadValue { what: "hold time", value: hold_time as u32 });
         }
-        let mut id = [0u8; 4];
-        buf.copy_to_slice(&mut id);
-        let bgp_id = Ipv4Addr::from(id);
-        let opt_len = buf.get_u8() as usize;
-        if buf.remaining() < opt_len {
+        let bgp_id = Ipv4Addr::from(cursor::array::<4>(buf));
+        let opt_len = cursor::u8(buf) as usize;
+        if buf.len() < opt_len {
             return Err(WireError::Truncated { what: "OPEN optional parameters" });
         }
-        let mut params = buf.copy_to_bytes(opt_len);
+        let mut params = cursor::take(buf, opt_len);
         let mut capabilities = Vec::new();
-        while params.has_remaining() {
-            if params.remaining() < 2 {
+        while !params.is_empty() {
+            if params.len() < 2 {
                 return Err(WireError::Truncated { what: "optional parameter header" });
             }
-            let ptype = params.get_u8();
-            let plen = params.get_u8() as usize;
-            if params.remaining() < plen {
+            let ptype = cursor::u8(&mut params);
+            let plen = cursor::u8(&mut params) as usize;
+            if params.len() < plen {
                 return Err(WireError::Truncated { what: "optional parameter body" });
             }
-            let mut pbody = params.copy_to_bytes(plen);
+            let mut pbody = cursor::take(&mut params, plen);
             if ptype != 2 {
                 continue; // non-capability parameter: ignore
             }
-            while pbody.has_remaining() {
-                if pbody.remaining() < 2 {
+            while !pbody.is_empty() {
+                if pbody.len() < 2 {
                     return Err(WireError::Truncated { what: "capability header" });
                 }
-                let code = pbody.get_u8();
-                let clen = pbody.get_u8() as usize;
-                if pbody.remaining() < clen {
+                let code = cursor::u8(&mut pbody);
+                let clen = cursor::u8(&mut pbody) as usize;
+                if pbody.len() < clen {
                     return Err(WireError::Truncated { what: "capability body" });
                 }
-                let mut cbody = pbody.copy_to_bytes(clen);
+                let mut cbody = cursor::take(&mut pbody, clen);
                 capabilities.push(match (code, clen) {
                     (1, 4) => {
-                        let afi_code = cbody.get_u16();
-                        cbody.advance(1);
-                        let safi = cbody.get_u8();
+                        let afi_code = cursor::u16(&mut cbody);
+                        cursor::u8(&mut cbody); // reserved
+                        let safi = cursor::u8(&mut cbody);
                         match Afi::from_code(afi_code) {
                             Some(afi) => Capability::Multiprotocol { afi, safi },
                             None => Capability::Unknown { code, value: Vec::new() },
                         }
                     }
                     (2, 0) => Capability::RouteRefresh,
-                    (65, 4) => Capability::FourOctetAs(Asn(cbody.get_u32())),
+                    (65, 4) => Capability::FourOctetAs(Asn(cursor::u32(&mut cbody))),
                     _ => Capability::Unknown { code, value: cbody.to_vec() },
                 });
             }
@@ -198,7 +197,7 @@ mod tests {
     fn roundtrip(o: &OpenMessage) -> OpenMessage {
         let mut buf = BytesMut::new();
         o.encode_body(&mut buf);
-        OpenMessage::decode_body(&mut buf.freeze()).unwrap()
+        OpenMessage::decode_body(&mut &buf[..]).unwrap()
     }
 
     #[test]
@@ -234,7 +233,7 @@ mod tests {
         let mut buf = BytesMut::new();
         buf.put_u8(3);
         buf.put_slice(&[0; 9]);
-        assert_eq!(OpenMessage::decode_body(&mut buf.freeze()), Err(WireError::BadVersion(3)));
+        assert_eq!(OpenMessage::decode_body(&mut &buf[..]), Err(WireError::BadVersion(3)));
     }
 
     #[test]
@@ -244,7 +243,7 @@ mod tests {
             let o = OpenMessage::standard(Asn(65_000), "10.0.0.1".parse().unwrap(), hold);
             let mut buf = BytesMut::new();
             o.encode_body(&mut buf);
-            let decoded = OpenMessage::decode_body(&mut buf.freeze());
+            let decoded = OpenMessage::decode_body(&mut &buf[..]);
             if ok {
                 assert_eq!(decoded.unwrap().hold_time, hold);
             } else {

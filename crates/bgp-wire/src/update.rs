@@ -2,10 +2,11 @@
 
 use std::sync::Arc;
 
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{BufMut, BytesMut};
 use kcc_bgp_types::{MessageKind, PathAttributes, Prefix, RouteUpdate};
 
 use crate::attr::{decode_attributes, encode_attributes, put_mp_unreach, RawAttribute};
+use crate::cursor;
 use crate::error::WireError;
 use crate::message::SessionConfig;
 use crate::nlri::{decode_prefix, encode_prefix, Afi};
@@ -97,38 +98,39 @@ impl UpdatePacket {
         );
     }
 
-    /// Decodes an UPDATE body of exactly `body_len` bytes.
-    pub fn decode_body<B: Buf>(
-        buf: &mut B,
+    /// Decodes an UPDATE body of exactly `body_len` bytes from the front
+    /// of `buf`.
+    pub fn decode_body(
+        buf: &mut &[u8],
         body_len: usize,
         cfg: &SessionConfig,
     ) -> Result<Self, WireError> {
-        if buf.remaining() < body_len {
+        if buf.len() < body_len {
             return Err(WireError::Truncated { what: "UPDATE body" });
         }
-        let mut body = buf.copy_to_bytes(body_len);
+        let mut body = cursor::take(buf, body_len);
 
-        if body.remaining() < 2 {
+        if body.len() < 2 {
             return Err(WireError::Truncated { what: "withdrawn routes length" });
         }
-        let wd_len = body.get_u16() as usize;
-        if body.remaining() < wd_len {
+        let wd_len = cursor::u16(&mut body) as usize;
+        if body.len() < wd_len {
             return Err(WireError::Truncated { what: "withdrawn routes" });
         }
-        let mut wd_buf = body.copy_to_bytes(wd_len);
+        let mut wd_buf = cursor::take(&mut body, wd_len);
         let mut withdrawn = Vec::new();
-        while wd_buf.has_remaining() {
+        while !wd_buf.is_empty() {
             withdrawn.push(decode_prefix(Afi::Ipv4, &mut wd_buf)?);
         }
 
-        if body.remaining() < 2 {
+        if body.len() < 2 {
             return Err(WireError::Truncated { what: "attributes length" });
         }
-        let attr_len = body.get_u16() as usize;
+        let attr_len = cursor::u16(&mut body) as usize;
         let decoded = decode_attributes(&mut body, attr_len, cfg)?;
 
         let mut nlri = Vec::new();
-        while body.has_remaining() {
+        while !body.is_empty() {
             nlri.push(decode_prefix(Afi::Ipv4, &mut body)?);
         }
         nlri.extend(decoded.mp_reach.iter().copied());
@@ -225,7 +227,7 @@ mod tests {
         let mut buf = BytesMut::new();
         p.encode_body(&cfg(), &mut buf);
         let len = buf.len();
-        UpdatePacket::decode_body(&mut buf.freeze(), len, &cfg()).unwrap()
+        UpdatePacket::decode_body(&mut &buf[..], len, &cfg()).unwrap()
     }
 
     #[test]
@@ -301,7 +303,7 @@ mod tests {
         buf.put_u16(0); // attr len
         encode_prefix(&"10.0.0.0/8".parse().unwrap(), &mut buf);
         let len = buf.len();
-        let err = UpdatePacket::decode_body(&mut buf.freeze(), len, &cfg()).unwrap_err();
+        let err = UpdatePacket::decode_body(&mut &buf[..], len, &cfg()).unwrap_err();
         assert_eq!(err, WireError::MissingMandatoryAttribute("ORIGIN"));
     }
 

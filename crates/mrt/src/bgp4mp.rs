@@ -2,9 +2,9 @@
 
 use std::net::IpAddr;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
 use kcc_bgp_types::Asn;
-use kcc_bgp_wire::{decode_message, encode_message, Message, SessionConfig};
+use kcc_bgp_wire::{cursor, decode_message, encode_message, Message, SessionConfig};
 
 use crate::error::MrtError;
 use crate::record::MrtTimestamp;
@@ -123,34 +123,42 @@ fn put_ip_pair<B: BufMut>(buf: &mut B, peer: IpAddr, local: IpAddr) -> Result<()
     }
 }
 
-fn get_ip_pair(body: &mut Bytes) -> Result<(IpAddr, IpAddr), MrtError> {
-    if body.remaining() < 2 {
+fn get_ip_pair(body: &mut &[u8]) -> Result<(IpAddr, IpAddr), MrtError> {
+    if body.len() < 2 {
         return Err(MrtError::Truncated("BGP4MP address family"));
     }
-    let afi = body.get_u16();
+    let afi = cursor::u16(body);
     match afi {
         1 => {
-            if body.remaining() < 8 {
+            if body.len() < 8 {
                 return Err(MrtError::Truncated("BGP4MP IPv4 addresses"));
             }
-            let mut p = [0u8; 4];
-            let mut l = [0u8; 4];
-            body.copy_to_slice(&mut p);
-            body.copy_to_slice(&mut l);
+            let p: [u8; 4] = cursor::array(body);
+            let l: [u8; 4] = cursor::array(body);
             Ok((IpAddr::from(p), IpAddr::from(l)))
         }
         2 => {
-            if body.remaining() < 32 {
+            if body.len() < 32 {
                 return Err(MrtError::Truncated("BGP4MP IPv6 addresses"));
             }
-            let mut p = [0u8; 16];
-            let mut l = [0u8; 16];
-            body.copy_to_slice(&mut p);
-            body.copy_to_slice(&mut l);
+            let p: [u8; 16] = cursor::array(body);
+            let l: [u8; 16] = cursor::array(body);
             Ok((IpAddr::from(p), IpAddr::from(l)))
         }
         other => Err(MrtError::BadField { what: "BGP4MP AFI", value: other as u64 }),
     }
+}
+
+/// Reads the peer ASN, local ASN and interface index that open every
+/// BGP4MP body, at the width `as4` selects; the caller has checked the
+/// length.
+fn get_asns(body: &mut &[u8], as4: bool) -> (Asn, Asn, u16) {
+    let (peer_asn, local_asn) = if as4 {
+        (Asn(cursor::u32(body)), Asn(cursor::u32(body)))
+    } else {
+        (Asn(cursor::u16(body) as u32), Asn(cursor::u16(body) as u32))
+    };
+    (peer_asn, local_asn, cursor::u16(body))
 }
 
 impl Bgp4mpMessage {
@@ -196,19 +204,14 @@ impl Bgp4mpMessage {
     pub fn decode_body(
         timestamp: MrtTimestamp,
         subtype: u16,
-        mut body: Bytes,
+        mut body: &[u8],
     ) -> Result<Self, MrtError> {
         let as4 = subtype == subtypes::MESSAGE_AS4;
         let need = if as4 { 10 } else { 6 };
-        if body.remaining() < need {
+        if body.len() < need {
             return Err(MrtError::Truncated("BGP4MP message header"));
         }
-        let (peer_asn, local_asn) = if as4 {
-            (Asn(body.get_u32()), Asn(body.get_u32()))
-        } else {
-            (Asn(body.get_u16() as u32), Asn(body.get_u16() as u32))
-        };
-        let ifindex = body.get_u16();
+        let (peer_asn, local_asn, ifindex) = get_asns(&mut body, as4);
         let (peer_ip, local_ip) = get_ip_pair(&mut body)?;
         let cfg = SessionConfig { four_octet_as: as4 };
         let message = decode_message(&mut body, &cfg)?;
@@ -256,25 +259,20 @@ impl Bgp4mpStateChange {
     pub fn decode_body(
         timestamp: MrtTimestamp,
         subtype: u16,
-        mut body: Bytes,
+        mut body: &[u8],
     ) -> Result<Self, MrtError> {
         let as4 = subtype == subtypes::STATE_CHANGE_AS4;
         let need = if as4 { 10 } else { 6 };
-        if body.remaining() < need {
+        if body.len() < need {
             return Err(MrtError::Truncated("BGP4MP state change header"));
         }
-        let (peer_asn, local_asn) = if as4 {
-            (Asn(body.get_u32()), Asn(body.get_u32()))
-        } else {
-            (Asn(body.get_u16() as u32), Asn(body.get_u16() as u32))
-        };
-        let ifindex = body.get_u16();
+        let (peer_asn, local_asn, ifindex) = get_asns(&mut body, as4);
         let (peer_ip, local_ip) = get_ip_pair(&mut body)?;
-        if body.remaining() < 4 {
+        if body.len() < 4 {
             return Err(MrtError::Truncated("BGP4MP state codes"));
         }
-        let old_raw = body.get_u16();
-        let new_raw = body.get_u16();
+        let old_raw = cursor::u16(&mut body);
+        let new_raw = cursor::u16(&mut body);
         let old_state = BgpState::from_code(old_raw)
             .ok_or(MrtError::BadField { what: "old_state", value: old_raw as u64 })?;
         let new_state = BgpState::from_code(new_raw)
@@ -324,7 +322,7 @@ mod tests {
         assert_eq!(m.subtype(), subtypes::MESSAGE);
         let mut buf = BytesMut::new();
         m.encode_body(&mut buf).unwrap();
-        let d = Bgp4mpMessage::decode_body(m.timestamp, m.subtype(), buf.freeze()).unwrap();
+        let d = Bgp4mpMessage::decode_body(m.timestamp, m.subtype(), &buf).unwrap();
         assert_eq!(d, m);
     }
 
@@ -334,7 +332,7 @@ mod tests {
         assert_eq!(m.subtype(), subtypes::MESSAGE_AS4);
         let mut buf = BytesMut::new();
         m.encode_body(&mut buf).unwrap();
-        let d = Bgp4mpMessage::decode_body(m.timestamp, m.subtype(), buf.freeze()).unwrap();
+        let d = Bgp4mpMessage::decode_body(m.timestamp, m.subtype(), &buf).unwrap();
         assert_eq!(d, m);
     }
 
@@ -347,7 +345,7 @@ mod tests {
         let m = sample_message(196_608); // 0x30000: `as u16` truncates to 0
         let mut buf = BytesMut::new();
         m.encode_body_as(subtypes::MESSAGE, &mut buf).unwrap();
-        let d = Bgp4mpMessage::decode_body(m.timestamp, subtypes::MESSAGE, buf.freeze()).unwrap();
+        let d = Bgp4mpMessage::decode_body(m.timestamp, subtypes::MESSAGE, &buf).unwrap();
         assert_eq!(
             d.peer_asn,
             kcc_bgp_types::asn::AS_TRANS,
@@ -374,8 +372,7 @@ mod tests {
         };
         let mut buf = BytesMut::new();
         s.encode_body_as(subtypes::STATE_CHANGE, &mut buf).unwrap();
-        let d = Bgp4mpStateChange::decode_body(s.timestamp, subtypes::STATE_CHANGE, buf.freeze())
-            .unwrap();
+        let d = Bgp4mpStateChange::decode_body(s.timestamp, subtypes::STATE_CHANGE, &buf).unwrap();
         assert_eq!(d.peer_asn, kcc_bgp_types::asn::AS_TRANS);
         assert_eq!(d.old_state, BgpState::Established);
     }
@@ -387,7 +384,7 @@ mod tests {
         m.local_ip = "2001:db8::1".parse().unwrap();
         let mut buf = BytesMut::new();
         m.encode_body(&mut buf).unwrap();
-        let d = Bgp4mpMessage::decode_body(m.timestamp, m.subtype(), buf.freeze()).unwrap();
+        let d = Bgp4mpMessage::decode_body(m.timestamp, m.subtype(), &buf).unwrap();
         assert_eq!(d.peer_ip, m.peer_ip);
     }
 
@@ -413,7 +410,7 @@ mod tests {
         };
         let mut buf = BytesMut::new();
         s.encode_body(&mut buf).unwrap();
-        let d = Bgp4mpStateChange::decode_body(s.timestamp, s.subtype(), buf.freeze()).unwrap();
+        let d = Bgp4mpStateChange::decode_body(s.timestamp, s.subtype(), &buf).unwrap();
         assert_eq!(d, s);
     }
 
@@ -435,7 +432,7 @@ mod tests {
         let n = raw.len();
         raw[n - 1] = 99; // corrupt new_state
         assert!(matches!(
-            Bgp4mpStateChange::decode_body(s.timestamp, s.subtype(), Bytes::from(raw)),
+            Bgp4mpStateChange::decode_body(s.timestamp, s.subtype(), &raw),
             Err(MrtError::BadField { .. })
         ));
     }

@@ -2,7 +2,7 @@
 
 use std::io::{ErrorKind, Read};
 
-use bytes::{Buf, Bytes};
+use kcc_bgp_wire::cursor;
 
 use crate::bgp4mp::{self, Bgp4mpMessage, Bgp4mpStateChange};
 use crate::error::MrtError;
@@ -15,16 +15,24 @@ use crate::{TYPE_BGP4MP, TYPE_BGP4MP_ET, TYPE_TABLE_DUMP_V2};
 /// Iterate with [`MrtReader::next_record`] or the `Iterator` impl; both
 /// yield `None`/end at a clean EOF (stream ends exactly on a record
 /// boundary) and an error on a torn record.
+///
+/// Each record body is read into one `Vec<u8>` that the reader keeps and
+/// reuses, and the record is decoded from that slice: no allocation per
+/// record once the buffer has grown to the largest record seen. The
+/// buffer grows only as body bytes actually arrive, so a corrupt length
+/// field claiming gigabytes costs what the stream really holds and ends
+/// in [`MrtError::Truncated`].
 #[derive(Debug)]
 pub struct MrtReader<R: Read> {
     inner: R,
     records_read: u64,
+    body: Vec<u8>,
 }
 
 impl<R: Read> MrtReader<R> {
     /// Wraps a reader.
     pub fn new(inner: R) -> Self {
-        MrtReader { inner, records_read: 0 }
+        MrtReader { inner, records_read: 0, body: Vec::new() }
     }
 
     /// Number of records read so far.
@@ -40,22 +48,23 @@ impl<R: Read> MrtReader<R> {
             ReadOutcome::Full => {}
         }
         let mut h = &header[..];
-        let seconds = h.get_u32();
-        let mrt_type = h.get_u16();
-        let subtype = h.get_u16();
-        let length = h.get_u32() as usize;
+        let seconds = cursor::u32(&mut h);
+        let mrt_type = cursor::u16(&mut h);
+        let subtype = cursor::u16(&mut h);
+        let length = cursor::u32(&mut h);
 
-        let mut raw = vec![0u8; length];
-        self.inner
-            .read_exact(&mut raw)
-            .map_err(|_| MrtError::Truncated("record body shorter than header length"))?;
-        let mut body = Bytes::from(raw);
+        self.body.clear();
+        let read = (&mut self.inner).take(length as u64).read_to_end(&mut self.body);
+        if !read.is_ok_and(|n| n == length as usize) {
+            return Err(MrtError::Truncated("record body shorter than header length"));
+        }
+        let mut body = &self.body[..];
 
         let timestamp = if mrt_type == TYPE_BGP4MP_ET {
-            if body.remaining() < 4 {
+            if body.len() < 4 {
                 return Err(MrtError::Truncated("extended timestamp"));
             }
-            MrtTimestamp::micros(seconds, body.get_u32())
+            MrtTimestamp::micros(seconds, cursor::u32(&mut body))
         } else {
             MrtTimestamp::seconds(seconds)
         };
@@ -221,6 +230,34 @@ mod tests {
             reader.next_record(),
             Err(MrtError::UnsupportedType { mrt_type: 99, .. })
         ));
+    }
+
+    /// A corrupt length field must not allocate what it claims: the
+    /// body buffer grows only with the bytes that really arrive.
+    #[test]
+    fn corrupt_length_is_truncated_without_allocating_it() {
+        let mut raw = Vec::new();
+        raw.extend_from_slice(&0u32.to_be_bytes());
+        raw.extend_from_slice(&TYPE_BGP4MP_ET.to_be_bytes());
+        raw.extend_from_slice(&bgp4mp::subtypes::MESSAGE_AS4.to_be_bytes());
+        raw.extend_from_slice(&0xFFFF_FFF0u32.to_be_bytes());
+        raw.extend_from_slice(&[0; 8]);
+        assert_eq!(raw.len(), 20);
+        let mut reader = MrtReader::new(&raw[..]);
+        assert!(matches!(reader.next_record(), Err(MrtError::Truncated(_))));
+        assert!(reader.body.capacity() <= 4096, "grew to {} bytes", reader.body.capacity());
+    }
+
+    #[test]
+    fn body_buffer_is_reused_across_records() {
+        let mut w = MrtWriter::new(Vec::new());
+        w.write_all(&sample_records()).unwrap();
+        let raw = w.into_inner();
+        let mut reader = MrtReader::new(&raw[..]);
+        reader.next_record().unwrap().unwrap();
+        let (ptr, capacity) = (reader.body.as_ptr(), reader.body.capacity());
+        while reader.next_record().unwrap().is_some() {}
+        assert_eq!((reader.body.as_ptr(), reader.body.capacity()), (ptr, capacity));
     }
 
     #[test]

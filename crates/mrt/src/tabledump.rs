@@ -2,11 +2,11 @@
 
 use std::net::{IpAddr, Ipv4Addr};
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
 use kcc_bgp_types::{Asn, PathAttributes, Prefix};
 use kcc_bgp_wire::attr::{decode_attributes, encode_attributes};
 use kcc_bgp_wire::nlri::{decode_prefix, encode_prefix, Afi};
-use kcc_bgp_wire::SessionConfig;
+use kcc_bgp_wire::{cursor, SessionConfig};
 
 use crate::error::MrtError;
 use crate::record::MrtTimestamp;
@@ -101,52 +101,47 @@ impl PeerIndexTable {
     }
 
     /// Decodes a record body.
-    pub fn decode_body(timestamp: MrtTimestamp, mut body: Bytes) -> Result<Self, MrtError> {
-        if body.remaining() < 8 {
+    pub fn decode_body(timestamp: MrtTimestamp, mut body: &[u8]) -> Result<Self, MrtError> {
+        if body.len() < 8 {
             return Err(MrtError::Truncated("peer index table header"));
         }
-        let mut id = [0u8; 4];
-        body.copy_to_slice(&mut id);
-        let name_len = body.get_u16() as usize;
-        if body.remaining() < name_len + 2 {
+        let id: [u8; 4] = cursor::array(&mut body);
+        let name_len = cursor::u16(&mut body) as usize;
+        if body.len() < name_len + 2 {
             return Err(MrtError::Truncated("peer index table view name"));
         }
-        let name_bytes = body.copy_to_bytes(name_len);
-        let view_name = String::from_utf8_lossy(&name_bytes).into_owned();
-        let count = body.get_u16() as usize;
-        let mut peers = Vec::with_capacity(count);
+        let view_name = String::from_utf8_lossy(cursor::take(&mut body, name_len)).into_owned();
+        let count = cursor::u16(&mut body) as usize;
+        // Sized by what the body can hold (≥ 9 bytes a peer), not by the
+        // count field alone, so a corrupt count allocates nothing extra.
+        let mut peers = Vec::with_capacity(count.min(body.len() / 9));
         for _ in 0..count {
-            if body.remaining() < 9 {
+            if body.len() < 9 {
                 return Err(MrtError::Truncated("peer entry"));
             }
-            let peer_type = body.get_u8();
-            let mut bgp_id = [0u8; 4];
-            body.copy_to_slice(&mut bgp_id);
+            let peer_type = cursor::u8(&mut body);
+            let bgp_id: [u8; 4] = cursor::array(&mut body);
             let addr: IpAddr = if peer_type & 1 != 0 {
-                if body.remaining() < 16 {
+                if body.len() < 16 {
                     return Err(MrtError::Truncated("peer v6 address"));
                 }
-                let mut a = [0u8; 16];
-                body.copy_to_slice(&mut a);
-                IpAddr::from(a)
+                IpAddr::from(cursor::array::<16>(&mut body))
             } else {
-                if body.remaining() < 4 {
+                if body.len() < 4 {
                     return Err(MrtError::Truncated("peer v4 address"));
                 }
-                let mut a = [0u8; 4];
-                body.copy_to_slice(&mut a);
-                IpAddr::from(a)
+                IpAddr::from(cursor::array::<4>(&mut body))
             };
             let asn = if peer_type & 2 != 0 {
-                if body.remaining() < 4 {
+                if body.len() < 4 {
                     return Err(MrtError::Truncated("peer 4-octet ASN"));
                 }
-                Asn(body.get_u32())
+                Asn(cursor::u32(&mut body))
             } else {
-                if body.remaining() < 2 {
+                if body.len() < 2 {
                     return Err(MrtError::Truncated("peer 2-octet ASN"));
                 }
-                Asn(body.get_u16() as u32)
+                Asn(cursor::u16(&mut body) as u32)
             };
             peers.push(PeerEntry { bgp_id: Ipv4Addr::from(bgp_id), addr, asn });
         }
@@ -197,27 +192,29 @@ impl RibSnapshot {
     pub fn decode_body(
         timestamp: MrtTimestamp,
         subtype: u16,
-        mut body: Bytes,
+        mut body: &[u8],
     ) -> Result<Self, MrtError> {
-        if body.remaining() < 4 {
+        if body.len() < 4 {
             return Err(MrtError::Truncated("RIB sequence"));
         }
-        let sequence = body.get_u32();
+        let sequence = cursor::u32(&mut body);
         let afi = if subtype == subtypes::RIB_IPV4_UNICAST { Afi::Ipv4 } else { Afi::Ipv6 };
         let prefix = decode_prefix(afi, &mut body)?;
-        if body.remaining() < 2 {
+        if body.len() < 2 {
             return Err(MrtError::Truncated("RIB entry count"));
         }
-        let count = body.get_u16() as usize;
+        let count = cursor::u16(&mut body) as usize;
         let cfg = SessionConfig { four_octet_as: true };
-        let mut entries = Vec::with_capacity(count);
+        // Sized by what the body can hold (≥ 8 bytes an entry), not by the
+        // count field alone, so a corrupt count allocates nothing extra.
+        let mut entries = Vec::with_capacity(count.min(body.len() / 8));
         for _ in 0..count {
-            if body.remaining() < 8 {
+            if body.len() < 8 {
                 return Err(MrtError::Truncated("RIB entry header"));
             }
-            let peer_index = body.get_u16();
-            let originated_time = body.get_u32();
-            let attr_len = body.get_u16() as usize;
+            let peer_index = cursor::u16(&mut body);
+            let originated_time = cursor::u32(&mut body);
+            let attr_len = cursor::u16(&mut body) as usize;
             let decoded = decode_attributes(&mut body, attr_len, &cfg)?;
             entries.push(RibEntry { peer_index, originated_time, attrs: decoded.attrs });
         }
@@ -254,7 +251,7 @@ mod tests {
         let t = peer_table();
         let mut buf = BytesMut::new();
         t.encode_body(&mut buf).unwrap();
-        let d = PeerIndexTable::decode_body(t.timestamp, buf.freeze()).unwrap();
+        let d = PeerIndexTable::decode_body(t.timestamp, &buf).unwrap();
         assert_eq!(d, t);
     }
 
@@ -274,7 +271,7 @@ mod tests {
         assert_eq!(r.subtype(), subtypes::RIB_IPV4_UNICAST);
         let mut buf = BytesMut::new();
         r.encode_body(&mut buf).unwrap();
-        let d = RibSnapshot::decode_body(r.timestamp, r.subtype(), buf.freeze()).unwrap();
+        let d = RibSnapshot::decode_body(r.timestamp, r.subtype(), &buf).unwrap();
         assert_eq!(d, r);
     }
 
@@ -294,7 +291,7 @@ mod tests {
         assert_eq!(r.subtype(), subtypes::RIB_IPV6_UNICAST);
         let mut buf = BytesMut::new();
         r.encode_body(&mut buf).unwrap();
-        let d = RibSnapshot::decode_body(r.timestamp, r.subtype(), buf.freeze()).unwrap();
+        let d = RibSnapshot::decode_body(r.timestamp, r.subtype(), &buf).unwrap();
         assert_eq!(d, r);
     }
 
@@ -308,7 +305,7 @@ mod tests {
         };
         let mut buf = BytesMut::new();
         r.encode_body(&mut buf).unwrap();
-        let d = RibSnapshot::decode_body(r.timestamp, r.subtype(), buf.freeze()).unwrap();
+        let d = RibSnapshot::decode_body(r.timestamp, r.subtype(), &buf).unwrap();
         assert!(d.entries.is_empty());
     }
 
@@ -317,8 +314,7 @@ mod tests {
         let t = peer_table();
         let mut buf = BytesMut::new();
         t.encode_body(&mut buf).unwrap();
-        let full = buf.freeze();
-        let short = full.slice(0..full.len() - 3);
+        let short = &buf[..buf.len() - 3];
         assert!(matches!(
             PeerIndexTable::decode_body(t.timestamp, short),
             Err(MrtError::Truncated(_))

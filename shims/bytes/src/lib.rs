@@ -30,73 +30,6 @@ pub trait Buf {
     fn has_remaining(&self) -> bool {
         self.remaining() > 0
     }
-
-    /// Read one byte and advance.
-    fn get_u8(&mut self) -> u8 {
-        let v = self.chunk()[0];
-        self.advance(1);
-        v
-    }
-
-    /// Read a big-endian `u16` and advance.
-    fn get_u16(&mut self) -> u16 {
-        let mut raw = [0u8; 2];
-        self.copy_to_slice(&mut raw);
-        u16::from_be_bytes(raw)
-    }
-
-    /// Read a big-endian `u32` and advance.
-    fn get_u32(&mut self) -> u32 {
-        let mut raw = [0u8; 4];
-        self.copy_to_slice(&mut raw);
-        u32::from_be_bytes(raw)
-    }
-
-    /// Read a big-endian `u64` and advance.
-    fn get_u64(&mut self) -> u64 {
-        let mut raw = [0u8; 8];
-        self.copy_to_slice(&mut raw);
-        u64::from_be_bytes(raw)
-    }
-
-    /// Copy `dst.len()` bytes into `dst` and advance.
-    fn copy_to_slice(&mut self, dst: &mut [u8]) {
-        assert!(self.remaining() >= dst.len(), "copy_to_slice out of bounds");
-        dst.copy_from_slice(&self.chunk()[..dst.len()]);
-        self.advance(dst.len());
-    }
-
-    /// Copy the next `len` bytes into an owned [`Bytes`] and advance.
-    fn copy_to_bytes(&mut self, len: usize) -> Bytes {
-        assert!(self.remaining() >= len, "copy_to_bytes out of bounds");
-        let out = Bytes::copy_from_slice(&self.chunk()[..len]);
-        self.advance(len);
-        out
-    }
-}
-
-impl<B: Buf + ?Sized> Buf for &mut B {
-    fn remaining(&self) -> usize {
-        (**self).remaining()
-    }
-    fn chunk(&self) -> &[u8] {
-        (**self).chunk()
-    }
-    fn advance(&mut self, cnt: usize) {
-        (**self).advance(cnt)
-    }
-}
-
-impl Buf for &[u8] {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-    fn chunk(&self) -> &[u8] {
-        self
-    }
-    fn advance(&mut self, cnt: usize) {
-        *self = &self[cnt..];
-    }
 }
 
 /// Write access to a growable byte buffer.
@@ -210,13 +143,6 @@ impl Buf for Bytes {
     fn advance(&mut self, cnt: usize) {
         assert!(cnt <= self.len(), "advance out of bounds");
         self.start += cnt;
-    }
-    // Zero-copy, like upstream: share the Arc instead of the default
-    // trait method's allocate-and-memcpy.
-    fn copy_to_bytes(&mut self, len: usize) -> Bytes {
-        let out = self.slice(..len);
-        self.advance(len);
-        out
     }
 }
 
@@ -461,13 +387,10 @@ mod tests {
         buf.put_u16(0x0102);
         buf.put_u32(0xdead_beef);
         buf.put_u64(42);
-        let mut b = buf.freeze();
+        let b = buf.freeze();
         assert_eq!(b.len(), 15);
-        assert_eq!(b.get_u8(), 7);
-        assert_eq!(b.get_u16(), 0x0102);
-        assert_eq!(b.get_u32(), 0xdead_beef);
-        assert_eq!(b.get_u64(), 42);
-        assert!(b.is_empty());
+        assert_eq!(&b[..7], &[7, 1, 2, 0xde, 0xad, 0xbe, 0xef]);
+        assert_eq!(&b[7..], &42u64.to_be_bytes());
     }
 
     #[test]
@@ -512,13 +435,5 @@ mod tests {
         assert_eq!(&b[..], b"56789abc");
         b.truncate(3);
         assert_eq!(&b[..], b"567");
-    }
-
-    #[test]
-    fn copy_to_bytes_advances() {
-        let mut b = Bytes::from(vec![1, 2, 3, 4]);
-        let head = b.copy_to_bytes(3);
-        assert_eq!(&head[..], &[1, 2, 3]);
-        assert_eq!(b.remaining(), 1);
     }
 }

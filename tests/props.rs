@@ -13,7 +13,8 @@ use keep_communities_clean::analysis::{
 use keep_communities_clean::collector::timestamps::normalize_timestamps;
 use keep_communities_clean::collector::{ArchiveSource, SessionKey, UpdateArchive};
 use keep_communities_clean::mrt::{
-    Bgp4mpMessage, Bgp4mpStateChange, BgpState, MrtReader, MrtRecord, MrtTimestamp, MrtWriter,
+    Bgp4mpMessage, Bgp4mpStateChange, BgpState, MrtError, MrtReader, MrtRecord, MrtTimestamp,
+    MrtWriter,
 };
 use keep_communities_clean::types::attrs::{Aggregator, Origin};
 use keep_communities_clean::types::extended::ExtendedCommunity;
@@ -21,9 +22,11 @@ use keep_communities_clean::types::large::LargeCommunity;
 use keep_communities_clean::types::{
     AsPath, Asn, Community, CommunitySet, MessageKind, PathAttributes, Prefix, RouteUpdate,
 };
+use keep_communities_clean::wire::attr::decode_attributes;
 use keep_communities_clean::wire::nlri::Afi;
 use keep_communities_clean::wire::{
     decode_message, encode_message, Capability, Message, OpenMessage, SessionConfig, UpdatePacket,
+    HEADER_LEN,
 };
 
 fn arb_asn() -> impl Strategy<Value = Asn> {
@@ -231,7 +234,7 @@ proptest! {
         let msg = Message::Update(UpdatePacket::announce(prefix, attrs));
         let mut buf = bytes::BytesMut::new();
         encode_message(&msg, &cfg, &mut buf);
-        let decoded = decode_message(&mut buf.freeze(), &cfg).expect("decode");
+        let decoded = decode_message(&mut &buf[..], &cfg).expect("decode");
         prop_assert_eq!(decoded, msg);
     }
 
@@ -250,7 +253,7 @@ proptest! {
         ));
         let mut buf = bytes::BytesMut::new();
         encode_message(&msg, &cfg, &mut buf);
-        let decoded = decode_message(&mut buf.freeze(), &cfg).expect("decode");
+        let decoded = decode_message(&mut &buf[..], &cfg).expect("decode");
         if let Message::Update(p) = decoded {
             prop_assert_eq!(p.attrs.expect("attrs").as_path, attrs.as_path);
         } else {
@@ -415,7 +418,7 @@ proptest! {
         let mut first = bytes::BytesMut::new();
         encode_message(&msg, &cfg, &mut first);
         let first = first.freeze();
-        let decoded = decode_message(&mut first.clone(), &cfg).expect("decode");
+        let decoded = decode_message(&mut &first[..], &cfg).expect("decode");
         prop_assert_eq!(&decoded, &msg);
         let mut second = bytes::BytesMut::new();
         encode_message(&decoded, &cfg, &mut second);
@@ -429,7 +432,7 @@ proptest! {
         let msg = Message::Update(UpdatePacket::withdraw(prefix));
         let mut buf = bytes::BytesMut::new();
         encode_message(&msg, &cfg, &mut buf);
-        let decoded = decode_message(&mut buf.freeze(), &cfg).expect("decode");
+        let decoded = decode_message(&mut &buf[..], &cfg).expect("decode");
         prop_assert_eq!(decoded, msg);
     }
 
@@ -543,7 +546,7 @@ proptest! {
         };
         let mut first = bytes::BytesMut::new();
         open.encode_body(&mut first);
-        let decoded = OpenMessage::decode_body(&mut first.freeze())
+        let decoded = OpenMessage::decode_body(&mut &first[..])
             .expect("legal OPEN must decode");
         prop_assert_eq!(decoded.hold_time, hold_time);
         prop_assert_eq!(&decoded.capabilities, &open.capabilities);
@@ -675,7 +678,7 @@ proptest! {
         let mut buf = bytes::BytesMut::new();
         open.encode_body(&mut buf);
         prop_assert_eq!(
-            OpenMessage::decode_body(&mut buf.freeze()),
+            OpenMessage::decode_body(&mut &buf[..]),
             Err(keep_communities_clean::wire::WireError::BadValue {
                 what: "hold time",
                 value: hold_time as u32,
@@ -811,5 +814,98 @@ fn wire_encoding_is_pinned() {
         let digest = fnv1a(0xcbf2_9ce4_8422_2325, &wire);
         println!("four_octet_as {four_octet_as}: {} bytes, digest {digest:016x}", wire.len());
         assert_eq!((wire.len(), digest), (want_len, want_digest), "four_octet_as {four_octet_as}");
+    }
+}
+
+/// How many bytes a slice decoder consumed, given the input it was
+/// handed and the slice it left behind; `None` unless what is left is a
+/// suffix of the input, i.e. the decoder read only bytes it was given.
+fn consumed(input: &[u8], rest: &[u8]) -> Option<usize> {
+    let n = input.len().checked_sub(rest.len())?;
+    std::ptr::eq(input[n..].as_ptr(), rest.as_ptr()).then_some(n)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// Arbitrary bytes, raw and behind a well-formed BGP header of any
+    /// message type, never panic a wire decoder: each returns a typed
+    /// `WireError` or a value, reads only what it was given, and on
+    /// success consumes exactly the bytes its length says.
+    #[test]
+    fn wire_decoders_survive_arbitrary_bytes(
+        bytes in vec(any::<u8>(), 0..600),
+        mtype in 0u8..7,
+        claim in 0usize..700,
+    ) {
+        let header_len = (HEADER_LEN + bytes.len()) as u16;
+        let framed = [&[0xFF; 16][..], &header_len.to_be_bytes(), &[mtype], &bytes].concat();
+        for four_octet_as in [true, false] {
+            let cfg = SessionConfig { four_octet_as };
+            for input in [&bytes[..], &framed[..]] {
+                let mut rest = input;
+                let decoded = decode_message(&mut rest, &cfg);
+                let n = consumed(input, rest);
+                prop_assert!(n.is_some(), "decode_message read outside its input");
+                if decoded.is_ok() {
+                    let len = u16::from_be_bytes([input[16], input[17]]) as usize;
+                    prop_assert_eq!(n, Some(len));
+                }
+            }
+
+            let mut rest = &bytes[..];
+            let decoded = UpdatePacket::decode_body(&mut rest, claim, &cfg);
+            let n = consumed(&bytes, rest);
+            prop_assert!(n.is_some_and(|n| n <= claim), "UPDATE body: consumed {:?} of {}", n, claim);
+            if decoded.is_ok() {
+                prop_assert_eq!(n, Some(claim));
+            }
+
+            let mut rest = &bytes[..];
+            let decoded = decode_attributes(&mut rest, claim, &cfg);
+            let n = consumed(&bytes, rest);
+            prop_assert!(n.is_some_and(|n| n <= claim), "attributes: consumed {:?} of {}", n, claim);
+            if decoded.is_ok() {
+                prop_assert_eq!(n, Some(claim));
+            }
+        }
+
+        let mut rest = &bytes[..];
+        if let Err(e) = OpenMessage::decode_body(&mut rest) {
+            prop_assert!(!e.to_string().is_empty());
+        }
+        prop_assert!(consumed(&bytes, rest).is_some(), "OPEN read outside its input");
+    }
+
+    /// Arbitrary bytes, raw and as the body of every record type the
+    /// reader decodes, never panic `MrtReader::next_record`: each record
+    /// is a value or a typed `MrtError`, never an I/O error from an
+    /// in-memory stream.
+    #[test]
+    fn mrt_reader_survives_arbitrary_bytes(bytes in vec(any::<u8>(), 0..600), kind in 0usize..7) {
+        let (mrt_type, subtype) =
+            [(16u16, 0u16), (16, 1), (17, 4), (17, 5), (13, 1), (13, 2), (13, 4)][kind];
+        let framed = [
+            &1_584_230_400u32.to_be_bytes()[..],
+            &mrt_type.to_be_bytes(),
+            &subtype.to_be_bytes(),
+            &(bytes.len() as u32).to_be_bytes(),
+            &bytes,
+        ]
+        .concat();
+        for input in [&bytes[..], &framed[..]] {
+            let mut reader = MrtReader::new(input);
+            loop {
+                match reader.next_record() {
+                    Ok(Some(_)) => {}
+                    Ok(None) => break,
+                    Err(MrtError::Io(e)) => prop_assert!(false, "I/O error from a slice: {}", e),
+                    Err(e) => {
+                        prop_assert!(!e.to_string().is_empty());
+                        break;
+                    }
+                }
+            }
+        }
     }
 }
