@@ -101,25 +101,37 @@ pub struct ScheduledEvent {
     pub kind: EventKind,
 }
 
-impl Eq for ScheduledEvent {}
+/// What the heap orders: firing time, sequence, and the slab slot that
+/// holds the event's payload — 24 bytes, so a sift moves keys, never
+/// `EventKind`s.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Key {
+    at: SimTime,
+    seq: u64,
+    slot: u32,
+}
 
-impl Ord for ScheduledEvent {
+impl Ord for Key {
     /// Reversed so that `BinaryHeap` (a max-heap) pops earliest-first.
+    /// `seq` is unique, so the slot never decides.
     fn cmp(&self, other: &Self) -> Ordering {
         other.at.cmp(&self.at).then(other.seq.cmp(&self.seq))
     }
 }
 
-impl PartialOrd for ScheduledEvent {
+impl PartialOrd for Key {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-/// A deterministic time-ordered event queue.
+/// A deterministic time-ordered event queue: a heap of [`Key`]s over a
+/// slab of payloads whose freed slots are reused.
 #[derive(Debug, Default)]
 pub struct EventQueue {
-    heap: BinaryHeap<ScheduledEvent>,
+    heap: BinaryHeap<Key>,
+    slab: Vec<Option<EventKind>>,
+    free: Vec<u32>,
     next_seq: u64,
 }
 
@@ -133,17 +145,30 @@ impl EventQueue {
     pub fn push(&mut self, at: SimTime, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(ScheduledEvent { at, seq, kind });
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(kind);
+                slot
+            }
+            None => {
+                self.slab.push(Some(kind));
+                u32::try_from(self.slab.len() - 1).expect("event slab overflow")
+            }
+        };
+        self.heap.push(Key { at, seq, slot });
     }
 
     /// Pops the earliest event.
     pub fn pop(&mut self) -> Option<ScheduledEvent> {
-        self.heap.pop()
+        let Key { at, seq, slot } = self.heap.pop()?;
+        let kind = self.slab[slot as usize].take().expect("a queued key owns its slot");
+        self.free.push(slot);
+        Some(ScheduledEvent { at, seq, kind })
     }
 
     /// Time of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
+        self.heap.peek().map(|k| k.at)
     }
 
     /// Number of pending events.
@@ -199,5 +224,45 @@ mod tests {
         announce_at(&mut q, 42);
         assert_eq!(q.peek_time(), Some(SimTime(42)));
         assert_eq!(q.len(), 1);
+    }
+
+    #[test]
+    fn heap_keys_stay_small() {
+        assert!(std::mem::size_of::<Key>() <= 24);
+    }
+
+    #[test]
+    fn interleaved_pushes_pop_like_a_sorted_list() {
+        // Pops free slots that later pushes refill; every pop must still
+        // be the earliest pending (at, seq), carrying its own payload.
+        let mut q = EventQueue::new();
+        let mut pending: Vec<(u64, u64)> = Vec::new();
+        let check_pop = |q: &mut EventQueue, pending: &mut Vec<(u64, u64)>| {
+            let e = q.pop().unwrap();
+            let earliest = *pending.iter().min().unwrap();
+            pending.retain(|p| *p != earliest);
+            assert_eq!((e.at.0, e.seq), earliest);
+            let EventKind::Announce { router, .. } = e.kind else { unreachable!() };
+            assert_eq!(u64::from(router.asn.value()), e.seq, "payload travels with its key");
+        };
+        for round in 0..4u64 {
+            for i in 0..5u64 {
+                let (at, seq) = ((i * 7 + round * 3) % 11, round * 5 + i);
+                let router = RouterId { asn: kcc_bgp_types::Asn(seq as u32), index: 0 };
+                q.push(
+                    SimTime(at),
+                    EventKind::Announce { router, prefix: "10.0.0.0/8".parse().unwrap() },
+                );
+                pending.push((at, seq));
+            }
+            for _ in 0..3 {
+                check_pop(&mut q, &mut pending);
+            }
+        }
+        while !pending.is_empty() {
+            check_pop(&mut q, &mut pending);
+        }
+        assert!(q.pop().is_none());
+        assert!(q.slab.len() < 20, "freed slots are reused");
     }
 }

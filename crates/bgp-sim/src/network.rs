@@ -94,6 +94,9 @@ pub struct Network {
     /// router holds refcounted handles into this store).
     store: AttrStore,
     queue: EventQueue,
+    /// The one buffer every router handler appends its actions to;
+    /// drained by `apply_actions` and reused for the next event.
+    actions: Vec<Action>,
     now: SimTime,
     /// Time of the last event actually processed (distinct from `now`,
     /// which `run_until` may advance past the final event).
@@ -135,6 +138,7 @@ impl Network {
             ebgp_by_asns: FastHashMap::default(),
             store: AttrStore::new(),
             queue: EventQueue::new(),
+            actions: Vec::new(),
             now: SimTime::ZERO,
             last_event: SimTime::ZERO,
             captures: BTreeMap::new(),
@@ -188,15 +192,6 @@ impl Network {
     /// All routers, in arena (insertion) order.
     pub fn routers(&self) -> impl Iterator<Item = &Router> {
         self.routers.iter()
-    }
-
-    /// Splits the borrow for event dispatch: the arena, the id index, the
-    /// session table and the attribute store are disjoint fields.
-    #[allow(clippy::type_complexity)]
-    fn parts(
-        &mut self,
-    ) -> (&mut [Router], &FastHashMap<RouterId, u32>, &[Session], &mut AttrStore) {
-        (&mut self.routers, &self.router_index, &self.sessions, &mut self.store)
     }
 
     /// Adds a session between two existing routers and registers it on
@@ -335,53 +330,30 @@ impl Network {
         self.now = ev.at;
         self.last_event = ev.at;
         self.stats.events_processed += 1;
+        let now = self.now;
         match ev.kind {
             EventKind::Deliver { session, to, update } => self.on_deliver(session, to, update),
             EventKind::LinkDown { session } => self.on_link_down(session),
             EventKind::LinkUp { session } => self.on_link_up(session),
             EventKind::Announce { router, prefix } => {
-                let now = self.now;
-                let actions = {
-                    let (routers, index, sessions, store) = self.parts();
-                    let Some(&i) = index.get(&router) else {
-                        return true;
-                    };
-                    routers[i as usize].originate(now, prefix, sessions, store)
-                };
-                self.apply_actions(router, actions);
+                self.dispatch(router, |r, sessions, store, out| {
+                    r.originate(now, prefix, sessions, store, out)
+                });
             }
             EventKind::Withdraw { router, prefix } => {
-                let now = self.now;
-                let actions = {
-                    let (routers, index, sessions, store) = self.parts();
-                    let Some(&i) = index.get(&router) else {
-                        return true;
-                    };
-                    routers[i as usize].withdraw_origin(now, prefix, sessions, store)
-                };
-                self.apply_actions(router, actions);
+                self.dispatch(router, |r, sessions, store, out| {
+                    r.withdraw_origin(now, prefix, sessions, store, out)
+                });
             }
             EventKind::MraiExpire { router, session } => {
-                let now = self.now;
-                let actions = {
-                    let (routers, index, sessions, store) = self.parts();
-                    let Some(&i) = index.get(&router) else {
-                        return true;
-                    };
-                    routers[i as usize].handle_mrai_expire(now, session, sessions, store)
-                };
-                self.apply_actions(router, actions);
+                self.dispatch(router, |r, sessions, store, out| {
+                    r.handle_mrai_expire(now, session, sessions, store, out)
+                });
             }
             EventKind::DampReuse { router, session, prefix } => {
-                let now = self.now;
-                let actions = {
-                    let (routers, index, sessions, store) = self.parts();
-                    let Some(&i) = index.get(&router) else {
-                        return true;
-                    };
-                    routers[i as usize].handle_damp_reuse(now, session, prefix, sessions, store)
-                };
-                self.apply_actions(router, actions);
+                self.dispatch(router, |r, sessions, store, out| {
+                    r.handle_damp_reuse(now, session, prefix, sessions, store, out)
+                });
             }
             EventKind::SetImportPolicy { session, router, policy } => {
                 self.on_set_import_policy(session, router, policy);
@@ -391,6 +363,32 @@ impl Network {
             }
         }
         true
+    }
+
+    /// Runs one router handler, if `router` exists, then carries out the
+    /// actions it appended.
+    fn dispatch(
+        &mut self,
+        router: RouterId,
+        handler: impl FnOnce(&mut Router, &[Session], &mut AttrStore, &mut Vec<Action>),
+    ) {
+        if let Some(&i) = self.router_index.get(&router) {
+            self.run_handler(router, i as usize, handler);
+        }
+    }
+
+    /// Runs a handler on the router in arena `slot` with the session
+    /// table, the attribute store and the shared action buffer.
+    fn run_handler(
+        &mut self,
+        router: RouterId,
+        slot: usize,
+        handler: impl FnOnce(&mut Router, &[Session], &mut AttrStore, &mut Vec<Action>),
+    ) {
+        let mut actions = std::mem::take(&mut self.actions);
+        handler(&mut self.routers[slot], &self.sessions, &mut self.store, &mut actions);
+        self.apply_actions(router, &mut actions);
+        self.actions = actions;
     }
 
     /// Runs until no events remain. Returns the time of the last event
@@ -434,26 +432,36 @@ impl Network {
         }
         let from = session.other(to);
         self.stats.messages_delivered += 1;
-        let entry =
-            CapturedUpdate { at: self.now, session: session_id, from, to, update: update.clone() };
-        if let Some(mon) = self.monitors.get_mut(&session_id) {
-            mon.record(entry.clone());
-        }
-        let is_collector = self.router(to).map(|r| r.is_collector).unwrap_or(false);
-        if is_collector {
-            if let Some(cap) = self.captures.get_mut(&to) {
-                cap.record(entry);
+        let slot = self.router_index.get(&to).map(|&i| i as usize);
+        // Only a monitor or a collector records the message.
+        let monitor = self.monitors.get_mut(&session_id);
+        let capture = match slot {
+            Some(i) if self.routers[i].is_collector => self.captures.get_mut(&to),
+            _ => None,
+        };
+        if monitor.is_some() || capture.is_some() {
+            let entry = CapturedUpdate {
+                at: self.now,
+                session: session_id,
+                from,
+                to,
+                update: update.clone(),
+            };
+            match (monitor, capture) {
+                (Some(mon), Some(cap)) => {
+                    mon.record(entry.clone());
+                    cap.record(entry);
+                }
+                (Some(log), None) | (None, Some(log)) => log.record(entry),
+                (None, None) => {}
             }
         }
-        let now = self.now;
-        let actions = {
-            let (routers, index, sessions, store) = self.parts();
-            let Some(&i) = index.get(&to) else {
-                return;
-            };
-            routers[i as usize].handle_update(now, session_id, sessions, &update, store)
-        };
-        self.apply_actions(to, actions);
+        if let Some(i) = slot {
+            let now = self.now;
+            self.run_handler(to, i, |r, sessions, store, out| {
+                r.handle_update(now, session_id, sessions, &update, store, out)
+            });
+        }
     }
 
     fn on_link_down(&mut self, session_id: SessionId) {
@@ -465,16 +473,11 @@ impl Network {
             let s = &self.sessions[session_id.0];
             (s.a, s.b)
         };
+        let now = self.now;
         for endpoint in [a, b] {
-            let now = self.now;
-            let actions = {
-                let (routers, index, sessions, store) = self.parts();
-                let Some(&i) = index.get(&endpoint) else {
-                    continue;
-                };
-                routers[i as usize].handle_session_down(now, session_id, sessions, store)
-            };
-            self.apply_actions(endpoint, actions);
+            self.dispatch(endpoint, |r, sessions, store, out| {
+                r.handle_session_down(now, session_id, sessions, store, out)
+            });
         }
     }
 
@@ -487,16 +490,11 @@ impl Network {
             let s = &self.sessions[session_id.0];
             (s.a, s.b)
         };
+        let now = self.now;
         for endpoint in [a, b] {
-            let now = self.now;
-            let actions = {
-                let (routers, index, sessions, store) = self.parts();
-                let Some(&i) = index.get(&endpoint) else {
-                    continue;
-                };
-                routers[i as usize].handle_session_up(now, session_id, sessions, store)
-            };
-            self.apply_actions(endpoint, actions);
+            self.dispatch(endpoint, |r, sessions, store, out| {
+                r.handle_session_up(now, session_id, sessions, store, out)
+            });
         }
     }
 
@@ -522,23 +520,16 @@ impl Network {
             return;
         }
         let peer = session.other(router);
-        let Some(peer_router) = self.router(peer) else {
-            return;
-        };
         // The replay travels the normal transmission path (fault
         // injection, link delay, sender counters) like any other update.
-        let actions: Vec<Action> = peer_router
-            .advertised_on(session_id)
-            .into_iter()
-            .map(|(prefix, attrs)| Action::Send {
+        self.dispatch(peer, |r, _, _, out| {
+            let replay = r.advertised_on(session_id);
+            r.counters.updates_sent += replay.len() as u64;
+            out.extend(replay.into_iter().map(|(prefix, attrs)| Action::Send {
                 session: session_id,
                 update: SimUpdate::announce(prefix, attrs),
-            })
-            .collect();
-        if let Some(peer_router) = self.router_mut(peer) {
-            peer_router.counters.updates_sent += actions.len() as u64;
-        }
-        self.apply_actions(peer, actions);
+            }));
+        });
     }
 
     /// Replaces `router`'s export policy on a session, then re-runs the
@@ -562,20 +553,15 @@ impl Network {
             return;
         }
         let now = self.now;
-        let actions = {
-            let (routers, index, sessions, store) = self.parts();
-            let Some(&i) = index.get(&router) else {
-                return;
-            };
-            routers[i as usize].handle_session_up(now, session_id, sessions, store)
-        };
-        self.apply_actions(router, actions);
+        self.dispatch(router, |r, sessions, store, out| {
+            r.handle_session_up(now, session_id, sessions, store, out)
+        });
     }
 
     /// Interprets a router's actions: schedules transmissions (with link
     /// delay and fault injection) and MRAI timers.
-    fn apply_actions(&mut self, from: RouterId, actions: Vec<Action>) {
-        for action in actions {
+    fn apply_actions(&mut self, from: RouterId, actions: &mut Vec<Action>) {
+        for action in actions.drain(..) {
             match action {
                 Action::Send { session, update } => {
                     let s = &self.sessions[session.0];

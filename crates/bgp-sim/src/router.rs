@@ -9,7 +9,18 @@
 //! allocation. Each slot that retains a handle holds exactly one store
 //! refcount (`acquire` on insert, `release` on remove/replace); in-flight
 //! messages and captures carry plain `Arc` clones that the store does not
-//! count, so capture retention never distorts the byte accounting.
+//! count, so capture retention never distorts the byte accounting. Every
+//! handle a slot retains is the store's canonical allocation, so its
+//! `acquire` and `release` are one probe on the allocation's address —
+//! no deep hash, no deep compare.
+//!
+//! A changed decision builds each outbound attribute set once: one for
+//! iBGP, one per distinct eBGP [`ExportPolicy`] (compared by value;
+//! almost every session of a router shares one). The per-session filters
+//! — source session, valley-free export, `NO_EXPORT`, deny communities —
+//! still run per session; nothing else about a session shapes what is
+//! sent. Handlers append their [`Action`]s to one buffer the
+//! [`Network`](crate::Network) owns and reuses across events.
 //!
 //! ## Layout
 //!
@@ -28,6 +39,7 @@ use kcc_topology::{may_export, IgpMap, RouteSource, RouterId};
 
 use crate::dampening::{DampeningConfig, DampeningState};
 use crate::decision;
+use crate::policy::ExportPolicy;
 use crate::route::{RibEntry, SimUpdate, UpdateBody};
 use crate::session::{Session, SessionId, SessionKind};
 use crate::time::SimTime;
@@ -179,51 +191,54 @@ impl Router {
     }
 
     /// Starts originating `prefix`.
-    pub fn originate(
+    pub(crate) fn originate(
         &mut self,
         now: SimTime,
         prefix: Prefix,
         sessions: &[Session],
         store: &mut AttrStore,
-    ) -> Vec<Action> {
+        out: &mut Vec<Action>,
+    ) {
         let attrs = store.acquire_owned(Arc::new(PathAttributes::originated(self.ip)));
         if let Some(old) = self.originated.insert(prefix, attrs) {
             store.release(&old);
         }
-        self.run_decision(now, prefix, sessions, store)
+        self.run_decision(now, prefix, sessions, store, out);
     }
 
     /// Stops originating `prefix`.
-    pub fn withdraw_origin(
+    pub(crate) fn withdraw_origin(
         &mut self,
         now: SimTime,
         prefix: Prefix,
         sessions: &[Session],
         store: &mut AttrStore,
-    ) -> Vec<Action> {
+        out: &mut Vec<Action>,
+    ) {
         match self.originated.remove(&prefix) {
-            None => return Vec::new(),
+            None => return,
             Some(old) => store.release(&old),
         }
-        self.run_decision(now, prefix, sessions, store)
+        self.run_decision(now, prefix, sessions, store, out);
     }
 
     /// Processes an update arriving on `session_id`.
-    pub fn handle_update(
+    pub(crate) fn handle_update(
         &mut self,
         now: SimTime,
         session_id: SessionId,
         sessions: &[Session],
         update: &SimUpdate,
         store: &mut AttrStore,
-    ) -> Vec<Action> {
+        out: &mut Vec<Action>,
+    ) {
         self.counters.updates_received += 1;
         let session = &sessions[session_id.0];
         match &update.body {
             UpdateBody::Announce { attrs, source_hint } => {
                 // eBGP loop prevention (RFC 4271 §9.1.2).
                 if session.is_ebgp() && attrs.as_path.contains(self.id.asn) {
-                    return Vec::new();
+                    return;
                 }
                 let (source, egress) = if session.is_ebgp() {
                     let kind = session.neighbor_kind_for(self.id).unwrap_or(RouteSource::Peer);
@@ -241,7 +256,7 @@ impl Router {
                         // (and counted) but routing state is untouched —
                         // the Exp4 suppression point.
                         if slot[i].1 == entry {
-                            return Vec::new();
+                            return;
                         }
                         let retained = store.acquire(&entry.attrs);
                         let old = std::mem::replace(
@@ -261,18 +276,15 @@ impl Router {
                 // flap; a fresh announcement after a withdrawal was already
                 // penalized by the withdrawal.
                 if replaced && session.is_ebgp() {
-                    if let Some(mut actions) = self.record_flap(now, session_id, update.prefix) {
-                        actions.extend(self.run_decision(now, update.prefix, sessions, store));
-                        return actions;
-                    }
+                    out.extend(self.record_flap(now, session_id, update.prefix));
                 }
             }
             UpdateBody::Withdraw => {
                 let Some(slot) = self.adj_rib_in.get_mut(&update.prefix) else {
-                    return Vec::new();
+                    return;
                 };
                 let Ok(i) = slot.binary_search_by_key(&session_id, |(s, _)| *s) else {
-                    return Vec::new();
+                    return;
                 };
                 let (_, old) = slot.remove(i);
                 if slot.is_empty() {
@@ -281,73 +293,64 @@ impl Router {
                 store.release(&old.attrs);
                 if session.is_ebgp() {
                     // Withdrawal of a suppressed route changes nothing
-                    // visible, but the penalty still accrues.
+                    // visible, but the penalty still accrues. No reuse
+                    // check is scheduled: there is no route left to reuse.
                     self.record_flap(now, session_id, update.prefix);
                 }
             }
         }
-        self.run_decision(now, update.prefix, sessions, store)
+        self.run_decision(now, update.prefix, sessions, store, out);
     }
 
-    /// Records a dampening flap; returns `Some(actions)` when the route
-    /// just became (or remains) suppressed, in which case the caller gets
-    /// a reuse-check action and the route is hidden from decisions.
+    /// Records a dampening flap. When the route just became (or remains)
+    /// suppressed it is hidden from decisions, and the returned action
+    /// schedules — or, if the penalty grew, pushes out — its reuse check.
     fn record_flap(
         &mut self,
         now: SimTime,
         session_id: SessionId,
         prefix: Prefix,
-    ) -> Option<Vec<Action>> {
+    ) -> Option<Action> {
         let cfg = self.dampening?;
         let state = self
             .damp_states
             .entry((session_id, prefix))
             .or_insert_with(|| DampeningState::new(now));
-        let was_suppressed = state.is_suppressed(now, &cfg);
-        let suppressed = state.record_flap(now, &cfg);
-        if !suppressed {
+        // Lift a suppression that has decayed past reuse before the new
+        // penalty lands.
+        state.is_suppressed(now, &cfg);
+        if !state.record_flap(now, &cfg) {
             return None;
         }
         self.counters.dampened += 1;
-        if was_suppressed {
-            // Already suppressed: existing reuse check covers it... but the
-            // penalty grew, so push the check out to the new reuse time.
-            return Some(vec![Action::ScheduleDampReuse {
-                session: session_id,
-                prefix,
-                at: state.reuse_time(&cfg),
-            }]);
-        }
-        Some(vec![Action::ScheduleDampReuse {
-            session: session_id,
-            prefix,
-            at: state.reuse_time(&cfg),
-        }])
+        Some(Action::ScheduleDampReuse { session: session_id, prefix, at: state.reuse_time(&cfg) })
     }
 
     /// Handles a scheduled dampening reuse check.
-    pub fn handle_damp_reuse(
+    pub(crate) fn handle_damp_reuse(
         &mut self,
         now: SimTime,
         session_id: SessionId,
         prefix: Prefix,
         sessions: &[Session],
         store: &mut AttrStore,
-    ) -> Vec<Action> {
-        let Some(cfg) = self.dampening else { return Vec::new() };
+        out: &mut Vec<Action>,
+    ) {
+        let Some(cfg) = self.dampening else { return };
         let Some(state) = self.damp_states.get_mut(&(session_id, prefix)) else {
-            return Vec::new();
+            return;
         };
         if state.is_suppressed(now, &cfg) {
             // Penalty grew since this check was scheduled; try again later.
-            return vec![Action::ScheduleDampReuse {
+            out.push(Action::ScheduleDampReuse {
                 session: session_id,
                 prefix,
                 at: state.reuse_time(&cfg),
-            }];
+            });
+            return;
         }
         // Route is reusable: re-run the decision with it visible again.
-        self.run_decision(now, prefix, sessions, store)
+        self.run_decision(now, prefix, sessions, store, out);
     }
 
     /// True if the route from `session_id` for `prefix` is currently
@@ -365,13 +368,14 @@ impl Router {
 
     /// Handles loss of a session: flush all state tied to it and re-run
     /// decisions for affected prefixes.
-    pub fn handle_session_down(
+    pub(crate) fn handle_session_down(
         &mut self,
         now: SimTime,
         session_id: SessionId,
         sessions: &[Session],
         store: &mut AttrStore,
-    ) -> Vec<Action> {
+        out: &mut Vec<Action>,
+    ) {
         let mut affected: Vec<Prefix> = Vec::new();
         self.adj_rib_in.retain(|p, slot| {
             if let Ok(i) = slot.binary_search_by_key(&session_id, |(s, _)| *s) {
@@ -394,58 +398,62 @@ impl Router {
         }
         self.damp_states.retain(|(s, _), _| *s != session_id);
         affected.sort_unstable();
-        let mut actions = Vec::new();
         for p in affected {
-            actions.extend(self.run_decision(now, p, sessions, store));
+            self.run_decision(now, p, sessions, store, out);
         }
-        actions
     }
 
     /// Handles a session (re-)establishing: advertise the current Loc-RIB.
-    pub fn handle_session_up(
+    pub(crate) fn handle_session_up(
         &mut self,
         now: SimTime,
         session_id: SessionId,
         sessions: &[Session],
         store: &mut AttrStore,
-    ) -> Vec<Action> {
+        out: &mut Vec<Action>,
+    ) {
+        if self.is_collector {
+            return;
+        }
+        let session = &sessions[session_id.0];
         let mut prefixes: Vec<Prefix> = self.loc_rib.keys().copied().collect();
         prefixes.sort_unstable();
-        let mut actions = Vec::new();
         for p in prefixes {
-            actions.extend(self.export_to_session(now, p, session_id, sessions, store));
+            let desired = self.loc_rib.get(&p).and_then(|best| {
+                self.desired_advertisement(best, session, store, &mut Outbound::default())
+            });
+            self.export_to_session(now, p, session, desired, store, out);
         }
-        actions
     }
 
     /// MRAI expiry: flush pending advertisements for the session.
-    pub fn handle_mrai_expire(
+    pub(crate) fn handle_mrai_expire(
         &mut self,
         now: SimTime,
         session_id: SessionId,
         sessions: &[Session],
         store: &mut AttrStore,
-    ) -> Vec<Action> {
+        out: &mut Vec<Action>,
+    ) {
         self.mrai_deadline.remove(&session_id);
         let Some(pending) = self.mrai_pending.remove(&session_id) else {
-            return Vec::new();
+            return;
         };
         if pending.is_empty() {
-            return Vec::new();
+            return;
         }
         let session = &sessions[session_id.0];
         let mut batch: Vec<(Prefix, Arc<PathAttributes>)> = pending.into_iter().collect();
         batch.sort_unstable_by_key(|(p, _)| *p);
-        let out = self.adj_rib_out.entry(session_id).or_default();
-        let mut actions = Vec::new();
+        let sent = self.adj_rib_out.entry(session_id).or_default();
         for (prefix, attrs) in batch {
             // The store refcount moves from the pending slot to the
             // Adj-RIB-Out slot; only a replaced entry is released.
-            if let Some(old) = out.insert(prefix, Arc::clone(&attrs)) {
+            if let Some(old) = sent.insert(prefix, Arc::clone(&attrs)) {
                 store.release(&old);
             }
             self.counters.updates_sent += 1;
-            actions.push(Action::Send {
+            out.push(Action::Send {
                 session: session_id,
                 update: SimUpdate::announce(prefix, attrs),
             });
@@ -455,9 +463,8 @@ impl Router {
         if !mrai.is_zero() {
             let at = now + mrai;
             self.mrai_deadline.insert(session_id, at);
-            actions.push(Action::ScheduleMrai { session: session_id, at });
+            out.push(Action::ScheduleMrai { session: session_id, at });
         }
-        actions
     }
 
     /// Re-selects the best route for `prefix` and exports any change.
@@ -467,7 +474,8 @@ impl Router {
         prefix: Prefix,
         sessions: &[Session],
         store: &mut AttrStore,
-    ) -> Vec<Action> {
+        out: &mut Vec<Action>,
+    ) {
         let originated_entry = self.originated.get(&prefix).map(|attrs| RibEntry {
             attrs: Arc::clone(attrs),
             source: RouteSource::Originated,
@@ -488,46 +496,57 @@ impl Router {
         };
         let old_best = self.loc_rib.get(&prefix);
         if old_best == new_best.as_ref() {
-            return Vec::new();
+            return;
         }
-        match new_best {
+        let best = match new_best {
             Some(e) => {
-                let retained = store.acquire(&e.attrs);
-                if let Some(old) = self.loc_rib.insert(prefix, RibEntry { attrs: retained, ..e }) {
+                let installed = RibEntry { attrs: store.acquire(&e.attrs), ..e };
+                if let Some(old) = self.loc_rib.insert(prefix, installed.clone()) {
                     store.release(&old.attrs);
                 }
+                Some(installed)
             }
             None => {
                 if let Some(old) = self.loc_rib.remove(&prefix) {
                     store.release(&old.attrs);
                 }
+                None
             }
-        }
+        };
         if self.is_collector {
-            return Vec::new();
+            return;
         }
-        let mut actions = Vec::new();
-        let my_sessions = self.sessions.clone();
-        for sid in my_sessions {
-            if sessions[sid.0].up {
-                actions.extend(self.export_to_session(now, prefix, sid, sessions, store));
+        // Every session exporting through the same policy is sent the
+        // same attribute set: build each once per decision.
+        let mut outbound = Outbound::default();
+        for i in 0..self.sessions.len() {
+            let session = &sessions[self.sessions[i].0];
+            if !session.up {
+                continue;
             }
+            let desired = best
+                .as_ref()
+                .and_then(|b| self.desired_advertisement(b, session, store, &mut outbound));
+            self.export_to_session(now, prefix, session, desired, store, out);
         }
-        actions
     }
 
-    /// The announcement we would send for `prefix` on `session`, or `None`
-    /// if the route must not (or cannot) be advertised there. When the
-    /// egress transformations change nothing (iBGP at the learning
-    /// border), the Loc-RIB's `Arc` is reused as-is; otherwise the result
-    /// collapses onto the store's canonical allocation when one exists.
-    fn desired_advertisement(
+    /// The announcement we would send for the installed `best` route on
+    /// `session`, or `None` if the route must not (or cannot) be
+    /// advertised there. The per-session filters run here; the outbound
+    /// attribute set depends only on `best`, this router and — on eBGP —
+    /// the session's export policy, so it is built once per distinct
+    /// policy and taken from `outbound` after that. When the egress
+    /// transformations change nothing (iBGP at the learning border), the
+    /// Loc-RIB's `Arc` is reused as-is; otherwise the result collapses
+    /// onto the store's canonical allocation when one exists.
+    fn desired_advertisement<'s>(
         &self,
-        prefix: Prefix,
-        session: &Session,
+        best: &RibEntry,
+        session: &'s Session,
         store: &AttrStore,
+        outbound: &mut Outbound<'s>,
     ) -> Option<(Arc<PathAttributes>, Option<RouteSource>)> {
-        let best = self.loc_rib.get(&prefix)?;
         // Never advertise back onto the session the route came from.
         if best.from_session == Some(session.id) {
             return None;
@@ -543,9 +562,12 @@ impl Router {
                     // share the installed allocation.
                     return Some((Arc::clone(&best.attrs), Some(best.source)));
                 }
-                let mut a = PathAttributes::clone(&best.attrs);
-                a.next_hop = self.ip; // next-hop-self at the border
-                Some((collapse(store, a), Some(best.source)))
+                let attrs = outbound.ibgp.get_or_insert_with(|| {
+                    let mut a = PathAttributes::clone(&best.attrs);
+                    a.next_hop = self.ip; // next-hop-self at the border
+                    collapse(store, a)
+                });
+                Some((Arc::clone(attrs), Some(best.source)))
             }
             SessionKind::Ebgp => {
                 let to_kind = session.neighbor_kind_for(self.id).unwrap_or(RouteSource::Peer);
@@ -561,13 +583,18 @@ impl Router {
                 if export.denies(&best.attrs) {
                     return None;
                 }
+                if let Some((_, attrs)) = outbound.ebgp.iter().find(|(p, _)| *p == export) {
+                    return Some((Arc::clone(attrs), None));
+                }
                 let mut a = PathAttributes::clone(&best.attrs);
                 a.as_path = a.as_path.prepend(self.id.asn, 1 + export.extra_prepends as usize);
                 a.next_hop = self.ip;
                 a.local_pref = None;
                 a.med = None; // MED is not propagated onward by default
                 export.apply(&mut a);
-                Some((collapse(store, a), None))
+                let attrs = collapse(store, a);
+                outbound.ebgp.push((export, Arc::clone(&attrs)));
+                Some((attrs, None))
             }
         }
     }
@@ -579,16 +606,12 @@ impl Router {
         &mut self,
         now: SimTime,
         prefix: Prefix,
-        session_id: SessionId,
-        sessions: &[Session],
+        session: &Session,
+        desired: Option<(Arc<PathAttributes>, Option<RouteSource>)>,
         store: &mut AttrStore,
-    ) -> Vec<Action> {
-        if self.is_collector {
-            return Vec::new();
-        }
-        let session = &sessions[session_id.0];
-        let desired = self.desired_advertisement(prefix, session, store);
-
+        out: &mut Vec<Action>,
+    ) {
+        let session_id = session.id;
         match desired {
             None => {
                 // Withdraw if the peer (or the pending queue) holds state.
@@ -599,18 +622,17 @@ impl Router {
                         // the peer also holds earlier state, below).
                     }
                 }
-                if let Some(out) = self.adj_rib_out.get_mut(&session_id) {
-                    if let Some(old) = out.remove(&prefix) {
+                if let Some(sent) = self.adj_rib_out.get_mut(&session_id) {
+                    if let Some(old) = sent.remove(&prefix) {
                         store.release(&old);
                         self.counters.updates_sent += 1;
                         // Withdrawals bypass MRAI (RFC 4271 §9.2.1.1).
-                        return vec![Action::Send {
+                        out.push(Action::Send {
                             session: session_id,
                             update: SimUpdate::withdraw(prefix),
-                        }];
+                        });
                     }
                 }
-                Vec::new()
             }
             Some((attrs, source_hint)) => {
                 let last_sent = self.adj_rib_out.get(&session_id).and_then(|m| m.get(&prefix));
@@ -634,12 +656,12 @@ impl Router {
                             store.release(&old);
                         }
                     }
-                    return Vec::new();
+                    return;
                 }
                 if equal_to_sent {
                     if self.vendor.suppresses_duplicates {
                         self.counters.duplicates_suppressed += 1;
-                        return Vec::new();
+                        return;
                     }
                     self.counters.duplicates_sent += 1;
                 }
@@ -654,7 +676,7 @@ impl Router {
                     {
                         store.release(&old);
                     }
-                    return Vec::new();
+                    return;
                 }
                 let retained = store.acquire(&attrs);
                 let shared = Arc::clone(&retained);
@@ -664,22 +686,30 @@ impl Router {
                     store.release(&old);
                 }
                 self.counters.updates_sent += 1;
-                let mut actions = vec![Action::Send {
+                out.push(Action::Send {
                     session: session_id,
                     update: SimUpdate {
                         prefix,
                         body: UpdateBody::Announce { attrs: shared, source_hint },
                     },
-                }];
+                });
                 if !mrai.is_zero() {
                     let at = now + mrai;
                     self.mrai_deadline.insert(session_id, at);
-                    actions.push(Action::ScheduleMrai { session: session_id, at });
+                    out.push(Action::ScheduleMrai { session: session_id, at });
                 }
-                actions
             }
         }
     }
+}
+
+/// The outbound attribute sets one decision has built so far: one for
+/// iBGP, one per distinct eBGP export policy (compared by value — almost
+/// every session of a router shares one).
+#[derive(Default)]
+struct Outbound<'s> {
+    ibgp: Option<Arc<PathAttributes>>,
+    ebgp: Vec<(&'s ExportPolicy, Arc<PathAttributes>)>,
 }
 
 /// The store's canonical allocation for a freshly built attribute set, or

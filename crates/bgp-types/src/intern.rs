@@ -11,13 +11,20 @@
 //! so that Adj-RIB-In, Loc-RIB, Adj-RIB-Out and in-flight messages all
 //! share one allocation per distinct attribute set.
 //!
-//! Refcounts are explicit (`Cell`, bumped on a shared `get_key_value`
-//! probe) rather than `Arc::strong_count` guesses, so callers retaining
-//! extra `Arc` clones (captures, in-flight events) never distort the
-//! byte accounting.
+//! Refcounts are explicit (one count per slot, not `Arc::strong_count`
+//! guesses), so callers retaining extra `Arc` clones (captures, in-flight
+//! events) never distort the byte accounting. Each distinct set has a slot
+//! reachable two ways: by **value** (a deep hash and compare, for
+//! [`canonical`](AttrStore::canonical) and for handles the store has not
+//! seen) and by the canonical allocation's **address**. A caller that
+//! acquires or releases the handle the store gave out — every RIB slot in
+//! the simulator — pays one probe on a pointer-sized key, no deep hash and
+//! no deep compare. The address index is exact: the store keeps every
+//! canonical allocation alive, so no other live handle can share its
+//! address, and an entry leaves both indexes when its count reaches zero.
 
 use std::borrow::Borrow;
-use std::cell::Cell;
+use std::collections::hash_map::Entry;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -42,12 +49,23 @@ impl Borrow<PathAttributes> for ArcAttrs {
     }
 }
 
+/// The address index's key: where a canonical allocation lives.
+fn addr(attrs: &Arc<PathAttributes>) -> usize {
+    Arc::as_ptr(attrs) as usize
+}
+
 /// A hash-consed attribute store. Every distinct attribute set is held
 /// once; [`bytes`](Self::bytes) is the exact deep footprint of the
 /// distinct sets currently referenced by live slots.
 #[derive(Debug, Default)]
 pub struct AttrStore {
-    entries: FastHashMap<ArcAttrs, Cell<usize>>,
+    /// Canonical allocation (hashed by value) → its slot.
+    by_value: FastHashMap<ArcAttrs, u32>,
+    /// Canonical allocation's address → its slot.
+    by_addr: FastHashMap<usize, u32>,
+    /// Refcount per slot; a slot whose entry left is on `free`.
+    counts: Vec<usize>,
+    free: Vec<u32>,
     bytes: usize,
 }
 
@@ -57,16 +75,15 @@ impl AttrStore {
         Self::default()
     }
 
-    /// The canonical shared handle for `attrs`, refcount bumped. One hash
-    /// lookup when the value is already interned.
+    /// The canonical shared handle for `attrs`, refcount bumped. One
+    /// address probe when `attrs` is the canonical allocation, one value
+    /// lookup otherwise.
     pub fn acquire(&mut self, attrs: &Arc<PathAttributes>) -> Arc<PathAttributes> {
-        if let Some((key, count)) = self.entries.get_key_value(&**attrs) {
-            count.set(count.get() + 1);
-            return Arc::clone(&key.0);
+        if let Some(&slot) = self.by_addr.get(&addr(attrs)) {
+            self.counts[slot as usize] += 1;
+            return Arc::clone(attrs);
         }
-        self.bytes += attrs.deep_footprint();
-        self.entries.insert(ArcAttrs(Arc::clone(attrs)), Cell::new(1));
-        Arc::clone(attrs)
+        self.acquire_by_value(Arc::clone(attrs))
     }
 
     /// Like [`acquire`](Self::acquire), but takes ownership — when the
@@ -74,13 +91,39 @@ impl AttrStore {
     /// (no extra clone), and when it is already interned the caller's
     /// copy is dropped in favor of the shared handle.
     pub fn acquire_owned(&mut self, attrs: Arc<PathAttributes>) -> Arc<PathAttributes> {
-        if let Some((key, count)) = self.entries.get_key_value(&*attrs) {
-            count.set(count.get() + 1);
-            return Arc::clone(&key.0);
+        if let Some(&slot) = self.by_addr.get(&addr(&attrs)) {
+            self.counts[slot as usize] += 1;
+            return attrs;
         }
-        self.bytes += attrs.deep_footprint();
-        self.entries.insert(ArcAttrs(Arc::clone(&attrs)), Cell::new(1));
-        attrs
+        self.acquire_by_value(attrs)
+    }
+
+    /// The value path of an acquire: one hash of `attrs` finds a
+    /// value-equal entry or places `attrs` as a new canonical one.
+    fn acquire_by_value(&mut self, attrs: Arc<PathAttributes>) -> Arc<PathAttributes> {
+        match self.by_value.entry(ArcAttrs(attrs)) {
+            Entry::Occupied(e) => {
+                self.counts[*e.get() as usize] += 1;
+                Arc::clone(&e.key().0)
+            }
+            Entry::Vacant(e) => {
+                let attrs = Arc::clone(&e.key().0);
+                let slot = match self.free.pop() {
+                    Some(slot) => {
+                        self.counts[slot as usize] = 1;
+                        slot
+                    }
+                    None => {
+                        self.counts.push(1);
+                        u32::try_from(self.counts.len() - 1).expect("attribute store overflow")
+                    }
+                };
+                e.insert(slot);
+                self.by_addr.insert(addr(&attrs), slot);
+                self.bytes += attrs.deep_footprint();
+                attrs
+            }
+        }
     }
 
     /// The canonical handle for a value-equal interned set, if any,
@@ -88,25 +131,31 @@ impl AttrStore {
     /// collapse on transient values (in-flight messages) but must not
     /// retain a store reference they cannot release.
     pub fn canonical(&self, attrs: &PathAttributes) -> Option<Arc<PathAttributes>> {
-        self.entries.get_key_value(attrs).map(|(key, _)| Arc::clone(&key.0))
+        self.by_value.get_key_value(attrs).map(|(key, _)| Arc::clone(&key.0))
     }
 
     /// Drops one reference; the entry (and its bytes) leave the store
-    /// when the last slot stops pointing at it.
+    /// when the last slot stops pointing at it. `attrs` may be the
+    /// canonical handle or any value-equal one.
     ///
     /// # Panics
     ///
     /// Panics if `attrs` was never interned — releasing a handle the
     /// store does not know about is a refcount bug at the call site.
     pub fn release(&mut self, attrs: &Arc<PathAttributes>) {
-        let count = self.entries.get(&**attrs).expect("released attrs must be interned");
-        let n = count.get();
-        if n > 1 {
-            count.set(n - 1);
-        } else {
-            self.bytes -= attrs.deep_footprint();
-            self.entries.remove(&**attrs);
+        let slot = match self.by_addr.get(&addr(attrs)) {
+            Some(&slot) => slot,
+            None => *self.by_value.get(&**attrs).expect("released attrs must be interned"),
+        };
+        let count = &mut self.counts[slot as usize];
+        *count -= 1;
+        if *count > 0 {
+            return;
         }
+        let (key, _) = self.by_value.remove_entry(&**attrs).expect("slot has a value entry");
+        self.by_addr.remove(&addr(&key.0));
+        self.bytes -= key.0.deep_footprint();
+        self.free.push(slot);
     }
 
     /// Exact deep footprint (bytes) of the distinct attribute sets the
@@ -117,12 +166,12 @@ impl AttrStore {
 
     /// Number of distinct attribute sets currently interned.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.by_value.len()
     }
 
     /// True when nothing is interned.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.by_value.is_empty()
     }
 }
 
@@ -180,6 +229,29 @@ mod tests {
         assert!(store.bytes() > one);
         store.release(&a);
         assert!(store.bytes() >= one, "one handle left keeps the entry");
+    }
+
+    #[test]
+    fn canonical_and_value_equal_handles_share_one_count() {
+        let mut store = AttrStore::new();
+        let a = store.acquire(&attrs("4 5"));
+        // The canonical handle itself (address path) and a value-equal
+        // copy (value path) both count against the same entry.
+        let b = store.acquire(&a);
+        let c = store.acquire(&attrs("4 5"));
+        assert!(Arc::ptr_eq(&a, &b) && Arc::ptr_eq(&a, &c));
+        store.release(&attrs("4 5"));
+        store.release(&b);
+        assert_eq!(store.len(), 1);
+        store.release(&c);
+        assert!(store.is_empty());
+        assert_eq!(store.bytes(), 0);
+        // The freed slot is reused, and the new canonical allocation is
+        // found by address.
+        let d = store.acquire(&attrs("6"));
+        let e = store.acquire(&d);
+        assert!(Arc::ptr_eq(&d, &e));
+        assert_eq!(store.len(), 1);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Property-based tests on cross-crate invariants (proptest).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -20,7 +21,8 @@ use keep_communities_clean::types::attrs::{Aggregator, Origin};
 use keep_communities_clean::types::extended::ExtendedCommunity;
 use keep_communities_clean::types::large::LargeCommunity;
 use keep_communities_clean::types::{
-    AsPath, Asn, Community, CommunitySet, MessageKind, PathAttributes, Prefix, RouteUpdate,
+    AsPath, Asn, AttrStore, Community, CommunitySet, MessageKind, PathAttributes, Prefix,
+    RouteUpdate,
 };
 use keep_communities_clean::wire::attr::decode_attributes;
 use keep_communities_clean::wire::nlri::Afi;
@@ -907,5 +909,95 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// The naive store `AttrStore` must agree with: one `(value, refcount,
+/// canonical handle)` row per distinct attribute set, found by scanning.
+#[derive(Default)]
+struct NaiveStore {
+    rows: Vec<(PathAttributes, usize, Arc<PathAttributes>)>,
+}
+
+impl NaiveStore {
+    fn find(&self, attrs: &PathAttributes) -> Option<usize> {
+        self.rows.iter().position(|(v, _, _)| v == attrs)
+    }
+
+    fn bytes(&self) -> usize {
+        self.rows.iter().map(|(v, _, _)| v.deep_footprint()).sum()
+    }
+}
+
+proptest! {
+    /// `AttrStore` against a naive scan-based model over random
+    /// `acquire` / `acquire_owned` / `release` / `canonical` sequences,
+    /// with handles that are the canonical allocation and handles that
+    /// are only value-equal to it: the same distinct sets and bytes
+    /// after every step, every returned handle the canonical allocation,
+    /// and an empty store once every handle is released.
+    #[test]
+    fn attr_store_matches_naive_model(
+        pool in vec(arb_attrs(), 1..6),
+        ops in vec((0u8..4, 0usize..6, any::<bool>(), any::<u16>()), 0..80),
+    ) {
+        let mut store = AttrStore::new();
+        let mut model = NaiveStore::default();
+        let mut held: Vec<Arc<PathAttributes>> = Vec::new();
+        for (op, v, copy, pick) in ops {
+            let value = &pool[v % pool.len()];
+            let canonical = model.find(value).map(|i| Arc::clone(&model.rows[i].2));
+            // The handle an operation is given: the canonical allocation,
+            // or a fresh value-equal one.
+            let handle = match canonical.clone() {
+                Some(c) if !copy => c,
+                _ => Arc::new(value.clone()),
+            };
+            match op {
+                0 | 1 => {
+                    let given = Arc::clone(&handle);
+                    let got = if op == 0 { store.acquire(&handle) } else { store.acquire_owned(handle) };
+                    match model.find(value) {
+                        Some(i) => {
+                            prop_assert!(Arc::ptr_eq(&got, &model.rows[i].2));
+                            model.rows[i].1 += 1;
+                        }
+                        None => {
+                            prop_assert!(Arc::ptr_eq(&got, &given), "a new value keeps its allocation");
+                            model.rows.push((value.clone(), 1, Arc::clone(&got)));
+                        }
+                    }
+                    held.push(got);
+                }
+                2 if !held.is_empty() => {
+                    let h = held.swap_remove(pick as usize % held.len());
+                    let i = model.find(&h).expect("held handles are interned");
+                    if copy {
+                        store.release(&Arc::new(PathAttributes::clone(&h)));
+                    } else {
+                        store.release(&h);
+                    }
+                    model.rows[i].1 -= 1;
+                    if model.rows[i].1 == 0 {
+                        model.rows.swap_remove(i);
+                    }
+                }
+                _ => {
+                    let got = store.canonical(value);
+                    prop_assert_eq!(got.is_some(), canonical.is_some());
+                    if let (Some(got), Some(c)) = (got, canonical) {
+                        prop_assert!(Arc::ptr_eq(&got, &c));
+                    }
+                }
+            }
+            prop_assert_eq!(store.len(), model.rows.len());
+            prop_assert_eq!(store.bytes(), model.bytes());
+            prop_assert_eq!(store.is_empty(), model.rows.is_empty());
+        }
+        for h in held.drain(..) {
+            store.release(&h);
+        }
+        prop_assert_eq!(store.len(), 0);
+        prop_assert_eq!(store.bytes(), 0);
     }
 }
