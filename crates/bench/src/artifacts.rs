@@ -28,6 +28,7 @@ use kcc_tracegen::{generate_mar20, Mar20Config};
 use keep_communities_clean::adapter::capture_to_archive;
 
 use crate::beacon_day::run_beacon_schedule;
+use crate::sweep::{run_cell, CellResult, CleaningPlacement, SweepCell, SweepConfig};
 use crate::{run_beacon_day, Args, Artifact, BeaconDayConfig, Comparison};
 
 /// One `render_table` row from anything printable.
@@ -805,8 +806,8 @@ pub(crate) fn ablation_mrai(args: &Args) -> Artifact {
         mrai30.announcement_total() <= no_mrai.announcement_total(),
     );
     cmp.add(
-        "withdrawals unaffected by MRAI (RFC 4271 exemption)",
-        "equal counts",
+        "both MRAI settings send withdrawals",
+        "both > 0",
         &format!("{} vs {}", no_mrai.withdrawals, mrai30.withdrawals),
         no_mrai.withdrawals > 0 && mrai30.withdrawals > 0,
     );
@@ -866,6 +867,122 @@ pub(crate) fn ablation_dampening(args: &Args) -> Artifact {
         aggressive.1 >= def.1,
     );
     Artifact::new("Ablation: route-flap dampening on the beacon day", out, cmp)
+}
+
+/// The scenario grid: vendor × cleaning placement × MRAI × topology
+/// size over generated topologies, each cell run through the beacon flap
+/// protocol (see [`crate::sweep`]). `--quick` runs the 4-cell smoke
+/// matrix; `--scale` is ignored.
+///
+/// The ledger rows check §3's vendor split (a duplicate-suppressing
+/// vendor sends no `nn`), then compare *twins*, cells that differ in one
+/// dimension only: §7's cleaning (blind propagation sends the most
+/// messages) and §2's MRAI (pacing never adds messages).
+pub(crate) fn sweep(args: &Args) -> Artifact {
+    let cfg = if args.quick {
+        SweepConfig::smoke(args.seed)
+    } else {
+        SweepConfig::paper_matrix(args.seed)
+    };
+    let results: Vec<CellResult> = cfg.matrix().iter().map(|c| run_cell(c, cfg.seed)).collect();
+    let rows: Vec<Vec<String>> = results
+        .iter()
+        .map(|r| {
+            let c = &r.counts;
+            row(&[
+                &r.cell.vendor.name,
+                &r.cell.cleaning.label(),
+                &format!("{}s", r.cell.mrai.as_micros() / 1_000_000),
+                &r.cell.n_ases,
+                &r.collector_messages,
+                &c.initial,
+                &c.pc,
+                &c.pn,
+                &c.nc,
+                &c.nn,
+                &c.xc,
+                &c.xn,
+                &c.withdrawals,
+            ])
+        })
+        .collect();
+    let table = render_table(
+        &[
+            "vendor", "cleaning", "mrai", "ASes", "msgs", "initial", "pc", "pn", "nc", "nn", "xc",
+            "xn", "wd",
+        ],
+        &rows,
+    );
+
+    let mut cmp = Comparison::new();
+    let (suppressing, other): (Vec<_>, Vec<_>) =
+        results.iter().partition(|r| r.cell.vendor.suppresses_duplicates);
+    let nn = |cells: &[&CellResult]| cells.iter().map(|r| r.counts.nn).sum::<u64>();
+    cmp.add(
+        "duplicate suppression sends no `nn` (Junos vs BIRD)",
+        "0 vs ≥ 0",
+        &format!("{} vs {}", nn(&suppressing), nn(&other)),
+        !suppressing.is_empty() && nn(&suppressing) == 0,
+    );
+    let (held, twins) = loudest_twins(
+        &results,
+        |c| (c.vendor.name, c.mrai, c.n_ases),
+        |c| c.cleaning == CleaningPlacement::Blind,
+    );
+    cmp.add(
+        "cleaning never adds collector messages",
+        "blind ≥ ingress, egress",
+        &format!("{held}/{twins} twins"),
+        twins > 0 && held == twins,
+    );
+    let (held, twins) = loudest_twins(
+        &results,
+        |c| (c.vendor.name, c.cleaning.label(), c.n_ases),
+        |c| c.mrai == SimDuration::ZERO,
+    );
+    let mrai_row = cmp.add(
+        "MRAI 30 s never adds collector messages",
+        "30s ≤ 0s",
+        &format!("{held}/{twins} twins"),
+        twins > 0 && held == twins,
+    );
+    if twins == 0 {
+        mrai_row.deviates_because(
+            "the --quick smoke matrix runs one MRAI value (0 s), so no two cells differ in MRAI \
+             alone and there is nothing to compare.",
+        );
+    }
+    Artifact::new(
+        &format!("Scenario sweep: vendor × cleaning × MRAI × size, {} cells", results.len()),
+        vec![table],
+        cmp,
+    )
+}
+
+/// The sweep's twins along one axis are the cells equal in every
+/// dimension `key` returns, so they differ only in the one it leaves
+/// out. Returns how many twin groups have a `reference` cell whose
+/// collector message count is at least each twin's, and how many groups
+/// there are (a cell with no twin forms none).
+fn loudest_twins<K: Ord>(
+    results: &[CellResult],
+    key: impl Fn(&SweepCell) -> K,
+    reference: impl Fn(&SweepCell) -> bool,
+) -> (usize, usize) {
+    let mut groups: BTreeMap<K, Vec<&CellResult>> = BTreeMap::new();
+    for r in results {
+        groups.entry(key(&r.cell)).or_default().push(r);
+    }
+    let twins: Vec<_> = groups.into_values().filter(|g| g.len() > 1).collect();
+    let held = twins
+        .iter()
+        .filter(|g| {
+            g.iter()
+                .find(|r| reference(&r.cell))
+                .is_some_and(|top| g.iter().all(|r| top.collector_messages >= r.collector_messages))
+        })
+        .count();
+    (held, twins.len())
 }
 
 #[cfg(test)]

@@ -23,7 +23,6 @@
 use std::time::Instant;
 
 use kcc_bench::sweep::{run_internet_cell, InternetCell};
-use kcc_bgp_sim::{SimDuration, VendorProfile};
 
 /// Peak resident set of this process in bytes (`VmHWM` from
 /// `/proc/self/status`). `None` where procfs is unavailable.
@@ -85,13 +84,7 @@ fn main() {
     let mut rows = Vec::new();
     for &n_ases in &sizes {
         println!("== internet at {n_ases} ASes ==");
-        let cell = InternetCell {
-            vendor: VendorProfile::BIRD_2,
-            // Zero MRAI: the measured quantity is raw event throughput,
-            // not timer waiting.
-            mrai: SimDuration::ZERO,
-            n_ases,
-        };
+        let cell = InternetCell { n_ases };
         // Best of `repeats` on on-CPU time: the sim is deterministic, so
         // every repeat does identical work and the fastest pass is the
         // least-preempted look at the true cost.

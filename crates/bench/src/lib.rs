@@ -10,8 +10,7 @@
 //!
 //! | binary | what it is |
 //! |---|---|
-//! | `figures` | `figures <name>` for each row of [`ARTIFACTS`]; `figures all` → the ledger |
-//! | `sweep` | parallel scenario sweep: vendor × cleaning × MRAI × size |
+//! | `figures` | `figures <name>` for each row of [`ARTIFACTS`] (`figures sweep` is the scenario grid); `figures all` → the ledger |
 //! | `kccd` | the live BGP collector daemon (TCP sessions → pipeline → MRT dumps) |
 //! | `kcc-corpus` | multi-collector corpus CLI (per-collector + combined reports) |
 //! | `kcc-watch` | the CommunityWatch service CLI (+ `--eval` / `--soak` gates) |
@@ -36,7 +35,7 @@ pub use args::Args;
 pub use beacon_day::{run_beacon_day, BeaconDayConfig, BeaconDayOutput};
 pub use compare::Comparison;
 pub use mrtgen::{generate_mrt_day, mrt_day, MrtDay};
-pub use sweep::{run_cell, run_sweep, CellResult, CleaningPlacement, SweepCell, SweepConfig};
+pub use sweep::{run_cell, CellResult, CleaningPlacement, SweepCell, SweepConfig};
 pub use watch_eval::{eval_library, eval_scenario, EvalResult, EVAL_WINDOW_US};
 
 /// What one paper artifact produced.
@@ -68,8 +67,8 @@ pub type ArtifactRow = (&'static str, &'static str, fn(&Args) -> Artifact);
 
 /// Every paper artifact, in ledger order. Each takes `--seed`, `--scale`
 /// and `--quick` from [`Args`] (the lab ignores all three: it has no
-/// random input).
-pub const ARTIFACTS: [ArtifactRow; 11] = [
+/// random input; the sweep ignores `--scale`).
+pub const ARTIFACTS: [ArtifactRow; 12] = [
     ("exp_lab", "§3 Exp1–Exp4 across all vendor profiles", artifacts::exp_lab),
     ("table1", "Table 1 (*d_mar20* overview)", artifacts::table1),
     ("table2", "Table 2 (type shares, *d_mar20* and *d_beacon*)", artifacts::table2),
@@ -92,6 +91,11 @@ pub const ARTIFACTS: [ArtifactRow; 11] = [
         "ablation_dampening",
         "§2: route-flap dampening vs. update traffic",
         artifacts::ablation_dampening,
+    ),
+    (
+        "sweep",
+        "§3 duplicates, §7 cleaning placement and §2 MRAI on one scenario grid",
+        artifacts::sweep,
     ),
 ];
 

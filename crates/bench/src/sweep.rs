@@ -1,31 +1,22 @@
-//! Parallel scenario sweeps: a matrix of declarative scenarios fanned
-//! across worker threads.
-//!
-//! The ROADMAP's north star is running "as many scenarios as you can
-//! imagine ... as fast as the hardware allows". This module supplies the
-//! mechanism: a [`SweepConfig`] expands a **vendor profile × cleaning
-//! placement × MRAI × topology size** matrix into [`SweepCell`]s, each
-//! cell compiles (via [`SweepCell::spec`]) into an independent
-//! [`ScenarioSpec`] over a [`kcc_topology::gen`]-generated Internet, and
-//! [`run_sweep`] executes the cells on `std::thread` workers — one
-//! [`kcc_bgp_sim::Network`] per cell, zero shared mutable simulation
-//! state, so cells parallelize embarrassingly and deterministically (the
-//! thread count never changes any cell's result, only the wall clock).
+//! The scenario grid behind `figures sweep`: a [`SweepConfig`] expands
+//! a **vendor profile × cleaning placement × MRAI × topology size**
+//! matrix into [`SweepCell`]s, each cell compiles (via
+//! [`SweepCell::spec`]) into an independent [`ScenarioSpec`] over a
+//! [`kcc_topology::gen`]-generated Internet, and [`run_cell`] runs it on
+//! its own [`kcc_bgp_sim::Network`].
 //!
 //! Every cell runs the same protocol the paper's beacon analysis uses:
 //! converge a full table, then flap the dual-homed beacon origin's
 //! primary provider link down → up → down, and classify the stream a
 //! route collector records into the paper's `pc/pn/nc/nn/xc/xn`
-//! announcement types. The per-cell [`CellResult`]s aggregate into one
-//! comparison table (see the `sweep` binary).
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+//! announcement types. [`InternetCell`] runs the same protocol over an
+//! internet-scale topology for `bench_sim`.
 
 use kcc_bgp_sim::scenario::{
-    self, CollectorDecl, Phase, ScenarioAction, ScenarioEvent, ScenarioSpec, TopologyTemplate,
+    self, CollectorDecl, Phase, ScenarioAction, ScenarioEvent, ScenarioOutcome, ScenarioSpec,
+    TopologyTemplate,
 };
-use kcc_bgp_sim::{Capture, SimConfig, SimDuration, SimTime, VendorProfile};
+use kcc_bgp_sim::{Capture, SimConfig, SimDuration, VendorProfile};
 use kcc_bgp_types::Asn;
 use kcc_core::{classify_archive, TypeCounts};
 use kcc_topology::gen::BEACON_ORIGIN_ASN;
@@ -34,6 +25,9 @@ use keep_communities_clean::adapter::capture_to_archive;
 
 /// The collector AS attached to every sweep cell (RIS-style).
 pub const COLLECTOR_ASN: Asn = Asn(3333);
+
+/// The beacon origin's primary provider, whose link to the origin flaps.
+const PRIMARY_TRANSIT: Asn = Asn(20_000);
 
 /// Where community cleaning happens in a cell's topology — the paper's
 /// §7 deployment question, as a sweep dimension.
@@ -102,49 +96,58 @@ impl SweepCell {
         )
     }
 
-    /// Compiles the cell into a declarative scenario: a sized generated
-    /// topology with a collector on the first two transits, full-table
-    /// convergence, then a down → up → down flap of the beacon origin's
-    /// primary provider link.
+    /// Compiles the cell into a declarative scenario: the beacon flap
+    /// protocol over a sized generated topology that announces every
+    /// origin.
     pub fn spec(&self, seed: u64) -> ScenarioSpec {
         let config = TopologyConfig::sized(self.n_ases, seed)
             .with_behavior_mix(self.cleaning.behavior_mix());
-        let vendor = VendorProfile { mrai_ebgp: self.mrai, ..self.vendor };
-        let primary_transit = Asn(20_000);
-        let flap = |down: bool| {
-            let action = if down {
-                ScenarioAction::InterAsLinkDown { a: BEACON_ORIGIN_ASN, b: primary_transit }
-            } else {
-                ScenarioAction::InterAsLinkUp { a: BEACON_ORIGIN_ASN, b: primary_transit }
-            };
-            vec![ScenarioEvent::after(SimDuration::from_secs(10), action)]
-        };
-        ScenarioSpec {
-            name: self.label(),
-            sim: SimConfig { seed, default_vendor: vendor, ..Default::default() },
-            topology: TopologyTemplate::Generated {
-                config,
-                collector: Some(CollectorDecl {
-                    asn: COLLECTOR_ASN,
-                    peers: vec![
-                        RouterId { asn: Asn(20_000), index: 0 },
-                        RouterId { asn: Asn(20_001), index: 0 },
-                    ],
-                }),
+        flap_spec(
+            self.label(),
+            SimConfig {
+                seed,
+                default_vendor: VendorProfile { mrai_ebgp: self.mrai, ..self.vendor },
+                ..Default::default()
             },
-            monitors: vec![],
-            watch: vec![],
-            phases: vec![
-                Phase::new(
-                    "converge",
-                    vec![ScenarioEvent::immediately(ScenarioAction::AnnounceAllOrigins)],
-                ),
-                Phase::new("flap", flap(true)),
-                Phase::new("heal", flap(false)),
-                Phase::new("reflap", flap(true)),
-            ],
-            expectations: vec![],
-        }
+            |collector| TopologyTemplate::Generated { config, collector },
+            ScenarioAction::AnnounceAllOrigins,
+        )
+    }
+}
+
+/// The beacon flap protocol every cell runs: `announce` converges, then
+/// the beacon origin's link to [`PRIMARY_TRANSIT`] goes down → up → down,
+/// each 10 s after the network quiets, while [`COLLECTOR_ASN`] records
+/// from the first two transits.
+fn flap_spec(
+    name: String,
+    sim: SimConfig,
+    topology: impl FnOnce(Option<CollectorDecl>) -> TopologyTemplate,
+    announce: ScenarioAction,
+) -> ScenarioSpec {
+    let flap = |down: bool| {
+        let (a, b) = (BEACON_ORIGIN_ASN, PRIMARY_TRANSIT);
+        let action = if down {
+            ScenarioAction::InterAsLinkDown { a, b }
+        } else {
+            ScenarioAction::InterAsLinkUp { a, b }
+        };
+        vec![ScenarioEvent::after(SimDuration::from_secs(10), action)]
+    };
+    let peers = [PRIMARY_TRANSIT, Asn(20_001)].map(|asn| RouterId { asn, index: 0 });
+    ScenarioSpec {
+        name,
+        sim,
+        topology: topology(Some(CollectorDecl { asn: COLLECTOR_ASN, peers: peers.to_vec() })),
+        monitors: vec![],
+        watch: vec![],
+        phases: vec![
+            Phase::new("converge", vec![ScenarioEvent::immediately(announce)]),
+            Phase::new("flap", flap(true)),
+            Phase::new("heal", flap(false)),
+            Phase::new("reflap", flap(true)),
+        ],
+        expectations: vec![],
     }
 }
 
@@ -164,11 +167,13 @@ pub struct SweepConfig {
 }
 
 impl SweepConfig {
-    /// The full comparison matrix: 3 vendors × 3 placements × 2 MRAIs ×
-    /// 2 sizes = 36 cells.
+    /// The full comparison matrix: 2 vendors × 3 placements × 2 MRAIs ×
+    /// 2 sizes = 24 cells. With the MRAI fixed by the cell, a vendor
+    /// profile differs only in duplicate suppression, so one suppressing
+    /// (Junos) and one non-suppressing (BIRD) vendor span the axis.
     pub fn paper_matrix(seed: u64) -> Self {
         SweepConfig {
-            vendors: vec![VendorProfile::CISCO_IOS, VendorProfile::JUNOS, VendorProfile::BIRD_2],
+            vendors: vec![VendorProfile::JUNOS, VendorProfile::BIRD_2],
             cleanings: CleaningPlacement::ALL.to_vec(),
             mrais: vec![SimDuration::ZERO, SimDuration::from_secs(30)],
             sizes: vec![40, 80],
@@ -176,7 +181,7 @@ impl SweepConfig {
         }
     }
 
-    /// A ≤ 8-cell matrix for CI smoke runs: 2 vendors × 2 placements ×
+    /// A ≤ 8-cell matrix for smoke runs: 2 vendors × 2 placements ×
     /// 1 MRAI × 1 size = 4 cells.
     pub fn smoke(seed: u64) -> Self {
         SweepConfig {
@@ -218,51 +223,38 @@ pub struct CellResult {
     /// Messages the collector captured during the perturbation phases
     /// (everything after convergence) — the signal the sweep measures.
     pub perturbation_messages: usize,
-    /// Time of the last processed event — the full timeline's length in
-    /// simulated time.
-    pub converged_at: SimTime,
 }
 
 /// Runs one cell: compile the spec, run the engine, classify the
 /// collector stream.
 pub fn run_cell(cell: &SweepCell, seed: u64) -> CellResult {
-    let spec = cell.spec(seed);
-    let outcome = scenario::run(&spec);
-    let collector = RouterId { asn: COLLECTOR_ASN, index: 0 };
-    let mut capture = Capture::new();
-    let mut perturbation_messages = 0;
-    for (i, phase) in outcome.phases.iter().enumerate() {
-        if let Some(entries) = phase.collected.get(&collector) {
-            if i > 0 {
-                perturbation_messages += entries.len();
-            }
-            for entry in entries {
-                capture.record(entry.clone());
-            }
-        }
-    }
-    let archive = capture_to_archive(&outcome.net, "sweep", &capture, 0);
-    CellResult {
-        cell: cell.clone(),
-        counts: classify_archive(&archive),
-        collector_messages: capture.len(),
-        perturbation_messages,
-        converged_at: outcome.phases.last().map(|p| p.quiesced).unwrap_or(SimTime::ZERO),
-    }
+    let outcome = scenario::run(&cell.spec(seed));
+    let (counts, collector_messages, perturbation_messages) = classify_collector(&outcome);
+    CellResult { cell: cell.clone(), counts, collector_messages, perturbation_messages }
 }
 
-/// An internet-scale measurement cell (see the `bench_sim` binary): a
-/// power-law [`generate_internet`](kcc_topology::generate_internet)
-/// topology at `n_ases`, run through the beacon flap protocol — converge
-/// the beacon prefix across the whole graph, then flap the beacon
-/// origin's primary provider link down → up → down while a collector on
-/// the first two transits records the stream.
+/// What [`COLLECTOR_ASN`] recorded over a run, classified: `(type
+/// counts, every message, the messages after convergence)`.
+fn classify_collector(outcome: &ScenarioOutcome) -> (TypeCounts, usize, usize) {
+    let collector = RouterId { asn: COLLECTOR_ASN, index: 0 };
+    let mut capture = Capture::new();
+    for phase in 0..outcome.phases.len() {
+        for entry in outcome.collected_in_phase(phase, collector) {
+            capture.record(entry.clone());
+        }
+    }
+    let converge = outcome.collected_in_phase(0, collector).len();
+    let archive = capture_to_archive(&outcome.net, "sweep", &capture, 0);
+    (classify_archive(&archive), capture.len(), capture.len() - converge)
+}
+
+/// An internet-scale measurement cell (see the `bench_sim` binary): the
+/// beacon flap protocol over a power-law
+/// [`generate_internet`](kcc_topology::generate_internet) topology at
+/// `n_ases`. Every router runs BIRD with no MRAI: the measured quantity
+/// is raw event throughput, not timer waiting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InternetCell {
-    /// Vendor profile every router runs.
-    pub vendor: VendorProfile,
-    /// eBGP MRAI override applied to the vendor profile.
-    pub mrai: SimDuration,
     /// Total AS count of the generated internet.
     pub n_ases: usize,
 }
@@ -279,47 +271,16 @@ impl InternetCell {
     /// announcing every stub's prefix would square it.
     pub fn spec(&self, seed: u64) -> ScenarioSpec {
         let config = InternetConfig::sized(self.n_ases, seed);
-        let beacon_prefix = config.beacon_prefixes[0];
-        let vendor = VendorProfile { mrai_ebgp: self.mrai, ..self.vendor };
-        let beacon = RouterId { asn: BEACON_ORIGIN_ASN, index: 0 };
-        let primary_transit = Asn(20_000);
-        let flap = |down: bool| {
-            let action = if down {
-                ScenarioAction::InterAsLinkDown { a: BEACON_ORIGIN_ASN, b: primary_transit }
-            } else {
-                ScenarioAction::InterAsLinkUp { a: BEACON_ORIGIN_ASN, b: primary_transit }
-            };
-            vec![ScenarioEvent::after(SimDuration::from_secs(10), action)]
+        let announce = ScenarioAction::Announce {
+            router: RouterId { asn: BEACON_ORIGIN_ASN, index: 0 },
+            prefix: config.beacon_prefixes[0],
         };
-        ScenarioSpec {
-            name: self.label(),
-            sim: SimConfig { seed, default_vendor: vendor, ..Default::default() },
-            topology: TopologyTemplate::GeneratedInternet {
-                config,
-                collector: Some(CollectorDecl {
-                    asn: COLLECTOR_ASN,
-                    peers: vec![
-                        RouterId { asn: Asn(20_000), index: 0 },
-                        RouterId { asn: Asn(20_001), index: 0 },
-                    ],
-                }),
-            },
-            monitors: vec![],
-            watch: vec![],
-            phases: vec![
-                Phase::new(
-                    "converge",
-                    vec![ScenarioEvent::immediately(ScenarioAction::Announce {
-                        router: beacon,
-                        prefix: beacon_prefix,
-                    })],
-                ),
-                Phase::new("flap", flap(true)),
-                Phase::new("heal", flap(false)),
-                Phase::new("reflap", flap(true)),
-            ],
-            expectations: vec![],
-        }
+        flap_spec(
+            self.label(),
+            SimConfig { seed, default_vendor: VendorProfile::BIRD_2, ..Default::default() },
+            |collector| TopologyTemplate::GeneratedInternet { config, collector },
+            announce,
+        )
     }
 }
 
@@ -341,62 +302,22 @@ pub struct InternetCellResult {
     pub events_processed: u64,
     /// Bytes retained by the interned path-attribute store at the end.
     pub interned_attr_bytes: usize,
-    /// Time of the last processed event in simulated time.
-    pub converged_at: SimTime,
 }
 
 /// Runs one internet-scale cell: compile the spec, run the engine,
 /// classify the collector stream.
 pub fn run_internet_cell(cell: &InternetCell, seed: u64) -> InternetCellResult {
-    let spec = cell.spec(seed);
-    let outcome = scenario::run(&spec);
-    let collector = RouterId { asn: COLLECTOR_ASN, index: 0 };
-    let mut capture = Capture::new();
-    for phase in &outcome.phases {
-        if let Some(entries) = phase.collected.get(&collector) {
-            for entry in entries {
-                capture.record(entry.clone());
-            }
-        }
-    }
-    let archive = capture_to_archive(&outcome.net, "sim", &capture, 0);
+    let outcome = scenario::run(&cell.spec(seed));
+    let (counts, collector_messages, _) = classify_collector(&outcome);
     InternetCellResult {
         n_ases: cell.n_ases,
         routers: outcome.net.routers().count(),
         sessions: outcome.net.sessions().len(),
-        counts: classify_archive(&archive),
-        collector_messages: capture.len(),
+        counts,
+        collector_messages,
         events_processed: outcome.net.stats.events_processed,
         interned_attr_bytes: outcome.net.attr_store().bytes(),
-        converged_at: outcome.phases.last().map(|p| p.quiesced).unwrap_or(SimTime::ZERO),
     }
-}
-
-/// Runs every cell across `threads` workers over independent networks.
-/// Results come back in cell order and are identical for any thread
-/// count — parallelism only buys wall-clock time.
-pub fn run_sweep(cells: &[SweepCell], seed: u64, threads: usize) -> Vec<CellResult> {
-    let threads = threads.max(1).min(cells.len().max(1));
-    if threads == 1 {
-        return cells.iter().map(|c| run_cell(c, seed)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<(usize, CellResult)>> = Mutex::new(Vec::with_capacity(cells.len()));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= cells.len() {
-                    break;
-                }
-                let result = run_cell(&cells[i], seed);
-                results.lock().expect("result sink poisoned").push((i, result));
-            });
-        }
-    });
-    let mut indexed = results.into_inner().expect("result sink poisoned");
-    indexed.sort_unstable_by_key(|(i, _)| *i);
-    indexed.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
@@ -443,19 +364,47 @@ mod tests {
         assert!(a.collector_messages > a.perturbation_messages, "convergence traffic exists too");
     }
 
+    fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+        bytes.iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    }
+
+    fn digest(cells: &[SweepCell], seed: u64) -> u64 {
+        cells.iter().fold(0xcbf2_9ce4_8422_2325, |hash, cell| {
+            let r = run_cell(cell, seed);
+            let text = format!(
+                "{} {:?} {} {}\n",
+                cell.label(),
+                r.counts,
+                r.collector_messages,
+                r.perturbation_messages
+            );
+            fnv1a(hash, text.as_bytes())
+        })
+    }
+
+    /// Every count the grid reports, pinned as literals: the paper
+    /// matrix, the smoke matrix and one 1,000-AS internet cell. A change
+    /// to how cells are built, run or classified must leave them be.
     #[test]
-    fn parallel_equals_serial() {
-        let cfg = SweepConfig {
-            vendors: vec![VendorProfile::BIRD_2, VendorProfile::JUNOS],
-            cleanings: vec![CleaningPlacement::Blind, CleaningPlacement::Egress],
-            mrais: vec![SimDuration::ZERO],
-            sizes: vec![15],
-            seed: 5,
-        };
-        let cells = cfg.matrix();
-        let serial = run_sweep(&cells, cfg.seed, 1);
-        let parallel = run_sweep(&cells, cfg.seed, 4);
-        assert_eq!(serial, parallel, "thread count must not change results");
+    fn grid_counts_are_pinned() {
+        let paper = SweepConfig::paper_matrix(42).matrix();
+        assert_eq!(paper.len(), 24);
+        assert_eq!(digest(&paper, 42), 0xfe89_d4df_ba3c_5a22);
+        assert_eq!(digest(&SweepConfig::smoke(42).matrix(), 42), 0xe063_df42_9843_df81);
+
+        let cell = InternetCell { n_ases: 1_000 };
+        let r = run_internet_cell(&cell, 42);
+        let text = format!(
+            "{} {} {} {:?} {} {} {}",
+            cell.label(),
+            r.routers,
+            r.sessions,
+            r.counts,
+            r.collector_messages,
+            r.events_processed,
+            r.interned_attr_bytes
+        );
+        assert_eq!(fnv1a(0xcbf2_9ce4_8422_2325, text.as_bytes()), 0xdbb1_9523_c4e2_4d13);
     }
 
     #[test]

@@ -125,7 +125,7 @@ impl PartialOrd for Key {
     }
 }
 
-/// A deterministic time-ordered event queue: a heap of [`Key`]s over a
+/// A deterministic time-ordered event queue: a heap of `Key`s over a
 /// slab of payloads whose freed slots are reused.
 #[derive(Debug, Default)]
 pub struct EventQueue {
