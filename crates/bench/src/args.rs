@@ -1,5 +1,7 @@
 //! Minimal command-line argument parsing for the harness binaries.
 
+use std::str::FromStr;
+
 /// Parsed common arguments: `--seed N`, `--scale F`, `--quick`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Args {
@@ -19,31 +21,20 @@ impl Default for Args {
 
 impl Args {
     /// Parses from an iterator of arguments (without the program name).
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Args {
+    /// An unknown argument, or a flag whose value is missing or does not
+    /// parse, is an error that names it.
+    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Args, String> {
         let mut out = Args::default();
         let mut it = args.into_iter();
         while let Some(a) = it.next() {
             match a.as_str() {
-                "--seed" => {
-                    if let Some(v) = it.next().and_then(|s| s.parse().ok()) {
-                        out.seed = v;
-                    }
-                }
-                "--scale" => {
-                    if let Some(v) = it.next().and_then(|s| s.parse().ok()) {
-                        out.scale = v;
-                    }
-                }
+                "--seed" => out.seed = value(&a, it.next())?,
+                "--scale" => out.scale = value(&a, it.next())?,
                 "--quick" => out.quick = true,
-                _ => {}
+                _ => return Err(format!("unknown argument `{a}`")),
             }
         }
-        out
-    }
-
-    /// Parses from the process environment.
-    pub fn from_env() -> Args {
-        Self::parse(std::env::args().skip(1))
+        Ok(out)
     }
 
     /// A workload size scaled by `--scale` (and `/10` under `--quick`).
@@ -57,12 +48,22 @@ impl Args {
     }
 }
 
+/// The value after `flag`, parsed.
+fn value<T: FromStr>(flag: &str, next: Option<String>) -> Result<T, String> {
+    let text = next.ok_or_else(|| format!("`{flag}` needs a value"))?;
+    text.parse().map_err(|_| format!("`{flag}` cannot take `{text}`"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn parse(words: &[&str]) -> Args {
+    fn try_parse(words: &[&str]) -> Result<Args, String> {
         Args::parse(words.iter().map(|s| s.to_string()))
+    }
+
+    fn parse(words: &[&str]) -> Args {
+        try_parse(words).unwrap()
     }
 
     #[test]
@@ -80,9 +81,11 @@ mod tests {
     }
 
     #[test]
-    fn ignores_unknown_and_bad_values() {
-        let a = parse(&["--bogus", "--seed", "notanumber"]);
-        assert_eq!(a.seed, 42);
+    fn rejects_unknown_flags_and_missing_or_bad_values() {
+        assert_eq!(try_parse(&["--sede", "7"]), Err("unknown argument `--sede`".into()));
+        assert_eq!(try_parse(&["--seed", "7x"]), Err("`--seed` cannot take `7x`".into()));
+        assert_eq!(try_parse(&["--scale", "half"]), Err("`--scale` cannot take `half`".into()));
+        assert_eq!(try_parse(&["--quick", "--seed"]), Err("`--seed` needs a value".into()));
     }
 
     #[test]

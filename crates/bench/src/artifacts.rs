@@ -3,7 +3,7 @@
 //! judges. [`ARTIFACTS`](crate::ARTIFACTS) is the table the `figures`
 //! binary and the reproduction ledger run them from.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
 use kcc_bgp_sim::lab::{run_experiment, LabExperiment};
 use kcc_bgp_sim::{DampeningConfig, Network, SimConfig, SimDuration, VendorProfile};
@@ -491,21 +491,47 @@ pub(crate) fn fig4(args: &Args) -> Artifact {
         "all",
         &format!("{in_withdraw}/{points}"),
         in_withdraw * 10 >= points * 8,
-    );
+    )
+    .deviates_because(format!(
+        "no path seen only in withdrawal phases carries `nc` (the day's exploration episodes \
+         hold {} `nc`), so the pick falls back to the path with the most, and {} of its {points} \
+         announcements arrive outside the withdrawal phases.",
+        summary.total_nc,
+        points - in_withdraw,
+    ));
     let nc = timeline.count_of(AnnouncementType::Nc);
     let pc = timeline.count_of(AnnouncementType::Pc);
+    let phases: HashSet<BeaconPhase> = timeline
+        .points
+        .iter()
+        .map(|p| BeaconSchedule::default().phase_of(p.time_us % DAY_US))
+        .filter(|phase| *phase != BeaconPhase::Outside)
+        .collect();
     cmp.add(
         "nc outnumbers pc on the explored path (paper: 13 vs 6)",
         "nc > pc",
         &format!("nc={nc} pc={pc}"),
         nc >= pc,
-    );
+    )
+    .deviates_because(format!(
+        "over the {} beacon phases that show this path, the session switches onto it from \
+         another path, communities changing too, {pc} times (`pc`) but changes only its \
+         communities on it {nc} times (`nc`).",
+        phases.len(),
+    ));
     cmp.add(
         "multiple locations revealed on one path",
         "9 locations",
         &format!("{locations} locations"),
         locations > 1,
-    );
+    )
+    .deviates_because(format!(
+        "locations are decoded from the `nc` of exploration episodes; this session has {} \
+         episodes, and {} of the day's {} episodes carry any `nc`.",
+        this_stream.len(),
+        summary.exploration_episodes,
+        summary.episodes,
+    ));
     Artifact::new(TITLE, out, cmp)
 }
 
@@ -854,12 +880,27 @@ pub(crate) fn ablation_dampening(args: &Args) -> Artifact {
         &format!("{}", def.1),
         def.1 > 0,
     );
+    let grew: Vec<String> = AnnouncementType::ALL
+        .iter()
+        .map(|&t| (t.label(), off.0.get(t), def.0.get(t)))
+        .chain([("initial", off.0.initial, def.0.initial)])
+        .filter(|(_, o, d)| d > o)
+        .map(|(name, o, d)| format!("`{name}` {o} → {d}"))
+        .collect();
     cmp.add(
         "dampening reduces announcement volume",
         "default ≤ off",
         &format!("{} vs {}", def.0.announcement_total(), off.0.announcement_total()),
         def.0.announcement_total() <= off.0.announcement_total(),
-    );
+    )
+    .deviates_because(format!(
+        "RFC 2439 defaults suppress {} flaps, yet the collector sees more announcements than \
+         without dampening, not fewer: {}; withdrawals {} → {}.",
+        def.1,
+        grew.join(", "),
+        off.0.withdrawals,
+        def.0.withdrawals,
+    ));
     cmp.add(
         "aggressive dampening suppresses more",
         "aggr ≥ default",

@@ -15,17 +15,23 @@ use kcc_bench::{ledger, Args, ARTIFACTS};
 fn main() -> ExitCode {
     let mut argv = std::env::args().skip(1);
     let name = argv.next().unwrap_or_default();
-    let args = Args::parse(argv);
-    if name == "all" {
-        print!("{}", ledger(&args));
-    } else if let Some((_, _, run)) = ARTIFACTS.iter().find(|(n, _, _)| *n == name) {
-        print!("{}", run(&args).render());
-    } else {
-        eprintln!("usage: figures <name|all> [--seed N] [--scale F] [--quick]\n\nartifacts:");
-        for (name, what, _) in ARTIFACTS {
-            eprintln!("  {name:<19} {what}");
+    let artifact = ARTIFACTS.iter().find(|(n, _, _)| *n == name);
+    let args = match Args::parse(argv) {
+        Ok(args) if name == "all" || artifact.is_some() => args,
+        parsed => {
+            if let Err(e) = parsed {
+                eprintln!("figures: {e}");
+            }
+            eprintln!("usage: figures <name|all> [--seed N] [--scale F] [--quick]\n\nartifacts:");
+            for (name, what, _) in ARTIFACTS {
+                eprintln!("  {name:<19} {what}");
+            }
+            return ExitCode::from(2);
         }
-        return ExitCode::from(2);
+    };
+    match artifact {
+        Some((_, _, run)) => print!("{}", run(&args).render()),
+        None => print!("{}", ledger(&args)),
     }
     ExitCode::SUCCESS
 }

@@ -10,12 +10,10 @@
 //! ```sh
 //! kcc-corpus rrc00.mrt rrc01.mrt dumps/      # files and directories mix
 //! kcc-corpus --threads 8 --epoch 1584230400 dumps/
-//! kcc-corpus --watch dumps/                  # + CommunityWatch alerts
 //! ```
 //!
-//! With `--watch`, the same pass also runs the CommunityWatch detection
-//! sink per collector and appends the merged alert list (path, rate and
-//! outage checks; see `kcc-watch` for the full service CLI).
+//! `kcc-corpus` only reports; `kcc-watch` runs CommunityWatch over the
+//! same inputs.
 //!
 //! Without `--epoch`, the day anchor is the earliest *first-record*
 //! timestamp across the inputs, floored to midnight UTC. Records
@@ -31,9 +29,9 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use kcc_collector::{first_record_seconds, mrt_files_in};
-use kcc_core::corpus::{run_corpus_report, run_corpus_watch};
-use kcc_core::{AllocationRegistry, CleaningConfig, Corpus, MrtFileOptions, WatchConfig};
+use kcc_collector::{first_record_day, mrt_files_in};
+use kcc_core::corpus::run_corpus_report;
+use kcc_core::{AllocationRegistry, CleaningConfig, Corpus, MrtFileOptions};
 
 fn mrt_paths(inputs: &[PathBuf]) -> Result<Vec<PathBuf>, String> {
     let mut paths = Vec::new();
@@ -56,7 +54,6 @@ fn main() -> ExitCode {
     let mut epoch: Option<u32> = None;
     let mut threads = 4usize;
     let mut clamp = false;
-    let mut watch = false;
     let mut metrics_out: Option<PathBuf> = None;
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.iter();
@@ -64,7 +61,6 @@ fn main() -> ExitCode {
         match a.as_str() {
             "--epoch" => epoch = it.next().and_then(|s| s.parse().ok()),
             "--clamp" => clamp = true,
-            "--watch" => watch = true,
             "--metrics-out" => metrics_out = it.next().map(PathBuf::from),
             "--threads" => {
                 if let Some(v) = it.next().and_then(|s| s.parse().ok()) {
@@ -73,7 +69,7 @@ fn main() -> ExitCode {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: kcc-corpus [--epoch SECONDS] [--threads N] [--clamp] [--watch] \
+                    "usage: kcc-corpus [--epoch SECONDS] [--threads N] [--clamp] \
                      [--metrics-out FILE] <file.mrt | dir>..."
                 );
                 return ExitCode::SUCCESS;
@@ -94,11 +90,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let epoch = epoch.or_else(|| {
-        let earliest = paths.iter().filter_map(|p| first_record_seconds(p)).min()?;
-        Some(earliest - earliest % 86_400) // floor to midnight UTC
-    });
-    let Some(epoch) = epoch else {
+    let Some(epoch) = epoch.or_else(|| first_record_day(&paths)) else {
         eprintln!("kcc-corpus: could not derive an epoch (empty inputs?); pass --epoch");
         return ExitCode::FAILURE;
     };
@@ -126,21 +118,13 @@ fn main() -> ExitCode {
         normalize_timestamps: true,
     };
     let started = std::time::Instant::now();
-    let result = if watch {
-        run_corpus_watch(corpus, threads, &registry, cleaning, WatchConfig::default(), None)
-            .map(|(report, watch_report)| (report, Some(watch_report)))
-    } else {
-        run_corpus_report(corpus, threads, &registry, cleaning).map(|report| (report, None))
-    };
+    let result = run_corpus_report(corpus, threads, &registry, cleaning);
     let elapsed = started.elapsed();
     match result {
-        Ok((report, watch_report)) => {
+        Ok(report) => {
             if let Some(path) = &metrics_out {
                 let metrics = kcc_obs::Registry::new();
                 report.export_metrics(&metrics);
-                if let Some(wr) = &watch_report {
-                    wr.export_metrics(&metrics);
-                }
                 let secs = elapsed.as_secs_f64();
                 if secs > 0.0 {
                     metrics
@@ -158,24 +142,6 @@ fn main() -> ExitCode {
                 "\npipeline: {} sessions, {} streams, peak state {} bytes",
                 report.stats.sessions, report.stats.streams, report.stats.peak_state_bytes
             );
-            if let Some(wr) = watch_report {
-                println!();
-                for alert in &wr.alerts {
-                    println!("{}", alert.to_line());
-                }
-                let kinds: Vec<String> =
-                    wr.kind_counts().iter().map(|(k, n)| format!("{k} x{n}")).collect();
-                println!(
-                    "watch: {} alerts over {} windows{}",
-                    wr.alerts.len(),
-                    wr.windows,
-                    if kinds.is_empty() {
-                        String::new()
-                    } else {
-                        format!(" ({})", kinds.join(", "))
-                    }
-                );
-            }
             ExitCode::SUCCESS
         }
         Err(e) => {

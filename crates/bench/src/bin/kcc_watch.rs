@@ -33,7 +33,7 @@ use std::time::Duration;
 
 use kcc_bench::watch_eval::{alert_lines, eval_library};
 use kcc_bgp_types::{AsPath, Asn, MessageKind, PathAttributes, Prefix, RouteUpdate};
-use kcc_collector::{first_record_seconds, mrt_files_in, UpdateArchive};
+use kcc_collector::{first_record_day, UpdateArchive};
 use kcc_core::pipeline::PipelineBuilder;
 use kcc_core::{
     CommunityProfiler, Corpus, MrtDirSource, MrtFileOptions, WatchConfig, WatchReport, WatchSink,
@@ -65,21 +65,6 @@ fn usage() {
          SECS seconds before draining. --train enables the community\n\
          profile checks (novel values, blackhole injection, bursts)."
     );
-}
-
-/// Derives the day anchor: the earliest first-record timestamp across
-/// all inputs, floored to midnight UTC.
-fn derive_epoch(inputs: &[PathBuf], train: &[PathBuf]) -> Option<u32> {
-    let mut earliest: Option<u32> = None;
-    for input in inputs.iter().chain(train) {
-        let files = if input.is_dir() { mrt_files_in(input).ok()? } else { vec![input.clone()] };
-        for f in &files {
-            if let Some(s) = first_record_seconds(f) {
-                earliest = Some(earliest.map_or(s, |e| e.min(s)));
-            }
-        }
-    }
-    earliest.map(|e| e - e % 86_400)
 }
 
 /// Loads one training input (file or directory-as-one-feed) into an
@@ -495,7 +480,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let epoch = opts.epoch.or_else(|| derive_epoch(&opts.inputs, &opts.train));
+    let epoch = opts.epoch.or_else(|| first_record_day(opts.inputs.iter().chain(&opts.train)));
     let Some(epoch) = epoch else {
         eprintln!("kcc-watch: could not derive an epoch (empty inputs?); pass --epoch");
         return ExitCode::FAILURE;

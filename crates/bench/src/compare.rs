@@ -26,16 +26,17 @@ pub struct ComparisonRow {
     pub band: Option<f64>,
     /// Why the row reads `DEVIATES` where it does (empty for a row that
     /// has not been seen to deviate).
-    pub cause: &'static str,
+    pub cause: String,
 }
 
 impl ComparisonRow {
     /// Records why this row deviates: one sentence, read from the
     /// generator or scenario that produces the number, naming the flags
-    /// it was probed at when those are not the defaults. Shown by the
-    /// ledger only while the row reads `DEVIATES`.
-    pub fn deviates_because(&mut self, cause: &'static str) {
-        self.cause = cause;
+    /// it was probed at when those are not the defaults, or built from
+    /// the artifact's own numbers when it holds at every seed. Shown by
+    /// the ledger only while the row reads `DEVIATES`.
+    pub fn deviates_because(&mut self, cause: impl Into<String>) {
+        self.cause = cause.into();
     }
 }
 
@@ -87,7 +88,7 @@ impl Comparison {
             measured,
             ok,
             band,
-            cause: "",
+            cause: String::new(),
         });
         self.rows.last_mut().expect("just pushed")
     }

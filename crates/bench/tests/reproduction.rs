@@ -3,8 +3,8 @@
 //! `/REPRODUCTION.md` is the committed stdout of `figures all`. These
 //! tests rebuild it in-process from the artifact table, so the file, a
 //! verdict or a written cause cannot go stale; they also run every
-//! artifact at `--quick`, which no ledger covers, and the two seeds where
-//! an artifact once judged nothing or deviated without a cause.
+//! artifact at `--quick`, which no ledger covers, and the seeds where an
+//! artifact once judged nothing or deviated without a cause.
 
 use kcc_bench::{render_ledger, Args, Artifact, ARTIFACTS};
 
@@ -41,11 +41,13 @@ fn every_artifact_runs_at_quick_size() {
 }
 
 /// The seeds where an artifact once compared nothing (`fig4` at 3) or
-/// deviated without a word (`fig3` at 11): each now prints at least one
-/// row, and every `DEVIATES` row says why.
+/// deviated without a word (`fig3` at 11, `fig4` at 8 and 12,
+/// `ablation_dampening` at 4): each now prints at least one row, and
+/// every `DEVIATES` row says why.
 #[test]
 fn rows_that_cannot_hold_say_why() {
-    for (name, seed) in [("fig3", 11), ("fig4", 3)] {
+    let seeds = [("fig3", 11), ("fig4", 3), ("fig4", 8), ("fig4", 12), ("ablation_dampening", 4)];
+    for (name, seed) in seeds {
         let (_, _, run) = ARTIFACTS.iter().find(|(n, _, _)| *n == name).expect("listed");
         let rows = run(&Args { seed, ..Args::default() }).comparison;
         assert!(!rows.is_empty(), "{name} --seed {seed} compares nothing");

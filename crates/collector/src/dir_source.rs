@@ -53,6 +53,24 @@ pub fn first_record_seconds(path: &Path) -> Option<u32> {
     Some(u32::from_be_bytes(buf))
 }
 
+/// The day anchor of a set of MRT inputs: the earliest
+/// [`first_record_seconds`] across them, floored to midnight UTC. An
+/// input is a file or a directory of `*.mrt` files ([`mrt_files_in`]).
+/// `None` when no file has a first record or a directory cannot be read.
+pub fn first_record_day<P: AsRef<Path>>(inputs: impl IntoIterator<Item = P>) -> Option<u32> {
+    let mut files = Vec::new();
+    for input in inputs {
+        let input = input.as_ref();
+        if input.is_dir() {
+            files.extend(mrt_files_in(input).ok()?);
+        } else {
+            files.push(input.to_path_buf());
+        }
+    }
+    let earliest = files.iter().filter_map(|f| first_record_seconds(f)).min()?;
+    Some(earliest - earliest % 86_400)
+}
+
 /// Streams every `*.mrt` file of a directory, in name order, as one
 /// collector's feed; optionally keeps following the directory for new
 /// files. See the [module docs](self) for the full contract.
@@ -230,6 +248,26 @@ mod tests {
         let times: Vec<u64> =
             archive.session(&k).unwrap().updates.iter().map(|u| u.time_us).collect();
         assert_eq!(times, [1, 2, 10, 11], "name order, .part and non-mrt files skipped");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn first_record_day_floors_the_earliest_file_or_directory_member() {
+        const DAY_US: u64 = 86_400_000_000;
+        let dir = temp_dir("epoch");
+        let feed = dir.join("feed");
+        std::fs::create_dir(&feed).unwrap();
+        write_file(&feed, "b.mrt", &[3 * DAY_US + 7_000_000]);
+        write_file(&feed, "a.mrt", &[2 * DAY_US + 5_000_000]); // earliest
+        write_file(&dir, "single.mrt", &[4 * DAY_US]);
+        let day = first_record_day([feed.as_path(), &dir.join("single.mrt")]);
+        assert_eq!(day, Some(2 * 86_400), "midnight before the earliest first record");
+        assert_eq!(first_record_day([dir.join("single.mrt")]), Some(4 * 86_400));
+
+        let empty = dir.join("empty");
+        std::fs::create_dir(&empty).unwrap();
+        assert_eq!(first_record_day(Vec::<PathBuf>::new()), None, "no inputs");
+        assert_eq!(first_record_day([&empty]), None, "a directory without dumps");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

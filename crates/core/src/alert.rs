@@ -4,10 +4,10 @@
 //! The paper's §7 closes with "predicting anomalous communities"; the
 //! CommunityWatch line of related work generalizes that signal into a
 //! standing anomaly service for hijacks, leaks, outages and blackholing.
-//! [`Alert`] is the one shape both produce: the batch
-//! [`CommunityProfiler::detect`](crate::anomaly::CommunityProfiler::detect)
-//! and the online [`WatchSink`](crate::watch::WatchSink) emit the same
-//! typed alerts, with
+//! [`Alert`] is the one shape both produce: the
+//! [`WatchSink`](crate::watch::WatchSink) emits the §7 profile checks
+//! and the service's path, rate and outage checks as the same typed
+//! alerts, with
 //!
 //! * a **deterministic total order** ([`Alert::sort_key`]): serial and
 //!   corpus runs report byte-identical lists for any thread count or
@@ -54,7 +54,7 @@ impl fmt::Display for Severity {
 /// Which baseline a [`AlertKind::BaselineShift`] deviated from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ShiftMetric {
-    /// Distinct community attributes on one stream (the batch detector's
+    /// Distinct community attributes on one stream (the §7 profile
     /// exploration-burst signal).
     DistinctAttrs,
     /// Announcements carrying one community per window.
@@ -79,14 +79,14 @@ impl ShiftMetric {
 pub enum AlertKind {
     /// A community value outside its namespace's learned value set
     /// (fat-fingered or injected tags; the attack vector of Streibelt
-    /// et al.). The batch detector's *novel value* signal.
+    /// et al.). The §7 profile *novel value* signal.
     NovelCommunity {
         /// The offending community.
         community: Community,
     },
     /// A well-known action community (BLACKHOLE, GRACEFUL_SHUTDOWN, …)
     /// on a stream that never carried one in training — the injected
-    /// remote-triggered-blackhole signature. The batch detector's
+    /// remote-triggered-blackhole signature. The §7 profile
     /// *action signal*.
     BlackholeInjection {
         /// The action community.
@@ -95,7 +95,7 @@ pub enum AlertKind {
         name: &'static str,
     },
     /// A windowed rate far above its learned baseline. With
-    /// [`ShiftMetric::DistinctAttrs`] this is the batch detector's
+    /// [`ShiftMetric::DistinctAttrs`] this is the §7 profile
     /// *exploration burst*.
     BaselineShift {
         /// Which baseline shifted.

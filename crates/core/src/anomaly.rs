@@ -22,9 +22,10 @@
 //!   a stream revealing many more distinct community attributes per phase
 //!   than its training baseline (an exploration burst).
 //!
-//! The checks run inside the online service in [`watch`](crate::watch),
-//! over sliding windows; [`CommunityProfiler::detect`] is that service
-//! with the whole day as its one window.
+//! The checks run inside the online service in [`watch`](crate::watch):
+//! attach the trained profiler to a [`WatchSink`](crate::watch::WatchSink)
+//! with `with_profile`. With `window_us: u64::MAX` the whole day is its
+//! one window — the batch "train on yesterday, judge today" shape.
 
 use std::collections::hash_map::Entry;
 use std::hash::BuildHasher;
@@ -39,8 +40,6 @@ use kcc_bgp_types::{
 use kcc_collector::{SessionKey, UpdateArchive};
 
 use crate::alert::{Alert, AlertKind, ShiftMetric};
-use crate::pipeline::drain_archive;
-use crate::watch::{WatchConfig, WatchSink};
 
 /// Dense ids for the sessions a detector has met, so per-stream state
 /// keys on `(u32, Prefix)` and a [`SessionKey`] is cloned only into an
@@ -283,22 +282,6 @@ impl CommunityProfiler {
         }
         self.trained = true;
     }
-
-    /// Flags anomalies in a detection archive against the trained
-    /// profiles: one whole-day, profile-only [`WatchSink`] pass. Clones
-    /// the profiler into the `Arc` the sink holds — a caller that runs
-    /// many days keeps an `Arc<CommunityProfiler>` and attaches it to a
-    /// `WatchSink` itself.
-    ///
-    /// # Panics
-    /// If the profiler was never trained.
-    pub fn detect(&self, archive: &UpdateArchive, cfg: &AnomalyConfig) -> Vec<Alert> {
-        let whole_day =
-            WatchConfig { anomaly: *cfg, window_us: u64::MAX, ..WatchConfig::profile_only() };
-        drain_archive(archive, WatchSink::new(whole_day).with_profile(Arc::new(self.clone())))
-            .finish()
-            .alerts
-    }
 }
 
 /// The point checks: novel namespace values and injected action
@@ -365,6 +348,8 @@ pub(crate) fn burst_check(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::drain_archive;
+    use crate::watch::{WatchConfig, WatchSink};
     use kcc_bgp_types::community::well_known::BLACKHOLE;
     use kcc_bgp_types::{Community, CommunitySet, PathAttributes};
 
@@ -398,10 +383,13 @@ mod tests {
     /// The stream every test day runs on, as [`Alert::to_line`] names it.
     const STREAM: &str = "session=rrc00:AS100@10.0.0.1 prefix=84.205.64.0/24";
 
-    /// What `detect` reported, as the pinned serialization (recorded
-    /// from the pre-`WatchSink` batch sink).
-    fn lines(alerts: &[Alert]) -> Vec<String> {
-        alerts.iter().map(Alert::to_line).collect()
+    /// What one whole-day, profiled [`WatchSink`] pass over `test`
+    /// reports, as the pinned serialization (recorded from the
+    /// pre-`WatchSink` batch sink).
+    fn detect(trained: CommunityProfiler, test: &UpdateArchive, cfg: AnomalyConfig) -> Vec<String> {
+        let whole_day = WatchConfig { anomaly: cfg, window_us: u64::MAX, ..Default::default() };
+        let sink = WatchSink::new(whole_day).with_profile(Arc::new(trained));
+        drain_archive(test, sink).finish().alerts.iter().map(Alert::to_line).collect()
     }
 
     fn set(comms: &[(u16, u16)]) -> CommunitySet {
@@ -451,9 +439,9 @@ mod tests {
         let mut test = UpdateArchive::new(0);
         test.record(&key(), announce(100, &[(200, 2505)])); // trained value
         test.record(&key(), announce(101, &[(200, 7777)])); // novel
-        let found = p.detect(&test, &AnomalyConfig::default());
+        let found = detect(p, &test, AnomalyConfig::default());
         assert_eq!(
-            lines(&found),
+            found,
             [format!(
                 "time_us=101 severity=info kind=novel-community {STREAM} novel-community 200:7777"
             )]
@@ -469,7 +457,7 @@ mod tests {
         p.train(&a);
         let mut test = UpdateArchive::new(0);
         test.record(&key(), announce(100, &[(300, 99)]));
-        assert!(p.detect(&test, &AnomalyConfig::default()).is_empty());
+        assert!(detect(p, &test, AnomalyConfig::default()).is_empty());
     }
 
     #[test]
@@ -478,8 +466,8 @@ mod tests {
         p.train(&training_archive());
         let mut test = UpdateArchive::new(0);
         test.record(&key(), announce(100, &[(BLACKHOLE.asn_part(), BLACKHOLE.value_part())]));
-        let found = p.detect(&test, &AnomalyConfig::default());
-        assert_eq!(lines(&found), [format!("time_us=100 severity=critical kind=blackhole-injection {STREAM} blackhole-injection 65535:666 (BLACKHOLE)")]);
+        let found = detect(p, &test, AnomalyConfig::default());
+        assert_eq!(found, [format!("time_us=100 severity=critical kind=blackhole-injection {STREAM} blackhole-injection 65535:666 (BLACKHOLE)")]);
     }
 
     #[test]
@@ -491,7 +479,7 @@ mod tests {
         p.train(&a);
         let mut test = UpdateArchive::new(0);
         test.record(&key(), announce(100, &[(BLACKHOLE.asn_part(), BLACKHOLE.value_part())]));
-        assert!(p.detect(&test, &AnomalyConfig::default()).is_empty());
+        assert!(detect(p, &test, AnomalyConfig::default()).is_empty());
     }
 
     #[test]
@@ -512,21 +500,14 @@ mod tests {
                 2500 + v
             )
         }));
-        assert_eq!(lines(&p.detect(&test, &cfg)), want);
-    }
-
-    #[test]
-    #[should_panic(expected = "trained")]
-    fn detect_before_train_panics() {
-        let p = CommunityProfiler::new();
-        p.detect(&UpdateArchive::new(0), &AnomalyConfig::default());
+        assert_eq!(detect(p, &test, cfg), want);
     }
 
     #[test]
     fn quiet_day_produces_no_anomalies() {
         let mut p = CommunityProfiler::new();
         p.train(&training_archive());
-        let found = p.detect(&training_archive(), &AnomalyConfig::default());
+        let found = detect(p, &training_archive(), AnomalyConfig::default());
         assert!(found.is_empty(), "training data itself must be clean: {found:?}");
     }
 }

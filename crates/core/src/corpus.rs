@@ -26,17 +26,13 @@ use std::collections::{BTreeMap, BTreeSet};
 use kcc_bgp_types::{Community, MessageKind, RouteUpdate};
 use kcc_collector::{Corpus, SessionKey, SourceError};
 
-use std::sync::Arc;
-
-use crate::anomaly::CommunityProfiler;
 use crate::classify::TypeCounts;
 use crate::clean::{CleaningConfig, CleaningReport, CleaningStage};
-use crate::pipeline::{AnalysisSink, CorpusOutput, Merge, PipelineBuilder, PipelineStats};
+use crate::pipeline::{AnalysisSink, Merge, PipelineBuilder, PipelineStats};
 use crate::registry::AllocationRegistry;
 use crate::report::{fmt_count, render_table};
 use crate::stream::CountsSink;
 use crate::table::{OverviewSink, OverviewStats, TypeShares};
-use crate::watch::{WatchConfig, WatchReport, WatchSink};
 
 /// Collects the set of distinct classic communities seen on a feed —
 /// the per-collector half of the presence/agreement matrix. State grows
@@ -314,63 +310,6 @@ pub fn run_corpus_report(
         .stages_for(|_: &str| CleaningStage::new(registry, cleaning))
         .sinks_for(|_: &str| corpus_sink())
         .run()?;
-    Ok(fold_report(out))
-}
-
-/// Runs the corpus through the report stack *and* a per-collector
-/// [`WatchSink`] in the same pass: the batch comparison plus the
-/// always-on detection service's merged [`WatchReport`] (typed
-/// [`Alert`](crate::alert::Alert)s in canonical order). Attach a trained
-/// profiler to enable the §7 point checks on top of the path/rate/outage
-/// detections.
-pub fn run_corpus_watch(
-    corpus: Corpus<'_>,
-    threads: usize,
-    registry: &AllocationRegistry,
-    cleaning: CleaningConfig,
-    watch: WatchConfig,
-    profiler: Option<Arc<CommunityProfiler>>,
-) -> Result<(CorpusReport, WatchReport), SourceError> {
-    let out = PipelineBuilder::collectors(corpus)
-        .threads(threads)
-        .stages_for(|_: &str| CleaningStage::new(registry, cleaning))
-        .sinks_for(move |_: &str| {
-            let sink = WatchSink::new(watch);
-            let sink = match &profiler {
-                Some(p) => sink.with_profile(Arc::clone(p)),
-                None => sink,
-            };
-            (corpus_sink(), sink)
-        })
-        .run()?;
-    let (combined_report, combined_watch) = out.combined;
-    let per_collector = out
-        .per_collector
-        .into_iter()
-        .map(|(name, o)| {
-            let (report_sink, _watch) = o.sink;
-            (
-                name,
-                crate::pipeline::PipelineOutput {
-                    stages: o.stages,
-                    sink: report_sink,
-                    stats: o.stats,
-                    profile: o.profile,
-                },
-            )
-        })
-        .collect();
-    let report = fold_report(CorpusOutput {
-        per_collector,
-        combined: combined_report,
-        stats: out.stats,
-        profile: out.profile,
-    });
-    Ok((report, combined_watch.finish()))
-}
-
-/// Folds one corpus run's per-collector outputs into the comparison.
-fn fold_report(out: CorpusOutput<CleaningStage<'_>, CorpusSink>) -> CorpusReport {
     let (combined_overview, combined_counts, _) = out.combined;
     let collectors: Vec<CollectorColumn> = out
         .per_collector
@@ -393,13 +332,13 @@ fn fold_report(out: CorpusOutput<CleaningStage<'_>, CorpusSink>) -> CorpusReport
             matrix.observe(&col.name, *comm, 0);
         }
     }
-    CorpusReport {
+    Ok(CorpusReport {
         collectors,
         combined_overview: combined_overview.finish(),
         combined_counts: combined_counts.finish(),
         matrix,
         stats: out.stats,
-    }
+    })
 }
 
 impl CorpusReport {

@@ -33,16 +33,17 @@
 //! The paper's §7 future-work directions are implemented as well:
 //! per-AS behavior inference ([`tomography`]: tag / filter / ignore),
 //! interconnection-count inference from geo tags ([`interconnect`]), and
-//! anomalous-community detection ([`anomaly`]).
+//! anomalous-community detection ([`anomaly`]), which runs as one more
+//! sink: CommunityWatch's [`WatchSink`] ([`watch`]) with a trained
+//! [`CommunityProfiler`] attached.
 //!
 //! ## One form: sinks
 //!
-//! Every analysis is an [`AnalysisSink`] driven by
-//! [`pipeline::Pipeline`] over any [`UpdateSource`] — one pass, constant
+//! Every analysis is an [`AnalysisSink`] run over any [`UpdateSource`]
+//! by [`PipelineBuilder`], the one way to run it — one pass, constant
 //! memory per `(prefix, session)` stream, and no classified event kept
-//! past the sinks that fold it. [`PipelineBuilder`] is the one way to run
-//! it, and [`PipelineBuilder::collectors`] fans a corpus out one pipeline
-//! per collector. The helpers over a materialized archive
+//! past the sinks that fold it. [`PipelineBuilder::collectors`] fans a
+//! corpus out one pipeline per collector. The helpers over a materialized archive
 //! ([`classify_archive`], [`table::overview`],
 //! [`sessions::session_type_distribution`], …) run their sink through an
 //! [`ArchiveSource`] on that same path; [`clean_archive`] applies the
@@ -76,16 +77,16 @@ pub use anomaly::{AnomalyConfig, CommunityProfiler};
 pub use classify::{classify_pair, AnnouncementType, TypeCounts};
 pub use clean::{clean_archive, CleaningConfig, CleaningReport, CleaningStage};
 pub use corpus::{
-    corpus_sink, run_corpus_report, run_corpus_watch, AgreementMatrix, CollectorColumn,
-    CommunitySetSink, CorpusReport, CorpusSink,
+    corpus_sink, run_corpus_report, AgreementMatrix, CollectorColumn, CommunitySetSink,
+    CorpusReport, CorpusSink,
 };
 pub use kcc_collector::{
     ArchiveSource, Corpus, LiveSource, MrtDirSource, MrtFileOptions, MrtSource, NamedSource,
     ShutdownFlag, SourceError, SourceItem, UpdateSource,
 };
 pub use pipeline::{
-    AnalysisSink, CorpusBuilder, CorpusOutput, Merge, NoSink, Pipeline, PipelineBuilder,
-    PipelineOutput, PipelineProfile, PipelineStats, Stage,
+    AnalysisSink, CorpusBuilder, CorpusOutput, Merge, NoSink, PipelineBuilder, PipelineOutput,
+    PipelineProfile, PipelineStats, Stage,
 };
 pub use registry::AllocationRegistry;
 pub use stream::{classify_archive, ClassifiedEvent, CountsSink, EventKind, StreamClassifier};

@@ -8,7 +8,7 @@
 //!   capture, trace generator) is pulled **once**,
 //! * a chain of [`Stage`]s applies the §4 cleaning transforms
 //!   incrementally ([`crate::clean::CleaningStage`]),
-//! * a [`Pipeline`] keeps exactly one [`PathAttributes`] per active
+//! * the pipeline keeps exactly one [`PathAttributes`] per active
 //!   `(session, prefix)` stream — the §5 classifier state, constant per
 //!   stream — and fans every surviving update plus its
 //!   [`ClassifiedEvent`] out to all registered [`AnalysisSink`]s.
@@ -288,9 +288,10 @@ pub struct PipelineOutput<St, S> {
     pub profile: Option<PipelineProfile>,
 }
 
-/// The single-pass driver: source → stages → classifier → sinks.
+/// The single-pass loop behind [`PipelineBuilder::run`]: source →
+/// stages → classifier → sinks.
 #[derive(Debug)]
-pub struct Pipeline<St, S> {
+struct Pipeline<St, S> {
     stages: St,
     sink: S,
     classify: bool,
@@ -308,8 +309,10 @@ pub struct Pipeline<St, S> {
 
 impl<St: Stage, S: AnalysisSink> Pipeline<St, S> {
     /// A pipeline over the given stage chain and sink (tuples of sinks
-    /// fan out).
-    pub fn new(stages: St, sink: S) -> Self {
+    /// fan out). With `profile_every`, every `every`-th update has each
+    /// phase of its trip wall-clocked into [`PipelineOutput::profile`]
+    /// (`every` is clamped to ≥ 1).
+    fn new(stages: St, sink: S, profile_every: Option<u64>) -> Self {
         let classify = sink.wants_events();
         Pipeline {
             stages,
@@ -319,19 +322,12 @@ impl<St: Stage, S: AnalysisSink> Pipeline<St, S> {
             classifiers: Vec::new(),
             current: None,
             stats: PipelineStats::default(),
-            profile: None,
+            profile: profile_every.map(ProfileState::new),
         }
     }
 
-    /// Enables sampled per-phase timing: every `every`-th update has
-    /// each phase of its trip wall-clocked into
-    /// [`PipelineOutput::profile`] (`every` is clamped to ≥ 1).
-    pub fn enable_profiling(&mut self, every: u64) {
-        self.profile = Some(ProfileState::new(every));
-    }
-
     /// Feeds one source item through stages, classifier and sinks.
-    pub fn feed(&mut self, item: SourceItem) {
+    fn feed(&mut self, item: SourceItem) {
         match item {
             SourceItem::Session(meta) => {
                 self.register(&meta);
@@ -436,22 +432,17 @@ impl<St: Stage, S: AnalysisSink> Pipeline<St, S> {
     }
 
     /// Pulls a source dry through this pipeline.
-    pub fn run<Src: UpdateSource>(&mut self, mut source: Src) -> Result<(), SourceError> {
+    fn run<Src: UpdateSource>(&mut self, mut source: Src) -> Result<(), SourceError> {
         while let Some(item) = source.next_item()? {
             self.feed(item);
         }
         Ok(())
     }
 
-    /// Current statistics.
-    pub fn stats(&self) -> PipelineStats {
-        self.stats
-    }
-
     /// Dismantles the pipeline into its results. With profiling on, the
     /// classifier-state teardown is timed as this instance's `finish`
     /// observation (one per pipeline, i.e. per collector).
-    pub fn finish(self) -> PipelineOutput<St, S> {
+    fn finish(self) -> PipelineOutput<St, S> {
         let Pipeline { stages, sink, classifier_ids, classifiers, stats, profile, .. } = self;
         let profile = profile.map(|mut state| {
             let start = Instant::now();
@@ -556,10 +547,7 @@ impl<Src, St, S> PipelineBuilder<Src, St, S> {
         St: Stage,
         S: AnalysisSink,
     {
-        let mut pipeline = Pipeline::new(self.stages, self.sink);
-        if let Some(every) = self.profile_every {
-            pipeline.enable_profiling(every);
-        }
+        let mut pipeline = Pipeline::new(self.stages, self.sink, self.profile_every);
         pipeline.run(self.source)?;
         Ok(pipeline.finish())
     }

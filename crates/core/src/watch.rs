@@ -27,8 +27,9 @@
 //! structures, all window-replay detection happens at
 //! [`finish`](WatchSink::finish), and [`sort_alerts`] is a total order,
 //! so the alert list is **identical for any thread count or collector
-//! order**. The batch [`CommunityProfiler::detect`] is this sink run
-//! profile-only with the whole day as one window;
+//! order**. The §7 batch question — "which of today's communities break
+//! yesterday's profile?" — is this same sink with a trained profiler and
+//! `window_us: u64::MAX`, the whole day as one window;
 //! `tests/watch_oracle.rs` holds the sink, in that shape too, to a
 //! naive restatement of all of the above.
 //!
@@ -115,12 +116,6 @@ pub struct WatchConfig {
     /// Consecutive silent windows (while others are active) before a
     /// collector outage fires.
     pub outage_windows: u64,
-    /// Run per-prefix origin / on-path checks (hijack, leak).
-    pub path_checks: bool,
-    /// Run per-community announce-rate and session-fan-out checks.
-    pub rate_checks: bool,
-    /// Run per-collector outage checks.
-    pub outage_checks: bool,
 }
 
 impl Default for WatchConfig {
@@ -132,22 +127,6 @@ impl Default for WatchConfig {
             rate_factor: 8,
             rate_min: 16,
             outage_windows: 2,
-            path_checks: true,
-            rate_checks: true,
-            outage_checks: true,
-        }
-    }
-}
-
-impl WatchConfig {
-    /// Only the §7 profile checks (novel community, blackhole
-    /// injection, distinct-attribute bursts).
-    pub fn profile_only() -> Self {
-        WatchConfig {
-            path_checks: false,
-            rate_checks: false,
-            outage_checks: false,
-            ..Default::default()
         }
     }
 }
@@ -208,8 +187,8 @@ impl<W: Default> Windows<W> {
 /// One stream's slot.
 #[derive(Debug, Clone, Default)]
 struct StreamState {
-    /// The last announcement, kept while rate checks run: a withdrawal
-    /// carries no attributes and counts against these communities.
+    /// The last announcement: a withdrawal carries no attributes and
+    /// counts against these communities.
     last: Option<Arc<PathAttributes>>,
     /// The open distinct-attribute window, kept while a profiler is
     /// attached.
@@ -321,7 +300,7 @@ struct CommunityState {
     /// Its [`AgreementMatrix`] row: per collector id that saw it, the
     /// first window in which it did.
     first_seen: Vec<(u32, u64)>,
-    /// Filled while rate checks run.
+    /// Per-window counters for the rate checks.
     windows: Windows<CommunityWindow>,
 }
 
@@ -709,19 +688,13 @@ impl WatchSink {
                 }
             }
         }
-        if self.cfg.path_checks {
-            self.path_alerts(&mut alerts);
-        }
-        if self.cfg.rate_checks {
-            self.rate_alerts(&mut alerts);
-        }
+        self.path_alerts(&mut alerts);
+        self.rate_alerts(&mut alerts);
         let mut active: Vec<u64> =
             self.collectors.iter().flat_map(|c| c.active.slots.iter().map(|slot| slot.0)).collect();
         active.sort_unstable();
         active.dedup();
-        if self.cfg.outage_checks {
-            self.outage_alerts(&active, &mut alerts);
-        }
+        self.outage_alerts(&active, &mut alerts);
         sort_alerts(&mut alerts);
         let report = WatchReport {
             alerts,
@@ -761,70 +734,61 @@ impl AnalysisSink for WatchSink {
         let MessageKind::Announcement(attrs) = &u.kind else {
             // Withdrawals: attribute to the communities last announced
             // on this stream (withdrawals carry no attributes).
-            if self.cfg.rate_checks {
-                let last = state.streams.get(&u.prefix).and_then(|s| s.last.as_ref());
-                for c in last.into_iter().flat_map(|a| a.communities.iter_classic()) {
-                    self.communities.entry(*c).or_default().windows.at(w).withdraws += 1;
-                }
+            let last = state.streams.get(&u.prefix).and_then(|s| s.last.as_ref());
+            for c in last.into_iter().flat_map(|a| a.communities.iter_classic()) {
+                self.communities.entry(*c).or_default().windows.at(w).withdraws += 1;
             }
             return;
         };
 
         // §7 profile checks (point alerts stream; bursts close per
         // stream window) and the announcement withdrawals count against.
-        let profiler = self.profiler.as_deref();
-        if profiler.is_some() || self.cfg.rate_checks {
-            let stream = state.streams.entry(u.prefix).or_default();
-            if let Some(profiler) = profiler {
-                let open = stream.open.get_or_insert_with(|| OpenWindow {
-                    window: w,
-                    first_us: u.time_us,
-                    trained: profiler.stream(key, u.prefix),
-                    attrs: Vec::new(),
-                });
-                let anomaly = &self.cfg.anomaly;
-                point_checks(
-                    profiler,
+        let stream = state.streams.entry(u.prefix).or_default();
+        if let Some(profiler) = self.profiler.as_deref() {
+            let open = stream.open.get_or_insert_with(|| OpenWindow {
+                window: w,
+                first_us: u.time_us,
+                trained: profiler.stream(key, u.prefix),
+                attrs: Vec::new(),
+            });
+            let anomaly = &self.cfg.anomaly;
+            point_checks(
+                profiler,
+                anomaly,
+                open.trained,
+                key,
+                u,
+                &attrs.communities,
+                &mut self.alerts,
+            );
+            if open.window != w {
+                self.alerts.extend(burst_check(
                     anomaly,
                     open.trained,
                     key,
-                    u,
-                    &attrs.communities,
-                    &mut self.alerts,
-                );
-                if open.window != w {
-                    self.alerts.extend(burst_check(
-                        anomaly,
-                        open.trained,
-                        key,
-                        u.prefix,
-                        open.attrs.len(),
-                        open.first_us,
-                    ));
-                    open.window = w;
-                    open.first_us = u.time_us;
-                    open.attrs.clear();
-                }
-                let attr = self.attrs.intern(&attrs.communities);
-                if let Err(i) = open.attrs.binary_search(&attr) {
-                    open.attrs.insert(i, attr);
-                }
+                    u.prefix,
+                    open.attrs.len(),
+                    open.first_us,
+                ));
+                open.window = w;
+                open.first_us = u.time_us;
+                open.attrs.clear();
             }
-            if self.cfg.rate_checks {
-                stream.last = Some(Arc::clone(attrs));
+            let attr = self.attrs.intern(&attrs.communities);
+            if let Err(i) = open.attrs.binary_search(&attr) {
+                open.attrs.insert(i, attr);
             }
         }
+        stream.last = Some(Arc::clone(attrs));
 
         // Per-prefix origin / on-path presence.
-        if self.cfg.path_checks {
-            if let Some(origin) = attrs.as_path.origin() {
-                let seen = Sighting { time_us: u.time_us, session };
-                let path = self.prefixes.entry(u.prefix).or_default();
-                path.windows.at(w).see(origin, seen, &self.sessions);
-                for asn in attrs.as_path.asns() {
-                    let cell = vantage_cell(collector, asn);
-                    path.see_onpath(OnPath { cell, window: w, seen, origin }, &self.sessions);
-                }
+        if let Some(origin) = attrs.as_path.origin() {
+            let seen = Sighting { time_us: u.time_us, session };
+            let path = self.prefixes.entry(u.prefix).or_default();
+            path.windows.at(w).see(origin, seen, &self.sessions);
+            for asn in attrs.as_path.asns() {
+                let cell = vantage_cell(collector, asn);
+                path.see_onpath(OnPath { cell, window: w, seen, origin }, &self.sessions);
             }
         }
 
@@ -832,21 +796,16 @@ impl AnalysisSink for WatchSink {
         for c in attrs.communities.iter_classic() {
             let community = self.communities.entry(*c).or_default();
             community.see_at(collector, w);
-            if self.cfg.rate_checks {
-                let cw = community.windows.at(w);
-                cw.announces += 1;
-                cw.fanout += u64::from(state.announced.insert((*c, w)));
-            }
+            let cw = community.windows.at(w);
+            cw.announces += 1;
+            cw.fanout += u64::from(state.announced.insert((*c, w)));
         }
         if let Some(m) = &self.metrics {
             let fired = self.alerts.len() - alerts_before;
             if fired > 0 {
                 m.point_alerts.add(fired as u64);
             }
-            // Communities are kept for the agreement matrix regardless;
-            // they are rate baselines only while rate checks run.
-            let rate_baselines = if self.cfg.rate_checks { self.communities.len() } else { 0 };
-            m.baselines.set((self.prefixes.len() + rate_baselines) as i64);
+            m.baselines.set((self.prefixes.len() + self.communities.len()) as i64);
         }
     }
 

@@ -8,12 +8,16 @@
 //!
 //! Run with `cargo run --release --example infer_behavior`.
 
-use keep_communities_clean::analysis::anomaly::{AnomalyConfig, CommunityProfiler};
+use std::sync::Arc;
+
 use keep_communities_clean::analysis::interconnect::infer_interconnections;
 use keep_communities_clean::analysis::tomography::{
     classify_ases, infer_behaviors, TomographyConfig,
 };
-use keep_communities_clean::analysis::{clean_archive, CleaningConfig};
+use keep_communities_clean::analysis::{
+    clean_archive, ArchiveSource, CleaningConfig, CommunityProfiler, PipelineBuilder, WatchConfig,
+    WatchSink,
+};
 use keep_communities_clean::tracegen::{generate_mar20, Mar20Config};
 use keep_communities_clean::types::{Community, MessageKind};
 
@@ -77,7 +81,7 @@ fn main() {
             rec.updates.iter_mut().find(|u| matches!(u.kind, MessageKind::Announcement(_)))
         {
             if let MessageKind::Announcement(attrs) = &mut u.kind {
-                let attrs = std::sync::Arc::make_mut(attrs);
+                let attrs = Arc::make_mut(attrs);
                 attrs
                     .communities
                     .insert(keep_communities_clean::types::community::well_known::BLACKHOLE);
@@ -85,7 +89,15 @@ fn main() {
             }
         }
     }
-    let alerts = profiler.detect(&perturbed, &AnomalyConfig::default());
+    //    The whole day is CommunityWatch's one window.
+    let whole_day = WatchConfig { window_us: u64::MAX, ..Default::default() };
+    let alerts = PipelineBuilder::new(ArchiveSource::new(&perturbed))
+        .sink(WatchSink::new(whole_day).with_profile(Arc::new(profiler)))
+        .run()
+        .expect("archive sources cannot fail")
+        .sink
+        .finish()
+        .alerts;
     println!("alerts raised on the perturbed day: {}", alerts.len());
     for a in alerts.iter().take(5) {
         println!("  {a}");

@@ -4,9 +4,8 @@
 //! of the member set: insertion order and thread count must not change
 //! one byte of the combined alert list, and merging the per-collector
 //! sinks yields exactly the report of one serial `WatchSink` over the
-//! union of the members. (The batch `CommunityProfiler::detect` is a
-//! whole-day `WatchSink` pass; `tests/watch_oracle.rs` holds both to a
-//! naive oracle.)
+//! union of the members. (`tests/watch_oracle.rs` holds the sink, in
+//! its windowed and whole-day shapes, to a naive oracle.)
 
 use std::sync::Arc;
 
@@ -22,13 +21,24 @@ use keep_communities_clean::collector::{
     ArchiveSource, MrtSource, SessionKey, SourceItem, UpdateArchive, UpdateSource,
 };
 use keep_communities_clean::mrt::MrtWriter;
-use keep_communities_clean::tracegen::{Mar20Config, Mar20Source};
+use keep_communities_clean::tracegen::{generate_mar20, Mar20Config, Mar20Source};
+use keep_communities_clean::types::community::well_known::BLACKHOLE;
 use keep_communities_clean::types::{
-    Asn, Community, CommunitySet, PathAttributes, Prefix, RouteUpdate,
+    Asn, Community, CommunitySet, MessageKind, PathAttributes, Prefix, RouteUpdate,
 };
 
 fn alert_lines(report: &WatchReport) -> Vec<String> {
     report.alerts.iter().map(|a| a.to_line()).collect()
+}
+
+/// The alert count and the FNV-1a digest of the `to_line()` lines
+/// joined by `\n`.
+fn digest(report: &WatchReport) -> (usize, u64) {
+    let digest = alert_lines(report)
+        .join("\n")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3));
+    (report.alerts.len(), digest)
 }
 
 /// A deterministic per-collector day that *provokes* watch alerts: a
@@ -150,9 +160,8 @@ proptest! {
 
 /// `benchmark/`'s `watch-day` recipe: the seed-42 Mar'20 day streamed to
 /// MRT, read back as `rrc00`, the profiler trained on the day itself,
-/// one default-config `WatchSink` pass. Returns the alert count and the
-/// FNV-1a digest of the `to_line()` lines joined by `\n` — the pair the
-/// harness prints but only compares across passes.
+/// one default-config `WatchSink` pass. Returns its [`digest`] — the
+/// pair the harness prints but only compares across passes.
 fn generated_day_digest(target_announcements: u64) -> (usize, u64) {
     let cfg = Mar20Config { seed: 42, target_announcements, ..Default::default() };
     let mut source = Mar20Source::new(&cfg);
@@ -183,11 +192,7 @@ fn generated_day_digest(target_announcements: u64) -> (usize, u64) {
         .expect("in-memory MRT cannot fail")
         .sink
         .finish();
-    let digest = alert_lines(&report)
-        .join("\n")
-        .bytes()
-        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3));
-    (report.alerts.len(), digest)
+    digest(&report)
 }
 
 #[test]
@@ -201,4 +206,38 @@ fn generated_day_alerts_are_pinned() {
 #[ignore = "full-size day: run in release"]
 fn generated_day_alerts_are_pinned_full_size() {
     assert_eq!(generated_day_digest(80_000), (8_128, 0x05dc_1750_1f0a_3a75));
+}
+
+/// The §7 detector's whole-day shape: profiles trained on the seed-1
+/// Mar'20 day, then the seed-2 day with BLACKHOLE and `2007:9999` added
+/// to the first announcement of its first three sessions, judged by one
+/// default-config, profiled `WatchSink` with the day as its one window.
+/// The literal is also what the batch `CommunityProfiler::detect`, which
+/// this shape replaced, reported for the same day.
+#[test]
+fn perturbed_day_alerts_are_pinned() {
+    let day = |seed| {
+        generate_mar20(&Mar20Config { seed, target_announcements: 20_000, ..Default::default() })
+            .archive
+    };
+    let mut profiler = CommunityProfiler::new();
+    profiler.train(&day(1));
+    let mut test = day(2);
+    for (_, rec) in test.sessions_mut().take(3) {
+        let first = rec.updates.iter_mut().find_map(|u| match &mut u.kind {
+            MessageKind::Announcement(attrs) => Some(attrs),
+            MessageKind::Withdrawal => None,
+        });
+        let communities = &mut Arc::make_mut(first.expect("a session announces")).communities;
+        communities.insert(BLACKHOLE);
+        communities.insert(Community::from_parts(2007, 9_999));
+    }
+    let whole_day = WatchConfig { window_us: u64::MAX, ..Default::default() };
+    let report = PipelineBuilder::new(ArchiveSource::new(&test))
+        .sink(WatchSink::new(whole_day).with_profile(Arc::new(profiler)))
+        .run()
+        .expect("archive sources cannot fail")
+        .sink
+        .finish();
+    assert_eq!(digest(&report), (1_599, 0x6890_9ab4_f202_853a));
 }

@@ -123,7 +123,7 @@ fn oracle(archive: &UpdateArchive, cfg: &WatchConfig, profile: Option<&Profile>)
             own.insert(w);
             let stream = (key.clone(), u.prefix);
             let MessageKind::Announcement(attrs) = &u.kind else {
-                for c in last.get(&stream).into_iter().flatten().filter(|_| cfg.rate_checks) {
+                for c in last.get(&stream).into_iter().flatten() {
                     rates.entry(*c).or_default().entry(w).or_default();
                 }
                 continue;
@@ -138,7 +138,7 @@ fn oracle(archive: &UpdateArchive, cfg: &WatchConfig, profile: Option<&Profile>)
                 }
                 sw.2.insert(attrs.communities.canonical_key());
             }
-            if let (true, Some(origin)) = (cfg.path_checks, attrs.as_path.origin()) {
+            if let Some(origin) = attrs.as_path.origin() {
                 let seen = (u.time_us, key.clone());
                 let pw = paths.entry(u.prefix).or_default().entry(w).or_default();
                 let first = pw.0.entry(origin).or_insert_with(|| seen.clone());
@@ -154,15 +154,11 @@ fn oracle(archive: &UpdateArchive, cfg: &WatchConfig, profile: Option<&Profile>)
             for c in attrs.communities.iter_classic() {
                 let first = first_seen.entry((*c, key.collector.clone())).or_insert(w);
                 *first = w.min(*first);
-                if cfg.rate_checks {
-                    let cell = rates.entry(*c).or_default().entry(w).or_default();
-                    cell.0 += 1;
-                    cell.1.insert(key.clone());
-                }
+                let cell = rates.entry(*c).or_default().entry(w).or_default();
+                cell.0 += 1;
+                cell.1.insert(key.clone());
             }
-            if cfg.rate_checks {
-                last.insert(stream, attrs.communities.classic().to_vec());
-            }
+            last.insert(stream, attrs.communities.classic().to_vec());
         }
     }
 
@@ -194,7 +190,7 @@ fn oracle(archive: &UpdateArchive, cfg: &WatchConfig, profile: Option<&Profile>)
             known_onpath.extend(pw.1.keys().cloned());
         }
     }
-    for (community, windows) in rates.iter().filter(|_| cfg.rate_checks) {
+    for (community, windows) in &rates {
         let mut sums = [0, 0];
         for (n, (w, (rate, sessions))) in windows.iter().enumerate() {
             let observed = [*rate, sessions.len() as u64];
@@ -215,7 +211,7 @@ fn oracle(archive: &UpdateArchive, cfg: &WatchConfig, profile: Option<&Profile>)
         }
     }
     let windows: BTreeSet<u64> = active.values().flatten().copied().collect();
-    for (collector, own) in active.iter().filter(|_| cfg.outage_checks) {
+    for (collector, own) in &active {
         // Runs of equally silent-or-not windows, over the globally active
         // windows from the collector's own first one on.
         let since: Vec<u64> =
@@ -289,30 +285,21 @@ fn arb_archive() -> impl Strategy<Value = UpdateArchive> {
 }
 
 /// Thresholds low enough for eight-window days to cross them. One case
-/// in four is the batch detector's shape instead — the whole day as one
-/// window and only the profile checks, which is all
-/// `CommunityProfiler::detect` runs (the property attaches a profile to
-/// it).
+/// in four is the §7 batch shape instead — the whole day as one window,
+/// judged against a profile (the property attaches one to it).
 fn arb_config() -> impl Strategy<Value = WatchConfig> {
-    let switches = (any::<bool>(), any::<bool>(), any::<bool>(), 0u8..4);
-    (0u64..3, 1u64..3, 1u64..4, 1u64..3, switches).prop_map(
-        |(learn_windows, rate_factor, rate_min, outage_windows, (path, rate, outage, shape))| {
-            let whole_day = shape == 0;
-            WatchConfig {
-                window_us: if whole_day { u64::MAX } else { W },
-                learn_windows,
-                anomaly: AnomalyConfig {
-                    min_namespace_size: 2,
-                    burst_factor: 1,
-                    burst_min_observed: 2,
-                },
-                rate_factor,
-                rate_min,
-                outage_windows,
-                path_checks: path && !whole_day,
-                rate_checks: rate && !whole_day,
-                outage_checks: outage && !whole_day,
-            }
+    (0u64..3, 1u64..3, 1u64..4, 1u64..3, 0u8..4).prop_map(
+        |(learn_windows, rate_factor, rate_min, outage_windows, shape)| WatchConfig {
+            window_us: if shape == 0 { u64::MAX } else { W },
+            learn_windows,
+            anomaly: AnomalyConfig {
+                min_namespace_size: 2,
+                burst_factor: 1,
+                burst_min_observed: 2,
+            },
+            rate_factor,
+            rate_min,
+            outage_windows,
         },
     )
 }
@@ -389,11 +376,6 @@ proptest! {
             Some(p) => WatchSink::new(cfg).with_profile(Arc::clone(p)),
             None => WatchSink::new(cfg),
         };
-
-        if let (Some(p), u64::MAX) = (&profiler, cfg.window_us) {
-            let batch: Vec<String> = p.detect(&day, &cfg.anomaly).iter().map(Alert::to_line).collect();
-            prop_assert_eq!(&batch, &want.lines, "CommunityProfiler::detect");
-        }
 
         let n = day.sessions().count();
         let mut shuffled: Vec<usize> = (0..n).collect();
