@@ -105,10 +105,12 @@ impl AsPath {
         v
     }
 
-    /// True if `self` and `other` differ as paths but cover the same set of
-    /// ASes — i.e. the difference is (de-)prepending.
+    /// True if `self` and `other` cover the same set of ASes — for paths
+    /// that differ, the difference is (de-)prepending. Equal to comparing
+    /// the two [`as_set`](Self::as_set)s, without building them: every ASN
+    /// of each path must occur in the other.
     pub fn same_as_set(&self, other: &AsPath) -> bool {
-        self.as_set() == other.as_set()
+        self.asns().all(|asn| other.contains(asn)) && other.asns().all(|asn| self.contains(asn))
     }
 
     /// The leftmost ASN: the peer the route was heard from.

@@ -1,6 +1,6 @@
 //! A fast, non-cryptographic hasher for internal hot-path maps.
 //!
-//! The classifier interner, allocation registry, overview sinks and
+//! The classifier's stream tables, allocation registry, overview sinks and
 //! session tables key on small values (u32 ASNs, short AS paths, prefix
 //! tuples) that they probe once per update. The std `HashMap` default
 //! (SipHash-1-3) is DoS-resistant but pays ~2× on such keys; these maps

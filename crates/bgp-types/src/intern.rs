@@ -6,10 +6,11 @@
 //! `Arc<PathAttributes>`, callers hold refcounted handles, and the store
 //! tracks the exact deep footprint of everything it retains.
 //!
-//! Grown out of the streaming classifier (PR 7), where it kept per-stream
-//! state constant; the simulator's RIBs now intern through the same store
-//! so that Adj-RIB-In, Loc-RIB, Adj-RIB-Out and in-flight messages all
-//! share one allocation per distinct attribute set.
+//! The simulator's RIBs intern through this store so that Adj-RIB-In,
+//! Loc-RIB, Adj-RIB-Out and in-flight messages all share one allocation
+//! per distinct attribute set. The streaming classifier does not: its
+//! handles arrive freshly decoded and a value-equal set is rarely still
+//! held when it repeats, so it keeps each announcement's own allocation.
 //!
 //! Refcounts are explicit (one count per slot, not `Arc::strong_count`
 //! guesses), so callers retaining extra `Arc` clones (captures, in-flight

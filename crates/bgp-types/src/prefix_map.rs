@@ -1,11 +1,11 @@
 //! A prefix-keyed map backed by a path-compressed binary trie.
 //!
-//! [`PrefixMap`] replaces `HashMap<Prefix, V>` on the classifier hot
-//! path: keys are the prefix *bits*, so an exact-match lookup walks a
-//! handful of path-compressed nodes instead of hashing a 24-byte enum,
-//! iteration is in canonical prefix order ([`Prefix`]'s `Ord`: IPv4
-//! before IPv6, then address, then length) with no sorting step, and the
-//! trie shape gives longest-prefix matching for free.
+//! [`PrefixMap`] keys values by the prefix *bits*, so an exact-match
+//! lookup walks a handful of path-compressed nodes, iteration is in
+//! canonical prefix order ([`Prefix`]'s `Ord`: IPv4 before IPv6, then
+//! address, then length) with no sorting step, and the trie shape gives
+//! covering-chain walks and longest-prefix matching for free — what the
+//! allocation registry's covering-block lookup needs.
 //!
 //! Nodes live in a flat arena indexed by `u32` — no per-node boxing, no
 //! parent pointers — and each family (v4/v6) gets its own sub-trie so

@@ -17,8 +17,9 @@ use crate::prefix::Prefix;
 ///
 /// Announcement attributes are shared behind an [`Arc`]: a wire UPDATE
 /// packs many prefixes onto one attribute set, and the classifier retains
-/// one set per `(prefix, session)` stream — hash-consing those into
-/// pointer copies is what keeps the hot path allocation-free.
+/// one set per `(prefix, session)` stream — holding the update's own
+/// handle makes that a refcount bump, which keeps the hot path
+/// allocation-free.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum MessageKind {
     /// A reachability announcement with (shared) path attributes.

@@ -10,7 +10,7 @@
 //! 3. disambiguate same-second timestamps at second-granularity
 //!    collectors (order-preserving 0.01 ms spacing).
 
-use kcc_bgp_types::{FastHashMap, MessageKind, RouteUpdate};
+use kcc_bgp_types::{FastHashMap, MessageKind, Prefix, RouteUpdate};
 use kcc_collector::timestamps::disambiguated;
 use kcc_collector::{PeerMeta, SessionKey, UpdateArchive};
 
@@ -54,31 +54,11 @@ pub struct CleaningReport {
     pub kept: u64,
 }
 
-fn update_is_allocated(
-    u: &RouteUpdate,
-    registry: &AllocationRegistry,
-    report: &mut CleaningReport,
-) -> bool {
-    if !registry.prefix_allocated(&u.prefix, u.time_us) {
-        report.removed_unallocated_prefix += 1;
-        return false;
-    }
-    if let MessageKind::Announcement(attrs) = &u.kind {
-        for asn in attrs.as_path.asns() {
-            if !registry.asn_allocated(asn, u.time_us) {
-                report.removed_unallocated_asn += 1;
-                return false;
-            }
-        }
-    }
-    true
-}
-
 /// The §4 cleaning pipeline as an incremental [`Stage`]: unallocated
 /// ASN/prefix filtering, route-server ASN insertion, and streaming
 /// timestamp disambiguation. Per-session state is one `u64` (the last
-/// emitted time of second-granularity sessions) — nothing scales with
-/// the day's length.
+/// emitted time of second-granularity sessions), plus one allocation
+/// epoch per distinct prefix — nothing scales with the day's length.
 #[derive(Debug)]
 pub struct CleaningStage<'a> {
     registry: &'a AllocationRegistry,
@@ -87,6 +67,10 @@ pub struct CleaningStage<'a> {
     /// Last emitted time per second-granularity session; `None` until
     /// its first update.
     last_emitted: FastHashMap<SessionKey, Option<u64>>,
+    /// [`AllocationRegistry::prefix_epoch`] per prefix seen. Exact for
+    /// the stage's life: the registry is borrowed immutably and its
+    /// blocks never deallocate.
+    prefix_epochs: FastHashMap<Prefix, Option<u64>>,
 }
 
 impl<'a> CleaningStage<'a> {
@@ -97,12 +81,33 @@ impl<'a> CleaningStage<'a> {
             config,
             report: CleaningReport::default(),
             last_emitted: FastHashMap::default(),
+            prefix_epochs: FastHashMap::default(),
         }
     }
 
     /// What the stage has done so far.
     pub fn report(&self) -> CleaningReport {
         self.report
+    }
+
+    /// True if `u`'s prefix and every ASN on its path were allocated at
+    /// its time; counts the first reason to drop it otherwise.
+    fn is_allocated(&mut self, u: &RouteUpdate) -> bool {
+        let registry = self.registry;
+        let epoch =
+            *self.prefix_epochs.entry(u.prefix).or_insert_with(|| registry.prefix_epoch(&u.prefix));
+        let allocated = epoch.is_some_and(|from| from <= u.time_us);
+        if !allocated {
+            self.report.removed_unallocated_prefix += 1;
+            return false;
+        }
+        if let MessageKind::Announcement(attrs) = &u.kind {
+            if attrs.as_path.asns().any(|asn| !registry.asn_allocated(asn, u.time_us)) {
+                self.report.removed_unallocated_asn += 1;
+                return false;
+            }
+        }
+        true
     }
 }
 
@@ -118,9 +123,7 @@ impl Stage for CleaningStage<'_> {
     }
 
     fn process(&mut self, meta: &PeerMeta, mut update: RouteUpdate) -> Option<RouteUpdate> {
-        if self.config.filter_unallocated
-            && !update_is_allocated(&update, self.registry, &mut self.report)
-        {
+        if self.config.filter_unallocated && !self.is_allocated(&update) {
             return None;
         }
         if self.config.insert_route_server_asn && meta.route_server {
@@ -165,7 +168,7 @@ pub fn clean_archive(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kcc_bgp_types::{Asn, PathAttributes, Prefix};
+    use kcc_bgp_types::{Asn, PathAttributes};
     use kcc_collector::{PeerMeta, SessionKey};
 
     fn p(s: &str) -> Prefix {

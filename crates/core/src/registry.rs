@@ -14,9 +14,12 @@ use kcc_bgp_types::{Asn, FastHashMap, Prefix, PrefixMap};
 /// same clock updates use; historical allocations are simply epoch 0).
 ///
 /// Blocks live in a [`PrefixMap`] keyed by the block prefix with the
-/// earliest allocation epoch as the value, so the per-update
-/// `prefix_allocated` probe is one covering-chain walk instead of a
-/// linear scan over every registered block.
+/// earliest allocation epoch as the value, so a prefix's allocation
+/// epoch ([`prefix_epoch`](Self::prefix_epoch)) is one covering-chain
+/// walk instead of a linear scan over every registered block. Blocks
+/// never deallocate, so that epoch is fixed for the registry's life:
+/// [`CleaningStage`](crate::CleaningStage) looks it up once per distinct
+/// prefix, not once per update.
 #[derive(Debug, Clone, Default)]
 pub struct AllocationRegistry {
     asns: FastHashMap<Asn, u64>,
@@ -57,11 +60,17 @@ impl AllocationRegistry {
         self.asns.get(&asn).map(|&from| from <= at_us).unwrap_or(false)
     }
 
+    /// When `prefix` became allocated: the earliest epoch of any block
+    /// covering it, or `None` if no block does. Walks only the stored
+    /// blocks covering `prefix` — a root-to-leaf trie descent,
+    /// independent of how many blocks are registered.
+    pub fn prefix_epoch(&self, prefix: &Prefix) -> Option<u64> {
+        self.blocks.covering(prefix).copied().min()
+    }
+
     /// True if `prefix` falls inside a block allocated at time `at_us`.
-    /// Walks only the stored blocks covering `prefix` — a root-to-leaf
-    /// trie descent, independent of how many blocks are registered.
     pub fn prefix_allocated(&self, prefix: &Prefix, at_us: u64) -> bool {
-        self.blocks.covering(prefix).any(|&from| from <= at_us)
+        self.prefix_epoch(prefix).is_some_and(|from| from <= at_us)
     }
 
     /// Number of registered ASNs.
@@ -147,6 +156,8 @@ mod tests {
         assert!(r.prefix_allocated(&p("84.205.64.0/24"), 100));
         assert!(r.prefix_allocated(&p("84.205.64.0/25"), 100));
         assert!(!r.prefix_allocated(&p("84.205.64.0/24"), 99));
+        assert_eq!(r.prefix_epoch(&p("84.205.64.0/25")), Some(100));
+        assert_eq!(r.prefix_epoch(&p("84.206.0.0/24")), None);
         assert_eq!(r.block_count(), 2);
         // Re-registering the same block keeps the earliest epoch.
         r.register_block(p("84.205.0.0/16"), 900);

@@ -7,11 +7,12 @@
 //! the paper's Fig. 4 labels the first re-announcement after a withdrawal
 //! against the last announcement before it.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashSet;
 use std::mem::size_of;
 use std::sync::Arc;
 
-use kcc_bgp_types::{AttrStore, MessageKind, PathAttributes, Prefix, PrefixMap, RouteUpdate};
+use kcc_bgp_types::{FastHashMap, MessageKind, PathAttributes, Prefix, RouteUpdate};
 use kcc_collector::{SessionKey, UpdateArchive};
 
 use crate::classify::{classify_pair, AnnouncementType, TypeCounts};
@@ -43,7 +44,7 @@ pub struct ClassifiedEvent {
     /// Classification.
     pub kind: EventKind,
     /// The announcement's attributes (withdrawals: `None`), shared with
-    /// the classifier's interned state — retaining an event costs a
+    /// the classifier's retained state — retaining an event costs a
     /// pointer, not a deep copy.
     pub attrs: Option<Arc<PathAttributes>>,
 }
@@ -58,20 +59,52 @@ impl ClassifiedEvent {
     }
 }
 
-/// Fixed per-stream cost beyond the (shared) attributes: the trie slot's
-/// key and its `Arc` handle.
+/// Fixed per-stream cost beyond the (shared) attributes: the table
+/// slot's key and its `Arc` handle.
 const PER_STREAM_OVERHEAD: usize = size_of::<Prefix>() + size_of::<Arc<PathAttributes>>();
 
+/// How many stream slots hold each attribute allocation, keyed by its
+/// address, and the deep footprint of those allocations, each counted
+/// once. The key is exact: a held allocation stays alive, so no other
+/// live handle shares its address, and it leaves the map when its last
+/// slot lets go.
+#[derive(Debug, Default)]
+struct Held {
+    slots: FastHashMap<usize, u32>,
+    bytes: usize,
+}
+
+impl Held {
+    fn hold(&mut self, attrs: &Arc<PathAttributes>) {
+        let slots = self.slots.entry(Arc::as_ptr(attrs) as usize).or_insert(0);
+        if *slots == 0 {
+            self.bytes += attrs.deep_footprint();
+        }
+        *slots += 1;
+    }
+
+    fn release(&mut self, attrs: &Arc<PathAttributes>) {
+        let Entry::Occupied(mut slots) = self.slots.entry(Arc::as_ptr(attrs) as usize) else {
+            unreachable!("released an attribute allocation no stream holds");
+        };
+        *slots.get_mut() -= 1;
+        if *slots.get() == 0 {
+            slots.remove();
+            self.bytes -= attrs.deep_footprint();
+        }
+    }
+}
+
 /// The incremental §5 classifier for one session: retains exactly one
-/// (interned, shared) [`PathAttributes`] per `(prefix)` stream — constant
-/// memory per stream no matter how long the day — and labels each update
-/// against it. The stream table is a prefix trie, so lookups walk bits
-/// instead of hashing a 20-byte key and iteration is in canonical prefix
-/// order for free.
+/// [`PathAttributes`] handle per `(prefix)` stream — the last
+/// announcement's own `Arc`, so keeping it costs a refcount, not a copy —
+/// and labels each update against it. Memory is constant per stream no
+/// matter how long the day. The stream table is hash-keyed by prefix:
+/// nothing walks it in order.
 #[derive(Debug, Default)]
 pub struct StreamClassifier {
-    last: PrefixMap<Arc<PathAttributes>>,
-    store: AttrStore,
+    last: FastHashMap<Prefix, Arc<PathAttributes>>,
+    held: Held,
 }
 
 impl StreamClassifier {
@@ -86,11 +119,12 @@ impl StreamClassifier {
     }
 
     /// Exact bytes of retained state: the deep footprint of each
-    /// *distinct* attribute set (struct + AS-path segments + all three
-    /// community families, at allocated capacity) counted once, plus a
-    /// fixed per-stream slot overhead.
+    /// *distinct allocation* of attributes (struct + AS-path segments +
+    /// all three community families, at allocated capacity) counted once,
+    /// plus a fixed per-stream slot overhead. Value-equal sets in separate
+    /// allocations count once each.
     pub fn state_bytes(&self) -> usize {
-        self.store.bytes() + self.last.len() * PER_STREAM_OVERHEAD
+        self.held.bytes + self.last.len() * PER_STREAM_OVERHEAD
     }
 
     /// Recomputes [`state_bytes`](Self::state_bytes) from scratch by
@@ -113,38 +147,38 @@ impl StreamClassifier {
     pub fn classify(&mut self, u: &RouteUpdate) -> ClassifiedEvent {
         match &u.kind {
             MessageKind::Announcement(attrs) => {
-                let (kind, retained) = match self.last.get_mut(&u.prefix) {
-                    Some(prev) if Arc::ptr_eq(prev, attrs) => {
+                let (kind, retained) = match self.last.entry(u.prefix) {
+                    Entry::Occupied(prev) if Arc::ptr_eq(prev.get(), attrs) => {
                         // Same shared allocation — byte-identical attrs,
                         // so this is `nn` with no MED change, and the
                         // retained state doesn't move.
                         let kind =
                             EventKind::Classified { atype: AnnouncementType::Nn, med_only: false };
-                        (kind, Arc::clone(prev))
+                        (kind, Arc::clone(prev.get()))
                     }
-                    Some(prev) if **prev == **attrs => {
+                    Entry::Occupied(prev) if **prev.get() == **attrs => {
                         // Value-equal but a different allocation (e.g. a
-                        // re-decoded duplicate): keep the interned copy —
-                        // the store never sees the new handle, so no
-                        // hash traffic and no refcount churn.
+                        // re-decoded duplicate): keep the retained copy,
+                        // so the held-allocation count doesn't move.
                         let kind =
                             EventKind::Classified { atype: AnnouncementType::Nn, med_only: false };
-                        (kind, Arc::clone(prev))
+                        (kind, Arc::clone(prev.get()))
                     }
-                    Some(prev) => {
+                    Entry::Occupied(mut slot) => {
+                        let prev = slot.get_mut();
                         let kind = EventKind::Classified {
                             atype: classify_pair(prev, attrs),
                             med_only: prev.differs_only_in_med(attrs),
                         };
-                        let shared = self.store.acquire(attrs);
-                        let old = std::mem::replace(prev, Arc::clone(&shared));
-                        self.store.release(&old);
-                        (kind, shared)
+                        self.held.hold(attrs);
+                        let old = std::mem::replace(prev, Arc::clone(attrs));
+                        self.held.release(&old);
+                        (kind, Arc::clone(attrs))
                     }
-                    None => {
-                        let shared = self.store.acquire(attrs);
-                        self.last.insert(u.prefix, Arc::clone(&shared));
-                        (EventKind::Initial, shared)
+                    Entry::Vacant(slot) => {
+                        self.held.hold(attrs);
+                        slot.insert(Arc::clone(attrs));
+                        (EventKind::Initial, Arc::clone(attrs))
                     }
                 };
                 ClassifiedEvent {
@@ -306,6 +340,36 @@ mod tests {
             events[1].kind,
             EventKind::Classified { atype: AnnouncementType::Nn, med_only: true }
         );
+    }
+
+    #[test]
+    fn one_allocation_on_two_prefixes_counts_once() {
+        let shared = Arc::new(attrs("1 2", &[(1, 1)]));
+        let mut classifier = StreamClassifier::new();
+        classifier.classify(&RouteUpdate::announce(1, p("84.205.64.0/24"), Arc::clone(&shared)));
+        classifier.classify(&RouteUpdate::announce(2, p("84.205.65.0/24"), Arc::clone(&shared)));
+        assert_eq!(classifier.state_bytes(), shared.deep_footprint() + 2 * PER_STREAM_OVERHEAD);
+        assert_eq!(classifier.state_bytes(), classifier.audit_state_bytes());
+    }
+
+    #[test]
+    fn value_equal_allocations_count_twice() {
+        let first = Arc::new(attrs("1 2", &[(1, 1)]));
+        let second = Arc::new((*first).clone());
+        let mut classifier = StreamClassifier::new();
+        classifier.classify(&RouteUpdate::announce(1, p("84.205.64.0/24"), Arc::clone(&first)));
+        classifier.classify(&RouteUpdate::announce(2, p("84.205.65.0/24"), Arc::clone(&second)));
+        let both = first.deep_footprint() + second.deep_footprint() + 2 * PER_STREAM_OVERHEAD;
+        assert_eq!(classifier.state_bytes(), both);
+        // A value-equal re-announcement keeps the retained allocation.
+        classifier.classify(&RouteUpdate::announce(3, p("84.205.64.0/24"), Arc::clone(&second)));
+        assert_eq!(classifier.state_bytes(), both);
+        // A change releases the old allocation's bytes.
+        let changed = Arc::new(attrs("1 3", &[(1, 1)]));
+        classifier.classify(&RouteUpdate::announce(4, p("84.205.64.0/24"), Arc::clone(&changed)));
+        let after = second.deep_footprint() + changed.deep_footprint() + 2 * PER_STREAM_OVERHEAD;
+        assert_eq!(classifier.state_bytes(), after);
+        assert_eq!(classifier.state_bytes(), classifier.audit_state_bytes());
     }
 
     #[test]

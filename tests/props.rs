@@ -8,11 +8,11 @@ use proptest::prelude::*;
 
 use keep_communities_clean::analysis::table::{overview, OverviewSink};
 use keep_communities_clean::analysis::{
-    classify_pair, AnnouncementType, CountsSink, MrtSource, PipelineBuilder, StreamClassifier,
-    TypeCounts,
+    classify_pair, AllocationRegistry, AnnouncementType, CleaningConfig, CleaningStage, CountsSink,
+    MrtSource, PipelineBuilder, Stage, StreamClassifier, TypeCounts,
 };
 use keep_communities_clean::collector::timestamps::normalize_timestamps;
-use keep_communities_clean::collector::{ArchiveSource, SessionKey, UpdateArchive};
+use keep_communities_clean::collector::{ArchiveSource, PeerMeta, SessionKey, UpdateArchive};
 use keep_communities_clean::mrt::{
     Bgp4mpMessage, Bgp4mpStateChange, BgpState, MrtError, MrtReader, MrtRecord, MrtTimestamp,
     MrtWriter,
@@ -21,8 +21,8 @@ use keep_communities_clean::types::attrs::{Aggregator, Origin};
 use keep_communities_clean::types::extended::ExtendedCommunity;
 use keep_communities_clean::types::large::LargeCommunity;
 use keep_communities_clean::types::{
-    AsPath, Asn, AttrStore, Community, CommunitySet, MessageKind, PathAttributes, Prefix,
-    RouteUpdate,
+    AsPath, Asn, AttrStore, Community, CommunitySet, MessageKind, PathAttributes, PathSegment,
+    Prefix, RouteUpdate, SegmentKind,
 };
 use keep_communities_clean::wire::attr::decode_attributes;
 use keep_communities_clean::wire::nlri::Afi;
@@ -579,7 +579,7 @@ proptest! {
                 RouteUpdate::withdraw(i as u64, prefix)
             } else {
                 // Alternate fresh allocations with re-sent shared handles
-                // so the interner sees both replace and refcount paths.
+                // so the classifier sees both replace and shared-handle paths.
                 let handle = match (&shared, reuse) {
                     (Some(a), true) => std::sync::Arc::clone(a),
                     _ => {
@@ -602,7 +602,7 @@ proptest! {
         }
     }
 
-    /// Interning is invisible to classification: a stream whose
+    /// Sharing allocations is invisible to classification: a stream whose
     /// announcements share one allocation per attribute set produces the
     /// identical event sequence to the same stream with every update
     /// deep-copied into its own allocation.
@@ -999,5 +999,126 @@ proptest! {
         }
         prop_assert_eq!(store.len(), 0);
         prop_assert_eq!(store.bytes(), 0);
+    }
+}
+
+/// AS paths over a five-ASN pool, so sets often coincide: zero to three
+/// segments of every kind, each with repeats allowed and possibly empty.
+fn arb_segmented_path() -> impl Strategy<Value = AsPath> {
+    let kind = prop_oneof![
+        Just(SegmentKind::Sequence),
+        Just(SegmentKind::Set),
+        Just(SegmentKind::ConfedSequence),
+        Just(SegmentKind::ConfedSet),
+    ];
+    vec((kind, vec((1u32..6).prop_map(Asn), 0..5)), 0..4).prop_map(|segments| {
+        AsPath::from_segments(
+            segments.into_iter().map(|(kind, asns)| PathSegment { kind, asns }).collect(),
+        )
+    })
+}
+
+/// Registries of nested blocks (a /8, a /16 and a /24 inside it, and a
+/// sibling /16), each registered or not at its own epoch, and ASNs 1–4
+/// at their own epochs; ASNs 5 and 6 are never allocated.
+fn arb_registry() -> impl Strategy<Value = AllocationRegistry> {
+    (vec(proptest::option::of(0u64..50), 4..5), vec(0u64..50, 4..5)).prop_map(|(blocks, asns)| {
+        let mut registry = AllocationRegistry::new();
+        let nested = ["10.0.0.0/8", "10.1.0.0/16", "10.1.2.0/24", "10.2.0.0/16"];
+        for (block, epoch) in nested.iter().zip(blocks) {
+            if let Some(epoch) = epoch {
+                registry.register_block(block.parse().unwrap(), epoch);
+            }
+        }
+        for (asn, epoch) in (1u32..).zip(asns) {
+            registry.register_asn(Asn(asn), epoch);
+        }
+        registry
+    })
+}
+
+proptest! {
+    /// The allocation-free `same_as_set` answers exactly what comparing
+    /// the two sorted, deduplicated `as_set`s does.
+    #[test]
+    fn same_as_set_equals_as_set_comparison(
+        a in arb_segmented_path(),
+        b in arb_segmented_path(),
+        derive in any::<bool>(),
+    ) {
+        // Half the time, `b` repeats every ASN of `a` in reversed
+        // segments, so the sets match under different shapes.
+        let b = if derive {
+            AsPath::from_segments(
+                a.segments()
+                    .iter()
+                    .rev()
+                    .map(|s| PathSegment {
+                        kind: s.kind,
+                        asns: s.asns.iter().flat_map(|&asn| [asn, asn]).collect(),
+                    })
+                    .collect(),
+            )
+        } else {
+            b
+        };
+        prop_assert_eq!(a.same_as_set(&b), a.as_set() == b.as_set());
+        prop_assert_eq!(b.same_as_set(&a), a.as_set() == b.as_set());
+    }
+
+    /// `CleaningStage`, which looks a prefix's allocation epoch up once
+    /// and reuses it, keeps and drops exactly the updates a per-update
+    /// `prefix_allocated` / `asn_allocated` check would, with the same
+    /// reasons counted — also when a prefix recurs at an earlier time.
+    #[test]
+    fn cleaning_stage_matches_per_update_allocation_checks(
+        registry in arb_registry(),
+        updates in vec(
+            (0usize..7, 0u64..60, proptest::option::of(vec((1u32..7).prop_map(Asn), 0..4))),
+            0..80,
+        ),
+    ) {
+        let prefixes = [
+            "10.0.0.0/8", "10.1.0.0/16", "10.1.2.0/24", "10.1.2.128/25", "10.1.3.0/24",
+            "10.2.9.0/24", "11.0.0.0/8",
+        ];
+        let config = CleaningConfig {
+            filter_unallocated: true,
+            insert_route_server_asn: false,
+            normalize_timestamps: false,
+        };
+        let mut stage = CleaningStage::new(&registry, config);
+        let meta = PeerMeta {
+            key: SessionKey::new("rrc00", Asn(1), "10.0.0.1".parse().unwrap()),
+            route_server: false,
+            second_granularity: false,
+        };
+        stage.on_session(&meta);
+        let (mut unallocated_prefix, mut unallocated_asn) = (0, 0);
+        for (p, time_us, path) in updates {
+            let prefix: Prefix = prefixes[p].parse().unwrap();
+            let update = match &path {
+                Some(asns) => RouteUpdate::announce(
+                    time_us,
+                    prefix,
+                    PathAttributes { as_path: AsPath::from_asns(asns.clone()), ..Default::default() },
+                ),
+                None => RouteUpdate::withdraw(time_us, prefix),
+            };
+            let expected = if !registry.prefix_allocated(&prefix, time_us) {
+                unallocated_prefix += 1;
+                false
+            } else if path.iter().flatten().any(|&asn| !registry.asn_allocated(asn, time_us)) {
+                unallocated_asn += 1;
+                false
+            } else {
+                true
+            };
+            let kept = stage.process(&meta, update.clone());
+            prop_assert_eq!(kept.as_ref(), expected.then_some(&update));
+        }
+        let report = stage.report();
+        prop_assert_eq!(report.removed_unallocated_prefix, unallocated_prefix);
+        prop_assert_eq!(report.removed_unallocated_asn, unallocated_asn);
     }
 }
