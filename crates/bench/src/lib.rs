@@ -2,11 +2,12 @@
 //!
 //! One `figures` binary runs every paper table/figure/ablation from the
 //! [`ARTIFACTS`] table below (`figures all` prints the reproduction
-//! ledger committed as `/REPRODUCTION.md`), next to the daemons and the
-//! `bench_*` measurement binaries, over this shared harness library:
-//! argument parsing, the simulated beacon-day driver, and
-//! paper-vs-measured comparison rendering. Per-layer micro-costs are
-//! metrics of the standalone `benchmark/` package, not harnesses here.
+//! ledger committed as `/REPRODUCTION.md`), next to the daemons, over
+//! this shared harness library: argument parsing, the simulated
+//! beacon-day driver, and paper-vs-measured comparison rendering.
+//! Performance is measured by the standalone `benchmark/` package and
+//! gated by `ci/bench-pair.sh` (this change against its parent, in
+//! alternating pairs), not by binaries here.
 //!
 //! | binary | what it is |
 //! |---|---|
@@ -14,11 +15,6 @@
 //! | `kccd` | the live BGP collector daemon (TCP sessions → pipeline → MRT dumps) |
 //! | `kcc-corpus` | multi-collector corpus CLI (per-collector + combined reports) |
 //! | `kcc-watch` | the CommunityWatch service CLI (+ `--eval` / `--soak` gates) |
-//! | `bench_pipeline` | streaming vs. batch pipeline throughput → `BENCH_pipeline.json` |
-//! | `bench_live` | loopback TCP BGP ingest throughput → `BENCH_live.json` |
-//! | `bench_corpus` | multi-collector corpus throughput → `BENCH_corpus.json` |
-//! | `bench_sim` | simulator events/s at 10k–75k ASes → `BENCH_sim.json` |
-//! | `bench_gate` | ±tolerance updates/s regression gate over two BENCH files |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,7 +30,7 @@ pub mod watch_eval;
 pub use args::Args;
 pub use beacon_day::{run_beacon_day, BeaconDayConfig, BeaconDayOutput};
 pub use compare::Comparison;
-pub use mrtgen::{generate_mrt_day, mrt_day, MrtDay};
+pub use mrtgen::{generate_mrt_day, MrtDay};
 pub use sweep::{run_cell, CellResult, CleaningPlacement, SweepCell, SweepConfig};
 pub use watch_eval::{eval_library, eval_scenario, EvalResult, EVAL_WINDOW_US};
 

@@ -1,6 +1,6 @@
 //! Shared harness helper: generate a Mar'20-style collector day straight
 //! to in-memory MRT bytes (session-at-a-time, never materializing the
-//! archive), for the pipeline benchmarks.
+//! archive), for the pipeline measurements (`tests/profile_overhead.rs`).
 
 use kcc_bgp_types::Asn;
 use kcc_collector::archive::mrt_record_for;
@@ -39,25 +39,6 @@ pub fn generate_mrt_day(cfg: &Mar20Config) -> MrtDay {
         }
     }
     MrtDay { bytes: writer.into_inner(), updates, registry, route_servers }
-}
-
-/// Convenience for benches: just the bytes and the update count.
-pub fn mrt_day(cfg: &Mar20Config) -> (Vec<u8>, u64) {
-    let day = generate_mrt_day(cfg);
-    (day.bytes, day.updates)
-}
-
-/// One vantage of a multi-vantage day as MRT bytes — what that collector
-/// would publish. Returns the bytes, the update count and the vantage's
-/// route-server endpoints (side-band metadata MRT cannot carry).
-pub fn generate_vantage_mrt(
-    cfg: &kcc_tracegen::MultiVantageConfig,
-    collector: &str,
-) -> (Vec<u8>, u64, Vec<(Asn, std::net::IpAddr)>) {
-    let mut bytes = Vec::new();
-    let (updates, route_servers) = kcc_tracegen::write_vantage_mrt(cfg, collector, &mut bytes)
-        .expect("in-memory write cannot fail");
-    (bytes, updates, route_servers)
 }
 
 #[cfg(test)]

@@ -9,18 +9,16 @@
 //! converge a full table, then flap the dual-homed beacon origin's
 //! primary provider link down → up → down, and classify the stream a
 //! route collector records into the paper's `pc/pn/nc/nn/xc/xn`
-//! announcement types. [`InternetCell`] runs the same protocol over an
-//! internet-scale topology for `bench_sim`.
+//! announcement types.
 
 use kcc_bgp_sim::scenario::{
-    self, CollectorDecl, Phase, ScenarioAction, ScenarioEvent, ScenarioOutcome, ScenarioSpec,
-    TopologyTemplate,
+    self, CollectorDecl, Phase, ScenarioAction, ScenarioEvent, ScenarioSpec, TopologyTemplate,
 };
 use kcc_bgp_sim::{Capture, SimConfig, SimDuration, VendorProfile};
 use kcc_bgp_types::Asn;
 use kcc_core::{classify_archive, TypeCounts};
 use kcc_topology::gen::BEACON_ORIGIN_ASN;
-use kcc_topology::{BehaviorMix, InternetConfig, RouterId, TopologyConfig};
+use kcc_topology::{BehaviorMix, RouterId, TopologyConfig};
 use keep_communities_clean::adapter::capture_to_archive;
 
 /// The collector AS attached to every sweep cell (RIS-style).
@@ -225,17 +223,10 @@ pub struct CellResult {
     pub perturbation_messages: usize,
 }
 
-/// Runs one cell: compile the spec, run the engine, classify the
-/// collector stream.
+/// Runs one cell: compile the spec, run the engine, classify what
+/// [`COLLECTOR_ASN`] recorded.
 pub fn run_cell(cell: &SweepCell, seed: u64) -> CellResult {
     let outcome = scenario::run(&cell.spec(seed));
-    let (counts, collector_messages, perturbation_messages) = classify_collector(&outcome);
-    CellResult { cell: cell.clone(), counts, collector_messages, perturbation_messages }
-}
-
-/// What [`COLLECTOR_ASN`] recorded over a run, classified: `(type
-/// counts, every message, the messages after convergence)`.
-fn classify_collector(outcome: &ScenarioOutcome) -> (TypeCounts, usize, usize) {
     let collector = RouterId { asn: COLLECTOR_ASN, index: 0 };
     let mut capture = Capture::new();
     for phase in 0..outcome.phases.len() {
@@ -245,78 +236,11 @@ fn classify_collector(outcome: &ScenarioOutcome) -> (TypeCounts, usize, usize) {
     }
     let converge = outcome.collected_in_phase(0, collector).len();
     let archive = capture_to_archive(&outcome.net, "sweep", &capture, 0);
-    (classify_archive(&archive), capture.len(), capture.len() - converge)
-}
-
-/// An internet-scale measurement cell (see the `bench_sim` binary): the
-/// beacon flap protocol over a power-law
-/// [`generate_internet`](kcc_topology::generate_internet) topology at
-/// `n_ases`. Every router runs BIRD with no MRAI: the measured quantity
-/// is raw event throughput, not timer waiting.
-#[derive(Debug, Clone, PartialEq)]
-pub struct InternetCell {
-    /// Total AS count of the generated internet.
-    pub n_ases: usize,
-}
-
-impl InternetCell {
-    /// Table/scenario label, e.g. `internet/10000as`.
-    pub fn label(&self) -> String {
-        format!("internet/{}as", self.n_ases)
-    }
-
-    /// Compiles the cell into a declarative scenario over an
-    /// internet-scale topology. Only the beacon prefix is announced —
-    /// propagation across a 10k+-AS graph is the measured workload;
-    /// announcing every stub's prefix would square it.
-    pub fn spec(&self, seed: u64) -> ScenarioSpec {
-        let config = InternetConfig::sized(self.n_ases, seed);
-        let announce = ScenarioAction::Announce {
-            router: RouterId { asn: BEACON_ORIGIN_ASN, index: 0 },
-            prefix: config.beacon_prefixes[0],
-        };
-        flap_spec(
-            self.label(),
-            SimConfig { seed, default_vendor: VendorProfile::BIRD_2, ..Default::default() },
-            |collector| TopologyTemplate::GeneratedInternet { config, collector },
-            announce,
-        )
-    }
-}
-
-/// What one internet-scale cell measured.
-#[derive(Debug, Clone, PartialEq)]
-pub struct InternetCellResult {
-    /// Total AS count of the cell's topology.
-    pub n_ases: usize,
-    /// Routers in the compiled network (includes the collector).
-    pub routers: usize,
-    /// Sessions in the compiled network.
-    pub sessions: usize,
-    /// Announcement-type counts of the collector stream across all
-    /// phases.
-    pub counts: TypeCounts,
-    /// Total messages the collector captured.
-    pub collector_messages: usize,
-    /// Simulator events processed across the whole timeline.
-    pub events_processed: u64,
-    /// Bytes retained by the interned path-attribute store at the end.
-    pub interned_attr_bytes: usize,
-}
-
-/// Runs one internet-scale cell: compile the spec, run the engine,
-/// classify the collector stream.
-pub fn run_internet_cell(cell: &InternetCell, seed: u64) -> InternetCellResult {
-    let outcome = scenario::run(&cell.spec(seed));
-    let (counts, collector_messages, _) = classify_collector(&outcome);
-    InternetCellResult {
-        n_ases: cell.n_ases,
-        routers: outcome.net.routers().count(),
-        sessions: outcome.net.sessions().len(),
-        counts,
-        collector_messages,
-        events_processed: outcome.net.stats.events_processed,
-        interned_attr_bytes: outcome.net.attr_store().bytes(),
+    CellResult {
+        cell: cell.clone(),
+        counts: classify_archive(&archive),
+        collector_messages: capture.len(),
+        perturbation_messages: capture.len() - converge,
     }
 }
 
@@ -383,28 +307,14 @@ mod tests {
     }
 
     /// Every count the grid reports, pinned as literals: the paper
-    /// matrix, the smoke matrix and one 1,000-AS internet cell. A change
-    /// to how cells are built, run or classified must leave them be.
+    /// matrix and the smoke matrix. A change to how cells are built, run
+    /// or classified must leave them be.
     #[test]
     fn grid_counts_are_pinned() {
         let paper = SweepConfig::paper_matrix(42).matrix();
         assert_eq!(paper.len(), 24);
         assert_eq!(digest(&paper, 42), 0xfe89_d4df_ba3c_5a22);
         assert_eq!(digest(&SweepConfig::smoke(42).matrix(), 42), 0xe063_df42_9843_df81);
-
-        let cell = InternetCell { n_ases: 1_000 };
-        let r = run_internet_cell(&cell, 42);
-        let text = format!(
-            "{} {} {} {:?} {} {} {}",
-            cell.label(),
-            r.routers,
-            r.sessions,
-            r.counts,
-            r.collector_messages,
-            r.events_processed,
-            r.interned_attr_bytes
-        );
-        assert_eq!(fnv1a(0xcbf2_9ce4_8422_2325, text.as_bytes()), 0xdbb1_9523_c4e2_4d13);
     }
 
     #[test]

@@ -95,8 +95,8 @@ pub enum TopologyTemplate {
     },
     /// An internet-scale power-law topology
     /// ([`kcc_topology::generate_internet`]), optionally with a route
-    /// collector — the 10k+-AS substrate behind `bench_sim` and the
-    /// sweep layer's internet cells.
+    /// collector — the 10k+-AS substrate of `benchmark/`'s
+    /// `sim-internet` workload and of `tests/sim_digest.rs`.
     GeneratedInternet {
         /// Internet generator configuration (seeded; deterministic).
         config: InternetConfig,

@@ -518,10 +518,9 @@ impl<Src, St, S> PipelineBuilder<Src, St, S> {
 
     /// Enables sampled per-phase timing: every `every`-th update has
     /// each phase wall-clocked into [`PipelineOutput::profile`]. The
-    /// sampling interval bounds the overhead: `bench_pipeline` measures it
-    /// into `BENCH_pipeline.json` as
-    /// `results[1].instrumented.overhead_percent`, and `bench_gate
-    /// --overhead-cap 2` holds it ≤ 2% in CI's bench-smoke job.
+    /// sampling interval bounds the overhead: at `profile(64)`,
+    /// `crates/bench/tests/profile_overhead.rs` holds it under 2% of
+    /// on-CPU time in CI's bench-pair job.
     pub fn profile(mut self, every: u64) -> Self {
         self.profile_every = Some(every);
         self

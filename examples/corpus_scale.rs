@@ -9,19 +9,28 @@
 //! Peak resident analysis state is one `PathAttributes` per
 //! `(prefix, session)` stream *summed over the collectors* — the number
 //! printed at the end, and the one the `corpus-scale` CI job caps with
-//! `ulimit -v`.
+//! `ulimit -v`. Last, the same day unsplit goes to one MRT file and
+//! through one pipeline, and the corpus's combined Table 1 and Table 2
+//! must equal it: splitting a day across collectors changes nothing the
+//! analysis counts.
 //!
 //! Run with
 //! `cargo run --release --example corpus_scale [-- <announcements> [<collectors> [<threads>]]]`.
 
 use std::fs::File;
-use std::io::{BufWriter, Write as _};
+use std::io::{BufReader, BufWriter, Write as _};
 
 use keep_communities_clean::analysis::corpus::run_corpus_report;
-use keep_communities_clean::analysis::{CleaningConfig, Corpus, MrtFileOptions};
+use keep_communities_clean::analysis::table::OverviewSink;
+use keep_communities_clean::analysis::{
+    CleaningConfig, CleaningStage, Corpus, CountsSink, MrtFileOptions, MrtSource, PipelineBuilder,
+};
+use keep_communities_clean::collector::archive::mrt_record_for;
+use keep_communities_clean::collector::{SourceItem, UpdateSource};
+use keep_communities_clean::mrt::MrtWriter;
 use keep_communities_clean::tracegen::universe::UniverseConfig;
 use keep_communities_clean::tracegen::{
-    vantage_names, write_vantage_mrt, Mar20Config, MultiVantageConfig, VantageSource,
+    vantage_names, write_vantage_mrt, Mar20Config, Mar20Source, MultiVantageConfig, VantageSource,
 };
 
 fn main() {
@@ -90,6 +99,37 @@ fn main() {
         report.stats.peak_state_bytes as f64 / (1024.0 * 1024.0),
     );
     assert_eq!(report.stats.updates, total_updates, "every generated update analyzed");
+
+    // Phase 3: the same day unsplit — one MRT file, one pipeline. The
+    // corpus's combined tables must equal it.
+    let day_path = dir.join("unsplit.mrt");
+    let mut day = Mar20Source::new(&cfg.base);
+    let day_route_servers = day.route_server_peers();
+    let mut writer =
+        MrtWriter::new(BufWriter::new(File::create(&day_path).expect("create MRT file")));
+    while let Some(item) = day.next_item().expect("generated sources cannot fail") {
+        if let SourceItem::Update(meta, update) = item {
+            let record = mrt_record_for(&meta, cfg.base.epoch_seconds, &update);
+            writer.write_record(&record).expect("write unsplit MRT");
+        }
+    }
+    writer.flush().expect("flush unsplit MRT");
+    drop(writer);
+    let file = BufReader::new(File::open(&day_path).expect("open unsplit MRT"));
+    let unsplit = PipelineBuilder::new(
+        MrtSource::new(file, "all", cfg.base.epoch_seconds).with_route_servers(day_route_servers),
+    )
+    .stages(CleaningStage::new(&registry, CleaningConfig::default()))
+    .sink((OverviewSink::default(), CountsSink::default()))
+    .run()
+    .expect("unsplit day");
+    let (overview, counts) = unsplit.sink;
+    assert_eq!(report.combined_counts, counts.finish(), "corpus Table 2 != the unsplit day's");
+    assert_eq!(report.combined_overview, overview.finish(), "corpus Table 1 != the unsplit day's");
+    println!(
+        "corpus ≡ unsplit day: {} updates, Table 1 and Table 2 identical",
+        unsplit.stats.updates
+    );
     let _ = std::io::stdout().flush();
     if std::env::var_os("KCC_KEEP_CORPUS").is_some() {
         println!("keeping {} (KCC_KEEP_CORPUS set)", dir.display());

@@ -56,7 +56,7 @@ fn readme_observability_section_names_real_surfaces() {
         .unwrap();
 
     for needle in
-        ["`metrics` command", "--profile-every", "--metrics-out", "daemon-soak", "bench_gate"]
+        ["`metrics` command", "--profile-every", "--metrics-out", "daemon-soak", "bench-pair"]
     {
         assert!(section.contains(needle), "Observability section lost {needle:?}");
     }

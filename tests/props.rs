@@ -15,7 +15,7 @@ use keep_communities_clean::collector::timestamps::normalize_timestamps;
 use keep_communities_clean::collector::{ArchiveSource, PeerMeta, SessionKey, UpdateArchive};
 use keep_communities_clean::mrt::{
     Bgp4mpMessage, Bgp4mpStateChange, BgpState, MrtError, MrtReader, MrtRecord, MrtTimestamp,
-    MrtWriter,
+    MrtWriter, PeerIndexTable, RibSnapshot,
 };
 use keep_communities_clean::types::attrs::{Aggregator, Origin};
 use keep_communities_clean::types::extended::ExtendedCommunity;
@@ -27,8 +27,8 @@ use keep_communities_clean::types::{
 use keep_communities_clean::wire::attr::decode_attributes;
 use keep_communities_clean::wire::nlri::Afi;
 use keep_communities_clean::wire::{
-    decode_message, encode_message, Capability, Message, OpenMessage, SessionConfig, UpdatePacket,
-    HEADER_LEN,
+    decode_message, encode_message, Capability, Message, Notification, OpenMessage, RouteRefresh,
+    SessionConfig, UpdatePacket, HEADER_LEN,
 };
 
 fn arb_asn() -> impl Strategy<Value = Asn> {
@@ -873,6 +873,22 @@ proptest! {
         }
 
         let mut rest = &bytes[..];
+        let decoded = Notification::decode_body(&mut rest, claim);
+        let n = consumed(&bytes, rest);
+        prop_assert!(n.is_some_and(|n| n <= claim), "NOTIFICATION: consumed {:?} of {}", n, claim);
+        if decoded.is_ok() {
+            prop_assert_eq!(n, Some(claim));
+        }
+
+        let mut rest = &bytes[..];
+        let decoded = RouteRefresh::decode_body(&mut rest, claim);
+        let n = consumed(&bytes, rest);
+        prop_assert!(n.is_some_and(|n| n <= claim), "ROUTE-REFRESH: consumed {:?} of {}", n, claim);
+        if decoded.is_ok() {
+            prop_assert_eq!(n, Some(claim));
+        }
+
+        let mut rest = &bytes[..];
         if let Err(e) = OpenMessage::decode_body(&mut rest) {
             prop_assert!(!e.to_string().is_empty());
         }
@@ -882,7 +898,8 @@ proptest! {
     /// Arbitrary bytes, raw and as the body of every record type the
     /// reader decodes, never panic `MrtReader::next_record`: each record
     /// is a value or a typed `MrtError`, never an I/O error from an
-    /// in-memory stream.
+    /// in-memory stream. The TABLE_DUMP_V2 body decoders, handed the
+    /// bytes directly, return a value or a typed error too.
     #[test]
     fn mrt_reader_survives_arbitrary_bytes(bytes in vec(any::<u8>(), 0..600), kind in 0usize..7) {
         let (mrt_type, subtype) =
@@ -895,6 +912,16 @@ proptest! {
             &bytes,
         ]
         .concat();
+        let timestamp = MrtTimestamp::seconds(1_584_230_400);
+        if let Err(e) = PeerIndexTable::decode_body(timestamp, &bytes) {
+            prop_assert!(!e.to_string().is_empty());
+        }
+        // RIB_IPV4_UNICAST and RIB_IPV6_UNICAST.
+        for subtype in [2u16, 4] {
+            if let Err(e) = RibSnapshot::decode_body(timestamp, subtype, &bytes) {
+                prop_assert!(!e.to_string().is_empty());
+            }
+        }
         for input in [&bytes[..], &framed[..]] {
             let mut reader = MrtReader::new(input);
             loop {
