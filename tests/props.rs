@@ -1064,7 +1064,67 @@ fn arb_registry() -> impl Strategy<Value = AllocationRegistry> {
     })
 }
 
+/// Prefixes near two v4 and two v6 anchor addresses: an anchor with its
+/// bits below a random depth scrambled, at a random length. Blocks drawn
+/// from this nest, repeat and sit side by side, and queries drawn from
+/// it fall inside some of them and outside others.
+fn arb_anchored_prefix() -> impl Strategy<Value = Prefix> {
+    const V4: [u32; 2] = [0x0a01_0203, 0xc0a8_8001];
+    const V6: [u128; 2] = [0x2001_0db8_0001 << 80, 0x2a00_1450 << 96];
+    prop_oneof![
+        (0usize..2, any::<u32>(), 0u32..=32, 0u8..=32).prop_map(|(i, noise, depth, len)| {
+            let addr = V4[i] ^ noise.checked_shr(depth).unwrap_or(0);
+            Prefix::v4(addr.into(), len).expect("valid v4 length")
+        }),
+        (0usize..2, any::<u128>(), 0u32..=128, 0u8..=128).prop_map(|(i, noise, depth, len)| {
+            let addr = V6[i] ^ noise.checked_shr(depth).unwrap_or(0);
+            Prefix::v6(addr.into(), len).expect("valid v6 length")
+        }),
+    ]
+}
+
 proptest! {
+    /// A prefix's allocation epoch is the earliest epoch at which any
+    /// block containing it was registered, over nested, duplicate and
+    /// re-registered v4 and v6 blocks — exactly what a linear scan of
+    /// every registration answers.
+    #[test]
+    fn registry_prefix_epoch_matches_linear_scan(
+        blocks in vec((arb_anchored_prefix(), 0u64..100, proptest::option::of(0u64..100)), 0..24),
+        queries in vec((prop_oneof![arb_anchored_prefix(), arb_prefix()], 0u64..100), 1..32),
+    ) {
+        let mut registry = AllocationRegistry::new();
+        let mut registered = Vec::new();
+        for &(block, epoch, _) in &blocks {
+            registry.register_block(block, epoch);
+            registered.push((block, epoch));
+        }
+        // Re-register some blocks, earlier or later, after all of them.
+        for &(block, _, again) in &blocks {
+            if let Some(epoch) = again {
+                registry.register_block(block, epoch);
+                registered.push((block, epoch));
+            }
+        }
+        let distinct: std::collections::HashSet<Prefix> =
+            registered.iter().map(|&(block, _)| block).collect();
+        prop_assert_eq!(registry.block_count(), distinct.len());
+        // Every block is also a query, at its own epoch.
+        for (query, at_us) in queries.into_iter().chain(registered.clone()) {
+            let expected = registered
+                .iter()
+                .filter(|(block, _)| block.contains(&query))
+                .map(|&(_, epoch)| epoch)
+                .min();
+            prop_assert_eq!(registry.prefix_epoch(&query), expected, "{}", query);
+            prop_assert_eq!(
+                registry.prefix_allocated(&query, at_us),
+                expected.is_some_and(|from| from <= at_us),
+                "{} at {}", query, at_us
+            );
+        }
+    }
+
     /// The allocation-free `same_as_set` answers exactly what comparing
     /// the two sorted, deduplicated `as_set`s does.
     #[test]
