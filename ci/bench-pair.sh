@@ -23,7 +23,7 @@
 # The table also goes to $GITHUB_STEP_SUMMARY when that is set.
 set -euo pipefail
 
-PAIRS=3
+PAIRS=5
 SEED=42
 
 base=${1:?usage: ci/bench-pair.sh BASE_REV}

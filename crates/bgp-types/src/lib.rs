@@ -49,8 +49,6 @@ pub mod geo;
 pub mod intern;
 pub mod large;
 pub mod prefix;
-pub mod prefix_map;
-pub mod taxonomy;
 pub mod update;
 
 pub use as_path::{AsPath, PathSegment, SegmentKind};
@@ -64,6 +62,4 @@ pub use geo::{GeoScope, GeoTag};
 pub use intern::AttrStore;
 pub use large::LargeCommunity;
 pub use prefix::Prefix;
-pub use prefix_map::PrefixMap;
-pub use taxonomy::CommunityClass;
 pub use update::{MessageKind, RouteUpdate};

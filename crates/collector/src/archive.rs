@@ -14,6 +14,7 @@ use kcc_bgp_wire::{Message, UpdatePacket};
 use kcc_mrt::{Bgp4mpMessage, MrtError, MrtRecord, MrtTimestamp, MrtWriter};
 
 use crate::session::{PeerMeta, SessionKey};
+use crate::source::{MrtSource, SourceError};
 
 /// The collector's own ASN used in exported MRT records (value is
 /// irrelevant to the analysis; RIPE NCC's AS3333 is used for flavor).
@@ -120,27 +121,18 @@ impl UpdateArchive {
 
     /// Reads an MRT stream back into an archive. `collector` names the
     /// collector the stream came from; `epoch_seconds` anchors relative
-    /// time. Implemented over [`kcc_mrt::UpdateStream`], so the batch and
-    /// streaming readers cannot diverge: records timestamped before the
-    /// epoch surface [`kcc_mrt::MrtError::PreEpochRecord`] here too
-    /// instead of silently collapsing onto relative time 0 (callers that
-    /// knowingly use a mid-day epoch stream through
-    /// `MrtSource::with_pre_epoch_clamp` instead).
-    pub fn read_mrt<R: Read>(r: R, collector: &str, epoch_seconds: u32) -> Result<Self, MrtError> {
-        let mut archive = UpdateArchive::new(epoch_seconds);
-        let mut stream = kcc_mrt::UpdateStream::new(r, epoch_seconds);
-        while let Some(streamed) = stream.next_update()? {
-            let key = SessionKey::new(collector, streamed.peer_asn, streamed.peer_ip);
-            if !archive.sessions.contains_key(&key) {
-                archive.add_session(PeerMeta {
-                    key: key.clone(),
-                    route_server: false,
-                    second_granularity: streamed.second_granularity,
-                });
-            }
-            archive.record(&key, streamed.update);
-        }
-        Ok(archive)
+    /// time. Materializes an [`MrtSource`], so the batch and streaming
+    /// readers cannot diverge: records timestamped before the epoch
+    /// surface [`MrtError::PreEpochRecord`] here too instead of silently
+    /// collapsing onto relative time 0 (callers that knowingly use a
+    /// mid-day epoch stream through [`MrtSource::with_pre_epoch_clamp`]
+    /// instead).
+    pub fn read_mrt<R: Read>(
+        r: R,
+        collector: &str,
+        epoch_seconds: u32,
+    ) -> Result<Self, SourceError> {
+        Self::from_source(&mut MrtSource::new(r, collector, epoch_seconds), epoch_seconds)
     }
 
     /// Flattens to `(key, update)` pairs in global time order.

@@ -330,24 +330,6 @@ mod tests {
     }
 
     #[test]
-    fn mrt_source_matches_read_mrt() {
-        let a = sample_archive();
-        let mut bytes = Vec::new();
-        a.write_mrt(&mut bytes).unwrap();
-
-        let batch = UpdateArchive::read_mrt(&bytes[..], "rrc00", a.epoch_seconds).unwrap();
-        let mut src = MrtSource::new(&bytes[..], "rrc00", a.epoch_seconds);
-        let streamed = UpdateArchive::from_source(&mut src, a.epoch_seconds).unwrap();
-
-        assert_eq!(streamed.session_count(), batch.session_count());
-        for (k, rec) in batch.sessions() {
-            let s = streamed.session(k).expect("session present");
-            assert_eq!(s.updates, rec.updates, "session {k} diverged");
-            assert_eq!(s.meta, rec.meta);
-        }
-    }
-
-    #[test]
     fn mrt_source_session_announced_before_first_update() {
         let a = sample_archive();
         let mut bytes = Vec::new();

@@ -67,9 +67,10 @@ pub struct CleaningStage<'a> {
     /// Last emitted time per second-granularity session; `None` until
     /// its first update.
     last_emitted: FastHashMap<SessionKey, Option<u64>>,
-    /// [`AllocationRegistry::prefix_epoch`] per prefix seen. Exact for
-    /// the stage's life: the registry is borrowed immutably and its
-    /// blocks never deallocate.
+    /// [`AllocationRegistry::prefix_epoch`] per prefix seen, so an update
+    /// costs one probe here rather than the registry's one per mask
+    /// length. Exact for the stage's life: the registry is borrowed
+    /// immutably and its blocks never deallocate.
     prefix_epochs: FastHashMap<Prefix, Option<u64>>,
 }
 

@@ -68,20 +68,17 @@ impl Merge for CommunitySetSink {
     }
 }
 
-/// The incremental cross-collector presence/agreement matrix: which
+/// The cross-collector presence/agreement matrix: which
 /// collectors have seen which communities, and in which detection
 /// window each `(community, collector)` pair first appeared.
 ///
-/// The batch corpus report builds one from the per-collector community
-/// sets via [`observe`]; the online watch service keeps its rows by
-/// collector id while it runs and builds the matrix once, at `finish`.
-/// Per-window deltas read back with [`window_delta`]. Merges take the
-/// earliest first-window per pair, so the matrix is identical for any
-/// member order or thread count.
+/// Built once from finished rows: the batch corpus report's from the
+/// per-collector community sets (every sighting in window 0), the
+/// online watch service's from the rows it keeps by collector id while
+/// it runs. Per-window deltas read back with [`window_delta`].
 ///
-/// [`observe`]: AgreementMatrix::observe
 /// [`window_delta`]: AgreementMatrix::window_delta
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct AgreementMatrix {
     /// All known collectors (columns), sorted by name.
     collectors: Vec<String>,
@@ -90,39 +87,7 @@ pub struct AgreementMatrix {
     rows: BTreeMap<Community, Vec<(u32, u64)>>,
 }
 
-/// Records a sighting in a row kept ascending by column; the earliest
-/// window wins. True when the column is new to the row.
-fn see(row: &mut Vec<(u32, u64)>, column: u32, window: u64) -> bool {
-    match row.binary_search_by_key(&column, |&(c, _)| c) {
-        Ok(i) => {
-            row[i].1 = row[i].1.min(window);
-            false
-        }
-        Err(i) => {
-            row.insert(i, (column, window));
-            true
-        }
-    }
-}
-
 impl AgreementMatrix {
-    /// An empty matrix; collectors register on first [`observe`] call.
-    ///
-    /// [`observe`]: AgreementMatrix::observe
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A matrix with a fixed collector column set — use when some
-    /// collectors may legitimately see nothing (their column must still
-    /// exist for agreement to be judged against them).
-    pub fn with_collectors<I: IntoIterator<Item = S>, S: Into<String>>(names: I) -> Self {
-        let mut collectors: Vec<String> = names.into_iter().map(Into::into).collect();
-        collectors.sort_unstable();
-        collectors.dedup();
-        AgreementMatrix { collectors, rows: BTreeMap::new() }
-    }
-
     /// A matrix from finished rows: `collectors` sorted and unique, each
     /// row ascending by column (its index into `collectors`).
     pub(crate) fn from_rows(
@@ -130,39 +95,6 @@ impl AgreementMatrix {
         rows: impl IntoIterator<Item = (Community, Vec<(u32, u64)>)>,
     ) -> Self {
         AgreementMatrix { collectors, rows: rows.into_iter().collect() }
-    }
-
-    /// The column of `name`, registering it if new — which shifts every
-    /// later column of every row, so register collectors up front
-    /// ([`with_collectors`](AgreementMatrix::with_collectors)) when
-    /// there are many rows.
-    fn column(&mut self, name: &str) -> u32 {
-        match self.collectors.binary_search_by(|c| c.as_str().cmp(name)) {
-            Ok(i) => i as u32,
-            Err(i) => {
-                self.collectors.insert(i, name.to_owned());
-                for (column, _) in self.rows.values_mut().flatten() {
-                    if *column >= i as u32 {
-                        *column += 1;
-                    }
-                }
-                i as u32
-            }
-        }
-    }
-
-    /// Registers a collector column without observations.
-    pub fn add_collector(&mut self, name: &str) {
-        self.column(name);
-    }
-
-    /// Records that `collector` saw `community` in detection window
-    /// `window`. Returns `true` when this is the pair's first sighting
-    /// (the per-window delta), `false` for a repeat. Earlier windows win
-    /// if observations arrive out of order (merges replay collectors).
-    pub fn observe(&mut self, collector: &str, community: Community, window: u64) -> bool {
-        let column = self.column(collector);
-        see(self.rows.entry(community).or_default(), column, window)
     }
 
     /// Collector column names, sorted.
@@ -221,23 +153,6 @@ impl AgreementMatrix {
                     .map(|&(column, _)| (*comm, self.collectors[column as usize].as_str()))
             })
             .collect()
-    }
-
-    /// Folds another matrix in: collector columns union, first-window
-    /// per pair takes the minimum. Order-independent.
-    pub fn merge(&mut self, other: AgreementMatrix) {
-        // Register every column before looking any up: a later name can
-        // shift an earlier one.
-        for name in &other.collectors {
-            self.add_collector(name);
-        }
-        let columns: Vec<u32> = other.collectors.iter().map(|name| self.column(name)).collect();
-        for (comm, row) in other.rows {
-            let mine = self.rows.entry(comm).or_default();
-            for (column, window) in row {
-                see(mine, columns[column as usize], window);
-            }
-        }
     }
 }
 
@@ -326,12 +241,16 @@ pub fn run_corpus_report(
             }
         })
         .collect();
-    let mut matrix = AgreementMatrix::with_collectors(collectors.iter().map(|c| c.name.clone()));
-    for col in &collectors {
-        for comm in &col.communities {
-            matrix.observe(&col.name, *comm, 0);
+    // Columns are the members in name order, so every row is built
+    // ascending by column.
+    let mut rows: BTreeMap<Community, Vec<(u32, u64)>> = BTreeMap::new();
+    for (column, col) in (0u32..).zip(&collectors) {
+        for &comm in &col.communities {
+            rows.entry(comm).or_default().push((column, 0));
         }
     }
+    let matrix =
+        AgreementMatrix::from_rows(collectors.iter().map(|c| c.name.clone()).collect(), rows);
     Ok(CorpusReport {
         collectors,
         combined_overview: combined_overview.finish(),
@@ -374,15 +293,9 @@ impl CorpusReport {
     /// The presence matrix: every community seen anywhere, ascending,
     /// with one presence flag per collector (column order =
     /// `self.collectors` order, i.e. sorted names). Reads the
-    /// incremental [`AgreementMatrix`] — no per-call union recompute.
+    /// [`AgreementMatrix`] built once per run — no per-call union recompute.
     pub fn presence(&self) -> Vec<(Community, Vec<bool>)> {
         self.matrix.presence()
-    }
-
-    /// A community row is disputed when some but not all collectors saw
-    /// it. (Every `presence()` row has at least one flag set.)
-    fn is_disputed(flags: &[bool]) -> bool {
-        !flags.iter().all(|&f| f)
     }
 
     /// Communities seen by at least one but not every collector —
@@ -396,12 +309,6 @@ impl CorpusReport {
     /// `total = unanimous + disputed`.
     pub fn agreement_summary(&self) -> (usize, usize, usize) {
         self.matrix.summary()
-    }
-
-    fn summarize(presence: &[(Community, Vec<bool>)]) -> (usize, usize, usize) {
-        let total = presence.len();
-        let disputed = presence.iter().filter(|(_, flags)| Self::is_disputed(flags)).count();
-        (total, total - disputed, disputed)
     }
 
     /// Renders the full comparison: per-collector Table 1 + Table 2 side
@@ -476,18 +383,15 @@ impl CorpusReport {
         out.push_str(&TypeShares::new(columns).render());
         out.push('\n');
 
-        // Community agreement (one presence-matrix pass feeds both the
-        // summary and the disagreement rows).
-        let presence = self.presence();
-        let (total, unanimous, disputed) = Self::summarize(&presence);
+        // Community agreement.
+        let (total, unanimous, disputed) = self.matrix.summary();
         let share = if total == 0 { 0.0 } else { unanimous as f64 * 100.0 / total as f64 };
         out.push_str(&format!(
             "Community agreement: {total} distinct communities; {unanimous} \
              ({share:.1}%) seen at all {} collectors; {disputed} disputed\n",
             self.collectors.len(),
         ));
-        let disagreements: Vec<&(Community, Vec<bool>)> =
-            presence.iter().filter(|(_, flags)| Self::is_disputed(flags)).collect();
+        let disagreements = self.matrix.disagreements();
         if !disagreements.is_empty() {
             let mut headers: Vec<&str> = vec!["community"];
             headers.extend(names.iter().copied());
@@ -590,46 +494,19 @@ mod tests {
     }
 
     #[test]
-    fn matrix_observe_reports_first_sightings_incrementally() {
-        let mut m = AgreementMatrix::new();
-        let c = Community::from_parts(3356, 1);
-        assert!(m.observe("rrc00", c, 3), "first sighting is a delta");
-        assert!(!m.observe("rrc00", c, 5), "repeat is not");
-        assert!(!m.observe("rrc00", c, 1), "earlier repeat is not a delta either");
-        assert_eq!(m.window_delta(1), vec![(c, "rrc00")], "…but it rewinds the first window");
-        assert!(m.window_delta(3).is_empty());
-        assert!(m.observe("rrc01", c, 4), "same community, new collector: a delta");
-        assert_eq!(m.summary(), (1, 1, 0));
-    }
-
-    #[test]
-    fn matrix_merge_is_order_independent() {
-        let a = Community::from_parts(3356, 1);
-        let b = Community::from_parts(3356, 2);
-        let mut left = AgreementMatrix::new();
-        left.observe("rrc00", a, 2);
-        left.observe("rrc00", b, 7);
-        let mut right = AgreementMatrix::new();
-        right.observe("rrc00", a, 5);
-        right.observe("rrc01", a, 1);
-
-        let mut fwd = left.clone();
-        fwd.merge(right.clone());
-        let mut rev = right;
-        rev.merge(left);
-        assert_eq!(fwd.presence(), rev.presence());
-        assert_eq!(fwd.window_delta(1), rev.window_delta(1));
-        assert_eq!(fwd.window_delta(2), vec![(a, "rrc00")], "min first-window wins");
-        assert_eq!(fwd.summary(), (2, 1, 1));
-    }
-
-    #[test]
     fn matrix_keeps_empty_collector_columns() {
-        let mut m = AgreementMatrix::with_collectors(["rrc00", "rrc01"]);
-        m.observe("rrc00", Community::from_parts(3356, 1), 0);
-        // rrc01 saw nothing, but its column still makes the row disputed.
-        assert_eq!(m.summary(), (1, 0, 1));
-        assert_eq!(m.presence()[0].1, vec![true, false]);
+        let a = archive("rrc00", &[&[(3356, 1)]]);
+        let b = archive("rrc01", &[&[]]);
+        let corpus = Corpus::new()
+            .with("rrc00", ArchiveSource::new(&a))
+            .unwrap()
+            .with("rrc01", ArchiveSource::new(&b))
+            .unwrap();
+        let r = run_corpus_report(corpus, 1, &registry(), CleaningConfig::default()).unwrap();
+        // rrc01 saw no community, but its column still makes the row disputed.
+        assert_eq!(r.matrix.collector_names().collect::<Vec<_>>(), ["rrc00", "rrc01"]);
+        assert_eq!(r.agreement_summary(), (1, 0, 1));
+        assert_eq!(r.presence(), vec![(Community::from_parts(3356, 1), vec![true, false])]);
     }
 
     #[test]

@@ -232,17 +232,6 @@ impl PipelineProfile {
     }
 }
 
-impl Merge for PipelineProfile {
-    fn merge(&mut self, other: Self) {
-        self.sampled += other.sampled;
-        self.stage_nanos.merge(&other.stage_nanos);
-        self.classify_nanos.merge(&other.classify_nanos);
-        self.sink_update_nanos.merge(&other.sink_update_nanos);
-        self.sink_event_nanos.merge(&other.sink_event_nanos);
-        self.finish_nanos.merge(&other.finish_nanos);
-    }
-}
-
 /// Live profiling state: the sampling countdown plus the accumulating
 /// profile.
 #[derive(Debug)]
@@ -564,13 +553,7 @@ impl<'s> PipelineBuilder<Corpus<'s>> {
     /// [`CorpusBuilder::stages_for`] / [`CorpusBuilder::sinks_for`] /
     /// [`CorpusBuilder::threads`], then [`CorpusBuilder::run`].
     pub fn collectors(corpus: Corpus<'s>) -> DefaultCorpusBuilder<'s> {
-        CorpusBuilder {
-            corpus,
-            threads: 4,
-            make_stages: |_| (),
-            make_sink: |_| NoSink,
-            profile_every: None,
-        }
+        CorpusBuilder { corpus, threads: 4, make_stages: |_| (), make_sink: |_| NoSink }
     }
 }
 
@@ -585,7 +568,6 @@ pub struct CorpusBuilder<'s, FSt, FS> {
     threads: usize,
     make_stages: FSt,
     make_sink: FS,
-    profile_every: Option<u64>,
 }
 
 impl<'s, FSt, FS> CorpusBuilder<'s, FSt, FS> {
@@ -593,14 +575,6 @@ impl<'s, FSt, FS> CorpusBuilder<'s, FSt, FS> {
     /// count).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Enables sampled per-phase timing on every member pipeline (see
-    /// [`PipelineBuilder::profile`]); per-collector profiles also merge
-    /// into [`CorpusOutput::profile`] in name order.
-    pub fn profile(mut self, every: u64) -> Self {
-        self.profile_every = Some(every);
         self
     }
 
@@ -612,7 +586,6 @@ impl<'s, FSt, FS> CorpusBuilder<'s, FSt, FS> {
             threads: self.threads,
             make_stages,
             make_sink: self.make_sink,
-            profile_every: self.profile_every,
         }
     }
 
@@ -624,7 +597,6 @@ impl<'s, FSt, FS> CorpusBuilder<'s, FSt, FS> {
             threads: self.threads,
             make_stages: self.make_stages,
             make_sink,
-            profile_every: self.profile_every,
         }
     }
 
@@ -651,7 +623,7 @@ impl<'s, FSt, FS> CorpusBuilder<'s, FSt, FS> {
         FS: Fn(&str) -> S + Sync,
     {
         type Slot<St, S> = Option<(String, Result<PipelineOutput<St, S>, SourceError>)>;
-        let CorpusBuilder { corpus, threads, make_stages, make_sink, profile_every } = self;
+        let CorpusBuilder { corpus, threads, make_stages, make_sink } = self;
         let members = corpus.into_members();
         let n = members.len();
         let slots: Mutex<Vec<Slot<St, S>>> = Mutex::new((0..n).map(|_| None).collect());
@@ -679,13 +651,10 @@ impl<'s, FSt, FS> CorpusBuilder<'s, FSt, FS> {
                         .take()
                         .expect("each member claimed exactly once");
                     let name = member.name.clone();
-                    let mut builder = PipelineBuilder::new(member.source)
+                    let result = PipelineBuilder::new(member.source)
                         .stages(make_stages(&name))
-                        .sink(make_sink(&name));
-                    if let Some(every) = profile_every {
-                        builder = builder.profile(every);
-                    }
-                    let result = builder.run();
+                        .sink(make_sink(&name))
+                        .run();
                     slots.lock().expect("slot mutex poisoned")[idx] = Some((name, result));
                 }));
             }
@@ -712,23 +681,16 @@ impl<'s, FSt, FS> CorpusBuilder<'s, FSt, FS> {
 
         let mut combined: Option<S> = None;
         let mut stats = PipelineStats::default();
-        let mut profile: Option<PipelineProfile> = None;
         for (_, out) in &outputs {
             match &mut combined {
                 None => combined = Some(out.sink.clone()),
                 Some(c) => c.merge(out.sink.clone()),
             }
             stats.merge(out.stats);
-            if let Some(p) = &out.profile {
-                match &mut profile {
-                    None => profile = Some(p.clone()),
-                    Some(merged) => merged.merge(p.clone()),
-                }
-            }
         }
         let combined =
             combined.ok_or_else(|| SourceError::Other("corpus has no members".into()))?;
-        Ok(CorpusOutput { per_collector: outputs, combined, stats, profile })
+        Ok(CorpusOutput { per_collector: outputs, combined, stats })
     }
 }
 
@@ -761,9 +723,6 @@ pub struct CorpusOutput<St, S> {
     /// residency, exact only when `threads` ≥ the member count (see
     /// [`PipelineStats::peak_state_bytes`]).
     pub stats: PipelineStats,
-    /// All per-collector profiles merged in name order, when profiling
-    /// was enabled ([`CorpusBuilder::profile`]).
-    pub profile: Option<PipelineProfile>,
 }
 
 impl<St, S> CorpusOutput<St, S> {

@@ -8,22 +8,22 @@
 //! allocations, plus the structural reservations (private/documentation/
 //! reserved ranges) that are never allocatable.
 
-use kcc_bgp_types::{Asn, FastHashMap, Prefix, PrefixMap};
+use kcc_bgp_types::{Asn, FastHashMap, Prefix};
 
 /// A registry of allocations with epochs (µs since archive time zero, the
 /// same clock updates use; historical allocations are simply epoch 0).
 ///
-/// Blocks live in a [`PrefixMap`] keyed by the block prefix with the
-/// earliest allocation epoch as the value, so a prefix's allocation
-/// epoch ([`prefix_epoch`](Self::prefix_epoch)) is one covering-chain
-/// walk instead of a linear scan over every registered block. Blocks
-/// never deallocate, so that epoch is fixed for the registry's life:
-/// [`CleaningStage`](crate::CleaningStage) looks it up once per distinct
-/// prefix, not once per update.
+/// Blocks live in a hash map keyed by the block prefix with the earliest
+/// allocation epoch as the value, so a prefix's allocation epoch
+/// ([`prefix_epoch`](Self::prefix_epoch)) is one probe per mask length
+/// up to the prefix's own instead of a linear scan over every registered
+/// block. Blocks never deallocate, so that epoch is fixed for the
+/// registry's life: [`CleaningStage`](crate::CleaningStage) looks it up
+/// once per distinct prefix, not once per update.
 #[derive(Debug, Clone, Default)]
 pub struct AllocationRegistry {
     asns: FastHashMap<Asn, u64>,
-    blocks: PrefixMap<u64>,
+    blocks: FastHashMap<Prefix, u64>,
 }
 
 impl AllocationRegistry {
@@ -47,12 +47,8 @@ impl AllocationRegistry {
     /// contained in the block counts as allocated. Re-registering a
     /// block keeps its earliest epoch.
     pub fn register_block(&mut self, block: Prefix, from_us: u64) {
-        match self.blocks.get_mut(&block) {
-            Some(epoch) => *epoch = (*epoch).min(from_us),
-            None => {
-                self.blocks.insert(block, from_us);
-            }
-        }
+        let entry = self.blocks.entry(block).or_insert(from_us);
+        *entry = (*entry).min(from_us);
     }
 
     /// True if `asn` was allocated at time `at_us`.
@@ -61,11 +57,18 @@ impl AllocationRegistry {
     }
 
     /// When `prefix` became allocated: the earliest epoch of any block
-    /// covering it, or `None` if no block does. Walks only the stored
-    /// blocks covering `prefix` — a root-to-leaf trie descent,
+    /// covering it, or `None` if no block does. Probes `prefix` cut to
+    /// each length from 0 to its own (at most 25 probes for a /24),
     /// independent of how many blocks are registered.
     pub fn prefix_epoch(&self, prefix: &Prefix) -> Option<u64> {
-        self.blocks.covering(prefix).copied().min()
+        let cut = |len| match *prefix {
+            Prefix::V4 { addr, .. } => Prefix::v4(addr, len),
+            Prefix::V6 { addr, .. } => Prefix::v6(addr, len),
+        };
+        (0..=prefix.len())
+            .filter_map(|len| self.blocks.get(&cut(len).expect("no longer than prefix")))
+            .copied()
+            .min()
     }
 
     /// True if `prefix` falls inside a block allocated at time `at_us`.

@@ -78,29 +78,6 @@ pub fn capture_to_archive(
     UpdateArchive::from_source(&mut source, epoch_seconds).expect("capture sources cannot fail")
 }
 
-/// Converts every collector capture in a network into one merged archive;
-/// collectors are named `rrc00`, `rrc01`, … in router-id order.
-pub fn all_captures_to_archive(net: &Network, epoch_seconds: u32) -> UpdateArchive {
-    let mut archive = UpdateArchive::new(epoch_seconds);
-    for (i, (_, capture)) in net.captures().enumerate() {
-        let name = format!("rrc{i:02}");
-        let partial = capture_to_archive(net, &name, capture, epoch_seconds);
-        for (key, rec) in partial.sessions() {
-            archive.add_session(rec.meta.clone());
-            for u in &rec.updates {
-                archive.record(key, u.clone());
-            }
-        }
-    }
-    archive
-}
-
-/// The analysis-side session key for a simulated peer router on a named
-/// collector.
-pub fn session_key_for(net: &Network, collector_name: &str, peer: RouterId) -> Option<SessionKey> {
-    net.router(peer).map(|r| SessionKey::new(collector_name, peer.asn, r.ip))
-}
-
 /// Dumps a collector's per-peer routing table as TABLE_DUMP_V2 MRT
 /// records (PEER_INDEX_TABLE first, then one RIB snapshot per prefix) —
 /// the "bview" files RouteViews/RIS publish alongside update archives.
@@ -195,21 +172,5 @@ mod tests {
         let (key, _) = archive.sessions().next().unwrap();
         assert_eq!(key.collector, "rrc00");
         assert_eq!(key.peer_asn, ids.x1.asn);
-    }
-
-    #[test]
-    fn merged_archive_covers_all_collectors() {
-        let LabNetwork { mut net, ids } = build_lab(LabExperiment::Exp2, VendorProfile::BIRD_2);
-        net.schedule_announce(SimTime::ZERO, ids.z1, kcc_bgp_sim::lab::lab_prefix());
-        net.run_until_quiet();
-        let archive = all_captures_to_archive(&net, 0);
-        assert_eq!(archive.session_count(), 1); // one collector, one peer
-        assert!(session_key_for(&net, "rrc00", ids.x1).is_some());
-        assert!(session_key_for(
-            &net,
-            "rrc00",
-            RouterId { asn: kcc_bgp_types::Asn(99_999), index: 0 }
-        )
-        .is_none());
     }
 }
