@@ -48,8 +48,9 @@ impl Args {
     }
 }
 
-/// The value after `flag`, parsed.
-fn value<T: FromStr>(flag: &str, next: Option<String>) -> Result<T, String> {
+/// The value after `flag`, parsed. A missing or unparsable value is an
+/// error that names the flag.
+pub fn value<T: FromStr>(flag: &str, next: Option<String>) -> Result<T, String> {
     let text = next.ok_or_else(|| format!("`{flag}` needs a value"))?;
     text.parse().map_err(|_| format!("`{flag}` cannot take `{text}`"))
 }

@@ -245,12 +245,7 @@ pub(crate) fn table2(args: &Args) -> Artifact {
 /// The 2010–2020 series Figs. 2 and 6 sample, `samples_per_year` days a
 /// year.
 fn hist_config(args: &Args, samples_per_year: u8) -> HistConfig {
-    HistConfig {
-        seed: args.seed,
-        target_announcements_2020: args.sized(30_000),
-        samples_per_year,
-        ..Default::default()
-    }
+    HistConfig { seed: args.seed, target_announcements_2020: args.sized(30_000), samples_per_year }
 }
 
 /// Fig. 2: daily announcements per type across 2010–2020.

@@ -29,6 +29,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use kcc_bench::args::value;
 use kcc_collector::{first_record_day, mrt_files_in};
 use kcc_core::corpus::run_corpus_report;
 use kcc_core::{AllocationRegistry, CleaningConfig, Corpus, MrtFileOptions};
@@ -49,24 +50,25 @@ fn mrt_paths(inputs: &[PathBuf]) -> Result<Vec<PathBuf>, String> {
     Ok(paths)
 }
 
+/// Exits 2 on a flag whose value is missing or does not parse.
+fn bad_flag<T>(e: String) -> T {
+    eprintln!("kcc-corpus: {e}");
+    std::process::exit(2)
+}
+
 fn main() -> ExitCode {
     let mut inputs: Vec<PathBuf> = Vec::new();
     let mut epoch: Option<u32> = None;
     let mut threads = 4usize;
     let mut clamp = false;
     let mut metrics_out: Option<PathBuf> = None;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
+    let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--epoch" => epoch = it.next().and_then(|s| s.parse().ok()),
+            "--epoch" => epoch = Some(value(&a, it.next()).unwrap_or_else(bad_flag)),
             "--clamp" => clamp = true,
-            "--metrics-out" => metrics_out = it.next().map(PathBuf::from),
-            "--threads" => {
-                if let Some(v) = it.next().and_then(|s| s.parse().ok()) {
-                    threads = v;
-                }
-            }
+            "--metrics-out" => metrics_out = Some(value(&a, it.next()).unwrap_or_else(bad_flag)),
+            "--threads" => threads = value(&a, it.next()).unwrap_or_else(bad_flag),
             "--help" | "-h" => {
                 println!(
                     "usage: kcc-corpus [--epoch SECONDS] [--threads N] [--clamp] \

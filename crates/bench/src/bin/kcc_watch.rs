@@ -31,6 +31,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
+use kcc_bench::args::value;
 use kcc_bench::watch_eval::{alert_lines, eval_library};
 use kcc_bgp_types::{AsPath, Asn, MessageKind, PathAttributes, Prefix, RouteUpdate};
 use kcc_collector::{first_record_day, UpdateArchive};
@@ -399,8 +400,13 @@ fn run_soak(target: u64) -> ExitCode {
     }
 }
 
+/// Exits 2 on a flag whose value is missing or does not parse.
+fn bad_flag<T>(e: String) -> T {
+    eprintln!("kcc-watch: {e}");
+    std::process::exit(2)
+}
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut opts = Options {
         inputs: Vec::new(),
         train: Vec::new(),
@@ -413,7 +419,7 @@ fn main() -> ExitCode {
     };
     let mut eval = false;
     let mut soak: Option<u64> = None;
-    let mut it = args.iter().peekable();
+    let mut it = std::env::args().skip(1).peekable();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--eval" => eval = true,
@@ -427,40 +433,20 @@ fn main() -> ExitCode {
                         .unwrap_or(90_000),
                 );
             }
-            "--epoch" => opts.epoch = it.next().and_then(|s| s.parse().ok()),
+            "--epoch" => opts.epoch = Some(value(&a, it.next()).unwrap_or_else(bad_flag)),
             "--clamp" => opts.clamp = true,
-            "--threads" => {
-                if let Some(v) = it.next().and_then(|s| s.parse().ok()) {
-                    opts.threads = v;
-                }
+            "--threads" => opts.threads = value(&a, it.next()).unwrap_or_else(bad_flag),
+            "--follow" => opts.follow_secs = Some(value(&a, it.next()).unwrap_or_else(bad_flag)),
+            "--metrics-out" => {
+                opts.metrics_out = Some(value(&a, it.next()).unwrap_or_else(bad_flag));
             }
-            "--follow" => opts.follow_secs = it.next().and_then(|s| s.parse().ok()),
-            "--metrics-out" => opts.metrics_out = it.next().map(PathBuf::from),
-            "--window-us" => {
-                if let Some(v) = it.next().and_then(|s| s.parse().ok()) {
-                    opts.cfg.window_us = v;
-                }
-            }
-            "--learn" => {
-                if let Some(v) = it.next().and_then(|s| s.parse().ok()) {
-                    opts.cfg.learn_windows = v;
-                }
-            }
-            "--rate-min" => {
-                if let Some(v) = it.next().and_then(|s| s.parse().ok()) {
-                    opts.cfg.rate_min = v;
-                }
-            }
+            "--window-us" => opts.cfg.window_us = value(&a, it.next()).unwrap_or_else(bad_flag),
+            "--learn" => opts.cfg.learn_windows = value(&a, it.next()).unwrap_or_else(bad_flag),
+            "--rate-min" => opts.cfg.rate_min = value(&a, it.next()).unwrap_or_else(bad_flag),
             "--outage-windows" => {
-                if let Some(v) = it.next().and_then(|s| s.parse().ok()) {
-                    opts.cfg.outage_windows = v;
-                }
+                opts.cfg.outage_windows = value(&a, it.next()).unwrap_or_else(bad_flag);
             }
-            "--train" => {
-                if let Some(p) = it.next() {
-                    opts.train.push(PathBuf::from(p));
-                }
-            }
+            "--train" => opts.train.push(value(&a, it.next()).unwrap_or_else(bad_flag)),
             "--help" | "-h" => {
                 usage();
                 return ExitCode::SUCCESS;

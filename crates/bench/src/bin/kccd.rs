@@ -26,7 +26,8 @@
 //! listeners, stamping, MRT rotation and trace levels are then
 //! hot-reloadable (`echo "set stamp arrival" | nc ...; echo commit | …`).
 //! `--trace TARGET=LEVEL` (repeatable) and `--trace-default LEVEL` seed
-//! the runtime trace filter.
+//! the runtime trace filter before the daemon binds. A flag whose value
+//! is missing or does not parse exits 2, naming the flag.
 //!
 //! The daemon keeps one `kcc_obs::Registry` of Prometheus-style metrics
 //! (reactor session/frame counters, ingest throughput, watch alerts).
@@ -38,6 +39,7 @@
 use std::net::IpAddr;
 use std::time::Duration;
 
+use kcc_bench::args::value;
 use kcc_bgp_types::Asn;
 use kcc_core::pipeline::PipelineBuilder;
 use kcc_core::table::{OverviewSink, TypeShares};
@@ -50,12 +52,12 @@ struct Options {
     duration_secs: u64,
     watch: bool,
     control: Option<String>,
-    trace_default: Option<TraceLevel>,
-    trace_targets: Vec<(String, TraceLevel)>,
     profile_every: Option<u64>,
 }
 
-fn parse_args() -> Options {
+/// Parses the command line. A missing or unparsable value is an error
+/// naming its flag.
+fn parse_args() -> Result<Options, String> {
     let mut listen = String::from("127.0.0.1:1790");
     let mut cfg = CollectorConfig::new("rrc00", Asn(3333), "198.51.100.1".parse().unwrap());
     let mut duration_secs = 0u64;
@@ -63,133 +65,74 @@ fn parse_args() -> Options {
     let mut mrt_rotate = 100_000u64;
     let mut watch = false;
     let mut control: Option<String> = None;
-    let mut trace_default: Option<TraceLevel> = None;
-    let mut trace_targets: Vec<(String, TraceLevel)> = Vec::new();
     let mut profile_every: Option<u64> = None;
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
+    let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--listen" => listen = it.next().cloned().unwrap_or(listen),
-            "--collector" => {
-                if let Some(v) = it.next() {
-                    cfg.collector = v.clone();
-                }
+            "--listen" => listen = value(&a, it.next())?,
+            "--collector" => cfg.collector = value(&a, it.next())?,
+            "--asn" => cfg.local_asn = Asn(value(&a, it.next())?),
+            "--bgp-id" => cfg.bgp_id = value(&a, it.next())?,
+            "--hold" => cfg.hold_time = value(&a, it.next())?,
+            "--epoch" => cfg.epoch_seconds = value(&a, it.next())?,
+            "--stamp" => {
+                let v: String = value(&a, it.next())?;
+                cfg.daemon.stamp = match v.split_once(':') {
+                    None if v == "arrival" => StampMode::Arrival,
+                    None if v == "logical" => StampMode::logical(1_000),
+                    Some(("logical", spacing)) => {
+                        StampMode::logical(value(&a, Some(spacing.to_owned()))?)
+                    }
+                    _ => return Err(format!("`{a}` cannot take `{v}` (arrival or logical[:US])")),
+                };
             }
-            "--asn" => {
-                if let Some(v) = it.next().and_then(|s| s.parse().ok()) {
-                    cfg.local_asn = Asn(v);
-                }
-            }
-            "--bgp-id" => {
-                if let Some(v) = it.next().and_then(|s| s.parse().ok()) {
-                    cfg.bgp_id = v;
-                }
-            }
-            "--hold" => {
-                if let Some(v) = it.next().and_then(|s| s.parse().ok()) {
-                    cfg.hold_time = v;
-                }
-            }
-            "--epoch" => {
-                if let Some(v) = it.next().and_then(|s| s.parse().ok()) {
-                    cfg.epoch_seconds = v;
-                }
-            }
-            "--stamp" => match it.next().map(String::as_str) {
-                Some("arrival") => cfg.stamp = StampMode::Arrival,
-                Some(s) if s.starts_with("logical") => {
-                    let spacing =
-                        s.split_once(':').and_then(|(_, v)| v.parse().ok()).unwrap_or(1_000);
-                    cfg.stamp = StampMode::logical(spacing);
-                }
-                other => {
-                    eprintln!(
-                        "kccd: --stamp wants 'arrival' or 'logical[:SPACING_US]', got {other:?}"
-                    );
-                    std::process::exit(2);
-                }
-            },
             "--route-server" => {
                 // ASN@IP, repeatable.
-                if let Some((asn, ip)) = it.next().and_then(|v| v.split_once('@')) {
-                    if let (Ok(asn), Ok(ip)) = (asn.parse::<u32>(), ip.parse::<IpAddr>()) {
-                        cfg.route_servers.push((Asn(asn), ip));
-                    }
-                }
+                let v: String = value(&a, it.next())?;
+                let bad = || format!("`{a}` cannot take `{v}` (ASN@IP)");
+                let (asn, ip) = v.split_once('@').ok_or_else(bad)?;
+                let asn: u32 = asn.parse().map_err(|_| bad())?;
+                let ip: IpAddr = ip.parse().map_err(|_| bad())?;
+                cfg.daemon.route_servers.push((Asn(asn), ip));
             }
-            "--mrt-dir" => mrt_dir = it.next().cloned(),
-            "--mrt-rotate" => {
-                if let Some(v) = it.next().and_then(|s| s.parse().ok()) {
-                    mrt_rotate = v;
-                }
-            }
-            "--duration" => {
-                if let Some(v) = it.next().and_then(|s| s.parse().ok()) {
-                    duration_secs = v;
-                }
-            }
+            "--mrt-dir" => mrt_dir = Some(value(&a, it.next())?),
+            "--mrt-rotate" => mrt_rotate = value(&a, it.next())?,
+            "--duration" => duration_secs = value(&a, it.next())?,
             "--watch" => watch = true,
-            "--workers" => {
-                if let Some(v) = it.next().and_then(|s| s.parse().ok()) {
-                    cfg.reactor.workers = v;
-                }
-            }
-            "--control" => control = it.next().cloned(),
-            "--profile-every" => {
-                profile_every = it.next().and_then(|s| s.parse().ok());
-                if profile_every.is_none() {
-                    eprintln!("kccd: --profile-every wants a positive sample interval");
-                    std::process::exit(2);
-                }
-            }
+            "--workers" => cfg.reactor.workers = value(&a, it.next())?,
+            "--control" => control = Some(value(&a, it.next())?),
+            "--profile-every" => profile_every = Some(value(&a, it.next())?),
             "--trace-default" => {
-                trace_default = it.next().and_then(|s| TraceLevel::parse(s));
-                if trace_default.is_none() {
-                    eprintln!("kccd: --trace-default wants off|error|info|debug|trace");
-                    std::process::exit(2);
-                }
+                let v: String = value(&a, it.next())?;
+                cfg.daemon.trace.default = TraceLevel::parse(&v)
+                    .ok_or_else(|| format!("`{a}` wants off|error|info|debug|trace"))?;
             }
             "--trace" => {
                 // TARGET=LEVEL, repeatable.
-                let parsed =
-                    it.next().and_then(|v| v.split_once('=')).and_then(|(target, level)| {
-                        TraceLevel::parse(level).map(|l| (target.to_owned(), l))
-                    });
-                match parsed {
-                    Some(pair) => trace_targets.push(pair),
-                    None => {
-                        eprintln!(
-                            "kccd: --trace wants TARGET=LEVEL (level: off|error|info|debug|trace)"
-                        );
-                        std::process::exit(2);
-                    }
-                }
+                let v: String = value(&a, it.next())?;
+                let (target, level) = v
+                    .split_once('=')
+                    .and_then(|(target, level)| TraceLevel::parse(level).map(|l| (target, l)))
+                    .ok_or_else(|| {
+                        format!("`{a}` wants TARGET=LEVEL (level: off|error|info|debug|trace)")
+                    })?;
+                cfg.daemon.trace.targets.insert(target.to_owned(), level);
             }
-            other => {
-                eprintln!("kccd: unknown argument {other}");
-                std::process::exit(2);
-            }
+            other => return Err(format!("unknown argument {other}")),
         }
     }
     if let Some(dir) = mrt_dir {
-        cfg.mrt = Some(RotateConfig::new(dir, mrt_rotate));
+        cfg.daemon.mrt = Some(RotateConfig::new(dir, mrt_rotate));
     }
-    Options {
-        listen,
-        cfg,
-        duration_secs,
-        watch,
-        control,
-        trace_default,
-        trace_targets,
-        profile_every,
-    }
+    Ok(Options { listen, cfg, duration_secs, watch, control, profile_every })
 }
 
 fn main() {
-    let opts = parse_args();
+    let opts = parse_args().unwrap_or_else(|e| {
+        eprintln!("kccd: {e}");
+        std::process::exit(2);
+    });
     let mut collector = match Collector::bind(&opts.listen, opts.cfg.clone()) {
         Ok(c) => c,
         Err(e) => {
@@ -206,29 +149,15 @@ fn main() {
         collector.local_addr()
     );
 
-    // Seed the runtime trace filter from the CLI (one commit before any
-    // peer dials in).
-    let store = collector.config_store();
-    if opts.trace_default.is_some() || !opts.trace_targets.is_empty() {
-        store.edit(|c| {
-            if let Some(level) = opts.trace_default {
-                c.trace.default = level;
-            }
-            for (target, level) in &opts.trace_targets {
-                c.trace.targets.insert(target.clone(), *level);
-            }
-        });
-        store.commit();
-    }
-
     // The control socket shares the daemon's shutdown flag, so it exits
     // with the collector.
     let control = opts.control.as_ref().map(|addr| {
         let server =
-            ControlServer::bind(addr, store, collector.shutdown_handle()).unwrap_or_else(|e| {
-                eprintln!("kccd: cannot bind control socket {addr}: {e}");
-                std::process::exit(1);
-            });
+            ControlServer::bind(addr, collector.config_store(), collector.shutdown_handle())
+                .unwrap_or_else(|e| {
+                    eprintln!("kccd: cannot bind control socket {addr}: {e}");
+                    std::process::exit(1);
+                });
         println!("kccd: control socket on {}", server.local_addr());
         server
     });

@@ -3,10 +3,8 @@
 //! archive), for the pipeline measurements (`tests/profile_overhead.rs`).
 
 use kcc_bgp_types::Asn;
-use kcc_collector::archive::mrt_record_for;
-use kcc_collector::{SourceItem, UpdateSource};
+use kcc_collector::archive::write_mrt_from;
 use kcc_core::AllocationRegistry;
-use kcc_mrt::MrtWriter;
 use kcc_tracegen::{Mar20Config, Mar20Source};
 
 /// A generated day as the bytes a collector would publish, plus the
@@ -28,17 +26,10 @@ pub fn generate_mrt_day(cfg: &Mar20Config) -> MrtDay {
     let mut source = Mar20Source::new(cfg);
     let registry = source.registry().clone();
     let route_servers = source.route_server_peers();
-    let mut writer = MrtWriter::new(Vec::new());
-    let mut updates = 0u64;
-    while let Some(item) = source.next_item().expect("generated sources cannot fail") {
-        if let SourceItem::Update(meta, update) = item {
-            writer
-                .write_record(&mrt_record_for(&meta, cfg.epoch_seconds, &update))
-                .expect("in-memory write cannot fail");
-            updates += 1;
-        }
-    }
-    MrtDay { bytes: writer.into_inner(), updates, registry, route_servers }
+    let mut bytes = Vec::new();
+    let updates = write_mrt_from(&mut source, cfg.epoch_seconds, &mut bytes)
+        .expect("generated sources and in-memory writes cannot fail");
+    MrtDay { bytes, updates, registry, route_servers }
 }
 
 #[cfg(test)]

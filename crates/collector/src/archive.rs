@@ -14,7 +14,7 @@ use kcc_bgp_wire::{Message, UpdatePacket};
 use kcc_mrt::{Bgp4mpMessage, MrtError, MrtRecord, MrtTimestamp, MrtWriter};
 
 use crate::session::{PeerMeta, SessionKey};
-use crate::source::{MrtSource, SourceError};
+use crate::source::{MrtSource, SourceError, SourceItem, UpdateSource};
 
 /// The collector's own ASN used in exported MRT records (value is
 /// irrelevant to the analysis; RIPE NCC's AS3333 is used for flavor).
@@ -183,6 +183,24 @@ pub fn mrt_record_for(meta: &PeerMeta, epoch_seconds: u32, update: &RouteUpdate)
         local_ip: ip_family_match(local_ip, key.peer_ip),
         message: Message::Update(UpdatePacket::from_route_update(update)),
     })
+}
+
+/// Drains `source` into `w` as MRT, one [`mrt_record_for`] record per
+/// update in source order, and flushes. Returns the updates written.
+/// Holds nothing beyond what the source itself keeps resident.
+pub fn write_mrt_from<S: UpdateSource, W: Write>(
+    source: &mut S,
+    epoch_seconds: u32,
+    w: W,
+) -> Result<u64, SourceError> {
+    let mut writer = MrtWriter::new(w);
+    while let Some(item) = source.next_item()? {
+        if let SourceItem::Update(meta, update) = item {
+            writer.write_record(&mrt_record_for(&meta, epoch_seconds, &update))?;
+        }
+    }
+    writer.flush()?;
+    Ok(writer.records_written())
 }
 
 /// A deterministic collector address from its name.

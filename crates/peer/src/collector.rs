@@ -84,9 +84,10 @@ impl StampMode {
     }
 }
 
-/// Daemon configuration. The hot-reloadable subset (stamp, route
-/// servers, MRT rotation) seeds the daemon's [`ConfigStore`]; the rest —
-/// identity, epoch, reactor shape — is fixed at bind time.
+/// Daemon configuration. [`CollectorConfig::daemon`] is the initial
+/// running config of the daemon's [`ConfigStore`], hot-reloadable after
+/// bind; the rest — identity, epoch, reactor shape — is fixed at bind
+/// time.
 #[derive(Debug, Clone)]
 pub struct CollectorConfig {
     /// Collector name used in session keys and MRT re-analysis.
@@ -99,13 +100,9 @@ pub struct CollectorConfig {
     pub hold_time: u16,
     /// Epoch anchoring `time_us` (and MRT record seconds).
     pub epoch_seconds: u32,
-    /// Timestamping of arriving updates.
-    pub stamp: StampMode,
-    /// Peers that are IXP route servers (metadata the wire cannot carry;
-    /// mirrors `MrtSource::with_route_servers`).
-    pub route_servers: Vec<(Asn, IpAddr)>,
-    /// Rotating MRT dumps, if wanted.
-    pub mrt: Option<crate::rotate::RotateConfig>,
+    /// The initial running config: stamping, peer policy, route
+    /// servers, MRT rotation, extra listeners, trace levels.
+    pub daemon: DaemonConfig,
     /// Event-loop shape: worker count, buffer caps.
     pub reactor: ReactorConfig,
 }
@@ -119,28 +116,27 @@ impl CollectorConfig {
             bgp_id,
             hold_time: 90,
             epoch_seconds: 0,
-            stamp: StampMode::Arrival,
-            route_servers: Vec::new(),
-            mrt: None,
+            daemon: DaemonConfig::default(),
             reactor: ReactorConfig::default(),
         }
     }
 
     /// Sets the stamp mode.
     pub fn with_stamp(mut self, stamp: StampMode) -> Self {
-        self.stamp = stamp;
+        self.daemon.stamp = stamp;
         self
     }
 
-    /// Declares route-server peers.
+    /// Declares route-server peers (metadata the wire cannot carry;
+    /// mirrors `MrtSource::with_route_servers`).
     pub fn with_route_servers<I: IntoIterator<Item = (Asn, IpAddr)>>(mut self, peers: I) -> Self {
-        self.route_servers = peers.into_iter().collect();
+        self.daemon.route_servers = peers.into_iter().collect();
         self
     }
 
     /// Enables rotating MRT dumps.
     pub fn with_mrt(mut self, rotate: crate::rotate::RotateConfig) -> Self {
-        self.mrt = Some(rotate);
+        self.daemon.mrt = Some(rotate);
         self
     }
 
@@ -154,16 +150,6 @@ impl CollectorConfig {
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.reactor.workers = workers;
         self
-    }
-
-    /// The hot-reloadable subset, as the initial running config.
-    pub(crate) fn daemon_config(&self) -> DaemonConfig {
-        DaemonConfig {
-            stamp: self.stamp,
-            route_servers: self.route_servers.clone(),
-            mrt: self.mrt.clone(),
-            ..DaemonConfig::default()
-        }
     }
 }
 
@@ -225,7 +211,7 @@ impl Collector {
 
         // Fail at bind time if the configured MRT directory is unusable,
         // not after the daemon is already accepting peers.
-        let rotator = match &cfg.mrt {
+        let rotator = match &cfg.daemon.mrt {
             Some(rc) => match MrtRotator::new(rc.clone(), cfg.epoch_seconds) {
                 Ok(r) => Some(r),
                 Err(e) => return Err(io::Error::other(format!("MRT rotator: {e}"))),
@@ -233,7 +219,7 @@ impl Collector {
             None => None,
         };
 
-        let store = Arc::new(ConfigStore::new(cfg.daemon_config()));
+        let store = Arc::new(ConfigStore::new(cfg.daemon.clone()));
         let shutdown = ShutdownFlag::new();
         let (live, source) = LiveSource::channel();
         let ingest = Arc::new(Mutex::new(IngestTable::new(
@@ -503,12 +489,11 @@ pub fn offline_reference(input: &UpdateArchive, cfg: &CollectorConfig) -> Update
     for (key, rec) in input.sessions() {
         renamed += 1;
         let key = SessionKey::new(&cfg.collector, key.peer_asn, key.peer_ip);
-        let route_server =
-            cfg.route_servers.iter().any(|&(asn, ip)| asn == key.peer_asn && ip == key.peer_ip);
+        let route_server = cfg.daemon.route_servers.contains(&(key.peer_asn, key.peer_ip));
         out.add_session(PeerMeta { key: key.clone(), route_server, second_granularity: false });
         for (i, u) in rec.updates.iter().enumerate() {
             let mut u = u.clone();
-            u.time_us = match cfg.stamp {
+            u.time_us = match cfg.daemon.stamp {
                 StampMode::Logical { spacing_us } => i as u64 * spacing_us,
                 StampMode::Arrival => u.time_us,
             };

@@ -56,6 +56,8 @@ impl PeerPolicy {
 }
 
 /// Everything about a running daemon that can change without a restart.
+/// A daemon starts from `CollectorConfig::daemon`, taken as is as the
+/// store's first running config.
 ///
 /// The static identity — local ASN, BGP identifier, collector name,
 /// epoch — stays in `CollectorConfig`: a collector that changes its ASN

@@ -54,28 +54,18 @@ pub struct FsmConfig {
     /// Passive endpoints (collectors) never dial; they wait in `Active`
     /// for the transport to hand them an inbound connection.
     pub passive: bool,
-    /// If set, the peer's OPEN must announce exactly this AS
-    /// (otherwise: Bad Peer AS NOTIFICATION).
-    pub expected_peer_asn: Option<Asn>,
-    /// Delay before re-dialing after a failed connect (ms).
-    pub connect_retry_ms: u64,
-    /// How long to wait in OpenSent/OpenConfirm before giving up (the
-    /// RFC's "large value" hold timer while the session is half-open).
-    pub open_hold_ms: u64,
 }
+
+/// Delay before re-dialing after a failed connect (ms).
+const CONNECT_RETRY_MS: u64 = 5_000;
+/// How long to wait in OpenSent/OpenConfirm before giving up (the RFC's
+/// "large value" hold timer while the session is half-open).
+const OPEN_HOLD_MS: u64 = 240_000;
 
 impl FsmConfig {
     /// A conventional configuration for one endpoint.
     pub fn new(local_asn: Asn, bgp_id: Ipv4Addr) -> Self {
-        FsmConfig {
-            local_asn,
-            bgp_id,
-            hold_time: 90,
-            passive: false,
-            expected_peer_asn: None,
-            connect_retry_ms: 5_000,
-            open_hold_ms: 240_000,
-        }
+        FsmConfig { local_asn, bgp_id, hold_time: 90, passive: false }
     }
 
     /// Marks this endpoint passive (collector side).
@@ -87,12 +77,6 @@ impl FsmConfig {
     /// Sets the proposed hold time (seconds).
     pub fn with_hold_time(mut self, seconds: u16) -> Self {
         self.hold_time = seconds;
-        self
-    }
-
-    /// Requires the peer to announce exactly this AS.
-    pub fn with_expected_peer(mut self, asn: Asn) -> Self {
-        self.expected_peer_asn = Some(asn);
         self
     }
 }
@@ -169,7 +153,7 @@ pub enum DownReason {
 pub struct Fsm {
     cfg: FsmConfig,
     state: State,
-    /// Deadline for the hold timer (half-open: `open_hold_ms`;
+    /// Deadline for the hold timer (half-open: `OPEN_HOLD_MS`;
     /// Established: negotiated hold time). `None` = disarmed.
     hold_deadline: Option<u64>,
     /// Next keepalive send deadline (Established/OpenConfirm, hold > 0).
@@ -271,7 +255,7 @@ impl Fsm {
                     Vec::new()
                 } else {
                     self.state = State::Connect;
-                    self.connect_deadline = Some(now_ms + self.cfg.connect_retry_ms);
+                    self.connect_deadline = Some(now_ms + CONNECT_RETRY_MS);
                     vec![Action::StartConnect]
                 }
             }
@@ -296,7 +280,7 @@ impl Fsm {
                 // (RFC 4271 events 16/17).
                 self.state = State::OpenSent;
                 self.connect_deadline = None;
-                self.hold_deadline = Some(now_ms + self.cfg.open_hold_ms);
+                self.hold_deadline = Some(now_ms + OPEN_HOLD_MS);
                 vec![Action::Send(Message::Open(self.our_open()))]
             }
             _ => Vec::new(),
@@ -309,7 +293,7 @@ impl Fsm {
             State::Connect | State::Active if !self.cfg.passive => {
                 // Back off and re-dial when the retry timer fires.
                 self.state = State::Active;
-                self.connect_deadline = Some(now_ms + self.cfg.connect_retry_ms);
+                self.connect_deadline = Some(now_ms + CONNECT_RETRY_MS);
                 Vec::new()
             }
             _ => self.down(None, DownReason::TcpFailed),
@@ -367,14 +351,6 @@ impl Fsm {
                 DownReason::ProtocolError("unacceptable hold time"),
             );
         }
-        if let Some(expected) = self.cfg.expected_peer_asn {
-            if open.real_asn() != expected {
-                return self.down(
-                    Some(Notification::bad_peer_as()),
-                    DownReason::ProtocolError("bad peer AS"),
-                );
-            }
-        }
         let hold_time = self.cfg.hold_time.min(open.hold_time);
         // 4-octet AS iff both sides announced the capability; our
         // standard OPEN always does.
@@ -387,7 +363,7 @@ impl Fsm {
         });
         // Keep the large half-open hold deadline until Established; send
         // our KEEPALIVE to confirm.
-        self.hold_deadline = Some(now_ms + self.cfg.open_hold_ms);
+        self.hold_deadline = Some(now_ms + OPEN_HOLD_MS);
         self.state = State::OpenConfirm;
         self.keepalives_sent += 1;
         vec![Action::Send(Message::Keepalive)]
@@ -449,7 +425,7 @@ impl Fsm {
     fn on_timer(&mut self, now_ms: u64) -> Vec<Action> {
         // Connect retry: re-dial.
         if self.connect_deadline.is_some_and(|d| now_ms >= d) {
-            self.connect_deadline = Some(now_ms + self.cfg.connect_retry_ms);
+            self.connect_deadline = Some(now_ms + CONNECT_RETRY_MS);
             if matches!(self.state, State::Connect | State::Active) && !self.cfg.passive {
                 self.state = State::Connect;
                 return vec![Action::StartConnect];
@@ -652,21 +628,6 @@ mod tests {
         assert_eq!(fsm.next_deadline(), None);
         let a = fsm.handle(FsmEvent::Timer, 1_000_000_000);
         assert!(a.is_empty(), "no timer ever fires with hold 0");
-    }
-
-    #[test]
-    fn bad_peer_as_rejected_with_precise_notification() {
-        let mut fsm = Fsm::new(cfg().with_expected_peer(Asn(65_000)).passive());
-        fsm.handle(FsmEvent::Start, 0);
-        fsm.handle(FsmEvent::TcpConnected, 0);
-        let a = fsm.handle(FsmEvent::Message(peer_open(30)), 0);
-        assert_eq!(
-            a[0],
-            Action::Send(Message::Notification(Notification::bad_peer_as())),
-            "AS 20205 ≠ expected 65000"
-        );
-        assert!(matches!(a[1], Action::Down(DownReason::ProtocolError(_))));
-        assert_eq!(fsm.state(), State::Idle);
     }
 
     #[test]

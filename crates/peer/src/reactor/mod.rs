@@ -1111,7 +1111,7 @@ mod tests {
                 .with_stamp(StampMode::logical(1_000));
             // Seeded from `cfg`, as `Collector::bind` does: the running
             // config's stamp mode is the one the ingest table applies.
-            let store = Arc::new(ConfigStore::new(cfg.daemon_config()));
+            let store = Arc::new(ConfigStore::new(cfg.daemon.clone()));
             let clock: Arc<dyn Clock> = Arc::new(WallClock::new());
             let ingest = Arc::new(Mutex::new(IngestTable::new(
                 &cfg,

@@ -6,6 +6,8 @@
 //! different cities are generated deliberately — they are what gives
 //! community exploration room to happen.
 
+use std::ops::RangeInclusive;
+
 use kcc_bgp_types::{Asn, GeoTag, Prefix};
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -34,21 +36,13 @@ pub struct TopologyConfig {
     pub n_transit: usize,
     /// Number of stub ASes.
     pub n_stub: usize,
-    /// Router count range for tier-1 ASes.
-    pub routers_tier1: (u16, u16),
     /// Router count range for transit ASes.
     pub routers_transit: (u16, u16),
-    /// Providers per transit AS.
-    pub providers_per_transit: (usize, usize),
-    /// Providers per stub AS.
-    pub providers_per_stub: (usize, usize),
     /// Probability that two transit ASes peer.
     pub transit_peering_prob: f64,
     /// Probability that a customer-provider pair gets a second, parallel
     /// link at a different city.
     pub parallel_link_prob: f64,
-    /// Prefixes originated per stub.
-    pub prefixes_per_stub: (usize, usize),
     /// Fraction of stub prefixes that are IPv6.
     pub ipv6_share: f64,
     /// Community behavior mix.
@@ -78,12 +72,6 @@ impl TopologyConfig {
         self.behavior_mix = mix;
         self
     }
-
-    /// Replaces the seed (builder style).
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
 }
 
 impl Default for TopologyConfig {
@@ -93,13 +81,9 @@ impl Default for TopologyConfig {
             n_tier1: 4,
             n_transit: 16,
             n_stub: 60,
-            routers_tier1: (3, 6),
             routers_transit: (2, 4),
-            providers_per_transit: (1, 2),
-            providers_per_stub: (1, 3),
             transit_peering_prob: 0.25,
             parallel_link_prob: 0.35,
-            prefixes_per_stub: (1, 3),
             ipv6_share: 0.12,
             behavior_mix: BehaviorMix::default(),
             with_beacon_origin: true,
@@ -108,15 +92,16 @@ impl Default for TopologyConfig {
     }
 }
 
-fn range_sample(rng: &mut StdRng, (lo, hi): (u16, u16)) -> u16 {
-    if lo >= hi {
-        lo
-    } else {
-        rng.gen_range(lo..=hi)
-    }
-}
+/// Router count range for [`generate`]'s tier-1 ASes.
+const ROUTERS_TIER1: (u16, u16) = (3, 6);
+/// Providers per transit AS in [`generate`].
+const PROVIDERS_PER_TRANSIT: RangeInclusive<usize> = 1..=2;
+/// Providers per stub AS in [`generate`].
+const PROVIDERS_PER_STUB: RangeInclusive<usize> = 1..=3;
+/// Prefixes originated per stub in [`generate`].
+const PREFIXES_PER_STUB: RangeInclusive<usize> = 1..=3;
 
-fn range_sample_usize(rng: &mut StdRng, (lo, hi): (usize, usize)) -> usize {
+fn range_sample(rng: &mut StdRng, (lo, hi): (u16, u16)) -> u16 {
     if lo >= hi {
         lo
     } else {
@@ -203,7 +188,7 @@ pub fn generate(cfg: &TopologyConfig) -> Topology {
     for i in 0..cfg.n_tier1 {
         let asn = Asn(*TIER1_POOL.get(i).unwrap_or(&(100 + i as u32)));
         let home = random_continent(&mut rng);
-        let n_routers = range_sample(&mut rng, cfg.routers_tier1);
+        let n_routers = range_sample(&mut rng, ROUTERS_TIER1);
         let routers = make_routers(&mut rng, n_routers, home, true);
         topo.add_node(AsNode {
             asn,
@@ -242,7 +227,7 @@ pub fn generate(cfg: &TopologyConfig) -> Topology {
         });
         transit_asns.push(asn);
 
-        let n_providers = range_sample_usize(&mut rng, cfg.providers_per_transit);
+        let n_providers = rng.gen_range(PROVIDERS_PER_TRANSIT);
         let mut chosen: Vec<Asn> = Vec::new();
         for _ in 0..n_providers.min(tier1_asns.len()) {
             let degree = |a: Asn| topo.edges_of(a).count();
@@ -277,7 +262,7 @@ pub fn generate(cfg: &TopologyConfig) -> Topology {
     for i in 0..cfg.n_stub {
         let asn = Asn(40_000 + i as u32);
         let home = random_continent(&mut rng);
-        let n_prefixes = range_sample_usize(&mut rng, cfg.prefixes_per_stub);
+        let n_prefixes = rng.gen_range(PREFIXES_PER_STUB);
         let prefixes =
             (0..n_prefixes).map(|k| stub_prefix(i, k, rng.gen_bool(cfg.ipv6_share))).collect();
         topo.add_node(AsNode {
@@ -290,7 +275,7 @@ pub fn generate(cfg: &TopologyConfig) -> Topology {
             route_server: false,
         });
 
-        let n_providers = range_sample_usize(&mut rng, cfg.providers_per_stub);
+        let n_providers = rng.gen_range(PROVIDERS_PER_STUB);
         let mut chosen: Vec<Asn> = Vec::new();
         for _ in 0..n_providers.min(transit_asns.len()) {
             let degree = |a: Asn| topo.edges_of(a).count();
@@ -343,15 +328,6 @@ pub struct InternetConfig {
     /// Total AS count (tier-1 + transit + stub). The beacon origin is
     /// added on top when `with_beacon_origin` is set.
     pub n_ases: usize,
-    /// Tier-1 clique size.
-    pub n_tier1: usize,
-    /// Fraction of ASes that provide transit.
-    pub transit_share: f64,
-    /// Multi-homing cap: each customer AS buys from 1..=`max_providers`
-    /// upstreams.
-    pub max_providers: usize,
-    /// Expected peering links per transit AS.
-    pub peering_per_transit: f64,
     /// Community behavior mix.
     pub behavior_mix: BehaviorMix,
     /// If true, adds beacon origin AS12654 dual-homed to two transits.
@@ -373,16 +349,22 @@ impl Default for InternetConfig {
         InternetConfig {
             seed: 42,
             n_ases: 10_000,
-            n_tier1: 8,
-            transit_share: 0.15,
-            max_providers: 3,
-            peering_per_transit: 1.5,
             behavior_mix: BehaviorMix::default(),
             with_beacon_origin: true,
             beacon_prefixes: vec!["84.205.64.0/24".parse().expect("literal prefix")],
         }
     }
 }
+
+/// [`generate_internet`]'s tier-1 clique size.
+const INTERNET_TIER1: usize = 8;
+/// Fraction of [`generate_internet`]'s ASes that provide transit.
+const TRANSIT_SHARE: f64 = 0.15;
+/// Multi-homing cap: each internet customer AS buys from
+/// 1..=`MAX_PROVIDERS` upstreams.
+const MAX_PROVIDERS: usize = 3;
+/// Expected peering links per internet transit AS.
+const PEERING_PER_TRANSIT: f64 = 1.5;
 
 /// O(1) preferential attachment. A provider occupies one baseline slot
 /// plus one slot per customer edge it has attracted, so sampling a
@@ -433,18 +415,16 @@ pub fn generate_internet(cfg: &InternetConfig) -> Topology {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut topo = Topology::new();
 
-    let n_tier1 = cfg.n_tier1.clamp(2, TIER1_POOL.len() + 92);
-    let n_transit = (((cfg.n_ases as f64) * cfg.transit_share) as usize).max(2);
-    let n_stub = cfg.n_ases.saturating_sub(n_tier1 + n_transit);
-    let max_providers = cfg.max_providers.max(1);
+    let n_transit = (((cfg.n_ases as f64) * TRANSIT_SHARE) as usize).max(2);
+    let n_stub = cfg.n_ases.saturating_sub(INTERNET_TIER1 + n_transit);
 
     // Transit-capable providers in creation order; `upstream` samples
     // over their indexes preferentially.
-    let mut providers: Vec<Asn> = Vec::with_capacity(n_tier1 + n_transit);
+    let mut providers: Vec<Asn> = Vec::with_capacity(INTERNET_TIER1 + n_transit);
     let mut upstream = AttachmentList::new();
 
     // Tier-1 clique.
-    for i in 0..n_tier1 {
+    for i in 0..INTERNET_TIER1 {
         let asn = Asn(*TIER1_POOL.get(i).unwrap_or(&(100 + i as u32)));
         let home = random_continent(&mut rng);
         let routers = make_routers(&mut rng, 3, home, true);
@@ -460,8 +440,8 @@ pub fn generate_internet(cfg: &InternetConfig) -> Topology {
         upstream.add_candidate(providers.len() as u32);
         providers.push(asn);
     }
-    for i in 0..n_tier1 {
-        for j in i + 1..n_tier1 {
+    for i in 0..INTERNET_TIER1 {
+        for j in i + 1..INTERNET_TIER1 {
             let (a, b) = (providers[i], providers[j]);
             let ar = rng.gen_range(0..topo.node(a).expect("node").routers.len() as u16);
             let br = rng.gen_range(0..topo.node(b).expect("node").routers.len() as u16);
@@ -491,7 +471,7 @@ pub fn generate_internet(cfg: &InternetConfig) -> Topology {
             prefixes: Vec::new(),
             route_server: false,
         });
-        attach_customer(&mut rng, &mut topo, asn, &providers, &mut upstream, max_providers);
+        attach_customer(&mut rng, &mut topo, asn, &providers, &mut upstream);
         upstream.add_candidate(providers.len() as u32);
         providers.push(asn);
         peer_slots.add_candidate(i as u32);
@@ -500,7 +480,7 @@ pub fn generate_internet(cfg: &InternetConfig) -> Topology {
 
     // Degree-weighted peering mesh among transits (IXP-style: the more
     // peers a transit already has, the likelier it attracts another).
-    let target_links = ((n_transit as f64) * cfg.peering_per_transit / 2.0).round() as usize;
+    let target_links = ((n_transit as f64) * PEERING_PER_TRANSIT / 2.0).round() as usize;
     let mut linked: std::collections::BTreeSet<(Asn, Asn)> = std::collections::BTreeSet::new();
     let mut made = 0usize;
     let mut attempts = 0usize;
@@ -537,7 +517,7 @@ pub fn generate_internet(cfg: &InternetConfig) -> Topology {
             prefixes: vec![internet_stub_prefix(i)],
             route_server: false,
         });
-        attach_customer(&mut rng, &mut topo, asn, &providers, &mut upstream, max_providers);
+        attach_customer(&mut rng, &mut topo, asn, &providers, &mut upstream);
     }
 
     // Beacon origin: AS12654 dual-homed to two transits so withdrawals
@@ -567,7 +547,7 @@ pub fn generate_internet(cfg: &InternetConfig) -> Topology {
     topo
 }
 
-/// Buys transit for `customer` from 1..=`max_providers` distinct
+/// Buys transit for `customer` from 1..=[`MAX_PROVIDERS`] distinct
 /// upstreams picked preferentially from `upstream` (candidates are all
 /// created before `customer`, so the customer cone stays acyclic).
 fn attach_customer(
@@ -576,9 +556,8 @@ fn attach_customer(
     customer: Asn,
     providers: &[Asn],
     upstream: &mut AttachmentList,
-    max_providers: usize,
 ) {
-    let want = (1 + rng.gen_range(0..max_providers)).min(providers.len());
+    let want = (1 + rng.gen_range(0..MAX_PROVIDERS)).min(providers.len());
     let c_routers = topo.node(customer).expect("customer node").routers.len() as u16;
     let mut chosen: Vec<u32> = Vec::with_capacity(want);
     let mut attempts = 0;
@@ -768,8 +747,7 @@ mod tests {
     #[test]
     fn builder_helpers_replace_fields() {
         let mix = BehaviorMix { transit_tags_geo: 1.0, cleans_egress: 0.0, cleans_ingress: 0.0 };
-        let cfg = TopologyConfig::sized(30, 9).with_behavior_mix(mix).with_seed(11);
-        assert_eq!(cfg.seed, 11);
+        let cfg = TopologyConfig::sized(30, 11).with_behavior_mix(mix);
         assert!((cfg.behavior_mix.transit_tags_geo - 1.0).abs() < f64::EPSILON);
         // The mix reaches the generated ASes: every non-stub tags geo.
         let t = generate(&cfg);

@@ -5,7 +5,10 @@
 //! the primary route (`pc` against the last explored state), and each
 //! withdrawal phase triggers path exploration — a few steps across backup
 //! routes (`pc`) with community exploration in between (`nc`, or `nn`
-//! through cleaning peers) — before the final withdrawal arrives.
+//! through cleaning peers) — before the final withdrawal arrives. The
+//! burst shape (step counts, jitter, spacing) is a set of constants.
+
+use std::ops::RangeInclusive;
 
 use kcc_bgp_types::{Prefix, RouteUpdate};
 use kcc_collector::{BeaconEvent, BeaconSchedule};
@@ -16,43 +19,28 @@ use rand::rngs::StdRng;
 use crate::streams::StreamClass;
 use crate::streams::StreamTemplate;
 
-/// Beacon burst shape parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BeaconBurstConfig {
-    /// Path-exploration steps per withdrawal phase (inclusive range).
-    pub path_steps: (usize, usize),
-    /// Community-exploration steps per withdrawal phase.
-    pub comm_steps: (usize, usize),
-    /// Maximum jitter of the first burst message after the phase start.
-    pub start_jitter_us: u64,
-    /// Spacing range between burst messages.
-    pub step_spacing_us: (u64, u64),
-}
-
-impl Default for BeaconBurstConfig {
-    fn default() -> Self {
-        BeaconBurstConfig {
-            path_steps: (1, 3),
-            comm_steps: (0, 1),
-            start_jitter_us: 45_000_000,              // ≤ 45 s
-            step_spacing_us: (5_000_000, 60_000_000), // 5–60 s (MRAI-ish)
-        }
-    }
-}
+/// Path-exploration steps per withdrawal phase.
+const PATH_STEPS: RangeInclusive<usize> = 1..=3;
+/// Community-exploration steps per withdrawal phase.
+const COMM_STEPS: RangeInclusive<usize> = 0..=1;
+/// Maximum jitter of the first burst message after the phase start
+/// (≤ 45 s).
+const START_JITTER_US: u64 = 45_000_000;
+/// Spacing range between burst messages: 5–60 s (MRAI-ish).
+const STEP_SPACING_US: RangeInclusive<u64> = 5_000_000..=60_000_000;
 
 /// Generates one `(session, beacon prefix)` day following `schedule`.
 pub fn generate_beacon_stream(
     rng: &mut StdRng,
     template: &StreamTemplate,
     schedule: &BeaconSchedule,
-    burst: &BeaconBurstConfig,
     prefix: Prefix,
     day_offset_us: u64,
     out: &mut Vec<RouteUpdate>,
 ) {
     let mut state = template.initial_state(rng);
     for (phase_start, event) in schedule.day_events() {
-        let t0 = day_offset_us + phase_start + rng.gen_range(1_000_000..burst.start_jitter_us);
+        let t0 = day_offset_us + phase_start + rng.gen_range(1_000_000..START_JITTER_US);
         match event {
             BeaconEvent::Announce => {
                 // Converge back to the primary route.
@@ -66,11 +54,9 @@ pub fn generate_beacon_stream(
             }
             BeaconEvent::Withdraw => {
                 let mut t = t0;
-                let spacing = |rng: &mut StdRng| {
-                    rng.gen_range(burst.step_spacing_us.0..=burst.step_spacing_us.1)
-                };
-                let path_steps = rng.gen_range(burst.path_steps.0..=burst.path_steps.1);
-                let comm_steps = rng.gen_range(burst.comm_steps.0..=burst.comm_steps.1);
+                let spacing = |rng: &mut StdRng| rng.gen_range(STEP_SPACING_US);
+                let path_steps = rng.gen_range(PATH_STEPS);
+                let comm_steps = rng.gen_range(COMM_STEPS);
                 for _ in 0..path_steps {
                     template.advance_path(rng, &mut state);
                     out.push(RouteUpdate::announce(t, prefix, template.attrs(&state)));
@@ -115,15 +101,7 @@ mod tests {
     fn six_withdrawals_per_day() {
         let (mut rng, t, prefix) = template(StreamClass::TaggedVisible);
         let mut out = Vec::new();
-        generate_beacon_stream(
-            &mut rng,
-            &t,
-            &BeaconSchedule::default(),
-            &BeaconBurstConfig::default(),
-            prefix,
-            0,
-            &mut out,
-        );
+        generate_beacon_stream(&mut rng, &t, &BeaconSchedule::default(), prefix, 0, &mut out);
         let withdrawals = out.iter().filter(|u| u.is_withdrawal()).count();
         assert_eq!(withdrawals, 6);
         // At least one announcement per phase: ≥ 6 + 6.
@@ -136,15 +114,7 @@ mod tests {
         let (mut rng, t, prefix) = template(StreamClass::TaggedVisible);
         let schedule = BeaconSchedule::default();
         let mut out = Vec::new();
-        generate_beacon_stream(
-            &mut rng,
-            &t,
-            &schedule,
-            &BeaconBurstConfig::default(),
-            prefix,
-            0,
-            &mut out,
-        );
+        generate_beacon_stream(&mut rng, &t, &schedule, prefix, 0, &mut out);
         // Everything generated lies inside a phase window (bursts fit in
         // 15 minutes by construction with default spacings).
         for u in &out {
@@ -158,15 +128,7 @@ mod tests {
         let (mut rng, t, prefix) = template(StreamClass::TaggedVisible);
         let day = 24 * 3600 * 1_000_000u64;
         let mut out = Vec::new();
-        generate_beacon_stream(
-            &mut rng,
-            &t,
-            &BeaconSchedule::default(),
-            &BeaconBurstConfig::default(),
-            prefix,
-            day,
-            &mut out,
-        );
+        generate_beacon_stream(&mut rng, &t, &BeaconSchedule::default(), prefix, day, &mut out);
         assert!(out.iter().all(|u| u.time_us >= day && u.time_us < 2 * day));
     }
 
@@ -192,7 +154,6 @@ mod tests {
                 &mut rng,
                 &t,
                 &BeaconSchedule::default(),
-                &BeaconBurstConfig::default(),
                 spec.prefix,
                 0,
                 &mut out,

@@ -15,38 +15,32 @@ use crate::universe::UniverseConfig;
 pub struct HistConfig {
     /// Base seed; each day derives its own.
     pub seed: u64,
-    /// First sampled year.
-    pub start_year: u16,
-    /// Last sampled year (inclusive).
-    pub end_year: u16,
     /// Days per year (4 = quarterly, matching the paper).
     pub samples_per_year: u8,
     /// Per-day announcement volume at the 2020 end of the series.
     pub target_announcements_2020: u64,
-    /// Session count at the 2020 end (halves toward 2010).
-    pub sessions_2020: usize,
 }
 
 impl Default for HistConfig {
     fn default() -> Self {
-        HistConfig {
-            seed: 42,
-            start_year: 2010,
-            end_year: 2020,
-            samples_per_year: 4,
-            target_announcements_2020: 40_000,
-            sessions_2020: 60,
-        }
+        HistConfig { seed: 42, samples_per_year: 4, target_announcements_2020: 40_000 }
     }
 }
+
+/// First sampled year.
+const START_YEAR: u16 = 2010;
+/// Last sampled year (inclusive).
+const END_YEAR: u16 = 2020;
+/// Session count at the 2020 end (halves toward 2010).
+const SESSIONS_2020: usize = 60;
 
 /// Builds the per-day configurations with evolving parameters.
 pub fn day_configs(cfg: &HistConfig) -> Vec<(String, Mar20Config)> {
     let mut out = Vec::new();
-    let years = cfg.end_year - cfg.start_year;
+    let years = END_YEAR - START_YEAR;
     let total_days = years as usize * cfg.samples_per_year as usize + 1;
     for i in 0..total_days {
-        let year = cfg.start_year as usize + i / cfg.samples_per_year as usize;
+        let year = START_YEAR as usize + i / cfg.samples_per_year as usize;
         let quarter = i % cfg.samples_per_year as usize;
         let month = 3 * quarter + 3; // 03, 06, 09, 12
         let label = format!("{year}-{month:02}-15");
@@ -54,7 +48,7 @@ pub fn day_configs(cfg: &HistConfig) -> Vec<(String, Mar20Config)> {
         let f = i as f64 / (total_days - 1).max(1) as f64;
 
         // Sessions roughly double over the decade; volume grows ~2.5×.
-        let sessions = ((cfg.sessions_2020 as f64) * (0.5 + 0.5 * f)).round() as usize;
+        let sessions = ((SESSIONS_2020 as f64) * (0.5 + 0.5 * f)).round() as usize;
         let peers = (sessions as f64 * 0.4).round() as usize;
         let target = ((cfg.target_announcements_2020 as f64) * (0.4 + 0.6 * f)) as u64;
         // Community adoption: coverage grows moderately (visible share

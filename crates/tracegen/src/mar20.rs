@@ -6,7 +6,9 @@
 //! and second-granularity collectors. Scale is set by
 //! [`Mar20Config::target_announcements`]; the paper's day has ~1.008 B
 //! announcements, the default here is 300 k (a ~1/3400 scale model with
-//! the same per-stream statistics).
+//! the same per-stream statistics). Those statistics — events per
+//! stream, the stray class-B share, the bogon rate — are constants here;
+//! [`Mar20Config`] holds only what callers vary.
 
 use kcc_bgp_types::{AsPath, Asn, PathAttributes, Prefix, RouteUpdate};
 use kcc_collector::beacon::ripe_beacon_prefixes;
@@ -15,10 +17,8 @@ use kcc_core::AllocationRegistry;
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
-use crate::beacons::{generate_beacon_stream, BeaconBurstConfig};
-use crate::streams::{
-    generate_stream, sample_event_count, StreamClass, StreamProcessConfig, StreamTemplate,
-};
+use crate::beacons::generate_beacon_stream;
+use crate::streams::{generate_stream, sample_event_count, StreamClass, StreamTemplate};
 use crate::universe::{build_universe, Universe, UniverseConfig};
 
 /// Microseconds per day.
@@ -33,28 +33,16 @@ pub struct Mar20Config {
     pub seed: u64,
     /// Universe shape.
     pub universe: UniverseConfig,
-    /// Stream event process.
-    pub process: StreamProcessConfig,
-    /// Beacon burst shape.
-    pub burst: BeaconBurstConfig,
     /// Approximate number of background announcements to generate.
     pub target_announcements: u64,
-    /// Mean events per active stream (heavy-tailed).
-    pub mean_events_per_stream: f64,
     /// Probability a stream of a *non-cleaning* peer is class A (tagged,
     /// visible). Streams of egress-cleaning peers are always class B, so
-    /// the overall visible share is `(1 - peer_cleans_prob) ×` this.
+    /// the overall visible share is `(1 - PEER_CLEANS_PROB) ×` this.
     pub class_tagged_visible: f64,
-    /// Probability a non-cleaning peer's stream is class B anyway (an
-    /// upstream cleaned it).
-    pub class_tagged_cleaned: f64,
     /// Beacon prefixes (origin AS12654).
     pub beacon_prefixes: Vec<Prefix>,
     /// Fraction of sessions that carry the beacons (paper: 577/1504).
     pub beacon_session_fraction: f64,
-    /// Rate of bogon announcements (unallocated ASN or prefix) per
-    /// session, relative to its background stream count.
-    pub bogon_rate: f64,
     /// Archive epoch.
     pub epoch_seconds: u32,
 }
@@ -64,19 +52,23 @@ impl Default for Mar20Config {
         Mar20Config {
             seed: 42,
             universe: UniverseConfig::default(),
-            process: StreamProcessConfig::default(),
-            burst: BeaconBurstConfig::default(),
             target_announcements: 300_000,
-            mean_events_per_stream: 6.0,
             class_tagged_visible: 0.88,
-            class_tagged_cleaned: 0.02,
             beacon_prefixes: ripe_beacon_prefixes(),
             beacon_session_fraction: 0.4,
-            bogon_rate: 0.002,
             epoch_seconds: MAR15_2020_EPOCH,
         }
     }
 }
+
+/// Mean events per active stream (heavy-tailed).
+const MEAN_EVENTS_PER_STREAM: f64 = 6.0;
+/// Probability a non-cleaning peer's stream is class B anyway (an
+/// upstream cleaned it).
+const CLASS_TAGGED_CLEANED: f64 = 0.02;
+/// Rate of bogon announcements (unallocated ASN or prefix) per session,
+/// relative to its background stream count.
+const BOGON_RATE: f64 = 0.002;
 
 /// Everything the generator produces.
 #[derive(Debug)]
@@ -102,7 +94,7 @@ fn roll_class(rng: &mut StdRng, cfg: &Mar20Config, peer_cleans: bool) -> StreamC
     let r: f64 = rng.gen();
     if r < cfg.class_tagged_visible {
         StreamClass::TaggedVisible
-    } else if r < cfg.class_tagged_visible + cfg.class_tagged_cleaned {
+    } else if r < cfg.class_tagged_visible + CLASS_TAGGED_CLEANED {
         StreamClass::TaggedCleaned
     } else {
         StreamClass::Untagged
@@ -161,7 +153,7 @@ impl Mar20Source {
         let total_sessions: usize = universe.peers.iter().map(|p| p.sessions.len()).sum();
         let streams_per_session = ((cfg.target_announcements as f64
             / total_sessions.max(1) as f64
-            / (cfg.mean_events_per_stream + 1.0))
+            / (MEAN_EVENTS_PER_STREAM + 1.0))
             .ceil() as usize)
             .max(1);
 
@@ -240,11 +232,10 @@ impl Mar20Source {
                     class,
                     key.peer_ip,
                 );
-                let n_events = sample_event_count(rng, self.cfg.mean_events_per_stream, 200);
+                let n_events = sample_event_count(rng, MEAN_EVENTS_PER_STREAM, 200);
                 generate_stream(
                     rng,
                     &template,
-                    &self.cfg.process,
                     spec.prefix,
                     n_events,
                     DAY_US,
@@ -253,8 +244,7 @@ impl Mar20Source {
             }
 
             // Bogons: unallocated ASN in the path or unallocated prefix.
-            let n_bogons =
-                (self.streams_per_session as f64 * self.cfg.bogon_rate * 10.0).round() as usize;
+            let n_bogons = (self.streams_per_session as f64 * BOGON_RATE * 10.0).round() as usize;
             for _ in 0..n_bogons {
                 let t = rng.gen_range(0..DAY_US);
                 if rng.gen_bool(0.5) {
@@ -302,7 +292,6 @@ impl Mar20Source {
                         rng,
                         &template,
                         &self.schedule,
-                        &self.cfg.burst,
                         *bp,
                         0,
                         &mut session_updates,
@@ -340,16 +329,9 @@ impl kcc_collector::UpdateSource for Mar20Source {
 /// Generates the snapshot — the batch wrapper that drains a
 /// [`Mar20Source`] into an archive.
 pub fn generate_mar20(cfg: &Mar20Config) -> GenOutput {
-    use kcc_collector::{SourceItem, UpdateSource};
-
     let mut source = Mar20Source::new(cfg);
-    let mut archive = UpdateArchive::new(cfg.epoch_seconds);
-    while let Some(item) = source.next_item().expect("generated sources cannot fail") {
-        match item {
-            SourceItem::Session(meta) => archive.add_session((*meta).clone()),
-            SourceItem::Update(meta, update) => archive.record(&meta.key, update),
-        }
-    }
+    let archive = UpdateArchive::from_source(&mut source, cfg.epoch_seconds)
+        .expect("generated sources cannot fail");
     GenOutput {
         archive,
         registry: source.registry,

@@ -133,21 +133,7 @@ pub fn write_vantage_mrt<W: std::io::Write>(
 ) -> Result<(u64, Vec<(kcc_bgp_types::Asn, std::net::IpAddr)>), SourceError> {
     let mut source = VantageSource::new(cfg, collector);
     let route_servers = source.route_server_peers();
-    let mut writer = kcc_mrt::MrtWriter::new(w);
-    let mut updates = 0u64;
-    while let Some(item) = source.next_item()? {
-        if let SourceItem::Update(meta, update) = item {
-            writer
-                .write_record(&kcc_collector::archive::mrt_record_for(
-                    &meta,
-                    cfg.base.epoch_seconds,
-                    &update,
-                ))
-                .map_err(|e| SourceError::Other(format!("write vantage MRT: {e}")))?;
-            updates += 1;
-        }
-    }
-    writer.flush().map_err(|e| SourceError::Other(format!("flush vantage MRT: {e}")))?;
+    let updates = kcc_collector::archive::write_mrt_from(&mut source, cfg.base.epoch_seconds, w)?;
     Ok((updates, route_servers))
 }
 

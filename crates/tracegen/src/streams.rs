@@ -12,6 +12,9 @@
 //! | comm churn   | `nc`          | `nn`                    |
 //! | duplicate    | `nn`          | `nn`                    |
 //! | prepend      | `xn`/`xc`     | `xn`                    |
+//!
+//! The event weights and conditional probabilities are constants,
+//! calibrated so the emergent type mix lands near the paper's Table 2.
 
 use kcc_bgp_types::{AsPath, Asn, Community, CommunitySet, GeoTag, PathAttributes, RouteUpdate};
 use rand::prelude::*;
@@ -82,45 +85,30 @@ pub struct StreamState {
 
 /// Event process weights (must sum to ~1; normalized on use).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EventWeights {
+struct EventWeights {
     /// Path-change events.
-    pub path: f64,
+    path: f64,
     /// Community-churn events.
-    pub comm: f64,
+    comm: f64,
     /// Duplicate events.
-    pub dup: f64,
+    dup: f64,
     /// Prepend toggles.
-    pub prepend: f64,
+    prepend: f64,
 }
 
-/// Stream process configuration. Defaults are calibrated so the emergent
-/// type mix lands near the paper's Table 2 (see crate docs).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StreamProcessConfig {
-    /// Weights on tagged (A/B) streams.
-    pub weights_tagged: EventWeights,
-    /// Weights on untagged (C) streams.
-    pub weights_untagged: EventWeights,
-    /// Probability a path change is preceded by an explicit withdrawal
-    /// (origin flap rather than silent reroute).
-    pub withdraw_given_path: f64,
-    /// Probability a duplicate wiggles the MED (visible `nn_med_only`).
-    pub med_wiggle_prob: f64,
-    /// Probability a prepend toggle also rotates a community (`xc`).
-    pub xc_given_prepend: f64,
-}
-
-impl Default for StreamProcessConfig {
-    fn default() -> Self {
-        StreamProcessConfig {
-            weights_tagged: EventWeights { path: 0.48, comm: 0.35, dup: 0.16, prepend: 0.01 },
-            weights_untagged: EventWeights { path: 0.48, comm: 0.0, dup: 0.51, prepend: 0.01 },
-            withdraw_given_path: 0.08,
-            med_wiggle_prob: 0.3,
-            xc_given_prepend: 0.3,
-        }
-    }
-}
+/// Event weights on tagged (A/B) streams.
+const WEIGHTS_TAGGED: EventWeights =
+    EventWeights { path: 0.48, comm: 0.35, dup: 0.16, prepend: 0.01 };
+/// Event weights on untagged (C) streams.
+const WEIGHTS_UNTAGGED: EventWeights =
+    EventWeights { path: 0.48, comm: 0.0, dup: 0.51, prepend: 0.01 };
+/// Probability a path change is preceded by an explicit withdrawal
+/// (origin flap rather than silent reroute).
+const WITHDRAW_GIVEN_PATH: f64 = 0.08;
+/// Probability a duplicate wiggles the MED (visible `nn_med_only`).
+const MED_WIGGLE_PROB: f64 = 0.3;
+/// Probability a prepend toggle also rotates a community (`xc`).
+const XC_GIVEN_PREPEND: f64 = 0.3;
 
 impl StreamTemplate {
     /// Builds a template for `(peer, prefix)` given the universe's transit
@@ -266,11 +254,9 @@ pub fn sample_event_count(rng: &mut StdRng, mean: f64, cap: usize) -> usize {
 }
 
 /// Generates one stream's day of updates into `out`.
-#[allow(clippy::too_many_arguments)]
 pub fn generate_stream(
     rng: &mut StdRng,
     template: &StreamTemplate,
-    cfg: &StreamProcessConfig,
     prefix: kcc_bgp_types::Prefix,
     n_events: usize,
     day_us: u64,
@@ -285,8 +271,8 @@ pub fn generate_stream(
     times.sort_unstable();
 
     let weights = match template.class {
-        StreamClass::Untagged => cfg.weights_untagged,
-        _ => cfg.weights_tagged,
+        StreamClass::Untagged => WEIGHTS_UNTAGGED,
+        _ => WEIGHTS_TAGGED,
     };
     let total = weights.path + weights.comm + weights.dup + weights.prepend;
 
@@ -294,7 +280,7 @@ pub fn generate_stream(
         let roll: f64 = rng.gen_range(0.0..total);
         if roll < weights.path {
             // Path change, possibly with an explicit withdraw first.
-            if rng.gen_bool(cfg.withdraw_given_path) {
+            if rng.gen_bool(WITHDRAW_GIVEN_PATH) {
                 out.push(RouteUpdate::withdraw(t, prefix));
                 template.advance_path(rng, &mut state);
                 out.push(RouteUpdate::announce(
@@ -314,13 +300,13 @@ pub fn generate_stream(
                 out.push(RouteUpdate::announce(t, prefix, template.attrs(&state)));
             }
         } else if roll < weights.path + weights.comm + weights.dup {
-            if rng.gen_bool(cfg.med_wiggle_prob) {
+            if rng.gen_bool(MED_WIGGLE_PROB) {
                 state.med = Some(rng.gen_range(0..100));
             }
             out.push(RouteUpdate::announce(t, prefix, template.attrs(&state)));
         } else {
             state.prepended = !state.prepended;
-            if template.class == StreamClass::TaggedVisible && rng.gen_bool(cfg.xc_given_prepend) {
+            if template.class == StreamClass::TaggedVisible && rng.gen_bool(XC_GIVEN_PREPEND) {
                 template.churn_community(rng, &mut state);
             }
             out.push(RouteUpdate::announce(t, prefix, template.attrs(&state)));
@@ -433,15 +419,7 @@ mod tests {
     fn stream_generation_is_ordered_and_sized() {
         let (mut rng, t, prefix) = template(StreamClass::TaggedVisible);
         let mut out = Vec::new();
-        generate_stream(
-            &mut rng,
-            &t,
-            &StreamProcessConfig::default(),
-            prefix,
-            50,
-            86_400_000_000,
-            &mut out,
-        );
+        generate_stream(&mut rng, &t, prefix, 50, 86_400_000_000, &mut out);
         assert!(out.len() >= 51); // initial + events (+ withdraw pairs)
         for w in out.windows(2) {
             assert!(w[0].time_us <= w[1].time_us, "updates must be time-ordered");

@@ -77,12 +77,6 @@ pub struct UniverseConfig {
     pub n_prefixes_v4: usize,
     /// Number of IPv6 prefixes.
     pub n_prefixes_v6: usize,
-    /// Probability a transit geo-tags.
-    pub transit_tags_prob: f64,
-    /// Probability a peer cleans communities on egress.
-    pub peer_cleans_prob: f64,
-    /// Probability a peer is a route server.
-    pub route_server_prob: f64,
     /// Probability a collector records second-granularity timestamps.
     pub second_granularity_prob: f64,
     /// Cities per tagging transit.
@@ -100,14 +94,20 @@ impl Default for UniverseConfig {
             n_origins: 300,
             n_prefixes_v4: 2_000,
             n_prefixes_v6: 200,
-            transit_tags_prob: 0.55,
-            peer_cleans_prob: 0.18,
-            route_server_prob: 0.08,
             second_granularity_prob: 0.25,
             cities_per_transit: (4, 24),
         }
     }
 }
+
+/// Probability a transit geo-tags.
+const TRANSIT_TAGS_PROB: f64 = 0.55;
+/// Probability a peer cleans communities on egress. The ledger's fig2
+/// cause (`crates/bench/src/artifacts.rs`) quotes this value as
+/// `peer_cleans_prob` 0.18.
+const PEER_CLEANS_PROB: f64 = 0.18;
+/// Probability a peer is a route server.
+const ROUTE_SERVER_PROB: f64 = 0.08;
 
 /// Which collectors record second-granularity timestamps (index-aligned
 /// with `Universe::collectors`).
@@ -138,7 +138,7 @@ pub fn build_universe(cfg: &UniverseConfig) -> (Universe, CollectorTraits) {
     // Transit ASes: 16-bit, from the "famous transit" range upward.
     for i in 0..cfg.n_transits {
         let asn = Asn(2_000 + i as u32 * 7 % 30_000);
-        let tags_geo = rng.gen_bool(cfg.transit_tags_prob);
+        let tags_geo = rng.gen_bool(TRANSIT_TAGS_PROB);
         let n_cities = rng.gen_range(
             cfg.cities_per_transit.0..=cfg.cities_per_transit.1.max(cfg.cities_per_transit.0),
         );
@@ -151,8 +151,8 @@ pub fn build_universe(cfg: &UniverseConfig) -> (Universe, CollectorTraits) {
         u.peers.push(PeerSpec {
             asn: Asn(20_100 + i as u32),
             sessions: Vec::new(),
-            cleans_egress: rng.gen_bool(cfg.peer_cleans_prob),
-            route_server: rng.gen_bool(cfg.route_server_prob),
+            cleans_egress: rng.gen_bool(PEER_CLEANS_PROB),
+            route_server: rng.gen_bool(ROUTE_SERVER_PROB),
         });
     }
     for s in 0..cfg.n_sessions {

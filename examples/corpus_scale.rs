@@ -25,9 +25,7 @@ use keep_communities_clean::analysis::table::OverviewSink;
 use keep_communities_clean::analysis::{
     CleaningConfig, CleaningStage, Corpus, CountsSink, MrtFileOptions, MrtSource, PipelineBuilder,
 };
-use keep_communities_clean::collector::archive::mrt_record_for;
-use keep_communities_clean::collector::{SourceItem, UpdateSource};
-use keep_communities_clean::mrt::MrtWriter;
+use keep_communities_clean::collector::archive::write_mrt_from;
 use keep_communities_clean::tracegen::universe::UniverseConfig;
 use keep_communities_clean::tracegen::{
     vantage_names, write_vantage_mrt, Mar20Config, Mar20Source, MultiVantageConfig, VantageSource,
@@ -105,16 +103,8 @@ fn main() {
     let day_path = dir.join("unsplit.mrt");
     let mut day = Mar20Source::new(&cfg.base);
     let day_route_servers = day.route_server_peers();
-    let mut writer =
-        MrtWriter::new(BufWriter::new(File::create(&day_path).expect("create MRT file")));
-    while let Some(item) = day.next_item().expect("generated sources cannot fail") {
-        if let SourceItem::Update(meta, update) = item {
-            let record = mrt_record_for(&meta, cfg.base.epoch_seconds, &update);
-            writer.write_record(&record).expect("write unsplit MRT");
-        }
-    }
-    writer.flush().expect("flush unsplit MRT");
-    drop(writer);
+    let file = BufWriter::new(File::create(&day_path).expect("create MRT file"));
+    write_mrt_from(&mut day, cfg.base.epoch_seconds, file).expect("write unsplit MRT");
     let file = BufReader::new(File::open(&day_path).expect("open unsplit MRT"));
     let unsplit = PipelineBuilder::new(
         MrtSource::new(file, "all", cfg.base.epoch_seconds).with_route_servers(day_route_servers),

@@ -24,9 +24,8 @@ use keep_communities_clean::analysis::table::{OverviewSink, TypeShares};
 use keep_communities_clean::analysis::{
     clean_archive, CleaningConfig, CleaningStage, CountsSink, MrtSource, PipelineBuilder,
 };
-use keep_communities_clean::collector::archive::mrt_record_for;
-use keep_communities_clean::collector::{SourceItem, UpdateArchive, UpdateSource};
-use keep_communities_clean::mrt::MrtWriter;
+use keep_communities_clean::collector::archive::write_mrt_from;
+use keep_communities_clean::collector::UpdateArchive;
 use keep_communities_clean::tracegen::{Mar20Config, Mar20Source};
 
 fn main() {
@@ -46,17 +45,8 @@ fn main() {
     let mut gen = Mar20Source::new(&cfg);
     let registry = gen.registry().clone();
     let route_servers = gen.route_server_peers();
-    let mut writer =
-        MrtWriter::new(BufWriter::new(File::create(&mrt_path).expect("create MRT file")));
-    let mut generated = 0u64;
-    while let Some(item) = gen.next_item().expect("generated sources cannot fail") {
-        if let SourceItem::Update(meta, update) = item {
-            writer.write_record(&mrt_record_for(&meta, cfg.epoch_seconds, &update)).expect("write");
-            generated += 1;
-        }
-    }
-    writer.flush().expect("flush");
-    drop(writer);
+    let file = BufWriter::new(File::create(&mrt_path).expect("create MRT file"));
+    let generated = write_mrt_from(&mut gen, cfg.epoch_seconds, file).expect("write MRT file");
     let mrt_bytes = std::fs::metadata(&mrt_path).map(|m| m.len()).unwrap_or(0);
     println!(
         "MRT archive: {generated} records, {:.1} MiB on disk",

@@ -194,7 +194,7 @@ fn rotated_mrt_dumps_reanalyze_to_the_same_tables() {
     let _ = std::fs::remove_dir_all(&dir);
     assert!(input.update_count() >= 3, "need enough traffic to force a rotation");
     let cfg = collector_cfg(&input).with_mrt(RotateConfig::new(&dir, 2));
-    let route_servers = cfg.route_servers.clone();
+    let route_servers = cfg.daemon.route_servers.clone();
     let reference = offline_reference(&input, &cfg);
 
     let (live_counts, live_overview, stats) = run_live_loopback(&input, cfg);

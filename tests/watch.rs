@@ -16,11 +16,8 @@ use keep_communities_clean::analysis::pipeline::PipelineBuilder;
 use keep_communities_clean::analysis::{
     CommunityProfiler, Corpus, WatchConfig, WatchReport, WatchSink,
 };
-use keep_communities_clean::collector::archive::mrt_record_for;
-use keep_communities_clean::collector::{
-    ArchiveSource, MrtSource, SessionKey, SourceItem, UpdateArchive, UpdateSource,
-};
-use keep_communities_clean::mrt::MrtWriter;
+use keep_communities_clean::collector::archive::write_mrt_from;
+use keep_communities_clean::collector::{ArchiveSource, MrtSource, SessionKey, UpdateArchive};
 use keep_communities_clean::tracegen::{generate_mar20, Mar20Config, Mar20Source};
 use keep_communities_clean::types::community::well_known::BLACKHOLE;
 use keep_communities_clean::types::{
@@ -166,15 +163,9 @@ fn generated_day_digest(target_announcements: u64) -> (usize, u64) {
     let cfg = Mar20Config { seed: 42, target_announcements, ..Default::default() };
     let mut source = Mar20Source::new(&cfg);
     let route_servers = source.route_server_peers();
-    let mut writer = MrtWriter::new(Vec::new());
-    while let Some(item) = source.next_item().expect("generated sources cannot fail") {
-        if let SourceItem::Update(meta, update) = item {
-            writer
-                .write_record(&mrt_record_for(&meta, cfg.epoch_seconds, &update))
-                .expect("in-memory write cannot fail");
-        }
-    }
-    let bytes = writer.into_inner();
+    let mut bytes = Vec::new();
+    write_mrt_from(&mut source, cfg.epoch_seconds, &mut bytes)
+        .expect("generated sources and in-memory writes cannot fail");
     let open = || {
         MrtSource::new(&bytes[..], "rrc00", cfg.epoch_seconds)
             .with_route_servers(route_servers.iter().copied())
