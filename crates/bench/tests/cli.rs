@@ -1,8 +1,21 @@
-//! The command-line tools refuse a flag whose value does not parse: exit
-//! 2 with the flag named on stderr, before binding a socket or opening an
-//! input (so nothing reaches stdout).
+//! The command-line tools, pinned from outside.
+//!
+//! A flag whose value does not parse exits 2 with the flag named on
+//! stderr, before binding a socket or opening an input (so nothing
+//! reaches stdout). Over one generated 3-vantage corpus, every input
+//! shape the report and watch tools take (files, a directory, `--clamp`,
+//! `--train`, an empty directory, a missing file) prints what it printed
+//! when these digests were taken: stdout, stderr and the exit code, as
+//! one FNV-64 digest per case. The tool's own name at the head of an
+//! error line is read as `TOOL`, so a renamed program keeps its digests.
 
+use std::fs;
+use std::io::BufWriter;
+use std::path::{Path, PathBuf};
 use std::process::Command;
+
+use kcc_tracegen::universe::UniverseConfig;
+use kcc_tracegen::{vantage_names, write_vantage_mrt, Mar20Config, MultiVantageConfig};
 
 fn refused(bin: &str, args: &[&str], flag: &str) {
     let out = Command::new(bin).args(args).output().expect("run the binary");
@@ -23,4 +36,122 @@ fn unparsable_flag_values_exit_2_naming_the_flag() {
     );
     refused(env!("CARGO_BIN_EXE_kcc-corpus"), &["--epoch", "12x", "x.mrt"], "--epoch");
     refused(env!("CARGO_BIN_EXE_kcc-watch"), &["--threads", "x", "x.mrt"], "--threads");
+}
+
+/// A fresh directory holding one small generated day as three vantage
+/// files (`rrc00.mrt` …), the same three files under `day/`, and an
+/// empty `empty/`.
+fn corpus(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("kcc_cli_{tag}_{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(dir.join("day")).unwrap();
+    fs::create_dir_all(dir.join("empty")).unwrap();
+    let cfg = MultiVantageConfig {
+        base: Mar20Config {
+            target_announcements: 3_000,
+            universe: UniverseConfig {
+                n_collectors: 3,
+                n_peers: 9,
+                n_sessions: 12,
+                n_transits: 8,
+                n_origins: 40,
+                n_prefixes_v4: 120,
+                n_prefixes_v6: 12,
+                ..Default::default()
+            },
+            ..Default::default()
+        },
+        force_second_granularity: Vec::new(),
+    };
+    let names = vantage_names(&cfg.base);
+    assert_eq!(names, ["rrc00", "rrc01", "rrc02"]);
+    for name in &names {
+        let file = dir.join(format!("{name}.mrt"));
+        let writer = BufWriter::new(fs::File::create(&file).unwrap());
+        write_vantage_mrt(&cfg, name, writer).unwrap();
+        fs::copy(&file, dir.join("day").join(format!("{name}.mrt"))).unwrap();
+    }
+    dir
+}
+
+/// FNV-1a, 64 bits.
+fn fnv(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// Runs `bin args` in `dir` and digests its exit code, stdout and
+/// stderr, with `tool` at the head of a stderr line read as `TOOL`.
+fn digest(dir: &Path, bin: &str, tool: &str, args: &[&str]) -> (u64, String) {
+    let out = Command::new(bin).args(args).current_dir(dir).output().expect("run the binary");
+    let stderr = String::from_utf8_lossy(&out.stderr).replace(&format!("{tool}: "), "TOOL: ");
+    let mut all = format!("{:?}\n", out.status.code()).into_bytes();
+    all.extend_from_slice(&out.stdout);
+    all.push(0);
+    all.extend_from_slice(stderr.as_bytes());
+    let shown = format!(
+        "exit {:?}\n--- stdout\n{}--- stderr\n{stderr}",
+        out.status.code(),
+        String::from_utf8_lossy(&out.stdout)
+    );
+    (fnv(&all), shown)
+}
+
+/// Checks every `(args, digest)` case of one tool, reporting all
+/// mismatches at once.
+fn pinned(tag: &str, bin: &str, tool: &str, cases: &[(&[&str], u64)]) {
+    let dir = corpus(tag);
+    let mut wrong = Vec::new();
+    for &(args, want) in cases {
+        let (got, shown) = digest(&dir, bin, tool, args);
+        if got != want {
+            wrong.push(format!("{tool} {args:?}: {got:#018x}, pinned {want:#018x}\n{shown}"));
+        }
+    }
+    let _ = fs::remove_dir_all(&dir);
+    assert!(wrong.is_empty(), "{}", wrong.join("\n"));
+}
+
+/// Noon of the generated day (2020-03-15 UTC): as `--epoch`, every
+/// record of the day's first half precedes it.
+const MIDDAY: &str = "1584273600";
+
+#[test]
+fn report_output_is_pinned() {
+    pinned(
+        "report",
+        env!("CARGO_BIN_EXE_kcc-corpus"),
+        "kcc-corpus",
+        &[
+            (&["rrc00.mrt", "rrc01.mrt", "rrc02.mrt"], 0x084b_c7e3_2780_bfa8),
+            (&["day"], 0x084b_c7e3_2780_bfa8),
+            (
+                &["--clamp", "--epoch", MIDDAY, "rrc00.mrt", "rrc01.mrt", "rrc02.mrt"],
+                0x09c9_fe2d_2680_015f,
+            ),
+            (&["empty"], 0xd5a6_1766_0c4c_90c6),
+            (&["rrc00.mrt", "missing.mrt"], 0x974b_c725_c7fc_df15),
+        ],
+    );
+}
+
+#[test]
+fn watch_output_is_pinned() {
+    pinned(
+        "watch",
+        env!("CARGO_BIN_EXE_kcc-watch"),
+        "kcc-watch",
+        &[
+            (&["rrc00.mrt", "rrc01.mrt", "rrc02.mrt"], 0x8f64_6a6e_cabd_0abe),
+            (&["day"], 0x117f_5485_9fea_94bf),
+            (
+                &["--clamp", "--epoch", MIDDAY, "rrc00.mrt", "rrc01.mrt", "rrc02.mrt"],
+                0x74e7_ae2a_df21_12a4,
+            ),
+            (&["--train", "rrc00.mrt", "rrc01.mrt", "rrc02.mrt"], 0x00ce_ddd4_392b_a614),
+            (&["empty"], 0x9200_1ba2_3816_c6d9),
+            (&["rrc00.mrt", "missing.mrt"], 0x974b_c725_c7fc_df15),
+        ],
+    );
 }
