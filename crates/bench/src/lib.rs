@@ -1,20 +1,20 @@
 //! # kcc-bench — experiment harnesses
 //!
-//! One `figures` binary runs every paper table/figure/ablation from the
-//! [`ARTIFACTS`] table below (`figures all` prints the reproduction
-//! ledger committed as `/REPRODUCTION.md`), next to the daemons, over
-//! this shared harness library: argument parsing, the simulated
-//! beacon-day driver, and paper-vs-measured comparison rendering.
-//! Performance is measured by the standalone `benchmark/` package and
-//! gated by `ci/bench-pair.sh` (this change against its parent, in
-//! alternating pairs), not by binaries here.
+//! One `kcc` binary: `kcc figures` runs every paper table/figure/ablation
+//! from the [`ARTIFACTS`] table below (`kcc figures all` prints the
+//! reproduction ledger committed as `/REPRODUCTION.md`), next to the
+//! daemon and the MRT tools, over this shared harness library: the
+//! command-line table ([`args`]), the simulated beacon-day driver, and
+//! paper-vs-measured comparison rendering. Performance is measured by the
+//! standalone `benchmark/` package and gated by `ci/bench-pair.sh` (this
+//! change against its parent, in alternating pairs), not by binaries here.
 //!
-//! | binary | what it is |
+//! | `kcc` subcommand | what it is |
 //! |---|---|
 //! | `figures` | `figures <name>` for each row of [`ARTIFACTS`] (`figures sweep` is the scenario grid); `figures all` → the ledger |
-//! | `kccd` | the live BGP collector daemon (TCP sessions → pipeline → MRT dumps) |
-//! | `kcc-corpus` | multi-collector corpus CLI (per-collector + combined reports) |
-//! | `kcc-watch` | the CommunityWatch service CLI (+ `--eval` / `--soak` gates) |
+//! | `daemon` | the live BGP collector daemon (TCP sessions → pipeline → MRT dumps) |
+//! | `report` | multi-collector corpus report (per-collector + combined tables) |
+//! | `watch` | the CommunityWatch service over the same inputs |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,16 +23,14 @@ pub mod args;
 mod artifacts;
 pub mod beacon_day;
 pub mod compare;
-pub mod mrtgen;
 pub mod sweep;
-pub mod watch_eval;
+#[cfg(test)]
+mod watch_eval;
 
 pub use args::Args;
 pub use beacon_day::{run_beacon_day, BeaconDayConfig, BeaconDayOutput};
 pub use compare::Comparison;
-pub use mrtgen::{generate_mrt_day, MrtDay};
 pub use sweep::{run_cell, CellResult, CleaningPlacement, SweepCell, SweepConfig};
-pub use watch_eval::{eval_library, eval_scenario, EvalResult, EVAL_WINDOW_US};
 
 /// What one paper artifact produced.
 #[derive(Debug, Clone)]
@@ -95,7 +93,7 @@ pub const ARTIFACTS: [ArtifactRow; 12] = [
     ),
 ];
 
-/// The reproduction ledger — what `figures all` prints and
+/// The reproduction ledger — what `kcc figures all` prints and
 /// `/REPRODUCTION.md` holds: every artifact of [`ARTIFACTS`] run with
 /// `args`, its comparison as one markdown table, and under each table
 /// the written cause of every row that deviates.
@@ -119,7 +117,7 @@ pub fn render_ledger(args: &Args, runs: &[Artifact]) -> String {
     let mut md = format!(
         "# Reproduction ledger\n\n{}\n\n\
          Which of the paper's claims this repository reproduces, and how closely: the stdout of\n\
-         `cargo run --release -p kcc_bench --bin figures -- all`, regenerated and diffed by\n\
+         `cargo run --release -p kcc_bench --bin kcc -- figures all`, regenerated and diffed by\n\
          `crates/bench/tests/reproduction.rs` and CI. The substrate is a scaled synthetic workload,\n\
          so a row compares *shape*: `band` is the relative tolerance around the paper's value, or\n\
          `shape` for a yes/no criterion. A `DEVIATES` row is followed by its cause; the sentence\n\

@@ -9,10 +9,10 @@
 //! cargo test --release -p kcc_bench --test profile_overhead -- --ignored
 //! ```
 
-use kcc_bench::{generate_mrt_day, MrtDay};
+use kcc_collector::archive::write_mrt_from;
 use kcc_core::table::OverviewSink;
 use kcc_core::{CleaningConfig, CleaningStage, CountsSink, MrtSource, PipelineBuilder};
-use kcc_tracegen::Mar20Config;
+use kcc_tracegen::{Mar20Config, Mar20Source};
 
 /// Sampling interval under test: every N-th update is wall-clocked
 /// through each pipeline phase (the `--profile-every` default the daemon
@@ -75,7 +75,12 @@ fn block_estimate(block: &[f64]) -> f64 {
 #[ignore = "a cost figure: run optimised, `--release -- --ignored`"]
 fn profile_64_costs_under_two_percent() {
     let cfg = Mar20Config { target_announcements: 100_000, ..Default::default() };
-    let MrtDay { bytes, registry, route_servers, .. } = generate_mrt_day(&cfg);
+    // The day as the MRT bytes a collector would publish, plus the
+    // side-band metadata the cleaning stage needs and MRT cannot carry.
+    let mut source = Mar20Source::new(&cfg);
+    let (registry, route_servers) = (source.registry().clone(), source.route_server_peers());
+    let mut bytes = Vec::new();
+    write_mrt_from(&mut source, cfg.epoch_seconds, &mut bytes).expect("in-memory MRT write");
     let run = |profile: bool| {
         let builder = PipelineBuilder::new(
             MrtSource::new(&bytes[..], "rrc00", cfg.epoch_seconds)

@@ -26,7 +26,7 @@ fn committed_ledger_is_what_figures_all_prints() {
     assert!(
         ledger == COMMITTED,
         "REPRODUCTION.md is stale; regenerate it with\n  \
-         cargo run --release -p kcc_bench --bin figures -- all > REPRODUCTION.md\n\n{ledger}"
+         cargo run --release -p kcc_bench --bin kcc -- figures all > REPRODUCTION.md\n\n{ledger}"
     );
 }
 

@@ -158,15 +158,6 @@ impl Router {
         self.loc_rib.iter()
     }
 
-    /// What was last transmitted to `session` for `prefix`.
-    pub fn last_advertised(
-        &self,
-        session: SessionId,
-        prefix: &Prefix,
-    ) -> Option<&Arc<PathAttributes>> {
-        self.adj_rib_out.get(&session)?.get(prefix)
-    }
-
     /// Everything last transmitted on `session`, sorted by prefix — the
     /// Adj-RIB-Out slice a route-refresh request replays. O(routes on
     /// this session): the Adj-RIB-Out is maintained per session, so no

@@ -18,7 +18,6 @@ use std::path::Path;
 
 use kcc_bgp_types::Asn;
 
-use crate::dir_source::mrt_files_in;
 use crate::source::{SourceError, SourceItem, UpdateSource};
 use crate::MrtSource;
 
@@ -118,15 +117,10 @@ impl<'a> Corpus<'a> {
     }
 
     /// Adds one MRT file as a collector named after its file stem
-    /// (`rrc00.mrt` → `rrc00`) with default [`MrtFileOptions`]. The file
-    /// is streamed record-at-a-time; update times become microseconds
-    /// since `epoch_seconds`.
-    pub fn push_mrt_file(&mut self, path: &Path, epoch_seconds: u32) -> Result<(), SourceError> {
-        self.push_mrt_file_with(path, epoch_seconds, &MrtFileOptions::default())
-    }
-
-    /// [`Corpus::push_mrt_file`] with explicit per-file options (pre-epoch
-    /// clamp, route-server metadata MRT cannot carry).
+    /// (`rrc00.mrt` → `rrc00`), read with `options` (pre-epoch clamp,
+    /// route-server metadata MRT cannot carry). The file is streamed
+    /// record-at-a-time; update times become microseconds since
+    /// `epoch_seconds`.
     pub fn push_mrt_file_with(
         &mut self,
         path: &Path,
@@ -139,16 +133,6 @@ impl<'a> Corpus<'a> {
             .ok_or_else(|| SourceError::Other(format!("unnameable MRT path: {path:?}")))?
             .to_owned();
         self.push(&name, options.open(path, &name, epoch_seconds)?)
-    }
-
-    /// Adds every `*.mrt` file of a directory, each as its own collector
-    /// (sorted by file name, though member order never affects results).
-    pub fn push_mrt_dir(&mut self, dir: &Path, epoch_seconds: u32) -> Result<usize, SourceError> {
-        let paths = mrt_files_in(dir)?;
-        for p in &paths {
-            self.push_mrt_file(p, epoch_seconds)?;
-        }
-        Ok(paths.len())
     }
 
     /// Number of members.
@@ -195,23 +179,5 @@ mod tests {
         let err = c.push("rrc00", crate::source::ArchiveSource::new(&b));
         assert!(err.is_err());
         assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn mrt_dir_expansion() {
-        let dir = std::env::temp_dir().join("kcc_corpus_dir_test");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        for name in ["rrc00", "rrc01"] {
-            let mut bytes = Vec::new();
-            archive(name).write_mrt(&mut bytes).unwrap();
-            std::fs::write(dir.join(format!("{name}.mrt")), bytes).unwrap();
-        }
-        std::fs::write(dir.join("notes.txt"), "ignored").unwrap();
-        let mut c = Corpus::new();
-        let added = c.push_mrt_dir(&dir, 0).unwrap();
-        assert_eq!(added, 2);
-        assert_eq!(c.names(), vec!["rrc00", "rrc01"]);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

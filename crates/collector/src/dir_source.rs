@@ -33,7 +33,7 @@ use crate::MrtSource;
 /// The `*.mrt` files of a directory, sorted by name — the one listing
 /// rule every directory consumer shares, so a rotator's in-progress
 /// `.part` files are invisible to all of them.
-pub fn mrt_files_in(dir: &Path) -> Result<Vec<PathBuf>, SourceError> {
+fn mrt_files_in(dir: &Path) -> Result<Vec<PathBuf>, SourceError> {
     let entries = std::fs::read_dir(dir)
         .map_err(|e| SourceError::Other(format!("read dir {}: {e}", dir.display())))?;
     let mut found: Vec<PathBuf> = entries
@@ -44,19 +44,11 @@ pub fn mrt_files_in(dir: &Path) -> Result<Vec<PathBuf>, SourceError> {
     Ok(found)
 }
 
-/// The timestamp (first header field) of a file's first MRT record —
-/// 4 bytes of I/O, never the file. `None` for an unreadable or empty
-/// file.
-pub fn first_record_seconds(path: &Path) -> Option<u32> {
-    let mut buf = [0u8; 4];
-    File::open(path).ok()?.read_exact(&mut buf).ok()?;
-    Some(u32::from_be_bytes(buf))
-}
-
-/// The day anchor of a set of MRT inputs: the earliest
-/// [`first_record_seconds`] across them, floored to midnight UTC. An
-/// input is a file or a directory of `*.mrt` files ([`mrt_files_in`]).
-/// `None` when no file has a first record or a directory cannot be read.
+/// The day anchor of a set of MRT inputs: the earliest timestamp of a
+/// file's first record (4 bytes of I/O per file, never the file) across
+/// them, floored to midnight UTC. An input is a file or a directory of
+/// `*.mrt` files. `None` when no file has a first record or a directory
+/// cannot be read.
 pub fn first_record_day<P: AsRef<Path>>(inputs: impl IntoIterator<Item = P>) -> Option<u32> {
     let mut files = Vec::new();
     for input in inputs {
@@ -67,7 +59,12 @@ pub fn first_record_day<P: AsRef<Path>>(inputs: impl IntoIterator<Item = P>) -> 
             files.push(input.to_path_buf());
         }
     }
-    let earliest = files.iter().filter_map(|f| first_record_seconds(f)).min()?;
+    let first_record = |path: &PathBuf| {
+        let mut buf = [0u8; 4];
+        File::open(path).ok()?.read_exact(&mut buf).ok()?;
+        Some(u32::from_be_bytes(buf))
+    };
+    let earliest = files.iter().filter_map(first_record).min()?;
     Some(earliest - earliest % 86_400)
 }
 

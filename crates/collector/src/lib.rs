@@ -47,7 +47,7 @@ pub mod timestamps;
 pub use archive::UpdateArchive;
 pub use beacon::{BeaconEvent, BeaconPhase, BeaconSchedule};
 pub use corpus::{Corpus, MrtFileOptions, NamedSource};
-pub use dir_source::{first_record_day, first_record_seconds, mrt_files_in, MrtDirSource};
+pub use dir_source::{first_record_day, MrtDirSource};
 pub use live::{LiveSender, LiveSource, ShutdownFlag, LIVE_RING_ITEMS};
 pub use session::{PeerMeta, SessionKey};
 pub use source::{ArchiveSource, MrtSource, SourceError, SourceItem, UpdateSource};

@@ -51,6 +51,8 @@ pub enum SourceError {
     Mrt(MrtError),
     /// Any other source failure.
     Other(String),
+    /// One collector of a multi-collector run failed: its name and why.
+    Collector(String, Box<SourceError>),
 }
 
 impl fmt::Display for SourceError {
@@ -58,6 +60,7 @@ impl fmt::Display for SourceError {
         match self {
             SourceError::Mrt(e) => write!(f, "MRT source: {e}"),
             SourceError::Other(msg) => f.write_str(msg),
+            SourceError::Collector(name, e) => write!(f, "collector {name}: {e}"),
         }
     }
 }

@@ -90,11 +90,6 @@ impl LongitudinalSeries {
         self.points.push(SeriesPoint { label: label.into(), counts, revealed: None });
     }
 
-    /// Appends a finished [`DayPointSink`] day.
-    pub fn push_point(&mut self, point: SeriesPoint) {
-        self.points.push(point);
-    }
-
     /// Appends a day with revealed stats.
     pub fn push_with_revealed(
         &mut self,

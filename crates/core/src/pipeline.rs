@@ -675,7 +675,7 @@ impl<'s, FSt, FS> CorpusBuilder<'s, FSt, FS> {
         if !failures.is_empty() {
             failures.sort_by(|a, b| a.0.cmp(&b.0));
             let (name, error) = failures.remove(0);
-            return Err(SourceError::Other(format!("collector {name}: {error}")));
+            return Err(SourceError::Collector(name, Box::new(error)));
         }
         outputs.sort_by(|a, b| a.0.cmp(&b.0));
 

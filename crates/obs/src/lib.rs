@@ -22,9 +22,9 @@
 //!   (moved here from `kcc_peer` so any crate can emit runtime-filtered
 //!   diagnostics).
 //!
-//! Scrape points: the `kccd` control socket answers a `metrics` command
-//! with [`Registry::render`] output, and the `kcc-corpus`/`kcc-watch`
-//! binaries write the same text to `--metrics-out FILE` on completion.
+//! Scrape points: the `kcc daemon` control socket answers a `metrics`
+//! command with [`Registry::render`] output, and `kcc report` and
+//! `kcc watch` write the same text to `--metrics-out FILE` on completion.
 
 pub mod trace;
 

@@ -1,6 +1,6 @@
 //! The multi-peer live collector daemon.
 //!
-//! A [`Collector`] is the in-process form of `kccd`: it listens on a TCP
+//! A [`Collector`] is the in-process form of `kcc daemon`: it listens on a TCP
 //! socket, runs one RFC 4271 session per inbound connection on the
 //! event-driven [`crate::reactor`] (thousands of sessions over a bounded
 //! worker pool — no thread per session), stamps arriving UPDATEs,

@@ -115,11 +115,6 @@ impl MrtRotator {
         self.open_next()
     }
 
-    /// Completed (rotated-out) dump files, in write order.
-    pub fn finished_files(&self) -> &[PathBuf] {
-        &self.finished
-    }
-
     /// Total records written across all files.
     pub fn total_records(&self) -> u64 {
         self.total_records

@@ -192,12 +192,7 @@ pub fn build_universe(cfg: &UniverseConfig) -> (Universe, CollectorTraits) {
 }
 
 impl Universe {
-    /// All session keys across peers.
-    pub fn all_sessions(&self) -> Vec<(&PeerSpec, &SessionKey)> {
-        self.peers.iter().flat_map(|p| p.sessions.iter().map(move |s| (p, s))).collect()
-    }
-
-    /// Whether a collector has second-granularity timestamps.
+    /// The position of collector `name` in the universe's list.
     pub fn collector_index(&self, name: &str) -> Option<usize> {
         self.collectors.iter().position(|c| c == name)
     }

@@ -1,4 +1,4 @@
-//! Daemon soak — the CI-pinned proof that a single `kccd` holds
+//! Daemon soak — the CI-pinned proof that a single `kcc daemon` holds
 //! **thousands of concurrent BGP sessions** on a bounded worker pool
 //! and still reproduces the offline analysis byte-for-byte.
 //!

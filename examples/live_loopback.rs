@@ -6,7 +6,7 @@
 //! A generated collector day is replayed by `FloodRig` — one concurrent
 //! session per archive session, each speaking real BGP (OPEN/capability
 //! negotiation, KEEPALIVEs, UPDATEs, Cease) — into an in-process
-//! `kccd`-style daemon that also rotates MRT dumps of the feed. The run then verifies, and refuses to exit 0 otherwise:
+//! `kcc daemon`-style daemon that also rotates MRT dumps of the feed. The run then verifies, and refuses to exit 0 otherwise:
 //!
 //! 1. the live pipeline's Table 1 / Table 2 are **byte-identical** to
 //!    the offline `ArchiveSource` analysis of the same update set, and

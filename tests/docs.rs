@@ -13,7 +13,7 @@ const README: &str = "README.md";
 /// (phrase after a count in the Crate map, where the counted `*.rs`
 /// files live).
 const TARGET_COUNTS: &[(&str, &[&str])] = &[
-    (" binaries", &["crates/*/src/bin"]),
+    (" binary target", &["crates/*/src/bin"]),
     (" integration-test suites", &["tests", "crates/*/tests"]),
     (" at the root", &["tests"]),
     (" examples", &["examples", "crates/*/examples"]),
