@@ -65,7 +65,7 @@ pub enum Kind {
 
 /// One row of [`FLAGS`]: `(the subcommands that take it, --name, what
 /// it takes, its help line)`.
-pub type Flag = (&'static [&'static str], &'static str, Kind, &'static str);
+pub(crate) type Flag = (&'static [&'static str], &'static str, Kind, &'static str);
 
 const DAEMON: &[&str] = &["daemon"];
 const INPUTS: &[&str] = &["report", "watch"];

@@ -34,8 +34,8 @@ use kcc_core::{
     MrtFileOptions, SourceError, WatchConfig, WatchReport, WatchSink,
 };
 use kcc_mrt::MrtError;
-use kcc_obs::Registry;
-use kcc_peer::{Collector, CollectorConfig, ControlServer, RotateConfig, StampMode, TraceLevel};
+use kcc_obs::{Registry, TraceLevel};
+use kcc_peer::{Collector, CollectorConfig, ControlServer, RotateConfig, StampMode};
 
 fn main() -> ExitCode {
     let mut words = std::env::args().skip(1);

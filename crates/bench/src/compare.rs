@@ -98,11 +98,6 @@ impl Comparison {
         &self.rows
     }
 
-    /// True when every row holds.
-    pub fn all_ok(&self) -> bool {
-        self.rows.iter().all(|r| r.ok)
-    }
-
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -144,7 +139,8 @@ mod tests {
         c.add_pct("pc share", 33.7, 35.0, 0.15);
         c.add_pct("nn share", 25.7, 50.0, 0.15);
         assert_eq!(c.len(), 2);
-        assert!(!c.all_ok());
+        assert!(c.rows()[0].ok);
+        assert!(!c.rows()[1].ok);
         let text = c.render();
         assert!(text.contains("ok"));
         assert!(text.contains("DEVIATES"));
@@ -154,14 +150,14 @@ mod tests {
     fn zero_paper_value() {
         let mut c = Comparison::new();
         c.add_pct("zero", 0.0, 0.0, 0.1);
-        assert!(c.all_ok());
+        assert!(c.rows()[0].ok);
     }
 
     #[test]
     fn freeform_rows() {
         let mut c = Comparison::new();
         c.add("junos", "suppresses", "suppresses", true);
-        assert!(c.all_ok());
+        assert!(c.rows()[0].ok);
         assert!(!c.is_empty());
     }
 }

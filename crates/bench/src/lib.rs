@@ -57,7 +57,7 @@ impl Artifact {
 }
 
 /// One row of [`ARTIFACTS`]: `(name, what it reproduces, how to run it)`.
-pub type ArtifactRow = (&'static str, &'static str, fn(&Args) -> Artifact);
+pub(crate) type ArtifactRow = (&'static str, &'static str, fn(&Args) -> Artifact);
 
 /// Every paper artifact, in ledger order. Each takes `--seed`, `--scale`
 /// and `--quick` from [`Args`] (the lab ignores all three: it has no

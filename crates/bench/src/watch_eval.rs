@@ -25,11 +25,11 @@ use kcc_core::{
 
 /// The eval grid's window length: one scenario phase per window, roomy
 /// enough that MRAI-delayed intra-phase events stay in their window.
-pub const EVAL_WINDOW_US: u64 = 60_000_000;
+pub(crate) const EVAL_WINDOW_US: u64 = 60_000_000;
 
 /// How one fault scenario scored against the detector.
 #[derive(Debug)]
-pub struct EvalResult {
+pub(crate) struct EvalResult {
     /// Scenario name (`fault/…`).
     pub name: String,
     /// The injected — and therefore expected — fault.
@@ -42,7 +42,7 @@ pub struct EvalResult {
 
 impl EvalResult {
     /// Distinct alert-kind labels the run raised, in label order.
-    pub fn detected_kinds(&self) -> Vec<&'static str> {
+    pub(crate) fn detected_kinds(&self) -> Vec<&'static str> {
         self.report.kind_counts().into_iter().map(|(k, _)| k).collect()
     }
 }
@@ -52,7 +52,7 @@ impl EvalResult {
 /// `rrc0i`, sessions are keyed by the sending peer's AS and router IP
 /// (the `adapter` convention), and each capture's timestamp is remapped
 /// onto the eval window grid — phase *k* lands in window *k*.
-pub fn phase_archive(
+pub(crate) fn phase_archive(
     outcome: &ScenarioOutcome,
     scenario: &FaultScenario,
     phases: std::ops::Range<usize>,
@@ -83,14 +83,14 @@ pub fn phase_archive(
 
 /// The watch configuration the eval runs with: the eval window grid,
 /// everything else at defaults.
-pub fn eval_config() -> WatchConfig {
+pub(crate) fn eval_config() -> WatchConfig {
     WatchConfig { window_us: EVAL_WINDOW_US, ..WatchConfig::default() }
 }
 
 /// Runs one labeled scenario end to end: simulate, split
 /// baseline/detection, train the profiler on the baseline, stream the
 /// whole timeline through the watch sink, score the alert kinds.
-pub fn eval_scenario(scenario: &FaultScenario) -> EvalResult {
+pub(crate) fn eval_scenario(scenario: &FaultScenario) -> EvalResult {
     let outcome = run(&scenario.spec);
     let train = phase_archive(&outcome, scenario, 0..scenario.fault_phase);
     let full = phase_archive(&outcome, scenario, 0..scenario.spec.phases.len());
@@ -112,7 +112,7 @@ pub fn eval_scenario(scenario: &FaultScenario) -> EvalResult {
 }
 
 /// Scores the whole fault library, in library order.
-pub fn eval_library() -> Vec<EvalResult> {
+pub(crate) fn eval_library() -> Vec<EvalResult> {
     fault_library().iter().map(eval_scenario).collect()
 }
 

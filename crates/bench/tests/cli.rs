@@ -67,6 +67,22 @@ fn a_record_before_the_epoch_fails_with_the_clamp_hint() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn a_day_trained_on_itself_shows_no_baseline_shift() {
+    // Every training input is read as collector `train`, and the judged
+    // day as `rrc00`: each stream must still find its peer's profile.
+    let dir = corpus("train");
+    fs::copy(dir.join("rrc00.mrt"), dir.join("yesterday.mrt")).unwrap();
+    let whole_day = u64::MAX.to_string();
+    let args = ["watch", "--window-us", &whole_day, "--train", "yesterday.mrt", "rrc00.mrt"];
+    let out = kcc(&dir, &args);
+    let _ = fs::remove_dir_all(&dir);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let shifts: Vec<&str> = stdout.lines().filter(|l| l.contains("baseline-shift")).collect();
+    assert!(shifts.is_empty(), "{} baseline shifts: {shifts:#?}", shifts.len());
+}
+
 /// A fresh directory holding one small generated day as three vantage
 /// files (`rrc00.mrt` …), the same three files under `day/`, and an
 /// empty `empty/`.

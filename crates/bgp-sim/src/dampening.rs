@@ -55,7 +55,7 @@ impl DampeningState {
     }
 
     /// The decayed penalty at `now`.
-    pub fn penalty_at(&self, now: SimTime, cfg: &DampeningConfig) -> f64 {
+    pub(crate) fn penalty_at(&self, now: SimTime, cfg: &DampeningConfig) -> f64 {
         let dt = (now - self.last_update).as_micros() as f64;
         let hl = cfg.half_life.as_micros() as f64;
         if hl <= 0.0 {

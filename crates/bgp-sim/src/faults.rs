@@ -109,7 +109,7 @@ pub struct FaultScenario {
 
 /// Router handles of the fault-library topology.
 #[derive(Debug, Clone, Copy)]
-pub struct FaultIds {
+pub(crate) struct FaultIds {
     /// The beacon origin (AS 65010).
     pub z: RouterId,
     /// Transit 1 (AS 65020), `c1`'s feed.
@@ -125,7 +125,7 @@ pub struct FaultIds {
 }
 
 /// The library's router handles.
-pub fn fault_ids() -> FaultIds {
+pub(crate) fn fault_ids() -> FaultIds {
     let rid = |asn: u32| RouterId { asn: Asn(asn), index: 0 };
     FaultIds {
         z: rid(65_010),
@@ -138,42 +138,22 @@ pub fn fault_ids() -> FaultIds {
 }
 
 /// The beacon prefix the library announces.
-pub fn fault_prefix() -> Prefix {
+pub(crate) fn fault_prefix() -> Prefix {
     "203.0.113.0/24".parse().expect("valid prefix")
 }
 
 /// The ingress tag `t1` adds to its customer routes.
-pub fn t1_tag() -> Community {
+pub(crate) fn t1_tag() -> Community {
     Community::from_parts(65_020, 100)
 }
 
 /// The ingress tag `t2` adds to its customer routes.
-pub fn t2_tag() -> Community {
+pub(crate) fn t2_tag() -> Community {
     Community::from_parts(65_030, 200)
 }
 
 fn ip(a: u8, b: u8, c: u8, d: u8) -> IpAddr {
     IpAddr::V4(std::net::Ipv4Addr::new(a, b, c, d))
-}
-
-fn ebgp_customer_with_imports(
-    a: RouterId,
-    b: RouterId,
-    a_import: ImportPolicy,
-    b_import: ImportPolicy,
-) -> SessionDecl {
-    SessionDecl {
-        a,
-        b,
-        kind: SessionKind::Ebgp,
-        a_import,
-        a_export: ExportPolicy::default(),
-        b_import,
-        b_export: ExportPolicy::default(),
-        a_view_of_b: Some(RouteSource::Customer),
-        b_view_of_a: Some(RouteSource::Provider),
-        delay: None,
-    }
 }
 
 fn ebgp_peer(a: RouterId, b: RouterId) -> SessionDecl {
@@ -219,23 +199,14 @@ fn fault_topology(with_leak_session: bool) -> TopologyTemplate {
         local_pref: Some(RouteSource::Customer.conventional_local_pref() + 50),
         ..tag(t2_tag())
     };
+    let customer = SessionDecl::ebgp_customer_with_imports;
     let mut sessions = vec![
-        ebgp_customer_with_imports(ids.t1, ids.z, tag(t1_tag()), ImportPolicy::default()),
-        ebgp_customer_with_imports(ids.t2, ids.z, tag(t2_tag()), ImportPolicy::default()),
+        customer(ids.t1, ids.z, tag(t1_tag()), ImportPolicy::default()),
+        customer(ids.t2, ids.z, tag(t2_tag()), ImportPolicy::default()),
         ebgp_peer(ids.t1, ids.t2),
-        ebgp_customer_with_imports(ids.t2, ids.h, prefer_hijacker, ImportPolicy::default()),
-        ebgp_customer_with_imports(
-            ids.t1,
-            ids.c1,
-            ImportPolicy::default(),
-            ImportPolicy::default(),
-        ),
-        ebgp_customer_with_imports(
-            ids.t2,
-            ids.c2,
-            ImportPolicy::default(),
-            ImportPolicy::default(),
-        ),
+        customer(ids.t2, ids.h, prefer_hijacker, ImportPolicy::default()),
+        customer(ids.t1, ids.c1, ImportPolicy::default(), ImportPolicy::default()),
+        customer(ids.t2, ids.c2, ImportPolicy::default(), ImportPolicy::default()),
     ];
     if with_leak_session {
         sessions.push(SessionDecl {
@@ -346,12 +317,12 @@ fn leak_scenario() -> FaultScenario {
 /// `t1`'s action community "do not announce to peer AS65030": a
 /// customer attaching `65020:3030` asks `t1` to withhold the route from
 /// its `t2` peering — the provider-side do-not-announce knob of
-/// real-world community menus (see ROADMAP 4b).
+/// real-world community menus (see ROADMAP 3(c)).
 pub fn do_not_announce_t2() -> Community {
     Community::from_parts(65_020, 3_030)
 }
 
-/// The traffic-engineering scenario seeding ROADMAP 4b: the beacon
+/// The traffic-engineering scenario seeding ROADMAP 3(c): the beacon
 /// origin steers itself away from a named peer with an action community,
 /// and the spec's expectations price the knob in routing messages.
 ///

@@ -39,7 +39,7 @@ use crate::scenario::{
     self, CountBound, Expectation, Phase, RouterDecl, ScenarioAction, ScenarioEvent, ScenarioSpec,
     SessionDecl, TopologyTemplate,
 };
-use crate::session::{SessionId, SessionKind};
+use crate::session::SessionId;
 use crate::time::SimDuration;
 use crate::vendor::VendorProfile;
 
@@ -313,30 +313,6 @@ fn rid(asn: Asn, index: u16) -> RouterId {
 
 fn ip(a: u8, b: u8, c: u8, d: u8) -> IpAddr {
     IpAddr::V4(std::net::Ipv4Addr::new(a, b, c, d))
-}
-
-impl SessionDecl {
-    /// An eBGP session where `b` is `a`'s customer, with explicit import
-    /// policies per side (the lab's sessions all follow this shape).
-    fn ebgp_customer_with_imports(
-        a: RouterId,
-        b: RouterId,
-        a_import: ImportPolicy,
-        b_import: ImportPolicy,
-    ) -> Self {
-        SessionDecl {
-            a,
-            b,
-            kind: SessionKind::Ebgp,
-            a_import,
-            a_export: ExportPolicy::default(),
-            b_import,
-            b_export: ExportPolicy::default(),
-            a_view_of_b: Some(RouteSource::Customer),
-            b_view_of_a: Some(RouteSource::Provider),
-            delay: None,
-        }
-    }
 }
 
 /// Builds the Figure 1 network with every router running `vendor` and the

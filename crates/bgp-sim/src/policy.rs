@@ -109,7 +109,7 @@ pub struct ExportPolicy {
     /// Action communities honored on this session: a route carrying any of
     /// these is **not announced** toward this neighbor (the operator's
     /// "do-not-announce toward X" traffic-engineering knob — see
-    /// ROADMAP 4b). Checked before all other egress transformations.
+    /// ROADMAP 3(c)). Checked before all other egress transformations.
     pub deny_communities: Vec<Community>,
 }
 

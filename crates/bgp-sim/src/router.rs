@@ -153,11 +153,6 @@ impl Router {
         self.loc_rib.len()
     }
 
-    /// Iterates over the Loc-RIB (unspecified order).
-    pub fn loc_rib(&self) -> impl Iterator<Item = (&Prefix, &RibEntry)> {
-        self.loc_rib.iter()
-    }
-
     /// Everything last transmitted on `session`, sorted by prefix — the
     /// Adj-RIB-Out slice a route-refresh request replays. O(routes on
     /// this session): the Adj-RIB-Out is maintained per session, so no

@@ -171,16 +171,21 @@ impl SessionDecl {
         }
     }
 
-    /// An eBGP session where `b` is `a`'s customer, with the conventional
-    /// Gao–Rexford import policies on both sides.
-    pub fn ebgp_customer(a: RouterId, b: RouterId) -> Self {
+    /// An eBGP session where `b` is `a`'s customer, with explicit import
+    /// policies per side.
+    pub(crate) fn ebgp_customer_with_imports(
+        a: RouterId,
+        b: RouterId,
+        a_import: ImportPolicy,
+        b_import: ImportPolicy,
+    ) -> Self {
         SessionDecl {
             a,
             b,
             kind: SessionKind::Ebgp,
-            a_import: ImportPolicy::for_neighbor(RouteSource::Customer),
+            a_import,
             a_export: ExportPolicy::default(),
-            b_import: ImportPolicy::for_neighbor(RouteSource::Provider),
+            b_import,
             b_export: ExportPolicy::default(),
             a_view_of_b: Some(RouteSource::Customer),
             b_view_of_a: Some(RouteSource::Provider),
@@ -816,6 +821,16 @@ mod tests {
         "203.0.113.0/24".parse().unwrap()
     }
 
+    /// `b` is `a`'s customer, under the conventional Gao–Rexford imports.
+    fn customer(a: RouterId, b: RouterId) -> SessionDecl {
+        SessionDecl::ebgp_customer_with_imports(
+            a,
+            b,
+            ImportPolicy::for_neighbor(RouteSource::Customer),
+            ImportPolicy::for_neighbor(RouteSource::Provider),
+        )
+    }
+
     /// origin A(AS1) -- transit B(AS2) -- collector C(AS3).
     fn chain_spec() -> ScenarioSpec {
         let a = rid(1, 0);
@@ -827,7 +842,7 @@ mod tests {
             sim: SimConfig { delay_spread: SimDuration::ZERO, ..Default::default() },
             topology: TopologyTemplate::Explicit {
                 routers: vec![RouterDecl::new(a, ip(1)), RouterDecl::new(b, ip(2)), collector],
-                sessions: vec![SessionDecl::ebgp_customer(b, a), SessionDecl::ebgp_customer(b, c)],
+                sessions: vec![customer(b, a), customer(b, c)],
             },
             monitors: vec![(a, b)],
             watch: vec![(b, prefix())],

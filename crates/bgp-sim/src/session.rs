@@ -59,11 +59,6 @@ impl Session {
         }
     }
 
-    /// True if `me` is an endpoint.
-    pub fn involves(&self, me: RouterId) -> bool {
-        self.a == me || self.b == me
-    }
-
     /// The import policy `me` applies to routes from the other side.
     pub fn import_for(&self, me: RouterId) -> &ImportPolicy {
         if me == self.a {
@@ -128,8 +123,6 @@ mod tests {
         let s = session();
         assert_eq!(s.other(rid(1, 0)), rid(2, 0));
         assert_eq!(s.other(rid(2, 0)), rid(1, 0));
-        assert!(s.involves(rid(1, 0)));
-        assert!(!s.involves(rid(3, 0)));
     }
 
     #[test]

@@ -29,11 +29,6 @@ impl SimTime {
     pub const fn as_micros(self) -> u64 {
         self.0
     }
-
-    /// Whole seconds (truncating).
-    pub const fn as_secs(self) -> u64 {
-        self.0 / 1_000_000
-    }
 }
 
 impl SimDuration {
@@ -112,7 +107,6 @@ mod tests {
     fn arithmetic() {
         let t = SimTime::from_secs(2) + SimDuration::from_millis(500);
         assert_eq!(t.as_micros(), 2_500_000);
-        assert_eq!(t.as_secs(), 2);
         assert_eq!(t - SimTime::from_secs(1), SimDuration::from_millis(1500));
     }
 

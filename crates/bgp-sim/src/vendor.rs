@@ -60,7 +60,7 @@ impl VendorProfile {
     };
 
     /// BIRD 1.6.6: duplicates by default.
-    pub const BIRD_1: VendorProfile = VendorProfile {
+    pub(crate) const BIRD_1: VendorProfile = VendorProfile {
         name: "BIRD 1.6.6",
         suppresses_duplicates: false,
         mrai_ebgp: SimDuration::ZERO,

@@ -143,11 +143,6 @@ impl AsPath {
             .sum()
     }
 
-    /// Number of hops including repeats — the raw visual length.
-    pub fn hop_count(&self) -> usize {
-        self.asns().count()
-    }
-
     /// Returns a new path with `asn` prepended `times` times, as a router
     /// does when advertising to an eBGP peer (possibly with export
     /// prepending).
@@ -166,28 +161,6 @@ impl AsPath {
         AsPath { segments }
     }
 
-    /// The path with consecutive duplicate ASNs collapsed — the "core" path
-    /// with prepending removed. Two paths with equal cores and equal AS sets
-    /// are prepend variants.
-    pub fn core_path(&self) -> AsPath {
-        let mut segments = Vec::with_capacity(self.segments.len());
-        for seg in &self.segments {
-            match seg.kind {
-                SegmentKind::Sequence | SegmentKind::ConfedSequence => {
-                    let mut asns: Vec<Asn> = Vec::with_capacity(seg.asns.len());
-                    for &a in &seg.asns {
-                        if asns.last() != Some(&a) {
-                            asns.push(a);
-                        }
-                    }
-                    segments.push(PathSegment { kind: seg.kind, asns });
-                }
-                _ => segments.push(seg.clone()),
-            }
-        }
-        AsPath { segments }
-    }
-
     /// Heap bytes held by the path: the segment vector plus every
     /// segment's ASN vector, counted at capacity.
     pub fn heap_bytes(&self) -> usize {
@@ -197,14 +170,6 @@ impl AsPath {
                 .iter()
                 .map(|s| s.asns.capacity() * std::mem::size_of::<Asn>())
                 .sum::<usize>()
-    }
-
-    /// True if the path contains any prepending (a consecutive repeat).
-    pub fn has_prepending(&self) -> bool {
-        self.segments.iter().any(|s| {
-            matches!(s.kind, SegmentKind::Sequence | SegmentKind::ConfedSequence)
-                && s.asns.windows(2).any(|w| w[0] == w[1])
-        })
     }
 }
 
@@ -351,7 +316,6 @@ mod tests {
             PathSegment::set([Asn(3), Asn(4), Asn(5)]),
         ]);
         assert_eq!(p.decision_length(), 3);
-        assert_eq!(p.hop_count(), 5);
     }
 
     #[test]
@@ -368,20 +332,12 @@ mod tests {
         let p = path(&[3356, 12_654]);
         let q = p.prepend(Asn(20_205), 3);
         assert_eq!(q.to_string(), "20205 20205 20205 3356 12654");
-        assert!(q.has_prepending());
-        assert!(!p.has_prepending());
     }
 
     #[test]
     fn prepend_onto_empty_path() {
         let p = AsPath::empty().prepend(Asn(7), 2);
         assert_eq!(p.to_string(), "7 7");
-    }
-
-    #[test]
-    fn core_path_collapses_prepending() {
-        let p: AsPath = "20205 3356 3356 3356 12654".parse().unwrap();
-        assert_eq!(p.core_path().to_string(), "20205 3356 12654");
     }
 
     #[test]

@@ -23,10 +23,8 @@ pub struct Asn(pub u32);
 pub const AS_TRANS: Asn = Asn(23456);
 
 impl Asn {
-    /// The reserved ASN 0 (RFC 7607): must never appear in an AS path.
-    pub const RESERVED_ZERO: Asn = Asn(0);
     /// Last 2-octet ASN value.
-    pub const MAX_16BIT: u32 = 65_535;
+    pub(crate) const MAX_16BIT: u32 = 65_535;
 
     /// Creates an ASN from a raw value.
     pub const fn new(value: u32) -> Self {
@@ -50,20 +48,20 @@ impl Asn {
 
     /// True for ASNs reserved for private use
     /// (64512–65534 and 4200000000–4294967294, RFC 6996).
-    pub const fn is_private(self) -> bool {
+    pub(crate) const fn is_private(self) -> bool {
         (self.0 >= 64_512 && self.0 <= 65_534)
             || (self.0 >= 4_200_000_000 && self.0 <= 4_294_967_294)
     }
 
     /// True for ASNs reserved for documentation
     /// (64496–64511 and 65536–65551, RFC 5398).
-    pub const fn is_documentation(self) -> bool {
+    pub(crate) const fn is_documentation(self) -> bool {
         (self.0 >= 64_496 && self.0 <= 64_511) || (self.0 >= 65_536 && self.0 <= 65_551)
     }
 
     /// True for structurally reserved values that can never be allocated:
     /// 0 (RFC 7607), 65535 (RFC 7300), 4294967295 (RFC 7300), and `AS_TRANS`.
-    pub const fn is_reserved(self) -> bool {
+    pub(crate) const fn is_reserved(self) -> bool {
         self.0 == 0 || self.0 == 65_535 || self.0 == u32::MAX || self.is_as_trans()
     }
 

@@ -111,19 +111,6 @@ impl PathAttributes {
         PathAttributes { next_hop, ..Default::default() }
     }
 
-    /// True if everything *except* the community attribute is equal —
-    /// i.e. a community-only (`nc`) difference when communities differ,
-    /// or a pure duplicate (`nn`) when they are equal too.
-    pub fn equal_ignoring_communities(&self, other: &PathAttributes) -> bool {
-        self.origin == other.origin
-            && self.as_path == other.as_path
-            && self.next_hop == other.next_hop
-            && self.med == other.med
-            && self.local_pref == other.local_pref
-            && self.atomic_aggregate == other.atomic_aggregate
-            && self.aggregator == other.aggregator
-    }
-
     /// Resident bytes of one owned attribute set: the struct itself plus
     /// every heap allocation it holds (AS-path segments and all three
     /// community families), counted at **capacity**, not length — this is
@@ -174,23 +161,6 @@ mod tests {
         // Decision process: lower origin code wins.
         assert!(Origin::Igp < Origin::Egp);
         assert!(Origin::Egp < Origin::Incomplete);
-    }
-
-    #[test]
-    fn equal_ignoring_communities_detects_nc() {
-        let a = base();
-        let mut b = base();
-        b.communities.insert(Community::from_parts(65000, 400));
-        assert!(a.equal_ignoring_communities(&b));
-        assert_ne!(a, b);
-    }
-
-    #[test]
-    fn equal_ignoring_communities_rejects_path_change() {
-        let a = base();
-        let mut b = base();
-        b.as_path = "20205 6939 50304 12654".parse().unwrap();
-        assert!(!a.equal_ignoring_communities(&b));
     }
 
     #[test]

@@ -21,7 +21,7 @@ pub mod well_known {
     /// `GRACEFUL_SHUTDOWN` (RFC 8326).
     pub const GRACEFUL_SHUTDOWN: Community = Community(0xFFFF_0000);
     /// `ACCEPT_OWN` (RFC 7611).
-    pub const ACCEPT_OWN: Community = Community(0xFFFF_0001);
+    pub(crate) const ACCEPT_OWN: Community = Community(0xFFFF_0001);
     /// `BLACKHOLE` (RFC 7999) — the DDoS-mitigation action community.
     pub const BLACKHOLE: Community = Community(0xFFFF_029A);
     /// `NO_EXPORT` (RFC 1997).
@@ -29,9 +29,9 @@ pub mod well_known {
     /// `NO_ADVERTISE` (RFC 1997).
     pub const NO_ADVERTISE: Community = Community(0xFFFF_FF02);
     /// `NO_EXPORT_SUBCONFED` / `LOCAL-AS` (RFC 1997).
-    pub const NO_EXPORT_SUBCONFED: Community = Community(0xFFFF_FF03);
+    pub(crate) const NO_EXPORT_SUBCONFED: Community = Community(0xFFFF_FF03);
     /// `NOPEER` (RFC 3765).
-    pub const NOPEER: Community = Community(0xFFFF_FF04);
+    pub(crate) const NOPEER: Community = Community(0xFFFF_FF04);
 }
 
 impl Community {
@@ -48,18 +48,6 @@ impl Community {
     /// The low 16 bits: the AS-specific value.
     pub const fn value_part(self) -> u16 {
         (self.0 & 0xFFFF) as u16
-    }
-
-    /// True if the community lies in the reserved well-known range
-    /// `0xFFFF0000–0xFFFFFFFF` (high half == 65535).
-    pub const fn is_well_known(self) -> bool {
-        self.asn_part() == 0xFFFF
-    }
-
-    /// True if the community lies in the reserved range with high half 0
-    /// (`0x00000000–0x0000FFFF`), also not usable by real ASes.
-    pub const fn is_reserved_low(self) -> bool {
-        self.asn_part() == 0
     }
 
     /// The IANA name for registered well-known values, if any.
@@ -159,9 +147,6 @@ mod tests {
 
     #[test]
     fn well_known_detection() {
-        assert!(well_known::NO_EXPORT.is_well_known());
-        assert!(well_known::BLACKHOLE.is_well_known());
-        assert!(!Community::from_parts(3356, 2065).is_well_known());
         assert_eq!(well_known::BLACKHOLE.well_known_name(), Some("BLACKHOLE"));
         assert_eq!(Community::from_parts(3356, 1).well_known_name(), None);
     }

@@ -131,11 +131,6 @@ impl CommunitySet {
         self.classic.binary_search(c).is_ok()
     }
 
-    /// True if the large community is present.
-    pub fn contains_large(&self, c: &LargeCommunity) -> bool {
-        self.large.binary_search(c).is_ok()
-    }
-
     /// The classic communities, sorted.
     pub fn classic(&self) -> &[Community] {
         &self.classic
@@ -157,14 +152,6 @@ impl CommunitySet {
         self.classic.clear();
         self.extended.clear();
         self.large.clear();
-    }
-
-    /// Keeps only classic communities satisfying the predicate (and applies
-    /// the matching global-administrator predicate to large communities).
-    /// This expresses selective cleaning such as "drop communities whose
-    /// high half names my neighbor".
-    pub fn retain_classic<F: FnMut(&Community) -> bool>(&mut self, mut f: F) {
-        self.classic.retain(|c| f(c));
     }
 
     /// Removes every community (classic high half / large global
@@ -291,8 +278,7 @@ mod tests {
         assert!(!s.contains(&c(3356, 2065)));
         assert!(s.contains(&c(174, 21_000)));
         assert!(s.contains(&c(65535, 666)));
-        assert!(!s.contains_large(&LargeCommunity::new(3356, 9, 9)));
-        assert!(s.contains_large(&LargeCommunity::new(174, 9, 9)));
+        assert_eq!(s.large(), &[LargeCommunity::new(174, 9, 9)]);
     }
 
     #[test]
@@ -326,12 +312,5 @@ mod tests {
         assert!(!s.remove(&c(1, 1)));
         assert!(!s.contains(&c(1, 1)));
         assert!(s.contains(&c(2, 2)));
-    }
-
-    #[test]
-    fn retain_classic_predicate() {
-        let mut s = CommunitySet::from_classic([c(1, 1), c(2, 2), c(3, 3)]);
-        s.retain_classic(|cm| cm.asn_part() != 2);
-        assert_eq!(s.classic(), &[c(1, 1), c(3, 3)]);
     }
 }

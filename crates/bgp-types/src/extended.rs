@@ -10,25 +10,17 @@
 use std::fmt;
 
 /// High-order type byte values (RFC 4360 §2, IANA registry subset).
-pub mod types {
+mod types {
     /// Two-octet AS specific, transitive.
-    pub const TWO_OCTET_AS_TRANSITIVE: u8 = 0x00;
-    /// IPv4 address specific, transitive.
-    pub const IPV4_TRANSITIVE: u8 = 0x01;
-    /// Four-octet AS specific, transitive (RFC 5668).
-    pub const FOUR_OCTET_AS_TRANSITIVE: u8 = 0x02;
-    /// Opaque, transitive.
-    pub const OPAQUE_TRANSITIVE: u8 = 0x03;
-    /// Bit marking a type as non-transitive across ASes.
-    pub const NON_TRANSITIVE_BIT: u8 = 0x40;
+    pub(crate) const TWO_OCTET_AS_TRANSITIVE: u8 = 0x00;
 }
 
 /// Sub-type byte values for AS-specific types.
-pub mod subtypes {
+mod subtypes {
     /// Route Target (RFC 4360 §4).
-    pub const ROUTE_TARGET: u8 = 0x02;
+    pub(crate) const ROUTE_TARGET: u8 = 0x02;
     /// Route Origin (RFC 4360 §5).
-    pub const ROUTE_ORIGIN: u8 = 0x03;
+    pub(crate) const ROUTE_ORIGIN: u8 = 0x03;
 }
 
 /// An extended community, decoded where the paper's data needs it and
@@ -80,12 +72,6 @@ impl ExtendedCommunity {
         }
         ExtendedCommunity::Raw(b)
     }
-
-    /// True if the community is transitive across AS boundaries
-    /// (the non-transitive bit of the type byte is clear).
-    pub fn is_transitive(self) -> bool {
-        self.to_bytes()[0] & types::NON_TRANSITIVE_BIT == 0
-    }
 }
 
 fn encode_two_octet_as(subtype: u8, asn: u16, value: u32) -> [u8; 8] {
@@ -135,13 +121,6 @@ mod tests {
         let ec = ExtendedCommunity::from_bytes(raw);
         assert_eq!(ec, ExtendedCommunity::Raw(raw));
         assert_eq!(ec.to_bytes(), raw);
-    }
-
-    #[test]
-    fn transitivity_bit() {
-        assert!(ExtendedCommunity::RouteTarget { asn: 1, value: 1 }.is_transitive());
-        assert!(!ExtendedCommunity::Raw([0x40, 0, 0, 0, 0, 0, 0, 0]).is_transitive());
-        assert!(ExtendedCommunity::Raw([0x03, 0, 0, 0, 0, 0, 0, 0]).is_transitive());
     }
 
     #[test]

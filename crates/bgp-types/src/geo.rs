@@ -27,17 +27,17 @@ use crate::community::Community;
 use crate::community_set::CommunitySet;
 
 /// Base value for continent codes.
-pub const CONTINENT_BASE: u16 = 2000;
+pub(crate) const CONTINENT_BASE: u16 = 2000;
 /// Number of continent codes (1–7: AF, AN, AS, EU, NA, OC, SA).
-pub const CONTINENT_COUNT: u16 = 7;
+pub(crate) const CONTINENT_COUNT: u16 = 7;
 /// Base value for country codes.
-pub const COUNTRY_BASE: u16 = 2100;
+pub(crate) const COUNTRY_BASE: u16 = 2100;
 /// Number of country ids.
-pub const COUNTRY_COUNT: u16 = 400;
+pub(crate) const COUNTRY_COUNT: u16 = 400;
 /// Base value for city codes.
-pub const CITY_BASE: u16 = 2500;
+pub(crate) const CITY_BASE: u16 = 2500;
 /// Number of city ids.
-pub const CITY_COUNT: u16 = 3500;
+pub(crate) const CITY_COUNT: u16 = 3500;
 
 /// The geographic scope a single community encodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -63,7 +63,7 @@ impl fmt::Display for GeoScope {
 /// A full ingress location: continent + country + city.
 ///
 /// Continent ids are 1-based (1–7); country and city ids are 0-based and
-/// bounded by [`COUNTRY_COUNT`] / [`CITY_COUNT`].
+/// bounded by `COUNTRY_COUNT` (400) / `CITY_COUNT` (3500).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GeoTag {
     /// Continent id, 1–7.
@@ -125,12 +125,6 @@ pub fn decode_geo(c: Community) -> Option<(GeoScope, u16)> {
     }
 }
 
-/// Removes the geo communities of `asn16` from a set and decodes them —
-/// what an analysis pass does to recover ingress locations from a stream.
-pub fn extract_locations(set: &CommunitySet, asn16: u16) -> Vec<(GeoScope, u16)> {
-    set.iter_classic().filter(|c| c.asn_part() == asn16).filter_map(|c| decode_geo(*c)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,20 +168,6 @@ mod tests {
         assert_eq!(decode_geo(Community::from_parts(1, 2499)), Some((GeoScope::Country, 399)));
         assert_eq!(decode_geo(Community::from_parts(1, 2500)), Some((GeoScope::City, 0)));
         assert_eq!(decode_geo(Community::from_parts(1, 5999)), Some((GeoScope::City, 3499)));
-    }
-
-    #[test]
-    fn extract_locations_filters_by_tagger() {
-        let mut set = CommunitySet::new();
-        GeoTag::new(4, 10, 20).tag(3356, &mut set);
-        GeoTag::new(5, 11, 21).tag(174, &mut set);
-        set.insert(Community::from_parts(3356, 70)); // non-geo
-        let locs_3356 = extract_locations(&set, 3356);
-        assert_eq!(locs_3356.len(), 3);
-        assert!(locs_3356.contains(&(GeoScope::Continent, 4)));
-        let locs_174 = extract_locations(&set, 174);
-        assert_eq!(locs_174.len(), 3);
-        assert!(locs_174.contains(&(GeoScope::City, 21)));
     }
 
     #[test]

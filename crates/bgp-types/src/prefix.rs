@@ -109,11 +109,6 @@ impl Prefix {
         }
     }
 
-    /// True if this is the zero-length default route (`0.0.0.0/0` or `::/0`).
-    pub fn is_default_route(&self) -> bool {
-        self.len() == 0
-    }
-
     /// True for IPv4 prefixes.
     pub fn is_ipv4(&self) -> bool {
         matches!(self, Prefix::V4 { .. })
@@ -143,17 +138,6 @@ impl Prefix {
                 l1 <= l2 && mask_v6(*a2, *l1) == mask_v6(self.v6_addr(), *l1)
             }
             _ => false,
-        }
-    }
-
-    /// True if the prefix is *more specific than* the conventional /24 (v4)
-    /// or /48 (v6) routing-table cut-off. The paper keeps prefixes with
-    /// length *smaller* than /24 and does not aggregate; this predicate lets
-    /// the cleaning stage express either choice.
-    pub fn is_more_specific_than_conventional(&self) -> bool {
-        match self {
-            Prefix::V4 { len, .. } => *len > 24,
-            Prefix::V6 { len, .. } => *len > 48,
         }
     }
 
@@ -265,14 +249,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_length_default_route() {
-        let p: Prefix = "0.0.0.0/0".parse().unwrap();
-        assert!(p.is_default_route());
-        let p6: Prefix = "::/0".parse().unwrap();
-        assert!(p6.is_default_route());
-    }
-
-    #[test]
     fn containment() {
         let big: Prefix = "10.0.0.0/8".parse().unwrap();
         let small: Prefix = "10.20.0.0/16".parse().unwrap();
@@ -296,14 +272,6 @@ mod tests {
         let v4_default: Prefix = "0.0.0.0/0".parse().unwrap();
         let p: Prefix = "84.205.64.0/24".parse().unwrap();
         assert!(v4_default.contains(&p));
-    }
-
-    #[test]
-    fn conventional_cutoff() {
-        assert!(!"84.205.64.0/24".parse::<Prefix>().unwrap().is_more_specific_than_conventional());
-        assert!("84.205.64.0/25".parse::<Prefix>().unwrap().is_more_specific_than_conventional());
-        assert!(!"2001:db8::/48".parse::<Prefix>().unwrap().is_more_specific_than_conventional());
-        assert!("2001:db8::/49".parse::<Prefix>().unwrap().is_more_specific_than_conventional());
     }
 
     #[test]

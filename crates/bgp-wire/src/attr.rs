@@ -20,19 +20,19 @@ use crate::message::SessionConfig;
 use crate::nlri::{decode_prefix_run, encode_prefix, encoded_len, Afi};
 
 /// Attribute flag bits.
-pub mod flags {
+mod flags {
     /// Optional (not well-known).
-    pub const OPTIONAL: u8 = 0x80;
+    pub(crate) const OPTIONAL: u8 = 0x80;
     /// Transitive.
-    pub const TRANSITIVE: u8 = 0x40;
+    pub(crate) const TRANSITIVE: u8 = 0x40;
     /// Partial (set when an unrecognized transitive attribute passed through).
-    pub const PARTIAL: u8 = 0x20;
+    pub(crate) const PARTIAL: u8 = 0x20;
     /// Two-octet length field follows.
-    pub const EXTENDED_LENGTH: u8 = 0x10;
+    pub(crate) const EXTENDED_LENGTH: u8 = 0x10;
 }
 
 /// Attribute type codes (IANA registry subset).
-pub mod type_codes {
+mod type_codes {
     /// ORIGIN.
     pub const ORIGIN: u8 = 1;
     /// AS_PATH.
@@ -54,13 +54,13 @@ pub mod type_codes {
     /// MP_UNREACH_NLRI (RFC 4760).
     pub const MP_UNREACH_NLRI: u8 = 15;
     /// EXTENDED COMMUNITIES (RFC 4360).
-    pub const EXTENDED_COMMUNITIES: u8 = 16;
+    pub(crate) const EXTENDED_COMMUNITIES: u8 = 16;
     /// AS4_PATH (RFC 6793).
     pub const AS4_PATH: u8 = 17;
     /// AS4_AGGREGATOR (RFC 6793).
     pub const AS4_AGGREGATOR: u8 = 18;
     /// LARGE COMMUNITIES (RFC 8092).
-    pub const LARGE_COMMUNITIES: u8 = 32;
+    pub(crate) const LARGE_COMMUNITIES: u8 = 32;
 }
 
 /// An attribute the codec does not interpret, preserved bit-exactly.

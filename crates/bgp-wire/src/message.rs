@@ -116,7 +116,7 @@ pub enum Message {
 
 impl Message {
     /// This message's type code.
-    pub fn message_type(&self) -> MessageType {
+    pub(crate) fn message_type(&self) -> MessageType {
         match self {
             Message::Open(_) => MessageType::Open,
             Message::Update(_) => MessageType::Update,

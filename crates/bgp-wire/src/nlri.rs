@@ -42,7 +42,7 @@ impl Afi {
 }
 
 /// Bytes needed to cover `len` mask bits.
-pub const fn octets_for(len: u8) -> usize {
+pub(crate) const fn octets_for(len: u8) -> usize {
     (len as usize).div_ceil(8)
 }
 

@@ -100,7 +100,7 @@ impl Notification {
     }
 
     /// An OPEN error with a precise subcode.
-    pub fn open_error(subcode: OpenErrorSubcode, data: Vec<u8>) -> Self {
+    pub(crate) fn open_error(subcode: OpenErrorSubcode, data: Vec<u8>) -> Self {
         Notification { code: NotificationCode::OpenMessage, subcode: subcode.code(), data }
     }
 

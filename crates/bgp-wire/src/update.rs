@@ -36,35 +36,31 @@ impl UpdatePacket {
         UpdatePacket { withdrawn: vec![prefix], ..Default::default() }
     }
 
-    /// Streams the packet's per-prefix [`RouteUpdate`]s in wire order
-    /// (withdrawals first, then announcements), stamping each with
-    /// `time_us`. The attribute set is deep-copied **once** per packet and
-    /// shared across every announced prefix behind one `Arc` — the
-    /// many-prefixes-one-attribute shape of real UPDATEs becomes pointer
-    /// copies downstream.
-    pub fn route_updates(&self, time_us: u64) -> impl Iterator<Item = RouteUpdate> + '_ {
-        let shared = self.attrs.as_ref().map(|a| Arc::new(a.clone()));
-        self.withdrawn.iter().map(move |p| RouteUpdate::withdraw(time_us, *p)).chain(
-            self.nlri.iter().filter_map(move |p| {
-                shared.as_ref().map(|a| RouteUpdate::announce(time_us, *p, Arc::clone(a)))
-            }),
-        )
-    }
-
-    /// How many updates [`route_updates`](Self::route_updates) and
+    /// How many updates [`explode`](Self::explode) and
     /// [`into_route_updates`](Self::into_route_updates) yield: every
     /// withdrawal, plus the announcements when there are attributes.
     pub fn route_update_count(&self) -> usize {
         self.withdrawn.len() + if self.attrs.is_some() { self.nlri.len() } else { 0 }
     }
 
-    /// Explodes the packet into a `Vec` of per-prefix updates. Prefer
-    /// iterating [`route_updates`](Self::route_updates) on hot paths.
+    /// Explodes the packet into its per-prefix [`RouteUpdate`]s in wire
+    /// order (withdrawals first, then announcements), stamping each with
+    /// `time_us`. The attribute set is deep-copied **once** per packet and
+    /// shared across every announced prefix behind one `Arc` — the
+    /// many-prefixes-one-attribute shape of real UPDATEs becomes pointer
+    /// copies downstream.
     pub fn explode(&self, time_us: u64) -> Vec<RouteUpdate> {
-        self.route_updates(time_us).collect()
+        let shared = self.attrs.as_ref().map(|a| Arc::new(a.clone()));
+        self.withdrawn
+            .iter()
+            .map(|p| RouteUpdate::withdraw(time_us, *p))
+            .chain(self.nlri.iter().filter_map(|p| {
+                shared.as_ref().map(|a| RouteUpdate::announce(time_us, *p, Arc::clone(a)))
+            }))
+            .collect()
     }
 
-    /// Consuming [`route_updates`](Self::route_updates): moves the
+    /// [`explode`](Self::explode), consuming: moves the
     /// decoded attribute set straight into its shared `Arc` — no deep
     /// copy at all. The right call when the packet came off the wire and
     /// is not needed again.

@@ -84,14 +84,6 @@ impl UpdateArchive {
         self.sessions.len()
     }
 
-    /// Number of distinct peer ASes.
-    pub fn peer_count(&self) -> usize {
-        let mut asns: Vec<Asn> = self.sessions.keys().map(|k| k.peer_asn).collect();
-        asns.sort_unstable();
-        asns.dedup();
-        asns.len()
-    }
-
     /// Total updates across sessions.
     pub fn update_count(&self) -> usize {
         self.sessions.values().map(|s| s.updates.len()).sum()
@@ -250,7 +242,6 @@ mod tests {
     fn counts() {
         let a = sample_archive();
         assert_eq!(a.session_count(), 2);
-        assert_eq!(a.peer_count(), 2);
         assert_eq!(a.update_count(), 3);
         assert_eq!(a.announcement_count(), 2);
         assert_eq!(a.withdrawal_count(), 1);

@@ -74,7 +74,7 @@ impl Default for BeaconSchedule {
 
 impl BeaconSchedule {
     /// Number of announce (== withdraw) phases in a day.
-    pub fn phases_per_day(&self) -> u8 {
+    pub(crate) fn phases_per_day(&self) -> u8 {
         (24 * SEC_PER_HOUR * US_PER_SEC / self.period_us) as u8
     }
 

@@ -27,8 +27,8 @@
 //!   from one bounded ring of batches that a running collector daemon
 //!   (`kcc_peer`) fills through [`LiveSender`]s, plus the
 //!   [`ShutdownFlag`] that lets unbounded runs finish gracefully,
-//! * [`dir_source`]: a directory of rotated MRT dumps streamed as one
-//!   collector feed ([`MrtDirSource`]), optionally following the
+//! * [`MrtDirSource`]: a directory of rotated MRT dumps streamed as one
+//!   collector feed, optionally following the
 //!   directory for new files — the bridge between a daemon's on-disk
 //!   capture and an always-on analysis.
 

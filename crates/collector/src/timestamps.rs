@@ -8,7 +8,7 @@
 use kcc_bgp_types::RouteUpdate;
 
 /// 0.01 ms in microseconds.
-pub const DISAMBIGUATION_STEP_US: u64 = 10;
+pub(crate) const DISAMBIGUATION_STEP_US: u64 = 10;
 
 /// Microseconds per second.
 const SECOND_US: u64 = 1_000_000;
@@ -18,7 +18,7 @@ const SECOND_US: u64 = 1_000_000;
 /// time of the next update, returns the time to emit.
 ///
 /// Raw times that advance pass through untouched. A run of repeated (or
-/// regressed) raw times is spread forward by [`DISAMBIGUATION_STEP_US`],
+/// regressed) raw times is spread forward by `DISAMBIGUATION_STEP_US` (10 µs),
 /// but the spread is **clamped to the update's own second**: the emitted
 /// time never reaches `⌈raw⌉ + 1 s`, so a long run (≥ 100,000 same-second
 /// updates at 10 µs would otherwise cross the boundary) can never
@@ -50,7 +50,7 @@ pub fn disambiguated(prev: Option<u64>, raw_us: u64) -> u64 {
 
 /// Applies the disambiguation rule in place. `updates` must already be in
 /// arrival order; every run of equal timestamps is spread by
-/// [`DISAMBIGUATION_STEP_US`] while preserving order, clamped so that a
+/// `DISAMBIGUATION_STEP_US` (10 µs) while preserving order, clamped so that a
 /// run never leaves its own second (see [`disambiguated`]).
 pub fn normalize_timestamps(updates: &mut [RouteUpdate]) {
     let mut prev: Option<u64> = None;

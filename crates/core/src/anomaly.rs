@@ -29,12 +29,11 @@
 
 use std::collections::hash_map::Entry;
 use std::hash::BuildHasher;
+use std::net::IpAddr;
 use std::sync::Arc;
 
-#[cfg(test)]
-use kcc_bgp_types::Asn;
 use kcc_bgp_types::{
-    Community, CommunitySet, ExtendedCommunity, FastBuildHasher, FastHashMap, FastHashSet,
+    Asn, Community, CommunitySet, ExtendedCommunity, FastBuildHasher, FastHashMap, FastHashSet,
     LargeCommunity, MessageKind, Prefix, RouteUpdate,
 };
 use kcc_collector::{SessionKey, UpdateArchive};
@@ -184,7 +183,7 @@ impl AttrInterner {
     }
 }
 
-/// What training learned about one `(session, prefix)` stream.
+/// What training learned about one `(peer, prefix)` stream.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct StreamProfile {
     /// Whether any well-known action community was seen.
@@ -208,8 +207,10 @@ pub struct CommunityProfiler {
     values: FastHashSet<Community>,
     /// Per 16-bit namespace: how many distinct values training saw.
     namespace_sizes: FastHashMap<u16, usize>,
-    /// The sessions seen in training; streams key on their ids.
-    sessions: SessionTable,
+    /// Dense ids for the peers (AS and session address) seen in training;
+    /// streams key on them and not on the collector, so a peer trained
+    /// under one collector name is recognised under another.
+    peers: FastHashMap<(Asn, IpAddr), u32>,
     streams: FastHashMap<(u32, Prefix), StreamProfile>,
     trained: bool,
 }
@@ -248,22 +249,28 @@ impl CommunityProfiler {
         self.namespace_sizes.len()
     }
 
-    /// What training learned about a stream (the default for streams it
-    /// never saw). Two probes: detectors ask once, at a stream's first
-    /// sight, and keep the answer.
+    /// What training learned about the peer of `key` on `prefix` (the
+    /// default for streams it never saw). Two probes: detectors ask once,
+    /// at a stream's first sight, and keep the answer.
     pub(crate) fn stream(&self, key: &SessionKey, prefix: Prefix) -> StreamProfile {
-        let known = self.sessions.get(key).and_then(|s| self.streams.get(&(s, prefix)));
+        let peer = self.peers.get(&(key.peer_asn, key.peer_ip));
+        let known = peer.and_then(|&p| self.streams.get(&(p, prefix)));
         known.copied().unwrap_or_default()
     }
 
     /// Learns profiles from a training archive (e.g. yesterday's data).
+    /// A stream's profile is the union of what the peer's sessions at
+    /// every collector of the archive showed; a later archive raises
+    /// the baseline to the larger of the two.
     pub fn train(&mut self, archive: &UpdateArchive) {
+        let peer = |(key, _): &(&SessionKey, _)| (key.peer_asn, key.peer_ip);
+        let mut sessions: Vec<_> = archive.sessions().collect();
+        sessions.sort_by_key(peer);
         let mut attrs = AttrInterner::default();
-        for (key, rec) in archive.sessions() {
-            let session = self.sessions.intern(key);
-            // Per prefix of this session: action seen, distinct attributes.
+        for group in sessions.chunk_by(|a, b| peer(a) == peer(b)) {
+            // Per prefix of this peer: action seen, distinct attributes.
             let mut seen: FastHashMap<Prefix, (bool, FastHashSet<u32>)> = FastHashMap::default();
-            for u in &rec.updates {
+            for u in group.iter().flat_map(|(_, rec)| &rec.updates) {
                 let MessageKind::Announcement(a) = &u.kind else { continue };
                 let (has_action, distinct) = seen.entry(u.prefix).or_default();
                 for c in a.communities.iter_classic() {
@@ -274,8 +281,10 @@ impl CommunityProfiler {
                 }
                 distinct.insert(attrs.intern(&a.communities));
             }
+            let next = self.peers.len() as u32;
+            let id = *self.peers.entry(peer(&group[0])).or_insert(next);
             for (prefix, (has_action, distinct)) in seen {
-                let stream = self.streams.entry((session, prefix)).or_default();
+                let stream = self.streams.entry((id, prefix)).or_default();
                 stream.has_action |= has_action;
                 stream.attr_count = stream.attr_count.max(distinct.len());
             }
@@ -501,6 +510,20 @@ mod tests {
             )
         }));
         assert_eq!(detect(p, &test, cfg), want);
+    }
+
+    #[test]
+    fn profile_follows_the_peer_across_collectors() {
+        // Trained under the name `train`, judged under `rrc00`: the same
+        // peer's stream finds its profile, so the trained blackhole is normal.
+        let trained_as = SessionKey { collector: "train".into(), ..key() };
+        let mut a = UpdateArchive::new(0);
+        a.record(&trained_as, announce(10, &[(BLACKHOLE.asn_part(), BLACKHOLE.value_part())]));
+        let mut p = CommunityProfiler::new();
+        p.train(&a);
+        assert!(p.stream(&key(), prefix()).has_action);
+        let other_peer = SessionKey::new("rrc00", Asn(100), "10.0.0.2".parse().unwrap());
+        assert!(!p.stream(&other_peer, prefix()).has_action);
     }
 
     #[test]

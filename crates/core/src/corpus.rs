@@ -107,11 +107,6 @@ impl AgreementMatrix {
         self.collectors.len()
     }
 
-    /// Number of distinct communities seen anywhere.
-    pub fn community_count(&self) -> usize {
-        self.rows.len()
-    }
-
     /// The presence matrix: every community, ascending, with one flag
     /// per collector (column order = sorted collector names).
     pub fn presence(&self) -> Vec<(Community, Vec<bool>)> {
@@ -129,7 +124,7 @@ impl AgreementMatrix {
 
     /// Communities seen by at least one but not every collector, with
     /// their presence flags, in ascending community order.
-    pub fn disagreements(&self) -> Vec<(Community, Vec<bool>)> {
+    pub(crate) fn disagreements(&self) -> Vec<(Community, Vec<bool>)> {
         self.presence().into_iter().filter(|(_, flags)| !flags.iter().all(|&f| f)).collect()
     }
 
@@ -195,12 +190,12 @@ pub struct CorpusReport {
     pub combined_counts: TypeCounts,
     /// The cross-collector presence/agreement matrix (built once from
     /// the per-collector community sets; [`presence`],
-    /// [`disagreements`] and [`agreement_summary`] read it instead of
+    /// [`agreement_summary`] and [`render`] read it instead of
     /// recomputing the union per call).
     ///
     /// [`presence`]: CorpusReport::presence
-    /// [`disagreements`]: CorpusReport::disagreements
     /// [`agreement_summary`]: CorpusReport::agreement_summary
+    /// [`render`]: CorpusReport::render
     pub matrix: AgreementMatrix,
     /// Combined pipeline statistics (name-order merge of the columns).
     pub stats: PipelineStats,
@@ -208,7 +203,7 @@ pub struct CorpusReport {
 
 /// How many disputed communities [`CorpusReport::render`] prints in the
 /// presence matrix before eliding the tail (the count is always shown).
-pub const MATRIX_RENDER_CAP: usize = 20;
+pub(crate) const MATRIX_RENDER_CAP: usize = 20;
 
 /// Runs a corpus through per-collector §4 cleaning and the
 /// [`CorpusSink`] stack, and folds the outputs into a [`CorpusReport`].
@@ -298,13 +293,6 @@ impl CorpusReport {
         self.matrix.presence()
     }
 
-    /// Communities seen by at least one but not every collector —
-    /// the disagreement list, in ascending community order (total and
-    /// deterministic).
-    pub fn disagreements(&self) -> Vec<(Community, Vec<bool>)> {
-        self.matrix.disagreements()
-    }
-
     /// `(distinct communities, seen by every collector, disputed)` —
     /// `total = unanimous + disputed`.
     pub fn agreement_summary(&self) -> (usize, usize, usize) {
@@ -314,7 +302,7 @@ impl CorpusReport {
     /// Renders the full comparison: per-collector Table 1 + Table 2 side
     /// by side (with the combined column), cleaning summary, agreement
     /// summary and the disputed-community presence matrix (capped at
-    /// [`MATRIX_RENDER_CAP`] rows). Byte-identical for any member order
+    /// `MATRIX_RENDER_CAP` rows). Byte-identical for any member order
     /// or thread count.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -469,7 +457,7 @@ mod tests {
         let presence = r.presence();
         assert_eq!(presence.len(), 3, "3356:1, 3356:2, 3356:3");
         assert_eq!(presence[0], (Community::from_parts(3356, 1), vec![true, true]));
-        let disputes = r.disagreements();
+        let disputes = r.matrix.disagreements();
         assert_eq!(
             disputes,
             vec![
@@ -513,7 +501,6 @@ mod tests {
     fn report_matrix_matches_column_sets() {
         let r = report();
         assert_eq!(r.matrix.collector_count(), 2);
-        assert_eq!(r.matrix.community_count(), 3);
         assert_eq!(r.matrix.summary(), r.agreement_summary());
     }
 

@@ -71,7 +71,7 @@ impl Timeline {
 /// Builds the Fig. 4/5 timeline of one `(session, prefix)` stream
 /// incrementally. Constant state beyond the retained plot points.
 #[derive(Debug, Clone)]
-pub struct TimelineSink {
+pub(crate) struct TimelineSink {
     session: SessionKey,
     prefix: Prefix,
     path_filter: Option<AsPath>,
@@ -128,7 +128,7 @@ impl Merge for TimelineSink {
 }
 
 /// The timeline of one `(session, prefix)` stream of an archive —
-/// [`TimelineSink`] run over it.
+/// `TimelineSink` run over it.
 pub fn path_timeline(
     archive: &UpdateArchive,
     session: &SessionKey,

@@ -44,7 +44,7 @@ pub struct ExplorationEvent {
 impl ExplorationEvent {
     /// True if this phase shows community exploration (more than one
     /// distinct location revealed, with nc traffic).
-    pub fn is_exploration(&self) -> bool {
+    pub(crate) fn is_exploration(&self) -> bool {
         self.nc_count > 0 && self.locations.len() > 1
     }
 }
@@ -53,7 +53,7 @@ impl ExplorationEvent {
 /// events. State is one counter set per *active episode* — bounded by
 /// beacon streams × phases, not by update volume.
 #[derive(Debug, Clone)]
-pub struct ExplorationSink {
+pub(crate) struct ExplorationSink {
     schedule: BeaconSchedule,
     beacon_prefixes: Vec<Prefix>,
     episodes: BTreeMap<(SessionKey, Prefix, u32, u8), ExplorationEvent>,
@@ -129,7 +129,7 @@ impl Merge for ExplorationSink {
 }
 
 /// The exploration episodes of an archive on the given beacon prefixes —
-/// [`ExplorationSink`] run over it.
+/// `ExplorationSink` run over it.
 pub fn detect(
     archive: &UpdateArchive,
     schedule: &BeaconSchedule,

@@ -41,7 +41,7 @@ impl InterconnectEstimate {
 /// one estimate per observed `(neighbor, tagger)` adjacency — bounded by
 /// the AS graph, not update volume.
 #[derive(Debug, Clone, Default)]
-pub struct InterconnectSink {
+pub(crate) struct InterconnectSink {
     out: BTreeMap<(Asn, Asn), InterconnectEstimate>,
 }
 
@@ -107,7 +107,7 @@ impl Merge for InterconnectSink {
 }
 
 /// Scans an archive for tagger adjacencies and collects the locations
-/// revealed per `(neighbor, tagger)` pair — [`InterconnectSink`] run
+/// revealed per `(neighbor, tagger)` pair — `InterconnectSink` run
 /// over it.
 pub fn infer_interconnections(
     archive: &UpdateArchive,

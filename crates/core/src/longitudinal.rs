@@ -5,14 +5,9 @@
 //! community attributes revealed during withdrawal phases, the total, and
 //! their ratio over the same period.
 
-use kcc_bgp_types::{Prefix, RouteUpdate};
-use kcc_collector::{BeaconSchedule, SessionKey};
-
 use crate::classify::{AnnouncementType, TypeCounts};
-use crate::pipeline::{AnalysisSink, Merge};
 use crate::report::{render_csv, render_table};
-use crate::revealed::{RevealedSink, RevealedStats};
-use crate::stream::{ClassifiedEvent, CountsSink};
+use crate::revealed::RevealedStats;
 
 /// One sampled day in a longitudinal series.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,58 +25,6 @@ pub struct SeriesPoint {
 pub struct LongitudinalSeries {
     /// Points in chronological order.
     pub points: Vec<SeriesPoint>,
-}
-
-/// Builds one longitudinal [`SeriesPoint`] (a sampled day's type counts
-/// plus revealed-attribute statistics) in one streaming pass — the
-/// Figs. 2/6 consumer as an [`AnalysisSink`].
-#[derive(Debug, Clone)]
-pub struct DayPointSink {
-    label: String,
-    counts: CountsSink,
-    revealed: RevealedSink,
-}
-
-impl DayPointSink {
-    /// A sink for the day labeled `label`, computing revealed stats over
-    /// `schedule` restricted to `beacon_prefixes` when non-empty.
-    pub fn new(
-        label: impl Into<String>,
-        schedule: BeaconSchedule,
-        beacon_prefixes: &[Prefix],
-    ) -> Self {
-        DayPointSink {
-            label: label.into(),
-            counts: CountsSink::default(),
-            revealed: RevealedSink::new(schedule, beacon_prefixes),
-        }
-    }
-
-    /// The finished day point.
-    pub fn finish(self) -> SeriesPoint {
-        SeriesPoint {
-            label: self.label,
-            counts: self.counts.finish(),
-            revealed: Some(self.revealed.finish()),
-        }
-    }
-}
-
-impl AnalysisSink for DayPointSink {
-    fn on_update(&mut self, session: &SessionKey, update: &RouteUpdate) {
-        self.revealed.on_update(session, update);
-    }
-
-    fn on_event(&mut self, session: &SessionKey, event: &ClassifiedEvent) {
-        self.counts.on_event(session, event);
-    }
-}
-
-impl Merge for DayPointSink {
-    fn merge(&mut self, other: Self) {
-        self.counts.merge(other.counts);
-        self.revealed.merge(other.revealed);
-    }
 }
 
 impl LongitudinalSeries {

@@ -15,8 +15,8 @@
 //!
 //! Every analysis in this crate (type counts, overview, phase counts,
 //! exploration, revealed information, per-session distributions,
-//! timelines, anomaly detection, tomography, interconnections,
-//! longitudinal day points) exists only as an [`AnalysisSink`], so one
+//! timelines, anomaly detection, tomography, interconnections) exists
+//! only as an [`AnalysisSink`], so one
 //! pass drives them all. No analysis keeps the classified events: a sink
 //! folds each one into its own aggregate as it arrives. The helpers that
 //! take a materialized `&UpdateArchive` (`classify_archive`, `overview`,
@@ -545,7 +545,7 @@ impl<Src, St, S> PipelineBuilder<Src, St, S> {
 /// returns: identity stages and no sink for every member until
 /// [`CorpusBuilder::stages_for`] / [`CorpusBuilder::sinks_for`] replace
 /// the factories.
-pub type DefaultCorpusBuilder<'s> = CorpusBuilder<'s, fn(&str), fn(&str) -> NoSink>;
+pub(crate) type DefaultCorpusBuilder<'s> = CorpusBuilder<'s, fn(&str), fn(&str) -> NoSink>;
 
 impl<'s> PipelineBuilder<Corpus<'s>> {
     /// A per-collector builder over a corpus — every member runs its own

@@ -76,28 +76,9 @@ impl AllocationRegistry {
         self.prefix_epoch(prefix).is_some_and(|from| from <= at_us)
     }
 
-    /// Number of registered ASNs.
-    pub fn asn_count(&self) -> usize {
-        self.asns.len()
-    }
-
     /// Number of distinct registered blocks.
     pub fn block_count(&self) -> usize {
         self.blocks.len()
-    }
-
-    /// Builds a registry covering an entire topology: every AS and every
-    /// originated prefix is allocated from time 0 — plus the beacon /
-    /// collector infrastructure ASNs.
-    pub fn for_topology(topo: &kcc_topology::Topology) -> Self {
-        let mut r = Self::new();
-        for node in topo.nodes() {
-            r.register_asn(node.asn, 0);
-            for p in &node.prefixes {
-                r.register_block(*p, 0);
-            }
-        }
-        r
     }
 }
 
@@ -126,7 +107,7 @@ mod tests {
         assert!(!r.register_asn(Asn(23_456), 0)); // AS_TRANS
         assert!(!r.register_asn(Asn(64_512), 0)); // private
         assert!(!r.register_asn(Asn(64_500), 0)); // documentation
-        assert_eq!(r.asn_count(), 0);
+        assert!(!r.asn_allocated(Asn(0), u64::MAX));
     }
 
     #[test]
@@ -135,7 +116,6 @@ mod tests {
         r.register_asn(Asn(3356), 5_000);
         r.register_asn(Asn(3356), 1_000);
         assert!(r.asn_allocated(Asn(3356), 2_000));
-        assert_eq!(r.asn_count(), 1);
     }
 
     #[test]
@@ -174,22 +154,5 @@ mod tests {
         r.register_block(p("2001:db8::/32"), 0);
         assert!(r.prefix_allocated(&p("2001:db8:42::/48"), 0));
         assert!(!r.prefix_allocated(&p("2001:db9::/48"), 0));
-    }
-
-    #[test]
-    fn topology_registry_covers_everything() {
-        let topo = kcc_topology::generate(&kcc_topology::TopologyConfig {
-            n_tier1: 2,
-            n_transit: 3,
-            n_stub: 4,
-            ..Default::default()
-        });
-        let r = AllocationRegistry::for_topology(&topo);
-        for node in topo.nodes() {
-            assert!(r.asn_allocated(node.asn, 0), "AS {} missing", node.asn);
-            for prefix in &node.prefixes {
-                assert!(r.prefix_allocated(prefix, 0), "prefix {prefix} missing");
-            }
-        }
     }
 }

@@ -13,7 +13,7 @@ pub fn fmt_count(n: u64) -> String {
 }
 
 /// Inserts `,` thousands separators.
-pub fn group_thousands(n: u64) -> String {
+pub(crate) fn group_thousands(n: u64) -> String {
     let s = n.to_string();
     let bytes = s.as_bytes();
     let mut out = String::with_capacity(s.len() + s.len() / 3);

@@ -21,11 +21,11 @@ use crate::pipeline::{drain_archive, AnalysisSink, Merge};
 /// Phase-category bit flags an attribute was seen in.
 mod seen {
     /// Seen during a withdrawal phase.
-    pub const WITHDRAWAL: u8 = 1;
+    pub(crate) const WITHDRAWAL: u8 = 1;
     /// Seen during an announcement phase.
-    pub const ANNOUNCEMENT: u8 = 2;
+    pub(crate) const ANNOUNCEMENT: u8 = 2;
     /// Seen outside both.
-    pub const OUTSIDE: u8 = 4;
+    pub(crate) const OUTSIDE: u8 = 4;
 }
 
 /// Fig. 6 statistics for one archive (typically one day).
@@ -57,7 +57,7 @@ impl RevealedStats {
 /// seen in — Fig. 6 as a streaming sink. State is one byte of flags per
 /// *unique attribute*, independent of update volume.
 #[derive(Debug, Clone)]
-pub struct RevealedSink {
+pub(crate) struct RevealedSink {
     schedule: BeaconSchedule,
     beacon_prefixes: Vec<Prefix>,
     attrs_seen: HashMap<String, u8>,
@@ -121,7 +121,7 @@ impl Merge for RevealedSink {
     }
 }
 
-/// Revealed-attribute statistics of an archive — [`RevealedSink`] run
+/// Revealed-attribute statistics of an archive — `RevealedSink` run
 /// over it.
 pub fn revealed_attributes(
     archive: &UpdateArchive,

@@ -139,7 +139,7 @@ impl PairEvidence {
 /// adjacency, not update volume — and resolves which candidates really
 /// are taggers at [`TomographySink::finish`].
 #[derive(Debug, Clone)]
-pub struct TomographySink {
+pub(crate) struct TomographySink {
     cfg: TomographyConfig,
     own_values: BTreeMap<u16, HashSet<u16>>,
     pairs: BTreeMap<(u16, u16), PairEvidence>,
@@ -276,7 +276,7 @@ impl Merge for TomographySink {
     }
 }
 
-/// Runs the full inference over an archive — [`TomographySink`] run
+/// Runs the full inference over an archive — `TomographySink` run
 /// over it.
 pub fn infer_behaviors(
     archive: &UpdateArchive,

@@ -1,5 +1,5 @@
 //! CommunityWatch — the always-on detection service over any update
-//! source (ROADMAP item 3; the generalization of §7 the CommunityWatch
+//! source (ROADMAP item 2; the generalization of §7 the CommunityWatch
 //! line of related work proposes).
 //!
 //! [`WatchSink`] is an ordinary [`AnalysisSink`], so the same sink runs

@@ -184,7 +184,7 @@ impl Bgp4mpMessage {
     /// **not** truncated with `as u16` (which encoded AS 196608 as AS 0)
     /// — mirroring the AS_PATH/AS4_PATH and AGGREGATOR/AS4_AGGREGATOR
     /// handling in `kcc_bgp_wire`.
-    pub fn encode_body_as(&self, subtype: u16, buf: &mut BytesMut) -> Result<(), MrtError> {
+    pub(crate) fn encode_body_as(&self, subtype: u16, buf: &mut BytesMut) -> Result<(), MrtError> {
         let as4 = subtype == subtypes::MESSAGE_AS4;
         if as4 {
             buf.put_u32(self.peer_asn.value());
@@ -239,7 +239,7 @@ impl Bgp4mpStateChange {
     /// [`Bgp4mpMessage::encode_body_as`], 4-octet ASNs on the 2-octet
     /// `STATE_CHANGE` form become `AS_TRANS` (RFC 6793 §4.2.2) instead of
     /// being truncated.
-    pub fn encode_body_as(&self, subtype: u16, buf: &mut BytesMut) -> Result<(), MrtError> {
+    pub(crate) fn encode_body_as(&self, subtype: u16, buf: &mut BytesMut) -> Result<(), MrtError> {
         let as4 = subtype == subtypes::STATE_CHANGE_AS4;
         if as4 {
             buf.put_u32(self.peer_asn.value());

@@ -18,9 +18,8 @@
 //! - [`Histogram`] uses fixed log2 buckets (no configuration, no
 //!   allocation); [`HistogramSnapshot`] is the plain mergeable form used
 //!   by per-shard pipeline profiles.
-//! - [`trace`] hosts the per-target, hot-reloadable [`TraceFilter`]
-//!   (moved here from `kcc_peer` so any crate can emit runtime-filtered
-//!   diagnostics).
+//! - [`trace`] hosts the per-target, hot-reloadable [`TraceFilter`], so
+//!   any crate can emit runtime-filtered diagnostics.
 //!
 //! Scrape points: the `kcc daemon` control socket answers a `metrics`
 //! command with [`Registry::render`] output, and `kcc report` and
@@ -36,7 +35,7 @@ use std::sync::{Arc, Mutex};
 
 /// Number of log2 histogram buckets: bucket 0 holds the value 0, bucket
 /// `i` (1..=64) holds values in `[2^(i-1), 2^i)`.
-pub const HISTOGRAM_BUCKETS: usize = 65;
+pub(crate) const HISTOGRAM_BUCKETS: usize = 65;
 
 /// Bucket index for an observed value (log2 with 0 in its own bucket).
 #[inline]
@@ -113,7 +112,7 @@ impl Gauge {
 /// Fixed-bucket log2 histogram (relaxed atomics; lock-free,
 /// allocation-free to observe).
 ///
-/// Values land in one of [`HISTOGRAM_BUCKETS`] power-of-two buckets, so
+/// Values land in one of `HISTOGRAM_BUCKETS` (65) power-of-two buckets, so
 /// there is nothing to configure and observing costs two relaxed
 /// `fetch_add`s. Suited to latency-style distributions where a factor-2
 /// resolution is enough.
@@ -215,25 +214,6 @@ impl HistogramSnapshot {
     /// Sum of all observed values.
     pub fn sum(&self) -> u64 {
         self.sum
-    }
-
-    /// Upper bound of the bucket containing the `q`-quantile
-    /// (`0.0..=1.0`), or 0 when empty. Factor-2 resolution: the true
-    /// quantile lies within the returned bucket.
-    pub fn quantile(&self, q: f64) -> u64 {
-        let total = self.count();
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, count) in self.buckets.iter().enumerate() {
-            seen += count;
-            if seen >= rank {
-                return bucket_upper_bound(i);
-            }
-        }
-        bucket_upper_bound(HISTOGRAM_BUCKETS - 1)
     }
 }
 
@@ -598,18 +578,5 @@ mod tests {
         h2.record(&local);
         assert_eq!(h2.snapshot(), local);
         assert_eq!(h2.count(), 5);
-    }
-
-    #[test]
-    fn quantile_returns_bucket_upper_bound() {
-        let mut s = HistogramSnapshot::default();
-        assert_eq!(s.quantile(0.5), 0);
-        for _ in 0..99 {
-            s.observe(10); // bucket 4, le 15
-        }
-        s.observe(1000); // bucket 10, le 1023
-        assert_eq!(s.quantile(0.5), 15);
-        assert_eq!(s.quantile(0.99), 15);
-        assert_eq!(s.quantile(1.0), 1023);
     }
 }

@@ -13,10 +13,9 @@
 //! Output goes to a pluggable sink (stderr by default); tests install a
 //! capturing sink to assert what a level change makes visible.
 //!
-//! This module lives in `kcc_obs` (it started in `kcc_peer`) so every
-//! crate — core, collector, watch — can emit runtime-filterable trace
-//! lines through the same hot-reloadable config; `kcc_peer` re-exports
-//! the types for back-compat.
+//! This module lives in `kcc_obs` so every crate — core, collector,
+//! watch — can emit runtime-filterable trace lines through the same
+//! hot-reloadable config.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -92,11 +91,6 @@ pub struct TraceConfig {
 }
 
 impl TraceConfig {
-    /// The effective level for `target`.
-    pub fn level_for(&self, target: &str) -> TraceLevel {
-        self.targets.get(target).copied().unwrap_or(self.default)
-    }
-
     fn max_level(&self) -> TraceLevel {
         self.targets.values().copied().max().unwrap_or(TraceLevel::Off).max(self.default)
     }

@@ -54,13 +54,13 @@ use std::sync::{Arc, Mutex};
 
 use kcc_bgp_types::{Asn, FastHashMap};
 use kcc_collector::{LiveSource, PeerMeta, SessionKey, ShutdownFlag, SourceItem, UpdateArchive};
+use kcc_obs::TraceLevel;
 
 use crate::clock::{Clock, WallClock};
 use crate::config::{ConfigStore, DaemonConfig};
 use crate::fsm::FsmConfig;
 use crate::reactor::{self, Handoff, LiveGauges, ReactorConfig, SessionEvent};
 use crate::rotate::MrtRotator;
-use crate::trace::TraceLevel;
 
 /// How arriving updates are timestamped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

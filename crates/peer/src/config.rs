@@ -27,10 +27,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use kcc_bgp_types::Asn;
+use kcc_obs::{TraceConfig, TraceFilter};
 
 use crate::collector::StampMode;
 use crate::rotate::RotateConfig;
-use crate::trace::{TraceConfig, TraceFilter};
 
 /// Which peers the daemon accepts sessions from.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -211,7 +211,7 @@ impl ConfigStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::TraceLevel;
+    use kcc_obs::TraceLevel;
 
     #[test]
     fn candidate_edits_invisible_until_commit() {

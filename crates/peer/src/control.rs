@@ -31,10 +31,10 @@ use std::time::Duration;
 
 use kcc_bgp_types::Asn;
 use kcc_collector::ShutdownFlag;
+use kcc_obs::TraceLevel;
 
 use crate::collector::StampMode;
 use crate::config::{ConfigStore, DaemonConfig, PeerPolicy};
-use crate::trace::TraceLevel;
 
 /// The control-socket server thread.
 pub struct ControlServer {

@@ -24,11 +24,8 @@
 //!   — for blocking and nonblocking readers alike,
 //! * [`config`]: the running/candidate [`ConfigStore`] with
 //!   commit/discard semantics — peers, listeners, stamping, rotation and
-//!   trace levels hot-reload into a live daemon,
-//! * [`trace`]: re-export of [`kcc_obs::trace`] — the dynamic
-//!   per-target trace filter (runtime-adjustable verbosity with a
-//!   lock-free off fast path) now lives in the observability crate so
-//!   every layer can emit filtered diagnostics,
+//!   trace levels hot-reload into a live daemon's
+//!   [`kcc_obs::TraceFilter`],
 //! * [`control`]: the line-protocol control socket driving the config
 //!   store from outside the process,
 //! * [`active`]: the one-session blocking speaker (the paced-latency
@@ -64,9 +61,6 @@ pub mod reactor;
 pub mod rotate;
 pub mod sys;
 
-/// Back-compat re-export: the trace filter moved to [`kcc_obs`].
-pub use kcc_obs::trace;
-
 pub use active::{ActiveSpeaker, PeerError};
 pub use clock::{Clock, ManualClock, WallClock};
 pub use collector::{offline_reference, Collector, CollectorConfig, CollectorStats, StampMode};
@@ -76,4 +70,3 @@ pub use flood::{FloodOptions, FloodPlan, FloodReport, FloodRig};
 pub use fsm::{Action, DownReason, EstablishedInfo, Fsm, FsmConfig, FsmEvent, State};
 pub use reactor::{LiveGauges, ReactorConfig};
 pub use rotate::{MrtRotator, RotateConfig};
-pub use trace::{TraceConfig, TraceFilter, TraceLevel};

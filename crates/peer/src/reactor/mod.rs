@@ -57,13 +57,13 @@ use std::thread::JoinHandle;
 use kcc_bgp_types::Asn;
 use kcc_bgp_wire::{Message, Notification, SessionConfig, UpdatePacket};
 use kcc_collector::{LiveSender, ShutdownFlag};
+use kcc_obs::TraceLevel;
 
 use crate::clock::Clock;
 use crate::collector::IngestTable;
 use crate::config::ConfigStore;
 use crate::fsm::{Action, DownReason, EstablishedInfo, Fsm, FsmConfig, FsmEvent};
 use crate::sys::{PollEvent, Poller, Waker, WAKE_TOKEN};
-use crate::trace::TraceLevel;
 use framing::{FlushOutcome, FrameBuffer, WriteQueue};
 use timer::{DueTimer, TimerWheel};
 

@@ -21,7 +21,7 @@
 /// Milliseconds per wheel tick.
 pub const TICK_MS: u64 = 256;
 /// Slots per revolution; horizon = `TICK_MS * SLOTS` ≈ 262 s.
-pub const SLOTS: usize = 1024;
+pub(crate) const SLOTS: usize = 1024;
 
 /// A due timer: the token it was armed for and the deadline it carried.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

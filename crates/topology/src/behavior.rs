@@ -32,18 +32,6 @@ impl CommunityBehavior {
     pub const BLIND_PROPAGATOR: Self =
         CommunityBehavior { tags_geo: false, cleans_egress: false, cleans_ingress: false };
 
-    /// Tags geo on ingress, no cleaning — the AS3356-like transit profile.
-    pub const GEO_TAGGER: Self =
-        CommunityBehavior { tags_geo: true, cleans_egress: false, cleans_ingress: false };
-
-    /// Cleans on egress only (Exp3 profile).
-    pub const EGRESS_CLEANER: Self =
-        CommunityBehavior { tags_geo: false, cleans_egress: true, cleans_ingress: false };
-
-    /// Cleans on ingress (Exp4 profile).
-    pub const INGRESS_CLEANER: Self =
-        CommunityBehavior { tags_geo: false, cleans_egress: false, cleans_ingress: true };
-
     /// True if the AS performs any community cleaning at all.
     pub fn cleans(&self) -> bool {
         self.cleans_egress || self.cleans_ingress
@@ -103,11 +91,15 @@ mod tests {
 
     #[test]
     fn profiles_are_consistent() {
+        let b = |tags_geo, cleans_egress, cleans_ingress| CommunityBehavior {
+            tags_geo,
+            cleans_egress,
+            cleans_ingress,
+        };
         assert!(!CommunityBehavior::BLIND_PROPAGATOR.cleans());
-        assert!(CommunityBehavior::EGRESS_CLEANER.cleans());
-        assert!(CommunityBehavior::INGRESS_CLEANER.cleans());
-        const { assert!(CommunityBehavior::GEO_TAGGER.tags_geo) };
-        assert!(!CommunityBehavior::GEO_TAGGER.cleans());
+        assert!(b(false, true, false).cleans());
+        assert!(b(false, false, true).cleans());
+        assert!(!b(true, false, false).cleans());
     }
 
     #[test]
@@ -118,7 +110,8 @@ mod tests {
     #[test]
     fn display_composes() {
         assert_eq!(CommunityBehavior::BLIND_PROPAGATOR.to_string(), "blind");
-        assert_eq!(CommunityBehavior::GEO_TAGGER.to_string(), "geo-tag");
+        let geo = CommunityBehavior { tags_geo: true, ..CommunityBehavior::BLIND_PROPAGATOR };
+        assert_eq!(geo.to_string(), "geo-tag");
         let both = CommunityBehavior { tags_geo: true, cleans_egress: true, cleans_ingress: false };
         assert_eq!(both.to_string(), "geo-tag+clean-out");
     }

@@ -405,7 +405,7 @@ fn internet_stub_prefix(i: usize) -> Prefix {
 
 /// First ASN of the 32-bit stub plane (the first real-world 4-byte RIR
 /// allocation), exercising the high [`AsNode::router_ip`] address plane.
-pub const INTERNET_STUB_BASE_ASN: u32 = 131_072;
+pub(crate) const INTERNET_STUB_BASE_ASN: u32 = 131_072;
 
 /// Generates an internet-like topology: power-law customer trees under a
 /// tier-1 clique, a peering mesh among transits, and an optional beacon

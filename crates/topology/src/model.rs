@@ -183,17 +183,6 @@ impl AsEdge {
             None
         }
     }
-
-    /// The attachment router index on `asn`'s side.
-    pub fn router_on(&self, asn: Asn) -> Option<u16> {
-        if asn == self.a {
-            Some(self.a_router)
-        } else if asn == self.b {
-            Some(self.b_router)
-        } else {
-            None
-        }
-    }
 }
 
 /// A complete AS-level topology.
@@ -417,14 +406,5 @@ mod tests {
             a_router: 5,
             b_router: 0,
         });
-    }
-
-    #[test]
-    fn edge_router_lookup() {
-        let t = small_topology();
-        let e = &t.edges()[1];
-        assert_eq!(e.router_on(Asn(12_654)), Some(0));
-        assert_eq!(e.router_on(Asn(3356)), Some(1));
-        assert_eq!(e.router_on(Asn(7)), None);
     }
 }

@@ -36,7 +36,7 @@ pub enum RouteSource {
 }
 
 /// Relationship of the neighbor a route would be exported *to*.
-pub type NeighborKind = RouteSource; // Customer/Peer/Provider reused
+pub(crate) type NeighborKind = RouteSource; // Customer/Peer/Provider reused
 
 impl RouteSource {
     /// Local preference conventionally assigned per Gao–Rexford:

@@ -15,7 +15,7 @@
 //!   prepend toggles (`xc`/`xn`);
 //! * a March-2020-style snapshot ([`mar20`]) whose Table 1/Table 2
 //!   statistics match the paper's *shape* at `scale < 1`;
-//! * per-collector vantages of that same day ([`multi_vantage`]) — the
+//! * per-collector vantages of that same day ([`multi_vantage_corpus`]) — the
 //!   paper's "same day, many collectors" corpus with a configurable
 //!   second-granularity subset;
 //! * beacon streams ([`beacons`]) driven by the RIS announce/withdraw

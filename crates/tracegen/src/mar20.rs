@@ -24,7 +24,7 @@ use crate::universe::{build_universe, Universe, UniverseConfig};
 /// Microseconds per day.
 pub const DAY_US: u64 = 24 * 3600 * 1_000_000;
 /// 2020-03-15 00:00:00 UTC.
-pub const MAR15_2020_EPOCH: u32 = 1_584_230_400;
+pub(crate) const MAR15_2020_EPOCH: u32 = 1_584_230_400;
 
 /// Snapshot generator configuration.
 #[derive(Debug, Clone)]

@@ -26,7 +26,7 @@ use crate::universe::{PeerSpec, PrefixSpec, TransitSpec};
 
 /// Maps a city id to its full geo tag (continent/country derived
 /// deterministically, consistent with the topology generator's blocking).
-pub fn city_geo(city: u16) -> GeoTag {
+pub(crate) fn city_geo(city: u16) -> GeoTag {
     let country = (city / 8) % 400;
     let continent = (country / 50 + 1).min(7) as u8;
     GeoTag::new(continent, country, city)

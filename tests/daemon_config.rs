@@ -13,9 +13,10 @@ use std::time::{Duration, Instant};
 use keep_communities_clean::analysis::table::{OverviewSink, TypeShares};
 use keep_communities_clean::analysis::{AnalysisSink, CountsSink, PipelineBuilder};
 use keep_communities_clean::collector::{ArchiveSource, PeerMeta, SessionKey, UpdateArchive};
+use keep_communities_clean::obs::TraceLevel;
 use keep_communities_clean::peer::{
     offline_reference, ActiveSpeaker, Collector, CollectorConfig, ControlServer, FsmConfig,
-    PeerError, StampMode, TraceLevel, WallClock,
+    PeerError, StampMode, WallClock,
 };
 use keep_communities_clean::tracegen::{generate_mar20, Mar20Config};
 use keep_communities_clean::types::{Asn, MessageKind, RouteUpdate};

@@ -8,6 +8,7 @@
 //! same report from all of them.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::net::IpAddr;
 use std::sync::Arc;
 
 use proptest::collection::vec;
@@ -30,12 +31,19 @@ use keep_communities_clean::types::{
 
 type Stream = (SessionKey, Prefix);
 
+/// A profile's key: the stream's peer and prefix, whatever the collector.
+type PeerStream = (Asn, IpAddr, Prefix);
+
+fn peer_stream((key, prefix): &Stream) -> PeerStream {
+    (key.peer_asn, key.peer_ip, *prefix)
+}
+
 /// What `CommunityProfiler::train` learns.
 #[derive(Default)]
 struct Profile {
     values: BTreeMap<u16, BTreeSet<u16>>,
-    action: BTreeSet<Stream>,
-    attrs: BTreeMap<Stream, BTreeSet<String>>,
+    action: BTreeSet<PeerStream>,
+    attrs: BTreeMap<PeerStream, BTreeSet<String>>,
 }
 
 fn train(archive: &UpdateArchive) -> Profile {
@@ -43,13 +51,14 @@ fn train(archive: &UpdateArchive) -> Profile {
     for (key, u) in archive.sessions().flat_map(|(k, rec)| rec.updates.iter().map(move |u| (k, u)))
     {
         let MessageKind::Announcement(a) = &u.kind else { continue };
+        let stream = (key.peer_asn, key.peer_ip, u.prefix);
         for c in a.communities.iter_classic() {
             p.values.entry(c.asn_part()).or_default().insert(c.value_part());
             if c.well_known_name().is_some() {
-                p.action.insert((key.clone(), u.prefix));
+                p.action.insert(stream);
             }
         }
-        p.attrs.entry((key.clone(), u.prefix)).or_default().insert(a.communities.canonical_key());
+        p.attrs.entry(stream).or_default().insert(a.communities.canonical_key());
     }
     p
 }
@@ -61,7 +70,7 @@ fn point(cfg: &AnomalyConfig, p: &Profile, s: &Stream, u: &RouteUpdate) -> Vec<A
     let mut alerts = Vec::new();
     for c in u.kind.attributes().into_iter().flat_map(|a| a.communities.iter_classic()) {
         if let Some(name) = c.well_known_name() {
-            if !p.action.contains(s) {
+            if !p.action.contains(&peer_stream(s)) {
                 alerts.push(here(AlertKind::BlackholeInjection { community: *c, name }));
             }
         } else if p
@@ -77,7 +86,7 @@ fn point(cfg: &AnomalyConfig, p: &Profile, s: &Stream, u: &RouteUpdate) -> Vec<A
 
 /// The exploration-burst check on one closed stream window.
 fn burst(cfg: &AnomalyConfig, p: &Profile, s: &Stream, first_us: u64, n: usize) -> Option<Alert> {
-    let baseline = p.attrs.get(s).map_or(1, |a| a.len()).max(1);
+    let baseline = p.attrs.get(&peer_stream(s)).map_or(1, |a| a.len()).max(1);
     let (observed, baseline) = (n as u64, baseline as u64);
     let metric = ShiftMetric::DistinctAttrs;
     let kind = AlertKind::BaselineShift { metric, community: None, observed, baseline };
@@ -284,6 +293,19 @@ fn arb_archive() -> impl Strategy<Value = UpdateArchive> {
     })
 }
 
+/// `archive` with every session moved to collector `name`.
+fn renamed(archive: &UpdateArchive, name: &str) -> UpdateArchive {
+    let mut out = UpdateArchive::new(0);
+    for (key, rec) in archive.sessions() {
+        let key = SessionKey { collector: name.into(), ..key.clone() };
+        out.add_session(PeerMeta::normal(key.clone()));
+        for u in &rec.updates {
+            out.record(&key, u.clone());
+        }
+    }
+    out
+}
+
 /// Thresholds low enough for eight-window days to cross them. One case
 /// in four is the §7 batch shape instead — the whole day as one window,
 /// judged against a profile (the property attaches one to it).
@@ -361,10 +383,13 @@ proptest! {
         yesterday in arb_archive(),
         cfg in arb_config(),
         profiled in any::<bool>(),
+        rename in any::<bool>(),
         order in vec(any::<u32>(), 6..7),
         side in vec(any::<bool>(), 6..7),
     ) {
         let profiled = profiled || cfg.window_us == u64::MAX;
+        // `kcc watch --train` reads its training day as collector `train`.
+        let yesterday = if rename { renamed(&yesterday, "train") } else { yesterday };
         let profile = profiled.then(|| train(&yesterday));
         let want = oracle(&day, &cfg, profile.as_ref());
         let profiler = profiled.then(|| {
