@@ -24,7 +24,7 @@ use keep_communities_clean::types::{
     AsPath, Asn, AttrStore, Community, CommunitySet, MessageKind, PathAttributes, PathSegment,
     Prefix, RouteUpdate, SegmentKind,
 };
-use keep_communities_clean::wire::attr::decode_attributes;
+use keep_communities_clean::wire::attr::{decode_attributes, encode_attributes};
 use keep_communities_clean::wire::nlri::Afi;
 use keep_communities_clean::wire::{
     decode_message, encode_message, Capability, Message, Notification, OpenMessage, RouteRefresh,
@@ -1208,4 +1208,250 @@ proptest! {
         prop_assert_eq!(report.removed_unallocated_prefix, unallocated_prefix);
         prop_assert_eq!(report.removed_unallocated_asn, unallocated_asn);
     }
+}
+
+/// The naive model of an AS path: its segments as owned lists, in order.
+type RefPath = Vec<(SegmentKind, Vec<Asn>)>;
+
+/// The path built from a segment list.
+fn path_of(reference: &RefPath) -> AsPath {
+    AsPath::from_segments(
+        reference
+            .iter()
+            .map(|(kind, asns)| PathSegment { kind: *kind, asns: asns.clone() })
+            .collect(),
+    )
+}
+
+/// The segment list a path reads back as.
+fn reference_of(path: &AsPath) -> RefPath {
+    path.segments().iter().map(|s| (s.kind, s.asns.clone())).collect()
+}
+
+/// Segment lists of every shape: zero to three segments of every kind,
+/// empty ones, short runs over a five-ASN pool (so shapes and sets often
+/// coincide) and runs longer than a wire segment's 255 ASNs.
+fn arb_reference_path() -> impl Strategy<Value = RefPath> {
+    let kind = prop_oneof![
+        Just(SegmentKind::Sequence),
+        Just(SegmentKind::Sequence),
+        Just(SegmentKind::Set),
+        Just(SegmentKind::ConfedSequence),
+        Just(SegmentKind::ConfedSet),
+    ];
+    // One segment in eight is a long run.
+    let asns = (0u8..8, vec((1u32..6).prop_map(Asn), 0..5), vec(arb_asn(), 250..300))
+        .prop_map(|(pick, short, long)| if pick == 0 { long } else { short });
+    vec((kind, asns), 0..4)
+}
+
+fn hash_of<T: std::hash::Hash>(value: &T) -> u64 {
+    use std::hash::{BuildHasher, BuildHasherDefault};
+    BuildHasherDefault::<std::collections::hash_map::DefaultHasher>::default().hash_one(value)
+}
+
+/// `decision_length` of a segment list, per RFC 4271 §9.1.2.2 a and
+/// RFC 5065 §5.3.
+fn reference_decision_length(reference: &RefPath) -> usize {
+    reference
+        .iter()
+        .map(|(kind, asns)| match kind {
+            SegmentKind::Sequence => asns.len(),
+            SegmentKind::Set => usize::from(!asns.is_empty()),
+            SegmentKind::ConfedSequence | SegmentKind::ConfedSet => 0,
+        })
+        .sum()
+}
+
+/// `asn` prepended `times` times: into a leading `AS_SEQUENCE`, else as a
+/// new leading one.
+fn reference_prepend(reference: &RefPath, asn: Asn, times: usize) -> RefPath {
+    let mut out = reference.clone();
+    match out.first_mut() {
+        Some((SegmentKind::Sequence, asns)) => {
+            asns.splice(0..0, std::iter::repeat_n(asn, times));
+        }
+        _ => out.insert(0, (SegmentKind::Sequence, vec![asn; times])),
+    }
+    out
+}
+
+/// The text form: segments separated by a space, sequences as their
+/// ASNs, sets in braces.
+fn reference_display(reference: &RefPath) -> String {
+    let join = |asns: &[Asn]| asns.iter().map(|a| a.to_string()).collect::<Vec<_>>().join(" ");
+    reference
+        .iter()
+        .map(|(kind, asns)| match kind {
+            SegmentKind::Sequence | SegmentKind::ConfedSequence => join(asns),
+            SegmentKind::Set | SegmentKind::ConfedSet => format!("{{{}}}", join(asns)),
+        })
+        .collect::<Vec<_>>()
+        .join(" ")
+}
+
+/// What the text form parses back to: confederation segments read as
+/// their plain kinds, adjacent sequences merge, and empty sequences
+/// vanish (an empty set keeps its braces).
+fn reference_reparse(reference: &RefPath) -> RefPath {
+    let mut out: RefPath = Vec::new();
+    for (kind, asns) in reference {
+        match kind {
+            SegmentKind::Sequence | SegmentKind::ConfedSequence => match out.last_mut() {
+                Some((SegmentKind::Sequence, run)) => run.extend_from_slice(asns),
+                _ if asns.is_empty() => {}
+                _ => out.push((SegmentKind::Sequence, asns.clone())),
+            },
+            SegmentKind::Set | SegmentKind::ConfedSet => out.push((SegmentKind::Set, asns.clone())),
+        }
+    }
+    out
+}
+
+/// What the wire carries: each segment in pieces of at most 255 ASNs,
+/// each piece its own segment; an empty segment writes no piece.
+fn reference_wire_split(reference: &RefPath) -> RefPath {
+    reference
+        .iter()
+        .flat_map(|(kind, asns)| asns.chunks(255).map(move |piece| (*kind, piece.to_vec())))
+        .collect()
+}
+
+/// `path` as the AS_PATH of an attribute block, encoded and decoded at
+/// one AS width.
+fn wire_round_trip(path: AsPath, four_octet_as: bool) -> AsPath {
+    let attrs = PathAttributes {
+        as_path: path,
+        next_hop: "192.0.2.1".parse().unwrap(),
+        ..Default::default()
+    };
+    let cfg = SessionConfig { four_octet_as };
+    let mut buf = bytes::BytesMut::new();
+    encode_attributes(&attrs, &[], &[], &[], true, &cfg, &mut buf);
+    let len = buf.len();
+    decode_attributes(&mut &buf[..], len, &cfg).expect("decode").attrs.as_path
+}
+
+proptest! {
+    /// An `AsPath` holds exactly the segment list it was built from, and
+    /// its ASN-level views read that list.
+    #[test]
+    fn as_path_reads_back_its_segments(reference in arb_reference_path()) {
+        let path = path_of(&reference);
+        prop_assert_eq!(reference_of(&path), reference.clone());
+        let flat: Vec<Asn> = reference.iter().flat_map(|(_, asns)| asns.iter().copied()).collect();
+        prop_assert_eq!(path.asns().collect::<Vec<_>>(), flat.clone());
+        prop_assert_eq!(path.is_empty(), flat.is_empty());
+        prop_assert_eq!(path.first(), flat.first().copied());
+        prop_assert_eq!(path.origin(), flat.last().copied());
+        prop_assert_eq!(reference_of(&path.clone()), reference);
+    }
+
+    /// Two paths are equal exactly when their segment lists are, and a
+    /// path hashes like its segment list.
+    #[test]
+    fn as_path_eq_and_hash_follow_the_segment_list(
+        a in arb_reference_path(),
+        b in arb_reference_path(),
+    ) {
+        let (pa, pb) = (path_of(&a), path_of(&b));
+        prop_assert_eq!(pa == pb, a == b);
+        prop_assert_eq!(pa.clone(), pa.clone());
+        prop_assert_eq!(hash_of(&pa), hash_of(&a));
+        prop_assert_eq!(hash_of(&pb), hash_of(&b));
+    }
+
+    /// `decision_length` and `prepend` (onto a leading sequence, a leading
+    /// set and an empty path) do what they do to the segment list.
+    #[test]
+    fn as_path_decision_length_and_prepend_match_reference(
+        reference in arb_reference_path(),
+        lead in prop_oneof![
+            Just(None),
+            Just(Some(SegmentKind::Set)),
+            Just(Some(SegmentKind::Sequence)),
+        ],
+        asn in arb_asn(),
+        times in 0usize..4,
+    ) {
+        let mut reference = reference;
+        if let Some(kind) = lead {
+            reference.insert(0, (kind, vec![Asn(7), Asn(8)]));
+        }
+        let path = path_of(&reference);
+        prop_assert_eq!(path.decision_length(), reference_decision_length(&reference));
+        let prepended = path.prepend(asn, times);
+        let expected = reference_prepend(&reference, asn, times);
+        prop_assert_eq!(reference_of(&prepended), expected.clone());
+        prop_assert_eq!(prepended, path_of(&expected));
+        prop_assert_eq!(
+            reference_of(&AsPath::empty().prepend(asn, times)),
+            vec![(SegmentKind::Sequence, vec![asn; times])]
+        );
+    }
+
+    /// `Display` prints the segment list's text form, and `FromStr` reads
+    /// that text back to the list it spells.
+    #[test]
+    fn as_path_text_matches_reference(reference in arb_reference_path()) {
+        let text = path_of(&reference).to_string();
+        prop_assert_eq!(&text, &reference_display(&reference));
+        let parsed: AsPath = text.parse().expect("reparse");
+        prop_assert_eq!(reference_of(&parsed), reference_reparse(&reference));
+    }
+
+    /// A path survives an attribute-block round trip at both AS widths as
+    /// its wire-split segment list.
+    #[test]
+    fn as_path_wire_round_trip_matches_reference(
+        reference in arb_reference_path(),
+        four_octet_as in any::<bool>(),
+    ) {
+        let decoded = wire_round_trip(path_of(&reference), four_octet_as);
+        prop_assert_eq!(reference_of(&decoded), reference_wire_split(&reference));
+    }
+}
+
+/// The `Debug` text of four shapes, literally: the empty path, the common
+/// single sequence, a mixed path with an empty segment, and a decoded
+/// 300-ASN path, which the wire split into two sequences.
+#[test]
+fn as_path_debug_text_is_pinned() {
+    assert_eq!(format!("{:?}", AsPath::empty()), "AsPath { segments: [] }");
+    let single: AsPath = "3356 1299 20205".parse().unwrap();
+    assert_eq!(
+        format!("{single:?}"),
+        "AsPath { segments: [PathSegment { kind: Sequence, asns: [Asn(3356), Asn(1299), Asn(20205)] }] }"
+    );
+    assert_eq!(
+        format!("{single:#?}"),
+        "AsPath {\n    segments: [\n        PathSegment {\n            kind: Sequence,\n            \
+         asns: [\n                Asn(\n                    3356,\n                ),\n                \
+         Asn(\n                    1299,\n                ),\n                Asn(\n                    \
+         20205,\n                ),\n            ],\n        },\n    ],\n}"
+    );
+    let mixed = path_of(&vec![
+        (SegmentKind::ConfedSequence, vec![Asn(65_001)]),
+        (SegmentKind::Sequence, vec![]),
+        (SegmentKind::Set, vec![Asn(174), Asn(209)]),
+    ]);
+    assert_eq!(
+        format!("{mixed:?}"),
+        "AsPath { segments: [PathSegment { kind: ConfedSequence, asns: [Asn(65001)] }, \
+         PathSegment { kind: Sequence, asns: [] }, \
+         PathSegment { kind: Set, asns: [Asn(174), Asn(209)] }] }"
+    );
+    let decoded = wire_round_trip(AsPath::from_asns((1..=300).map(Asn)), true);
+    let list = |asns: std::ops::RangeInclusive<u32>| {
+        asns.map(|a| format!("Asn({a})")).collect::<Vec<_>>().join(", ")
+    };
+    assert_eq!(
+        format!("{decoded:?}"),
+        format!(
+            "AsPath {{ segments: [PathSegment {{ kind: Sequence, asns: [{}] }}, \
+             PathSegment {{ kind: Sequence, asns: [{}] }}] }}",
+            list(1..=255),
+            list(256..=300)
+        )
+    );
 }
