@@ -9,11 +9,31 @@
 //!    change into a *prepend-only* change (`xc`/`xn` types);
 //! 3. **origin/peer extraction** — for grouping by origin and for the data
 //!    cleaning step that inserts a route server's ASN when missing.
+//!
+//! ## Layout
+//!
+//! Every retained announcement holds a path, so an [`AsPath`] is one
+//! exact-size allocation: every ASN in wire order and, only when the path
+//! is not exactly one non-empty `AS_SEQUENCE`, one descriptor word per
+//! segment after them (its kind and ASN count). The common path is
+//! therefore its ASNs and nothing else; the empty path allocates nothing.
+//! Each path has one such form, so the derived equality is equality of
+//! the segment lists. [`AsPath::segments`] lends `(kind, &[Asn])` views,
+//! and [`AsPath::from_segments`] sizes the allocation from the segment
+//! lengths before it fills it, so a decoder writes straight into it. The
+//! layout is private to this module.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::str::FromStr;
 
 use crate::asn::Asn;
+use crate::attrs::PathAttributes;
+
+// Every stored announcement and every hash-set slot holds a path handle;
+// a larger one would grow them all.
+const _: () = assert!(std::mem::size_of::<AsPath>() <= 24);
+const _: () = assert!(std::mem::size_of::<PathAttributes>() <= 144);
 
 /// Kind of a path segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -28,78 +48,166 @@ pub enum SegmentKind {
     ConfedSet,
 }
 
-/// One AS-path segment.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct PathSegment {
-    /// The segment kind.
-    pub kind: SegmentKind,
-    /// The ASNs in the segment (order meaningful only for sequences).
-    pub asns: Vec<Asn>,
+/// Bits of a descriptor word that hold the segment kind; the ASN count
+/// sits above them.
+const KIND_BITS: u32 = 2;
+
+/// The descriptor word of a segment of `len` ASNs.
+fn descriptor(kind: SegmentKind, len: usize) -> Asn {
+    let len = u32::try_from(len).ok().filter(|&n| n <= u32::MAX >> KIND_BITS);
+    let len = len.expect("an AS path segment holds fewer than 2^30 ASNs");
+    let code = match kind {
+        SegmentKind::Sequence => 0,
+        SegmentKind::Set => 1,
+        SegmentKind::ConfedSequence => 2,
+        SegmentKind::ConfedSet => 3,
+    };
+    Asn(len << KIND_BITS | code)
 }
 
-impl PathSegment {
-    /// Creates an `AS_SEQUENCE` segment.
-    pub fn sequence<I: IntoIterator<Item = Asn>>(asns: I) -> Self {
-        PathSegment { kind: SegmentKind::Sequence, asns: asns.into_iter().collect() }
-    }
-
-    /// Creates an `AS_SET` segment.
-    pub fn set<I: IntoIterator<Item = Asn>>(asns: I) -> Self {
-        PathSegment { kind: SegmentKind::Set, asns: asns.into_iter().collect() }
-    }
+/// The kind and ASN count a descriptor word holds.
+fn unpack(word: Asn) -> (SegmentKind, usize) {
+    let kind = match word.0 & ((1 << KIND_BITS) - 1) {
+        0 => SegmentKind::Sequence,
+        1 => SegmentKind::Set,
+        2 => SegmentKind::ConfedSequence,
+        _ => SegmentKind::ConfedSet,
+    };
+    (kind, (word.0 >> KIND_BITS) as usize)
 }
 
-/// A full AS path: a list of segments.
+/// A full AS path: a list of segments, in one allocation (see the
+/// [module docs](self)).
 ///
 /// The common single-sequence case is constructed with [`AsPath::from_asns`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+#[derive(Clone, PartialEq, Eq, Default)]
 pub struct AsPath {
-    segments: Vec<PathSegment>,
+    /// Every ASN in wire order, then `descriptors` descriptor words.
+    words: Box<[Asn]>,
+    /// Descriptor words at the end of `words`, one per segment; 0 for a
+    /// single non-empty `AS_SEQUENCE` and for the empty path.
+    descriptors: u32,
+}
+
+/// The segments of a path, as borrowed views.
+#[derive(Clone)]
+struct Segments<'a> {
+    /// The ASNs of the segments not yet read.
+    asns: &'a [Asn],
+    /// Their descriptors.
+    descriptors: std::slice::Iter<'a, Asn>,
+    /// True until the one segment of a descriptor-free path is read.
+    single: bool,
+}
+
+impl<'a> Iterator for Segments<'a> {
+    type Item = (SegmentKind, &'a [Asn]);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if std::mem::take(&mut self.single) {
+            return Some((SegmentKind::Sequence, self.asns));
+        }
+        let (kind, len) = unpack(*self.descriptors.next()?);
+        let (run, rest) = self.asns.split_at(len);
+        self.asns = rest;
+        Some((kind, run))
+    }
 }
 
 impl AsPath {
     /// An empty path (as sent between iBGP peers for locally originated
     /// routes).
     pub fn empty() -> Self {
-        AsPath { segments: Vec::new() }
+        Self::default()
     }
 
     /// Builds the common single-`AS_SEQUENCE` path. The *first* ASN is the
     /// neighbor the route was heard from (leftmost), the *last* is the
     /// origin.
     pub fn from_asns<I: IntoIterator<Item = Asn>>(asns: I) -> Self {
-        let v: Vec<Asn> = asns.into_iter().collect();
-        if v.is_empty() {
-            return Self::empty();
+        // No segment for no ASNs; otherwise one sequence, which needs no
+        // descriptor.
+        AsPath { words: asns.into_iter().collect(), descriptors: 0 }
+    }
+
+    /// Builds a path from its segments, each a kind and its ASNs in wire
+    /// order. The segments are read twice — once for their lengths, to
+    /// size the one allocation, then to fill it — so their iterator must
+    /// be `Clone` and yield the same segments both times.
+    pub fn from_segments<I, S>(segments: I) -> Self
+    where
+        I: IntoIterator<Item = (SegmentKind, S)>,
+        I::IntoIter: Clone,
+        S: IntoIterator<Item = Asn>,
+        S::IntoIter: ExactSizeIterator,
+    {
+        let segments = segments.into_iter();
+        let shape = segments.clone().map(|(kind, asns)| (kind, asns.into_iter().len()));
+        Self::from_shape(shape, segments.flat_map(|(_, asns)| asns))
+    }
+
+    /// The path whose segments have the kinds and ASN counts of `shape`
+    /// and whose ASNs, in wire order, are `asns`.
+    fn from_shape<I>(shape: I, asns: impl IntoIterator<Item = Asn>) -> Self
+    where
+        I: Iterator<Item = (SegmentKind, usize)> + Clone,
+    {
+        let (mut count, mut total, mut single) = (0usize, 0usize, false);
+        for (kind, len) in shape.clone() {
+            single = count == 0 && kind == SegmentKind::Sequence && len > 0;
+            count += 1;
+            total += len;
         }
-        AsPath { segments: vec![PathSegment::sequence(v)] }
+        let descriptors = if single { 0 } else { count };
+        let mut words = Vec::with_capacity(total + descriptors);
+        words.extend(asns);
+        assert_eq!(words.len(), total, "an AS path's segments hold every ASN it is built from");
+        if !single {
+            words.extend(shape.map(|(kind, len)| descriptor(kind, len)));
+        }
+        let descriptors =
+            u32::try_from(descriptors).expect("an AS path has fewer than 2^32 segments");
+        AsPath { words: words.into_boxed_slice(), descriptors }
     }
 
-    /// Builds a path from raw segments.
-    pub fn from_segments(segments: Vec<PathSegment>) -> Self {
-        AsPath { segments }
+    /// Every ASN, in wire order.
+    fn asn_slice(&self) -> &[Asn] {
+        &self.words[..self.words.len() - self.descriptors as usize]
     }
 
-    /// The segments.
-    pub fn segments(&self) -> &[PathSegment] {
-        &self.segments
+    /// The segments, in order, each its kind and its ASNs.
+    pub fn segments(&self) -> impl Iterator<Item = (SegmentKind, &[Asn])> + Clone + '_ {
+        let (asns, descriptors) = self.words.split_at(self.words.len() - self.descriptors as usize);
+        Segments {
+            asns,
+            descriptors: descriptors.iter(),
+            single: self.descriptors == 0 && !asns.is_empty(),
+        }
     }
 
-    /// True if the path has no segments.
+    /// How many segments the path has.
+    fn segment_count(&self) -> usize {
+        match self.descriptors {
+            0 => usize::from(!self.words.is_empty()),
+            n => n as usize,
+        }
+    }
+
+    /// True if the path holds no ASNs: no segments, or only empty ones.
     pub fn is_empty(&self) -> bool {
-        self.segments.iter().all(|s| s.asns.is_empty())
+        self.asn_slice().is_empty()
     }
 
     /// All ASNs in wire order (sets contribute their members in stored
     /// order).
     pub fn asns(&self) -> impl Iterator<Item = Asn> + '_ {
-        self.segments.iter().flat_map(|s| s.asns.iter().copied())
+        self.asn_slice().iter().copied()
     }
 
     /// The sorted, deduplicated set of ASNs on the path — the paper's
     /// "set of ASes" used to detect prepend-only changes.
     pub fn as_set(&self) -> Vec<Asn> {
-        let mut v: Vec<Asn> = self.asns().collect();
+        let mut v = self.asn_slice().to_vec();
         v.sort_unstable();
         v.dedup();
         v
@@ -115,28 +223,27 @@ impl AsPath {
 
     /// The leftmost ASN: the peer the route was heard from.
     pub fn first(&self) -> Option<Asn> {
-        self.asns().next()
+        self.asn_slice().first().copied()
     }
 
     /// The rightmost ASN: the origin of the route.
     pub fn origin(&self) -> Option<Asn> {
-        self.asns().last()
+        self.asn_slice().last().copied()
     }
 
     /// True if `asn` appears anywhere on the path (loop detection, RFC 4271
     /// §9.1.2).
     pub fn contains(&self, asn: Asn) -> bool {
-        self.asns().any(|a| a == asn)
+        self.asn_slice().contains(&asn)
     }
 
     /// Path length for the BGP decision process: each sequence member
     /// counts 1, an entire `AS_SET` counts 1 (RFC 4271 §9.1.2.2 a).
     pub fn decision_length(&self) -> usize {
-        self.segments
-            .iter()
-            .map(|s| match s.kind {
-                SegmentKind::Sequence => s.asns.len(),
-                SegmentKind::Set => usize::from(!s.asns.is_empty()),
+        self.segments()
+            .map(|(kind, asns)| match kind {
+                SegmentKind::Sequence => asns.len(),
+                SegmentKind::Set => usize::from(!asns.is_empty()),
                 // Confederation segments do not count (RFC 5065 §5.3).
                 SegmentKind::ConfedSequence | SegmentKind::ConfedSet => 0,
             })
@@ -145,31 +252,55 @@ impl AsPath {
 
     /// Returns a new path with `asn` prepended `times` times, as a router
     /// does when advertising to an eBGP peer (possibly with export
-    /// prepending).
+    /// prepending): into a leading `AS_SEQUENCE`, else as a new leading
+    /// one. One allocation.
     pub fn prepend(&self, asn: Asn, times: usize) -> AsPath {
-        let mut segments = self.segments.clone();
-        match segments.first_mut() {
-            Some(seg) if seg.kind == SegmentKind::Sequence => {
-                for _ in 0..times {
-                    seg.asns.insert(0, asn);
-                }
-            }
-            _ => {
-                segments.insert(0, PathSegment::sequence(std::iter::repeat_n(asn, times)));
-            }
-        }
-        AsPath { segments }
+        let (lead, kept) = match self.segments().next() {
+            Some((SegmentKind::Sequence, asns)) => (asns.len() + times, 1),
+            _ => (times, 0),
+        };
+        let rest = self.segments().skip(kept).map(|(kind, asns)| (kind, asns.len()));
+        let shape = std::iter::once((SegmentKind::Sequence, lead)).chain(rest);
+        Self::from_shape(shape, std::iter::repeat_n(asn, times).chain(self.asns()))
     }
 
-    /// Heap bytes held by the path: the segment vector plus every
-    /// segment's ASN vector, counted at capacity.
+    /// Heap bytes held by the path: its one allocation.
     pub fn heap_bytes(&self) -> usize {
-        self.segments.capacity() * std::mem::size_of::<PathSegment>()
-            + self
-                .segments
-                .iter()
-                .map(|s| s.asns.capacity() * std::mem::size_of::<Asn>())
-                .sum::<usize>()
+        self.words.len() * std::mem::size_of::<Asn>()
+    }
+}
+
+impl Hash for AsPath {
+    /// Hashes the segment list — its length, then each segment's kind and
+    /// ASNs — exactly as a `Vec` of owned segments hashes.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_usize(self.segment_count());
+        for (kind, asns) in self.segments() {
+            kind.hash(state);
+            asns.hash(state);
+        }
+    }
+}
+
+impl fmt::Debug for AsPath {
+    /// The derived text of a list of owned segments:
+    /// `AsPath { segments: [PathSegment { kind: Sequence, asns: [Asn(3356)] }] }`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Segment<'a>(SegmentKind, &'a [Asn]);
+        impl fmt::Debug for Segment<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_struct("PathSegment").field("kind", &self.0).field("asns", &self.1).finish()
+            }
+        }
+        struct List<'a>(&'a AsPath);
+        impl fmt::Debug for List<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_list()
+                    .entries(self.0.segments().map(|(kind, asns)| Segment(kind, asns)))
+                    .finish()
+            }
+        }
+        f.debug_struct("AsPath").field("segments", &List(self)).finish()
     }
 }
 
@@ -177,34 +308,25 @@ impl fmt::Display for AsPath {
     /// Space-separated ASNs; `AS_SET`s in braces: `20205 3356 {174 209}`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut first = true;
-        for seg in &self.segments {
+        for (kind, asns) in self.segments() {
             if !first {
                 write!(f, " ")?;
             }
             first = false;
-            match seg.kind {
-                SegmentKind::Sequence | SegmentKind::ConfedSequence => {
-                    let mut inner_first = true;
-                    for a in &seg.asns {
-                        if !inner_first {
-                            write!(f, " ")?;
-                        }
-                        inner_first = false;
-                        write!(f, "{a}")?;
-                    }
+            let set = matches!(kind, SegmentKind::Set | SegmentKind::ConfedSet);
+            if set {
+                write!(f, "{{")?;
+            }
+            let mut inner_first = true;
+            for a in asns {
+                if !inner_first {
+                    write!(f, " ")?;
                 }
-                SegmentKind::Set | SegmentKind::ConfedSet => {
-                    write!(f, "{{")?;
-                    let mut inner_first = true;
-                    for a in &seg.asns {
-                        if !inner_first {
-                            write!(f, " ")?;
-                        }
-                        inner_first = false;
-                        write!(f, "{a}")?;
-                    }
-                    write!(f, "}}")?;
-                }
+                inner_first = false;
+                write!(f, "{a}")?;
+            }
+            if set {
+                write!(f, "}}")?;
             }
         }
         Ok(())
@@ -229,18 +351,18 @@ impl FromStr for AsPath {
     /// Parses the `Display` form: space-separated ASNs with `{...}` sets.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let err = || ParseAsPathError(s.to_owned());
-        let mut segments: Vec<PathSegment> = Vec::new();
+        let mut segments: Vec<(SegmentKind, Vec<Asn>)> = Vec::new();
         let mut seq: Vec<Asn> = Vec::new();
         let mut rest = s.trim();
         while !rest.is_empty() {
             if let Some(after) = rest.strip_prefix('{') {
                 if !seq.is_empty() {
-                    segments.push(PathSegment::sequence(std::mem::take(&mut seq)));
+                    segments.push((SegmentKind::Sequence, std::mem::take(&mut seq)));
                 }
                 let (inner, tail) = after.split_once('}').ok_or_else(err)?;
                 let asns: Result<Vec<Asn>, _> =
                     inner.split_whitespace().map(|t| t.parse::<Asn>()).collect();
-                segments.push(PathSegment::set(asns.map_err(|_| err())?));
+                segments.push((SegmentKind::Set, asns.map_err(|_| err())?));
                 rest = tail.trim_start();
             } else {
                 let (tok, tail) = match rest.find(|c: char| c.is_whitespace() || c == '{') {
@@ -252,9 +374,9 @@ impl FromStr for AsPath {
             }
         }
         if !seq.is_empty() {
-            segments.push(PathSegment::sequence(seq));
+            segments.push((SegmentKind::Sequence, seq));
         }
-        Ok(AsPath { segments })
+        Ok(AsPath::from_segments(segments))
     }
 }
 
@@ -277,8 +399,8 @@ mod tests {
     #[test]
     fn parse_with_as_set() {
         let p: AsPath = "20205 3356 {174 209}".parse().unwrap();
-        assert_eq!(p.segments().len(), 2);
-        assert_eq!(p.segments()[1].kind, SegmentKind::Set);
+        assert_eq!(p.segments().count(), 2);
+        assert_eq!(p.segments().nth(1).map(|(kind, _)| kind), Some(SegmentKind::Set));
         assert_eq!(p.to_string(), "20205 3356 {174 209}");
     }
 
@@ -312,8 +434,8 @@ mod tests {
     #[test]
     fn decision_length_counts_set_as_one() {
         let p = AsPath::from_segments(vec![
-            PathSegment::sequence([Asn(1), Asn(2)]),
-            PathSegment::set([Asn(3), Asn(4), Asn(5)]),
+            (SegmentKind::Sequence, vec![Asn(1), Asn(2)]),
+            (SegmentKind::Set, vec![Asn(3), Asn(4), Asn(5)]),
         ]);
         assert_eq!(p.decision_length(), 3);
     }
@@ -321,8 +443,8 @@ mod tests {
     #[test]
     fn confed_segments_do_not_count() {
         let p = AsPath::from_segments(vec![
-            PathSegment { kind: SegmentKind::ConfedSequence, asns: vec![Asn(65001), Asn(65002)] },
-            PathSegment::sequence([Asn(1)]),
+            (SegmentKind::ConfedSequence, vec![Asn(65001), Asn(65002)]),
+            (SegmentKind::Sequence, vec![Asn(1)]),
         ]);
         assert_eq!(p.decision_length(), 1);
     }
@@ -349,6 +471,17 @@ mod tests {
         assert_ne!(a, b);
         assert!(a.same_as_set(&b));
         assert!(!a.same_as_set(&c));
+    }
+
+    #[test]
+    fn heap_bytes_count_the_asns_and_any_descriptors() {
+        let asn = std::mem::size_of::<Asn>();
+        assert_eq!(AsPath::empty().heap_bytes(), 0);
+        assert_eq!(path(&[1, 2, 3]).heap_bytes(), 3 * asn);
+        assert_eq!(path(&[1, 2, 3]).prepend(Asn(9), 2).heap_bytes(), 5 * asn);
+        // Not one sequence: a descriptor word per segment.
+        let mixed: AsPath = "1 2 {3}".parse().unwrap();
+        assert_eq!(mixed.heap_bytes(), (3 + 2) * asn);
     }
 
     #[test]

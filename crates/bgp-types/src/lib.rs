@@ -23,9 +23,12 @@
 //! * [`CommunitySet`]: the *community attribute* as an ordered, deduplicated
 //!   set — equality of two sets is exactly the paper's "did the community
 //!   attribute change" predicate.
-//! * AS paths with AS_SEQUENCE / AS_SET / confederation segments, prepend
-//!   detection (the paper's `x*` types compare the *set* of ASes), origin AS
-//!   extraction and loop detection.
+//! * AS paths with AS_SEQUENCE / AS_SET / confederation segments, each path
+//!   one exact-size allocation (its ASNs, plus one descriptor word per
+//!   segment only when it is not a single `AS_SEQUENCE`) read through
+//!   borrowed `(kind, &[Asn])` segment views; prepend detection (the
+//!   paper's `x*` types compare the *set* of ASes), origin AS extraction and
+//!   loop detection.
 //! * The geo-community encoding scheme used by large transit ASes to tag
 //!   ingress location (continent / country / city), which the paper
 //!   identifies as the dominant source of community exploration.
@@ -51,7 +54,7 @@ pub mod large;
 pub mod prefix;
 pub mod update;
 
-pub use as_path::{AsPath, PathSegment, SegmentKind};
+pub use as_path::{AsPath, SegmentKind};
 pub use asn::Asn;
 pub use attrs::{Origin, PathAttributes};
 pub use community::Community;

@@ -10,8 +10,7 @@ use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use bytes::{BufMut, BytesMut};
 use kcc_bgp_types::attrs::{Aggregator, Origin, PathAttributes};
 use kcc_bgp_types::{
-    AsPath, Asn, Community, CommunitySet, ExtendedCommunity, LargeCommunity, PathSegment, Prefix,
-    SegmentKind,
+    AsPath, Asn, Community, CommunitySet, ExtendedCommunity, LargeCommunity, Prefix, SegmentKind,
 };
 
 use crate::cursor;
@@ -113,24 +112,21 @@ fn put_attr_header<B: BufMut>(buf: &mut B, base_flags: u8, code: u8, len: usize)
 /// two-octet segment header.
 fn as_path_body_len(path: &AsPath, four_octet: bool) -> usize {
     let width = if four_octet { 4 } else { 2 };
-    path.segments()
-        .iter()
-        .map(|seg| seg.asns.len().div_ceil(255) * 2 + seg.asns.len() * width)
-        .sum()
+    path.segments().map(|(_, asns)| asns.len().div_ceil(255) * 2 + asns.len() * width).sum()
 }
 
 /// Writes one AS_PATH-shaped attribute (AS_PATH or AS4_PATH), header
 /// and body, straight into `buf`.
 fn put_as_path(buf: &mut BytesMut, base_flags: u8, code: u8, path: &AsPath, four_octet: bool) {
     put_attr_header(buf, base_flags, code, as_path_body_len(path, four_octet));
-    for seg in path.segments() {
-        let kind = match seg.kind {
+    for (kind, asns) in path.segments() {
+        let kind = match kind {
             SegmentKind::Set => 1u8,
             SegmentKind::Sequence => 2,
             SegmentKind::ConfedSequence => 3,
             SegmentKind::ConfedSet => 4,
         };
-        for chunk in seg.asns.chunks(255) {
+        for chunk in asns.chunks(255) {
             buf.put_u8(kind);
             buf.put_u8(chunk.len() as u8);
             for a in chunk {
@@ -181,48 +177,67 @@ pub(crate) fn put_mp_unreach(buf: &mut BytesMut, prefixes: &[Prefix]) {
     }
 }
 
-fn decode_as_path_body(mut body: &[u8], four_octet: bool) -> Result<AsPath, WireError> {
-    // One segment is the common case; `Vec::new()` + `push` would reserve
-    // four, and the decoded path is stored (and counted) at capacity.
-    let mut segments = Vec::with_capacity(1);
-    while !body.is_empty() {
-        if body.len() < 2 {
-            return Err(WireError::MalformedAttribute {
-                code: type_codes::AS_PATH,
-                detail: "segment header truncated",
-            });
-        }
-        let kind = match cursor::u8(&mut body) {
-            1 => SegmentKind::Set,
-            2 => SegmentKind::Sequence,
-            3 => SegmentKind::ConfedSequence,
-            4 => SegmentKind::ConfedSet,
-            _ => {
-                return Err(WireError::MalformedAttribute {
-                    code: type_codes::AS_PATH,
-                    detail: "unknown segment type",
-                })
-            }
-        };
-        let count = cursor::u8(&mut body) as usize;
-        let width = if four_octet { 4 } else { 2 };
-        if body.len() < count * width {
-            return Err(WireError::MalformedAttribute {
-                code: type_codes::AS_PATH,
-                detail: "segment body truncated",
-            });
-        }
-        let mut asns = Vec::with_capacity(count);
-        for _ in 0..count {
-            asns.push(if four_octet {
-                Asn(cursor::u32(&mut body))
-            } else {
-                Asn(cursor::u16(&mut body) as u32)
-            });
-        }
-        segments.push(PathSegment { kind, asns });
+/// The segment kind of a wire segment-type octet.
+fn segment_kind(code: u8) -> Option<SegmentKind> {
+    match code {
+        1 => Some(SegmentKind::Set),
+        2 => Some(SegmentKind::Sequence),
+        3 => Some(SegmentKind::ConfedSequence),
+        4 => Some(SegmentKind::ConfedSet),
+        _ => None,
     }
-    Ok(AsPath::from_segments(segments))
+}
+
+fn decode_as_path_body(body: &[u8], four_octet: bool) -> Result<AsPath, WireError> {
+    // Check every segment first, in wire order, so the first malformed
+    // segment is the error; then `AsPath::from_segments` walks the checked
+    // headers to size the path's one allocation and decodes the ASNs
+    // straight into it.
+    let width = if four_octet { 4 } else { 2 };
+    let mut rest = body;
+    while !rest.is_empty() {
+        let malformed =
+            |detail| WireError::MalformedAttribute { code: type_codes::AS_PATH, detail };
+        if rest.len() < 2 {
+            return Err(malformed("segment header truncated"));
+        }
+        if segment_kind(cursor::u8(&mut rest)).is_none() {
+            return Err(malformed("unknown segment type"));
+        }
+        let count = cursor::u8(&mut rest) as usize;
+        if rest.len() < count * width {
+            return Err(malformed("segment body truncated"));
+        }
+        cursor::take(&mut rest, count * width);
+    }
+    Ok(AsPath::from_segments(WireSegments { body, width }))
+}
+
+/// The segments of a checked AS_PATH body, each its kind and its ASNs
+/// read off the wire at `width` octets.
+#[derive(Clone)]
+struct WireSegments<'a> {
+    body: &'a [u8],
+    width: usize,
+}
+
+impl<'a> Iterator for WireSegments<'a> {
+    type Item = (SegmentKind, std::iter::Map<std::slice::ChunksExact<'a, u8>, fn(&[u8]) -> Asn>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.body.is_empty() {
+            return None;
+        }
+        let kind = segment_kind(cursor::u8(&mut self.body)).expect("checked segment type");
+        let count = cursor::u8(&mut self.body) as usize;
+        let asns = cursor::take(&mut self.body, count * self.width);
+        let read: fn(&[u8]) -> Asn = if self.width == 4 {
+            |mut b| Asn(cursor::u32(&mut b))
+        } else {
+            |mut b| Asn(u32::from(cursor::u16(&mut b)))
+        };
+        Some((kind, asns.chunks_exact(self.width).map(read)))
+    }
 }
 
 /// Encodes the attribute block for an UPDATE, writing every attribute
@@ -824,18 +839,15 @@ mod tests {
         assert_eq!(decoded.origin(), Some(Asn(300)));
     }
 
-    /// A decoded one-segment path holds a segment vector of capacity 1
-    /// and an exact ASN vector: decoded paths are stored and counted at
-    /// capacity, so spare room would be paid for by every stream.
+    /// A decoded one-segment path is one allocation holding exactly its
+    /// ASNs: decoded paths are stored and counted at capacity, so spare
+    /// room would be paid for by every stream.
     #[test]
     fn decoded_single_segment_path_has_exact_capacity() {
         let path: AsPath = "3356 1299 20205".parse().unwrap();
         let decoded = decode_as_path_body(&as_path_body(&path), true).unwrap();
         assert_eq!(decoded, path);
-        assert_eq!(
-            decoded.heap_bytes(),
-            std::mem::size_of::<PathSegment>() + 3 * std::mem::size_of::<Asn>()
-        );
+        assert_eq!(decoded.heap_bytes(), 3 * std::mem::size_of::<Asn>());
     }
 
     #[test]

@@ -5,16 +5,29 @@
 //! never by a broken comparator, and a missing result line is never a
 //! skip. The script runs the same self-check before it builds anything.
 
-use std::process::Command;
+use std::io::Write;
+use std::process::{Command, Stdio};
 
 /// The comparator's exit status and its stdout (the markdown table and
 /// the verdict line) on one fixture.
 fn compare(fixture: &str) -> (bool, String) {
-    let out = Command::new("jq")
+    let fixture = std::fs::read_to_string(format!("ci/bench-pair-fixtures/{fixture}.jsonl"))
+        .expect("the fixture exists");
+    compare_runs(&fixture)
+}
+
+/// The comparator's exit status and its stdout on result lines given
+/// as text.
+fn compare_runs(runs: &str) -> (bool, String) {
+    let mut jq = Command::new("jq")
         .args(["-r", "-s", "--slurpfile", "spec", "BENCHMARK.json", "-f", "ci/bench-compare.jq"])
-        .arg(format!("ci/bench-pair-fixtures/{fixture}.jsonl"))
-        .output()
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
         .expect("jq runs the comparator");
+    jq.stdin.take().expect("piped stdin").write_all(runs.as_bytes()).expect("jq reads the runs");
+    let out = jq.wait_with_output().expect("jq finishes");
     (out.status.success(), String::from_utf8(out.stdout).expect("utf-8 table"))
 }
 
@@ -41,6 +54,21 @@ fn comparator_passes_a_change_within_every_bound() {
         .expect("jq lists the workloads");
     let names = String::from_utf8(names.stdout).unwrap();
     assert_eq!(names.lines().count(), 5, "BENCHMARK.json names five workloads");
+    // Every row also reports in how many pairs the change was better and
+    // the parent's quartile spread. One pair a side: a change worse in
+    // its one pair wins 0/1, and so does a tie (`peak_state_bytes` 0 on
+    // both sides); one parent run has no spread.
+    assert!(table.contains("| verdict | change better | parent IQR |"), "{table}");
+    assert!(
+        table.contains(
+            "| offline-day | updates_per_s | 1180000 | 1062000 | +10% | 25% | ok | 0/1 | 0 |"
+        ),
+        "{table}"
+    );
+    assert!(
+        table.contains("| sim-internet | peak_state_bytes | 0 | 0 | 0% | 10% | ok | 0/1 | 0 |"),
+        "{table}"
+    );
     let fixture =
         std::fs::read_to_string("ci/bench-pair-fixtures/pass-within-bounds.jsonl").unwrap();
     for name in names.lines() {
@@ -78,6 +106,36 @@ fn comparator_fails_a_workload_without_a_result_line() {
     assert!(table.contains("failed run: sim-internet change: no runs"), "{table}");
     assert!(
         table.contains("| sim-internet | updates_per_s | - | - | - | 25% | MISSING |"),
+        "{table}"
+    );
+}
+
+/// Pairs are matched by their `pair` number: a parent run without a
+/// change run counts in no pair, a tie is better for neither side, and
+/// the spread is the distance between the parent's interpolated
+/// quartiles (175 and 325 of 100, 200, 300, 400).
+#[test]
+fn comparator_counts_pairs_won_and_the_parent_spread() {
+    let run = |side: &str, pair: u32, value: u32| {
+        format!(
+            "{{\"workload\":\"offline-day\",\"side\":\"{side}\",\"pair\":{pair},\"exit\":0,\
+             \"result\":{{\"correct\":true,\"failed\":0,\
+             \"metrics\":{{\"updates_per_s\":{{\"value\":{value}}}}}}}}}\n"
+        )
+    };
+    let runs = [
+        run("parent", 0, 100),
+        run("parent", 1, 200),
+        run("parent", 2, 300),
+        run("parent", 3, 400),
+        run("change", 2, 250),
+        run("change", 0, 150),
+        run("change", 1, 200),
+    ]
+    .concat();
+    let (_, table) = compare_runs(&runs);
+    assert!(
+        table.contains("| offline-day | updates_per_s | 250 | 200 | +20% | 25% | ok | 1/3 | 150 |"),
         "{table}"
     );
 }

@@ -21,8 +21,8 @@ use keep_communities_clean::types::attrs::{Aggregator, Origin};
 use keep_communities_clean::types::extended::ExtendedCommunity;
 use keep_communities_clean::types::large::LargeCommunity;
 use keep_communities_clean::types::{
-    AsPath, Asn, AttrStore, Community, CommunitySet, MessageKind, PathAttributes, PathSegment,
-    Prefix, RouteUpdate, SegmentKind,
+    AsPath, Asn, AttrStore, Community, CommunitySet, MessageKind, PathAttributes, Prefix,
+    RouteUpdate, SegmentKind,
 };
 use keep_communities_clean::wire::attr::{decode_attributes, encode_attributes};
 use keep_communities_clean::wire::nlri::Afi;
@@ -1038,11 +1038,7 @@ fn arb_segmented_path() -> impl Strategy<Value = AsPath> {
         Just(SegmentKind::ConfedSequence),
         Just(SegmentKind::ConfedSet),
     ];
-    vec((kind, vec((1u32..6).prop_map(Asn), 0..5)), 0..4).prop_map(|segments| {
-        AsPath::from_segments(
-            segments.into_iter().map(|(kind, asns)| PathSegment { kind, asns }).collect(),
-        )
-    })
+    vec((kind, vec((1u32..6).prop_map(Asn), 0..5)), 0..4).prop_map(AsPath::from_segments)
 }
 
 /// Registries of nested blocks (a /8, a /16 and a /24 inside it, and a
@@ -1136,15 +1132,15 @@ proptest! {
         // Half the time, `b` repeats every ASN of `a` in reversed
         // segments, so the sets match under different shapes.
         let b = if derive {
+            let segments: Vec<_> = a.segments().collect();
             AsPath::from_segments(
-                a.segments()
-                    .iter()
+                segments
+                    .into_iter()
                     .rev()
-                    .map(|s| PathSegment {
-                        kind: s.kind,
-                        asns: s.asns.iter().flat_map(|&asn| [asn, asn]).collect(),
+                    .map(|(kind, asns)| {
+                        (kind, asns.iter().flat_map(|&asn| [asn, asn]).collect::<Vec<_>>())
                     })
-                    .collect(),
+                    .collect::<Vec<_>>(),
             )
         } else {
             b
@@ -1215,17 +1211,12 @@ type RefPath = Vec<(SegmentKind, Vec<Asn>)>;
 
 /// The path built from a segment list.
 fn path_of(reference: &RefPath) -> AsPath {
-    AsPath::from_segments(
-        reference
-            .iter()
-            .map(|(kind, asns)| PathSegment { kind: *kind, asns: asns.clone() })
-            .collect(),
-    )
+    AsPath::from_segments(reference.iter().map(|(kind, asns)| (*kind, asns.iter().copied())))
 }
 
 /// The segment list a path reads back as.
 fn reference_of(path: &AsPath) -> RefPath {
-    path.segments().iter().map(|s| (s.kind, s.asns.clone())).collect()
+    path.segments().map(|(kind, asns)| (kind, asns.to_vec())).collect()
 }
 
 /// Segment lists of every shape: zero to three segments of every kind,
