@@ -185,14 +185,6 @@ impl AsPath {
         }
     }
 
-    /// How many segments the path has.
-    fn segment_count(&self) -> usize {
-        match self.descriptors {
-            0 => usize::from(!self.words.is_empty()),
-            n => n as usize,
-        }
-    }
-
     /// True if the path holds no ASNs: no segments, or only empty ones.
     pub fn is_empty(&self) -> bool {
         self.asn_slice().is_empty()
@@ -274,7 +266,7 @@ impl Hash for AsPath {
     /// Hashes the segment list — its length, then each segment's kind and
     /// ASNs — exactly as a `Vec` of owned segments hashes.
     fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_usize(self.segment_count());
+        state.write_usize(self.segments().count());
         for (kind, asns) in self.segments() {
             kind.hash(state);
             asns.hash(state);
