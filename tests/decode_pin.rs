@@ -21,15 +21,19 @@ use keep_communities_clean::sim::{Network, SimConfig, SimTime};
 use keep_communities_clean::topology::{generate, Tier, TopologyConfig};
 use keep_communities_clean::tracegen::universe::UniverseConfig;
 use keep_communities_clean::tracegen::{generate_mar20, Mar20Config};
-use keep_communities_clean::types::Asn;
+use keep_communities_clean::types::{Asn, Community, CommunitySet, PathAttributes};
 use keep_communities_clean::wire::{
-    decode_message, Message, Notification, OpenMessage, RouteRefresh, SessionConfig,
+    decode_message, encode_message, Capability, Message, Notification, OpenMessage, RouteRefresh,
+    SessionConfig, UpdatePacket,
 };
 
 /// The digest of every verdict over the corpus below.
 const PINNED_DIGEST: u64 = 0x75a2_37a8_532e_3b08;
 /// How many inputs (records and mutants) the corpus holds.
 const PINNED_INPUTS: usize = 22_032;
+/// The digest of every encoder's bytes on the inputs of
+/// [`encoded_bytes_are_pinned`], and how many bytes they are.
+const PINNED_ENCODED: (usize, u64) = (214_843, 0x0d75_2960_c03a_a1c2);
 
 const MUTANTS_PER_RECORD: usize = 8;
 
@@ -223,4 +227,56 @@ fn decoder_verdicts_are_pinned() {
     }
     assert_eq!(inputs, PINNED_INPUTS, "the corpus changed size");
     assert_eq!(hash, PINNED_DIGEST, "a decoder's verdict changed: digest {hash:#018x}");
+}
+
+/// One of each message shape, for `encode_message`: an OPEN with every
+/// capability kind, a v4 UPDATE, a v6 UPDATE (MP_REACH), a withdrawal of
+/// both families (MP_UNREACH), a NOTIFICATION with data, a KEEPALIVE and
+/// a ROUTE-REFRESH. The day and the RIB dump carry the other attributes.
+fn message_shapes() -> Vec<Message> {
+    let mut open = OpenMessage::standard(Asn(4_200_000_001), "192.0.2.1".parse().unwrap(), 90);
+    open.capabilities.push(Capability::Unknown { code: 73, value: vec![1, 2, 3] });
+    let v4 = PathAttributes {
+        as_path: "20205 3356 4200000001 12654".parse().unwrap(),
+        next_hop: "192.0.2.7".parse().unwrap(),
+        med: Some(10),
+        communities: CommunitySet::from_classic([Community(3356 << 16 | 2)]),
+        ..Default::default()
+    };
+    let v6 = PathAttributes { next_hop: "2001:db8::7".parse().unwrap(), ..v4.clone() };
+    let withdrawn = vec!["10.1.0.0/16".parse().unwrap(), "2001:db8:1::/48".parse().unwrap()];
+    vec![
+        Message::Open(open),
+        Message::Update(UpdatePacket::announce("192.0.2.0/24".parse().unwrap(), v4)),
+        Message::Update(UpdatePacket::announce("2001:db8:2::/48".parse().unwrap(), v6)),
+        Message::Update(UpdatePacket { withdrawn, ..Default::default() }),
+        Message::Notification(Notification::unacceptable_hold_time(2)),
+        Message::Keepalive,
+        Message::RouteRefresh(RouteRefresh { afi: 2, safi: 1 }),
+    ]
+}
+
+/// Every encoder's bytes, pinned: the seeded day's MRT as `write_mrt`
+/// writes it, the RIB dump's TABLE_DUMP_V2 records through `MrtWriter`,
+/// and `encode_message` on each message shape under both AS widths,
+/// back to back in one buffer. The pins above hash decoded values, so
+/// they cannot see a re-encoding that decodes equal; this one can.
+#[test]
+fn encoded_bytes_are_pinned() {
+    let mut wire = bytes::BytesMut::new();
+    for four_octet_as in [true, false] {
+        for message in message_shapes() {
+            encode_message(&message, &SessionConfig { four_octet_as }, &mut wire);
+        }
+    }
+    let mut encoded = generated_day().concat();
+    encoded.extend(rib_dump().concat());
+    encoded.extend_from_slice(&wire);
+    let digest = fnv1a(0xcbf2_9ce4_8422_2325, &encoded);
+    assert_eq!(
+        (encoded.len(), digest),
+        PINNED_ENCODED,
+        "an encoder's bytes changed: {} bytes, digest {digest:#018x}",
+        encoded.len()
+    );
 }

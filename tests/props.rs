@@ -1,6 +1,6 @@
 //! Property-based tests on cross-crate invariants (proptest).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use proptest::collection::vec;
@@ -17,6 +17,7 @@ use keep_communities_clean::mrt::{
     Bgp4mpMessage, Bgp4mpStateChange, BgpState, MrtError, MrtReader, MrtRecord, MrtTimestamp,
     MrtWriter, PeerIndexTable, RibSnapshot,
 };
+use keep_communities_clean::peer::reactor::framing::{FlushOutcome, FrameBuffer, WriteQueue};
 use keep_communities_clean::types::attrs::{Aggregator, Origin};
 use keep_communities_clean::types::extended::ExtendedCommunity;
 use keep_communities_clean::types::large::LargeCommunity;
@@ -1445,4 +1446,161 @@ fn as_path_debug_text_is_pinned() {
             list(256..=300)
         )
     );
+}
+
+// ---------------------------------------------------------------------
+// Framing against a naive byte queue.
+// ---------------------------------------------------------------------
+
+/// Messages from 19 bytes up to a few KiB, so that reads, flushes and
+/// the buffers' reuse of their consumed front cut frames anywhere.
+fn arb_framed_message() -> impl Strategy<Value = Message> {
+    let update = (arb_attrs(), arb_prefix(), vec(any::<u32>(), 0..600)).prop_map(
+        |(mut attrs, prefix, more)| {
+            for c in more {
+                attrs.communities.insert(Community(c));
+            }
+            if prefix.is_ipv6() {
+                attrs.next_hop = "2001:db8::1".parse().unwrap();
+            }
+            Message::Update(UpdatePacket::announce(prefix, attrs))
+        },
+    );
+    let notification = vec(any::<u8>(), 0..300).prop_map(|data| {
+        Message::Notification(Notification { data, ..Notification::cease_admin_shutdown() })
+    });
+    prop_oneof![Just(Message::Keepalive), notification, update]
+}
+
+/// Byte counts for reads and writes: none (a write says `WouldBlock`),
+/// single bytes, parts of a header, and several frames at once.
+fn arb_byte_count() -> impl Strategy<Value = usize> {
+    prop_oneof![Just(0usize), 1usize..64, 1usize..6_000]
+}
+
+/// `message`'s frame under the default session configuration.
+fn frame_of(message: &Message) -> Vec<u8> {
+    let mut buf = bytes::BytesMut::new();
+    encode_message(message, &SessionConfig::default(), &mut buf);
+    buf.to_vec()
+}
+
+/// The length field of the frame at the front of `queue`, once its
+/// header is there.
+fn queued_frame_len(queue: &VecDeque<u8>) -> Option<usize> {
+    (queue.len() >= HEADER_LEN).then(|| usize::from(queue[16]) << 8 | usize::from(queue[17]))
+}
+
+/// A socket that takes `accepts[i]` bytes on its `i`-th write (cycling),
+/// and says `WouldBlock` where that count is 0.
+struct ShortWriter {
+    out: Vec<u8>,
+    accepts: Vec<usize>,
+    calls: usize,
+}
+
+impl std::io::Write for ShortWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let accept = self.accepts[self.calls % self.accepts.len()].min(buf.len());
+        self.calls += 1;
+        if accept == 0 {
+            return Err(std::io::ErrorKind::WouldBlock.into());
+        }
+        self.out.extend_from_slice(&buf[..accept]);
+        Ok(accept)
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+proptest! {
+    /// A message stream chunked arbitrarily into `FrameBuffer::extend`
+    /// yields what decoding it whole yields, and after every chunk the
+    /// buffer holds exactly what a byte queue holds once its complete
+    /// frames are popped.
+    #[test]
+    fn frame_buffer_matches_a_byte_queue(
+        messages in vec(arb_framed_message(), 1..24),
+        cuts in vec(arb_byte_count(), 1..40),
+    ) {
+        let cfg = SessionConfig::default();
+        let wire: Vec<u8> = messages.iter().flat_map(frame_of).collect();
+        let mut whole = Vec::new();
+        let mut rest = &wire[..];
+        while !rest.is_empty() {
+            whole.push(decode_message(&mut rest, &cfg).expect("an encoded stream decodes"));
+        }
+
+        let mut frames = FrameBuffer::new(cfg, true);
+        let mut queue = VecDeque::new();
+        let mut framed = Vec::new();
+        let (mut at, mut cuts) = (0, cuts.iter().cycle());
+        while at < wire.len() {
+            let chunk = &wire[at..(at + cuts.next().unwrap()).min(wire.len())];
+            at += chunk.len();
+            frames.extend(chunk);
+            queue.extend(chunk);
+            while let Some(message) = frames.next_message().expect("an encoded stream frames") {
+                let len = queued_frame_len(&queue).expect("a popped frame was queued whole");
+                let frame: Vec<u8> = queue.drain(..len).collect();
+                prop_assert_eq!(&decode_message(&mut &frame[..], &cfg).unwrap(), &message);
+                framed.push(message);
+            }
+            prop_assert!(queued_frame_len(&queue).is_none_or(|len| queue.len() < len));
+            prop_assert_eq!(frames.buffered(), queue.len());
+        }
+        prop_assert_eq!(framed, whole);
+    }
+
+    /// `push` (op 0) and `push_message` (op 1) mixed with flushes (op 2)
+    /// into a socket that takes arbitrary short counts and says
+    /// `WouldBlock`: the queue holds what a byte queue holds at every
+    /// step, a push past the cap is refused and leaves the queue as it
+    /// was, and the socket receives exactly the accepted pushes, in order.
+    #[test]
+    fn write_queue_matches_a_byte_queue(
+        ops in vec((0u8..3, arb_framed_message()), 1..60),
+        accepts in vec(arb_byte_count(), 1..30),
+        cap in prop_oneof![0usize..12_000, Just(usize::MAX)],
+    ) {
+        let cfg = SessionConfig::default();
+        let mut q = WriteQueue::new(cap);
+        let mut queue = VecDeque::new();
+        let mut accepted = Vec::new();
+        let mut w = ShortWriter { out: Vec::new(), accepts, calls: 0 };
+        for (op, message) in ops {
+            let frame = frame_of(&message);
+            let pushed = match op {
+                0 => q.push(&frame),
+                1 => q.push_message(&message, &cfg),
+                _ => {
+                    let before = w.out.len();
+                    q.flush(&mut w).expect("no real I/O errors");
+                    let written: Vec<u8> = queue.drain(..w.out.len() - before).collect();
+                    prop_assert_eq!(&w.out[before..], &written[..]);
+                    prop_assert_eq!(q.queued(), queue.len());
+                    continue;
+                }
+            };
+            match pushed {
+                Ok(()) => {
+                    prop_assert!(queue.len() + frame.len() <= cap);
+                    queue.extend(&frame);
+                    accepted.extend_from_slice(&frame);
+                }
+                Err(overflow) => {
+                    prop_assert!(queue.len() + frame.len() > cap);
+                    prop_assert_eq!((overflow.queued, overflow.cap), (queue.len(), cap));
+                }
+            }
+            prop_assert_eq!(q.queued(), queue.len());
+        }
+        // A socket that takes everything, once a cycle, so the final
+        // flushes finish.
+        w.accepts.push(usize::MAX);
+        while q.flush(&mut w).expect("no real I/O errors") == FlushOutcome::Pending {}
+        prop_assert!(q.is_empty());
+        prop_assert_eq!(w.out, accepted);
+    }
 }
