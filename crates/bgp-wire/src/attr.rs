@@ -7,13 +7,12 @@
 
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
-use bytes::{BufMut, BytesMut};
 use kcc_bgp_types::attrs::{Aggregator, Origin, PathAttributes};
 use kcc_bgp_types::{
     AsPath, Asn, Community, CommunitySet, ExtendedCommunity, LargeCommunity, Prefix, SegmentKind,
 };
 
-use crate::cursor;
+use crate::cursor::{self, Put};
 use crate::error::WireError;
 use crate::message::SessionConfig;
 use crate::nlri::{decode_prefix_run, encode_prefix, encoded_len, Afi};
@@ -95,7 +94,7 @@ pub struct DecodedAttrs {
     pub unknown: Vec<RawAttribute>,
 }
 
-fn put_attr_header<B: BufMut>(buf: &mut B, base_flags: u8, code: u8, len: usize) {
+fn put_attr_header(buf: &mut Vec<u8>, base_flags: u8, code: u8, len: usize) {
     if len > 255 {
         buf.put_u8(base_flags | flags::EXTENDED_LENGTH);
         buf.put_u8(code);
@@ -117,7 +116,7 @@ fn as_path_body_len(path: &AsPath, four_octet: bool) -> usize {
 
 /// Writes one AS_PATH-shaped attribute (AS_PATH or AS4_PATH), header
 /// and body, straight into `buf`.
-fn put_as_path(buf: &mut BytesMut, base_flags: u8, code: u8, path: &AsPath, four_octet: bool) {
+fn put_as_path(buf: &mut Vec<u8>, base_flags: u8, code: u8, path: &AsPath, four_octet: bool) {
     put_attr_header(buf, base_flags, code, as_path_body_len(path, four_octet));
     for (kind, asns) in path.segments() {
         let kind = match kind {
@@ -147,7 +146,7 @@ fn v6_nlri_len(prefixes: &[Prefix]) -> usize {
 
 /// Writes an MP_REACH_NLRI attribute carrying `next_hop` and the IPv6
 /// prefixes in `prefixes` (none, for a next-hop-only attribute).
-fn put_mp_reach(buf: &mut BytesMut, next_hop: Ipv6Addr, prefixes: &[Prefix]) {
+fn put_mp_reach(buf: &mut Vec<u8>, next_hop: Ipv6Addr, prefixes: &[Prefix]) {
     // AFI, SAFI, next-hop length, next hop, reserved octet.
     let fixed = 2 + 1 + 1 + 16 + 1;
     put_attr_header(buf, flags::OPTIONAL, type_codes::MP_REACH_NLRI, fixed + v6_nlri_len(prefixes));
@@ -164,7 +163,7 @@ fn put_mp_reach(buf: &mut BytesMut, next_hop: Ipv6Addr, prefixes: &[Prefix]) {
 /// Writes an MP_UNREACH_NLRI attribute withdrawing the IPv6 prefixes in
 /// `prefixes`, if there are any — on its own, the whole attribute block
 /// of a pure IPv6 withdrawal, which carries no mandatory attributes.
-pub(crate) fn put_mp_unreach(buf: &mut BytesMut, prefixes: &[Prefix]) {
+pub(crate) fn put_mp_unreach(buf: &mut Vec<u8>, prefixes: &[Prefix]) {
     let len = v6_nlri_len(prefixes);
     if len == 0 {
         return;
@@ -253,7 +252,7 @@ pub fn encode_attributes(
     unknown: &[RawAttribute],
     include_next_hop: bool,
     cfg: &SessionConfig,
-    buf: &mut BytesMut,
+    buf: &mut Vec<u8>,
 ) {
     // ORIGIN
     put_attr_header(buf, flags::TRANSITIVE, type_codes::ORIGIN, 1);
@@ -373,7 +372,7 @@ pub fn encode_attributes(
 /// Encodes a next-hop-only MP_REACH_NLRI attribute — the shape RFC 6396
 /// §4.3.4 prescribes for IPv6 RIB entries in TABLE_DUMP_V2, where the NLRI
 /// is implied by the enclosing record.
-pub fn encode_mp_next_hop_only(next_hop: Ipv6Addr, buf: &mut BytesMut) {
+pub fn encode_mp_next_hop_only(next_hop: Ipv6Addr, buf: &mut Vec<u8>) {
     put_mp_reach(buf, next_hop, &[]);
 }
 
@@ -621,7 +620,7 @@ mod tests {
     }
 
     fn roundtrip(a: &PathAttributes, cfg: &SessionConfig) -> DecodedAttrs {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_attributes(a, &[], &[], &[], true, cfg, &mut buf);
         let len = buf.len();
         decode_attributes(&mut &buf[..], len, cfg).unwrap()
@@ -647,7 +646,7 @@ mod tests {
     #[test]
     fn two_octet_without_big_asns_no_as4_path() {
         let a = attrs();
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_attributes(&a, &[], &[], &[], true, &cfg2(), &mut buf);
         // No AS4_PATH attribute should be present: scan type codes.
         let mut seen_as4 = false;
@@ -681,7 +680,7 @@ mod tests {
         let mut small = attrs();
         small.aggregator =
             Some(Aggregator { asn: Asn(65_000), router_id: "10.0.0.1".parse().unwrap() });
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_attributes(&small, &[], &[], &[], true, &cfg2(), &mut buf);
         let mut b = &buf[..];
         let mut seen_as4_agg = false;
@@ -728,7 +727,7 @@ mod tests {
         let mut a = attrs();
         a.next_hop = "2001:db8::1".parse().unwrap();
         let v6: Prefix = "2001:db8:beef::/48".parse().unwrap();
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_attributes(&a, &[v6], &[], &[], false, &cfg4(), &mut buf);
         let len = buf.len();
         let d = decode_attributes(&mut &buf[..], len, &cfg4()).unwrap();
@@ -741,7 +740,7 @@ mod tests {
     fn v6_withdrawals_ride_mp_unreach() {
         let a = PathAttributes::default();
         let v6: Prefix = "2001:db8::/32".parse().unwrap();
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_attributes(&a, &[], &[v6], &[], false, &cfg4(), &mut buf);
         let len = buf.len();
         let d = decode_attributes(&mut &buf[..], len, &cfg4()).unwrap();
@@ -756,7 +755,7 @@ mod tests {
             code: 99,
             value: vec![1, 2, 3],
         };
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_attributes(&a, &[], &[], std::slice::from_ref(&raw), true, &cfg4(), &mut buf);
         let len = buf.len();
         let d = decode_attributes(&mut &buf[..], len, &cfg4()).unwrap();
@@ -768,7 +767,7 @@ mod tests {
 
     #[test]
     fn unknown_well_known_rejected() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         buf.put_u8(flags::TRANSITIVE); // well-known (not optional)
         buf.put_u8(77);
         buf.put_u8(1);
@@ -780,7 +779,7 @@ mod tests {
 
     #[test]
     fn bad_origin_value_rejected() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         buf.put_u8(flags::TRANSITIVE);
         buf.put_u8(type_codes::ORIGIN);
         buf.put_u8(1);
@@ -794,7 +793,7 @@ mod tests {
 
     #[test]
     fn truncated_attribute_rejected() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         buf.put_u8(flags::TRANSITIVE);
         buf.put_u8(type_codes::ORIGIN);
         buf.put_u8(5); // claims 5 bytes, provides 1
@@ -808,7 +807,7 @@ mod tests {
 
     #[test]
     fn communities_bad_length_rejected() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         buf.put_u8(flags::OPTIONAL | flags::TRANSITIVE);
         buf.put_u8(type_codes::COMMUNITIES);
         buf.put_u8(3);
@@ -822,7 +821,7 @@ mod tests {
 
     /// `path` encoded 4-octet, without its attribute header.
     fn as_path_body(path: &AsPath) -> Vec<u8> {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_as_path(&mut buf, flags::TRANSITIVE, type_codes::AS_PATH, path, true);
         let header = if buf[0] & flags::EXTENDED_LENGTH != 0 { 4 } else { 3 };
         let body = buf[header..].to_vec();

@@ -3,7 +3,7 @@
 //! Binary encoder/decoder for the BGP message types. Decoders read a
 //! `&mut &[u8]` and take sub-fields as sub-slices of it ([`cursor`]), so
 //! a message is decoded where it lies, with no intermediate buffer and no
-//! reference-counted view; encoders write into a [`bytes::BytesMut`].
+//! reference-counted view; encoders append to a `Vec<u8>` ([`cursor::Put`]).
 //! The MRT crate layers the RouteViews/RIS archive format on top of this
 //! codec, so synthetic archives are bit-compatible with what a real
 //! collector would store.

@@ -1,9 +1,8 @@
 //! Top-level message framing: header, type dispatch, session configuration.
 
-use bytes::{BufMut, BytesMut};
 use kcc_bgp_types::RouteUpdate;
 
-use crate::cursor;
+use crate::cursor::{self, Put};
 use crate::error::WireError;
 use crate::notification::Notification;
 use crate::open::OpenMessage;
@@ -78,7 +77,7 @@ pub struct RouteRefresh {
 
 impl RouteRefresh {
     /// Encodes the 4-byte body.
-    pub fn encode_body(&self, buf: &mut BytesMut) {
+    pub fn encode_body(&self, buf: &mut Vec<u8>) {
         buf.put_u16(self.afi);
         buf.put_u8(0); // reserved
         buf.put_u8(self.safi);
@@ -130,7 +129,7 @@ impl Message {
 /// Writes a frame header with a placeholder length and returns where
 /// the frame starts; [`end_frame`] patches the length once the body is
 /// written behind it.
-fn begin_frame(mtype: MessageType, buf: &mut BytesMut) -> usize {
+fn begin_frame(mtype: MessageType, buf: &mut Vec<u8>) -> usize {
     let start = buf.len();
     buf.put_slice(&[0xFF; 16]);
     buf.put_u16(0);
@@ -139,13 +138,13 @@ fn begin_frame(mtype: MessageType, buf: &mut BytesMut) -> usize {
 }
 
 /// Patches the length field of the frame begun at `start`.
-fn end_frame(start: usize, buf: &mut BytesMut) {
+fn end_frame(start: usize, buf: &mut [u8]) {
     let len = (buf.len() - start) as u16;
     buf[start + 16..start + 18].copy_from_slice(&len.to_be_bytes());
 }
 
 /// Encodes a complete message (header + body) into `buf`.
-pub fn encode_message(msg: &Message, cfg: &SessionConfig, buf: &mut BytesMut) {
+pub fn encode_message(msg: &Message, cfg: &SessionConfig, buf: &mut Vec<u8>) {
     let start = begin_frame(msg.message_type(), buf);
     match msg {
         Message::Open(o) => o.encode_body(buf),
@@ -161,7 +160,7 @@ pub fn encode_message(msg: &Message, cfg: &SessionConfig, buf: &mut BytesMut) {
 /// hot-path variant that avoids cloning the packet into
 /// [`Message::Update`]. Byte-identical to
 /// `encode_message(&Message::Update(packet.clone()), …)`.
-pub fn encode_update(packet: &UpdatePacket, cfg: &SessionConfig, buf: &mut BytesMut) {
+pub fn encode_update(packet: &UpdatePacket, cfg: &SessionConfig, buf: &mut Vec<u8>) {
     let start = begin_frame(MessageType::Update, buf);
     packet.encode_body(cfg, buf);
     end_frame(start, buf);
@@ -170,7 +169,7 @@ pub fn encode_update(packet: &UpdatePacket, cfg: &SessionConfig, buf: &mut Bytes
 /// Encodes one logical update as a complete single-prefix UPDATE message,
 /// with no intermediate packet. Byte-identical to
 /// `encode_update(&UpdatePacket::from_route_update(update), …)`.
-pub fn encode_route_update(update: &RouteUpdate, cfg: &SessionConfig, buf: &mut BytesMut) {
+pub fn encode_route_update(update: &RouteUpdate, cfg: &SessionConfig, buf: &mut Vec<u8>) {
     let start = begin_frame(MessageType::Update, buf);
     let prefix = std::slice::from_ref(&update.prefix);
     match update.attributes() {
@@ -230,14 +229,14 @@ mod tests {
     }
 
     fn roundtrip(m: &Message) -> Message {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_message(m, &cfg(), &mut buf);
         decode_message(&mut &buf[..], &cfg()).unwrap()
     }
 
     #[test]
     fn keepalive_is_19_bytes() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_message(&Message::Keepalive, &cfg(), &mut buf);
         assert_eq!(buf.len(), 19);
         assert_eq!(roundtrip(&Message::Keepalive), Message::Keepalive);
@@ -274,9 +273,9 @@ mod tests {
             ..Default::default()
         };
         let packet = UpdatePacket::announce("10.0.0.0/8".parse().unwrap(), attrs);
-        let mut borrowed = BytesMut::new();
+        let mut borrowed = Vec::new();
         encode_update(&packet, &cfg(), &mut borrowed);
-        let mut owned = BytesMut::new();
+        let mut owned = Vec::new();
         encode_message(&Message::Update(packet), &cfg(), &mut owned);
         assert_eq!(&borrowed[..], &owned[..]);
     }
@@ -285,14 +284,14 @@ mod tests {
     fn route_refresh_roundtrips_via_framing() {
         let m = Message::RouteRefresh(RouteRefresh { afi: 1, safi: 1 });
         assert_eq!(roundtrip(&m), m);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_message(&m, &cfg(), &mut buf);
         assert_eq!(buf.len(), 23, "19-byte header + 4-byte body");
     }
 
     #[test]
     fn route_refresh_bad_length_rejected() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         buf.put_slice(&[0xFF; 16]);
         buf.put_u16(21); // 2 bytes of body, must be 4
         buf.put_u8(5);
@@ -302,7 +301,7 @@ mod tests {
 
     #[test]
     fn bad_marker_rejected() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_message(&Message::Keepalive, &cfg(), &mut buf);
         buf[0] = 0;
         assert_eq!(decode_message(&mut &buf[..], &cfg()), Err(WireError::BadMarker));
@@ -310,7 +309,7 @@ mod tests {
 
     #[test]
     fn bad_length_rejected() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_message(&Message::Keepalive, &cfg(), &mut buf);
         buf[16] = 0xFF;
         buf[17] = 0xFF; // length 65535 > 4096
@@ -319,7 +318,7 @@ mod tests {
 
     #[test]
     fn unknown_type_rejected() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_message(&Message::Keepalive, &cfg(), &mut buf);
         buf[18] = 9;
         assert_eq!(decode_message(&mut &buf[..], &cfg()), Err(WireError::UnknownMessageType(9)));
@@ -327,7 +326,7 @@ mod tests {
 
     #[test]
     fn keepalive_with_body_rejected() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         buf.put_slice(&[0xFF; 16]);
         buf.put_u16(20); // 1 byte of body
         buf.put_u8(4);
@@ -337,7 +336,7 @@ mod tests {
 
     #[test]
     fn truncated_stream_detected() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_message(&Message::Keepalive, &cfg(), &mut buf);
         assert!(matches!(
             decode_message(&mut &buf[..10], &cfg()),
@@ -347,7 +346,7 @@ mod tests {
 
     #[test]
     fn back_to_back_messages_decode_in_order() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_message(&Message::Keepalive, &cfg(), &mut buf);
         let m2 = Message::Update(UpdatePacket::withdraw("10.0.0.0/8".parse().unwrap()));
         encode_message(&m2, &cfg(), &mut buf);

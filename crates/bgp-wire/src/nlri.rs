@@ -7,10 +7,9 @@
 
 use std::net::{Ipv4Addr, Ipv6Addr};
 
-use bytes::BufMut;
 use kcc_bgp_types::Prefix;
 
-use crate::cursor;
+use crate::cursor::{self, Put};
 use crate::error::WireError;
 
 /// Address family identifiers (RFC 4760).
@@ -53,7 +52,7 @@ pub(crate) fn encoded_len(prefix: &Prefix) -> usize {
 }
 
 /// Encodes one prefix into `buf`.
-pub fn encode_prefix<B: BufMut>(prefix: &Prefix, buf: &mut B) {
+pub fn encode_prefix(prefix: &Prefix, buf: &mut Vec<u8>) {
     match prefix {
         Prefix::V4 { addr, len } => {
             buf.put_u8(*len);
@@ -110,11 +109,10 @@ pub fn decode_prefix_run(afi: Afi, buf: &mut &[u8]) -> Result<Vec<Prefix>, WireE
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::BytesMut;
 
     fn roundtrip(p: &str) -> Prefix {
         let prefix: Prefix = p.parse().unwrap();
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_prefix(&prefix, &mut buf);
         let afi = if prefix.is_ipv4() { Afi::Ipv4 } else { Afi::Ipv6 };
         decode_prefix(afi, &mut &buf[..]).unwrap()
@@ -137,18 +135,18 @@ mod tests {
     #[test]
     fn minimal_octets_used() {
         let p: Prefix = "10.0.0.0/8".parse().unwrap();
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_prefix(&p, &mut buf);
         assert_eq!(buf.len(), 2); // 1 length byte + 1 address byte
         let d: Prefix = "0.0.0.0/0".parse().unwrap();
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_prefix(&d, &mut buf);
         assert_eq!(buf.len(), 1);
     }
 
     #[test]
     fn bad_length_rejected() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         buf.put_u8(33);
         buf.put_slice(&[1, 2, 3, 4, 5]);
         assert_eq!(decode_prefix(Afi::Ipv4, &mut &buf[..]), Err(WireError::BadPrefixLength(33)));
@@ -156,7 +154,7 @@ mod tests {
 
     #[test]
     fn truncation_detected() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         buf.put_u8(24);
         buf.put_slice(&[84, 205]); // needs 3 bytes
         assert!(matches!(
@@ -173,7 +171,7 @@ mod tests {
     #[test]
     fn run_decodes_many() {
         let ps = ["84.205.64.0/24", "10.0.0.0/8", "192.0.2.0/25"];
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         for p in ps {
             encode_prefix(&p.parse().unwrap(), &mut buf);
         }

@@ -1,8 +1,6 @@
 //! NOTIFICATION messages (RFC 4271 §4.5).
 
-use bytes::{BufMut, BytesMut};
-
-use crate::cursor;
+use crate::cursor::{self, Put};
 use crate::error::WireError;
 
 /// Top-level NOTIFICATION error codes.
@@ -135,7 +133,7 @@ impl Notification {
     }
 
     /// Encodes the body (without header).
-    pub fn encode_body(&self, buf: &mut BytesMut) {
+    pub fn encode_body(&self, buf: &mut Vec<u8>) {
         buf.put_u8(self.code.code());
         buf.put_u8(self.subcode);
         buf.put_slice(&self.data);
@@ -164,7 +162,7 @@ mod tests {
             subcode: 11,
             data: vec![1, 2, 3],
         };
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         n.encode_body(&mut buf);
         let len = buf.len();
         assert_eq!(Notification::decode_body(&mut &buf[..], len).unwrap(), n);

@@ -2,10 +2,9 @@
 
 use std::net::Ipv4Addr;
 
-use bytes::{BufMut, BytesMut};
 use kcc_bgp_types::Asn;
 
-use crate::cursor;
+use crate::cursor::{self, Put};
 use crate::error::WireError;
 use crate::nlri::Afi;
 use crate::BGP_VERSION;
@@ -80,13 +79,13 @@ impl OpenMessage {
     }
 
     /// Encodes the OPEN body (without the message header).
-    pub fn encode_body(&self, buf: &mut BytesMut) {
+    pub fn encode_body(&self, buf: &mut Vec<u8>) {
         buf.put_u8(BGP_VERSION);
         buf.put_u16(self.asn.to_16bit_wire());
         buf.put_u16(self.hold_time);
         buf.put_slice(&self.bgp_id.octets());
 
-        let mut caps = BytesMut::new();
+        let mut caps = Vec::new();
         for c in &self.capabilities {
             match c {
                 Capability::Multiprotocol { afi, safi } => {
@@ -195,7 +194,7 @@ mod tests {
     use super::*;
 
     fn roundtrip(o: &OpenMessage) -> OpenMessage {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         o.encode_body(&mut buf);
         OpenMessage::decode_body(&mut &buf[..]).unwrap()
     }
@@ -230,7 +229,7 @@ mod tests {
 
     #[test]
     fn bad_version_rejected() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         buf.put_u8(3);
         buf.put_slice(&[0; 9]);
         assert_eq!(OpenMessage::decode_body(&mut &buf[..]), Err(WireError::BadVersion(3)));
@@ -241,7 +240,7 @@ mod tests {
         // RFC 4271 §4.2: hold time 1–2 s is illegal; 0 and ≥3 are fine.
         for (hold, ok) in [(0u16, true), (1, false), (2, false), (3, true), (65_535, true)] {
             let o = OpenMessage::standard(Asn(65_000), "10.0.0.1".parse().unwrap(), hold);
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             o.encode_body(&mut buf);
             let decoded = OpenMessage::decode_body(&mut &buf[..]);
             if ok {

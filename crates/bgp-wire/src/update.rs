@@ -2,11 +2,10 @@
 
 use std::sync::Arc;
 
-use bytes::{BufMut, BytesMut};
 use kcc_bgp_types::{MessageKind, PathAttributes, Prefix, RouteUpdate};
 
 use crate::attr::{decode_attributes, encode_attributes, put_mp_unreach, RawAttribute};
-use crate::cursor;
+use crate::cursor::{self, Put};
 use crate::error::WireError;
 use crate::message::SessionConfig;
 use crate::nlri::{decode_prefix, encode_prefix, Afi};
@@ -83,7 +82,7 @@ impl UpdatePacket {
     }
 
     /// Encodes the UPDATE body (without message header).
-    pub fn encode_body(&self, cfg: &SessionConfig, buf: &mut BytesMut) {
+    pub fn encode_body(&self, cfg: &SessionConfig, buf: &mut Vec<u8>) {
         encode_body_parts(
             &self.withdrawn,
             &self.nlri,
@@ -158,7 +157,7 @@ impl UpdatePacket {
 
 /// Writes `buf[at..at + 2]`, reserved earlier, as the big-endian count
 /// of bytes written after it.
-fn patch_len(buf: &mut BytesMut, at: usize) {
+fn patch_len(buf: &mut [u8], at: usize) {
     let len = (buf.len() - at - 2) as u16;
     buf[at..at + 2].copy_from_slice(&len.to_be_bytes());
 }
@@ -174,7 +173,7 @@ pub(crate) fn encode_body_parts(
     attrs: Option<&PathAttributes>,
     unknown: &[RawAttribute],
     cfg: &SessionConfig,
-    buf: &mut BytesMut,
+    buf: &mut Vec<u8>,
 ) {
     let at = buf.len();
     buf.put_u16(0);
@@ -220,7 +219,7 @@ mod tests {
     }
 
     fn roundtrip(p: &UpdatePacket) -> UpdatePacket {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         p.encode_body(&cfg(), &mut buf);
         let len = buf.len();
         UpdatePacket::decode_body(&mut &buf[..], len, &cfg()).unwrap()
@@ -294,7 +293,7 @@ mod tests {
     #[test]
     fn missing_mandatory_attr_detected() {
         // Hand-craft: NLRI present but no attributes at all.
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         buf.put_u16(0); // withdrawn len
         buf.put_u16(0); // attr len
         encode_prefix(&"10.0.0.0/8".parse().unwrap(), &mut buf);

@@ -2,9 +2,9 @@
 
 use std::net::IpAddr;
 
-use bytes::{BufMut, BytesMut};
 use kcc_bgp_types::Asn;
-use kcc_bgp_wire::{cursor, decode_message, encode_message, Message, SessionConfig};
+use kcc_bgp_wire::cursor::{self, Put};
+use kcc_bgp_wire::{decode_message, encode_message, Message, SessionConfig};
 
 use crate::error::MrtError;
 use crate::record::MrtTimestamp;
@@ -105,7 +105,7 @@ pub struct Bgp4mpStateChange {
     pub new_state: BgpState,
 }
 
-fn put_ip_pair<B: BufMut>(buf: &mut B, peer: IpAddr, local: IpAddr) -> Result<(), MrtError> {
+fn put_ip_pair(buf: &mut Vec<u8>, peer: IpAddr, local: IpAddr) -> Result<(), MrtError> {
     match (peer, local) {
         (IpAddr::V4(p), IpAddr::V4(l)) => {
             buf.put_u16(1); // AFI IPv4
@@ -173,7 +173,7 @@ impl Bgp4mpMessage {
 
     /// Encodes the record body (everything after the MRT header) with the
     /// auto-selected [`Bgp4mpMessage::subtype`].
-    pub fn encode_body(&self, buf: &mut BytesMut) -> Result<(), MrtError> {
+    pub fn encode_body(&self, buf: &mut Vec<u8>) -> Result<(), MrtError> {
         self.encode_body_as(self.subtype(), buf)
     }
 
@@ -184,7 +184,7 @@ impl Bgp4mpMessage {
     /// **not** truncated with `as u16` (which encoded AS 196608 as AS 0)
     /// — mirroring the AS_PATH/AS4_PATH and AGGREGATOR/AS4_AGGREGATOR
     /// handling in `kcc_bgp_wire`.
-    pub(crate) fn encode_body_as(&self, subtype: u16, buf: &mut BytesMut) -> Result<(), MrtError> {
+    pub(crate) fn encode_body_as(&self, subtype: u16, buf: &mut Vec<u8>) -> Result<(), MrtError> {
         let as4 = subtype == subtypes::MESSAGE_AS4;
         if as4 {
             buf.put_u32(self.peer_asn.value());
@@ -231,7 +231,7 @@ impl Bgp4mpStateChange {
 
     /// Encodes the record body with the auto-selected
     /// [`Bgp4mpStateChange::subtype`].
-    pub fn encode_body(&self, buf: &mut BytesMut) -> Result<(), MrtError> {
+    pub fn encode_body(&self, buf: &mut Vec<u8>) -> Result<(), MrtError> {
         self.encode_body_as(self.subtype(), buf)
     }
 
@@ -239,7 +239,7 @@ impl Bgp4mpStateChange {
     /// [`Bgp4mpMessage::encode_body_as`], 4-octet ASNs on the 2-octet
     /// `STATE_CHANGE` form become `AS_TRANS` (RFC 6793 §4.2.2) instead of
     /// being truncated.
-    pub(crate) fn encode_body_as(&self, subtype: u16, buf: &mut BytesMut) -> Result<(), MrtError> {
+    pub(crate) fn encode_body_as(&self, subtype: u16, buf: &mut Vec<u8>) -> Result<(), MrtError> {
         let as4 = subtype == subtypes::STATE_CHANGE_AS4;
         if as4 {
             buf.put_u32(self.peer_asn.value());
@@ -320,7 +320,7 @@ mod tests {
     fn message_roundtrip_16bit() {
         let m = sample_message(20_205);
         assert_eq!(m.subtype(), subtypes::MESSAGE);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         m.encode_body(&mut buf).unwrap();
         let d = Bgp4mpMessage::decode_body(m.timestamp, m.subtype(), &buf).unwrap();
         assert_eq!(d, m);
@@ -330,7 +330,7 @@ mod tests {
     fn message_roundtrip_as4() {
         let m = sample_message(196_615);
         assert_eq!(m.subtype(), subtypes::MESSAGE_AS4);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         m.encode_body(&mut buf).unwrap();
         let d = Bgp4mpMessage::decode_body(m.timestamp, m.subtype(), &buf).unwrap();
         assert_eq!(d, m);
@@ -343,7 +343,7 @@ mod tests {
     #[test]
     fn two_octet_message_collapses_big_asn_to_as_trans() {
         let m = sample_message(196_608); // 0x30000: `as u16` truncates to 0
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         m.encode_body_as(subtypes::MESSAGE, &mut buf).unwrap();
         let d = Bgp4mpMessage::decode_body(m.timestamp, subtypes::MESSAGE, &buf).unwrap();
         assert_eq!(
@@ -370,7 +370,7 @@ mod tests {
             old_state: BgpState::Established,
             new_state: BgpState::Idle,
         };
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         s.encode_body_as(subtypes::STATE_CHANGE, &mut buf).unwrap();
         let d = Bgp4mpStateChange::decode_body(s.timestamp, subtypes::STATE_CHANGE, &buf).unwrap();
         assert_eq!(d.peer_asn, kcc_bgp_types::asn::AS_TRANS);
@@ -382,7 +382,7 @@ mod tests {
         let mut m = sample_message(20_205);
         m.peer_ip = "2001:db8::99".parse().unwrap();
         m.local_ip = "2001:db8::1".parse().unwrap();
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         m.encode_body(&mut buf).unwrap();
         let d = Bgp4mpMessage::decode_body(m.timestamp, m.subtype(), &buf).unwrap();
         assert_eq!(d.peer_ip, m.peer_ip);
@@ -392,7 +392,7 @@ mod tests {
     fn mixed_family_rejected() {
         let mut m = sample_message(20_205);
         m.peer_ip = "2001:db8::99".parse().unwrap();
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         assert!(matches!(m.encode_body(&mut buf), Err(MrtError::BadField { .. })));
     }
 
@@ -408,7 +408,7 @@ mod tests {
             old_state: BgpState::Established,
             new_state: BgpState::Idle,
         };
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         s.encode_body(&mut buf).unwrap();
         let d = Bgp4mpStateChange::decode_body(s.timestamp, s.subtype(), &buf).unwrap();
         assert_eq!(d, s);
@@ -426,9 +426,8 @@ mod tests {
             old_state: BgpState::Established,
             new_state: BgpState::Idle,
         };
-        let mut buf = BytesMut::new();
-        s.encode_body(&mut buf).unwrap();
-        let mut raw = buf.to_vec();
+        let mut raw = Vec::new();
+        s.encode_body(&mut raw).unwrap();
         let n = raw.len();
         raw[n - 1] = 99; // corrupt new_state
         assert!(matches!(

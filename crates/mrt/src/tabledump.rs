@@ -2,11 +2,11 @@
 
 use std::net::{IpAddr, Ipv4Addr};
 
-use bytes::{BufMut, BytesMut};
 use kcc_bgp_types::{Asn, PathAttributes, Prefix};
 use kcc_bgp_wire::attr::{decode_attributes, encode_attributes};
+use kcc_bgp_wire::cursor::{self, Put};
 use kcc_bgp_wire::nlri::{decode_prefix, encode_prefix, Afi};
-use kcc_bgp_wire::{cursor, SessionConfig};
+use kcc_bgp_wire::SessionConfig;
 
 use crate::error::MrtError;
 use crate::record::MrtTimestamp;
@@ -72,7 +72,7 @@ pub struct RibSnapshot {
 
 impl PeerIndexTable {
     /// Encodes the record body.
-    pub fn encode_body(&self, buf: &mut BytesMut) -> Result<(), MrtError> {
+    pub fn encode_body(&self, buf: &mut Vec<u8>) -> Result<(), MrtError> {
         buf.put_slice(&self.collector_id.octets());
         buf.put_u16(self.view_name.len() as u16);
         buf.put_slice(self.view_name.as_bytes());
@@ -161,7 +161,7 @@ impl RibSnapshot {
 
     /// Encodes the record body. RIB attribute blocks always use 4-octet
     /// ASNs (RFC 6396 §4.3.4).
-    pub fn encode_body(&self, buf: &mut BytesMut) -> Result<(), MrtError> {
+    pub fn encode_body(&self, buf: &mut Vec<u8>) -> Result<(), MrtError> {
         buf.put_u32(self.sequence);
         encode_prefix(&self.prefix, buf);
         buf.put_u16(self.entries.len() as u16);
@@ -169,7 +169,7 @@ impl RibSnapshot {
         for e in &self.entries {
             buf.put_u16(e.peer_index);
             buf.put_u32(e.originated_time);
-            let mut attrs = BytesMut::new();
+            let mut attrs = Vec::new();
             let include_next_hop = self.prefix.is_ipv4();
             encode_attributes(&e.attrs, &[], &[], &[], include_next_hop, &cfg, &mut attrs);
             // IPv6 entries carry their next hop in a next-hop-only
@@ -249,7 +249,7 @@ mod tests {
     #[test]
     fn peer_index_roundtrip() {
         let t = peer_table();
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         t.encode_body(&mut buf).unwrap();
         let d = PeerIndexTable::decode_body(t.timestamp, &buf).unwrap();
         assert_eq!(d, t);
@@ -269,7 +269,7 @@ mod tests {
             entries: vec![RibEntry { peer_index: 0, originated_time: 1_584_000_000, attrs }],
         };
         assert_eq!(r.subtype(), subtypes::RIB_IPV4_UNICAST);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         r.encode_body(&mut buf).unwrap();
         let d = RibSnapshot::decode_body(r.timestamp, r.subtype(), &buf).unwrap();
         assert_eq!(d, r);
@@ -289,7 +289,7 @@ mod tests {
             entries: vec![RibEntry { peer_index: 3, originated_time: 99, attrs }],
         };
         assert_eq!(r.subtype(), subtypes::RIB_IPV6_UNICAST);
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         r.encode_body(&mut buf).unwrap();
         let d = RibSnapshot::decode_body(r.timestamp, r.subtype(), &buf).unwrap();
         assert_eq!(d, r);
@@ -303,7 +303,7 @@ mod tests {
             prefix: "10.0.0.0/8".parse().unwrap(),
             entries: vec![],
         };
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         r.encode_body(&mut buf).unwrap();
         let d = RibSnapshot::decode_body(r.timestamp, r.subtype(), &buf).unwrap();
         assert!(d.entries.is_empty());
@@ -312,7 +312,7 @@ mod tests {
     #[test]
     fn truncated_peer_table_rejected() {
         let t = peer_table();
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         t.encode_body(&mut buf).unwrap();
         let short = &buf[..buf.len() - 3];
         assert!(matches!(

@@ -2,7 +2,7 @@
 
 use std::io::Write;
 
-use bytes::{BufMut, BytesMut};
+use kcc_bgp_wire::cursor::Put;
 
 use crate::error::MrtError;
 use crate::record::MrtRecord;
@@ -39,7 +39,7 @@ impl<W: Write> MrtWriter<W> {
     /// Writes one record.
     pub fn write_record(&mut self, record: &MrtRecord) -> Result<(), MrtError> {
         let ts = record.timestamp();
-        let mut body = BytesMut::new();
+        let mut body = Vec::new();
         let (mrt_type, subtype) = match record {
             MrtRecord::Message(m) => {
                 m.encode_body(&mut body)?;
@@ -61,7 +61,7 @@ impl<W: Write> MrtWriter<W> {
             }
         };
 
-        let mut header = BytesMut::with_capacity(16);
+        let mut header = Vec::with_capacity(16);
         header.put_u32(ts.seconds);
         header.put_u16(mrt_type);
         header.put_u16(subtype);

@@ -22,7 +22,6 @@ use std::sync::mpsc::{self, Receiver};
 use std::sync::Arc;
 use std::time::Duration;
 
-use bytes::BytesMut;
 use kcc_bgp_wire::{
     encode_message, encode_update, Message, Notification, SessionConfig, UpdatePacket, WireError,
 };
@@ -101,7 +100,7 @@ pub(crate) fn write_message(
     message: &Message,
     cfg: &SessionConfig,
 ) -> std::io::Result<()> {
-    let mut buf = BytesMut::new();
+    let mut buf = Vec::new();
     encode_message(message, cfg, &mut buf);
     stream.write_all(&buf)
 }
@@ -220,7 +219,7 @@ impl ActiveSpeaker {
     /// Sends one UPDATE with the negotiated encoding.
     pub fn send_update(&mut self, packet: &UpdatePacket) -> Result<(), PeerError> {
         self.check_peer()?;
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_update(packet, &self.info.config, &mut buf);
         (&self.stream).write_all(&buf)?;
         // Any message we send proves our liveness to the peer.
@@ -314,8 +313,8 @@ mod tests {
     use std::net::{Shutdown, TcpListener};
     use std::time::Instant;
 
-    fn wire(messages: &[Message]) -> BytesMut {
-        let mut out = BytesMut::new();
+    fn wire(messages: &[Message]) -> Vec<u8> {
+        let mut out = Vec::new();
         for m in messages {
             encode_message(m, &SessionConfig::default(), &mut out);
         }

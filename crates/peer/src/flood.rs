@@ -35,7 +35,6 @@ use std::os::fd::AsRawFd;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bytes::{Bytes, BytesMut};
 use kcc_bgp_wire::{encode_route_update, Message, Notification, SessionConfig};
 use kcc_collector::UpdateArchive;
 
@@ -49,7 +48,7 @@ use crate::sys::{PollEvent, Poller};
 struct PlanSession {
     cfg: FsmConfig,
     /// The session's UPDATEs as back-to-back 4-octet-AS frames.
-    wire: Bytes,
+    wire: Arc<[u8]>,
     updates: u64,
 }
 
@@ -90,14 +89,17 @@ impl FloodPlan {
         let sessions = archive
             .sessions()
             .map(|(key, rec)| {
-                let mut wire = BytesMut::new();
+                let mut wire = Vec::new();
                 for update in &rec.updates {
                     encode_route_update(update, &four_octet, &mut wire);
                 }
                 PlanSession {
                     cfg: FsmConfig::new(key.peer_asn, bgp_id_for(key.peer_ip))
                         .with_hold_time(hold_time),
-                    wire: wire.freeze(),
+                    // Shrunk before the copy into the shared allocation:
+                    // converting the grown `Vec` directly raised
+                    // live-flood's peak RSS by about 5%.
+                    wire: wire.into_boxed_slice().into(),
                     updates: rec.updates.len() as u64,
                 }
             })
@@ -149,7 +151,7 @@ struct FloodPeer {
     write_cfg: SessionConfig,
     /// The planned frames, shared with the plan, and how far into them
     /// the write queue has been fed.
-    wire: Bytes,
+    wire: Arc<[u8]>,
     fed: usize,
     updates_sent: u64,
     established: bool,
@@ -307,7 +309,7 @@ impl FloodRig {
             frames: FrameBuffer::new(SessionConfig::default(), true),
             writes: WriteQueue::new(self.options.write_queue_cap),
             write_cfg: SessionConfig::default(),
-            wire: session.wire.clone(),
+            wire: Arc::clone(&session.wire),
             fed: 0,
             updates_sent: 0,
             established: false,

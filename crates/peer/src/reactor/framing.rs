@@ -26,15 +26,74 @@
 
 use std::io::{ErrorKind, Write};
 
-use bytes::{Buf, BytesMut};
 use kcc_bgp_wire::{
     decode_message, encode_message, Message, SessionConfig, WireError, HEADER_LEN, MAX_MESSAGE_LEN,
 };
 
+/// A byte FIFO: appends land at the back, reads consume the front.
+///
+/// It reuses its consumed front when it needs room, so its capacity
+/// tracks what is unread, not what ever passed through it: a fully read
+/// buffer starts over at the front, and when the room at the back is
+/// short and the read part is at least as large as the unread tail, the
+/// tail moves to the front (a copy no larger than what was read since
+/// the last move).
+#[derive(Debug, Default)]
+struct Fifo {
+    buf: Vec<u8>,
+    /// How much of `buf` has been consumed.
+    read: usize,
+}
+
+impl Fifo {
+    /// The unread bytes.
+    fn unread(&self) -> &[u8] {
+        &self.buf[self.read..]
+    }
+
+    /// How many bytes are unread.
+    fn len(&self) -> usize {
+        self.buf.len() - self.read
+    }
+
+    /// Consumes the first `n` unread bytes.
+    fn consume(&mut self, n: usize) {
+        assert!(n <= self.len(), "consumed {n} of {} unread bytes", self.len());
+        self.read += n;
+    }
+
+    /// Makes room for `additional` bytes at the back, reusing the
+    /// consumed front first, and returns the buffer to append them to.
+    fn reserve(&mut self, additional: usize) -> &mut Vec<u8> {
+        if self.read == self.buf.len() {
+            self.buf.clear();
+            self.read = 0;
+        }
+        if self.buf.capacity() - self.buf.len() < additional {
+            if self.read > 0 && self.read >= self.len() {
+                self.buf.drain(..self.read);
+                self.read = 0;
+            }
+            self.buf.reserve(additional);
+        }
+        &mut self.buf
+    }
+
+    /// Appends `bytes`.
+    fn push(&mut self, bytes: &[u8]) {
+        self.reserve(bytes.len()).extend_from_slice(bytes);
+    }
+
+    /// Shortens the unread bytes to `len`.
+    fn truncate(&mut self, len: usize) {
+        self.buf.truncate(self.read + len);
+    }
+}
+
 /// Accumulates stream bytes and yields complete decoded messages.
 #[derive(Debug)]
 pub struct FrameBuffer {
-    buf: BytesMut,
+    buf: Fifo,
     cfg: SessionConfig,
     /// Whether we announced the 4-octet capability (the negotiated width
     /// is the AND of both sides).
@@ -45,7 +104,7 @@ impl FrameBuffer {
     /// An empty buffer. `cfg` seeds the decode configuration until the
     /// peer's OPEN re-derives the AS width.
     pub fn new(cfg: SessionConfig, we_offer_four_octet: bool) -> Self {
-        FrameBuffer { buf: BytesMut::new(), cfg, we_offer_four_octet }
+        FrameBuffer { buf: Fifo::default(), cfg, we_offer_four_octet }
     }
 
     /// The current decode configuration.
@@ -55,7 +114,7 @@ impl FrameBuffer {
 
     /// Appends bytes read from the stream, in arrival order.
     pub fn extend(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
+        self.buf.push(bytes);
     }
 
     /// Bytes buffered but not yet consumed by a complete message.
@@ -68,22 +127,23 @@ impl FrameBuffer {
     ///
     /// [`extend`]: FrameBuffer::extend
     pub fn next_message(&mut self) -> Result<Option<Message>, WireError> {
-        if self.buf.len() < HEADER_LEN {
+        let unread = self.buf.unread();
+        if unread.len() < HEADER_LEN {
             return Ok(None);
         }
-        let len = u16::from_be_bytes([self.buf[16], self.buf[17]]) as usize;
+        let len = u16::from_be_bytes([unread[16], unread[17]]) as usize;
         if !(HEADER_LEN..=MAX_MESSAGE_LEN).contains(&len) {
             return Err(WireError::BadLength(len as u16));
         }
-        if self.buf.len() < len {
+        if unread.len() < len {
             return Ok(None);
         }
-        let mut frame = &self.buf[..len];
+        let mut frame = &unread[..len];
         let decoded = decode_message(&mut frame, &self.cfg).and_then(|message| match frame {
             [] => Ok(message),
             _ => Err(WireError::BadLength(len as u16)),
         });
-        self.buf.advance(len);
+        self.buf.consume(len);
         let message = decoded?;
         if let Message::Open(open) = &message {
             self.cfg.four_octet_as = self.we_offer_four_octet && open.supports_four_octet();
@@ -126,19 +186,19 @@ pub enum FlushOutcome {
 /// flush picks it up.
 #[derive(Debug)]
 pub struct WriteQueue {
-    buf: BytesMut,
+    buf: Fifo,
     cap: usize,
 }
 
 impl WriteQueue {
     /// An empty queue that refuses to grow past `cap` bytes.
     pub fn new(cap: usize) -> Self {
-        WriteQueue { buf: BytesMut::new(), cap }
+        WriteQueue { buf: Fifo::default(), cap }
     }
 
     /// True when nothing is waiting to be written.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.buf.len() == 0
     }
 
     /// Bytes queued but not yet written.
@@ -153,14 +213,16 @@ impl WriteQueue {
         cfg: &SessionConfig,
     ) -> Result<(), WriteOverflow> {
         let queued = self.buf.len();
-        encode_message(message, cfg, &mut self.buf);
+        // Room for the largest message first, so the FIFO reuses its
+        // consumed front before the frame is written, not under it.
+        encode_message(message, cfg, self.buf.reserve(MAX_MESSAGE_LEN));
         self.admit(queued)
     }
 
     /// Queues already-encoded bytes (whole frames).
     pub fn push(&mut self, frames: &[u8]) -> Result<(), WriteOverflow> {
         let queued = self.buf.len();
-        self.buf.extend_from_slice(frames);
+        self.buf.push(frames);
         self.admit(queued)
     }
 
@@ -178,15 +240,15 @@ impl WriteQueue {
     /// [`FlushOutcome::Pending`] on `WouldBlock` with the position saved
     /// for resumption; propagates any other I/O error.
     pub fn flush<W: Write>(&mut self, w: &mut W) -> std::io::Result<FlushOutcome> {
-        while !self.buf.is_empty() {
-            match w.write(&self.buf) {
+        while self.buf.len() > 0 {
+            match w.write(self.buf.unread()) {
                 Ok(0) => {
                     return Err(std::io::Error::new(
                         ErrorKind::WriteZero,
                         "socket accepted zero bytes",
                     ))
                 }
-                Ok(n) => self.buf.advance(n),
+                Ok(n) => self.buf.consume(n),
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(FlushOutcome::Pending),
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
@@ -217,11 +279,11 @@ mod tests {
 
     fn wire(messages: &[Message]) -> Vec<u8> {
         let cfg = SessionConfig::default();
-        let mut out = BytesMut::new();
+        let mut out = Vec::new();
         for m in messages {
             encode_message(m, &cfg, &mut out);
         }
-        out.to_vec()
+        out
     }
 
     #[test]
@@ -257,7 +319,7 @@ mod tests {
         let update = Message::Update(UpdatePacket::announce("10.0.0.0/8".parse().unwrap(), attrs));
         let mut bytes = wire(std::slice::from_ref(&open));
         let two_octet = SessionConfig { four_octet_as: false };
-        let mut upd = BytesMut::new();
+        let mut upd = Vec::new();
         encode_message(&update, &two_octet, &mut upd);
         bytes.extend_from_slice(&upd);
 
@@ -343,7 +405,8 @@ mod tests {
                 keepalives += 1;
             }
             assert!(fb.buffered() < HEADER_LEN);
-            assert!(fb.buf.capacity() <= 128 * 1024, "capacity {} grew", fb.buf.capacity());
+            let capacity = fb.buf.buf.capacity();
+            assert!(capacity <= 128 * 1024, "capacity {capacity} grew");
         }
         assert_eq!(keepalives, 64 * 1024 * 1024 / HEADER_LEN);
     }
@@ -396,5 +459,42 @@ mod tests {
         assert!(q.push(&[0; 14]).is_err());
         q.push(&[0; 13]).unwrap();
         assert_eq!(q.queued(), 32);
+    }
+
+    #[test]
+    fn fifo_reuses_its_consumed_prefix() {
+        let mut fifo = Fifo::default();
+        let chunk = [7u8; 1000];
+        let mut next = 0u8;
+        for round in 0..10_000usize {
+            fifo.push(&chunk);
+            // Read all but a ragged tail, like a framer leaving a partial
+            // frame behind.
+            let keep = round % 300;
+            fifo.consume(fifo.len() - keep);
+            fifo.push(&[next]);
+            assert_eq!(fifo.unread().last(), Some(&next), "appends land at the tail");
+            next = next.wrapping_add(1);
+        }
+        let capacity = fifo.buf.capacity();
+        assert!(capacity <= 4 * chunk.len(), "capacity {capacity} grew with traffic");
+        fifo.consume(fifo.len());
+        fifo.push(b"abc");
+        assert_eq!((fifo.read, fifo.unread()), (0, &b"abc"[..]), "a fully read FIFO starts over");
+    }
+
+    #[test]
+    fn reuse_keeps_the_unread_bytes() {
+        let mut fifo = Fifo { buf: Vec::with_capacity(8), read: 0 };
+        fifo.push(b"0123456");
+        fifo.consume(5);
+        fifo.push(b"789abc");
+        assert_eq!(
+            (fifo.read, fifo.unread()),
+            (0, &b"56789abc"[..]),
+            "the tail moved to the front"
+        );
+        fifo.truncate(3);
+        assert_eq!(fifo.unread(), b"567");
     }
 }

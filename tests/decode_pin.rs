@@ -263,7 +263,7 @@ fn message_shapes() -> Vec<Message> {
 /// they cannot see a re-encoding that decodes equal; this one can.
 #[test]
 fn encoded_bytes_are_pinned() {
-    let mut wire = bytes::BytesMut::new();
+    let mut wire = Vec::new();
     for four_octet_as in [true, false] {
         for message in message_shapes() {
             encode_message(&message, &SessionConfig { four_octet_as }, &mut wire);

@@ -235,7 +235,7 @@ proptest! {
         }
         let cfg = SessionConfig::default();
         let msg = Message::Update(UpdatePacket::announce(prefix, attrs));
-        let mut buf = bytes::BytesMut::new();
+        let mut buf = Vec::new();
         encode_message(&msg, &cfg, &mut buf);
         let decoded = decode_message(&mut &buf[..], &cfg).expect("decode");
         prop_assert_eq!(decoded, msg);
@@ -254,7 +254,7 @@ proptest! {
             "10.0.0.0/8".parse().unwrap(),
             attrs.clone(),
         ));
-        let mut buf = bytes::BytesMut::new();
+        let mut buf = Vec::new();
         encode_message(&msg, &cfg, &mut buf);
         let decoded = decode_message(&mut &buf[..], &cfg).expect("decode");
         if let Message::Update(p) = decoded {
@@ -418,14 +418,13 @@ proptest! {
         }
         let cfg = SessionConfig::default();
         let msg = Message::Update(UpdatePacket::announce(prefix, attrs));
-        let mut first = bytes::BytesMut::new();
+        let mut first = Vec::new();
         encode_message(&msg, &cfg, &mut first);
-        let first = first.freeze();
         let decoded = decode_message(&mut &first[..], &cfg).expect("decode");
         prop_assert_eq!(&decoded, &msg);
-        let mut second = bytes::BytesMut::new();
+        let mut second = Vec::new();
         encode_message(&decoded, &cfg, &mut second);
-        prop_assert_eq!(second.freeze(), first);
+        prop_assert_eq!(second, first);
     }
 
     /// Withdrawals round-trip for both address families.
@@ -433,7 +432,7 @@ proptest! {
     fn wire_roundtrip_withdrawal(prefix in arb_prefix()) {
         let cfg = SessionConfig::default();
         let msg = Message::Update(UpdatePacket::withdraw(prefix));
-        let mut buf = bytes::BytesMut::new();
+        let mut buf = Vec::new();
         encode_message(&msg, &cfg, &mut buf);
         let decoded = decode_message(&mut &buf[..], &cfg).expect("decode");
         prop_assert_eq!(decoded, msg);
@@ -547,18 +546,18 @@ proptest! {
             bgp_id: std::net::Ipv4Addr::from(bgp_id),
             capabilities,
         };
-        let mut first = bytes::BytesMut::new();
+        let mut first = Vec::new();
         open.encode_body(&mut first);
         let decoded = OpenMessage::decode_body(&mut &first[..])
             .expect("legal OPEN must decode");
         prop_assert_eq!(decoded.hold_time, hold_time);
         prop_assert_eq!(&decoded.capabilities, &open.capabilities);
-        let mut second = bytes::BytesMut::new();
+        let mut second = Vec::new();
         decoded.encode_body(&mut second);
-        let mut third_src = bytes::BytesMut::new();
+        let mut third_src = Vec::new();
         open.encode_body(&mut third_src);
         // Re-encoding the decoded OPEN must reproduce the bytes exactly.
-        prop_assert_eq!(second.freeze().to_vec(), third_src.freeze().to_vec());
+        prop_assert_eq!(second, third_src);
     }
 
     /// The classifier's incremental memory account is exact: after every
@@ -678,7 +677,7 @@ proptest! {
             bgp_id: "192.0.2.1".parse().unwrap(),
             capabilities,
         };
-        let mut buf = bytes::BytesMut::new();
+        let mut buf = Vec::new();
         open.encode_body(&mut buf);
         prop_assert_eq!(
             OpenMessage::decode_body(&mut &buf[..]),
@@ -721,9 +720,9 @@ proptest! {
             RouteUpdate::withdraw(7, prefix)
         };
         let cfg = SessionConfig { four_octet_as };
-        let mut direct = bytes::BytesMut::new();
+        let mut direct = Vec::new();
         encode_route_update(&update, &cfg, &mut direct);
-        let mut via_packet = bytes::BytesMut::new();
+        let mut via_packet = Vec::new();
         encode_update(&UpdatePacket::from_route_update(&update), &cfg, &mut via_packet);
         prop_assert_eq!(&direct[..], &via_packet[..]);
     }
@@ -749,7 +748,7 @@ fn pinned_wire(cfg: &SessionConfig) -> Vec<u8> {
     gen_cfg.universe.n_prefixes_v6 = 100;
     gen_cfg.universe.n_sessions = 12;
     let day = generate_mar20(&gen_cfg).archive;
-    let mut buf = bytes::BytesMut::new();
+    let mut buf = Vec::new();
     for (_, rec) in day.sessions() {
         for update in &rec.updates {
             encode_update(&UpdatePacket::from_route_update(update), cfg, &mut buf);
@@ -803,7 +802,7 @@ fn pinned_wire(cfg: &SessionConfig) -> Vec<u8> {
     ] {
         encode_message(&message, cfg, &mut buf);
     }
-    buf.to_vec()
+    buf
 }
 
 /// The encoder's bytes, pinned: a rewrite of any encode path must leave
@@ -1318,7 +1317,7 @@ fn wire_round_trip(path: AsPath, four_octet_as: bool) -> AsPath {
         ..Default::default()
     };
     let cfg = SessionConfig { four_octet_as };
-    let mut buf = bytes::BytesMut::new();
+    let mut buf = Vec::new();
     encode_attributes(&attrs, &[], &[], &[], true, &cfg, &mut buf);
     let len = buf.len();
     decode_attributes(&mut &buf[..], len, &cfg).expect("decode").attrs.as_path
@@ -1480,9 +1479,9 @@ fn arb_byte_count() -> impl Strategy<Value = usize> {
 
 /// `message`'s frame under the default session configuration.
 fn frame_of(message: &Message) -> Vec<u8> {
-    let mut buf = bytes::BytesMut::new();
+    let mut buf = Vec::new();
     encode_message(message, &SessionConfig::default(), &mut buf);
-    buf.to_vec()
+    buf
 }
 
 /// The length field of the frame at the front of `queue`, once its

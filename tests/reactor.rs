@@ -1,6 +1,7 @@
-//! Reactor-path integration tests: resumable framing under arbitrary
-//! byte fragmentation (proptest), FSM timers firing under message
-//! flood, and back-pressure from a stalled consumer.
+//! Reactor-path integration tests: FSM timers firing under message
+//! flood, and back-pressure from a stalled consumer. (Framing under
+//! arbitrary fragmentation and short writes is a property in
+//! `tests/props.rs`.)
 
 use std::io::{Read, Write};
 use std::net::{Ipv4Addr, TcpStream};
@@ -8,128 +9,16 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
-use proptest::collection::vec;
-use proptest::prelude::*;
-
 use keep_communities_clean::collector::{SourceItem, UpdateSource, LIVE_RING_ITEMS};
-use keep_communities_clean::peer::reactor::framing::{FlushOutcome, FrameBuffer, WriteQueue};
+use keep_communities_clean::peer::reactor::framing::FrameBuffer;
 use keep_communities_clean::peer::{
     ActiveSpeaker, Collector, CollectorConfig, FsmConfig, ManualClock, PeerError, StampMode,
 };
-use keep_communities_clean::types::{AsPath, Asn, PathAttributes, Prefix};
+use keep_communities_clean::types::{Asn, PathAttributes, Prefix};
 use keep_communities_clean::wire::{
     encode_message, Message, Notification, NotificationCode, OpenMessage, SessionConfig,
     UpdatePacket,
 };
-
-// ---------------------------------------------------------------------
-// Proptests: resumable framing.
-// ---------------------------------------------------------------------
-
-fn arb_message() -> impl Strategy<Value = Message> {
-    let arb_update =
-        (any::<u32>(), 8u8..=24, vec(1u32..65_000, 1..4)).prop_map(|(addr, len, path)| {
-            let prefix = Prefix::v4(Ipv4Addr::from(addr), len).expect("valid v4 length");
-            let attrs = PathAttributes {
-                as_path: AsPath::from_asns(path.into_iter().map(Asn)),
-                next_hop: "192.0.2.1".parse().unwrap(),
-                ..Default::default()
-            };
-            Message::Update(UpdatePacket::announce(prefix, attrs))
-        });
-    let arb_withdraw = (any::<u32>(), 8u8..=24).prop_map(|(addr, len)| {
-        let prefix = Prefix::v4(Ipv4Addr::from(addr), len).expect("valid v4 length");
-        Message::Update(UpdatePacket::withdraw(prefix))
-    });
-    prop_oneof![
-        Just(Message::Keepalive),
-        arb_update,
-        arb_withdraw,
-        Just(Message::Notification(Notification::cease_admin_shutdown())),
-    ]
-}
-
-proptest! {
-    /// However a TCP stream fragments — down to single bytes, across
-    /// arbitrary chunk boundaries — the frame buffer reassembles the
-    /// exact message sequence.
-    #[test]
-    fn fragmented_stream_reassembles_byte_identical_messages(
-        messages in vec(arb_message(), 1..20),
-        cuts in vec(1usize..64, 1..40),
-    ) {
-        let cfg = SessionConfig::default();
-        let mut wire = bytes::BytesMut::new();
-        for m in &messages {
-            encode_message(m, &cfg, &mut wire);
-        }
-        let wire = wire.to_vec();
-
-        let mut fb = FrameBuffer::new(cfg, true);
-        let mut decoded = Vec::new();
-        let mut offset = 0;
-        let mut cut_iter = cuts.iter().cycle();
-        while offset < wire.len() {
-            let take = (*cut_iter.next().unwrap()).min(wire.len() - offset);
-            fb.extend(&wire[offset..offset + take]);
-            offset += take;
-            while let Some(m) = fb.next_message().expect("valid stream decodes") {
-                decoded.push(m);
-            }
-        }
-        prop_assert_eq!(decoded, messages);
-        // No residual bytes after the last frame.
-        prop_assert_eq!(fb.buffered(), 0);
-    }
-
-    /// A write queue flushed through a socket that accepts arbitrary
-    /// partial writes (and interleaves WouldBlock) emits a byte stream
-    /// identical to a single blocking write.
-    #[test]
-    fn write_queue_partial_writes_emit_byte_identical_stream(
-        messages in vec(arb_message(), 1..16),
-        accepts in vec(1usize..40, 1..30),
-        block_mask in any::<u64>(),
-    ) {
-        struct FickleWriter {
-            out: Vec<u8>,
-            accepts: Vec<usize>,
-            mask: u64,
-            calls: u32,
-        }
-        impl std::io::Write for FickleWriter {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                let call = self.calls as usize;
-                self.calls += 1;
-                if self.mask >> (call % 64) & 1 == 1 {
-                    return Err(std::io::ErrorKind::WouldBlock.into());
-                }
-                let n = self.accepts[call % self.accepts.len()].min(buf.len());
-                self.out.extend_from_slice(&buf[..n]);
-                Ok(n)
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-
-        let cfg = SessionConfig::default();
-        let mut expected = bytes::BytesMut::new();
-        let mut q = WriteQueue::new(1 << 20);
-        for m in &messages {
-            encode_message(m, &cfg, &mut expected);
-            q.push_message(m, &cfg).expect("under cap");
-        }
-        let mut w = FickleWriter { out: Vec::new(), accepts, mask: block_mask, calls: 0 };
-        let mut rounds = 0;
-        while q.flush(&mut w).expect("no real I/O errors") == FlushOutcome::Pending {
-            rounds += 1;
-            prop_assert!(rounds < 100_000, "flush never completed");
-        }
-        prop_assert_eq!(w.out, expected.to_vec());
-        prop_assert!(q.is_empty());
-    }
-}
 
 // ---------------------------------------------------------------------
 // FSM timers under flood.
@@ -263,7 +152,7 @@ fn stalled_consumer_pushes_back_and_the_session_stays_up() {
     stream.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
     let mut frames = FrameBuffer::new(wire_cfg, true);
     let send = |mut stream: &TcpStream, message: &Message| {
-        let mut buf = bytes::BytesMut::new();
+        let mut buf = Vec::new();
         encode_message(message, &wire_cfg, &mut buf);
         stream.write_all(&buf).expect("write");
     };
@@ -279,7 +168,7 @@ fn stalled_consumer_pushes_back_and_the_session_stays_up() {
     let prefixes: Vec<Prefix> = (0..total as u32)
         .map(|i| Prefix::v4(Ipv4Addr::from(0x0A00_0000 + (i << 8)), 24).expect("valid /24"))
         .collect();
-    let mut wire = bytes::BytesMut::new();
+    let mut wire = Vec::new();
     for p in &prefixes {
         encode_message(&Message::Update(UpdatePacket::withdraw(*p)), &wire_cfg, &mut wire);
     }
