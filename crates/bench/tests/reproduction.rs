@@ -40,19 +40,35 @@ fn every_artifact_runs_at_quick_size() {
     }
 }
 
-/// The seeds where an artifact once compared nothing (`fig4` at 3) or
+/// The seeds where an artifact once compared nothing (`fig4` at 3),
 /// deviated without a word (`fig3` at 11, `fig4` at 8 and 12,
-/// `ablation_dampening` at 4): each now prints at least one row, and
-/// every `DEVIATES` row says why.
+/// `ablation_dampening` at 4) or gave seed 42's cause (`fig5` at 8):
+/// each now prints at least one row, every `DEVIATES` row says why, and
+/// fig5's cause quotes the row's own measured value.
 #[test]
 fn rows_that_cannot_hold_say_why() {
-    let seeds = [("fig3", 11), ("fig4", 3), ("fig4", 8), ("fig4", 12), ("ablation_dampening", 4)];
+    let seeds = [
+        ("fig3", 11),
+        ("fig4", 3),
+        ("fig4", 8),
+        ("fig4", 12),
+        ("fig5", 8),
+        ("ablation_dampening", 4),
+    ];
     for (name, seed) in seeds {
         let (_, _, run) = ARTIFACTS.iter().find(|(n, _, _)| *n == name).expect("listed");
         let rows = run(&Args { seed, ..Args::default() }).comparison;
         assert!(!rows.is_empty(), "{name} --seed {seed} compares nothing");
         for row in rows.rows().iter().filter(|r| !r.ok) {
             assert!(!row.cause.is_empty(), "{name} --seed {seed}: `{}` has no cause", row.name);
+            if name == "fig5" {
+                assert!(
+                    row.cause.contains(&format!("{} = ", row.measured)),
+                    "fig5 --seed {seed}: the cause does not quote {}: {}",
+                    row.measured,
+                    row.cause
+                );
+            }
         }
     }
 }
