@@ -9,7 +9,8 @@
 //! `decode_message` under both AS widths. The `Debug` text of every
 //! result (and, on success, how many bytes the message decoder
 //! consumed) is hashed with FNV-1a 64, so any change in what a decoder
-//! accepts, rejects, reports or produces moves the digest.
+//! accepts, rejects, reports or produces moves the digest. A second
+//! digest pins the bytes the encoders write.
 
 use std::net::IpAddr;
 
