@@ -1448,6 +1448,305 @@ fn as_path_debug_text_is_pinned() {
 }
 
 // ---------------------------------------------------------------------
+// CommunitySet against a naive three-list reference.
+// ---------------------------------------------------------------------
+
+/// The naive model of a community set: each family as its own sorted,
+/// deduplicated list. It bears the real type's name, so its derived
+/// `Debug` is the text the real one must print, and its derived `Hash`
+/// is the hash the real one must feed a hasher.
+mod naive {
+    use super::{Community, ExtendedCommunity, LargeCommunity};
+
+    #[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
+    pub struct CommunitySet {
+        pub classic: Vec<Community>,
+        pub extended: Vec<ExtendedCommunity>,
+        pub large: Vec<LargeCommunity>,
+    }
+}
+
+/// How a set under test is first built.
+#[derive(Debug, Clone)]
+enum SetBuild {
+    New,
+    Default,
+    FromClassic(Vec<Community>),
+    Collect(Vec<Community>),
+    FromUnsorted(Vec<Community>, Vec<ExtendedCommunity>, Vec<LargeCommunity>),
+}
+
+/// One mutator call.
+#[derive(Debug, Clone)]
+enum SetOp {
+    Insert(Community),
+    InsertExtended(ExtendedCommunity),
+    InsertLarge(LargeCommunity),
+    Remove(Community),
+    Clear,
+    StripOwnedBy(u16),
+    Merge(Vec<Community>, Vec<ExtendedCommunity>, Vec<LargeCommunity>),
+}
+
+/// Classic communities owned by ASes 1–3 over four values, so inserts,
+/// removals and strips often hit, and now and then any community.
+fn pool_classic() -> impl Strategy<Value = Community> {
+    prop_oneof![
+        (1u16..4, 0u16..4).prop_map(|(asn, value)| Community::from_parts(asn, value)),
+        (1u16..4, 0u16..4).prop_map(|(asn, value)| Community::from_parts(asn, value)),
+        any::<u32>().prop_map(Community),
+    ]
+}
+
+fn pool_extended() -> impl Strategy<Value = ExtendedCommunity> {
+    prop_oneof![
+        (0u16..3, 0u32..3).prop_map(|(asn, value)| ExtendedCommunity::RouteTarget { asn, value }),
+        arb_extended(),
+    ]
+}
+
+/// Large communities whose global administrators overlap the classic
+/// pool's owners, so `strip_owned_by` empties both families at once.
+fn pool_large() -> impl Strategy<Value = LargeCommunity> {
+    prop_oneof![
+        (1u32..4, 0u32..3, 0u32..2).prop_map(|(g, d1, d2)| LargeCommunity::new(g, d1, d2)),
+        arb_large(),
+    ]
+}
+
+fn arb_set_build() -> impl Strategy<Value = SetBuild> {
+    prop_oneof![
+        Just(SetBuild::New),
+        Just(SetBuild::Default),
+        vec(pool_classic(), 0..8).prop_map(SetBuild::FromClassic),
+        vec(pool_classic(), 0..8).prop_map(SetBuild::Collect),
+        (vec(pool_classic(), 0..8), vec(pool_extended(), 0..4), vec(pool_large(), 0..4))
+            .prop_map(|(c, e, l)| SetBuild::FromUnsorted(c, e, l)),
+        (vec(pool_classic(), 0..3), vec(pool_extended(), 0..3), vec(pool_large(), 0..3))
+            .prop_map(|(c, e, l)| SetBuild::FromUnsorted(c, e, l)),
+    ]
+}
+
+fn arb_set_op() -> impl Strategy<Value = SetOp> {
+    prop_oneof![
+        pool_classic().prop_map(SetOp::Insert),
+        pool_extended().prop_map(SetOp::InsertExtended),
+        pool_large().prop_map(SetOp::InsertLarge),
+        pool_classic().prop_map(SetOp::Remove),
+        pool_classic().prop_map(SetOp::Remove),
+        Just(SetOp::Clear),
+        (1u16..5).prop_map(SetOp::StripOwnedBy),
+        (1u16..5).prop_map(SetOp::StripOwnedBy),
+        (vec(pool_classic(), 0..4), vec(pool_extended(), 0..3), vec(pool_large(), 0..3))
+            .prop_map(|(c, e, l)| SetOp::Merge(c, e, l)),
+    ]
+}
+
+fn sorted_unique<T: Ord + Clone>(items: &[T]) -> Vec<T> {
+    let mut out = items.to_vec();
+    out.sort();
+    out.dedup();
+    out
+}
+
+/// Adds `item` to a sorted list unless it is there; true if it was not.
+fn reference_insert<T: Ord>(list: &mut Vec<T>, item: T) -> bool {
+    let fresh = !list.contains(&item);
+    if fresh {
+        list.push(item);
+        list.sort();
+    }
+    fresh
+}
+
+fn reference_of_lists(
+    classic: &[Community],
+    extended: &[ExtendedCommunity],
+    large: &[LargeCommunity],
+) -> naive::CommunitySet {
+    naive::CommunitySet {
+        classic: sorted_unique(classic),
+        extended: sorted_unique(extended),
+        large: sorted_unique(large),
+    }
+}
+
+/// The set a reference describes, built the way the decoder builds it.
+fn set_of(reference: &naive::CommunitySet) -> CommunitySet {
+    CommunitySet::from_unsorted(
+        reference.classic.clone(),
+        reference.extended.clone(),
+        reference.large.clone(),
+    )
+}
+
+fn build_both(build: &SetBuild) -> (CommunitySet, naive::CommunitySet) {
+    match build {
+        SetBuild::New => (CommunitySet::new(), naive::CommunitySet::default()),
+        SetBuild::Default => (CommunitySet::default(), naive::CommunitySet::default()),
+        SetBuild::FromClassic(c) => {
+            (CommunitySet::from_classic(c.iter().copied()), reference_of_lists(c, &[], &[]))
+        }
+        SetBuild::Collect(c) => (c.iter().copied().collect(), reference_of_lists(c, &[], &[])),
+        SetBuild::FromUnsorted(c, e, l) => (
+            CommunitySet::from_unsorted(c.clone(), e.clone(), l.clone()),
+            reference_of_lists(c, e, l),
+        ),
+    }
+}
+
+/// Applies `op` to both; the returned flags are what each side's
+/// mutator reported (`None` for a mutator that reports nothing).
+fn apply_both(
+    op: &SetOp,
+    set: &mut CommunitySet,
+    reference: &mut naive::CommunitySet,
+) -> (Option<bool>, Option<bool>) {
+    match op {
+        SetOp::Insert(c) => {
+            (Some(set.insert(*c)), Some(reference_insert(&mut reference.classic, *c)))
+        }
+        SetOp::InsertExtended(e) => {
+            (Some(set.insert_extended(*e)), Some(reference_insert(&mut reference.extended, *e)))
+        }
+        SetOp::InsertLarge(l) => {
+            (Some(set.insert_large(*l)), Some(reference_insert(&mut reference.large, *l)))
+        }
+        SetOp::Remove(c) => {
+            let before = reference.classic.len();
+            reference.classic.retain(|x| x != c);
+            (Some(set.remove(c)), Some(reference.classic.len() < before))
+        }
+        SetOp::Clear => {
+            set.clear();
+            *reference = naive::CommunitySet::default();
+            (None, None)
+        }
+        SetOp::StripOwnedBy(asn) => {
+            set.strip_owned_by(*asn);
+            reference.classic.retain(|c| c.asn_part() != *asn);
+            reference.large.retain(|l| l.global != u32::from(*asn));
+            (None, None)
+        }
+        SetOp::Merge(c, e, l) => {
+            set.merge(&CommunitySet::from_unsorted(c.clone(), e.clone(), l.clone()));
+            let (c, e, l) = (
+                [&reference.classic[..], c].concat(),
+                [&reference.extended[..], e].concat(),
+                [&reference.large[..], l].concat(),
+            );
+            *reference = reference_of_lists(&c, &e, &l);
+            (None, None)
+        }
+    }
+}
+
+/// The text form: each community's canonical form, classic then
+/// extended then large, space-separated; `-` when there is none.
+fn reference_community_text(reference: &naive::CommunitySet) -> String {
+    let words: Vec<String> = (reference.classic.iter().map(|c| c.to_string()))
+        .chain(reference.extended.iter().map(|e| e.to_string()))
+        .chain(reference.large.iter().map(|l| l.to_string()))
+        .collect();
+    if words.is_empty() {
+        "-".to_string()
+    } else {
+        words.join(" ")
+    }
+}
+
+/// Every observable of `set` reads what `reference` describes.
+fn check_set(set: &CommunitySet, reference: &naive::CommunitySet) -> Result<(), TestCaseError> {
+    prop_assert_eq!(set.classic(), &reference.classic[..]);
+    prop_assert_eq!(set.extended(), &reference.extended[..]);
+    prop_assert_eq!(set.large(), &reference.large[..]);
+    prop_assert_eq!(set.iter_classic().copied().collect::<Vec<_>>(), reference.classic.clone());
+    let len = reference.classic.len() + reference.extended.len() + reference.large.len();
+    prop_assert_eq!(set.len(), len);
+    prop_assert_eq!(set.is_empty(), len == 0);
+    prop_assert_eq!(format!("{set:?}"), format!("{reference:?}"));
+    prop_assert_eq!(format!("{set:#?}"), format!("{reference:#?}"));
+    prop_assert_eq!(hash_of(set), hash_of(reference));
+    let text = reference_community_text(reference);
+    prop_assert_eq!(set.to_string(), text.clone());
+    prop_assert_eq!(set.canonical_key(), text);
+    // However a set got here, it equals the set built from its lists
+    // (forwards or backwards, with duplicates), and its clone.
+    prop_assert_eq!(set, &set_of(reference));
+    let twice = |list: &[Community]| list.iter().rev().chain(list).copied().collect::<Vec<_>>();
+    let reversed = |list: &[_]| list.iter().rev().copied().collect::<Vec<_>>();
+    prop_assert_eq!(
+        set,
+        &CommunitySet::from_unsorted(
+            twice(&reference.classic),
+            reversed(&reference.extended),
+            reference.large.iter().rev().copied().collect(),
+        )
+    );
+    prop_assert_eq!(set, &set.clone());
+    prop_assert_eq!(*set == CommunitySet::new(), len == 0);
+    Ok(())
+}
+
+proptest! {
+    /// A `CommunitySet` built by any constructor and changed by any
+    /// sequence of mutators (down to the empty set and back) reads,
+    /// compares, hashes, prints and renders like three sorted,
+    /// deduplicated lists, and two such sets are equal exactly when
+    /// their lists are.
+    #[test]
+    fn community_set_matches_naive_reference(
+        build_a in arb_set_build(),
+        ops_a in vec(arb_set_op(), 0..12),
+        build_b in arb_set_build(),
+        ops_b in vec(arb_set_op(), 0..12),
+    ) {
+        let (mut a, mut ref_a) = build_both(&build_a);
+        check_set(&a, &ref_a)?;
+        let (mut b, mut ref_b) = build_both(&build_b);
+        for op in &ops_a {
+            let (got, want) = apply_both(op, &mut a, &mut ref_a);
+            prop_assert_eq!(got, want, "{:?}", op);
+            check_set(&a, &ref_a)?;
+            if let SetOp::Insert(c) | SetOp::Remove(c) = op {
+                prop_assert_eq!(a.contains(c), ref_a.classic.contains(c));
+            }
+            prop_assert_eq!(a == b, ref_a == ref_b);
+        }
+        for op in &ops_b {
+            let (got, want) = apply_both(op, &mut b, &mut ref_b);
+            prop_assert_eq!(got, want, "{:?}", op);
+            check_set(&b, &ref_b)?;
+            prop_assert_eq!(a == b, ref_a == ref_b);
+        }
+    }
+}
+
+/// The `Debug` text of three shapes, literally: the empty set, a
+/// classic-only set and one with every family.
+#[test]
+fn community_set_debug_text_is_pinned() {
+    assert_eq!(
+        format!("{:?}", CommunitySet::new()),
+        "CommunitySet { classic: [], extended: [], large: [] }"
+    );
+    let classic = CommunitySet::from_classic([Community(7), Community(3)]);
+    assert_eq!(
+        format!("{classic:?}"),
+        "CommunitySet { classic: [Community(3), Community(7)], extended: [], large: [] }"
+    );
+    let mut all = classic;
+    all.insert_extended(ExtendedCommunity::RouteTarget { asn: 1, value: 2 });
+    all.insert_large(LargeCommunity::new(1, 2, 3));
+    assert_eq!(
+        format!("{all:?}"),
+        "CommunitySet { classic: [Community(3), Community(7)], \
+         extended: [RouteTarget { asn: 1, value: 2 }], \
+         large: [LargeCommunity { global: 1, data1: 2, data2: 3 }] }"
+    );
+}
+
+// ---------------------------------------------------------------------
 // Framing against a naive byte queue.
 // ---------------------------------------------------------------------
 
