@@ -154,15 +154,15 @@ fn report_output_is_pinned() {
     pinned(
         "report",
         &[
-            (&["rrc00.mrt", "rrc01.mrt", "rrc02.mrt"], 0xdc58_8364_a9a8_c060),
+            (&["rrc00.mrt", "rrc01.mrt", "rrc02.mrt"], 0x4364_014e_23bf_a542),
             // A directory is one rotated feed named after itself (it was
-            // one collector per file: 0xdc58_8364_a9a8_c060, the files'
-            // digest), and an empty one leaves no record to take the day
-            // from (it was "no *.mrt files in empty": 0xd5a6_1766_0c4c_90c6).
-            (&["day"], 0x2bdd_8703_0a28_a966),
+            // one collector per file, printing what the files print), and
+            // an empty one leaves no record to take the day from (it was
+            // "no *.mrt files in empty": 0xd5a6_1766_0c4c_90c6).
+            (&["day"], 0xe619_a450_1388_8fee),
             (
                 &["--clamp", "--epoch", MIDDAY, "rrc00.mrt", "rrc01.mrt", "rrc02.mrt"],
-                0x4bc4_9d9e_9611_0c0b,
+                0x6977_48e4_485f_9a19,
             ),
             (&["empty"], 0x9200_1ba2_3816_c6d9),
             (&["rrc00.mrt", "missing.mrt"], 0x974b_c725_c7fc_df15),

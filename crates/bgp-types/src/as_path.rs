@@ -28,12 +28,10 @@ use std::hash::{Hash, Hasher};
 use std::str::FromStr;
 
 use crate::asn::Asn;
-use crate::attrs::PathAttributes;
 
 // Every stored announcement and every hash-set slot holds a path handle;
 // a larger one would grow them all.
 const _: () = assert!(std::mem::size_of::<AsPath>() <= 24);
-const _: () = assert!(std::mem::size_of::<PathAttributes>() <= 144);
 
 /// Kind of a path segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

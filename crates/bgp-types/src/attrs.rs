@@ -12,6 +12,9 @@ use crate::as_path::AsPath;
 use crate::asn::Asn;
 use crate::community_set::CommunitySet;
 
+// Every retained announcement is one of these behind an `Arc`.
+const _: () = assert!(std::mem::size_of::<PathAttributes>() <= 96);
+
 /// The ORIGIN attribute (RFC 4271 §4.3 / §5.1.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum Origin {
@@ -112,10 +115,10 @@ impl PathAttributes {
     }
 
     /// Resident bytes of one owned attribute set: the struct itself plus
-    /// every heap allocation it holds (AS-path segments and all three
-    /// community families), counted at **capacity**, not length — this is
-    /// what the allocator actually reserved. The honest input to the
-    /// pipeline's constant-memory accounting.
+    /// every heap allocation it holds — the AS path's and the classic
+    /// communities' exact-size allocations, and the box of extended and
+    /// large communities when either family is present. The honest input
+    /// to the pipeline's constant-memory accounting.
     pub fn deep_footprint(&self) -> usize {
         std::mem::size_of::<Self>() + self.as_path.heap_bytes() + self.communities.heap_bytes()
     }

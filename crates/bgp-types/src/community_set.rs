@@ -8,12 +8,47 @@
 //! The set also hosts the *cleaning* operations the paper studies —
 //! stripping all communities, or only those whose high half matches a
 //! neighbor — which the simulator's import/export policies call.
+//!
+//! ## Layout
+//!
+//! Every retained announcement holds a set, and in the paper's data almost
+//! every set is classic communities only. So a [`CommunitySet`] is the
+//! classic family as one exact-size boxed slice, plus a pointer to a second
+//! allocation that holds the extended and large families, each an
+//! exact-size boxed slice; the pointer is null exactly when both of those
+//! families are empty. A classic-only set is therefore one allocation of
+//! its communities and nothing else, the empty set allocates nothing, and
+//! the handle is 24 bytes. Each set has one such form, so the derived
+//! equality is equality of the three lists. The mutators rebuild the
+//! exact-size slice they change; the decoder's constructor,
+//! [`CommunitySet::from_unsorted`], sorts and deduplicates each family
+//! once, in place, and keeps the result as its slice.
+//!
+//! Two other layouts were rejected. One boxed slice of 32-bit words for all
+//! three families would be 16 bytes, but lending typed `&[Community]`,
+//! `&[ExtendedCommunity]` and `&[LargeCommunity]` views of it needs
+//! `unsafe` casts, which this workspace denies. Keeping a `Vec` for the
+//! classic family keeps its spare capacity and leaves the set at 32 bytes.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::mem::size_of;
 
 use crate::community::Community;
 use crate::extended::ExtendedCommunity;
 use crate::large::LargeCommunity;
+
+// Every stored announcement holds a set; a larger handle would grow them
+// all.
+const _: () = assert!(size_of::<CommunitySet>() <= 24);
+
+/// The extended and large families of a set in which at least one of them
+/// is not empty.
+#[derive(Clone, PartialEq, Eq, Default)]
+struct Rest {
+    extended: Box<[ExtendedCommunity]>,
+    large: Box<[LargeCommunity]>,
+}
 
 /// An ordered, deduplicated set of classic + extended + large communities.
 ///
@@ -21,11 +56,47 @@ use crate::large::LargeCommunity;
 /// predicate. An absent attribute and an empty attribute compare equal on
 /// purpose: the paper counts "two empty community attributes in succession"
 /// as *no change* (`nn`).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+#[derive(Clone, PartialEq, Eq, Default)]
 pub struct CommunitySet {
-    classic: Vec<Community>,
-    extended: Vec<ExtendedCommunity>,
-    large: Vec<LargeCommunity>,
+    classic: Box<[Community]>,
+    /// `None` exactly when both families in it would be empty.
+    rest: Option<Box<Rest>>,
+}
+
+/// `list` sorted and deduplicated, as an exact-size slice.
+fn sorted_unique<T: Ord>(mut list: Vec<T>) -> Box<[T]> {
+    list.sort_unstable();
+    list.dedup();
+    list.into_boxed_slice()
+}
+
+/// Adds `item` to the sorted `list` unless it is there. Returns true if it
+/// was newly inserted.
+fn insert_sorted<T: Ord>(list: &mut Box<[T]>, item: T) -> bool {
+    let Err(pos) = list.binary_search(&item) else {
+        return false;
+    };
+    let mut grown = std::mem::take(list).into_vec();
+    grown.reserve_exact(1);
+    grown.insert(pos, item);
+    *list = grown.into_boxed_slice();
+    true
+}
+
+/// Keeps the items of `list` that `keep` accepts.
+fn retain_sorted<T>(list: &mut Box<[T]>, mut keep: impl FnMut(&T) -> bool) {
+    if !list.iter().all(&mut keep) {
+        let mut kept = std::mem::take(list).into_vec();
+        kept.retain(keep);
+        *list = kept.into_boxed_slice();
+    }
+}
+
+/// Adds every item of the sorted `other` to the sorted `list`.
+fn union_sorted<T: Ord + Copy>(list: &mut Box<[T]>, other: &[T]) {
+    if !other.is_empty() {
+        *list = sorted_unique([&list[..], other].concat());
+    }
 }
 
 impl CommunitySet {
@@ -37,93 +108,67 @@ impl CommunitySet {
     /// Builds a set from classic communities only (the common case in the
     /// paper's data).
     pub fn from_classic<I: IntoIterator<Item = Community>>(iter: I) -> Self {
-        let mut s = Self::new();
-        for c in iter {
-            s.insert(c);
-        }
-        s
+        CommunitySet { classic: sorted_unique(iter.into_iter().collect()), rest: None }
     }
 
     /// Builds a set from possibly unsorted, possibly duplicated vectors of
-    /// all three families — one sort + dedup per family instead of a
-    /// `binary_search` + `Vec::insert` shuffle per element. This is the
-    /// decode-path constructor: a wire attribute's communities arrive as a
-    /// run, so building in bulk is O(n log n) with no mid-vector moves.
+    /// all three families — one sort + dedup per family, each straight
+    /// into its exact-size slice. This is the decode-path constructor: a
+    /// wire attribute's communities arrive as a run, so building in bulk
+    /// is O(n log n) with no mid-list moves.
     pub fn from_unsorted(
         classic: Vec<Community>,
         extended: Vec<ExtendedCommunity>,
         large: Vec<LargeCommunity>,
     ) -> Self {
-        let mut s = CommunitySet { classic, extended, large };
-        s.classic.sort_unstable();
-        s.classic.dedup();
-        s.extended.sort_unstable();
-        s.extended.dedup();
-        s.large.sort_unstable();
-        s.large.dedup();
-        s
+        let rest = Rest { extended: sorted_unique(extended), large: sorted_unique(large) };
+        CommunitySet { classic: sorted_unique(classic), rest: rest.into_option() }
     }
 
-    /// Heap bytes held by the three family vectors, counted at capacity.
+    /// Heap bytes the set holds: its exact-size family slices, plus the
+    /// box holding the extended and large families when either is present.
     pub fn heap_bytes(&self) -> usize {
-        self.classic.capacity() * std::mem::size_of::<Community>()
-            + self.extended.capacity() * std::mem::size_of::<ExtendedCommunity>()
-            + self.large.capacity() * std::mem::size_of::<LargeCommunity>()
+        let rest = self.rest.as_ref().map_or(0, |rest| {
+            size_of::<Rest>()
+                + rest.extended.len() * size_of::<ExtendedCommunity>()
+                + rest.large.len() * size_of::<LargeCommunity>()
+        });
+        self.classic.len() * size_of::<Community>() + rest
     }
 
     /// True if no community of any family is present.
     pub fn is_empty(&self) -> bool {
-        self.classic.is_empty() && self.extended.is_empty() && self.large.is_empty()
+        self.classic.is_empty() && self.rest.is_none()
     }
 
     /// Total number of communities across all families.
     pub fn len(&self) -> usize {
-        self.classic.len() + self.extended.len() + self.large.len()
+        self.classic.len() + self.extended().len() + self.large().len()
     }
 
     /// Inserts a classic community, keeping the set sorted and unique.
     /// Returns true if it was newly inserted.
     pub fn insert(&mut self, c: Community) -> bool {
-        match self.classic.binary_search(&c) {
-            Ok(_) => false,
-            Err(pos) => {
-                self.classic.insert(pos, c);
-                true
-            }
-        }
+        insert_sorted(&mut self.classic, c)
     }
 
     /// Inserts an extended community. Returns true if newly inserted.
     pub fn insert_extended(&mut self, c: ExtendedCommunity) -> bool {
-        match self.extended.binary_search(&c) {
-            Ok(_) => false,
-            Err(pos) => {
-                self.extended.insert(pos, c);
-                true
-            }
-        }
+        // An absent box means an empty family, so the insert succeeds and
+        // the new box is not empty.
+        insert_sorted(&mut self.rest.get_or_insert_with(Box::default).extended, c)
     }
 
     /// Inserts a large community. Returns true if newly inserted.
     pub fn insert_large(&mut self, c: LargeCommunity) -> bool {
-        match self.large.binary_search(&c) {
-            Ok(_) => false,
-            Err(pos) => {
-                self.large.insert(pos, c);
-                true
-            }
-        }
+        insert_sorted(&mut self.rest.get_or_insert_with(Box::default).large, c)
     }
 
     /// Removes a classic community. Returns true if it was present.
     pub fn remove(&mut self, c: &Community) -> bool {
-        match self.classic.binary_search(c) {
-            Ok(pos) => {
-                self.classic.remove(pos);
-                true
-            }
-            Err(_) => false,
-        }
+        let before = self.classic.len();
+        retain_sorted(&mut self.classic, |x| x != c);
+        self.classic.len() < before
     }
 
     /// True if the classic community is present.
@@ -138,39 +183,38 @@ impl CommunitySet {
 
     /// The extended communities, sorted.
     pub fn extended(&self) -> &[ExtendedCommunity] {
-        &self.extended
+        self.rest.as_ref().map_or(&[], |rest| &rest.extended)
     }
 
     /// The large communities, sorted.
     pub fn large(&self) -> &[LargeCommunity] {
-        &self.large
+        self.rest.as_ref().map_or(&[], |rest| &rest.large)
     }
 
     /// Removes *all* communities — the paper's "remove all communities on
     /// egress" cleaning policy (Exp3).
     pub fn clear(&mut self) {
-        self.classic.clear();
-        self.extended.clear();
-        self.large.clear();
+        *self = Self::new();
     }
 
     /// Removes every community (classic high half / large global
     /// administrator) owned by `asn16`.
     pub fn strip_owned_by(&mut self, asn16: u16) {
-        self.classic.retain(|c| c.asn_part() != asn16);
-        self.large.retain(|l| l.global != asn16 as u32);
+        retain_sorted(&mut self.classic, |c| c.asn_part() != asn16);
+        if let Some(mut rest) = self.rest.take() {
+            retain_sorted(&mut rest.large, |l| l.global != u32::from(asn16));
+            self.rest = rest.into_option();
+        }
     }
 
     /// Merges another set into this one.
     pub fn merge(&mut self, other: &CommunitySet) {
-        for c in &other.classic {
-            self.insert(*c);
-        }
-        for e in &other.extended {
-            self.insert_extended(*e);
-        }
-        for l in &other.large {
-            self.insert_large(*l);
+        union_sorted(&mut self.classic, &other.classic);
+        if let Some(theirs) = &other.rest {
+            // Theirs is not empty, so neither is the union.
+            let rest = self.rest.get_or_insert_with(Box::default);
+            union_sorted(&mut rest.extended, &theirs.extended);
+            union_sorted(&mut rest.large, &theirs.large);
         }
     }
 
@@ -184,6 +228,35 @@ impl CommunitySet {
     /// keys iff they are equal.
     pub fn canonical_key(&self) -> String {
         self.to_string()
+    }
+}
+
+impl Rest {
+    /// The families as a set's second allocation: `None` when both are
+    /// empty.
+    fn into_option(self) -> Option<Box<Rest>> {
+        (!(self.extended.is_empty() && self.large.is_empty())).then(|| Box::new(self))
+    }
+}
+
+impl Hash for CommunitySet {
+    /// Hashes the three families in order, as three lists: the hash a
+    /// struct of three `Vec`s derives.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.classic().hash(state);
+        self.extended().hash(state);
+        self.large().hash(state);
+    }
+}
+
+impl fmt::Debug for CommunitySet {
+    /// The three families by name, as lists.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CommunitySet")
+            .field("classic", &self.classic())
+            .field("extended", &self.extended())
+            .field("large", &self.large())
+            .finish()
     }
 }
 
@@ -202,13 +275,13 @@ impl fmt::Display for CommunitySet {
             first = false;
             write!(f, "{s}")
         };
-        for c in &self.classic {
+        for c in self.classic() {
             put(f, c.to_string())?;
         }
-        for e in &self.extended {
+        for e in self.extended() {
             put(f, e.to_string())?;
         }
-        for l in &self.large {
+        for l in self.large() {
             put(f, l.to_string())?;
         }
         Ok(())
@@ -303,6 +376,21 @@ mod tests {
         assert_eq!(CommunitySet::new().to_string(), "-");
         let s = CommunitySet::from_classic([c(3356, 3), c(3356, 2065)]);
         assert_eq!(s.to_string(), "3356:3 3356:2065");
+    }
+
+    #[test]
+    fn heap_bytes_count_exact_families_and_the_rest_box() {
+        assert_eq!(CommunitySet::new().heap_bytes(), 0);
+        let classic = CommunitySet::from_classic([c(1, 1), c(2, 2), c(1, 1)]);
+        assert_eq!(classic.heap_bytes(), 2 * size_of::<Community>());
+        let mut all = classic;
+        all.insert_large(LargeCommunity::new(1, 2, 3));
+        let large = size_of::<Rest>() + size_of::<LargeCommunity>();
+        assert_eq!(all.heap_bytes(), 2 * size_of::<Community>() + large);
+        // Stripping the only large community drops the second box.
+        all.strip_owned_by(1);
+        assert!(all.rest.is_none());
+        assert_eq!(all.heap_bytes(), size_of::<Community>());
     }
 
     #[test]

@@ -569,9 +569,7 @@ pub fn decode_attributes(
         }
     }
 
-    if !(classic.is_empty() && extended.is_empty() && large.is_empty()) {
-        out.attrs.communities = CommunitySet::from_unsorted(classic, extended, large);
-    }
+    out.attrs.communities = CommunitySet::from_unsorted(classic, extended, large);
 
     // RFC 6793 §4.2.3 reconciliation: prefer the 4-octet path when present.
     if let Some(p4) = as4_path {

@@ -119,9 +119,10 @@ impl StreamClassifier {
     }
 
     /// Exact bytes of retained state: the deep footprint of each
-    /// *distinct allocation* of attributes (struct + AS-path segments +
-    /// all three community families, at allocated capacity) counted once,
-    /// plus a fixed per-stream slot overhead. Value-equal sets in separate
+    /// *distinct allocation* of attributes (struct + the AS path's and
+    /// the classic communities' exact allocations + the box of extended
+    /// and large communities when present) counted once, plus a fixed
+    /// per-stream slot overhead. Value-equal sets in separate
     /// allocations count once each.
     pub fn state_bytes(&self) -> usize {
         self.held.bytes + self.last.len() * PER_STREAM_OVERHEAD
