@@ -42,9 +42,11 @@ fn every_artifact_runs_at_quick_size() {
 
 /// The seeds where an artifact once compared nothing (`fig4` at 3),
 /// deviated without a word (`fig3` at 11, `fig4` at 8 and 12,
-/// `ablation_dampening` at 4) or gave seed 42's cause (`fig5` at 8):
-/// each now prints at least one row, every `DEVIATES` row says why, and
-/// fig5's cause quotes the row's own measured value.
+/// `ablation_dampening` at 4) or gave seed 42's cause (`fig5` and
+/// `ablation_cleaning` at 8): each now prints at least one row, every
+/// `DEVIATES` row says why, fig5's cause quotes the row's own measured
+/// value, and ablation_cleaning's quotes the ingress and egress totals
+/// its sessions' differences add up to.
 #[test]
 fn rows_that_cannot_hold_say_why() {
     let seeds = [
@@ -53,6 +55,7 @@ fn rows_that_cannot_hold_say_why() {
         ("fig4", 8),
         ("fig4", 12),
         ("fig5", 8),
+        ("ablation_cleaning", 8),
         ("ablation_dampening", 4),
     ];
     for (name, seed) in seeds {
@@ -66,6 +69,21 @@ fn rows_that_cannot_hold_say_why() {
                     row.cause.contains(&format!("{} = ", row.measured)),
                     "fig5 --seed {seed}: the cause does not quote {}: {}",
                     row.measured,
+                    row.cause
+                );
+            }
+            if name == "ablation_cleaning" {
+                let [_, egress, ingress] = row.measured.split(" vs ").collect::<Vec<_>>()[..]
+                else {
+                    panic!(
+                        "ablation_cleaning --seed {seed}: `{}` is not three totals",
+                        row.measured
+                    );
+                };
+                let whole = format!("which is the whole {ingress} vs {egress};");
+                assert!(
+                    row.cause.contains(&whole),
+                    "ablation_cleaning --seed {seed}: the cause does not say `{whole}`: {}",
                     row.cause
                 );
             }
