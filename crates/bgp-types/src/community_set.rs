@@ -50,6 +50,14 @@ struct Rest {
     large: Box<[LargeCommunity]>,
 }
 
+impl Rest {
+    /// The families as a set's second allocation: `None` when both are
+    /// empty.
+    fn into_option(self) -> Option<Box<Rest>> {
+        (!(self.extended.is_empty() && self.large.is_empty())).then(|| Box::new(self))
+    }
+}
+
 /// An ordered, deduplicated set of classic + extended + large communities.
 ///
 /// Equality across the full attribute is the paper's "community changed"
@@ -231,14 +239,6 @@ impl CommunitySet {
     }
 }
 
-impl Rest {
-    /// The families as a set's second allocation: `None` when both are
-    /// empty.
-    fn into_option(self) -> Option<Box<Rest>> {
-        (!(self.extended.is_empty() && self.large.is_empty())).then(|| Box::new(self))
-    }
-}
-
 impl Hash for CommunitySet {
     /// Hashes the three families in order, as three lists: the hash a
     /// struct of three `Vec`s derives.
@@ -291,6 +291,18 @@ impl fmt::Display for CommunitySet {
 impl FromIterator<Community> for CommunitySet {
     fn from_iter<T: IntoIterator<Item = Community>>(iter: T) -> Self {
         Self::from_classic(iter)
+    }
+}
+
+impl Extend<Community> for CommunitySet {
+    /// Inserts classic communities, rebuilding the classic slice once for
+    /// the whole batch rather than once per community.
+    fn extend<T: IntoIterator<Item = Community>>(&mut self, iter: T) {
+        let iter = iter.into_iter();
+        let mut classic = std::mem::take(&mut self.classic).into_vec();
+        classic.reserve_exact(iter.size_hint().0);
+        classic.extend(iter);
+        self.classic = sorted_unique(classic);
     }
 }
 

@@ -98,9 +98,7 @@ impl GeoTag {
 
     /// Inserts the three location communities into a set.
     pub fn tag(self, asn16: u16, set: &mut CommunitySet) {
-        for c in self.to_communities(asn16) {
-            set.insert(c);
-        }
+        set.extend(self.to_communities(asn16));
     }
 }
 

@@ -1480,6 +1480,7 @@ enum SetBuild {
 #[derive(Debug, Clone)]
 enum SetOp {
     Insert(Community),
+    Extend(Vec<Community>),
     InsertExtended(ExtendedCommunity),
     InsertLarge(LargeCommunity),
     Remove(Community),
@@ -1530,6 +1531,7 @@ fn arb_set_build() -> impl Strategy<Value = SetBuild> {
 fn arb_set_op() -> impl Strategy<Value = SetOp> {
     prop_oneof![
         pool_classic().prop_map(SetOp::Insert),
+        vec(pool_classic(), 0..4).prop_map(SetOp::Extend),
         pool_extended().prop_map(SetOp::InsertExtended),
         pool_large().prop_map(SetOp::InsertLarge),
         pool_classic().prop_map(SetOp::Remove),
@@ -1605,6 +1607,11 @@ fn apply_both(
     match op {
         SetOp::Insert(c) => {
             (Some(set.insert(*c)), Some(reference_insert(&mut reference.classic, *c)))
+        }
+        SetOp::Extend(c) => {
+            set.extend(c.iter().copied());
+            reference.classic = sorted_unique(&[&reference.classic[..], c].concat());
+            (None, None)
         }
         SetOp::InsertExtended(e) => {
             (Some(set.insert_extended(*e)), Some(reference_insert(&mut reference.extended, *e)))
