@@ -100,11 +100,13 @@ fn retain_sorted<T>(list: &mut Box<[T]>, mut keep: impl FnMut(&T) -> bool) {
     }
 }
 
-/// Adds every item of the sorted `other` to the sorted `list`.
-fn union_sorted<T: Ord + Copy>(list: &mut Box<[T]>, other: &[T]) {
-    if !other.is_empty() {
-        *list = sorted_unique([&list[..], other].concat());
-    }
+/// Adds the items of `more` to the sorted `list`, rebuilding it once.
+fn extend_sorted<T: Ord>(list: &mut Box<[T]>, more: impl IntoIterator<Item = T>) {
+    let more = more.into_iter();
+    let mut all = std::mem::take(list).into_vec();
+    all.reserve_exact(more.size_hint().0);
+    all.extend(more);
+    *list = sorted_unique(all);
 }
 
 impl CommunitySet {
@@ -217,12 +219,12 @@ impl CommunitySet {
 
     /// Merges another set into this one.
     pub fn merge(&mut self, other: &CommunitySet) {
-        union_sorted(&mut self.classic, &other.classic);
+        self.extend(other.classic.iter().copied());
         if let Some(theirs) = &other.rest {
             // Theirs is not empty, so neither is the union.
             let rest = self.rest.get_or_insert_with(Box::default);
-            union_sorted(&mut rest.extended, &theirs.extended);
-            union_sorted(&mut rest.large, &theirs.large);
+            extend_sorted(&mut rest.extended, theirs.extended.iter().copied());
+            extend_sorted(&mut rest.large, theirs.large.iter().copied());
         }
     }
 
@@ -298,11 +300,7 @@ impl Extend<Community> for CommunitySet {
     /// Inserts classic communities, rebuilding the classic slice once for
     /// the whole batch rather than once per community.
     fn extend<T: IntoIterator<Item = Community>>(&mut self, iter: T) {
-        let iter = iter.into_iter();
-        let mut classic = std::mem::take(&mut self.classic).into_vec();
-        classic.reserve_exact(iter.size_hint().0);
-        classic.extend(iter);
-        self.classic = sorted_unique(classic);
+        extend_sorted(&mut self.classic, iter);
     }
 }
 

@@ -837,8 +837,8 @@ mod tests {
     }
 
     /// A decoded one-segment path is one allocation holding exactly its
-    /// ASNs: decoded paths are stored and counted at capacity, so spare
-    /// room would be paid for by every stream.
+    /// ASNs: every stream retains its decoded path, so spare room would be
+    /// paid for by every stream.
     #[test]
     fn decoded_single_segment_path_has_exact_capacity() {
         let path: AsPath = "3356 1299 20205".parse().unwrap();
