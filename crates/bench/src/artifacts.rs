@@ -8,8 +8,7 @@ use std::collections::{BTreeMap, BTreeSet, HashSet};
 use kcc_bgp_sim::lab::{run_experiment, LabExperiment};
 use kcc_bgp_sim::{DampeningConfig, Network, SimConfig, SimDuration, VendorProfile};
 use kcc_bgp_types::{AsPath, Asn, Prefix};
-use kcc_collector::{ArchiveSource, BeaconPhase, BeaconSchedule, SessionKey, UpdateArchive};
-use kcc_core::beacon_phase::DAY_US;
+use kcc_collector::{beacon, ArchiveSource, BeaconPhase, SessionKey, UpdateArchive};
 use kcc_core::cumsum::{path_timeline, Timeline};
 use kcc_core::exploration::{detect, summarize};
 use kcc_core::longitudinal::LongitudinalSeries;
@@ -363,7 +362,7 @@ pub(crate) fn fig3(args: &Args) -> Artifact {
 }
 
 fn in_withdrawal_phase(time_us: u64) -> bool {
-    matches!(BeaconSchedule::default().phase_of(time_us % DAY_US), BeaconPhase::Withdrawal(_))
+    beacon::phase_of(time_us).is_withdrawal()
 }
 
 /// Of the `((session, AS path), (count, withdrawal_only))` tallies with a
@@ -468,7 +467,7 @@ pub(crate) fn fig4(args: &Args) -> Artifact {
 
     // Decode the revealed locations (the paper: 9 locations in 19
     // announcements — cities, countries, regions).
-    let episodes = detect(&day.archive, &BeaconSchedule::default(), &[day.beacon_prefix]);
+    let episodes = detect(&day.archive, &[day.beacon_prefix]);
     let summary = summarize(&episodes);
     let this_stream: Vec<_> = episodes.iter().filter(|e| e.session == session).collect();
     let locations: usize = this_stream.iter().map(|e| e.locations.len()).sum();
@@ -500,7 +499,7 @@ pub(crate) fn fig4(args: &Args) -> Artifact {
     let phases: HashSet<BeaconPhase> = timeline
         .points
         .iter()
-        .map(|p| BeaconSchedule::default().phase_of(p.time_us % DAY_US))
+        .map(|p| beacon::phase_of(p.time_us))
         .filter(|phase| *phase != BeaconPhase::Outside)
         .collect();
     cmp.add(
@@ -597,14 +596,8 @@ pub(crate) fn fig5(args: &Args) -> Artifact {
         counts.nn > 0,
     );
     let (in_withdraw, points) = points_in_withdrawal(&timeline);
-    let in_announce = timeline
-        .points
-        .iter()
-        .filter(|p| {
-            let phase = BeaconSchedule::default().phase_of(p.time_us % DAY_US);
-            matches!(phase, BeaconPhase::Announcement(_))
-        })
-        .count();
+    let in_announce =
+        timeline.points.iter().filter(|p| beacon::phase_of(p.time_us).is_announcement()).count();
     // The pick prefers never-best streams, which lie wholly in withdrawal
     // phases; so a stream that falls short of the bar means no
     // egress-cleaning session had a never-best path carrying `nn`.
@@ -623,13 +616,46 @@ pub(crate) fn fig5(args: &Args) -> Artifact {
         session.peer_asn.value(),
         100.0 * in_withdraw as f64 / points as f64,
     ));
+    let pn_timeline = timeline.count_of(AnnouncementType::Pn);
     let nn_timeline = timeline.count_of(AnnouncementType::Nn);
+    let measured = format!("pn={pn_timeline} nn={nn_timeline}");
+    let session_paths: BTreeSet<String> = day
+        .archive
+        .session(&session)
+        .into_iter()
+        .flat_map(|rec| &rec.updates)
+        .filter(|u| u.prefix == day.beacon_prefix)
+        .filter_map(|u| u.attributes().map(|a| a.as_path.to_string()))
+        .collect();
+    let peer = session.peer_asn.value();
+    let mut missing = Vec::new();
+    if pn_timeline == 0 && session_paths.len() == 1 {
+        missing.push(format!(
+            "AS{peer} announces one AS path all day, so the picked path never changes"
+        ));
+    } else if pn_timeline == 0 {
+        missing.push(format!(
+            "AS{peer} announces {} AS paths (pc={} pn={} on the session), but never arrives \
+             at this one by a path change alone",
+            session_paths.len(),
+            counts.pc,
+            counts.pn,
+        ));
+    }
+    if nn_timeline == 0 {
+        missing.push("no announcement on it repeats the one before".to_string());
+    }
     cmp.add(
         "phases begin with path change, then nn series",
         "pn then nn*",
-        &format!("pn={} nn={nn_timeline}", timeline.count_of(AnnouncementType::Pn)),
-        timeline.count_of(AnnouncementType::Pn) > 0 || nn_timeline > 0,
-    );
+        &measured,
+        pn_timeline > 0 && nn_timeline > 0,
+    )
+    .deviates_because(format!(
+        "{measured} = {pn_timeline} path changes and {nn_timeline} duplicates of the {points} \
+         points on `{path_str}`: {}.",
+        missing.join("; ")
+    ));
     Artifact::new(TITLE, out, cmp)
 }
 
@@ -644,11 +670,10 @@ pub(crate) fn fig6(args: &Args) -> Artifact {
     let cfg = hist_config(args, 1); // yearly resolution suffices for the ratio
     let mut out = Vec::new();
 
-    let schedule = BeaconSchedule::default();
     let mut series = LongitudinalSeries::default();
     for (label, day_cfg) in day_configs(&cfg) {
         let (archive, _, beacon_prefixes) = cleaned_day(&day_cfg);
-        let revealed = revealed_attributes(&archive, &schedule, &beacon_prefixes);
+        let revealed = revealed_attributes(&archive, &beacon_prefixes);
         series.push_with_revealed(label, classify_archive(&archive), revealed);
     }
     out.push(series.fig6_csv());
@@ -894,7 +919,6 @@ pub(crate) fn ablation_mrai(args: &Args) -> Artifact {
             name,
             suppresses_duplicates: false,
             mrai_ebgp: SimDuration::from_secs(secs),
-            mrai_ibgp: SimDuration::ZERO,
         };
         let day = run_beacon_day(&BeaconDayConfig {
             vendor_mix: vec![(profile, 1.0)],

@@ -8,7 +8,8 @@
 
 use kcc_bgp_sim::{Network, SimConfig, SimDuration, SimTime, VendorProfile};
 use kcc_bgp_types::{Asn, Prefix};
-use kcc_collector::{BeaconEvent, BeaconSchedule, UpdateArchive};
+use kcc_collector::beacon::{self, BeaconEvent};
+use kcc_collector::UpdateArchive;
 use kcc_topology::{generate, RouterId, Tier, Topology, TopologyConfig};
 use keep_communities_clean::adapter::capture_to_archive;
 
@@ -164,7 +165,7 @@ pub(crate) fn run_beacon_schedule(
 
     // The simulated day starts on a fresh minute boundary.
     let day_start = SimTime(((net.now().0 / 60_000_000) + 2) * 60_000_000);
-    for (offset, event) in BeaconSchedule::default().day_events() {
+    for (offset, event) in beacon::day_events() {
         let at = SimTime(day_start.0 + offset);
         match event {
             BeaconEvent::Announce => net.schedule_announce(at, beacon_router, beacon_prefix),
@@ -178,7 +179,6 @@ pub(crate) fn run_beacon_schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kcc_collector::BeaconPhase;
     use kcc_core::{classify_archive, AnnouncementType};
 
     fn quick_config() -> BeaconDayConfig {
@@ -196,17 +196,13 @@ mod tests {
         let out = run_beacon_day(&quick_config());
         assert!(out.archive.update_count() > 0, "collector saw nothing");
         // Withdrawals arrive in (or near) withdrawal phases.
-        let schedule = BeaconSchedule::default();
         let mut in_withdraw_phase = 0usize;
         let mut withdrawals = 0usize;
         for (_, rec) in out.archive.sessions() {
             for u in &rec.updates {
                 if u.is_withdrawal() {
                     withdrawals += 1;
-                    if matches!(
-                        schedule.phase_of(u.time_us % (24 * 3600 * 1_000_000)),
-                        BeaconPhase::Withdrawal(_)
-                    ) {
+                    if beacon::phase_of(u.time_us).is_withdrawal() {
                         in_withdraw_phase += 1;
                     }
                 }

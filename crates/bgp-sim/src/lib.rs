@@ -19,8 +19,6 @@
 //! * **MRAI timers** on eBGP advertisements (withdrawals bypass them, per
 //!   RFC 4271 §9.2.1.1),
 //! * **link/session events** (flaps) and origin announce/withdraw events,
-//! * **delivery loss** (message drop chance, extra delay) with a seeded
-//!   RNG ([`delivery`]),
 //! * **capture** at collector routers and on monitored sessions
 //!   ([`capture`]),
 //! * a **declarative scenario engine** ([`scenario`]): topology template +
@@ -47,7 +45,6 @@
 pub mod capture;
 pub mod dampening;
 pub mod decision;
-pub mod delivery;
 pub mod event;
 pub mod faults;
 pub mod lab;

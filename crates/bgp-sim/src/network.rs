@@ -17,7 +17,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::capture::{Capture, CapturedUpdate};
-use crate::delivery::{FaultConfig, FaultInjector};
 use crate::event::{EventKind, EventQueue};
 use crate::policy::{ExportPolicy, ImportPolicy};
 use crate::route::SimUpdate;
@@ -33,7 +32,7 @@ pub struct NetStats {
     pub events_processed: u64,
     /// Messages delivered to routers.
     pub messages_delivered: u64,
-    /// Messages lost to fault injection or down sessions.
+    /// Messages sent on a session that is down.
     pub messages_dropped: u64,
 }
 
@@ -53,8 +52,6 @@ pub struct SimConfig {
     /// Staggering is what desynchronizes propagation and lets path
     /// exploration unfold (as it does in the wild).
     pub delay_spread: SimDuration,
-    /// Fault injection.
-    pub fault: FaultConfig,
     /// Route-flap dampening applied to every router (None = off, the
     /// common default — the paper notes dampening is selectively
     /// deployed).
@@ -72,7 +69,6 @@ impl Default for SimConfig {
             vendor_mix: Vec::new(),
             base_link_delay: SimDuration::from_millis(2),
             delay_spread: SimDuration::from_millis(8),
-            fault: FaultConfig::default(),
             dampening: None,
             max_events: 50_000_000,
         }
@@ -103,7 +99,6 @@ pub struct Network {
     last_event: SimTime,
     captures: BTreeMap<RouterId, Capture>,
     monitors: BTreeMap<SessionId, Capture>,
-    fault: FaultInjector,
     /// Statistics.
     pub stats: NetStats,
     config: SimConfig,
@@ -143,7 +138,6 @@ impl Network {
             last_event: SimTime::ZERO,
             captures: BTreeMap::new(),
             monitors: BTreeMap::new(),
-            fault: FaultInjector::new(config.fault),
             stats: NetStats::default(),
             config,
         }
@@ -559,7 +553,7 @@ impl Network {
     }
 
     /// Interprets a router's actions: schedules transmissions (with link
-    /// delay and fault injection) and MRAI timers.
+    /// delay) and MRAI timers.
     fn apply_actions(&mut self, from: RouterId, actions: &mut Vec<Action>) {
         for action in actions.drain(..) {
             match action {
@@ -569,12 +563,8 @@ impl Network {
                         self.stats.messages_dropped += 1;
                         continue;
                     }
-                    if self.fault.should_drop() {
-                        self.stats.messages_dropped += 1;
-                        continue;
-                    }
                     let to = s.other(from);
-                    let at = self.now + s.delay + self.fault.extra_delay();
+                    let at = self.now + s.delay;
                     self.queue.push(at, EventKind::Deliver { session, to, update });
                 }
                 Action::ScheduleMrai { session, at } => {
@@ -870,19 +860,6 @@ mod tests {
         net.run_until_quiet();
         let after: Vec<usize> = net.routers().map(|r| r.loc_rib_len()).collect();
         assert_eq!(before, after, "flap must fully heal");
-    }
-
-    #[test]
-    fn fault_injection_drops_messages() {
-        let topo = tiny_topology();
-        let cfg = SimConfig {
-            fault: FaultConfig { drop_chance: 0.3, seed: 5, ..Default::default() },
-            ..Default::default()
-        };
-        let mut net = Network::from_topology(&topo, cfg);
-        net.announce_all_origins(&topo, SimTime::ZERO);
-        net.run_until_quiet();
-        assert!(net.stats.messages_dropped > 0);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::session::SessionId;
 /// The payload of one simulated update message: a single prefix
 /// announcement or withdrawal. (Real UPDATEs can pack prefixes; the
 /// analysis is per-prefix anyway, and collectors explode packets — see
-/// `kcc_bgp_wire::UpdatePacket::explode`.)
+/// `kcc_bgp_wire::UpdatePacket::into_route_updates`.)
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimUpdate {
     /// The affected prefix.

@@ -27,10 +27,9 @@ pub struct VendorProfile {
     /// Per the paper: Junos yes, Cisco IOS / IOS-XR / BIRD no.
     pub suppresses_duplicates: bool,
     /// Default MRAI (minimum route advertisement interval) on eBGP
-    /// sessions. Withdrawals are exempt (RFC 4271 §9.2.1.1).
+    /// sessions. Withdrawals are exempt (RFC 4271 §9.2.1.1), and iBGP
+    /// sessions have none on every profile.
     pub mrai_ebgp: SimDuration,
-    /// Default MRAI on iBGP sessions.
-    pub mrai_ibgp: SimDuration,
 }
 
 impl VendorProfile {
@@ -39,7 +38,6 @@ impl VendorProfile {
         name: "Cisco IOS 12.4(20)T",
         suppresses_duplicates: false,
         mrai_ebgp: SimDuration::from_secs(30),
-        mrai_ibgp: SimDuration::ZERO,
     };
 
     /// Cisco IOS-XR 6.0.1: duplicates by default, no MRAI by default.
@@ -47,7 +45,6 @@ impl VendorProfile {
         name: "Cisco IOS XR 6.0.1",
         suppresses_duplicates: false,
         mrai_ebgp: SimDuration::ZERO,
-        mrai_ibgp: SimDuration::ZERO,
     };
 
     /// Junos (Olive 12.1R1.9): the only tested implementation that
@@ -56,7 +53,6 @@ impl VendorProfile {
         name: "Junos OS Olive 12.1R1.9",
         suppresses_duplicates: true,
         mrai_ebgp: SimDuration::ZERO,
-        mrai_ibgp: SimDuration::ZERO,
     };
 
     /// BIRD 1.6.6: duplicates by default.
@@ -64,7 +60,6 @@ impl VendorProfile {
         name: "BIRD 1.6.6",
         suppresses_duplicates: false,
         mrai_ebgp: SimDuration::ZERO,
-        mrai_ibgp: SimDuration::ZERO,
     };
 
     /// BIRD 2.0.7: duplicates by default.
@@ -72,19 +67,19 @@ impl VendorProfile {
         name: "BIRD 2.0.7",
         suppresses_duplicates: false,
         mrai_ebgp: SimDuration::ZERO,
-        mrai_ibgp: SimDuration::ZERO,
     };
 
     /// All profiles the paper tests, for sweep experiments.
     pub const ALL: [VendorProfile; 5] =
         [Self::CISCO_IOS, Self::CISCO_IOS_XR, Self::JUNOS, Self::BIRD_1, Self::BIRD_2];
 
-    /// The MRAI for a session kind.
+    /// The MRAI for a session kind: [`mrai_ebgp`](Self::mrai_ebgp) on
+    /// eBGP, zero on iBGP.
     pub fn mrai(&self, ebgp: bool) -> SimDuration {
         if ebgp {
             self.mrai_ebgp
         } else {
-            self.mrai_ibgp
+            SimDuration::ZERO
         }
     }
 }
@@ -117,7 +112,6 @@ mod tests {
     #[test]
     fn cisco_ios_has_classic_mrai() {
         assert_eq!(VendorProfile::CISCO_IOS.mrai(true), SimDuration::from_secs(30));
-        assert_eq!(VendorProfile::CISCO_IOS.mrai(false), SimDuration::ZERO);
     }
 
     #[test]

@@ -35,34 +35,19 @@ impl UpdatePacket {
         UpdatePacket { withdrawn: vec![prefix], ..Default::default() }
     }
 
-    /// How many updates [`explode`](Self::explode) and
-    /// [`into_route_updates`](Self::into_route_updates) yield: every
-    /// withdrawal, plus the announcements when there are attributes.
+    /// How many updates [`into_route_updates`](Self::into_route_updates)
+    /// yields: every withdrawal, plus the announcements when there are
+    /// attributes.
     pub fn route_update_count(&self) -> usize {
         self.withdrawn.len() + if self.attrs.is_some() { self.nlri.len() } else { 0 }
     }
 
     /// Explodes the packet into its per-prefix [`RouteUpdate`]s in wire
     /// order (withdrawals first, then announcements), stamping each with
-    /// `time_us`. The attribute set is deep-copied **once** per packet and
-    /// shared across every announced prefix behind one `Arc` — the
+    /// `time_us`. The decoded attribute set moves into **one** `Arc`
+    /// shared across every announced prefix, with no deep copy — the
     /// many-prefixes-one-attribute shape of real UPDATEs becomes pointer
     /// copies downstream.
-    pub fn explode(&self, time_us: u64) -> Vec<RouteUpdate> {
-        let shared = self.attrs.as_ref().map(|a| Arc::new(a.clone()));
-        self.withdrawn
-            .iter()
-            .map(|p| RouteUpdate::withdraw(time_us, *p))
-            .chain(self.nlri.iter().filter_map(|p| {
-                shared.as_ref().map(|a| RouteUpdate::announce(time_us, *p, Arc::clone(a)))
-            }))
-            .collect()
-    }
-
-    /// [`explode`](Self::explode), consuming: moves the
-    /// decoded attribute set straight into its shared `Arc` — no deep
-    /// copy at all. The right call when the packet came off the wire and
-    /// is not needed again.
     pub fn into_route_updates(self, time_us: u64) -> impl Iterator<Item = RouteUpdate> {
         let UpdatePacket { withdrawn, nlri, attrs, .. } = self;
         let shared = attrs.map(Arc::new);
@@ -268,9 +253,9 @@ mod tests {
     fn explode_orders_withdrawals_first() {
         let mut p = UpdatePacket::announce("84.205.64.0/24".parse().unwrap(), attrs());
         p.withdrawn.push("10.9.0.0/16".parse().unwrap());
-        let updates = p.explode(42);
-        assert_eq!(updates.len(), 2);
         assert_eq!(p.route_update_count(), 2);
+        let updates: Vec<_> = p.into_route_updates(42).collect();
+        assert_eq!(updates.len(), 2);
         assert!(updates[0].is_withdrawal());
         assert!(updates[1].is_announcement());
         assert!(updates.iter().all(|u| u.time_us == 42));
@@ -281,7 +266,7 @@ mod tests {
         let mut p = UpdatePacket::announce("84.205.64.0/24".parse().unwrap(), attrs());
         p.nlri.push("84.205.65.0/24".parse().unwrap());
         p.nlri.push("84.205.66.0/24".parse().unwrap());
-        let updates = p.explode(7);
+        let updates: Vec<_> = p.into_route_updates(7).collect();
         let handles: Vec<_> = updates.iter().filter_map(|u| u.attributes_shared()).collect();
         assert_eq!(handles.len(), 3);
         assert!(

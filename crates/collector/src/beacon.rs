@@ -9,10 +9,21 @@
 
 use kcc_bgp_types::Prefix;
 
-/// Microseconds per second.
-const US_PER_SEC: u64 = 1_000_000;
-/// Seconds per hour.
-const SEC_PER_HOUR: u64 = 3_600;
+/// Microseconds per hour.
+const HOUR_US: u64 = 3_600 * 1_000_000;
+/// Microseconds in a day: archive time is relative to the first day's
+/// start, and [`phase_of`] wraps it by this.
+pub const DAY_US: u64 = 24 * HOUR_US;
+/// Period between announcements (and between withdrawals): 4 h. The
+/// first announcement is at 00:00.
+const PERIOD_US: u64 = 4 * HOUR_US;
+/// Offset of each withdrawal from its announcement: 2 h, so the first is
+/// at 02:00.
+const WITHDRAW_OFFSET_US: u64 = 2 * HOUR_US;
+/// Phase-membership window (the paper: 15 minutes).
+const WINDOW_US: u64 = 15 * 60 * 1_000_000;
+/// Announce (== withdraw) phases in a day.
+const PHASES_PER_DAY: usize = (DAY_US / PERIOD_US) as usize;
 
 /// One scheduled beacon action.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,65 +57,30 @@ impl BeaconPhase {
     }
 }
 
-/// The beacon timetable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BeaconSchedule {
-    /// Period between announcements (and between withdrawals).
-    pub period_us: u64,
-    /// Offset of the first announcement from day start.
-    pub announce_offset_us: u64,
-    /// Offset of the first withdrawal from day start.
-    pub withdraw_offset_us: u64,
-    /// Phase-membership window length (the paper: 15 minutes).
-    pub window_us: u64,
+/// All events of one day (microseconds from day start), announce and
+/// withdraw interleaved in time order.
+pub fn day_events() -> [(u64, BeaconEvent); 2 * PHASES_PER_DAY] {
+    std::array::from_fn(|k| {
+        let start = (k / 2) as u64 * PERIOD_US;
+        if k % 2 == 0 {
+            (start, BeaconEvent::Announce)
+        } else {
+            (start + WITHDRAW_OFFSET_US, BeaconEvent::Withdraw)
+        }
+    })
 }
 
-impl Default for BeaconSchedule {
-    /// The RIPE RIS schedule: 4 h period, announce at 00:00, withdraw at
-    /// 02:00, 15-minute windows.
-    fn default() -> Self {
-        BeaconSchedule {
-            period_us: 4 * SEC_PER_HOUR * US_PER_SEC,
-            announce_offset_us: 0,
-            withdraw_offset_us: 2 * SEC_PER_HOUR * US_PER_SEC,
-            window_us: 15 * 60 * US_PER_SEC,
-        }
-    }
-}
-
-impl BeaconSchedule {
-    /// Number of announce (== withdraw) phases in a day.
-    pub(crate) fn phases_per_day(&self) -> u8 {
-        (24 * SEC_PER_HOUR * US_PER_SEC / self.period_us) as u8
-    }
-
-    /// All events of one day (microseconds from day start), announce and
-    /// withdraw interleaved in time order.
-    pub fn day_events(&self) -> Vec<(u64, BeaconEvent)> {
-        let mut v = Vec::new();
-        let phases = self.phases_per_day() as u64;
-        for i in 0..phases {
-            v.push((self.announce_offset_us + i * self.period_us, BeaconEvent::Announce));
-            v.push((self.withdraw_offset_us + i * self.period_us, BeaconEvent::Withdraw));
-        }
-        v.sort_unstable_by_key(|(t, _)| *t);
-        v
-    }
-
-    /// Classifies a time-of-day (microseconds from day start) into a
-    /// phase, using the schedule's window.
-    pub fn phase_of(&self, time_of_day_us: u64) -> BeaconPhase {
-        let phases = self.phases_per_day();
-        for i in 0..phases {
-            let a = self.announce_offset_us + i as u64 * self.period_us;
-            if time_of_day_us >= a && time_of_day_us < a + self.window_us {
-                return BeaconPhase::Announcement(i);
-            }
-            let w = self.withdraw_offset_us + i as u64 * self.period_us;
-            if time_of_day_us >= w && time_of_day_us < w + self.window_us {
-                return BeaconPhase::Withdrawal(i);
-            }
-        }
+/// The phase of an archive time (microseconds from the first day's start;
+/// any day of a multi-day archive wraps onto the one timetable).
+pub fn phase_of(time_us: u64) -> BeaconPhase {
+    let time_of_day = time_us % DAY_US;
+    let i = (time_of_day / PERIOD_US) as u8;
+    let into_period = time_of_day % PERIOD_US;
+    if into_period < WINDOW_US {
+        BeaconPhase::Announcement(i)
+    } else if (WITHDRAW_OFFSET_US..WITHDRAW_OFFSET_US + WINDOW_US).contains(&into_period) {
+        BeaconPhase::Withdrawal(i)
+    } else {
         BeaconPhase::Outside
     }
 }
@@ -119,37 +95,61 @@ pub fn ripe_beacon_prefixes() -> Vec<Prefix> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn six_phases_per_day() {
-        let s = BeaconSchedule::default();
-        assert_eq!(s.phases_per_day(), 6);
-        assert_eq!(s.day_events().len(), 12);
-    }
+    /// Hour in microseconds, spelled out as the tests' own reference.
+    const HOUR: u64 = 3600 * 1_000_000;
+    /// Every edge the timetable has, and the phase at it.
+    const EDGES: [(u64, BeaconPhase); 7] = [
+        // 02:00–02:15 is the first withdrawal phase (paper's example).
+        (2 * HOUR, BeaconPhase::Withdrawal(0)),
+        (2 * HOUR + 14 * 60 * 1_000_000, BeaconPhase::Withdrawal(0)),
+        (2 * HOUR + 16 * 60 * 1_000_000, BeaconPhase::Outside),
+        (0, BeaconPhase::Announcement(0)),
+        (4 * HOUR + 1, BeaconPhase::Announcement(1)),
+        (22 * HOUR, BeaconPhase::Withdrawal(5)),
+        (3 * HOUR, BeaconPhase::Outside),
+    ];
 
     #[test]
     fn events_alternate_announce_withdraw() {
-        let events = BeaconSchedule::default().day_events();
+        let events = day_events();
         for pair in events.chunks(2) {
             assert_eq!(pair[0].1, BeaconEvent::Announce);
             assert_eq!(pair[1].1, BeaconEvent::Withdraw);
         }
         // First announce at 00:00, first withdraw at 02:00.
         assert_eq!(events[0].0, 0);
-        assert_eq!(events[1].0, 2 * 3600 * 1_000_000);
+        assert_eq!(events[1].0, 2 * HOUR);
     }
 
     #[test]
     fn phase_classification() {
-        let s = BeaconSchedule::default();
-        let hour = 3600 * 1_000_000u64;
-        // 02:00–02:15 is the first withdrawal phase (paper's example).
-        assert_eq!(s.phase_of(2 * hour), BeaconPhase::Withdrawal(0));
-        assert_eq!(s.phase_of(2 * hour + 14 * 60 * 1_000_000), BeaconPhase::Withdrawal(0));
-        assert_eq!(s.phase_of(2 * hour + 16 * 60 * 1_000_000), BeaconPhase::Outside);
-        assert_eq!(s.phase_of(0), BeaconPhase::Announcement(0));
-        assert_eq!(s.phase_of(4 * hour + 1), BeaconPhase::Announcement(1));
-        assert_eq!(s.phase_of(22 * hour), BeaconPhase::Withdrawal(5));
-        assert_eq!(s.phase_of(3 * hour), BeaconPhase::Outside);
+        for (t, phase) in EDGES {
+            assert_eq!(phase_of(t), phase, "at {t} us");
+        }
+    }
+
+    #[test]
+    fn phase_of_wraps_archive_time_into_the_day() {
+        for d in 0..3 {
+            for (t, phase) in EDGES {
+                assert_eq!(phase_of(d * DAY_US + t), phase, "day {d}, {t} us");
+            }
+        }
+        // The 12 RIS events: announce every 4 h from 00:00, each withdrawn
+        // 2 h later.
+        let ris: Vec<_> = (0..6)
+            .flat_map(|i| {
+                [(i * 4 * HOUR, BeaconEvent::Announce), ((i * 4 + 2) * HOUR, BeaconEvent::Withdraw)]
+            })
+            .collect();
+        assert_eq!(day_events().to_vec(), ris);
+        for (t, event) in day_events() {
+            let phase = phase_of(t);
+            match event {
+                BeaconEvent::Announce => assert!(phase.is_announcement(), "{t}"),
+                BeaconEvent::Withdraw => assert!(phase.is_withdrawal(), "{t}"),
+            }
+        }
     }
 
     #[test]

@@ -250,7 +250,7 @@ mod tests {
 
     #[test]
     fn first_record_day_floors_the_earliest_file_or_directory_member() {
-        const DAY_US: u64 = 86_400_000_000;
+        use crate::beacon::DAY_US;
         let dir = temp_dir("epoch");
         let feed = dir.join("feed");
         std::fs::create_dir(&feed).unwrap();

@@ -45,7 +45,7 @@ pub mod source;
 pub mod timestamps;
 
 pub use archive::UpdateArchive;
-pub use beacon::{BeaconEvent, BeaconPhase, BeaconSchedule};
+pub use beacon::{BeaconEvent, BeaconPhase};
 pub use corpus::{Corpus, MrtFileOptions, NamedSource};
 pub use dir_source::{first_record_day, MrtDirSource};
 pub use live::{LiveSender, LiveSource, ShutdownFlag, LIVE_RING_ITEMS};

@@ -6,31 +6,22 @@
 //! begins."
 
 use kcc_bgp_types::{Prefix, RouteUpdate};
-use kcc_collector::{BeaconPhase, BeaconSchedule, SessionKey};
+use kcc_collector::{beacon, BeaconPhase, SessionKey};
 
 use crate::pipeline::{AnalysisSink, Merge};
 
-/// Microseconds in a day.
-pub const DAY_US: u64 = 24 * 3600 * 1_000_000;
-
-/// Per-phase announcement counting as a constant-size streaming sink.
-/// Archive times are relative to day start, so time-of-day is `time_us`
-/// modulo a day (multi-day archives wrap correctly).
+/// Per-phase announcement counting as a constant-size streaming sink, on
+/// the RIS timetable of [`beacon::phase_of`] (multi-day archives wrap).
 #[derive(Debug, Clone)]
 pub struct PhaseCountSink {
-    schedule: BeaconSchedule,
     beacon_prefixes: Vec<Prefix>,
     counts: PhaseCounts,
 }
 
 impl PhaseCountSink {
     /// A sink counting phases of updates on `beacon_prefixes`.
-    pub fn new(schedule: BeaconSchedule, beacon_prefixes: &[Prefix]) -> Self {
-        PhaseCountSink {
-            schedule,
-            beacon_prefixes: beacon_prefixes.to_vec(),
-            counts: PhaseCounts::default(),
-        }
+    pub fn new(beacon_prefixes: &[Prefix]) -> Self {
+        PhaseCountSink { beacon_prefixes: beacon_prefixes.to_vec(), counts: PhaseCounts::default() }
     }
 
     /// The accumulated counts.
@@ -44,7 +35,7 @@ impl AnalysisSink for PhaseCountSink {
         if !self.beacon_prefixes.contains(&u.prefix) {
             return;
         }
-        let phase = self.schedule.phase_of(u.time_us % DAY_US);
+        let phase = beacon::phase_of(u.time_us);
         self.counts.observe(phase, u.is_announcement());
     }
 
@@ -102,6 +93,7 @@ mod tests {
     use super::*;
     use crate::pipeline::drain_archive;
     use kcc_bgp_types::{Asn, PathAttributes};
+    use kcc_collector::beacon::DAY_US;
     use kcc_collector::UpdateArchive;
 
     const HOUR_US: u64 = 3600 * 1_000_000;
@@ -128,7 +120,7 @@ mod tests {
     }
 
     fn count_phases(a: &UpdateArchive, prefix: Prefix) -> PhaseCounts {
-        drain_archive(a, PhaseCountSink::new(BeaconSchedule::default(), &[prefix])).finish()
+        drain_archive(a, PhaseCountSink::new(&[prefix])).finish()
     }
 
     #[test]

@@ -11,9 +11,9 @@ use std::collections::BTreeMap;
 
 use kcc_bgp_types::geo::{decode_geo, GeoScope};
 use kcc_bgp_types::Prefix;
-use kcc_collector::{BeaconPhase, BeaconSchedule, SessionKey, UpdateArchive};
+use kcc_collector::beacon::{self, DAY_US};
+use kcc_collector::{BeaconPhase, SessionKey, UpdateArchive};
 
-use crate::beacon_phase::DAY_US;
 use crate::classify::AnnouncementType;
 use crate::pipeline::{drain_archive, AnalysisSink, Merge};
 use crate::stream::{ClassifiedEvent, EventKind};
@@ -54,19 +54,14 @@ impl ExplorationEvent {
 /// beacon streams × phases, not by update volume.
 #[derive(Debug, Clone)]
 pub(crate) struct ExplorationSink {
-    schedule: BeaconSchedule,
     beacon_prefixes: Vec<Prefix>,
     episodes: BTreeMap<(SessionKey, Prefix, u32, u8), ExplorationEvent>,
 }
 
 impl ExplorationSink {
-    /// A detector over `schedule` for the given beacon prefixes.
-    pub fn new(schedule: BeaconSchedule, beacon_prefixes: &[Prefix]) -> Self {
-        ExplorationSink {
-            schedule,
-            beacon_prefixes: beacon_prefixes.to_vec(),
-            episodes: BTreeMap::new(),
-        }
+    /// A detector on the RIS timetable for the given beacon prefixes.
+    pub fn new(beacon_prefixes: &[Prefix]) -> Self {
+        ExplorationSink { beacon_prefixes: beacon_prefixes.to_vec(), episodes: BTreeMap::new() }
     }
 
     /// The detected episodes, in canonical (session, prefix, day, phase)
@@ -82,7 +77,7 @@ impl AnalysisSink for ExplorationSink {
             return;
         }
         let day = (e.time_us / DAY_US) as u32;
-        let BeaconPhase::Withdrawal(phase) = self.schedule.phase_of(e.time_us % DAY_US) else {
+        let BeaconPhase::Withdrawal(phase) = beacon::phase_of(e.time_us) else {
             return;
         };
         let EventKind::Classified { atype, .. } = &e.kind else {
@@ -130,12 +125,8 @@ impl Merge for ExplorationSink {
 
 /// The exploration episodes of an archive on the given beacon prefixes —
 /// `ExplorationSink` run over it.
-pub fn detect(
-    archive: &UpdateArchive,
-    schedule: &BeaconSchedule,
-    beacon_prefixes: &[Prefix],
-) -> Vec<ExplorationEvent> {
-    drain_archive(archive, ExplorationSink::new(*schedule, beacon_prefixes)).finish()
+pub fn detect(archive: &UpdateArchive, beacon_prefixes: &[Prefix]) -> Vec<ExplorationEvent> {
+    drain_archive(archive, ExplorationSink::new(beacon_prefixes)).finish()
 }
 
 /// Summary over all episodes.
@@ -206,7 +197,7 @@ mod tests {
     #[test]
     fn detects_fig4_exploration() {
         let (a, prefix) = fig4_archive();
-        let episodes = detect(&a, &BeaconSchedule::default(), &[prefix]);
+        let episodes = detect(&a, &[prefix]);
         assert_eq!(episodes.len(), 1);
         let e = &episodes[0];
         assert_eq!(e.phase, 0);
@@ -226,14 +217,14 @@ mod tests {
         let mut a = UpdateArchive::new(0);
         // Single announcement at 01:00, outside any withdrawal phase.
         a.record(&k, RouteUpdate::announce(HOUR_US, prefix, PathAttributes::default()));
-        let episodes = detect(&a, &BeaconSchedule::default(), &[prefix]);
+        let episodes = detect(&a, &[prefix]);
         assert!(episodes.is_empty());
     }
 
     #[test]
     fn summary_aggregates() {
         let (a, prefix) = fig4_archive();
-        let episodes = detect(&a, &BeaconSchedule::default(), &[prefix]);
+        let episodes = detect(&a, &[prefix]);
         let s = summarize(&episodes);
         assert_eq!(s.episodes, 1);
         assert_eq!(s.exploration_episodes, 1);

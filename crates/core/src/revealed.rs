@@ -13,9 +13,8 @@
 use std::collections::HashMap;
 
 use kcc_bgp_types::{MessageKind, Prefix, RouteUpdate};
-use kcc_collector::{BeaconPhase, BeaconSchedule, SessionKey, UpdateArchive};
+use kcc_collector::{beacon, BeaconPhase, SessionKey, UpdateArchive};
 
-use crate::beacon_phase::DAY_US;
 use crate::pipeline::{drain_archive, AnalysisSink, Merge};
 
 /// Phase-category bit flags an attribute was seen in.
@@ -58,20 +57,15 @@ impl RevealedStats {
 /// *unique attribute*, independent of update volume.
 #[derive(Debug, Clone)]
 pub(crate) struct RevealedSink {
-    schedule: BeaconSchedule,
     beacon_prefixes: Vec<Prefix>,
     attrs_seen: HashMap<String, u8>,
 }
 
 impl RevealedSink {
-    /// A sink over `schedule`, restricted to `beacon_prefixes` when
+    /// A sink on the RIS timetable, restricted to `beacon_prefixes` when
     /// non-empty (the paper's d_beacon view).
-    pub fn new(schedule: BeaconSchedule, beacon_prefixes: &[Prefix]) -> Self {
-        RevealedSink {
-            schedule,
-            beacon_prefixes: beacon_prefixes.to_vec(),
-            attrs_seen: HashMap::new(),
-        }
+    pub fn new(beacon_prefixes: &[Prefix]) -> Self {
+        RevealedSink { beacon_prefixes: beacon_prefixes.to_vec(), attrs_seen: HashMap::new() }
     }
 
     /// The accumulated statistics.
@@ -100,7 +94,7 @@ impl AnalysisSink for RevealedSink {
         if attrs.communities.is_empty() {
             return; // an empty attribute reveals nothing
         }
-        let flag = match self.schedule.phase_of(u.time_us % DAY_US) {
+        let flag = match beacon::phase_of(u.time_us) {
             BeaconPhase::Withdrawal(_) => seen::WITHDRAWAL,
             BeaconPhase::Announcement(_) => seen::ANNOUNCEMENT,
             BeaconPhase::Outside => seen::OUTSIDE,
@@ -123,12 +117,8 @@ impl Merge for RevealedSink {
 
 /// Revealed-attribute statistics of an archive — `RevealedSink` run
 /// over it.
-pub fn revealed_attributes(
-    archive: &UpdateArchive,
-    schedule: &BeaconSchedule,
-    beacon_prefixes: &[Prefix],
-) -> RevealedStats {
-    drain_archive(archive, RevealedSink::new(*schedule, beacon_prefixes)).finish()
+pub fn revealed_attributes(archive: &UpdateArchive, beacon_prefixes: &[Prefix]) -> RevealedStats {
+    drain_archive(archive, RevealedSink::new(beacon_prefixes)).finish()
 }
 
 #[cfg(test)]
@@ -183,7 +173,7 @@ mod tests {
     #[test]
     fn categorizes_attributes() {
         let (a, prefix) = build();
-        let s = revealed_attributes(&a, &BeaconSchedule::default(), &[prefix]);
+        let s = revealed_attributes(&a, &[prefix]);
         assert_eq!(s.total, 5);
         assert_eq!(s.withdrawal_only, 2);
         assert_eq!(s.announcement_only, 1);
@@ -195,7 +185,7 @@ mod tests {
     #[test]
     fn empty_archive_ratio_zero() {
         let a = UpdateArchive::new(0);
-        let s = revealed_attributes(&a, &BeaconSchedule::default(), &[]);
+        let s = revealed_attributes(&a, &[]);
         assert_eq!(s.total, 0);
         assert_eq!(s.withdrawal_ratio(), 0.0);
     }
@@ -204,7 +194,7 @@ mod tests {
     fn no_filter_means_all_prefixes() {
         let (a, _) = build();
         // Empty filter list: every prefix counts.
-        let s = revealed_attributes(&a, &BeaconSchedule::default(), &[]);
+        let s = revealed_attributes(&a, &[]);
         assert_eq!(s.total, 5);
     }
 
@@ -222,7 +212,7 @@ mod tests {
                 attrs(&[(2, 2), (1, 1)]), // same set, different insertion order
             ),
         );
-        let s = revealed_attributes(&a, &BeaconSchedule::default(), &[prefix]);
+        let s = revealed_attributes(&a, &[prefix]);
         assert_eq!(s.total, 1);
         assert_eq!(s.withdrawal_only, 1);
     }

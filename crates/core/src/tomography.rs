@@ -76,32 +76,16 @@ pub struct InferredBehavior {
     pub propagate_score: f64,
 }
 
-/// Inference tuning.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TomographyConfig {
-    /// Minimum distinct own-namespace values to call an AS a tagger.
-    pub min_tagger_values: usize,
-    /// Minimum traversal samples before classifying filter/propagator.
-    pub min_samples: f64,
-    /// Filter score above which an AS is a filter.
-    pub filter_threshold: f64,
-    /// Propagation score above which an AS is a propagator.
-    pub propagate_threshold: f64,
-}
-
-impl Default for TomographyConfig {
-    fn default() -> Self {
-        TomographyConfig {
-            // A single geo tag already contributes three values (city,
-            // country, continent); demand evidence of at least two
-            // distinct locations.
-            min_tagger_values: 5,
-            min_samples: 5.0,
-            filter_threshold: 0.7,
-            propagate_threshold: 0.5,
-        }
-    }
-}
+/// Minimum distinct own-namespace values to call an AS a tagger. A single
+/// geo tag already contributes three values (city, country, continent);
+/// this demands evidence of at least two distinct locations.
+const MIN_TAGGER_VALUES: usize = 5;
+/// Minimum traversal samples before classifying filter/propagator.
+const MIN_SAMPLES: f64 = 5.0;
+/// Filter score above which an AS is a filter.
+const FILTER_THRESHOLD: f64 = 0.7;
+/// Propagation score above which an AS is a propagator.
+const PROPAGATE_THRESHOLD: f64 = 0.5;
 
 /// Traversal evidence conditional on one *candidate* tagger: integer
 /// counters so merging per-collector partials is exact (no float-order
@@ -138,26 +122,20 @@ impl PairEvidence {
 /// tagger* — a `(candidate, between-AS)`-keyed table bounded by AS
 /// adjacency, not update volume — and resolves which candidates really
 /// are taggers at [`TomographySink::finish`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct TomographySink {
-    cfg: TomographyConfig,
     own_values: BTreeMap<u16, HashSet<u16>>,
     pairs: BTreeMap<(u16, u16), PairEvidence>,
 }
 
 impl TomographySink {
-    /// An inference sink with the given thresholds.
-    pub fn new(cfg: TomographyConfig) -> Self {
-        TomographySink { cfg, own_values: BTreeMap::new(), pairs: BTreeMap::new() }
-    }
-
     /// Resolves taggers and folds the conditional evidence into the
     /// final per-AS classification.
     pub fn finish(self) -> BTreeMap<Asn, InferredBehavior> {
         let taggers: HashSet<u16> = self
             .own_values
             .iter()
-            .filter(|(_, values)| values.len() >= self.cfg.min_tagger_values)
+            .filter(|(_, values)| values.len() >= MIN_TAGGER_VALUES)
             .map(|(&asn, _)| asn)
             .collect();
 
@@ -185,16 +163,12 @@ impl TomographySink {
             .map(|(asn16, e)| {
                 let filter_score = if e.samples > 0.0 { e.cleaned_blame / e.samples } else { 0.0 };
                 let propagate_score = if e.samples > 0.0 { e.passed / e.samples } else { 0.0 };
-                let is_tagger = e.own_values.len() >= self.cfg.min_tagger_values;
+                let is_tagger = e.own_values.len() >= MIN_TAGGER_VALUES;
                 let class = if is_tagger {
                     InferredClass::Tagger
-                } else if e.samples >= self.cfg.min_samples
-                    && filter_score >= self.cfg.filter_threshold
-                {
+                } else if e.samples >= MIN_SAMPLES && filter_score >= FILTER_THRESHOLD {
                     InferredClass::Filter
-                } else if e.samples >= self.cfg.min_samples
-                    && propagate_score >= self.cfg.propagate_threshold
-                {
+                } else if e.samples >= MIN_SAMPLES && propagate_score >= PROPAGATE_THRESHOLD {
                     InferredClass::Propagator
                 } else {
                     InferredClass::Unknown
@@ -278,11 +252,8 @@ impl Merge for TomographySink {
 
 /// Runs the full inference over an archive — `TomographySink` run
 /// over it.
-pub fn infer_behaviors(
-    archive: &UpdateArchive,
-    cfg: &TomographyConfig,
-) -> BTreeMap<Asn, InferredBehavior> {
-    drain_archive(archive, TomographySink::new(*cfg)).finish()
+pub fn infer_behaviors(archive: &UpdateArchive) -> BTreeMap<Asn, InferredBehavior> {
+    drain_archive(archive, TomographySink::default()).finish()
 }
 
 /// Convenience view: the ASes inferred per class.
@@ -330,14 +301,14 @@ mod tests {
 
     #[test]
     fn tagger_detected() {
-        let inferred = infer_behaviors(&build_archive(), &TomographyConfig::default());
+        let inferred = infer_behaviors(&build_archive());
         assert_eq!(inferred[&Asn(200)].class, InferredClass::Tagger);
         assert!(inferred[&Asn(200)].evidence.own_values.len() >= 8);
     }
 
     #[test]
     fn propagator_and_filter_separated() {
-        let inferred = infer_behaviors(&build_archive(), &TomographyConfig::default());
+        let inferred = infer_behaviors(&build_archive());
         assert_eq!(inferred[&Asn(100)].class, InferredClass::Propagator);
         assert!(inferred[&Asn(100)].propagate_score > 0.9);
         assert_eq!(inferred[&Asn(300)].class, InferredClass::Filter);
@@ -356,7 +327,7 @@ mod tests {
         for _ in 0..8 {
             a.record(&k, announce("100 150 200 900", None));
         }
-        let inferred = infer_behaviors(&a, &TomographyConfig::default());
+        let inferred = infer_behaviors(&a);
         let f100 = inferred[&Asn(100)].filter_score;
         let f150 = inferred[&Asn(150)].filter_score;
         assert!((f100 - 0.25).abs() < 0.01, "blame 0.5 over half the samples: {f100}");
@@ -374,7 +345,7 @@ mod tests {
             // Owner 555 never appears on the path.
             a.record(&k, announce("100 200 900", Some((555, city))));
         }
-        let inferred = infer_behaviors(&a, &TomographyConfig::default());
+        let inferred = infer_behaviors(&a);
         assert!(
             !inferred.contains_key(&Asn(555)) || inferred[&Asn(555)].class != InferredClass::Tagger
         );
@@ -385,7 +356,7 @@ mod tests {
         let mut a = UpdateArchive::new(0);
         let k = SessionKey::new("rrc00", Asn(100), "10.0.0.1".parse().unwrap());
         a.record(&k, announce("100 200 900", Some((200, 1))));
-        let inferred = infer_behaviors(&a, &TomographyConfig::default());
+        let inferred = infer_behaviors(&a);
         // One sample, one value: nobody is classified beyond Unknown.
         for b in inferred.values() {
             assert_eq!(b.class, InferredClass::Unknown, "{:?}", b);
@@ -394,7 +365,7 @@ mod tests {
 
     #[test]
     fn classify_ases_partitions() {
-        let inferred = infer_behaviors(&build_archive(), &TomographyConfig::default());
+        let inferred = infer_behaviors(&build_archive());
         let (taggers, filters, propagators) = classify_ases(&inferred);
         assert_eq!(taggers, vec![Asn(200)]);
         assert_eq!(filters, vec![Asn(300)]);

@@ -1180,7 +1180,7 @@ mod tests {
         let packet = UpdatePacket::withdraw("10.0.0.0/8".parse().unwrap());
         peer.send(&Message::Update(packet.clone()));
         let SourceItem::Update(_, got) = h.next_item() else { panic!("expected the update") };
-        assert_eq!(got, packet.explode(0).remove(0), "first logical stamp is 0");
+        assert_eq!(Some(got), packet.into_route_updates(0).next(), "first logical stamp is 0");
 
         peer.send(&Message::Notification(Notification::cease_admin_shutdown()));
         h.wait_closed(1);

@@ -11,7 +11,7 @@
 use std::ops::RangeInclusive;
 
 use kcc_bgp_types::{Prefix, RouteUpdate};
-use kcc_collector::{BeaconEvent, BeaconSchedule};
+use kcc_collector::beacon::{self, BeaconEvent};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -29,17 +29,16 @@ const START_JITTER_US: u64 = 45_000_000;
 /// Spacing range between burst messages: 5–60 s (MRAI-ish).
 const STEP_SPACING_US: RangeInclusive<u64> = 5_000_000..=60_000_000;
 
-/// Generates one `(session, beacon prefix)` day following `schedule`.
+/// Generates one `(session, beacon prefix)` day on the RIS timetable.
 pub fn generate_beacon_stream(
     rng: &mut StdRng,
     template: &StreamTemplate,
-    schedule: &BeaconSchedule,
     prefix: Prefix,
     day_offset_us: u64,
     out: &mut Vec<RouteUpdate>,
 ) {
     let mut state = template.initial_state(rng);
-    for (phase_start, event) in schedule.day_events() {
+    for (phase_start, event) in beacon::day_events() {
         let t0 = day_offset_us + phase_start + rng.gen_range(1_000_000..START_JITTER_US);
         match event {
             BeaconEvent::Announce => {
@@ -77,6 +76,7 @@ pub fn generate_beacon_stream(
 mod tests {
     use super::*;
     use crate::universe::{build_universe, UniverseConfig};
+    use kcc_collector::beacon::DAY_US;
     use kcc_collector::BeaconPhase;
 
     fn template(class: StreamClass) -> (StdRng, StreamTemplate, Prefix) {
@@ -101,7 +101,7 @@ mod tests {
     fn six_withdrawals_per_day() {
         let (mut rng, t, prefix) = template(StreamClass::TaggedVisible);
         let mut out = Vec::new();
-        generate_beacon_stream(&mut rng, &t, &BeaconSchedule::default(), prefix, 0, &mut out);
+        generate_beacon_stream(&mut rng, &t, prefix, 0, &mut out);
         let withdrawals = out.iter().filter(|u| u.is_withdrawal()).count();
         assert_eq!(withdrawals, 6);
         // At least one announcement per phase: ≥ 6 + 6.
@@ -112,13 +112,12 @@ mod tests {
     #[test]
     fn messages_fall_in_their_phases() {
         let (mut rng, t, prefix) = template(StreamClass::TaggedVisible);
-        let schedule = BeaconSchedule::default();
         let mut out = Vec::new();
-        generate_beacon_stream(&mut rng, &t, &schedule, prefix, 0, &mut out);
+        generate_beacon_stream(&mut rng, &t, prefix, 0, &mut out);
         // Everything generated lies inside a phase window (bursts fit in
         // 15 minutes by construction with default spacings).
         for u in &out {
-            let phase = schedule.phase_of(u.time_us % (24 * 3600 * 1_000_000));
+            let phase = beacon::phase_of(u.time_us);
             assert_ne!(phase, BeaconPhase::Outside, "update at {} outside phases", u.time_us);
         }
     }
@@ -126,10 +125,9 @@ mod tests {
     #[test]
     fn day_offset_shifts_times() {
         let (mut rng, t, prefix) = template(StreamClass::TaggedVisible);
-        let day = 24 * 3600 * 1_000_000u64;
         let mut out = Vec::new();
-        generate_beacon_stream(&mut rng, &t, &BeaconSchedule::default(), prefix, day, &mut out);
-        assert!(out.iter().all(|u| u.time_us >= day && u.time_us < 2 * day));
+        generate_beacon_stream(&mut rng, &t, prefix, DAY_US, &mut out);
+        assert!(out.iter().all(|u| u.time_us >= DAY_US && u.time_us < 2 * DAY_US));
     }
 
     #[test]
@@ -150,14 +148,7 @@ mod tests {
                 "192.0.2.1".parse().unwrap(),
             );
             let mut out = Vec::new();
-            generate_beacon_stream(
-                &mut rng,
-                &t,
-                &BeaconSchedule::default(),
-                spec.prefix,
-                0,
-                &mut out,
-            );
+            generate_beacon_stream(&mut rng, &t, spec.prefix, 0, &mut out);
             out
         };
         assert_eq!(gen(3), gen(3));

@@ -11,8 +11,8 @@
 //! [`Mar20Config`] holds only what callers vary.
 
 use kcc_bgp_types::{AsPath, Asn, PathAttributes, Prefix, RouteUpdate};
-use kcc_collector::beacon::ripe_beacon_prefixes;
-use kcc_collector::{BeaconSchedule, PeerMeta, UpdateArchive};
+use kcc_collector::beacon::{ripe_beacon_prefixes, DAY_US};
+use kcc_collector::{PeerMeta, UpdateArchive};
 use kcc_core::AllocationRegistry;
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -21,8 +21,6 @@ use crate::beacons::generate_beacon_stream;
 use crate::streams::{generate_stream, sample_event_count, StreamClass, StreamTemplate};
 use crate::universe::{build_universe, Universe, UniverseConfig};
 
-/// Microseconds per day.
-pub const DAY_US: u64 = 24 * 3600 * 1_000_000;
 /// 2020-03-15 00:00:00 UTC.
 pub(crate) const MAR15_2020_EPOCH: u32 = 1_584_230_400;
 
@@ -115,7 +113,6 @@ pub struct Mar20Source {
     universe: Universe,
     traits: crate::universe::CollectorTraits,
     registry: AllocationRegistry,
-    schedule: BeaconSchedule,
     rng: StdRng,
     streams_per_session: usize,
     peer_idx: usize,
@@ -162,7 +159,6 @@ impl Mar20Source {
             universe,
             traits,
             registry,
-            schedule: BeaconSchedule::default(),
             rng,
             streams_per_session,
             peer_idx: 0,
@@ -288,14 +284,7 @@ impl Mar20Source {
                         class,
                         key.peer_ip,
                     );
-                    generate_beacon_stream(
-                        rng,
-                        &template,
-                        &self.schedule,
-                        *bp,
-                        0,
-                        &mut session_updates,
-                    );
+                    generate_beacon_stream(rng, &template, *bp, 0, &mut session_updates);
                 }
             }
 

@@ -419,7 +419,7 @@ mod tests {
     fn stream_generation_is_ordered_and_sized() {
         let (mut rng, t, prefix) = template(StreamClass::TaggedVisible);
         let mut out = Vec::new();
-        generate_stream(&mut rng, &t, prefix, 50, 86_400_000_000, &mut out);
+        generate_stream(&mut rng, &t, prefix, 50, kcc_collector::beacon::DAY_US, &mut out);
         assert!(out.len() >= 51); // initial + events (+ withdraw pairs)
         for w in out.windows(2) {
             assert!(w[0].time_us <= w[1].time_us, "updates must be time-ordered");

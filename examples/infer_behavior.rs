@@ -11,9 +11,7 @@
 use std::sync::Arc;
 
 use keep_communities_clean::analysis::interconnect::infer_interconnections;
-use keep_communities_clean::analysis::tomography::{
-    classify_ases, infer_behaviors, TomographyConfig,
-};
+use keep_communities_clean::analysis::tomography::{classify_ases, infer_behaviors};
 use keep_communities_clean::analysis::{
     clean_archive, ArchiveSource, CleaningConfig, CommunityProfiler, PipelineBuilder, WatchConfig,
     WatchSink,
@@ -33,7 +31,7 @@ fn main() {
 
     // 1. Who tags, who filters, who ignores? (§7: "classify per-AS
     //    community behavior")
-    let inferred = infer_behaviors(&out.archive, &TomographyConfig::default());
+    let inferred = infer_behaviors(&out.archive);
     let (taggers, filters, propagators) = classify_ases(&inferred);
     println!("inferred from update streams alone:");
     println!("  taggers:     {} ASes", taggers.len());

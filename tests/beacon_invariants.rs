@@ -5,7 +5,8 @@ use keep_communities_clean::analysis::beacon_phase::{PhaseCountSink, PhaseCounts
 use keep_communities_clean::analysis::exploration::detect;
 use keep_communities_clean::analysis::revealed::revealed_attributes;
 use keep_communities_clean::analysis::{classify_archive, PipelineBuilder};
-use keep_communities_clean::collector::{ArchiveSource, BeaconEvent, BeaconSchedule};
+use keep_communities_clean::collector::beacon::{self, BeaconEvent};
+use keep_communities_clean::collector::ArchiveSource;
 use keep_communities_clean::sim::{Network, SimConfig, SimDuration, SimTime};
 use keep_communities_clean::topology::{generate, RouterId, Tier, TopologyConfig};
 use keep_communities_clean::types::{Asn, Prefix};
@@ -39,7 +40,7 @@ fn run_beacon_day(seed: u64) -> BeaconDay {
     net.run_until_quiet();
     net.clear_captures();
     let day_start = SimTime(((net.now().0 / 60_000_000) + 2) * 60_000_000);
-    for (offset, event) in BeaconSchedule::default().day_events() {
+    for (offset, event) in beacon::day_events() {
         let at = SimTime(day_start.0 + offset);
         match event {
             BeaconEvent::Announce => net.schedule_announce(at, beacon_router, beacon),
@@ -59,7 +60,7 @@ fn run_beacon_day(seed: u64) -> BeaconDay {
 
 fn count_phases(day: &BeaconDay) -> PhaseCounts {
     PipelineBuilder::new(ArchiveSource::new(&day.archive))
-        .sink(PhaseCountSink::new(BeaconSchedule::default(), &[day.beacon]))
+        .sink(PhaseCountSink::new(&[day.beacon]))
         .run()
         .expect("archive sources cannot fail")
         .sink
@@ -94,7 +95,7 @@ fn withdrawal_phases_dominate_update_volume() {
 #[test]
 fn exploration_reveals_multiple_locations() {
     let day = run_beacon_day(42);
-    let episodes = detect(&day.archive, &BeaconSchedule::default(), &[day.beacon]);
+    let episodes = detect(&day.archive, &[day.beacon]);
     assert!(!episodes.is_empty(), "no withdrawal-phase episodes detected");
     let multi = episodes.iter().filter(|e| e.locations.len() > 1).count();
     assert!(multi > 0, "no episode revealed multiple geo locations");
@@ -105,7 +106,7 @@ fn majority_of_attributes_revealed_in_withdrawal_phases() {
     // The Fig. 6 shape: most unique community attributes appear only
     // during withdrawal phases (paper: ~60%, stable over a decade).
     let day = run_beacon_day(42);
-    let revealed = revealed_attributes(&day.archive, &BeaconSchedule::default(), &[day.beacon]);
+    let revealed = revealed_attributes(&day.archive, &[day.beacon]);
     assert!(revealed.total > 0, "no community attributes revealed at all");
     let ratio = revealed.withdrawal_ratio();
     assert!(ratio >= 0.3, "withdrawal-exclusive ratio {ratio:.2} too low (paper: ~0.6)");

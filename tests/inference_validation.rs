@@ -3,9 +3,7 @@
 //! generator/simulator actually configured.
 
 use keep_communities_clean::analysis::interconnect::infer_interconnections;
-use keep_communities_clean::analysis::tomography::{
-    infer_behaviors, InferredClass, TomographyConfig,
-};
+use keep_communities_clean::analysis::tomography::{infer_behaviors, InferredClass};
 use keep_communities_clean::analysis::{clean_archive, CleaningConfig};
 use keep_communities_clean::tracegen::universe::UniverseConfig;
 use keep_communities_clean::tracegen::{generate_mar20, Mar20Config};
@@ -35,7 +33,7 @@ fn generated_day(seed: u64) -> keep_communities_clean::tracegen::GenOutput {
 #[test]
 fn tomography_recovers_taggers() {
     let out = generated_day(11);
-    let inferred = infer_behaviors(&out.archive, &TomographyConfig::default());
+    let inferred = infer_behaviors(&out.archive);
 
     let true_taggers: Vec<Asn> =
         out.universe.transits.iter().filter(|t| t.tags_geo).map(|t| t.asn).collect();
@@ -65,7 +63,7 @@ fn tomography_recovers_taggers() {
 #[test]
 fn tomography_recovers_cleaning_peers() {
     let out = generated_day(12);
-    let inferred = infer_behaviors(&out.archive, &TomographyConfig::default());
+    let inferred = infer_behaviors(&out.archive);
 
     let cleaning_peers: Vec<Asn> = out
         .universe
@@ -123,7 +121,7 @@ fn tomography_recovers_cleaning_peers() {
 #[test]
 fn tomography_finds_propagators_among_honest_peers() {
     let out = generated_day(13);
-    let inferred = infer_behaviors(&out.archive, &TomographyConfig::default());
+    let inferred = infer_behaviors(&out.archive);
     let honest: Vec<Asn> = out
         .universe
         .peers
